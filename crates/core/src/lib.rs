@@ -74,8 +74,7 @@ pub use registry::{
 };
 pub use runner::{
     power_stacks, results_from_items, riscv_stacks, x86_stacks, MatrixItems, MatrixStack,
-    OutcomeMode, SpaceSharing, StackKey, Sweep, SweepOptions, SweepResults, SweepRow, SweepStats,
-    SHARING_BREAK_EVEN,
+    OutcomeMode, StackKey, Sweep, SweepOptions, SweepResults, SweepRow, SweepStats,
 };
 pub use store::{C11Cached, SpaceStore, StoreStats};
 pub use verdict::{Classification, FullComparison, TestResult};
@@ -142,11 +141,12 @@ impl<'m> TriCheck<'m> {
     /// validating refinements ("no forbidden outcomes are allowed as a
     /// result of this relaxation", §5.2.2).
     ///
-    /// Both outcome sets are computed through the shared
-    /// [`ExecutionSpace::outcome_set`] engine — the same path a
-    /// full-outcome sweep ([`OutcomeMode::FullOutcomes`]) amortizes
-    /// across model cells, pinned to the one-shot streaming enumeration
-    /// by the differential tests in `tests/power_equivalence.rs`.
+    /// Both outcome sets are computed over an [`ExecutionSpace`] — the
+    /// same path a full-outcome sweep ([`OutcomeMode::FullOutcomes`])
+    /// takes once per distinct program for every model judging it. The
+    /// differential tests in `tests/power_equivalence.rs` check both
+    /// against the one-shot oracle, which streams the enumeration and
+    /// materializes nothing.
     ///
     /// # Errors
     ///

@@ -1,84 +1,74 @@
-//! The suite runner, rebuilt on the shared execution-space engine:
-//! compile once per (test, mapping), enumerate once per distinct compiled
-//! program, judge everywhere.
+//! The suite runner: compile once per (test, mapping), enumerate once per
+//! distinct compiled program, judge everywhere.
 //!
 //! # Architecture
 //!
 //! A sweep evaluates every litmus test against a *matrix* of full-stack
 //! model cells. [`Sweep::run_matrix`] is the generic engine: it takes an
 //! arbitrary list of [`MatrixStack`]s — each a row key, a compiler
-//! mapping, and a µarch model — and schedules the (test × stack) items
-//! over shared caches. The paper's two studies are thin instantiations:
+//! mapping, and a µarch model. The paper's studies are thin
+//! instantiations:
 //!
 //! - [`Sweep::run_riscv`] — Figure 15's 28 cells (2 RISC-V ISAs × 2 spec
 //!   versions × 7 µarch models, with the matching Table 2/3 mapping);
 //! - [`Sweep::run_power`] — the §7 compiler study's cells
 //!   ({leading-sync, trailing-sync} × the ARMv7 models).
 //!
-//! Three phases of the work depend on strictly less than the full
-//! (test, cell) pair, so they are shared through a [`SweepCache`]-style
-//! set of concurrent caches instead of recomputed per cell:
+//! The sweep's one work item is a *distinct compiled program*: in the
+//! Figure 15 matrix every program is judged by all 7 µarch models of its
+//! mapping, so that is the unit the work is shared over. A sweep runs in
+//! two steps:
 //!
-//! 1. **C11 verdicts** depend only on the test — computed once per test
-//!    (a `OnceLock` per test; in [`OutcomeMode::FullOutcomes`] the cached
-//!    value is the full permitted-outcome set).
-//! 2. **Compilation** depends on (test, mapping) — mappings are
-//!    deduplicated across cells, so each test compiles exactly once per
-//!    distinct mapping (a `OnceLock` per pair).
-//! 3. **Candidate enumeration** depends only on the *compiled program* —
-//!    spaces are cached by the program's structural
-//!    [`Fingerprint`](tricheck_litmus::Fingerprint), so every model cell
-//!    sharing a mapping shares one enumeration, and any two mappings that
-//!    emit identical code (e.g. all-relaxed variants) share one too. In
-//!    full-outcome mode the space's cached outcome partition is shared
-//!    the same way.
+//! 1. **Grouping pre-pass** (serial). Mappings are deduplicated across
+//!    cells and every (test, mapping) pair is compiled exactly once. The
+//!    compilations are then grouped by the program they produce: a
+//!    [`Fingerprint`](tricheck_litmus::Fingerprint) bucket plus
+//!    structural equality, so a hash collision costs a linear probe,
+//!    never a wrong verdict. Two mappings that emit identical code (e.g.
+//!    for all-relaxed variants) land in one group. Groups are ordered by
+//!    first appearance in test-major order.
+//! 2. **Per-program pipeline** (work-stealing pool). Each item builds
+//!    its one [`ExecutionSpace`] — or loads it from the store — and
+//!    judges it for every (test, stack) visit, i.e. every stack of every
+//!    grouped (test, mapping) pair, writing each classification into its
+//!    (test, stack) slot. The tests' C11 verdicts come from a `OnceLock`
+//!    per test (in [`OutcomeMode::FullOutcomes`] the cached value is the
+//!    full permitted-outcome set). The item then saves the space back to
+//!    the store if it materialized a new view, and drops it.
 //!
-//! Work is scheduled as (test × stack) items over a work-stealing pool:
-//! each worker owns a contiguous chunk of items and, when drained, steals
-//! from the fullest remaining chunk. Items are laid out test-major so one
-//! test's cells are processed close together while its compiled programs
-//! and spaces are hot. `SweepOptions::threads == 1` bypasses the pool
-//! entirely for a fully deterministic serial run; the parallel path
-//! produces bit-identical [`SweepResults`] regardless (results are
-//! written by item index and aggregated in a fixed order).
+//! No space outlives its item, so workers share no space map, and each
+//! distinct program is enumerated at most once by construction.
+//! `SweepOptions::threads == 1` bypasses the pool for a fully
+//! deterministic serial run; the parallel path produces bit-identical
+//! [`SweepResults`] regardless (results are written by slot and
+//! aggregated in a fixed order).
 //!
-//! [`SweepResults::stats`] exposes the cache counters; the engine
-//! equivalence tests assert `compile_calls == tests × mappings` and
-//! `space_enumerations == distinct_programs` — i.e. nothing is ever
-//! compiled or enumerated twice. [`Sweep::run_riscv_naive`] and
-//! [`Sweep::run_power_naive`] keep the pre-engine per-cell recompute path
-//! alive as the differential oracle (and the baselines of
-//! `benches/pipeline.rs` and `benches/power_sweep.rs`).
+//! [`SweepResults::stats`] exposes the counters; the engine equivalence
+//! tests assert `compile_calls == tests × mappings` and
+//! `space_enumerations == distinct_programs`. [`Sweep::run_matrix_naive`]
+//! and its `run_*_naive` studies keep the pre-engine per-cell recompute
+//! path alive as the differential oracle. Timings live in the layered
+//! benchmark under `perfbench/`, not here.
 //!
-//! Two extensions widen the engine beyond one process lifetime:
-//!
-//! - **Space-sharing policy** ([`SpaceSharing`]): materializing shared
-//!   spaces only pays off when enough models judge each program.
-//!   [`SpaceSharing::Auto`] materializes at or above
-//!   [`SHARING_BREAK_EVEN`] models per mapping (the Figure 15 matrix)
-//!   and takes the one-shot streaming paths below it (the 4-cell Power
-//!   matrix) — bit-identical rows either way, pinned by
-//!   `tests/power_equivalence.rs`.
-//! - **Persistence** ([`SpaceStore`], implemented on disk by
-//!   `tricheck-dist`): with a store attached, C11 verdicts and
-//!   materialized spaces are loaded instead of recomputed and written
-//!   back at the end of the run, so repeated sweeps — and shard
-//!   processes sharing one cache directory — amortize enumeration
-//!   across process lifetimes. [`Sweep::run_matrix_items`] /
-//!   [`results_from_items`] expose the per-item layer the cross-process
-//!   shard planner merges through.
+//! **Persistence** ([`SpaceStore`], implemented on disk by
+//! `tricheck-dist`): with a store attached, C11 verdicts and
+//! materialized spaces are loaded instead of recomputed and written
+//! back, so repeated sweeps — and shard processes sharing one cache
+//! directory — amortize enumeration across process lifetimes.
+//! [`Sweep::run_matrix_items`] / [`results_from_items`] expose the
+//! per-slot layer the cross-process shard planner merges through.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use tricheck_c11::C11Model;
 use tricheck_compiler::{
-    compile, power_mapping, riscv_mapping, x86_mapping, CompileError, CompiledTest, Mapping,
-    PowerSyncStyle, X86MappingStyle,
+    compile, power_mapping, riscv_mapping, x86_mapping, CompiledTest, Mapping, PowerSyncStyle,
+    X86MappingStyle,
 };
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
-use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome};
+use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome, SpaceStats};
 use tricheck_uarch::UarchModel;
 
 use crate::store::{C11Cached, SpaceStore};
@@ -100,42 +90,6 @@ pub enum OutcomeMode {
     FullOutcomes,
 }
 
-/// Whether a sweep materializes shared execution spaces or streams
-/// per-query enumerations.
-///
-/// Materializing a program's matching set (or outcome partition) in a
-/// shared [`ExecutionSpace`] pays off when several model cells judge the
-/// same program — the Figure 15 matrix amortizes each materialization
-/// over 7 models per mapping. A small matrix like the §7 Power study
-/// (2 models per mapping) has nothing to amortize, and the one-shot
-/// streaming paths (short-circuiting witness search / streaming outcome
-/// enumeration) are strictly cheaper. Both paths produce bit-identical
-/// rows; only the cost profile and [`SweepStats`] space counters differ.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SpaceSharing {
-    /// Materialize shared spaces when a [`SpaceStore`] is attached
-    /// (persisted views must exist to be saved, and warm loads make
-    /// sharing free) or when the matrix averages at least
-    /// [`SHARING_BREAK_EVEN`] models per mapping; stream otherwise.
-    #[default]
-    Auto,
-    /// Always materialize shared spaces (the pre-break-even behaviour;
-    /// what the exactly-once contract tests pin).
-    Always,
-    /// Always stream. With a store attached this disables space
-    /// persistence (there is nothing materialized to save), so it is
-    /// mainly a benchmarking/debugging mode.
-    Never,
-}
-
-/// The minimum average number of model cells per mapping at which
-/// [`SpaceSharing::Auto`] materializes shared execution spaces: below
-/// this, per-query streaming wins (the ROADMAP's "matching-mode
-/// short-circuit for small matrices"). The Figure 15 matrix averages 7
-/// models per mapping (shared); the 4-cell Power matrix averages 2
-/// (streamed).
-pub const SHARING_BREAK_EVEN: usize = 3;
-
 /// Options controlling a sweep.
 #[derive(Clone)]
 pub struct SweepOptions {
@@ -146,10 +100,8 @@ pub struct SweepOptions {
     pub threads: usize,
     /// The equivalence checked per cell (target-outcome by default).
     pub outcome_mode: OutcomeMode,
-    /// Shared-space materialization policy (see [`SpaceSharing`]).
-    pub space_sharing: SpaceSharing,
-    /// Axiom-driven enumeration pruning (on by default): shared
-    /// execution spaces cut search branches that already violate the
+    /// Axiom-driven enumeration pruning (on by default): each program's
+    /// execution space cuts search branches that already violate the
     /// model-independent core (coherence + RMW atomicity), which every
     /// model rejects anyway — strictly fewer candidates are
     /// materialized, with bit-identical rows (pinned by
@@ -158,8 +110,9 @@ pub struct SweepOptions {
     /// restored views only ever differ in already-doomed candidates.
     pub pruning: bool,
     /// A persistent memoization of execution spaces and C11 verdicts,
-    /// consulted before computing and updated at the end of the run.
-    /// `None` (the default) keeps all caches run-scoped.
+    /// consulted before computing. Each program's space is written back
+    /// when its work item materialized a new view, C11 verdicts at the
+    /// end of the run. `None` (the default) keeps all work run-scoped.
     pub store: Option<Arc<dyn SpaceStore>>,
 }
 
@@ -180,7 +133,6 @@ impl Default for SweepOptions {
         SweepOptions {
             threads,
             outcome_mode: OutcomeMode::Target,
-            space_sharing: SpaceSharing::Auto,
             pruning: true,
             store: None,
         }
@@ -192,7 +144,6 @@ impl std::fmt::Debug for SweepOptions {
         f.debug_struct("SweepOptions")
             .field("threads", &self.threads)
             .field("outcome_mode", &self.outcome_mode)
-            .field("space_sharing", &self.space_sharing)
             .field("pruning", &self.pruning)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .finish()
@@ -314,7 +265,7 @@ impl SweepRow {
     }
 }
 
-/// Cache-effectiveness counters for one sweep, proving the
+/// Work counters for one sweep, proving the
 /// enumerate-once/judge-everywhere contract.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SweepStats {
@@ -327,31 +278,28 @@ pub struct SweepStats {
     pub c11_evaluations: usize,
     /// Compilations performed — exactly one per (test, mapping) pair.
     pub compile_calls: usize,
-    /// Cell visits that reused an already-compiled program.
+    /// (test, stack) visits that reused a compiled program: every visit
+    /// needs its (test, mapping) compilation and all but the first per
+    /// pair reuse it, so this is `tests × cells − compile_calls`.
     pub compile_cache_hits: usize,
-    /// Distinct compiled programs (execution spaces created).
+    /// Distinct compiled programs — the sweep's work items, one
+    /// execution space each.
     pub distinct_programs: usize,
-    /// Cell visits served by an existing execution space, plus
-    /// within-space reuse of materialized enumerations.
+    /// Queries a program's space answered from a view it had already
+    /// materialized (or restored from the store), summed over programs.
     pub space_cache_hits: usize,
     /// Enumeration passes actually run across all spaces — equals
     /// `distinct_programs` when every space is enumerated exactly once.
     pub space_enumerations: usize,
     /// Search branches cut by axiom-driven pruning across all space
-    /// enumerations (zero when [`SweepOptions::pruning`] is off or no
-    /// spaces were materialized).
+    /// enumerations (zero when [`SweepOptions::pruning`] is off or every
+    /// view was restored from the store).
     pub candidates_pruned: usize,
     /// Distinct compiled model kernels across the sweep's cells — each
     /// µarch model instance lowers its IR to one fused bitset kernel, so
     /// a single-process sweep reports exactly one kernel per stack
     /// (sharded runs sum their per-process counts).
     pub compiled_kernels: usize,
-    /// Candidate judgements that replayed a space-cached kernel prelude
-    /// (the space-invariant inputs evaluated once per program).
-    pub prelude_hits: usize,
-    /// Kernel preludes evaluated across all spaces — at most one per
-    /// (space, kernel) pair.
-    pub prelude_misses: usize,
 }
 
 impl SweepStats {
@@ -359,7 +307,7 @@ impl SweepStats {
     /// order — the counter surface `--cache-stats` and `--metrics-json`
     /// expose (injected into a `tricheck_trace::TraceReport`).
     #[must_use]
-    pub fn as_counters(&self) -> [(&'static str, u64); 12] {
+    pub fn as_counters(&self) -> [(&'static str, u64); 10] {
         [
             ("tests", self.tests as u64),
             ("cells", self.cells as u64),
@@ -371,8 +319,6 @@ impl SweepStats {
             ("space_enumerations", self.space_enumerations as u64),
             ("candidates_pruned", self.candidates_pruned as u64),
             ("compiled_kernels", self.compiled_kernels as u64),
-            ("prelude_hits", self.prelude_hits as u64),
-            ("prelude_misses", self.prelude_misses as u64),
         ]
     }
 }
@@ -474,104 +420,86 @@ pub fn results_from_items(
     SweepResults { rows, stats }
 }
 
-/// One scheduled cell of a sweep: a matrix stack plus its index into the
-/// deduplicated mapping list.
-struct Cell<'a, 'm> {
+/// One scheduled cell of a sweep: a matrix stack's µarch model plus its
+/// mapping's index into the deduplicated mapping list.
+struct Cell<'a> {
     mapping_idx: usize,
-    mapping: &'m dyn Mapping,
     model: &'a UarchModel,
 }
 
-/// One entry of the sweep's space cache: the shared space plus, when it
-/// was restored from the persistent store, a digest of the snapshot it
-/// was restored from — so [`SweepCache::persist`] can detect views
-/// derived *without* enumerating (e.g. a matching set filtered out of a
-/// restored full view) and write them back too.
-struct CachedSpace {
-    space: Arc<ExecutionSpace<HwAnnot>>,
-    loaded_digest: Option<u64>,
+/// The sweep's work item: one distinct compiled program and every
+/// (test, mapping) compilation that produced it.
+struct ProgramItem {
+    /// Indices into [`SweepCache::compiled`] (`t * n_mappings + m`), in
+    /// test-major order; the first one's program is the item's.
+    compiles: Vec<usize>,
 }
 
-impl CachedSpace {
-    fn snapshot_digest(space: &ExecutionSpace<HwAnnot>) -> u64 {
-        tricheck_litmus::codec::fnv1a(&space.snapshot())
+/// The grouping pre-pass: compiles every (test, mapping) pair exactly
+/// once (`compiled[t * mappings.len() + m]`, `None` where the mapping
+/// cannot compile the test) and groups the compilations by the program
+/// they produce, in order of first appearance.
+///
+/// Programs are bucketed by fingerprint and told apart within a bucket
+/// by structural equality, so a fingerprint collision can never merge
+/// two programs into one verdict.
+fn group_programs(
+    tests: &[LitmusTest],
+    mappings: &[&dyn Mapping],
+) -> (Vec<Option<CompiledTest>>, Vec<ProgramItem>) {
+    let mut compiled: Vec<Option<CompiledTest>> = Vec::with_capacity(tests.len() * mappings.len());
+    let mut items: Vec<ProgramItem> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    for test in tests {
+        for mapping in mappings {
+            let result = {
+                let _t = tricheck_trace::span(tricheck_trace::Phase::Compile);
+                compile(test, *mapping).ok()
+            };
+            if let Some(program) = result.as_ref().map(CompiledTest::program) {
+                let fingerprint = tricheck_litmus::Fingerprint::of(program).as_u64();
+                let bucket = buckets.entry(fingerprint).or_default();
+                let found = bucket.iter().copied().find(|&i| {
+                    compiled[items[i].compiles[0]]
+                        .as_ref()
+                        .is_some_and(|c| c.program() == program)
+                });
+                match found {
+                    Some(i) => items[i].compiles.push(compiled.len()),
+                    None => {
+                        bucket.push(items.len());
+                        items.push(ProgramItem {
+                            compiles: vec![compiled.len()],
+                        });
+                    }
+                }
+            }
+            compiled.push(result);
+        }
     }
+    (compiled, items)
 }
 
-/// Space-cache statistics drained from eagerly-reclaimed spaces.
-/// [`SweepCache::stats`] adds these to whatever is still live in the
-/// map, so the reported totals are identical whether a space was freed
-/// mid-run or survived to teardown.
-#[derive(Default)]
-struct ReclaimedSpaces {
-    distinct_programs: usize,
-    enumerations: usize,
-    cache_hits: usize,
-    candidates_pruned: usize,
-    prelude_hits: usize,
-    prelude_misses: usize,
-}
-
-/// The concurrent caches shared by every (test × cell) work item.
+/// The read-only inputs and the per-test C11 verdicts shared by every
+/// work item of one sweep.
 struct SweepCache<'t> {
     tests: &'t [LitmusTest],
-    n_mappings: usize,
     mode: OutcomeMode,
     /// Whether spaces enumerate with axiom-driven pruning.
     pruning: bool,
     c11: C11Model,
-    /// The persistent store, consulted on C11 and space cache misses.
+    /// The persistent store, consulted for C11 verdicts and spaces.
     store: Option<&'t dyn SpaceStore>,
     /// One verdict per test, computed on first demand.
     c11_verdicts: Vec<OnceLock<C11Cached>>,
-    /// One compilation per (test, mapping): index `t * n_mappings + m`.
-    compiled: Vec<OnceLock<Result<Arc<CompiledTest>, CompileError>>>,
-    /// Execution spaces keyed by program fingerprint. Buckets hold every
-    /// structurally-distinct program sharing a fingerprint, so a hash
-    /// collision degrades to a linear probe instead of a wrong verdict.
-    spaces: Mutex<HashMap<u64, Vec<CachedSpace>>>,
-    /// Remaining (test × cell) visits per program fingerprint, set by
-    /// the reclaim pre-pass in [`Sweep::run_cells`]. Present only when
-    /// eager space reclamation is on (shared spaces, no store to
-    /// persist them to).
-    space_visits: OnceLock<HashMap<u64, AtomicUsize>>,
-    /// Statistics of spaces already freed by [`SweepCache::release_space`].
-    reclaimed: Mutex<ReclaimedSpaces>,
+    /// The grouping pre-pass's compilations, `t * n_mappings + m`.
+    compiled: Vec<Option<CompiledTest>>,
+    /// The stacks (cell indices) judging each deduplicated mapping.
+    stacks_of: Vec<Vec<usize>>,
     c11_evaluations: AtomicUsize,
-    compile_calls: AtomicUsize,
-    compile_cache_hits: AtomicUsize,
-    space_lookup_hits: AtomicUsize,
 }
 
-impl<'t> SweepCache<'t> {
-    fn new(
-        tests: &'t [LitmusTest],
-        n_mappings: usize,
-        mode: OutcomeMode,
-        pruning: bool,
-        store: Option<&'t dyn SpaceStore>,
-    ) -> Self {
-        SweepCache {
-            tests,
-            n_mappings,
-            mode,
-            pruning,
-            c11: C11Model::new(),
-            store,
-            c11_verdicts: (0..tests.len()).map(|_| OnceLock::new()).collect(),
-            compiled: (0..tests.len() * n_mappings)
-                .map(|_| OnceLock::new())
-                .collect(),
-            spaces: Mutex::new(HashMap::new()),
-            space_visits: OnceLock::new(),
-            reclaimed: Mutex::new(ReclaimedSpaces::default()),
-            c11_evaluations: AtomicUsize::new(0),
-            compile_calls: AtomicUsize::new(0),
-            compile_cache_hits: AtomicUsize::new(0),
-            space_lookup_hits: AtomicUsize::new(0),
-        }
-    }
-
+impl SweepCache<'_> {
     /// Step 1 verdict for one test, computed at most once sweep-wide
     /// (the designated-target verdict, or the full permitted set). With
     /// a store attached, a persisted verdict is loaded instead of
@@ -596,251 +524,68 @@ impl<'t> SweepCache<'t> {
         })
     }
 
-    /// Step 2 result for one (test, mapping), compiled at most once.
-    fn compiled(
+    /// Runs one work item: builds or loads the program's space, judges
+    /// every (test, stack) visit against it, hands each result to `emit`
+    /// with its (test, stack) pair, and saves the space back to the
+    /// store if a new view was materialized. The space is dropped on
+    /// return; its counters are returned instead.
+    fn run_item(
+        &self,
+        item: &ProgramItem,
+        cells: &[Cell<'_>],
+        emit: impl Fn(usize, usize, TestResult),
+    ) -> SpaceStats {
+        let compiled = |c: usize| {
+            self.compiled[c]
+                .as_ref()
+                .expect("items are grouped from compiled programs")
+        };
+        let program = compiled(item.compiles[0]).program();
+        let space = match self.store.and_then(|s| s.load_space(program)) {
+            // Re-arm pruning on restored spaces so views enumerated
+            // later in this run are pruned like fresh ones.
+            Some(loaded) if self.pruning => loaded.into_pruned(),
+            Some(loaded) => loaded,
+            None if self.pruning => ExecutionSpace::pruned(program.clone()),
+            None => ExecutionSpace::new(program.clone()),
+        };
+        let views = space.materialized_views();
+        let n_mappings = self.stacks_of.len();
+        for &c in &item.compiles {
+            let t = c / n_mappings;
+            for &s in &self.stacks_of[c % n_mappings] {
+                let _cell = tricheck_trace::cell_span(s);
+                emit(t, s, self.judge(t, cells[s].model, &space, compiled(c)));
+            }
+        }
+        if let Some(store) = self.store {
+            if space.materialized_views() > views {
+                store.save_space(&space);
+            }
+        }
+        space.stats()
+    }
+
+    /// Steps 1, 3 and 4 for one (test, stack) visit over the program's
+    /// space.
+    fn judge(
         &self,
         t: usize,
-        mapping_idx: usize,
-        mapping: &dyn Mapping,
-    ) -> Result<Arc<CompiledTest>, CompileError> {
-        let slot = &self.compiled[t * self.n_mappings + mapping_idx];
-        let mut fresh = false;
-        let result = slot.get_or_init(|| {
-            fresh = true;
-            self.compile_calls.fetch_add(1, Ordering::Relaxed);
-            let _t = tricheck_trace::span(tricheck_trace::Phase::Compile);
-            compile(&self.tests[t], mapping).map(Arc::new)
-        });
-        if !fresh {
-            self.compile_cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        result.clone()
-    }
-
-    /// The shared execution space for a compiled program, created at most
-    /// once per structurally-distinct program. On a run-local miss the
-    /// persistent store is consulted (outside the cache lock — disk reads
-    /// must not serialize the worker pool); a loaded space arrives with
-    /// its persisted views pre-materialized, so queries against it hit
-    /// caches instead of enumerating.
-    ///
-    /// Also returns the program's fingerprint so the caller can hand
-    /// the space back to [`SweepCache::release_space`] without hashing
-    /// the program a second time.
-    fn space_for(&self, compiled: &CompiledTest) -> (Arc<ExecutionSpace<HwAnnot>>, u64) {
-        let fingerprint = tricheck_litmus::Fingerprint::of(compiled.program());
-        {
-            let mut spaces = self.spaces.lock().expect("space cache lock");
-            let bucket = spaces.entry(fingerprint.as_u64()).or_default();
-            if let Some(entry) = bucket
-                .iter()
-                .find(|e| e.space.program() == compiled.program())
-            {
-                self.space_lookup_hits.fetch_add(1, Ordering::Relaxed);
-                return (Arc::clone(&entry.space), fingerprint.as_u64());
-            }
-        }
-        let loaded = self
-            .store
-            .and_then(|s| s.load_space(compiled.program()))
-            .map(|space| {
-                // Re-arm pruning on restored spaces so views enumerated
-                // later in this run are pruned like fresh ones.
-                let space = if self.pruning {
-                    space.into_pruned()
-                } else {
-                    space
-                };
-                CachedSpace {
-                    loaded_digest: Some(CachedSpace::snapshot_digest(&space)),
-                    space: Arc::new(space),
-                }
-            });
-        let mut spaces = self.spaces.lock().expect("space cache lock");
-        let bucket = spaces.entry(fingerprint.as_u64()).or_default();
-        // Re-check: another worker may have installed the space while we
-        // were reading the store.
-        if let Some(entry) = bucket
-            .iter()
-            .find(|e| e.space.program() == compiled.program())
-        {
-            self.space_lookup_hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(&entry.space), fingerprint.as_u64());
-        }
-        let entry = loaded.unwrap_or_else(|| {
-            let program = compiled.program().clone();
-            let space = if self.pruning {
-                ExecutionSpace::pruned(program)
-            } else {
-                ExecutionSpace::new(program)
-            };
-            CachedSpace {
-                space: Arc::new(space),
-                loaded_digest: None,
-            }
-        });
-        let space = Arc::clone(&entry.space);
-        bucket.push(entry);
-        (space, fingerprint.as_u64())
-    }
-
-    /// Releases one precounted visit to a space. The visitor that
-    /// brings its fingerprint's count to zero retires the whole bucket
-    /// — freeing the space's arenas while their chunks are still warm
-    /// in cache instead of cold-walking every space at teardown — and
-    /// drains the bucket's statistics so [`SweepCache::stats`] still
-    /// sees them. A no-op when the reclaim pre-pass did not run; visits
-    /// that bail before touching the space (compile errors) never
-    /// decrement, so their buckets conservatively survive to teardown.
-    fn release_space(&self, fingerprint: u64, space: Arc<ExecutionSpace<HwAnnot>>) {
-        let Some(visits) = self.space_visits.get() else {
-            return;
-        };
-        let Some(remaining) = visits.get(&fingerprint) else {
-            return;
-        };
-        // AcqRel: the zero-observer must see every earlier visitor's
-        // space-statistics writes before draining them below.
-        if remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
-        }
-        let bucket = self
-            .spaces
-            .lock()
-            .expect("space cache lock")
-            .remove(&fingerprint);
-        if let Some(bucket) = &bucket {
-            let mut reclaimed = self.reclaimed.lock().expect("reclaimed stats lock");
-            for entry in bucket {
-                let s = entry.space.stats();
-                reclaimed.distinct_programs += 1;
-                reclaimed.enumerations += s.enumerations;
-                reclaimed.cache_hits += s.cache_hits;
-                reclaimed.candidates_pruned += s.candidates_pruned;
-                reclaimed.prelude_hits += s.prelude_hits;
-                reclaimed.prelude_misses += s.prelude_misses;
-            }
-        }
-        drop(bucket);
-        // Our own `space` reference drops last: for the common
-        // single-program bucket it is the final Arc, so the frees run
-        // here, on the worker that just finished using the space.
-        drop(space);
-    }
-
-    /// Writes newly-computed work back to the persistent store: every
-    /// space whose materialized views grew this sweep — by enumerating,
-    /// or by deriving a new view from a restored one (e.g. filtering a
-    /// cached full list down to a target's matching set), detected by
-    /// comparing the snapshot digest against what was loaded — and
-    /// every C11 verdict that was materialized (the store skips values
-    /// it already holds).
-    fn persist(&self, store: &dyn SpaceStore) {
-        let spaces = self.spaces.lock().expect("space cache lock");
-        for entry in spaces.values().flatten() {
-            let grown = match entry.loaded_digest {
-                None => entry.space.stats().enumerations > 0,
-                Some(digest) => CachedSpace::snapshot_digest(&entry.space) != digest,
-            };
-            if grown {
-                store.save_space(&entry.space);
-            }
-        }
-        drop(spaces);
-        for (t, slot) in self.c11_verdicts.iter().enumerate() {
-            if let Some(entry) = slot.get() {
-                store.save_c11(&self.tests[t], entry);
-            }
-        }
-    }
-
-    /// Runs one (test, cell) work item through Steps 1–4.
-    ///
-    /// `share_spaces` selects the enumeration mode: a multi-cell sweep
-    /// materializes each program's matching set (or outcome partition)
-    /// once in a shared space, amortized across every model judging it,
-    /// while a single-cell run has nothing to amortize and keeps the
-    /// one-shot paths (short-circuiting witness search / streaming
-    /// outcome enumeration).
-    fn process(&self, t: usize, cell: &Cell<'_, '_>, share_spaces: bool) -> Option<TestResult> {
-        // Step 1 before Step 2, so `c11_evaluations == tests` holds even
-        // for a test no mapping can compile (the naive path evaluates
-        // every test's C11 verdict too).
-        let entry = self.c11_entry(t);
-        let Ok(compiled) = self.compiled(t, cell.mapping_idx, cell.mapping) else {
-            return None; // the paper's suite always compiles
-        };
-        match entry {
-            C11Cached::Target(permitted) => {
-                let observable = if share_spaces {
-                    let (space, fingerprint) = self.space_for(&compiled);
-                    let observable = cell.model.observes_in(&space, compiled.target());
-                    self.release_space(fingerprint, space);
-                    observable
-                } else {
-                    cell.model.observes(compiled.program(), compiled.target())
-                };
-                Some(TestResult::new(&self.tests[t], *permitted, observable))
-            }
+        model: &UarchModel,
+        space: &ExecutionSpace<HwAnnot>,
+        compiled: &CompiledTest,
+    ) -> TestResult {
+        let test = &self.tests[t];
+        match self.c11_entry(t) {
+            C11Cached::Target(permitted) => TestResult::new(
+                test,
+                *permitted,
+                model.observes_in(space, compiled.target()),
+            ),
             C11Cached::Full(permitted) => {
-                let observable = if share_spaces {
-                    let (space, fingerprint) = self.space_for(&compiled);
-                    let observable = cell
-                        .model
-                        .observable_outcomes_in(&space, compiled.observed());
-                    self.release_space(fingerprint, space);
-                    observable
-                } else {
-                    cell.model
-                        .observable_outcomes(compiled.program(), compiled.observed())
-                };
-                let classification = classify_sets(permitted, &observable);
-                Some(TestResult::from_classification(
-                    &self.tests[t],
-                    classification,
-                ))
+                let observable = model.observable_outcomes_in(space, compiled.observed());
+                TestResult::from_classification(test, classify_sets(permitted, &observable))
             }
-        }
-    }
-
-    /// Drains the cache into sweep-level statistics.
-    fn stats(&self, cells: &[Cell<'_, '_>]) -> SweepStats {
-        let spaces = self.spaces.lock().expect("space cache lock");
-        let reclaimed = self.reclaimed.lock().expect("reclaimed stats lock");
-        let mut distinct_programs = reclaimed.distinct_programs;
-        let mut space_enumerations = reclaimed.enumerations;
-        let mut candidates_pruned = reclaimed.candidates_pruned;
-        let mut prelude_hits = reclaimed.prelude_hits;
-        let mut prelude_misses = reclaimed.prelude_misses;
-        let mut space_cache_hits =
-            self.space_lookup_hits.load(Ordering::Relaxed) + reclaimed.cache_hits;
-        for entry in spaces.values().flatten() {
-            distinct_programs += 1;
-            let s = entry.space.stats();
-            space_enumerations += s.enumerations;
-            space_cache_hits += s.cache_hits;
-            candidates_pruned += s.candidates_pruned;
-            prelude_hits += s.prelude_hits;
-            prelude_misses += s.prelude_misses;
-        }
-        let compiled_kernels = cells
-            .iter()
-            .map(|c| c.model.kernel_id())
-            .collect::<BTreeSet<_>>()
-            .len();
-        SweepStats {
-            tests: self.tests.len(),
-            cells: cells.len(),
-            c11_evaluations: self.c11_evaluations.load(Ordering::Relaxed),
-            compile_calls: self.compile_calls.load(Ordering::Relaxed),
-            compile_cache_hits: self.compile_cache_hits.load(Ordering::Relaxed),
-            distinct_programs,
-            space_cache_hits,
-            space_enumerations,
-            candidates_pruned,
-            compiled_kernels,
-            prelude_hits,
-            prelude_misses,
         }
     }
 }
@@ -891,13 +636,12 @@ impl Sweep {
         mapping: &dyn Mapping,
         model: &UarchModel,
     ) -> Vec<TestResult> {
-        let cells = vec![Cell {
+        let cells = [Cell {
             mapping_idx: 0,
-            mapping,
             model,
         }];
         tricheck_trace::set_keys([format!("{}/{}", mapping.name(), model.name())]);
-        let (results, _) = self.run_cells(tests, &cells, 1);
+        let (results, _) = self.run_cells(tests, &[mapping], &cells);
         results.into_iter().flatten().collect()
     }
 
@@ -937,7 +681,7 @@ impl Sweep {
         stacks: &[MatrixStack<'_>],
     ) -> MatrixItems {
         let mut mappings: Vec<&dyn Mapping> = Vec::new();
-        let cells: Vec<Cell<'_, '_>> = stacks
+        let cells: Vec<Cell<'_>> = stacks
             .iter()
             .map(|stack| {
                 #[allow(ambiguous_wide_pointer_comparisons)]
@@ -953,7 +697,6 @@ impl Sweep {
                 };
                 Cell {
                     mapping_idx,
-                    mapping: stack.mapping,
                     model: &stack.model,
                 }
             })
@@ -968,10 +711,10 @@ impl Sweep {
                 stack.model.name()
             )
         }));
-        let (results, stats) = self.run_cells(tests, &cells, mappings.len());
+        let (results, stats) = self.run_cells(tests, &mappings, &cells);
         // Reducing 20k+ results to bare classifications drops every
-        // per-item `TestResult` (and its heap data) in one pass —
-        // teardown work, like freeing the space cache below.
+        // per-slot `TestResult` (and its heap data) in one pass —
+        // teardown work, like freeing the sweep's tables in `run_cells`.
         let _t = tricheck_trace::span(tricheck_trace::Phase::Teardown);
         MatrixItems {
             items: results
@@ -1057,108 +800,95 @@ impl Sweep {
         self.run_matrix_naive(tests, &x86_stacks())
     }
 
-    /// Processes every (test × cell) item over the shared caches and the
-    /// work-stealing pool, returning per-item results (test-major) plus
-    /// cache statistics.
+    /// Compiles and groups the sweep by program, then runs one work item
+    /// per distinct program over the work-stealing pool, returning
+    /// per-slot results (test-major) plus the sweep's counters.
     fn run_cells(
         &self,
         tests: &[LitmusTest],
-        cells: &[Cell<'_, '_>],
-        n_mappings: usize,
+        mappings: &[&dyn Mapping],
+        cells: &[Cell<'_>],
     ) -> (Vec<Option<TestResult>>, SweepStats) {
         let store = self.options.store.as_deref();
-        let cache = SweepCache::new(
-            tests,
-            n_mappings,
-            self.options.outcome_mode,
-            self.options.pruning,
-            store,
-        );
-        let n_cells = cells.len();
-        let n_items = tests.len() * n_cells;
-        let results: Vec<OnceLock<Option<TestResult>>> =
-            (0..n_items).map(|_| OnceLock::new()).collect();
-
-        // Shared-space materialization amortizes over the models judging
-        // each program; below the break-even (and with no store to feed
-        // or exploit) the one-shot streaming paths are cheaper. A single
-        // cell never shares — there is no cross-model reuse at all.
-        let share_spaces = match self.options.space_sharing {
-            SpaceSharing::Always => true,
-            SpaceSharing::Never => false,
-            SpaceSharing::Auto => {
-                store.is_some() || (n_cells > 1 && n_cells / n_mappings >= SHARING_BREAK_EVEN)
-            }
-        };
-        // Eager space reclamation: with shared spaces and no store to
-        // persist them to, every space is dead the moment its last
-        // visitor finishes — and the sweep knows exactly how many
-        // visitors each program gets. Precompile the (test × mapping)
-        // grid (the same compilations the cells would otherwise do
-        // lazily, so `compile_calls` is unchanged; the cells' lookups
-        // all become cache hits) to count visits per fingerprint;
-        // `release_space` then frees each space right after its final
-        // use, while its memory is still warm in cache, instead of
-        // cold-walking thousands of spaces in one teardown burst.
-        if share_spaces && store.is_none() {
-            let mut cells_per_mapping = vec![0usize; n_mappings];
-            let mut mapping_reps: Vec<Option<&dyn Mapping>> = vec![None; n_mappings];
-            for cell in cells {
-                cells_per_mapping[cell.mapping_idx] += 1;
-                mapping_reps[cell.mapping_idx].get_or_insert(cell.mapping);
-            }
-            let mut visits: HashMap<u64, usize> = HashMap::new();
-            for t in 0..tests.len() {
-                for (m, mapping) in mapping_reps.iter().enumerate() {
-                    let Some(mapping) = mapping else { continue };
-                    if let Ok(compiled) = cache.compiled(t, m, *mapping) {
-                        let fingerprint =
-                            tricheck_litmus::Fingerprint::of(compiled.program()).as_u64();
-                        *visits.entry(fingerprint).or_default() += cells_per_mapping[m];
-                    }
-                }
-            }
-            let visits = visits
-                .into_iter()
-                .map(|(fingerprint, count)| (fingerprint, AtomicUsize::new(count)))
-                .collect();
-            cache
-                .space_visits
-                .set(visits)
-                .unwrap_or_else(|_| unreachable!("the pre-pass runs once"));
+        let (compiled, items) = group_programs(tests, mappings);
+        let compile_calls = compiled.len();
+        let mut stacks_of = vec![Vec::new(); mappings.len()];
+        for (s, cell) in cells.iter().enumerate() {
+            stacks_of[cell.mapping_idx].push(s);
         }
+        let cache = SweepCache {
+            tests,
+            mode: self.options.outcome_mode,
+            pruning: self.options.pruning,
+            c11: C11Model::new(),
+            store,
+            c11_verdicts: (0..tests.len()).map(|_| OnceLock::new()).collect(),
+            compiled,
+            stacks_of,
+            c11_evaluations: AtomicUsize::new(0),
+        };
+        let n_cells = cells.len();
+        let results: Vec<OnceLock<TestResult>> = (0..tests.len() * n_cells)
+            .map(|_| OnceLock::new())
+            .collect();
+        let space_stats: Vec<OnceLock<SpaceStats>> =
+            (0..items.len()).map(|_| OnceLock::new()).collect();
         let process = |i: usize| {
-            let (t, s) = (i / n_cells, i % n_cells);
-            let result = {
-                let _cell = tricheck_trace::cell_span(s);
-                cache.process(t, &cells[s], share_spaces)
-            };
-            results[i]
-                .set(result)
-                .expect("each work item is processed exactly once");
+            let stats = cache.run_item(&items[i], cells, |t, s, result| {
+                results[t * n_cells + s]
+                    .set(result)
+                    .expect("each (test, stack) slot is judged exactly once");
+            });
+            space_stats[i]
+                .set(stats)
+                .expect("each work item runs exactly once");
             tricheck_trace::progress_item_done();
         };
-        tricheck_trace::progress_begin(n_items as u64);
-        run_work_stealing(n_items, self.options.threads, &process);
+        tricheck_trace::progress_begin(items.len() as u64);
+        run_work_stealing(items.len(), self.options.threads, &process);
 
+        // Step 1 for tests no mapping could compile, so
+        // `c11_evaluations == tests` holds on every matrix (the naive
+        // path evaluates every test's C11 verdict too).
+        for t in 0..tests.len() {
+            cache.c11_entry(t);
+        }
         if let Some(store) = store {
-            cache.persist(store);
+            for (t, slot) in cache.c11_verdicts.iter().enumerate() {
+                if let Some(entry) = slot.get() {
+                    store.save_c11(&tests[t], entry);
+                }
+            }
             store.flush();
         }
-        let stats = cache.stats(cells);
-        let results = results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all work items processed"))
-            .collect();
-        // Freeing the cache used to deallocate every materialized
-        // candidate execution of the sweep in one burst; with the
-        // columnar arenas and eager space reclamation above, the spaces
-        // are already gone and what remains is the compiled-program and
-        // C11-verdict tables — small, but still worth its own phase so
-        // regressions that reinflate the burst stay visible in traces.
+        let mut stats = SweepStats {
+            tests: tests.len(),
+            cells: n_cells,
+            c11_evaluations: cache.c11_evaluations.load(Ordering::Relaxed),
+            compile_calls,
+            compile_cache_hits: tests.len() * n_cells - compile_calls,
+            distinct_programs: items.len(),
+            compiled_kernels: cells
+                .iter()
+                .map(|c| c.model.kernel_id())
+                .collect::<BTreeSet<_>>()
+                .len(),
+            ..SweepStats::default()
+        };
+        for s in space_stats.into_iter().filter_map(OnceLock::into_inner) {
+            stats.space_enumerations += s.enumerations;
+            stats.space_cache_hits += s.cache_hits;
+            stats.candidates_pruned += s.candidates_pruned;
+        }
+        let results = results.into_iter().map(OnceLock::into_inner).collect();
+        // Every space is already gone, dropped by its work item; what
+        // remains is the compiled-program and C11-verdict tables. Small,
+        // but worth its own phase so a regression that reinflates the
+        // end-of-sweep deallocation burst stays visible in traces.
         {
             let _t = tricheck_trace::span(tricheck_trace::Phase::Teardown);
             drop(cache);
+            drop(items);
         }
         (results, stats)
     }
@@ -1499,9 +1229,8 @@ mod tests {
         );
         assert_eq!(
             stats.compile_cache_hits,
-            tests.len() * 28,
-            "the reclaim pre-pass compiles the whole grid, so every cell \
-             visit reuses a compiled program"
+            tests.len() * 28 - stats.compile_calls,
+            "every other (test, stack) visit reuses a compiled program"
         );
         assert_eq!(
             stats.space_enumerations, stats.distinct_programs,
@@ -1514,16 +1243,12 @@ mod tests {
     }
 
     #[test]
-    fn power_sweep_compiles_and_enumerates_exactly_once_when_sharing() {
-        // The §7 analogue of the acceptance contract under forced
-        // sharing: one compile per (test, mapping) and one enumeration
-        // per distinct Power program across all {mapping × model} cells.
+    fn power_sweep_compiles_and_enumerates_exactly_once() {
+        // The §7 analogue of the acceptance contract: one compile per
+        // (test, mapping) and one enumeration per distinct Power program
+        // across all {mapping × model} cells.
         let tests: Vec<_> = suite::wrc_template().instantiate_all().collect();
-        let opts = SweepOptions {
-            space_sharing: SpaceSharing::Always,
-            ..SweepOptions::default()
-        };
-        let results = Sweep::with_options(opts).run_power(&tests);
+        let results = Sweep::new().run_power(&tests);
         let stats = results.stats();
         assert_eq!(stats.tests, tests.len());
         assert_eq!(stats.cells, 4);
@@ -1533,9 +1258,10 @@ mod tests {
             tests.len() * 2,
             "one compile per (test, sync style)"
         );
-        // The reclaim pre-pass compiles the whole grid up front, so
-        // every cell visit is a compile-cache hit.
-        assert_eq!(stats.compile_cache_hits, tests.len() * 4);
+        assert_eq!(
+            stats.compile_cache_hits,
+            tests.len() * 4 - stats.compile_calls
+        );
         assert_eq!(
             stats.space_enumerations, stats.distinct_programs,
             "each distinct Power program is enumerated exactly once"
@@ -1543,46 +1269,6 @@ mod tests {
         // Leading- and trailing-sync agree on relaxed-only code, so
         // deduplication must find strictly fewer programs than pairs.
         assert!(stats.distinct_programs < stats.compile_calls);
-    }
-
-    #[test]
-    fn power_sweep_streams_below_the_sharing_break_even() {
-        // The 4-cell Power matrix averages 2 models per mapping — below
-        // SHARING_BREAK_EVEN — so the default sweep takes the streaming
-        // witness path: no spaces are materialized at all, and the rows
-        // still match the shared-space run exactly.
-        let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let streamed = Sweep::new().run_power(&tests);
-        assert_eq!(
-            streamed.stats().distinct_programs,
-            0,
-            "nothing materialized"
-        );
-        assert_eq!(streamed.stats().space_enumerations, 0);
-        assert_eq!(streamed.stats().space_cache_hits, 0);
-        // Compile and C11 sharing still hold on the streaming path.
-        assert_eq!(streamed.stats().compile_calls, tests.len() * 2);
-        assert_eq!(streamed.stats().c11_evaluations, tests.len());
-
-        let shared = Sweep::with_options(SweepOptions {
-            space_sharing: SpaceSharing::Always,
-            ..SweepOptions::default()
-        })
-        .run_power(&tests);
-        assert_eq!(streamed.rows(), shared.rows());
-    }
-
-    #[test]
-    fn sharing_break_even_selects_by_models_per_mapping() {
-        // RISC-V: 28 cells / 4 mappings = 7 models per mapping → shared
-        // by default (the exactly-once test above relies on it); Power:
-        // 4 / 2 = 2 → streamed. Pin the constant to the real matrices.
-        let riscv = riscv_stacks();
-        let power = power_stacks();
-        assert_eq!(riscv.len(), 28);
-        assert_eq!(power.len(), 4);
-        assert!(riscv.len() / 4 >= SHARING_BREAK_EVEN, "Figure 15 shares");
-        assert!(power.len() / 2 < SHARING_BREAK_EVEN, "§7 matrix streams");
     }
 
     #[test]
@@ -1616,7 +1302,6 @@ mod tests {
             assert!(stack.model.config().is_none());
             assert_eq!(stack.model.ir().name(), "x86-TSO");
         }
-        assert!(stacks.len() / 2 < SHARING_BREAK_EVEN, "x86 matrix streams");
     }
 
     #[test]

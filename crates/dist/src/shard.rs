@@ -63,8 +63,9 @@ use crate::store::DiskStore;
 /// compiled-kernel and prelude-cache counters. v4: jobs carry a
 /// collect-trace flag and result frames may append an encoded
 /// [`TraceReport`] so the coordinator can merge a per-worker phase and
-/// counter breakdown.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// counter breakdown. v5: result frames drop the two prelude-cache
+/// counters.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Checks a decoded frame version against this build's, naming both in
 /// the error so cross-build skew is diagnosable from the message alone.
@@ -149,7 +150,7 @@ pub struct DistOptions {
     pub cache_dir: Option<PathBuf>,
     /// Ask each worker to run its shard under a metrics-collecting
     /// trace session and ship the drained [`TraceReport`] back in its
-    /// result frame (protocol v4). Off by default: untraced shards pay
+    /// result frame (since protocol v4). Off by default: untraced shards pay
     /// zero collection cost.
     pub collect_trace: bool,
     /// Arguments the worker binary (`std::env::current_exe()`) is
@@ -416,7 +417,6 @@ fn run_in_process(
         outcome_mode: opts.outcome_mode,
         pruning: opts.pruning,
         store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
-        ..SweepOptions::default()
     };
     let items = Sweep::with_options(sweep_opts).run_matrix_items(tests, stacks);
     let store_stats = store.map(|s| s.stats()).unwrap_or_default();
@@ -447,8 +447,6 @@ fn merge_stats(a: SweepStats, b: SweepStats) -> SweepStats {
         space_enumerations: a.space_enumerations + b.space_enumerations,
         candidates_pruned: a.candidates_pruned + b.candidates_pruned,
         compiled_kernels: a.compiled_kernels + b.compiled_kernels,
-        prelude_hits: a.prelude_hits + b.prelude_hits,
-        prelude_misses: a.prelude_misses + b.prelude_misses,
     }
 }
 
@@ -612,7 +610,7 @@ fn read_hist(r: &mut ByteReader<'_>) -> Result<Vec<(u16, u64)>, CodecError> {
     Ok(hist)
 }
 
-/// Serializes a [`TraceReport`] for a v4 result frame. The layout
+/// Serializes a [`TraceReport`] for a result frame. The layout
 /// mirrors the struct field-for-field (length-prefixed vectors, names
 /// as codec strings, one recursion level for the per-worker
 /// breakdown); [`decode_report`] round-trips it bit-exactly, which
@@ -740,8 +738,6 @@ fn encode_result(
         stats.space_enumerations,
         stats.candidates_pruned,
         stats.compiled_kernels,
-        stats.prelude_hits,
-        stats.prelude_misses,
     ] {
         codec::put_u64(&mut out, v as u64);
     }
@@ -809,8 +805,6 @@ fn decode_result(bytes: &[u8]) -> Result<DecodedResult, String> {
             space_enumerations: take()?,
             candidates_pruned: take()?,
             compiled_kernels: take()?,
-            prelude_hits: take()?,
-            prelude_misses: take()?,
         };
         let store = StoreStats {
             space_hits: take()?,
@@ -872,7 +866,6 @@ pub fn shard_worker_stdio() -> Result<(), String> {
                 outcome_mode: job.outcome_mode,
                 pruning: job.pruning,
                 store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
-                ..SweepOptions::default()
             };
             let stacks = job.spec.stacks();
             if job.collect_trace {
@@ -1005,8 +998,6 @@ mod tests {
             space_enumerations: 2,
             candidates_pruned: 7,
             compiled_kernels: 4,
-            prelude_hits: 9,
-            prelude_misses: 3,
         };
         let store = StoreStats {
             space_hits: 1,
@@ -1108,18 +1099,18 @@ mod tests {
 
     #[test]
     fn version_mismatch_errors_name_both_versions() {
-        // A v3 worker's result frame, as an old build would emit it:
-        // same magic, version 3 where this build expects 4.
+        // A v4 worker's result frame, as an old build would emit it:
+        // same magic, version 4 where this build expects 5.
         let mut result = Vec::new();
         result.extend_from_slice(b"TCSR");
-        codec::put_u16(&mut result, 3);
+        codec::put_u16(&mut result, 4);
         let err = decode_result(&result).unwrap_err();
         assert!(
-            err.contains("v3"),
+            err.contains("v4"),
             "error must name the frame version: {err}"
         );
         assert!(
-            err.contains("v4"),
+            err.contains("v5"),
             "error must name the expected version: {err}"
         );
         assert!(
@@ -1129,10 +1120,10 @@ mod tests {
 
         let mut job = Vec::new();
         job.extend_from_slice(b"TCSJ");
-        codec::put_u16(&mut job, 3);
+        codec::put_u16(&mut job, 4);
         let err = decode_job(&job).unwrap_err();
         assert!(
-            err.contains("v3") && err.contains("v4"),
+            err.contains("v4") && err.contains("v5"),
             "job error must name both versions: {err}"
         );
     }

@@ -130,6 +130,40 @@ fn views_derived_from_restored_spaces_are_persisted() {
     );
 }
 
+/// The sweep's grown check on its own: a warm target-mode run over a
+/// store that holds only full views and outcome partitions enumerates
+/// nothing, but derives a matching view in every restored space — and
+/// must rewrite every space file with it, not only the C11 verdicts.
+#[test]
+fn derived_views_rewrite_every_restored_space_file() {
+    let dir = TempDir::new("rewrite");
+    let tests = small_suite();
+    let store = Arc::new(DiskStore::open(dir.path()).expect("open store"));
+    let opts = SweepOptions {
+        outcome_mode: tricheck_core::OutcomeMode::FullOutcomes,
+        store: Some(Arc::clone(&store) as Arc<dyn SpaceStore>),
+        ..SweepOptions::default()
+    };
+    let _ = Sweep::with_options(opts).run_power(&tests);
+    let read_all = || -> Vec<Vec<u8>> {
+        space_files(dir.path())
+            .iter()
+            .map(|f| fs::read(f).expect("read space file"))
+            .collect()
+    };
+    let before = read_all();
+
+    let store2 = Arc::new(DiskStore::open(dir.path()).expect("reopen"));
+    let warm = run_with_store(&tests, &store2);
+    assert_eq!(warm.stats().space_enumerations, 0);
+    let after = read_all();
+    assert_eq!(after.len(), before.len());
+    assert!(
+        before.iter().zip(&after).all(|(b, a)| b != a),
+        "every restored space gained a derived matching view"
+    );
+}
+
 #[test]
 fn corrupt_space_files_fall_back_to_recompute_with_identical_rows() {
     let dir = TempDir::new("corrupt");

@@ -75,8 +75,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tricheck_rel::Prelude;
-
 use crate::arena::ExecArena;
 use crate::codec::{self, AnnCodec, ByteReader, CodecError};
 use crate::enumerate::{
@@ -98,7 +96,7 @@ use crate::outcome::Outcome;
 /// caches keyed by fingerprint would need a hand-rolled encoding.
 /// Collisions are theoretically possible; caches keyed by fingerprint
 /// must fall back to structural equality on hit (see `tricheck-core`'s
-/// space cache).
+/// grouping pre-pass).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Fingerprint(u64);
 
@@ -153,12 +151,6 @@ pub struct SpaceStats {
     /// Search branches cut by the coherence core across this space's
     /// enumerations (always zero for an unpruned space).
     pub candidates_pruned: usize,
-    /// Candidate judgements that replayed a cached compiled-kernel
-    /// prelude (see [`ExecutionSpace::kernel_prelude`]).
-    pub prelude_hits: usize,
-    /// Compiled-kernel preludes evaluated by this space — at most one
-    /// per kernel that ever judged it.
-    pub prelude_misses: usize,
 }
 
 /// A read view over candidates of one space: a shared columnar arena
@@ -283,21 +275,9 @@ pub struct ExecutionSpace<A> {
     /// Outcome partition of the full space, keyed by the observed-register
     /// list it projects onto (see [`ExecutionSpace::outcome_groups`]).
     groups: Mutex<GroupCache>,
-    /// The most recent compiled-kernel prelude evaluated against this
-    /// space, tagged with its kernel id (see
-    /// [`ExecutionSpace::kernel_prelude`]). A single slot: batched
-    /// judging evaluates one prelude per (space, kernel) stream, so a
-    /// full map would only accumulate dead entries a sweep pays to free
-    /// at teardown. Runtime-only state: never part of
-    /// [`ExecutionSpace::snapshot`] — preludes are recomputed cheaply
-    /// per process and their layout is a kernel implementation detail,
-    /// not a persistence format.
-    prelude: Mutex<Option<(u64, Arc<Prelude>)>>,
     enumerations: AtomicUsize,
     cache_hits: AtomicUsize,
     candidates_pruned: AtomicUsize,
-    prelude_hits: AtomicUsize,
-    prelude_misses: AtomicUsize,
 }
 
 /// The full candidate space partitioned by outcome: each entry pairs one
@@ -320,12 +300,9 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
             full: OnceLock::new(),
             matching: Mutex::new(BTreeMap::new()),
             groups: Mutex::new(BTreeMap::new()),
-            prelude: Mutex::new(None),
             enumerations: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
             candidates_pruned: AtomicUsize::new(0),
-            prelude_hits: AtomicUsize::new(0),
-            prelude_misses: AtomicUsize::new(0),
         }
     }
 
@@ -569,34 +546,20 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
             enumerations: self.enumerations.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             candidates_pruned: self.candidates_pruned.load(Ordering::Relaxed),
-            prelude_hits: self.prelude_hits.load(Ordering::Relaxed),
-            prelude_misses: self.prelude_misses.load(Ordering::Relaxed),
         }
     }
 
-    /// The space-invariant prelude of the compiled kernel identified by
-    /// `kernel_id`, evaluating it via `build` on a slot miss and
-    /// replaying the cached result while the same kernel keeps asking.
-    ///
-    /// The cache is a single slot, not a map: batched judging streams
-    /// every candidate of a (space, kernel) pair through one
-    /// `check_batch` call, so the prelude is requested once per stream
-    /// and back-to-back requests come from the same kernel. A per-kernel
-    /// map would only accumulate entries no later request reads — dead
-    /// weight the sweep pays to free at teardown. Hits count replays of
-    /// the slotted prelude; misses count evaluations.
-    pub fn kernel_prelude(&self, kernel_id: u64, build: impl FnOnce() -> Prelude) -> Arc<Prelude> {
-        let mut slot = self.prelude.lock().expect("space lock");
-        if let Some((id, cached)) = slot.as_ref() {
-            if *id == kernel_id {
-                self.prelude_hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(cached);
-            }
-        }
-        self.prelude_misses.fetch_add(1, Ordering::Relaxed);
-        let prelude = Arc::new(build());
-        *slot = Some((kernel_id, Arc::clone(&prelude)));
-        prelude
+    /// How many views the space holds: the full arena, each cached
+    /// target-restricted view, and each cached outcome partition. Views
+    /// are only ever added, so comparing the count before and after a
+    /// batch of queries tells whether they materialized anything new —
+    /// by enumerating or by deriving a view from a restored one — that
+    /// a store should be given.
+    #[must_use]
+    pub fn materialized_views(&self) -> usize {
+        usize::from(self.full.get().is_some())
+            + self.matching.lock().expect("space lock").len()
+            + self.groups.lock().expect("space lock").len()
     }
 }
 

@@ -137,9 +137,9 @@ fn flags() -> u32 {
 /// order phases appear in reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// One (test, stack) work item end to end, as scheduled by the
-    /// sweep engine. Its self time is the engine's own judging +
-    /// scheduling overhead; its inclusive durations are per-cell cost.
+    /// One (test, stack) visit, judged inside its program's work item
+    /// by the sweep engine. Its self time is the engine's own judging
+    /// overhead; its inclusive durations are per-cell cost.
     Cell,
     /// C11 axiomatic evaluation of one litmus test (Step 1).
     C11Eval,
@@ -159,9 +159,9 @@ pub enum Phase {
     StoreWrite,
     /// Coordinator-side shard traffic: dealing jobs, collecting frames.
     ShardExchange,
-    /// Freeing the sweep's shared caches — thousands of materialized
-    /// execution spaces deallocate in one burst after the item loop, a
-    /// cost proportional to the sweep itself (≈15–20% of a serial run).
+    /// Freeing the sweep's end-of-run tables (per-slot results,
+    /// compiled programs, C11 verdicts). Execution spaces are freed by
+    /// their work items, so this stays a small share of a run.
     Teardown,
     /// Rendering charts, tables, and reports.
     Report,

@@ -62,11 +62,12 @@
 //!   over candidate executions; [`c11::C11Model`] and
 //!   [`uarch::UarchModel`] both implement it, so `permits_target` and
 //!   `observes` are thin adapters over the same engine.
-//! - **Scheduling** ([`core::Sweep`]) fans (test × stack) work items over
-//!   a work-stealing pool whose workers share the compiled-program and
-//!   execution-space caches; `SweepResults::stats()` proves the
-//!   exactly-once contract, and `SweepOptions { threads: 1 }` degrades
-//!   to a fully deterministic serial run.
+//! - **Scheduling** ([`core::Sweep`]) compiles every (test, mapping)
+//!   pair once, groups the (test × stack) visits by compiled program,
+//!   and fans one work item per distinct program over a work-stealing
+//!   pool; `SweepResults::stats()` proves the exactly-once contract, and
+//!   `SweepOptions { threads: 1 }` degrades to a fully deterministic
+//!   serial run.
 //!
 //! The pre-engine per-cell pipeline survives as
 //! [`core::Sweep::run_riscv_naive`], used by the differential tests in
@@ -96,8 +97,8 @@ pub mod prelude {
         X86MappingStyle, X86Relaxed, X86ScAtomics,
     };
     pub use tricheck_core::{
-        report, Classification, MatrixStack, OutcomeMode, SpaceSharing, SpaceStore, StackKey,
-        Sweep, SweepOptions, SweepResults, TestResult, TriCheck,
+        report, Classification, MatrixStack, OutcomeMode, SpaceStore, StackKey, Sweep,
+        SweepOptions, SweepResults, TestResult, TriCheck,
     };
     pub use tricheck_dist::{run_sharded, DiskStore, DistOptions, DistResults, MatrixSpec};
     pub use tricheck_isa::{format_program, AmoBits, Asm, HwAnnot, RiscvIsa, SpecVersion};

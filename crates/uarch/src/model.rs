@@ -446,8 +446,8 @@ impl ConsistencyModel for UarchModel {
     // The space-judged paths stream the space's columnar views through
     // `CompiledModel::check_batch`: one cursor rebind per candidate (no
     // per-candidate `Execution` clone, `fr` served from the arena's
-    // derived column) and one replay of the kernel's space-invariant
-    // prelude per stream from the space's per-kernel cache.
+    // derived column) and one evaluation of the kernel's
+    // space-invariant prelude per stream.
 
     fn permits(&self, space: &ExecutionSpace<HwAnnot>, target: &Outcome) -> bool {
         let compiled = self.compiled();
@@ -458,9 +458,7 @@ impl ConsistencyModel for UarchModel {
         let indices = view.indices();
         let mut pool = HwPool::over(view.arena()).expect("non-empty view has candidates");
         // The prelude lives for exactly this stream: batching already
-        // shares it across every candidate of the (space, kernel) pair,
-        // so caching it on the space would only defer the free to the
-        // sweep's teardown burst.
+        // shares it across every candidate of the (space, kernel) pair.
         let prelude = compiled.prelude(&pool.bind(indices[0]));
         let mut witnessed = false;
         compiled.check_batch(

@@ -1,0 +1,191 @@
+#!/usr/bin/env bash
+# End-to-end smoke checks of the release CLI and bench binaries: the
+# same script the CI workflow runs, so an offline checkout can run
+# exactly what CI runs.
+#
+# Usage: scripts/ci-smoke.sh    (from anywhere; exits nonzero on the
+# first failing check). Scratch files go to $RUNNER_TEMP when set,
+# otherwise to a fresh temporary directory removed on exit.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+if [[ -n "${RUNNER_TEMP:-}" ]]; then
+  TMP="$RUNNER_TEMP"
+else
+  TMP="$(mktemp -d)"
+  trap 'rm -rf "$TMP"' EXIT
+fi
+
+step() { printf '\n>>> %s\n' "$*"; }
+
+# Counter value from a --cache-stats block ("  name: value").
+counter() { sed -n "s/^  $1: \([0-9][0-9]*\)$/\1/p" "$2"; }
+
+cargo build --release -q -p tricheck-cli
+tricheck() { "${CARGO_TARGET_DIR:-target}/release/tricheck" "$@"; }
+
+step "CLI power-sweep smoke"
+tricheck sweep wrc --power --threads 2 --cache-stats | tee "$TMP/power.txt"
+# The compiled-kernel path must be active: one fused bitset kernel per
+# stack (the Power matrix has 4 cells).
+grep -E "^  compiled_kernels: 4$" "$TMP/power.txt"
+
+step "CLI riscv-sweep compiled-path smoke"
+tricheck sweep wrc --threads 2 --cache-stats | tee "$TMP/riscv.txt"
+# One kernel per stack across the full Figure 15 matrix (28 cells), and
+# every distinct compiled program enumerated exactly once.
+grep -E "^  compiled_kernels: 28$" "$TMP/riscv.txt"
+programs="$(counter distinct_programs "$TMP/riscv.txt")"
+enumerations="$(counter space_enumerations "$TMP/riscv.txt")"
+if [[ -z "$programs" || "$programs" -eq 0 || "$enumerations" != "$programs" ]]; then
+  echo "expected space_enumerations == distinct_programs > 0," \
+    "got $enumerations and $programs" >&2
+  exit 1
+fi
+
+step "model_eval bench smoke (quick mode)"
+TRICHECK_BENCH_QUICK=1 cargo bench -q -p tricheck-bench --bench model_eval
+
+step "CLI x86-sweep smoke"
+tricheck sweep sb --x86 --threads 2 --cache-stats | tee "$TMP/x86.txt"
+# The IR-defined TSO stack's headline: the unfenced mapping exhibits
+# store buffering, the SC-atomics mapping is clean.
+grep -E "^sc-atomics +x86-TSO +0 " "$TMP/x86.txt"
+grep -E "^relaxed +x86-TSO +1 " "$TMP/x86.txt"
+
+step "CLI model listing smoke"
+tricheck sweep --list-models | tee "$TMP/models.txt"
+grep "x86-TSO" "$TMP/models.txt"
+grep "ScPerLocation" "$TMP/models.txt"
+
+step "CLI stack-file smoke"
+# The committed whole-stack definition file must reproduce the built-in
+# x86 study's headline counts through `sweep --stack`.
+tricheck sweep sb --stack models/x86-tso.stack --threads 2 | tee "$TMP/stack.txt"
+grep -E "^sc-atomics +x86-TSO +0 " "$TMP/stack.txt"
+grep -E "^relaxed +x86-TSO +1 " "$TMP/stack.txt"
+# And the loaded stack shows up in the model catalog.
+tricheck sweep --list-models --stack models/x86-tso.stack | tee "$TMP/stack-list.txt"
+grep "x86-tso (loaded from models/x86-tso.stack)" "$TMP/stack-list.txt"
+
+step "CLI stack-file error-path smoke"
+# A malformed stack file must fail with a spanned, origin-tagged error —
+# and a nonzero exit.
+printf 'stack broken\nisa x86\nmapping m\nld rlx = frobnicate\nmodel broken\n  A: acyclic(po)\n' \
+  > "$TMP/bad.stack"
+if tricheck sweep sb --stack "$TMP/bad.stack" 2> "$TMP/bad.txt"; then
+  echo "malformed stack file was accepted" >&2; exit 1
+fi
+grep "bad.stack:4" "$TMP/bad.txt"
+# Unknown flags are rejected with the flag named.
+if tricheck sweep sb --frobnicate 2> "$TMP/flag.txt"; then
+  echo "unknown flag was accepted" >&2; exit 1
+fi
+grep "unknown option '--frobnicate'" "$TMP/flag.txt"
+
+step "Sharded sweep smoke (cold, then warm)"
+rm -rf "$TMP/tricheck-cache"
+tricheck sweep wrc --shards 2 --cache-dir "$TMP/tricheck-cache" --cache-stats \
+  | tee "$TMP/cold.txt"
+tricheck sweep wrc --shards 2 --cache-dir "$TMP/tricheck-cache" --cache-stats \
+  | tee "$TMP/warm.txt"
+# The chart (everything before the stats block) must be byte-identical
+# between the cold and warm runs.
+sed '/^cache stats:/,$d' "$TMP/cold.txt" > "$TMP/cold-chart.txt"
+sed '/^cache stats:/,$d' "$TMP/warm.txt" > "$TMP/warm-chart.txt"
+diff "$TMP/cold-chart.txt" "$TMP/warm-chart.txt"
+# The warm run must be served from the store: nonzero space hits, zero
+# enumerations across all shards.
+grep -E "^  store_space_hits: [1-9][0-9]*$" "$TMP/warm.txt"
+grep -E "^  store_space_misses: 0$" "$TMP/warm.txt"
+grep -E "^  space_enumerations: 0$" "$TMP/warm.txt"
+
+step "Metrics report smoke (riscv + power matrices)"
+# --metrics-json on both built-in matrices: the document must parse,
+# carry the pinned schema tag, and contain every required top-level key
+# with sane values.
+tricheck sweep wrc --threads 2 --metrics-json "$TMP/metrics-riscv.json"
+tricheck sweep wrc --power --threads 2 --metrics-json "$TMP/metrics-power.json"
+for f in "$TMP/metrics-riscv.json" "$TMP/metrics-power.json"; do
+  python3 - "$f" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["schema"] == "tricheck-metrics/v1", d["schema"]
+for key in ["wall_ns", "busy_ns", "phases", "counters", "stacks", "workers"]:
+    assert key in d, f"missing {key}"
+assert d["wall_ns"] > 0
+assert any(p["name"] == "cell" for p in d["phases"])
+for p in d["phases"]:
+    for field in ["name", "total_ns", "count", "p50_ns", "p95_ns", "max_ns"]:
+        assert field in p, f"phase missing {field}"
+assert d["counters"]["space_enumerations"] > 0
+print(sys.argv[1], "ok:", len(d["phases"]), "phases,", len(d["counters"]), "counters")
+PY
+done
+# Sharded run: the merged report must carry a per-worker breakdown.
+tricheck sweep wrc --shards 2 --metrics-json "$TMP/metrics-sharded.json"
+python3 - "$TMP/metrics-sharded.json" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert len(d["workers"]) == 2, d["workers"]
+merged = d["counters"]["space_enumerations"]
+summed = sum(w["counters"]["space_enumerations"] for w in d["workers"])
+assert merged == summed, (merged, summed)
+print("sharded ok: per-worker breakdown merges to", merged)
+PY
+
+step "Lint smoke (committed files clean, bad file caught, JSON schema)"
+# The committed model and stack files must stay clean even under
+# --deny-warnings.
+tricheck lint models/x86-tso.stack --deny-warnings
+tricheck lint models/x86-tso.cat --deny-warnings
+# The known-bad fixture must exit nonzero with the rule code and
+# position on stderr.
+if tricheck lint tests/fixtures/lint/e001.cat 2> "$TMP/lint-bad.txt"; then
+  echo "statically-empty relation was accepted" >&2; exit 1
+fi
+grep -E "e001.cat:2:3: error\[E001\]" "$TMP/lint-bad.txt"
+# Sweeping a file with error-level findings is refused, and
+# --allow-lint-errors overrides.
+if tricheck sweep sb --model tests/fixtures/lint/e001.cat 2> "$TMP/lint-gate.txt"; then
+  echo "sweep accepted a model with lint errors" >&2; exit 1
+fi
+grep "lint error" "$TMP/lint-gate.txt"
+tricheck sweep sb --model tests/fixtures/lint/e001.cat --threads 2 --allow-lint-errors \
+  2> /dev/null
+# The --json document must parse and carry the pinned schema.
+tricheck lint tests/fixtures/lint/w004.stack --json > "$TMP/lint.json" || true
+python3 - "$TMP/lint.json" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["schema"] == "tricheck-lint/v1", d["schema"]
+for key in ["file", "rules_checked", "errors", "warnings", "diagnostics"]:
+    assert key in d, f"missing {key}"
+assert d["errors"] == 0 and d["warnings"] == 3, (d["errors"], d["warnings"])
+for diag in d["diagnostics"]:
+    for field in ["code", "severity", "line", "column", "message"]:
+        assert field in diag, f"diagnostic missing {field}"
+assert all(diag["code"] == "W004" for diag in d["diagnostics"])
+print(sys.argv[1], "ok:", len(d["diagnostics"]), "diagnostics")
+PY
+
+step "Teardown perf guard (quick Figure 15)"
+# Each work item drops its program's space as soon as it is judged, so
+# the end-of-sweep deallocation burst stays marginal; fail if its share
+# of busy time creeps back toward the pre-arena ~25%.
+cargo run --release -q -p tricheck-bench --bin fig15 -- --quick --json "$TMP/fig15-quick.json"
+python3 - "$TMP/fig15-quick.json" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["schema"] == "tricheck-metrics/v1", d["schema"]
+busy = d["busy_ns"]
+teardown = sum(p["total_ns"] for p in d["phases"] if p["name"] == "teardown")
+share = teardown / busy
+print(f"teardown {teardown} ns / busy {busy} ns = {share:.2%}")
+assert share < 0.05, f"teardown share regressed: {share:.2%} >= 5%"
+PY
+
+step "Trace overhead bench (quick mode)"
+TRICHECK_BENCH_QUICK=1 cargo bench -q -p tricheck-bench --bench trace_overhead
+
+step "all smoke checks passed"

@@ -3,7 +3,7 @@
 //! identical to the naive per-cell recompute it replaced, and the
 //! short-circuiting witness-search mode must agree with full enumeration.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use tricheck::litmus::ExecutionSpace;
@@ -105,16 +105,44 @@ fn uarch_witness_search_agrees_with_full_enumeration() {
 }
 
 /// The full Figure 15 sweep upholds the exactly-once cache contract at
-/// suite scale, not just on single families.
+/// suite scale, not just on single families — serially, on four
+/// threads, and with a (cold) store attached. The three runs report
+/// identical rows and identical `SweepStats`: `compile_cache_hits` and
+/// every other counter means the same with and without a store.
 #[test]
 fn full_suite_sweep_upholds_cache_contract() {
     let tests = suite::full_suite();
-    let results = Sweep::new().run_riscv(&tests);
+    let dir = std::env::temp_dir().join(format!("tricheck-exactly-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(DiskStore::open(&dir).expect("open store"));
+    let inputs = [
+        SweepOptions::with_threads(1),
+        SweepOptions::with_threads(4),
+        SweepOptions {
+            store: Some(Arc::clone(&store) as Arc<dyn SpaceStore>),
+            ..SweepOptions::default()
+        },
+    ];
+    let runs: Vec<SweepResults> = inputs
+        .into_iter()
+        .map(|opts| Sweep::with_options(opts).run_riscv(&tests))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        store.stats().writes > 0,
+        "the cold store run persists spaces"
+    );
+    let results = &runs[0];
+    for (run, label) in runs.iter().zip(["threads 1", "threads 4", "cold store"]) {
+        assert_eq!(run.rows(), results.rows(), "{label}");
+        assert_eq!(run.stats(), results.stats(), "{label}");
+    }
     let stats = results.stats();
     assert_eq!(stats.tests, 1701);
     assert_eq!(stats.cells, 28);
     assert_eq!(stats.c11_evaluations, 1701);
     assert_eq!(stats.compile_calls, 1701 * 4);
+    assert_eq!(stats.compile_cache_hits, 1701 * 28 - 1701 * 4);
     assert_eq!(stats.space_enumerations, stats.distinct_programs);
     assert!(stats.distinct_programs < stats.compile_calls);
     // And the headline number still falls out of the cached pipeline:

@@ -1,5 +1,5 @@
 //! Property tests pinning the stability contract of the structural
-//! [`Fingerprint`]: it is the execution-space cache key of every sweep,
+//! [`Fingerprint`]: it is the program-grouping key of every sweep,
 //! so it must be purely structural (equal programs hash equal, any
 //! annotation or instruction perturbation changes it) and deterministic
 //! across threads and across processes of the same build (fixed-key

@@ -132,8 +132,6 @@ fn metrics_json_schema_is_pinned() {
         "c11_evaluations",
         "space_enumerations",
         "compiled_kernels",
-        "prelude_hits",
-        "prelude_misses",
         "candidates_enumerated",
     ] {
         assert!(

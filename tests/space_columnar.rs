@@ -60,9 +60,9 @@ proptest! {
     }
 
     /// Rows and the complete `SweepStats` are identical at 1 and 4
-    /// threads, in both outcome modes: columnar view storage and eager
-    /// space reclamation must be invisible to everything a sweep
-    /// reports.
+    /// threads, in both outcome modes: columnar view storage and the
+    /// program-major scheduling of work items must be invisible to
+    /// everything a sweep reports.
     #[test]
     fn sweep_rows_and_stats_are_thread_invariant_in_both_modes(tests in arb_subset()) {
         for mode in [OutcomeMode::Target, OutcomeMode::FullOutcomes] {
@@ -118,7 +118,7 @@ proptest! {
 /// search branches across its 6,537 distinct compiled programs — in
 /// full-outcome mode, whose spaces enumerate every candidate. These
 /// counts are structural facts of the suite: if enumeration order,
-/// pruning strength, the arena layout, or eager reclamation's stats
+/// pruning strength, the arena layout, or the per-program stats
 /// accounting drifts, one of them moves.
 #[test]
 fn full_suite_prunes_exactly_the_pinned_branch_count() {
