@@ -1,16 +1,16 @@
 //! Model-evaluation bench: the compiled bitset kernels against the
-//! tree-walking IR interpreter and the imperative oracles, and
-//! axiom-pruned against unpruned enumeration, on the wrc/iriw families
-//! (the shapes the paper's §5 bugs live in).
+//! test-only naive IR interpreter and imperative checker
+//! (`tricheck-oracle`), and axiom-pruned against unpruned enumeration,
+//! on the wrc/iriw families (the shapes the paper's §5 bugs live in).
 //!
 //! Three questions this answers after every model-layer change:
 //!
 //! 1. What does a candidate verdict cost on the production path — the
 //!    compiled kernel replaying a cached space-invariant prelude
 //!    (`compiled-prelude`, the shape every sweep runs) — against the
-//!    hand-written checkers and the interpreter it retired?
-//! 2. How much of the old interpretation overhead does compilation
-//!    recover (`interpreter` vs `compiled`)?
+//!    hand-written checker and the naive interpreter?
+//! 2. How much interpretation overhead does compilation remove
+//!    (`interpreter` vs `compiled`)?
 //! 3. What does axiom-driven pruning save (or cost) end to end, now
 //!    that the partial-core checks ride an incremental topological
 //!    order instead of recomputing acyclicity per branch?
@@ -25,6 +25,7 @@ use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{
     enumerate_executions, enumerate_executions_pruned, suite, Execution, LitmusTest,
 };
+use tricheck_oracle::{interpret, uarch_check};
 use tricheck_rel::EvalScratch;
 use tricheck_uarch::{HwBinding, UarchModel};
 
@@ -66,13 +67,14 @@ fn bench_model_eval(c: &mut Criterion) {
             UarchModel::a9like(SpecVersion::Ours),
         ];
         for model in &models {
-            let _ = model.ir(); // build outside the timed region
+            let ir = model.ir(); // build outside the timed region
+            let config = model.config().expect("knob-driven model");
             let kernel = model.compiled(); // compile outside the timed region
             group.bench_function(format!("{fam}/{}/imperative", model.name()), |b| {
                 b.iter(|| {
                     execs
                         .iter()
-                        .filter(|e| model.check(black_box(e)).is_ok())
+                        .filter(|e| uarch_check(black_box(e), config).is_ok())
                         .count()
                 });
             });
@@ -80,7 +82,7 @@ fn bench_model_eval(c: &mut Criterion) {
                 b.iter(|| {
                     execs
                         .iter()
-                        .filter(|e| model.ir().consistent(&HwBinding::new(black_box(e))))
+                        .filter(|e| interpret(ir, &HwBinding::new(black_box(e))).is_ok())
                         .count()
                 });
             });

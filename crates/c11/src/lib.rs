@@ -55,44 +55,16 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeSet;
-use std::fmt;
 use std::sync::OnceLock;
 
 use tricheck_litmus::{
-    enumerate_executions, outcome_set, ConsistencyModel, ExecArena, ExecCursor, Execution,
-    ExecutionSpace, LitmusTest, MemOrder, Outcome, Reg,
+    outcome_set, ConsistencyModel, ExecArena, ExecCursor, Execution, ExecutionSpace, LitmusTest,
+    MemOrder, Outcome, Reg,
 };
 use tricheck_rel::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
 use tricheck_rel::{
     linear_extensions, BindingPool, CompiledModel, EvalScratch, EventSet, Relation,
 };
-
-/// Why an execution is inconsistent under C11.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum C11Violation {
-    /// `hb` has a cycle (impossible in this fragment, kept for safety).
-    HappensBeforeCycle,
-    /// A coherence axiom (CoWW/CoRR/CoWR/CoRW or rf/hb consistency) fails.
-    Coherence,
-    /// An RMW does not immediately follow its read's source in `mo`.
-    Atomicity,
-    /// No total SC order satisfies the seq_cst constraints.
-    NoScOrder,
-}
-
-impl fmt::Display for C11Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            C11Violation::HappensBeforeCycle => "happens-before cycle",
-            C11Violation::Coherence => "coherence violation",
-            C11Violation::Atomicity => "RMW atomicity violation",
-            C11Violation::NoScOrder => "no consistent SC total order",
-        };
-        f.write_str(s)
-    }
-}
-
-impl std::error::Error for C11Violation {}
 
 /// The verdict of the C11 model on a litmus test's target outcome.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -174,50 +146,18 @@ impl C11Model {
         COMPILED.get_or_init(|| CompiledModel::compile(Self::ir(), &["po", "rmw", "init"]))
     }
 
-    /// The process-unique id of the compiled C11 kernel (the key of
-    /// per-space prelude caches and the unit of `--cache-stats` kernel
-    /// counting).
+    /// The process-unique id of the compiled C11 kernel (the unit of
+    /// `--cache-stats` kernel counting).
     #[must_use]
     pub fn kernel_id(&self) -> u64 {
         Self::compiled().kernel_id()
     }
 
-    /// Checks consistency of one candidate execution through the
-    /// *imperative* checker, reporting the first violated axiom on
-    /// failure. Kept as the differential oracle for [`C11Model::ir`]
-    /// (the production predicate, [`C11Model::consistent`], evaluates
-    /// the IR); `tests/model_properties.rs` pins the two against each
-    /// other on every candidate execution of random suite subsets.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violated axiom as a [`C11Violation`].
-    pub fn check(&self, exec: &Execution<MemOrder>) -> Result<(), C11Violation> {
-        let derived = DerivedRelations::new(exec);
-        if !derived.hb.is_irreflexive() {
-            return Err(C11Violation::HappensBeforeCycle);
-        }
-        if !derived.hb.compose(&derived.eco).is_irreflexive() {
-            return Err(C11Violation::Coherence);
-        }
-        if !exec
-            .rmw()
-            .intersect(&exec.fr().compose(exec.co()))
-            .is_empty()
-        {
-            return Err(C11Violation::Atomicity);
-        }
-        if !sc_order_exists(exec, &derived) {
-            return Err(C11Violation::NoScOrder);
-        }
-        Ok(())
-    }
-
     /// `true` if the execution is consistent under C11.
     ///
-    /// Evaluates the *compiled* kernel ([`C11Model::compiled`]); the
-    /// tree-walking interpreter over [`C11Model::ir`] and the imperative
-    /// [`C11Model::check`] remain as differential oracles.
+    /// Evaluates the compiled kernel ([`C11Model::compiled`]), which
+    /// `tests/model_properties.rs` pins against the test-only oracles on
+    /// every candidate execution of random suite subsets.
     #[must_use]
     pub fn consistent(&self, exec: &Execution<MemOrder>) -> bool {
         Self::compiled().consistent(&C11Binding::new(exec))
@@ -273,20 +213,6 @@ impl C11Model {
     ) -> BTreeSet<Outcome> {
         self.allowed_outcomes(space, observed)
     }
-
-    /// Counts the consistent executions of a test (useful for diagnosing
-    /// model changes).
-    #[must_use]
-    pub fn consistent_execution_count(&self, test: &LitmusTest) -> usize {
-        let mut n = 0;
-        enumerate_executions(test.program(), &mut |e| {
-            if self.consistent(e) {
-                n += 1;
-            }
-            true
-        });
-        n
-    }
 }
 
 impl ConsistencyModel for C11Model {
@@ -303,8 +229,8 @@ impl ConsistencyModel for C11Model {
     // The space-judged paths stream the space's columnar views through
     // `CompiledModel::check_batch`: one cursor rebind per candidate (no
     // per-candidate `Execution` clone, `fr` served from the arena's
-    // derived column) and one replay of the kernel's space-invariant
-    // prelude per stream from the space's per-kernel cache.
+    // derived column) and one evaluation of the kernel's space-invariant
+    // prelude per stream.
 
     fn permits(&self, space: &ExecutionSpace<MemOrder>, target: &Outcome) -> bool {
         let compiled = Self::compiled();
@@ -480,19 +406,14 @@ impl BaseRelations for C11Binding<'_> {
     }
 }
 
-/// The `sw`/`hb`/`eco` relations derived from an execution.
+/// The relations the SC-order search needs, derived from an execution.
 struct DerivedRelations {
     hb: Relation,
-    eco: Relation,
     sc_events: EventSet,
     sc_writes: EventSet,
 }
 
 impl DerivedRelations {
-    fn new(exec: &Execution<MemOrder>) -> Self {
-        Self::with_sw(exec, synchronizes_with(exec))
-    }
-
     /// Builds the derived relations around a precomputed `sw` (the
     /// [`C11Binding`] shares one `sw` between the IR base and the
     /// `sc-bad` witness instead of deriving release sequences twice).
@@ -510,19 +431,12 @@ impl DerivedRelations {
         }
         let hb = hb_base.transitive_closure();
 
-        let eco = exec
-            .rf()
-            .union(exec.co())
-            .union(&exec.fr())
-            .transitive_closure();
-
         let is_sc = |e: usize| exec.ann(e).is_some_and(|mo| mo.is_sc());
         let sc_events = EventSet::from_ids(n, (0..n).filter(|&e| is_sc(e)));
         let sc_writes = sc_events.intersect(exec.writes());
 
         DerivedRelations {
             hb,
-            eco,
             sc_events,
             sc_writes,
         }

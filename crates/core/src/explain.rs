@@ -11,7 +11,8 @@
 //!   designers in determining if the cause is an incorrect compiler
 //!   mapping, ISA specification, hardware implementation…"),
 //! - when the outcome is µarch-forbidden, the axiom each candidate
-//!   execution trips over,
+//!   execution trips over, as reported by the same compiled kernel that
+//!   produced the verdict,
 //! - a Graphviz rendering of the witness in the spirit of the Check
 //!   tools' µhb graphs.
 
@@ -19,13 +20,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
+use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, CompileError, Mapping};
 use tricheck_litmus::enumerate::enumerate_matching;
 use tricheck_litmus::LitmusTest;
-use tricheck_uarch::{UarchModel, UarchViolation};
+use tricheck_uarch::{HwBinding, UarchModel};
 
-use crate::verdict::Classification;
-use crate::TriCheck;
+use crate::verdict::{Classification, TestResult};
 
 /// The full diagnosis of one litmus test on one stack configuration.
 #[derive(Clone, Debug)]
@@ -42,9 +43,11 @@ pub struct Diagnosis {
     pub witness: Option<Vec<String>>,
     /// A Graphviz DOT rendering of the witness, when observable.
     pub witness_dot: Option<String>,
-    /// When unobservable: how many target-matching candidates each axiom
-    /// rejected (the "why is this forbidden" view).
-    pub rejections: BTreeMap<UarchViolation, usize>,
+    /// How many target-matching candidates each axiom rejected, keyed by
+    /// the model's own axiom names (the "why is this forbidden" view),
+    /// which `Display` lists in name order. When observable, only the
+    /// candidates judged before the witness.
+    pub rejections: BTreeMap<&'static str, usize>,
 }
 
 impl fmt::Display for Diagnosis {
@@ -83,6 +86,12 @@ impl fmt::Display for Diagnosis {
 
 /// Runs the full toolflow for one test and explains the verdict.
 ///
+/// Every target-matching candidate is judged once, by the model's
+/// compiled kernel under one shared prelude: the first consistent
+/// candidate is the witness, and until one turns up each rejection is
+/// counted under the axiom the kernel reports. The verdict and its
+/// explanation therefore come from the same evaluation.
+///
 /// # Errors
 ///
 /// Returns a [`CompileError`] if the mapping cannot express the test.
@@ -91,16 +100,17 @@ pub fn diagnose(
     uarch: &UarchModel,
     test: &LitmusTest,
 ) -> Result<Diagnosis, CompileError> {
-    let stack = TriCheck::new(mapping, uarch.clone());
-    let result = stack.verify(test)?;
-
     let compiled = compile(test, mapping)?;
+    let kernel = uarch.compiled();
+    let mut prelude = None;
     let mut witness = None;
     let mut witness_dot = None;
-    let mut rejections: BTreeMap<UarchViolation, usize> = BTreeMap::new();
+    let mut rejections: BTreeMap<&'static str, usize> = BTreeMap::new();
 
     enumerate_matching(compiled.program(), compiled.target(), &mut |exec| {
-        match uarch.check(exec) {
+        let binding = HwBinding::new(exec);
+        let prelude = prelude.get_or_insert_with(|| kernel.prelude(&binding));
+        match kernel.check_with(prelude, &binding) {
             Ok(()) => {
                 let lines = (0..exec.len())
                     .map(|e| {
@@ -115,13 +125,18 @@ pub fn diagnose(
                 witness_dot = Some(exec.to_dot(test.name(), &[]));
                 false // one witness suffices
             }
-            Err(violation) => {
-                *rejections.entry(violation).or_default() += 1;
+            Err(axiom) => {
+                *rejections.entry(axiom).or_default() += 1;
                 true
             }
         }
     });
 
+    let result = TestResult::new(
+        test,
+        C11Model::new().permits_target(test),
+        witness.is_some(),
+    );
     Ok(Diagnosis {
         test: test.name().to_string(),
         c11_permits: result.permitted(),
@@ -136,9 +151,11 @@ pub fn diagnose(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_compiler::{BaseIntuitive, BaseRefined};
+    use std::path::Path;
+    use tricheck_compiler::{riscv_mapping, BaseIntuitive, BaseRefined};
+    use tricheck_isa::RiscvIsa::Base;
     use tricheck_isa::SpecVersion::{Curr, Ours};
-    use tricheck_litmus::suite;
+    use tricheck_litmus::{suite, MemOrder};
 
     #[test]
     fn bug_diagnosis_carries_a_witness() {
@@ -161,8 +178,7 @@ mod tests {
         let total: usize = d.rejections.values().sum();
         assert!(total > 0);
         assert!(
-            d.rejections.contains_key(&UarchViolation::Observation)
-                || d.rejections.contains_key(&UarchViolation::Propagation),
+            d.rejections.contains_key("Observation") || d.rejections.contains_key("Propagation"),
             "WRC must be blocked by a propagation-class axiom: {:?}",
             d.rejections
         );
@@ -174,5 +190,29 @@ mod tests {
         let text = d.to_string();
         assert!(text.contains("Bug"));
         assert!(text.contains("witness execution"));
+
+        let d = diagnose(&BaseRefined, &UarchModel::nwr(Ours), &suite::fig3_wrc()).unwrap();
+        let text = d.to_string();
+        assert!(text.contains("candidate executions rejected by axiom:"));
+        for (axiom, count) in &d.rejections {
+            assert!(text.contains(&format!("\n  {axiom}: {count}\n")), "{text}");
+        }
+    }
+
+    /// A file-defined model reports rejections under its own axiom
+    /// names, including names no built-in model uses.
+    #[test]
+    fn file_model_rejections_use_its_own_axiom_names() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/models/renamed-axioms.cat");
+        let model = UarchModel::from_ir(crate::load_model_file(&path).unwrap());
+        let test = suite::wrc([MemOrder::Sc; 5]);
+        assert_eq!(test.name(), "wrc+sc+sc+sc+sc+sc");
+        let d = diagnose(riscv_mapping(Base, Curr), &model, &test).unwrap();
+        assert!(!d.uarch_observes);
+        let obs = d.rejections.get("Obs").copied().unwrap_or(0);
+        assert!(obs > 0, "{:?}", d.rejections);
+        let names: Vec<&str> = model.ir().axioms().iter().map(|a| a.name).collect();
+        assert!(d.rejections.keys().all(|k| names.contains(k)));
     }
 }

@@ -1,11 +1,10 @@
 //! A one-time compiler from [`ModelIr`] to flat bitset kernels.
 //!
-//! The tree-walking evaluator in [`ir`](crate::ir) is the *reference*
-//! semantics of a model: lazy, memoized, and easy to audit — but it
-//! pays interpretation overhead on every candidate execution (name
-//! probes, allocation per operator node, re-walking shared subtrees).
-//! [`CompiledModel`] removes that overhead by lowering a model **once**
-//! into an SSA-style program of bitset operations over `u64` words:
+//! [`CompiledModel`] is the one evaluator of a model. Rather than walk
+//! the expression tree per candidate execution (name probes, allocation
+//! per operator node, re-walking shared subtrees), it lowers a model
+//! **once** into an SSA-style program of bitset operations over `u64`
+//! words:
 //!
 //! - **Interning** — every base-relation, base-set, and definition name
 //!   is resolved to a dense index at compile time. Judging a candidate
@@ -25,17 +24,17 @@
 //!   (derived from the program, not from the candidate `rf`/`co`: `po`,
 //!   dependency edges, fence edge sets, annotation/AMO event sets, …).
 //!   Every operation whose inputs are transitively invariant moves into
-//!   a **prelude** that is evaluated once per program — an
-//!   `ExecutionSpace` caches the resulting [`Prelude`] and replays it
-//!   for every candidate, so per-candidate work touches only the truly
-//!   candidate-dependent suffix of the dataflow graph.
+//!   a **prelude** that is evaluated once per stream of candidates of
+//!   one program: the caller computes the [`Prelude`] once and replays
+//!   it for every candidate it judges, so per-candidate work touches
+//!   only the truly candidate-dependent suffix of the dataflow graph.
 //!
 //! The per-candidate body is scheduled in axiom order: checking stops at
 //! the first violated axiom having evaluated only the operations that
-//! axiom (and earlier ones) can reach, mirroring the lazy interpreter's
-//! short-circuiting. [`CompiledModel::check`] is verdict-identical to
-//! [`ModelIr::check`] by construction, and the interpreter survives as
-//! the differential oracle for exactly that property.
+//! axiom (and earlier ones) can reach. [`CompiledModel::check`] reports
+//! the first violated axiom in declaration order, exactly as a direct
+//! reading of the model would; the test-only naive interpreter
+//! (`tricheck_oracle::interpret`) pins that on random IRs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,8 +172,8 @@ impl Value {
 
 /// The space-invariant values of one compiled model over one program:
 /// every operation reachable only from invariant bases, evaluated once.
-/// Obtained from [`CompiledModel::prelude`] and shared (typically via an
-/// `ExecutionSpace`-level cache) across all candidate judgements.
+/// Obtained from [`CompiledModel::prelude`] and shared across every
+/// candidate of that program the caller judges.
 #[derive(Clone, Debug)]
 pub struct Prelude {
     n: usize,
@@ -280,10 +279,10 @@ impl CompiledModel {
     /// # Panics
     ///
     /// Panics if the model references an undefined definition name or
-    /// contains a definition cycle (the same model bugs
-    /// [`ModelIr::check`] reports, surfaced at compile time instead of
-    /// per evaluation). Unknown *base* names still panic at evaluation
-    /// time, because which bases exist is the binding's contract.
+    /// contains a definition cycle (model bugs, surfaced at compile time
+    /// instead of per evaluation). Unknown *base* names still panic at
+    /// evaluation time, because which bases exist is the binding's
+    /// contract.
     #[must_use]
     pub fn compile(ir: &ModelIr, space_invariant_bases: &[&str]) -> CompiledModel {
         let _t = tricheck_trace::span(tricheck_trace::Phase::KernelCompile);
@@ -404,7 +403,7 @@ impl CompiledModel {
     /// # Panics
     ///
     /// Panics if the model references a base the binding does not
-    /// provide (a model-definition bug, as in [`ModelIr::check`]).
+    /// provide (a model-definition bug).
     #[must_use]
     pub fn prelude<B: BaseRelations>(&self, binding: &B) -> Prelude {
         let _t = tricheck_trace::span(tricheck_trace::Phase::PreludeEval);
@@ -420,9 +419,8 @@ impl CompiledModel {
 
     /// Checks every axiom against one candidate execution, reusing a
     /// prelude computed by [`CompiledModel::prelude`] over the same
-    /// program. Verdict-identical to [`ModelIr::check`] on the same
-    /// binding, including stopping at the first violated axiom without
-    /// evaluating operations only later axioms need.
+    /// program. Stops at the first violated axiom without evaluating
+    /// operations only later axioms need.
     ///
     /// # Errors
     ///
@@ -1029,212 +1027,5 @@ impl Lowerer<'_> {
                 self.push(Op::MinusSet(base, subtrahends))
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ir::{AxiomKind, ModelIr, RelExpr, SetExpr};
-
-    /// The toy binding from the interpreter tests: 0,1 writes; 2,3
-    /// reads; po 0→2, 1→3; optional fr back-edges closing an SB cycle.
-    struct Toy {
-        fr_back: bool,
-    }
-
-    impl BaseRelations for Toy {
-        fn universe(&self) -> usize {
-            4
-        }
-
-        fn rel(&self, name: &str) -> Option<Relation> {
-            Some(match name {
-                "po" => Relation::from_pairs(4, [(0, 2), (1, 3)]),
-                "rf" => Relation::empty(4),
-                "fr" => {
-                    if self.fr_back {
-                        Relation::from_pairs(4, [(2, 1), (3, 0)])
-                    } else {
-                        Relation::empty(4)
-                    }
-                }
-                _ => return None,
-            })
-        }
-
-        fn set(&self, name: &str) -> Option<EventSet> {
-            Some(match name {
-                "R" => EventSet::from_ids(4, [2, 3]),
-                "W" => EventSet::from_ids(4, [0, 1]),
-                _ => return None,
-            })
-        }
-    }
-
-    fn sc_like() -> ModelIr {
-        ModelIr::new("toy-sc")
-            .define(
-                "ghb",
-                RelExpr::base("po")
-                    .union(RelExpr::base("rf"))
-                    .union(RelExpr::base("fr")),
-            )
-            .axiom("Sc", AxiomKind::Acyclic, RelExpr::reference("ghb"))
-    }
-
-    #[test]
-    fn compiled_matches_the_interpreter_on_the_toy_models() {
-        let model = sc_like();
-        let compiled = CompiledModel::compile(&model, &["po"]);
-        for fr_back in [false, true] {
-            let binding = Toy { fr_back };
-            assert_eq!(compiled.check(&binding), model.check(&binding));
-        }
-    }
-
-    #[test]
-    fn exercises_every_operator_against_the_interpreter() {
-        // One model touching every RelExpr/SetExpr constructor.
-        let kitchen_sink = ModelIr::new("kitchen-sink")
-            .define(
-                "d1",
-                RelExpr::base("po")
-                    .union(RelExpr::base("rf"))
-                    .union(RelExpr::base("fr"))
-                    .inter(RelExpr::base("po").union(RelExpr::base("fr"))),
-            )
-            .define(
-                "d2",
-                RelExpr::reference("d1")
-                    .seq(RelExpr::base("po").inverse())
-                    .minus(RelExpr::Id)
-                    .minus(RelExpr::Empty),
-            )
-            .define(
-                "d3",
-                RelExpr::cross(
-                    SetExpr::base("W").union(SetExpr::base("R")),
-                    SetExpr::Universe.minus(SetExpr::base("W").inter(SetExpr::Universe)),
-                )
-                .restrict(SetExpr::base("W"), SetExpr::Universe.minus(SetExpr::Empty)),
-            )
-            .define("d4", RelExpr::reference("d2").star())
-            .define("d5", RelExpr::reference("d2").plus())
-            .define("d6", RelExpr::reference("d3").opt())
-            .axiom(
-                "A1",
-                AxiomKind::Acyclic,
-                RelExpr::reference("d4").seq(RelExpr::reference("d6")),
-            )
-            .axiom("A2", AxiomKind::Irreflexive, RelExpr::reference("d5"))
-            .axiom(
-                "A3",
-                AxiomKind::Empty,
-                RelExpr::reference("d1").minus(RelExpr::reference("d1")),
-            );
-        for invariant in [&[] as &[&str], &["po", "W", "R"]] {
-            let compiled = CompiledModel::compile(&kitchen_sink, invariant);
-            for fr_back in [false, true] {
-                let binding = Toy { fr_back };
-                assert_eq!(
-                    compiled.check(&binding),
-                    kitchen_sink.check(&binding),
-                    "invariant={invariant:?} fr_back={fr_back}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn first_violated_axiom_matches_the_interpreter() {
-        let model = ModelIr::new("two-axioms")
-            .axiom("NoPo", AxiomKind::Empty, RelExpr::base("po"))
-            .axiom("NoFr", AxiomKind::Empty, RelExpr::base("fr"));
-        let compiled = CompiledModel::compile(&model, &[]);
-        let binding = Toy { fr_back: true };
-        assert_eq!(compiled.check(&binding), Err("NoPo"));
-        assert_eq!(compiled.check(&binding), model.check(&binding));
-    }
-
-    #[test]
-    fn hoisting_moves_invariant_work_into_the_prelude() {
-        // ghb = po ∪ rf ∪ fr: with only po invariant nothing composite
-        // hoists; making all three bases invariant hoists everything.
-        let model = sc_like();
-        let none = CompiledModel::compile(&model, &[]);
-        assert_eq!(none.prelude_op_count(), 0);
-        let po_only = CompiledModel::compile(&model, &["po"]);
-        assert_eq!(po_only.prelude_op_count(), 1, "just the po fetch");
-        let all = CompiledModel::compile(&model, &["po", "rf", "fr"]);
-        assert!(all.body_op_count() == 0, "whole body hoisted");
-        // All three compile to the same verdicts.
-        for compiled in [&none, &po_only, &all] {
-            for fr_back in [false, true] {
-                let binding = Toy { fr_back };
-                assert_eq!(compiled.check(&binding), model.check(&binding));
-            }
-        }
-    }
-
-    #[test]
-    fn preludes_replay_across_candidates() {
-        // po is invariant across the two Toy "candidates"; fr differs.
-        let model = sc_like();
-        let compiled = CompiledModel::compile(&model, &["po"]);
-        let prelude = compiled.prelude(&Toy { fr_back: false });
-        assert!(compiled.consistent_with(&prelude, &Toy { fr_back: false }));
-        assert!(!compiled.consistent_with(&prelude, &Toy { fr_back: true }));
-    }
-
-    #[test]
-    fn cse_shares_repeated_subexpressions() {
-        // The same union appears in both axioms; hash-consing must
-        // lower it once (2 base fetches + 1 fused union + 1 closure +
-        // 1 reflexive closure = 5 ops, not 8).
-        let model = ModelIr::new("shared")
-            .axiom(
-                "A",
-                AxiomKind::Acyclic,
-                RelExpr::base("po").union(RelExpr::base("fr")).plus(),
-            )
-            .axiom(
-                "B",
-                AxiomKind::Irreflexive,
-                RelExpr::base("po").union(RelExpr::base("fr")).star(),
-            );
-        let compiled = CompiledModel::compile(&model, &[]);
-        assert_eq!(compiled.body_op_count(), 5);
-    }
-
-    #[test]
-    fn kernel_ids_are_unique() {
-        let a = CompiledModel::compile(&sc_like(), &[]);
-        let b = CompiledModel::compile(&sc_like(), &[]);
-        assert_ne!(a.kernel_id(), b.kernel_id());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown base relation")]
-    fn unknown_base_is_still_a_model_bug() {
-        let model = ModelIr::new("bad").axiom("a", AxiomKind::Empty, RelExpr::base("nope"));
-        let _ = CompiledModel::compile(&model, &[]).check(&Toy { fr_back: false });
-    }
-
-    #[test]
-    #[should_panic(expected = "undefined relation")]
-    fn undefined_reference_panics_at_compile_time() {
-        let model = ModelIr::new("bad").axiom("a", AxiomKind::Empty, RelExpr::reference("later"));
-        let _ = CompiledModel::compile(&model, &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "references itself")]
-    fn definition_cycles_panic_at_compile_time() {
-        let model = ModelIr::new("bad")
-            .define("a", RelExpr::reference("b"))
-            .define("b", RelExpr::reference("a"))
-            .axiom("x", AxiomKind::Empty, RelExpr::reference("a"));
-        let _ = CompiledModel::compile(&model, &[]);
     }
 }

@@ -85,23 +85,22 @@
 //!
 //! # The model compiler
 //!
-//! In production the tree-walking [`ir`] evaluator is only the
-//! *differential oracle*: the [`compile`] module lowers each `ModelIr`
-//! once into a [`CompiledModel`] — a flat, SSA-style program of bitset
+//! A `ModelIr` has one evaluator: the [`compile`] module lowers it once
+//! into a [`CompiledModel`] — a flat, SSA-style program of bitset
 //! kernels. The compile pipeline interns every base and definition name
 //! to a dense index (no per-check string probes), hash-conses the
 //! dataflow graph so shared subterms are computed once per evaluation
 //! (CSE), fuses `∪`/`∩`/`\` chains into single n-ary passes over the
 //! `u64` relation words, and hoists every operation reachable only from
 //! *space-invariant* bases (program-derived: `po`, dependencies, fence
-//! edges, annotation sets) into a per-program prelude that an execution
-//! space evaluates once and replays across all candidate executions.
+//! edges, annotation sets) into a prelude, evaluated once per stream of
+//! one program's candidates and replayed across them.
 //! At judgement time every body operation writes into a reusable
 //! [`EvalScratch`] slot, so a query loop over one program's candidates
 //! allocates nothing per candidate. The compiled path judges a
-//! candidate below the cost of the hand-written imperative checkers
-//! (see `benches/model_eval.rs`), so "models as data" is free at sweep
-//! time.
+//! candidate below the cost of the hand-written imperative checkers it
+//! is tested against (see `benches/model_eval.rs`), so "models as
+//! data" is free at sweep time.
 //!
 //! # Examples
 //!

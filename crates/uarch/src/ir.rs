@@ -121,10 +121,10 @@ pub fn hw_lint_schema() -> tricheck_rel::lint::LintSchema {
 /// `heavy ⊆ cumulative`. Each edge `(x, y)` relates accesses of the
 /// fencing thread that the fence's kind orders.
 ///
-/// Shared by the imperative oracle and the IR binding — the split is
-/// annotation bookkeeping, not model semantics.
+/// The split is annotation bookkeeping, not model semantics, so it
+/// lives in the binding rather than in any model.
 #[must_use]
-pub(crate) fn fence_edges(exec: &Execution<HwAnnot>) -> (Relation, Relation, Relation) {
+fn fence_edges(exec: &Execution<HwAnnot>) -> (Relation, Relation, Relation) {
     let n = exec.len();
     let accesses = exec.reads().union(exec.writes());
     let kind = |e: usize| exec.events()[e].kind;
@@ -281,8 +281,9 @@ fn reference(name: &'static str) -> RelExpr {
 /// Compiles a [`UarchConfig`] into its declarative model: every
 /// relaxation knob becomes structure in the returned [`ModelIr`], and
 /// the result is judged through [`HwBinding`] with no further
-/// config-dependence. The imperative `UarchModel::check` remains as the
-/// differential oracle for this compilation.
+/// config-dependence. The test-only imperative checker
+/// (`tricheck_oracle::uarch_check`) is the differential oracle for this
+/// compilation.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn build_uarch_ir(cfg: &UarchConfig) -> ModelIr {
@@ -500,7 +501,7 @@ pub fn build_uarch_ir(cfg: &UarchConfig) -> ModelIr {
         // (transitive) happens-before, and direct communication between
         // SC AMOs (§4.2.2). Restriction to an empty participant set
         // yields the empty relation, which is vacuously acyclic — the
-        // imperative oracle's "skip when no SC AMOs" special case.
+        // imperative checker's "skip when no SC AMOs" special case.
         reference("hb-plus")
             .union(rel("po"))
             .union(reference("com"))

@@ -57,13 +57,13 @@
 //! # Models as data
 //!
 //! Every model is a declarative [`tricheck_rel::ModelIr`]: knob-driven
-//! configurations are compiled to IR by [`build_uarch_ir`] (the
-//! imperative checker survives as `UarchModel::check`, the differential
-//! oracle), and new machines can be written directly in the IR with no
-//! config at all — [`x86_tso_ir`] is the worked example, wired into the
-//! sweep as `UarchModel::x86_tso()`. The [`HwBinding`] supplies the
-//! model-free base relations (program order, communication, fence edge
-//! sets, AMO ordering-bit sets) every model draws from.
+//! configurations are compiled to IR by [`build_uarch_ir`], and new
+//! machines can be written directly in the IR with no config at all —
+//! [`x86_tso_ir`] is the worked example, wired into the sweep as
+//! `UarchModel::x86_tso()`. The [`HwBinding`] supplies the model-free
+//! base relations (program order, communication, fence edge sets, AMO
+//! ordering-bit sets) every model draws from. Every model is judged by
+//! one evaluator, its compiled kernel (`UarchModel::compiled`).
 //!
 //! # Examples
 //!
@@ -93,4 +93,4 @@ pub use ir::{
     build_uarch_ir, hw_lint_schema, hw_vocabulary, x86_tso_ir, HwBinding, HW_REL_BASES,
     HW_SET_BASES, SORT_F, SORT_R, SORT_W,
 };
-pub use model::{UarchModel, UarchViolation};
+pub use model::UarchModel;

@@ -24,6 +24,14 @@ counter() { sed -n "s/^  $1: \([0-9][0-9]*\)$/\1/p" "$2"; }
 cargo build --release -q -p tricheck-cli
 tricheck() { "${CARGO_TARGET_DIR:-target}/release/tricheck" "$@"; }
 
+step "Oracle isolation (dev-only oracles stay out of the shipped CLI)"
+# tricheck-oracle is a dev-dependency only: the CLI's tree must not list it.
+cargo tree -e normal -p tricheck-cli > "$TMP/cli-tree.txt"
+grep -q "tricheck-core" "$TMP/cli-tree.txt"
+if grep "tricheck-oracle" "$TMP/cli-tree.txt"; then
+  echo "tricheck-oracle is a normal dependency of tricheck-cli" >&2; exit 1
+fi
+
 step "CLI power-sweep smoke"
 tricheck sweep wrc --power --threads 2 --cache-stats | tee "$TMP/power.txt"
 # The compiled-kernel path must be active: one fused bitset kernel per
@@ -168,6 +176,16 @@ for diag in d["diagnostics"]:
 assert all(diag["code"] == "W004" for diag in d["diagnostics"])
 print(sys.argv[1], "ok:", len(d["diagnostics"]), "diagnostics")
 PY
+
+step "Diagnose smoke (file model with its own axiom names)"
+# Rejections are counted by the compiled kernel under the loaded model's
+# own axiom names, so renamed axioms must not crash the explanation path.
+tricheck diagnose wrc+sc+sc+sc+sc+sc --model tests/fixtures/models/renamed-axioms.cat \
+  | tee "$TMP/diagnose.txt"
+grep -E "^  Obs: [1-9][0-9]*$" "$TMP/diagnose.txt"
+tricheck dot sb+rlx+rlx+rlx+rlx --model tests/fixtures/models/renamed-axioms.cat \
+  > "$TMP/witness.dot"
+grep "^digraph" "$TMP/witness.dot"
 
 step "Teardown perf guard (quick Figure 15)"
 # Each work item drops its program's space as soon as it is judged, so

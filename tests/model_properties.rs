@@ -3,7 +3,11 @@
 //! regardless of memory orders.
 
 use proptest::prelude::*;
+use tricheck::core::{diagnose, power_stacks, riscv_stacks, x86_stacks};
 use tricheck::prelude::*;
+use tricheck::rel::EvalScratch;
+use tricheck::uarch::HwBinding;
+use tricheck_oracle::{c11_check, interpret, random_ir, uarch_check};
 
 /// Strategy: a random template index and a random order assignment.
 fn arb_variant() -> impl Strategy<Value = LitmusTest> {
@@ -108,26 +112,26 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The compiled C11 kernel, the tree-walking IR interpreter, and the
-    /// imperative oracle agree on every candidate execution of random
-    /// suite variants. `model.consistent` is the production (compiled)
-    /// path; the other two are the independent oracles it must match.
+    /// The compiled C11 kernel, the naive IR interpreter, and the
+    /// imperative oracle agree, verdict and first violated axiom, on
+    /// every candidate execution of random suite variants. The kernel is
+    /// the production path; the other two are the independent oracles
+    /// it must match.
     #[test]
     fn ir_c11_agrees_with_the_imperative_oracle(test in arb_variant()) {
-        let model = C11Model::new();
         let mut checked = 0;
         tricheck::litmus::enumerate_executions(test.program(), &mut |exec| {
-            let kernel = model.consistent(exec); // compiled bitset kernel
             let binding = tricheck::c11::C11Binding::new(exec);
+            let kernel = C11Model::compiled().check(&binding);
             assert_eq!(
                 kernel,
-                C11Model::ir().consistent(&binding), // tree-walking interpreter
+                interpret(C11Model::ir(), &binding),
                 "compiled C11 kernel disagrees with the interpreter on {} (candidate {checked})",
                 test.name()
             );
             assert_eq!(
                 kernel,
-                model.check(exec).is_ok(),           // imperative oracle
+                c11_check(exec),
                 "compiled C11 kernel disagrees with the oracle on {} (candidate {checked})",
                 test.name()
             );
@@ -137,13 +141,13 @@ proptest! {
         prop_assert!(checked > 0);
     }
 
-    /// Every registered µarch stack's compiled kernel agrees with the
-    /// tree-walking IR interpreter and the imperative oracle on every
-    /// candidate execution of random compiled variants (both spec
-    /// versions, both RISC-V ISAs, the ARMv7 study machines, and the
-    /// x86-TSO stacks). For data-defined (IR-only) models `check` is the
-    /// interpreter itself, so the comparison degenerates to compiled ==
-    /// interpreted — still the pin that matters.
+    /// Every registered µarch stack's compiled kernel agrees, verdict and
+    /// first violated axiom, with the naive IR interpreter and, for
+    /// knob-driven models, with the imperative oracle on every candidate
+    /// execution of random compiled variants (both spec versions, both
+    /// RISC-V ISAs, the ARMv7 study machines, and the x86-TSO stacks).
+    /// Data-defined models have no imperative twin, so for them the
+    /// interpreter is the oracle.
     #[test]
     fn ir_uarch_models_agree_with_the_imperative_oracles(test in arb_variant()) {
         let mut stacks: Vec<(&dyn Mapping, UarchModel)> = Vec::new();
@@ -166,26 +170,51 @@ proptest! {
             let compiled = compile(&test, mapping).unwrap();
             let mut checked = 0;
             tricheck::litmus::enumerate_executions(compiled.program(), &mut |exec| {
-                let kernel = model.consistent(exec); // compiled bitset kernel
-                let binding = tricheck::uarch::HwBinding::new(exec);
+                let binding = HwBinding::new(exec);
+                let kernel = model.compiled().check(&binding);
                 assert_eq!(
                     kernel,
-                    model.ir().consistent(&binding), // tree-walking interpreter
+                    interpret(model.ir(), &binding),
                     "{} compiled kernel disagrees with the interpreter on {} (candidate {checked})",
                     model.name(),
                     test.name()
                 );
-                assert_eq!(
-                    kernel,
-                    model.check(exec).is_ok(),       // imperative oracle
-                    "{} compiled kernel disagrees with the oracle on {} (candidate {checked})",
-                    model.name(),
-                    test.name()
-                );
+                if let Some(config) = model.config() {
+                    assert_eq!(
+                        kernel,
+                        uarch_check(exec, config),
+                        "{} compiled kernel disagrees with the oracle on {} (candidate {checked})",
+                        model.name(),
+                        test.name()
+                    );
+                }
                 checked += 1;
                 checked < 60
             });
             prop_assert!(checked > 0);
+        }
+    }
+
+    /// `diagnose` judges with the kernel that produces sweep verdicts:
+    /// on every one of the 34 registered stacks it reaches the same
+    /// observability verdict as `TriCheck::verify`, and it carries a
+    /// witness exactly when the target outcome is observable.
+    #[test]
+    fn diagnose_agrees_with_verify_on_every_registered_stack(test in arb_variant()) {
+        let stacks: Vec<_> = riscv_stacks()
+            .into_iter()
+            .chain(power_stacks())
+            .chain(x86_stacks())
+            .collect();
+        prop_assert_eq!(stacks.len(), 34);
+        for stack in stacks {
+            let verdict = TriCheck::new(stack.mapping, stack.model.clone())
+                .verify(&test)
+                .unwrap();
+            let d = diagnose(stack.mapping, &stack.model, &test).unwrap();
+            prop_assert_eq!(d.uarch_observes, verdict.observable());
+            prop_assert_eq!(d.witness.is_some(), verdict.observable());
+            prop_assert_eq!(d.classification, verdict.classification());
         }
     }
 
@@ -319,6 +348,47 @@ proptest! {
             assert_eq!(outcome.len(), compiled.observed().len());
             checked += 1;
             checked < 50 // bound the work per case
+        });
+        prop_assert!(checked > 0);
+    }
+}
+
+proptest! {
+    // Most random IRs judge every candidate of a program alike, so the
+    // property needs more cases than the suite-model ones to reach the
+    // IR shapes whose verdict varies by candidate.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The model compiler agrees with the naive interpreter, verdict and
+    /// first violated axiom, on random IRs over the hardware vocabulary:
+    /// every enumerated candidate of a random compiled variant is judged
+    /// by the kernel through one shared prelude, as sweeps judge them.
+    #[test]
+    fn compiled_random_irs_agree_with_the_interpreter(
+        seed in 0u64..u64::MAX,
+        test in arb_variant()
+    ) {
+        let ir = random_ir(seed);
+        let model = UarchModel::from_ir(ir.clone());
+        let kernel = model.compiled();
+        let isa = if seed & 1 == 0 { RiscvIsa::Base } else { RiscvIsa::BaseA };
+        let version = if seed & 2 == 0 { SpecVersion::Curr } else { SpecVersion::Ours };
+        let compiled = compile(&test, riscv_mapping(isa, version)).unwrap();
+        let mut prelude = None;
+        let mut scratch = EvalScratch::default();
+        let mut checked = 0;
+        tricheck::litmus::enumerate_executions(compiled.program(), &mut |exec| {
+            let binding = HwBinding::new(exec);
+            let prelude = prelude.get_or_insert_with(|| kernel.prelude(&binding));
+            assert_eq!(
+                kernel.check_with_scratch(prelude, &binding, &mut scratch),
+                interpret(&ir, &binding),
+                "seed {seed}: compiled kernel disagrees with the interpreter on {} \
+                 (candidate {checked})\n{ir}",
+                test.name()
+            );
+            checked += 1;
+            checked < 60
         });
         prop_assert!(checked > 0);
     }
