@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tricheck_core::{SpaceStore, Sweep, SweepOptions};
+use tricheck_core::{builtin_stack, riscv_stacks, SpaceStore, Sweep, SweepOptions};
 use tricheck_dist::DiskStore;
 use tricheck_litmus::{suite, LitmusTest};
 
@@ -36,9 +36,9 @@ fn run_with_store(tests: &[LitmusTest], dir: &PathBuf, power: bool) -> usize {
     };
     let sweep = Sweep::with_options(opts);
     let results = if power {
-        sweep.run_power(tests)
+        sweep.run_matrix(tests, &builtin_stack("power").unwrap().stacks)
     } else {
-        sweep.run_riscv(tests)
+        sweep.run_matrix(tests, &riscv_stacks())
     };
     results.grand_total_bugs()
 }
@@ -54,9 +54,13 @@ fn bench_dist_sweep(c: &mut Criterion) {
         group.bench_function(format!("{matrix}/no_store"), |b| {
             b.iter(|| {
                 if power {
-                    sweep.run_power(black_box(&full)).grand_total_bugs()
+                    sweep
+                        .run_matrix(black_box(&full), &builtin_stack("power").unwrap().stacks)
+                        .grand_total_bugs()
                 } else {
-                    sweep.run_riscv(black_box(&full)).grand_total_bugs()
+                    sweep
+                        .run_matrix(black_box(&full), &riscv_stacks())
+                        .grand_total_bugs()
                 }
             });
         });

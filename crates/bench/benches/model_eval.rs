@@ -20,7 +20,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tricheck_compiler::{compile, riscv_mapping};
-use tricheck_core::{Sweep, SweepOptions};
+use tricheck_core::{riscv_stacks, Sweep, SweepOptions};
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{
     enumerate_executions, enumerate_executions_pruned, suite, Execution, LitmusTest,
@@ -157,7 +157,11 @@ fn bench_model_eval(c: &mut Criterion) {
         });
         // End to end: the family through the Figure 15 engine sweep.
         group.bench_function(format!("{fam}/sweep/pruned"), |b| {
-            b.iter(|| Sweep::new().run_riscv(black_box(&tests)).grand_total_bugs());
+            b.iter(|| {
+                Sweep::new()
+                    .run_matrix(black_box(&tests), &riscv_stacks())
+                    .grand_total_bugs()
+            });
         });
         group.bench_function(format!("{fam}/sweep/unpruned"), |b| {
             let opts = SweepOptions {
@@ -166,7 +170,7 @@ fn bench_model_eval(c: &mut Criterion) {
             };
             b.iter(|| {
                 Sweep::with_options(opts.clone())
-                    .run_riscv(black_box(&tests))
+                    .run_matrix(black_box(&tests), &riscv_stacks())
                     .grand_total_bugs()
             });
         });
@@ -176,7 +180,8 @@ fn bench_model_eval(c: &mut Criterion) {
 
     // Context for the end-to-end numbers above: one traced wrc sweep's
     // per-phase breakdown shows where the sweep time actually goes.
-    let (_, trace) = tricheck_bench::timed_report(|| Sweep::new().run_riscv(&family("wrc")));
+    let (_, trace) =
+        tricheck_bench::timed_report(|| Sweep::new().run_matrix(&family("wrc"), &riscv_stacks()));
     println!("\nwrc sweep phase breakdown:\n{}", trace.render_text());
 }
 

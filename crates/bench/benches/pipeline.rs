@@ -7,7 +7,7 @@
 //! --bench pipeline`; the measured numbers are recorded in CHANGES.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tricheck_core::{Sweep, SweepOptions};
+use tricheck_core::{riscv_stacks, Sweep, SweepOptions};
 use tricheck_litmus::suite;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -20,10 +20,10 @@ fn bench_pipeline(c: &mut Criterion) {
     for threads in [1, SweepOptions::default().threads] {
         let sweep = Sweep::with_options(SweepOptions::with_threads(threads));
         group.bench_function(format!("wrc_family/naive/threads{threads}"), |b| {
-            b.iter(|| sweep.run_riscv_naive(black_box(&wrc)));
+            b.iter(|| sweep.run_matrix_naive(black_box(&wrc), &riscv_stacks()));
         });
         group.bench_function(format!("wrc_family/engine/threads{threads}"), |b| {
-            b.iter(|| sweep.run_riscv(black_box(&wrc)));
+            b.iter(|| sweep.run_matrix(black_box(&wrc), &riscv_stacks()));
         });
     }
 
@@ -33,10 +33,10 @@ fn bench_pipeline(c: &mut Criterion) {
     let sweep = Sweep::new();
     group.sample_size(10); // the real criterion's minimum, so the shim swap stays one line
     group.bench_function("full_suite/naive", |b| {
-        b.iter(|| sweep.run_riscv_naive(black_box(&full)));
+        b.iter(|| sweep.run_matrix_naive(black_box(&full), &riscv_stacks()));
     });
     group.bench_function("full_suite/engine", |b| {
-        b.iter(|| sweep.run_riscv(black_box(&full)));
+        b.iter(|| sweep.run_matrix(black_box(&full), &riscv_stacks()));
     });
     group.finish();
 }

@@ -11,7 +11,7 @@
 //! session drains an empty report.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tricheck_core::Sweep;
+use tricheck_core::{riscv_stacks, Sweep};
 use tricheck_litmus::suite;
 
 fn quick() -> bool {
@@ -25,7 +25,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             !tricheck_trace::active(),
             "no session may be active outside start()/finish()"
         );
-        let results = Sweep::new().run_riscv(&tests);
+        let results = Sweep::new().run_matrix(&tests, &riscv_stacks());
         assert_eq!(results.stats().tests, tests.len());
         // The untraced sweep above must have left nothing behind: a
         // fresh session drains an empty report.
@@ -46,12 +46,18 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_overhead");
     group.sample_size(10);
     group.bench_function("fig15/disabled", |b| {
-        b.iter(|| Sweep::new().run_riscv(black_box(&tests)).grand_total_bugs());
+        b.iter(|| {
+            Sweep::new()
+                .run_matrix(black_box(&tests), &riscv_stacks())
+                .grand_total_bugs()
+        });
     });
     group.bench_function("fig15/metrics", |b| {
         b.iter(|| {
             tricheck_trace::start(tricheck_trace::TraceConfig::metrics());
-            let bugs = Sweep::new().run_riscv(black_box(&tests)).grand_total_bugs();
+            let bugs = Sweep::new()
+                .run_matrix(black_box(&tests), &riscv_stacks())
+                .grand_total_bugs();
             let _ = tricheck_trace::finish();
             bugs
         });

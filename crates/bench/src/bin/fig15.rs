@@ -9,7 +9,7 @@
 //! `tricheck-metrics/v1` report (phase timings and counters) for perf
 //! trajectories and CI guards.
 
-use tricheck_core::{report, Sweep};
+use tricheck_core::{report, riscv_stacks, Sweep};
 use tricheck_litmus::{suite, LitmusTest, MemOrder, SlotKind};
 
 fn quick_suite() -> Vec<LitmusTest> {
@@ -61,7 +61,8 @@ fn main() {
         tests.len(),
         if quick { "quick" } else { "full" }
     );
-    let (results, trace) = tricheck_bench::timed_report(|| Sweep::new().run_riscv(&tests));
+    let (results, trace) =
+        tricheck_bench::timed_report(|| Sweep::new().run_matrix(&tests, &riscv_stacks()));
 
     for family in ["wrc", "rwc", "mp", "sb", "iriw"] {
         println!("{}", report::family_chart(&results, family));

@@ -4,44 +4,26 @@
 //! (a `dmb` fence after relaxed atomic loads).
 
 use tricheck_c11::C11Model;
-use tricheck_compiler::{compile, CompileError, Mapping, PowerLeadingSync};
-use tricheck_isa::{format_program, AccessTypes, Asm, FenceKind, HwAnnot};
-use tricheck_litmus::{suite, Expr, Instr, MemOrder, Reg};
+use tricheck_compiler::{compile, power_mapping, PowerSyncStyle, TableMapping};
+use tricheck_isa::{format_program, Asm};
+use tricheck_litmus::{suite, MemOrder};
 use tricheck_uarch::UarchModel;
 
 /// The leading-sync ARMv7 mapping with ARM's hazard workaround: a full
 /// fence after every (relaxed) atomic load.
-struct ArmWithLdLdFix;
-
-impl Mapping for ArmWithLdLdFix {
-    fn name(&self) -> &'static str {
-        "armv7-leading-sync+ldld-fix"
+fn arm_with_ldld_fix() -> TableMapping {
+    let mut table = TableMapping::new("armv7-leading-sync+ldld-fix");
+    for row in [
+        "ld rlx = ld; hwfence",
+        "ld acq = ld; ctrlisync",
+        "ld sc = hwfence; ld; ctrlisync",
+        "st rlx = st",
+        "st rel = lwfence; st",
+        "st sc = hwfence; st",
+    ] {
+        table.parse_line(row).expect("valid table row");
     }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        let mut seq = PowerLeadingSync.load(dst, addr, mo)?;
-        if mo == MemOrder::Rlx {
-            seq.push(Instr::Fence {
-                ann: HwAnnot::Fence(FenceKind::CumulativeHeavy),
-            });
-        }
-        Ok(seq)
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        PowerLeadingSync.store(addr, val, mo, scratch)
-    }
+    table
 }
 
 fn main() {
@@ -63,7 +45,7 @@ fn main() {
         }
     );
 
-    let stock = compile(&test, &PowerLeadingSync).expect("compiles");
+    let stock = compile(&test, power_mapping(PowerSyncStyle::Leading)).expect("compiles");
     println!(
         "compiled for ARMv7 (leading-sync):\n{}",
         format_program(stock.program(), Asm::Power)
@@ -90,7 +72,7 @@ fn main() {
         }
     );
 
-    let fixed = compile(&test, &ArmWithLdLdFix).expect("compiles");
+    let fixed = compile(&test, &arm_with_ldld_fix()).expect("compiles");
     println!(
         "with ARM's recommended fix (dmb after relaxed atomic loads):\n{}",
         format_program(fixed.program(), Asm::Power)
@@ -108,5 +90,4 @@ fn main() {
         "\n(the cost of this workaround is quantified by Figure 2: \
          run `cargo run --release -p tricheck-bench --bin fig2_sieve`)"
     );
-    let _ = AccessTypes::R; // silence unused-import lints in minimal builds
 }

@@ -2,8 +2,8 @@
 //! and 14: what each key test looks like after compilation with the
 //! Intuitive mappings.
 
-use tricheck_compiler::{compile, BaseAIntuitive, BaseIntuitive, Mapping};
-use tricheck_isa::{format_program, Asm};
+use tricheck_compiler::{compile, riscv_mapping, Mapping};
+use tricheck_isa::{format_program, Asm, RiscvIsa, SpecVersion};
 use tricheck_litmus::{suite, LitmusTest};
 
 fn show(figure: &str, test: &LitmusTest, mapping: &dyn Mapping) {
@@ -17,26 +17,26 @@ fn main() {
     show(
         "Figure 8 (WRC, Base Intuitive)",
         &suite::fig3_wrc(),
-        &BaseIntuitive,
+        riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
     );
     show(
         "Figure 9 (IRIW all-SC, Base Intuitive)",
         &suite::fig4_iriw_sc(),
-        &BaseIntuitive,
+        riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
     );
     show(
         "Figure 10 (WRC, Base+A Intuitive)",
         &suite::fig3_wrc(),
-        &BaseAIntuitive,
+        riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr),
     );
     show(
         "Figure 12 (MP roach-motel, Base+A Intuitive)",
         &suite::fig11_mp_roach_motel(),
-        &BaseAIntuitive,
+        riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr),
     );
     show(
         "Figure 14 (MP with address dependency, Base+A Intuitive)",
         &suite::fig13_mp_lazy(),
-        &BaseAIntuitive,
+        riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr),
     );
 }

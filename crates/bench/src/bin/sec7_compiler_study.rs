@@ -3,18 +3,23 @@
 //! proven-correct) trailing-sync mappings, across the ARMv7
 //! microarchitectures, and report the bugs each mapping exhibits.
 //!
-//! Runs on the cached sweep engine ([`Sweep::run_power`]): each test is
+//! Runs the registry's `power` matrix on the cached sweep engine
+//! ([`Sweep::run_matrix`]): each test is
 //! compiled once per mapping and each distinct Power program is
 //! enumerated once across all {mapping × model} cells — the printed
 //! cache statistics prove it. `tests/power_equivalence.rs` pins this
 //! sweep's counts to the naive per-cell recompute path.
 
 use tricheck_compiler::PowerSyncStyle;
-use tricheck_core::{report, StackKey, Sweep, SweepResults};
+use tricheck_core::{builtin_stack, report, StackKey, Sweep, SweepResults};
 use tricheck_litmus::suite;
 
 fn style_bugs(results: &SweepResults, style: PowerSyncStyle, model: &str) -> usize {
-    results.bugs_for(StackKey::Power { style }, model)
+    let key = StackKey {
+        isa: "Power",
+        variant: style.label(),
+    };
+    results.bugs_for(key, model)
 }
 
 fn main() {
@@ -25,8 +30,9 @@ fn main() {
         tests.len()
     );
 
-    let (results, trace) = tricheck_bench::timed_report(|| sweep.run_power(&tests));
-    println!("{}", report::power_table(&results));
+    let power = builtin_stack("power").expect("built-in matrix");
+    let (results, trace) = tricheck_bench::timed_report(|| sweep.run_matrix(&tests, &power.stacks));
+    println!("{}", report::stack_table(&results, &power.title));
 
     println!("counterexample families (C11-forbidden yet observable):");
     for row in results.rows().iter().filter(|r| r.bugs > 0) {

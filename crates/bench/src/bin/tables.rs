@@ -1,10 +1,8 @@
 //! Regenerates the paper's Tables 1–3 (compiler mappings) and
 //! Figure 7 (the µSpec model relaxation matrix).
 
-use tricheck_compiler::{
-    BaseAIntuitive, BaseARefined, BaseIntuitive, BaseRefined, Mapping, PowerLeadingSync,
-};
-use tricheck_isa::{format_instr, Asm, SpecVersion};
+use tricheck_compiler::{power_mapping, riscv_mapping, Mapping, PowerSyncStyle};
+use tricheck_isa::{format_instr, Asm, RiscvIsa, SpecVersion};
 use tricheck_litmus::{Expr, MemOrder, Reg};
 use tricheck_uarch::{StoreAtomicity, UarchConfig};
 
@@ -77,17 +75,32 @@ fn main() {
     print_mapping_table(
         "Table 1: leading-sync C11 -> Power",
         Asm::Power,
-        &[("Power (leading-sync)", &PowerLeadingSync)],
+        &[(
+            "Power (leading-sync)",
+            power_mapping(PowerSyncStyle::Leading),
+        )],
     );
     print_mapping_table(
         "Table 2: C11 -> RISC-V Base",
         Asm::RiscV,
-        &[("Intuitive", &BaseIntuitive), ("Refined", &BaseRefined)],
+        &[
+            (
+                "Intuitive",
+                riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
+            ),
+            ("Refined", riscv_mapping(RiscvIsa::Base, SpecVersion::Ours)),
+        ],
     );
     print_mapping_table(
         "Table 3: C11 -> RISC-V Base+A",
         Asm::RiscV,
-        &[("Intuitive", &BaseAIntuitive), ("Refined", &BaseARefined)],
+        &[
+            (
+                "Intuitive",
+                riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr),
+            ),
+            ("Refined", riscv_mapping(RiscvIsa::BaseA, SpecVersion::Ours)),
+        ],
     );
     print_figure7();
 }

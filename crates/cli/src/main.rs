@@ -10,10 +10,10 @@
 //!                                             verify + witness / per-axiom analysis
 //! tricheck dot NAME [--model M] [--isa B] [--spec V]
 //!                                             emit a Graphviz graph of the witness
-//! tricheck sweep [FAMILY] [--threads N] [--cache-stats] [--outcomes] [--power]
-//!                [--x86] [--shards N] [--cache-dir PATH]
+//! tricheck sweep [FAMILY] [--threads N] [--cache-stats] [--outcomes]
+//!                [--shards N] [--cache-dir PATH]
 //!                [--metrics-json FILE] [--progress] [--trace FILE]
-//!                [--model FILE | --stack FILE]
+//!                [--model FILE | --stack NAME|FILE]
 //!                                             Figure-15-style chart for a family
 //! tricheck file PATH [--model M] [--isa B] [--spec V]
 //!                                             parse a .litmus file and verify it
@@ -34,11 +34,16 @@
 //!                               the value must be a model file, which is
 //!                               judged under all four C11→RISC-V
 //!                               mappings
-//!          --stack FILE         (sweep only) load a whole-stack
-//!                               definition file — compiler mapping
-//!                               tables plus a model section (see
-//!                               `models/x86-tso.stack`) — and sweep the
-//!                               family through it
+//!          --stack NAME|FILE    (sweep only) sweep the family through a
+//!                               registered stack matrix instead of
+//!                               Figure 15: a built-in by name (`riscv`,
+//!                               `power` — the §7 study's leading-/
+//!                               trailing-sync C11→Power mappings × the
+//!                               ARMv7 models — or `x86-tso`), or a
+//!                               whole-stack definition file: compiler
+//!                               mapping tables plus a model section
+//!                               (see `models/x86-tso.stack`, which *is*
+//!                               the `x86-tso` built-in)
 //!          --threads N          sweep worker threads (default: all cores;
 //!                               1 = deterministic serial run; with
 //!                               --shards, threads *per shard*, default
@@ -49,9 +54,6 @@
 //!          --outcomes           sweep in full-outcome-set mode: compare
 //!                               every C11-permitted outcome with every
 //!                               µarch-observable one, not just the target
-//!          --power              sweep the §7 compiler study instead of
-//!                               Figure 15: {leading-sync, trailing-sync}
-//!                               C11→Power mappings × the ARMv7 models
 //!          --shards N           deal the sweep across N worker processes
 //!                               by program fingerprint range (1 = run
 //!                               in-process, no spawning)
@@ -107,10 +109,10 @@ const USAGE: &str = "usage:
   tricheck verify NAME [--model M] [--isa base|base+a] [--spec curr|ours]
   tricheck diagnose NAME [--model M] [--isa base|base+a] [--spec curr|ours]
   tricheck dot NAME [--model M] [--isa base|base+a] [--spec curr|ours]
-  tricheck sweep [FAMILY] [--threads N] [--cache-stats] [--outcomes] [--power]
-                 [--x86] [--shards N] [--cache-dir PATH]
+  tricheck sweep [FAMILY] [--threads N] [--cache-stats] [--outcomes]
+                 [--shards N] [--cache-dir PATH]
                  [--metrics-json FILE] [--progress] [--trace FILE]
-                 [--model FILE | --stack FILE]
+                 [--model FILE | --stack NAME|FILE]
   tricheck sweep --list-models [--stack FILE]
   tricheck file PATH [--model M] [--isa base|base+a] [--spec curr|ours]
   tricheck lint FILE [--json] [--deny-warnings]
@@ -119,25 +121,25 @@ models: WR rWR rWM rMM nWR nMM A9like (default nMM), or a path to a
         herd-style model file (models/x86-tso.cat is a worked example);
         sweep only accepts the file form, judging it under all four
         C11→RISC-V mappings
-stacks: sweep --stack FILE loads a whole-stack definition file — named
-        compiler-mapping tables plus a model section (models/x86-tso.stack
-        is a worked example) — and sweeps the family through every
-        mapping it defines
+stacks: sweep --stack NAME sweeps a registered stack matrix instead of
+        the RISC-V Figure 15 (riscv): power is the §7 compiler study
+        ({leading,trailing}-sync C11→Power mappings on the ARMv7 models),
+        x86-tso the x86 study ({sc-atomics,relaxed} C11→x86 mappings on
+        TSO); sweep --stack FILE loads a whole-stack definition file —
+        named compiler-mapping tables plus a model section
+        (models/x86-tso.stack is the x86-tso built-in) — and sweeps the
+        family through every mapping it defines
 sweeps: --threads 1 gives a deterministic serial run; --cache-stats prints
         the shared execution-space engine's cache counters; --outcomes
         compares full outcome sets instead of the target outcome (the
-        stronger verify_full equivalence, at witness-mode cost); --power
-        runs the §7 compiler study ({leading,trailing}-sync C11→Power
-        mappings on the ARMv7 models) instead of the RISC-V Figure 15;
-        --x86 runs the x86 study ({sc-atomics,relaxed} C11→x86 mappings
-        on the IR-defined TSO model); --list-models prints every
-        registered stack (ISA, mapping, model, IR axioms) and exits;
-        --shards N deals the sweep across N worker processes (1 = in
-        process); --cache-dir PATH persists execution spaces and C11
-        verdicts across runs (and across shards); --metrics-json FILE
-        writes the structured tricheck-metrics/v1 report; --progress
-        renders a live stderr progress line; --trace FILE writes a
-        chrome://tracing timeline
+        stronger verify_full equivalence, at witness-mode cost);
+        --list-models prints every registered stack (ISA, mapping, model,
+        IR axioms) and exits; --shards N deals the sweep across N worker
+        processes (1 = in process); --cache-dir PATH persists execution
+        spaces and C11 verdicts across runs (and across shards);
+        --metrics-json FILE writes the structured tricheck-metrics/v1
+        report; --progress renders a live stderr progress line; --trace
+        FILE writes a chrome://tracing timeline
 lint:   runs the semantic static-analysis pass (E001/E002 statically-empty
         relations and vacuous axioms, W001-W004 dead definitions, subsumed
         axioms, shadow-adjacent names, unreachable mapping rows) over a
@@ -157,8 +159,6 @@ const ALL_FLAGS: &[&str] = &[
     "--threads",
     "--cache-stats",
     "--outcomes",
-    "--power",
-    "--x86",
     "--list-models",
     "--shards",
     "--cache-dir",
@@ -179,8 +179,6 @@ struct Options {
     threads: Option<usize>,
     cache_stats: bool,
     outcomes: bool,
-    power: bool,
-    x86: bool,
     list_models: bool,
     shards: Option<usize>,
     cache_dir: Option<String>,
@@ -211,8 +209,6 @@ fn parse_options(args: &[String]) -> Result<(Vec<&String>, Options), String> {
         threads: None,
         cache_stats: false,
         outcomes: false,
-        power: false,
-        x86: false,
         list_models: false,
         shards: None,
         cache_dir: None,
@@ -265,8 +261,6 @@ fn parse_options(args: &[String]) -> Result<(Vec<&String>, Options), String> {
             "--allow-lint-errors" => opts.allow_lint_errors = true,
             "--cache-stats" => opts.cache_stats = true,
             "--outcomes" => opts.outcomes = true,
-            "--power" => opts.power = true,
-            "--x86" => opts.x86 = true,
             "--list-models" => opts.list_models = true,
             "--isa" => {
                 let v = it.next().ok_or("--isa needs a value")?;
@@ -288,7 +282,8 @@ fn parse_options(args: &[String]) -> Result<(Vec<&String>, Options), String> {
                 opts.model = it.next().ok_or("--model needs a value")?.clone();
             }
             "--stack" => {
-                opts.stack = Some(it.next().ok_or("--stack needs a file path")?.clone());
+                let v = it.next().ok_or("--stack needs a stack name or file path")?;
+                opts.stack = Some(v.clone());
             }
             other if other.starts_with("--") => return Err(unknown_flag(other)),
             _ => positional.push(arg),
@@ -343,8 +338,6 @@ fn check_flags_apply(command: &str, opts: &Options) -> Result<(), String> {
             "--threads",
             "--cache-stats",
             "--outcomes",
-            "--power",
-            "--x86",
             "--list-models",
             "--shards",
             "--cache-dir",
@@ -569,8 +562,9 @@ fn run(args: &[String]) -> Result<u8, String> {
             }
         }
         "sweep" => {
-            // Runtime-loaded stacks and models, checked before anything
-            // else so `--list-models` can catalog them too.
+            // The matrix to sweep (Figure 15 unless --stack names another
+            // entry or a stack file), resolved before anything else so
+            // `--list-models` can catalog a loaded file too.
             if opts.stack.is_some() && opts.was_given("--model") {
                 return Err(
                     "--stack and --model cannot be combined: a stack file already \
@@ -579,14 +573,13 @@ fn run(args: &[String]) -> Result<u8, String> {
                 );
             }
             let mut registry = tricheck::core::StackRegistry::new();
-            let mut lint_counters: Option<(u64, u64)> = None;
-            if let Some(path) = &opts.stack {
-                let loaded = registry
-                    .load(std::path::Path::new(path))
-                    .map_err(|e| e.to_string())?;
-                gate_lints(&loaded.origin, &loaded.lints, opts.allow_lint_errors)?;
-                lint_counters = Some((loaded.rules_checked as u64, loaded.lints.len() as u64));
-            }
+            let spec = opts.stack.as_deref().unwrap_or("riscv");
+            let from_file = registry.get(spec).is_none();
+            let matrix = registry.resolve(spec)?;
+            gate_lints(&matrix.origin, &matrix.lints, opts.allow_lint_errors)?;
+            // The lint pass ran while this invocation loaded the file.
+            let mut lint_counters =
+                from_file.then_some((matrix.rules_checked as u64, matrix.lints.len() as u64));
             let model_stacks = if opts.was_given("--model") {
                 let path = std::path::Path::new(&opts.model);
                 if !path.is_file() {
@@ -607,27 +600,17 @@ fn run(args: &[String]) -> Result<u8, String> {
             };
             if opts.list_models {
                 let mut extra: Vec<(String, &[tricheck::core::MatrixStack<'_>])> = Vec::new();
-                for loaded in registry.loaded() {
-                    let title = format!("{} (loaded from {})", loaded.name, loaded.origin);
-                    extra.push((title, &loaded.stacks));
-                }
                 if let Some((name, stacks)) = &model_stacks {
                     extra.push((format!("{name} (loaded from {})", opts.model), stacks));
                 }
-                print!("{}", list_models(&extra));
+                print!("{}", list_models(registry.entries(), &extra));
                 return Ok(0);
             }
-            let custom = !registry.is_empty() || model_stacks.is_some();
-            if custom && (opts.power || opts.x86) {
+            if (from_file || model_stacks.is_some())
+                && (opts.shards.is_some() || opts.cache_dir.is_some())
+            {
                 return Err(
-                    "--power/--x86 select built-in matrices and cannot be combined \
-                     with --stack or --model FILE"
-                        .to_string(),
-                );
-            }
-            if custom && (opts.shards.is_some() || opts.cache_dir.is_some()) {
-                return Err(
-                    "--shards/--cache-dir cannot be combined with --stack or --model \
+                    "--shards/--cache-dir cannot be combined with --stack FILE or --model \
                      FILE: sharded sweeps only run the built-in matrices"
                         .to_string(),
                 );
@@ -640,11 +623,8 @@ fn run(args: &[String]) -> Result<u8, String> {
             if tests.is_empty() {
                 return Err(format!("unknown family '{family}'"));
             }
-            if opts.power && opts.x86 {
-                return Err("--power and --x86 are mutually exclusive".to_string());
-            }
             if opts.shards.is_some() || opts.cache_dir.is_some() {
-                return run_dist_sweep(&family, &tests, &opts);
+                return run_dist_sweep(&family, &tests, matrix, &opts);
             }
             let session = begin_sweep_trace(&opts);
             let mut sweep_opts = SweepOptions::default();
@@ -655,27 +635,12 @@ fn run(args: &[String]) -> Result<u8, String> {
                 sweep_opts.outcome_mode = OutcomeMode::FullOutcomes;
             }
             let sweep = Sweep::with_options(sweep_opts);
-            let results = if let Some(loaded) = registry.loaded().first() {
-                let results = sweep.run_matrix(&tests, &loaded.stacks);
-                print_report(|| report::stack_table(&results, &loaded.title));
-                results
-            } else if let Some((_, stacks)) = &model_stacks {
-                let results = sweep.run_matrix(&tests, stacks);
-                print_report(|| report::family_chart(&results, &family));
-                results
-            } else if opts.power {
-                let results = sweep.run_power(&tests);
-                print_report(|| report::power_table(&results));
-                results
-            } else if opts.x86 {
-                let results = sweep.run_x86(&tests);
-                print_report(|| report::x86_table(&results));
-                results
-            } else {
-                let results = sweep.run_riscv(&tests);
-                print_report(|| report::family_chart(&results, &family));
-                results
+            let stacks = match &model_stacks {
+                Some((_, stacks)) => stacks,
+                None => &matrix.stacks,
             };
+            let results = sweep.run_matrix(&tests, stacks);
+            print_sweep_report(&results, &family, matrix, &opts);
             let report =
                 end_sweep_trace(session, &opts, results.stats(), None, None, lint_counters)?;
             if opts.cache_stats {
@@ -691,8 +656,29 @@ fn run(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// The sharded / persistent sweep path (`--shards` or `--cache-dir`).
-fn run_dist_sweep(family: &str, tests: &[LitmusTest], opts: &Options) -> Result<u8, String> {
+/// Prints a sweep's report: the `--stack` entry's study table under its
+/// title, else the Figure-15 chart of one family.
+fn print_sweep_report(
+    results: &tricheck::core::SweepResults,
+    family: &str,
+    matrix: &tricheck::core::LoadedStack,
+    opts: &Options,
+) {
+    if opts.stack.is_some() {
+        print_report(|| report::stack_table(results, &matrix.title));
+    } else {
+        print_report(|| report::family_chart(results, family));
+    }
+}
+
+/// The sharded / persistent sweep path (`--shards` or `--cache-dir`)
+/// over a built-in matrix.
+fn run_dist_sweep(
+    family: &str,
+    tests: &[LitmusTest],
+    matrix: &tricheck::core::LoadedStack,
+    opts: &Options,
+) -> Result<u8, String> {
     let cache_dir = opts
         .cache_dir
         .as_deref()
@@ -714,21 +700,8 @@ fn run_dist_sweep(family: &str, tests: &[LitmusTest], opts: &Options) -> Result<
         ..DistOptions::default()
     };
     let session = begin_sweep_trace(opts);
-    let spec = if opts.power {
-        MatrixSpec::Power
-    } else if opts.x86 {
-        MatrixSpec::X86
-    } else {
-        MatrixSpec::Riscv
-    };
-    let dist = run_sharded(spec, tests, &dist_opts).map_err(|e| e.to_string())?;
-    if opts.power {
-        print_report(|| report::power_table(&dist.results));
-    } else if opts.x86 {
-        print_report(|| report::x86_table(&dist.results));
-    } else {
-        print_report(|| report::family_chart(&dist.results, family));
-    }
+    let dist = run_sharded(matrix, tests, &dist_opts).map_err(|e| e.to_string())?;
+    print_sweep_report(&dist.results, family, matrix, opts);
     let store_stats = dist.store_stats();
     let trace_report = end_sweep_trace(
         session,
@@ -950,20 +923,25 @@ fn end_sweep_trace(
     Ok(report)
 }
 
-/// Renders every registered sweep stack (`sweep --list-models`): the
-/// three built-in matrices' cells plus any runtime-loaded sections,
+/// Renders every registered sweep stack (`sweep --list-models`): each
+/// registry entry's cells (the built-ins under their titles, then any
+/// stack file loaded by `--stack`) plus any `--model` file section,
 /// each with its ISA column, mapping, µarch model, and the model's IR
 /// axiom names — so data-defined models added to any matrix (or loaded
 /// from a stack file) are discoverable without reading source.
-fn list_models(extra: &[(String, &[tricheck::core::MatrixStack<'_>])]) -> String {
+fn list_models(
+    entries: &[tricheck::core::LoadedStack],
+    extra: &[(String, &[tricheck::core::MatrixStack<'_>])],
+) -> String {
     let mut out = String::new();
-    let matrices: [(&str, Vec<tricheck::core::MatrixStack<'static>>); 3] = [
-        ("riscv (Figure 15)", tricheck::core::riscv_stacks()),
-        ("power (§7 study, --power)", tricheck::core::power_stacks()),
-        ("x86 (TSO study, --x86)", tricheck::core::x86_stacks()),
-    ];
-    for (title, stacks) in &matrices {
-        render_stack_section(&mut out, title, stacks);
+    let (builtins, loaded) = entries.split_at(tricheck::core::BUILTIN_STACKS.len());
+    for entry in builtins {
+        let title = format!("{} (built-in): {}", entry.name, entry.title);
+        render_stack_section(&mut out, &title, &entry.stacks);
+    }
+    for entry in loaded {
+        let title = format!("{} (loaded from {})", entry.name, entry.origin);
+        render_stack_section(&mut out, &title, &entry.stacks);
     }
     for (title, stacks) in extra {
         render_stack_section(&mut out, title, stacks);
@@ -1072,38 +1050,56 @@ mod tests {
         assert_eq!(opts.threads, Some(4));
         assert!(opts.cache_stats);
         assert!(!opts.outcomes);
-        assert!(!opts.power);
+        assert!(opts.stack.is_none());
         assert!(parse_options(&strings(&["sweep", "--threads", "0"])).is_err());
         assert!(parse_options(&strings(&["sweep", "--threads", "many"])).is_err());
         assert!(parse_options(&strings(&["sweep", "--threads"])).is_err());
     }
 
     #[test]
-    fn outcome_and_power_sweep_flags_parse() {
-        let args = strings(&["sweep", "wrc", "--power", "--outcomes"]);
+    fn outcome_and_stack_sweep_flags_parse() {
+        let args = strings(&["sweep", "wrc", "--stack", "power", "--outcomes"]);
         let (pos, opts) = parse_options(&args).unwrap();
         assert_eq!(pos.len(), 2);
         assert!(opts.outcomes);
-        assert!(opts.power);
+        assert_eq!(opts.stack.as_deref(), Some("power"));
+        // The matrix flags --stack NAME replaced are gone.
+        for flag in ["--power", "--x86"] {
+            let err = parse_options(&strings(&["sweep", "wrc", flag])).unwrap_err();
+            assert!(err.contains(&format!("unknown option '{flag}'")), "{err}");
+        }
     }
 
     #[test]
     fn x86_sweep_runs_end_to_end() {
         // The CI smoke invocation, in-process: the sb family through the
-        // data-defined TSO stack.
-        let args = strings(&["sweep", "sb", "--x86", "--threads", "2", "--cache-stats"]);
+        // built-in x86-TSO stack (the committed stack file).
+        let args = strings(&[
+            "sweep",
+            "sb",
+            "--stack",
+            "x86-tso",
+            "--threads",
+            "2",
+            "--cache-stats",
+        ]);
         assert_eq!(run(&args), Ok(0));
-        // --power and --x86 cannot be combined.
-        assert!(run(&strings(&["sweep", "sb", "--power", "--x86"])).is_err());
+    }
+
+    #[test]
+    fn unknown_stack_names_fail_listing_the_registered_names() {
+        let err = run(&strings(&["sweep", "wrc", "--stack", "nosuch"])).unwrap_err();
+        assert!(err.contains("unknown stack 'nosuch'"), "{err}");
+        assert!(err.contains("riscv, power, x86-tso"), "{err}");
     }
 
     #[test]
     fn list_models_names_every_matrix_and_axiom() {
-        let listing = list_models(&[]);
+        let listing = list_models(tricheck::core::StackRegistry::new().entries(), &[]);
         for needle in [
-            "riscv (Figure 15)",
-            "power (§7 study, --power)",
-            "x86 (TSO study, --x86)",
+            "riscv (built-in): Figure 15",
+            "power (built-in): §7 compiler study",
+            "x86-tso (built-in): x86 mapping study",
             "x86-TSO",
             "x86-sc-atomics",
             "x86-relaxed",
@@ -1124,7 +1120,15 @@ mod tests {
     fn power_sweep_runs_end_to_end() {
         // The CI smoke invocation, in-process: a small family through the
         // §7 engine sweep with explicit threads.
-        let args = strings(&["sweep", "sb", "--power", "--threads", "2", "--cache-stats"]);
+        let args = strings(&[
+            "sweep",
+            "sb",
+            "--stack",
+            "power",
+            "--threads",
+            "2",
+            "--cache-stats",
+        ]);
         assert_eq!(run(&args), Ok(0));
     }
 
@@ -1169,7 +1173,8 @@ mod tests {
         let args = strings(&[
             "sweep",
             "sb",
-            "--power",
+            "--stack",
+            "power",
             "--shards",
             "1",
             "--threads",
@@ -1283,15 +1288,21 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.contains("cannot be combined"), "{e}");
-        let e = run(&strings(&["sweep", "sb", "--stack", STACK_FILE, "--x86"])).unwrap_err();
-        assert!(e.contains("--power/--x86"), "{e}");
         let e = run(&strings(&[
             "sweep", "sb", "--stack", STACK_FILE, "--shards", "2",
         ]))
         .unwrap_err();
         assert!(e.contains("--shards/--cache-dir"), "{e}");
-        let e = run(&strings(&["sweep", "sb", "--model", MODEL_FILE, "--power"])).unwrap_err();
-        assert!(e.contains("--power/--x86"), "{e}");
+        let e = run(&strings(&[
+            "sweep",
+            "sb",
+            "--model",
+            MODEL_FILE,
+            "--cache-dir",
+            "/tmp/x",
+        ]))
+        .unwrap_err();
+        assert!(e.contains("--shards/--cache-dir"), "{e}");
         // sweep --model only takes the file form.
         let e = run(&strings(&["sweep", "sb", "--model", "nMM"])).unwrap_err();
         assert!(e.contains("is not a file"), "{e}");

@@ -35,7 +35,7 @@
 use tricheck_isa::{AccessTypes, AmoBits, FenceKind, HwAnnot};
 use tricheck_litmus::{Expr, Instr, MemOrder, Reg, RmwKind};
 
-use crate::{amo_load, amo_store, plain_load, plain_store, CompileError, Mapping};
+use crate::{CompileError, Mapping};
 
 /// One step of a table entry: a fence, or the access itself (plain or
 /// as an AMO carrying ordering bits).
@@ -350,6 +350,45 @@ fn parse_steps(op: MapOp, text: &str) -> Result<Vec<MapStep>, String> {
     Ok(steps)
 }
 
+fn plain_load(dst: Reg, addr: Expr) -> Instr<HwAnnot> {
+    Instr::Read {
+        dst,
+        addr,
+        ann: HwAnnot::Plain,
+    }
+}
+
+fn plain_store(addr: Expr, val: Expr) -> Instr<HwAnnot> {
+    Instr::Write {
+        addr,
+        val,
+        ann: HwAnnot::Plain,
+    }
+}
+
+/// The AMO-as-load idiom (`amoadd.w dst, x0, (addr)`): the zero-add write
+/// puts back the value just read, so it is architecturally invisible; the
+/// paper's µspec models treat it as a load carrying the AMO ordering
+/// bits, and so do we. (A genuine C11 RMW still compiles to `Instr::Rmw`.)
+fn amo_load(dst: Reg, addr: Expr, bits: AmoBits) -> Instr<HwAnnot> {
+    Instr::Read {
+        dst,
+        addr,
+        ann: HwAnnot::Amo(bits),
+    }
+}
+
+/// The swap-as-store idiom (`amoswap.w scratch, val, (addr)`): the old
+/// value is discarded into a fresh scratch register.
+fn amo_store(scratch: Reg, addr: Expr, val: Expr, bits: AmoBits) -> Instr<HwAnnot> {
+    Instr::Rmw {
+        dst: scratch,
+        addr,
+        kind: RmwKind::Swap(val),
+        ann: HwAnnot::Amo(bits),
+    }
+}
+
 impl Mapping for TableMapping {
     fn name(&self) -> &'static str {
         self.name
@@ -446,7 +485,6 @@ impl Mapping for TableMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{X86Relaxed, X86ScAtomics};
 
     /// The committed x86 mapping tables, as they appear in
     /// `models/x86-tso.stack`.
@@ -456,40 +494,6 @@ mod tests {
         t.parse_line("st rlx|rel = st").unwrap();
         t.parse_line(sc_store).unwrap();
         t
-    }
-
-    #[test]
-    fn x86_tables_match_the_builtin_mappings() {
-        use tricheck_litmus::{Expr, Reg};
-        let pairs: [(&TableMapping, &dyn Mapping); 2] = [
-            (
-                &x86_table("x86-sc-atomics", "st sc = st; mfence"),
-                &X86ScAtomics,
-            ),
-            (&x86_table("x86-relaxed", "st sc = st"), &X86Relaxed),
-        ];
-        for (table, builtin) in pairs {
-            for mo in [
-                MemOrder::Rlx,
-                MemOrder::Acq,
-                MemOrder::Rel,
-                MemOrder::AcqRel,
-                MemOrder::Sc,
-            ] {
-                assert_eq!(
-                    table.load(Reg(0), Expr::Const(0), mo),
-                    builtin.load(Reg(0), Expr::Const(0), mo),
-                    "{} load {mo:?}",
-                    builtin.name()
-                );
-                assert_eq!(
-                    table.store(Expr::Const(0), Expr::Const(1), mo, Reg(128)),
-                    builtin.store(Expr::Const(0), Expr::Const(1), mo, Reg(128)),
-                    "{} store {mo:?}",
-                    builtin.name()
-                );
-            }
-        }
     }
 
     #[test]

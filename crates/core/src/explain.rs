@@ -16,7 +16,6 @@
 //! - a Graphviz rendering of the witness in the spirit of the Check
 //!   tools' µhb graphs.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -43,11 +42,12 @@ pub struct Diagnosis {
     pub witness: Option<Vec<String>>,
     /// A Graphviz DOT rendering of the witness, when observable.
     pub witness_dot: Option<String>,
-    /// How many target-matching candidates each axiom rejected, keyed by
-    /// the model's own axiom names (the "why is this forbidden" view),
-    /// which `Display` lists in name order. When observable, only the
-    /// candidates judged before the witness.
-    pub rejections: BTreeMap<&'static str, usize>,
+    /// How many target-matching candidates each axiom rejected (the
+    /// "why is this forbidden" view): `(axiom name, count)` for every
+    /// axiom with a nonzero count, under the model's own names and in
+    /// its declaration order (`ModelIr::axioms`). When observable, only
+    /// the candidates judged before the witness.
+    pub rejections: Vec<(&'static str, usize)>,
 }
 
 impl fmt::Display for Diagnosis {
@@ -105,7 +105,8 @@ pub fn diagnose(
     let mut prelude = None;
     let mut witness = None;
     let mut witness_dot = None;
-    let mut rejections: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let axioms = uarch.ir().axioms();
+    let mut counts = vec![0usize; axioms.len()];
 
     enumerate_matching(compiled.program(), compiled.target(), &mut |exec| {
         let binding = HwBinding::new(exec);
@@ -126,12 +127,19 @@ pub fn diagnose(
                 false // one witness suffices
             }
             Err(axiom) => {
-                *rejections.entry(axiom).or_default() += 1;
+                let index = axioms.iter().position(|a| a.name == axiom);
+                counts[index.expect("the kernel reports the model's own axioms")] += 1;
                 true
             }
         }
     });
 
+    let rejections = axioms
+        .iter()
+        .zip(counts)
+        .filter(|&(_, count)| count > 0)
+        .map(|(axiom, count)| (axiom.name, count))
+        .collect();
     let result = TestResult::new(
         test,
         C11Model::new().permits_target(test),
@@ -152,14 +160,19 @@ pub fn diagnose(
 mod tests {
     use super::*;
     use std::path::Path;
-    use tricheck_compiler::{riscv_mapping, BaseIntuitive, BaseRefined};
-    use tricheck_isa::RiscvIsa::Base;
+    use tricheck_compiler::riscv_mapping;
+    use tricheck_isa::RiscvIsa::{Base, BaseA};
     use tricheck_isa::SpecVersion::{Curr, Ours};
     use tricheck_litmus::{suite, MemOrder};
 
     #[test]
     fn bug_diagnosis_carries_a_witness() {
-        let d = diagnose(&BaseIntuitive, &UarchModel::nwr(Curr), &suite::fig3_wrc()).unwrap();
+        let d = diagnose(
+            riscv_mapping(Base, Curr),
+            &UarchModel::nwr(Curr),
+            &suite::fig3_wrc(),
+        )
+        .unwrap();
         assert_eq!(d.classification, Classification::Bug);
         let witness = d.witness.expect("observable outcome must have a witness");
         assert!(witness.iter().any(|l| l.contains("reads from")));
@@ -170,15 +183,22 @@ mod tests {
 
     #[test]
     fn forbidden_diagnosis_names_the_blocking_axioms() {
-        let d = diagnose(&BaseRefined, &UarchModel::nwr(Ours), &suite::fig3_wrc()).unwrap();
+        let d = diagnose(
+            riscv_mapping(Base, Ours),
+            &UarchModel::nwr(Ours),
+            &suite::fig3_wrc(),
+        )
+        .unwrap();
         assert_eq!(d.classification, Classification::Equivalent);
         assert!(d.witness.is_none());
         assert!(!d.rejections.is_empty());
         // The WRC fix works through write propagation (cumulative fences).
-        let total: usize = d.rejections.values().sum();
+        let total: usize = d.rejections.iter().map(|&(_, count)| count).sum();
         assert!(total > 0);
         assert!(
-            d.rejections.contains_key("Observation") || d.rejections.contains_key("Propagation"),
+            d.rejections
+                .iter()
+                .any(|&(axiom, _)| axiom == "Observation" || axiom == "Propagation"),
             "WRC must be blocked by a propagation-class axiom: {:?}",
             d.rejections
         );
@@ -186,12 +206,22 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let d = diagnose(&BaseIntuitive, &UarchModel::nmm(Curr), &suite::fig3_wrc()).unwrap();
+        let d = diagnose(
+            riscv_mapping(Base, Curr),
+            &UarchModel::nmm(Curr),
+            &suite::fig3_wrc(),
+        )
+        .unwrap();
         let text = d.to_string();
         assert!(text.contains("Bug"));
         assert!(text.contains("witness execution"));
 
-        let d = diagnose(&BaseRefined, &UarchModel::nwr(Ours), &suite::fig3_wrc()).unwrap();
+        let d = diagnose(
+            riscv_mapping(Base, Ours),
+            &UarchModel::nwr(Ours),
+            &suite::fig3_wrc(),
+        )
+        .unwrap();
         let text = d.to_string();
         assert!(text.contains("candidate executions rejected by axiom:"));
         for (axiom, count) in &d.rejections {
@@ -210,9 +240,37 @@ mod tests {
         assert_eq!(test.name(), "wrc+sc+sc+sc+sc+sc");
         let d = diagnose(riscv_mapping(Base, Curr), &model, &test).unwrap();
         assert!(!d.uarch_observes);
-        let obs = d.rejections.get("Obs").copied().unwrap_or(0);
-        assert!(obs > 0, "{:?}", d.rejections);
+        assert!(
+            d.rejections
+                .iter()
+                .any(|&(axiom, count)| axiom == "Obs" && count > 0),
+            "{:?}",
+            d.rejections
+        );
         let names: Vec<&str> = model.ir().axioms().iter().map(|a| a.name).collect();
-        assert!(d.rejections.keys().all(|k| names.contains(k)));
+        assert!(d.rejections.iter().all(|(axiom, _)| names.contains(axiom)));
+    }
+
+    /// Rejections are listed in the model's axiom order, not by name:
+    /// the fixture declares `RmwAtomicity` before `Coherence`, and both
+    /// reject a candidate of this test.
+    #[test]
+    fn rejections_follow_the_models_axiom_order() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/models/axiom-order.cat");
+        let model = UarchModel::from_ir(crate::load_model_file(&path).unwrap());
+        let test = suite::corr([MemOrder::Sc, MemOrder::Sc, MemOrder::Rlx, MemOrder::Rlx]);
+        assert_eq!(test.name(), "corr+sc+sc+rlx+rlx");
+        let d = diagnose(riscv_mapping(BaseA, Curr), &model, &test).unwrap();
+        assert_eq!(d.rejections, [("RmwAtomicity", 1), ("Coherence", 1)]);
+        let text = d.to_string();
+        let listed = text
+            .split_once("candidate executions rejected by axiom:\n")
+            .map(|(_, rest)| rest);
+        assert_eq!(
+            listed,
+            Some("  RmwAtomicity: 1\n  Coherence: 1\n"),
+            "{text}"
+        );
     }
 }

@@ -24,11 +24,12 @@
 //! enumeration once per distinct compiled program, with a work-stealing
 //! scheduler fanning (test × stack) items over the shared caches.
 //! [`SweepResults::stats`] exposes the counters that prove it.
-//! [`Sweep::run_matrix`](runner::Sweep::run_matrix) is the generic
-//! engine — it takes any list of [`MatrixStack`]s keyed by [`StackKey`];
-//! [`Sweep::run_riscv`](runner::Sweep::run_riscv) (Figure 15) and
-//! [`Sweep::run_power`](runner::Sweep::run_power) (the §7 compiler
-//! study) are thin instantiations. [`OutcomeMode::FullOutcomes`]
+//! [`Sweep::run_matrix`](runner::Sweep::run_matrix) is the one entry
+//! point — it takes any list of [`MatrixStack`]s keyed by [`StackKey`].
+//! The paper's matrices are [`registry`] entries looked up by name like
+//! any stack file: `riscv` (Figure 15), `power` (the §7 compiler
+//! study) and `x86-tso` (the committed `models/x86-tso.stack`); see
+//! [`builtin_stack`] and [`StackRegistry`]. [`OutcomeMode::FullOutcomes`]
 //! upgrades any sweep to the stronger full-outcome-set equivalence at
 //! witness-mode cost.
 //!
@@ -39,19 +40,20 @@
 //! that motivates cumulative lightweight fences (§5.1.1):
 //!
 //! ```
+//! use tricheck_compiler::riscv_mapping;
 //! use tricheck_core::{Classification, TriCheck};
-//! use tricheck_isa::SpecVersion;
+//! use tricheck_isa::{RiscvIsa, SpecVersion};
 //! use tricheck_litmus::suite;
 //! use tricheck_uarch::UarchModel;
-//! use tricheck_compiler::BaseIntuitive;
 //!
-//! let stack = TriCheck::new(&BaseIntuitive, UarchModel::nwr(SpecVersion::Curr));
+//! let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let stack = TriCheck::new(intuitive, UarchModel::nwr(SpecVersion::Curr));
 //! let result = stack.verify(&suite::fig3_wrc())?;
 //! assert_eq!(result.classification(), Classification::Bug);
 //!
 //! // The refined ISA (cumulative fences + fixed mapping) eliminates it.
-//! use tricheck_compiler::BaseRefined;
-//! let fixed = TriCheck::new(&BaseRefined, UarchModel::nwr(SpecVersion::Ours));
+//! let refined = riscv_mapping(RiscvIsa::Base, SpecVersion::Ours);
+//! let fixed = TriCheck::new(refined, UarchModel::nwr(SpecVersion::Ours));
 //! assert_eq!(fixed.verify(&suite::fig3_wrc())?.classification(),
 //!            Classification::Equivalent);
 //! # Ok::<(), tricheck_compiler::CompileError>(())
@@ -69,12 +71,13 @@ pub mod verdict;
 
 pub use explain::{diagnose, Diagnosis};
 pub use registry::{
-    lint_path, load_model_file, load_model_file_linted, load_stack_file, parse_stack_file,
-    stacks_for_model, LoadedStack, StackFileError, StackRegistry,
+    builtin_stack, lint_path, load_model_file, load_model_file_linted, load_stack_file,
+    parse_stack_file, riscv_stacks, stacks_for_model, LoadedStack, StackFileError, StackRegistry,
+    BUILTIN_STACKS,
 };
 pub use runner::{
-    power_stacks, results_from_items, riscv_stacks, x86_stacks, MatrixItems, MatrixStack,
-    OutcomeMode, StackKey, Sweep, SweepOptions, SweepResults, SweepRow, SweepStats,
+    results_from_items, MatrixItems, MatrixStack, OutcomeMode, StackKey, Sweep, SweepOptions,
+    SweepResults, SweepRow, SweepStats,
 };
 pub use store::{C11Cached, SpaceStore, StoreStats};
 pub use verdict::{Classification, FullComparison, TestResult};
@@ -166,19 +169,20 @@ impl<'m> TriCheck<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_compiler::{BaseAIntuitive, BaseARefined, BaseIntuitive, BaseRefined};
+    use tricheck_compiler::riscv_mapping;
+    use tricheck_isa::RiscvIsa::{Base, BaseA};
     use tricheck_isa::SpecVersion::{Curr, Ours};
     use tricheck_litmus::{suite, MemOrder};
 
     #[test]
     fn wrc_bug_found_and_fixed() {
         let t = suite::fig3_wrc();
-        let buggy = TriCheck::new(&BaseIntuitive, UarchModel::nmm(Curr));
+        let buggy = TriCheck::new(riscv_mapping(Base, Curr), UarchModel::nmm(Curr));
         assert_eq!(
             buggy.verify(&t).unwrap().classification(),
             Classification::Bug
         );
-        let fixed = TriCheck::new(&BaseRefined, UarchModel::nmm(Ours));
+        let fixed = TriCheck::new(riscv_mapping(Base, Ours), UarchModel::nmm(Ours));
         assert_eq!(
             fixed.verify(&t).unwrap().classification(),
             Classification::Equivalent
@@ -188,12 +192,12 @@ mod tests {
     #[test]
     fn overly_strict_detected_for_roach_motel() {
         let t = suite::fig11_mp_roach_motel();
-        let strict = TriCheck::new(&BaseAIntuitive, UarchModel::rmm(Curr));
+        let strict = TriCheck::new(riscv_mapping(BaseA, Curr), UarchModel::rmm(Curr));
         assert_eq!(
             strict.verify(&t).unwrap().classification(),
             Classification::OverlyStrict
         );
-        let relaxed = TriCheck::new(&BaseARefined, UarchModel::rmm(Ours));
+        let relaxed = TriCheck::new(riscv_mapping(BaseA, Ours), UarchModel::rmm(Ours));
         assert_eq!(
             relaxed.verify(&t).unwrap().classification(),
             Classification::Equivalent
@@ -209,7 +213,7 @@ mod tests {
             [MemOrder::Rlx, MemOrder::Rel, MemOrder::Acq, MemOrder::Rlx],
         ] {
             let t = suite::mp(orders);
-            let stack = TriCheck::new(&BaseIntuitive, UarchModel::nmm(Curr));
+            let stack = TriCheck::new(riscv_mapping(Base, Curr), UarchModel::nmm(Curr));
             let target_mode = stack.verify(&t).unwrap().classification();
             let full_mode = stack.verify_full(&t).unwrap().classification();
             assert_eq!(target_mode, full_mode, "{}", t.name());
@@ -219,7 +223,7 @@ mod tests {
     #[test]
     fn full_comparison_exposes_outcome_sets() {
         let t = suite::mp([MemOrder::Rlx; 4]);
-        let stack = TriCheck::new(&BaseIntuitive, UarchModel::wr(Curr));
+        let stack = TriCheck::new(riscv_mapping(Base, Curr), UarchModel::wr(Curr));
         let cmp = stack.verify_full(&t).unwrap();
         // WR is stronger than C11 for relaxed MP: fewer observable
         // outcomes than permitted ones.
@@ -240,7 +244,7 @@ mod tests {
                 suite::fig13_mp_lazy(),
                 suite::corr([MemOrder::Rlx; 4]),
             ] {
-                let stack = TriCheck::new(&BaseARefined, model.clone());
+                let stack = TriCheck::new(riscv_mapping(BaseA, Ours), model.clone());
                 let c = stack.verify(&t).unwrap().classification();
                 assert_ne!(c, Classification::Bug, "{} on {}", t.name(), model.name());
             }

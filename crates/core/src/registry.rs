@@ -1,5 +1,14 @@
-//! Runtime stack registry: load whole (mapping × µarch model) stacks
-//! from definition files and sweep them like built-ins.
+//! The stack registry: every sweep matrix — built-in or loaded from a
+//! definition file — is a [`LoadedStack`] looked up by name.
+//!
+//! The built-ins are [`BUILTIN_STACKS`]: `riscv` (Figure 15: the four
+//! Table 2/3 mappings × the seven Table 7 µarchs), `power` (the §7
+//! compiler study: leading-/trailing-sync × the ARMv7 models) and
+//! `x86-tso` (the x86 mapping study, which *is* the committed
+//! `models/x86-tso.stack`, compiled in with `include_str!` and parsed
+//! by [`parse_stack_file`] like any user stack). The RISC-V and Power
+//! models stay knob-generated from `UarchConfig` (paper Table 7), and
+//! their mappings are the compiler crate's built-in tables.
 //!
 //! A *stack file* packages everything `Sweep::run_matrix` needs for a
 //! matrix column that never appears in Rust source:
@@ -46,7 +55,10 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use tricheck_compiler::{order_word, reachable_orders, riscv_mapping, MapOp, TableMapping};
+use tricheck_compiler::{
+    order_word, power_mapping, reachable_orders, riscv_mapping, MapOp, Mapping, PowerSyncStyle,
+    TableMapping,
+};
 use tricheck_isa::{RiscvIsa, SpecVersion};
 use tricheck_litmus::MemOrder;
 use tricheck_rel::lint::{lint_model, Diagnostic, MODEL_RULES, RULES};
@@ -96,22 +108,23 @@ impl fmt::Display for StackFileError {
 
 impl std::error::Error for StackFileError {}
 
-/// A stack definition loaded from a file, ready for
-/// `Sweep::run_matrix`. The mapping tables are leaked once per load to
-/// satisfy the `&'static dyn Mapping` the matrix requires — stacks are
-/// loaded a handful of times per process, so the leakage is bounded
-/// like the name interner's.
+/// One registered sweep matrix, ready for `Sweep::run_matrix`: a
+/// built-in ([`builtin_stack`]) or a stack definition file. A file's
+/// mapping tables are leaked once per load to satisfy the
+/// `&'static dyn Mapping` the matrix requires — stacks are loaded a
+/// handful of times per process, so the leakage is bounded like the
+/// name interner's.
 pub struct LoadedStack {
-    /// The stack's name (the `stack` directive).
+    /// The stack's lookup name (the `stack` directive).
     pub name: String,
     /// The report table title (the `title` directive, or a default).
     pub title: String,
-    /// The ISA column label (the `isa` directive).
-    pub isa: &'static str,
-    /// Where the stack was loaded from (for catalogs and errors).
+    /// Where the stack was loaded from (for catalogs and errors);
+    /// `built-in` for the knob-generated built-ins.
     pub origin: String,
-    /// One matrix column per `mapping` section, in file order, all
-    /// sharing the file's model.
+    /// The matrix columns, in presentation order; each key carries its
+    /// ISA and variant labels (for a file: the `isa` directive and the
+    /// `mapping` section label, all sharing the file's model).
     pub stacks: Vec<MatrixStack<'static>>,
     /// Lint findings over the model text and mapping tables, with
     /// lines re-anchored to file coordinates. Loading succeeds even
@@ -126,47 +139,163 @@ impl fmt::Debug for LoadedStack {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LoadedStack")
             .field("name", &self.name)
-            .field("isa", &self.isa)
             .field("origin", &self.origin)
             .field("mappings", &self.stacks.len())
             .finish_non_exhaustive()
     }
 }
 
-/// Registered runtime-loaded stacks for one invocation.
-#[derive(Default)]
+/// The built-in matrices' names, in catalog order. `x86-tso` is the
+/// committed stack file's own `stack` name.
+pub const BUILTIN_STACKS: [&str; 3] = ["riscv", "power", "x86-tso"];
+
+/// The committed x86-TSO stack file: the built-in x86 study.
+const X86_TSO_STACK: &str = include_str!("../../../models/x86-tso.stack");
+
+/// Builds the built-in matrix registered under `name` (one of
+/// [`BUILTIN_STACKS`]), or `None` for any other name. Each call builds
+/// fresh model instances; the mappings are the compiler crate's
+/// statics, so every column of one (ISA, version) or sync style shares
+/// one mapping pointer and the sweep compiles each (test, mapping) pair
+/// once.
+#[must_use]
+pub fn builtin_stack(name: &str) -> Option<LoadedStack> {
+    type Column = (StackKey, &'static dyn Mapping, Vec<UarchModel>);
+    let (title, columns): (&str, Vec<Column>) = match name {
+        "riscv" => (
+            "Figure 15: C11 → RISC-V mappings on the Table 7 µarchs",
+            riscv_columns()
+                .map(|(key, mapping, version)| (key, mapping, UarchModel::all_riscv(version)))
+                .collect(),
+        ),
+        "power" => (
+            "§7 compiler study: C11 → Power mappings on ARMv7",
+            PowerSyncStyle::ALL
+                .into_iter()
+                .map(|style| {
+                    let key = StackKey {
+                        isa: "Power",
+                        variant: style.label(),
+                    };
+                    (key, power_mapping(style), UarchModel::all_armv7())
+                })
+                .collect(),
+        ),
+        "x86-tso" => {
+            return Some(
+                parse_stack_file(X86_TSO_STACK, "models/x86-tso.stack")
+                    .expect("the committed x86-TSO stack file parses"),
+            )
+        }
+        _ => return None,
+    };
+    let stacks = columns
+        .into_iter()
+        .flat_map(|(key, mapping, models)| {
+            models.into_iter().map(move |model| MatrixStack {
+                key,
+                mapping,
+                model,
+            })
+        })
+        .collect();
+    Some(LoadedStack {
+        name: name.to_string(),
+        title: title.to_string(),
+        origin: "built-in".to_string(),
+        stacks,
+        lints: Vec::new(),
+        rules_checked: 0,
+    })
+}
+
+/// The 28 Figure 15 stacks in presentation order — the `riscv`
+/// built-in's columns.
+#[must_use]
+pub fn riscv_stacks() -> Vec<MatrixStack<'static>> {
+    builtin_stack("riscv").expect("riscv is built in").stacks
+}
+
+/// Figure 15's four (ISA, spec version) columns: the row key, the
+/// Table 2/3 mapping, and the spec version its µarchs implement.
+fn riscv_columns() -> impl Iterator<Item = (StackKey, &'static dyn Mapping, SpecVersion)> {
+    [RiscvIsa::Base, RiscvIsa::BaseA]
+        .into_iter()
+        .flat_map(|isa| {
+            [SpecVersion::Curr, SpecVersion::Ours]
+                .into_iter()
+                .map(move |version| {
+                    let key = StackKey {
+                        isa: intern(&isa.to_string()),
+                        variant: intern(&version.to_string()),
+                    };
+                    (key, riscv_mapping(isa, version), version)
+                })
+        })
+}
+
+/// The sweep matrices of one invocation: the built-ins, plus any stack
+/// files resolved through it, all looked up the same way.
 pub struct StackRegistry {
-    loaded: Vec<LoadedStack>,
+    entries: Vec<LoadedStack>,
+}
+
+impl Default for StackRegistry {
+    fn default() -> Self {
+        StackRegistry {
+            entries: BUILTIN_STACKS
+                .iter()
+                .filter_map(|name| builtin_stack(name))
+                .collect(),
+        }
+    }
 }
 
 impl StackRegistry {
-    /// An empty registry.
+    /// A registry holding the built-in matrices.
     #[must_use]
     pub fn new() -> Self {
         StackRegistry::default()
     }
 
-    /// Loads a stack file and registers it.
+    /// The entry registered under `name` (the first, if a loaded file
+    /// reuses a built-in's name).
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<&LoadedStack> {
+        self.entries.iter().find(|e| e.name == name)
+    }
+
+    /// Resolves `sweep --stack NAME|FILE`: a registered name, else a
+    /// stack file path, which is loaded and registered.
     ///
     /// # Errors
     ///
-    /// A [`StackFileError`] naming the file and line on parse or I/O
-    /// failure.
-    pub fn load(&mut self, path: &Path) -> Result<&LoadedStack, StackFileError> {
-        self.loaded.push(load_stack_file(path)?);
-        Ok(self.loaded.last().expect("just pushed"))
+    /// The file's [`StackFileError`] message (`file:line: …`) when
+    /// `spec` names a file that does not load; for a `spec` that is
+    /// neither a registered name nor a file, a message listing the
+    /// registered names.
+    pub fn resolve(&mut self, spec: &str) -> Result<&LoadedStack, String> {
+        if let Some(i) = self.entries.iter().position(|e| e.name == spec) {
+            return Ok(&self.entries[i]);
+        }
+        let path = Path::new(spec);
+        if !path.is_file() {
+            let names: Vec<&str> = self.entries.iter().map(|e| e.name.as_str()).collect();
+            return Err(format!(
+                "unknown stack '{spec}': not a registered stack ({}) nor a stack file",
+                names.join(", ")
+            ));
+        }
+        let loaded = load_stack_file(path).map_err(|e| e.to_string())?;
+        self.entries.push(loaded);
+        Ok(self.entries.last().expect("just pushed"))
     }
 
-    /// The stacks loaded so far, in load order.
+    /// Every registered entry: the built-ins, then loaded files in load
+    /// order.
     #[must_use]
-    pub fn loaded(&self) -> &[LoadedStack] {
-        &self.loaded
-    }
-
-    /// `true` if nothing has been loaded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.loaded.is_empty()
+    pub fn entries(&self) -> &[LoadedStack] {
+        &self.entries
     }
 }
 
@@ -252,17 +381,13 @@ pub fn lint_path(path: &Path) -> Result<(String, Vec<Diagnostic>, usize), StackF
 /// model judged under each (ISA, spec version) mapping of Figure 15.
 #[must_use]
 pub fn stacks_for_model(ir: &ModelIr) -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
-        for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            stacks.push(MatrixStack {
-                key: StackKey::Riscv { isa, version },
-                mapping: riscv_mapping(isa, version),
-                model: UarchModel::from_ir(ir.clone()),
-            });
-        }
-    }
-    stacks
+    riscv_columns()
+        .map(|(key, mapping, _)| MatrixStack {
+            key,
+            mapping,
+            model: UarchModel::from_ir(ir.clone()),
+        })
+        .collect()
 }
 
 /// One `mapping` section mid-parse: label, optional internal name, and
@@ -448,7 +573,7 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
             &mut lints,
         );
         stacks.push(MatrixStack {
-            key: StackKey::Custom {
+            key: StackKey {
                 isa: intern(&isa),
                 variant: intern(&section.label),
             },
@@ -467,7 +592,6 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
     Ok(LoadedStack {
         title: title.unwrap_or_else(|| format!("stack study: {name}")),
         name,
-        isa: intern(&isa),
         origin: origin.to_string(),
         stacks,
         lints,
@@ -566,17 +690,69 @@ model x86-TSO-toy
 ";
 
     #[test]
+    fn builtins_are_registered_under_their_own_names() {
+        let registry = StackRegistry::new();
+        let names: Vec<&str> = registry.entries().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, BUILTIN_STACKS);
+        let counts: Vec<usize> = registry.entries().iter().map(|e| e.stacks.len()).collect();
+        assert_eq!(counts, [28, 4, 2]);
+        // Every built-in is lint-clean; only the text-defined one ran the pass.
+        let rules: Vec<usize> = registry.entries().iter().map(|e| e.rules_checked).collect();
+        assert_eq!(rules, [0, 0, RULES.len()]);
+        assert!(registry.entries().iter().all(|e| e.lints.is_empty()));
+        assert!(builtin_stack("nosuch").is_none());
+    }
+
+    #[test]
+    fn riscv_columns_share_one_mapping_per_isa_and_version() {
+        let stacks = riscv_stacks();
+        for pair in stacks.windows(2) {
+            let same_key = pair[0].key == pair[1].key;
+            #[allow(ambiguous_wide_pointer_comparisons)]
+            let same_mapping = std::ptr::eq(pair[0].mapping, pair[1].mapping);
+            assert_eq!(
+                same_key, same_mapping,
+                "{:?} / {:?}",
+                pair[0].key, pair[1].key
+            );
+        }
+    }
+
+    #[test]
+    fn resolve_takes_a_name_or_a_file_and_lists_names_otherwise() {
+        let mut registry = StackRegistry::new();
+        assert_eq!(registry.resolve("power").unwrap().stacks.len(), 4);
+        let err = registry.resolve("nosuch").unwrap_err();
+        assert!(
+            err.contains("unknown stack 'nosuch'") && err.contains("riscv, power, x86-tso"),
+            "{err}"
+        );
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models/x86-tso.stack");
+        let loaded = registry.resolve(file.to_str().unwrap()).unwrap();
+        assert!(
+            loaded.origin.ends_with("x86-tso.stack"),
+            "{}",
+            loaded.origin
+        );
+        assert_eq!(registry.entries().len(), BUILTIN_STACKS.len() + 1);
+        // The name still finds the built-in, which the file reproduces.
+        assert_eq!(
+            registry.get("x86-tso").unwrap().origin,
+            "models/x86-tso.stack"
+        );
+    }
+
+    #[test]
     fn parses_a_whole_stack_file() {
         let loaded = parse_stack_file(TOY_STACK, "toy.stack").unwrap();
         assert_eq!(loaded.name, "toy-x86");
-        assert_eq!(loaded.isa, "x86");
         assert_eq!(loaded.title, "stack study: toy-x86");
         assert_eq!(loaded.stacks.len(), 2);
         assert_eq!(loaded.stacks[0].mapping.name(), "toy-strong");
         assert_eq!(loaded.stacks[1].mapping.name(), "toy-x86-weak");
         assert_eq!(
             loaded.stacks[0].key,
-            StackKey::Custom {
+            StackKey {
                 isa: "x86",
                 variant: "strong",
             }
@@ -615,9 +791,19 @@ model x86-TSO-toy
         let ir = loaded.stacks[0].model.ir().clone();
         let stacks = stacks_for_model(&ir);
         assert_eq!(stacks.len(), 4);
-        assert!(stacks
+        let keys: Vec<(&str, &str)> = stacks
             .iter()
-            .all(|s| matches!(s.key, StackKey::Riscv { .. })));
+            .map(|s| (s.key.isa_label(), s.key.variant_label()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("Base", "riscv-curr"),
+                ("Base", "riscv-ours"),
+                ("Base+A", "riscv-curr"),
+                ("Base+A", "riscv-ours"),
+            ]
+        );
         assert!(stacks.iter().all(|s| s.model.name() == "x86-TSO-toy"));
     }
 

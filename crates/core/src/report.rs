@@ -3,8 +3,6 @@
 
 use std::fmt::Write as _;
 
-use tricheck_isa::{RiscvIsa, SpecVersion};
-
 use crate::runner::{StackKey, SweepResults, SweepRow};
 
 /// Renders one Figure-15-style chart: for a single litmus family, the
@@ -35,11 +33,22 @@ pub fn family_chart(results: &SweepResults, family: &str) -> String {
     out
 }
 
+/// The distinct row keys of a sweep, in matrix order.
+fn row_keys(results: &SweepResults) -> Vec<StackKey> {
+    let mut keys: Vec<StackKey> = Vec::new();
+    for row in results.rows() {
+        if !keys.contains(&row.key) {
+            keys.push(row.key);
+        }
+    }
+    keys
+}
+
 /// Renders the aggregate chart from the bottom-right of Figure 15:
-/// per family and (ISA, version), the percentage of variants that are
-/// bugs / overly strict / equivalent across all µSpec models. A variant
-/// counts as a Bug if it ever misbehaved on any model, as Overly Strict
-/// if it was ever overly strict but never a bug (paper §6).
+/// per family and row key (ISA, version), the percentage of variants
+/// that are bugs / overly strict / equivalent across all µSpec models.
+/// A variant counts as a Bug if it ever misbehaved on any model, as
+/// Overly Strict if it was ever overly strict but never a bug (paper §6).
 #[must_use]
 pub fn aggregate_chart(results: &SweepResults, families: &[&str]) -> String {
     let mut out = String::new();
@@ -49,51 +58,44 @@ pub fn aggregate_chart(results: &SweepResults, families: &[&str]) -> String {
         "{:<10} {:<8} {:<12} {:>8} {:>14} {:>12}",
         "family", "ISA", "version", "Bugs%", "OverlyStrict%", "Equivalent%"
     );
+    let keys = row_keys(results);
     for &family in families {
-        for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
-            for version in [SpecVersion::Curr, SpecVersion::Ours] {
-                let key = StackKey::Riscv { isa, version };
-                let rows: Vec<&SweepRow> = results
-                    .rows()
-                    .iter()
-                    .filter(|r| r.family == family && r.key == key)
-                    .collect();
-                if rows.is_empty() {
-                    continue;
-                }
-                let total = rows[0].total();
-                if total == 0 {
-                    continue;
-                }
-                // Aggregate per-variant over models: since rows only carry
-                // counts, approximate the paper's aggregation with the
-                // per-model maxima (exact when the buggy variant sets are
-                // nested across models, which holds for this suite: each
-                // family's bugs stem from a single mechanism).
-                let bugs = rows.iter().map(|r| r.bugs).max().unwrap_or(0);
-                let strict = rows.iter().map(|r| r.overly_strict).max().unwrap_or(0);
-                let bugs_pct = 100.0 * bugs as f64 / total as f64;
-                let strict_pct = (100.0 * strict as f64 / total as f64).min(100.0 - bugs_pct);
-                let equiv_pct = 100.0 - bugs_pct - strict_pct;
-                let _ = writeln!(
-                    out,
-                    "{:<10} {:<8} {:<12} {:>7.1}% {:>13.1}% {:>11.1}%",
-                    family,
-                    isa.to_string(),
-                    version.to_string(),
-                    bugs_pct,
-                    strict_pct,
-                    equiv_pct
-                );
+        for &key in &keys {
+            let rows: Vec<&SweepRow> = results
+                .rows()
+                .iter()
+                .filter(|r| r.family == family && r.key == key)
+                .collect();
+            if rows.is_empty() {
+                continue;
             }
+            let total = rows[0].total();
+            if total == 0 {
+                continue;
+            }
+            // Aggregate per-variant over models: since rows only carry
+            // counts, approximate the paper's aggregation with the
+            // per-model maxima (exact when the buggy variant sets are
+            // nested across models, which holds for this suite: each
+            // family's bugs stem from a single mechanism).
+            let bugs = rows.iter().map(|r| r.bugs).max().unwrap_or(0);
+            let strict = rows.iter().map(|r| r.overly_strict).max().unwrap_or(0);
+            let bugs_pct = 100.0 * bugs as f64 / total as f64;
+            let strict_pct = (100.0 * strict as f64 / total as f64).min(100.0 - bugs_pct);
+            let equiv_pct = 100.0 - bugs_pct - strict_pct;
+            let _ = writeln!(
+                out,
+                "{:<10} {:<8} {:<12} {:>7.1}% {:>13.1}% {:>11.1}%",
+                family, key.isa, key.variant, bugs_pct, strict_pct, equiv_pct
+            );
         }
     }
     out
 }
 
-/// Renders the headline table: total bugs per (ISA, version, model)
-/// across the whole suite (the paper's "144 forbidden outcomes" comes
-/// from the A9like / Base+A / riscv-curr cell).
+/// Renders the headline table: total bugs per (row key, model) across
+/// the whole suite (the paper's "144 forbidden outcomes" comes from the
+/// A9like / Base+A / riscv-curr cell).
 #[must_use]
 pub fn headline_table(results: &SweepResults) -> String {
     let models = ["WR", "rWR", "rWM", "rMM", "nWR", "nMM", "A9like"];
@@ -109,52 +111,28 @@ pub fn headline_table(results: &SweepResults) -> String {
         "version",
         models.map(|m| format!("{m:>7}")).join(" ")
     );
-    for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
-        for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            let key = StackKey::Riscv { isa, version };
-            let counts: Vec<String> = models
-                .iter()
-                .map(|m| format!("{:>7}", results.bugs_for(key, m)))
-                .collect();
-            let _ = writeln!(
-                out,
-                "{:<8} {:<12} {}",
-                isa.to_string(),
-                version.to_string(),
-                counts.join(" ")
-            );
-        }
+    for key in row_keys(results) {
+        let counts: Vec<String> = models
+            .iter()
+            .map(|m| format!("{:>7}", results.bugs_for(key, m)))
+            .collect();
+        let _ = writeln!(
+            out,
+            "{:<8} {:<12} {}",
+            key.isa,
+            key.variant,
+            counts.join(" ")
+        );
     }
     out
 }
 
-/// Renders the §7 compiler-study table: per (sync style, ARMv7 model)
-/// cell, the total Bug / Overly Strict / Equivalent counts across the
-/// whole suite, in matrix order.
-#[must_use]
-pub fn power_table(results: &SweepResults) -> String {
-    mapping_study_table(results, "§7 compiler study: C11 → Power mappings on ARMv7")
-}
-
-/// Renders the x86 mapping-study table: per (mapping style, TSO) cell,
-/// the total counts across the suite.
-#[must_use]
-pub fn x86_table(results: &SweepResults) -> String {
-    mapping_study_table(results, "x86 mapping study: C11 → x86 mappings on TSO")
-}
-
-/// Renders a mapping-study table for a runtime-loaded stack under its
-/// file-declared title — the same renderer as [`power_table`] /
-/// [`x86_table`], so a loaded stack that replicates a built-in one
-/// produces byte-identical output.
+/// Renders a mapping-study table under a registry entry's title
+/// (`LoadedStack::title`): per (row key, model) cell, the total Bug /
+/// Overly Strict / Equivalent counts across the whole suite, in matrix
+/// order — the §7 compiler study, the x86 study, or any stack file.
 #[must_use]
 pub fn stack_table(results: &SweepResults, title: &str) -> String {
-    mapping_study_table(results, title)
-}
-
-/// Shared renderer of the compiler-mapping study tables: one row per
-/// (stack key, model) pair, aggregated over families in matrix order.
-fn mapping_study_table(results: &SweepResults, title: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(
@@ -221,6 +199,7 @@ pub fn to_csv(results: &SweepResults) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{builtin_stack, riscv_stacks};
     use crate::runner::Sweep;
     use tricheck_litmus::suite;
 
@@ -230,7 +209,7 @@ mod tests {
             suite::mp([tricheck_litmus::MemOrder::Rlx; 4]),
             suite::sb([tricheck_litmus::MemOrder::Sc; 4]),
         ];
-        Sweep::new().run_riscv(&tests)
+        Sweep::new().run_matrix(&tests, &riscv_stacks())
     }
 
     #[test]
@@ -268,14 +247,19 @@ mod tests {
     }
 
     #[test]
-    fn power_table_lists_every_study_cell() {
+    fn stack_table_lists_every_study_cell() {
         let tests = vec![
             suite::mp([tricheck_litmus::MemOrder::Rlx; 4]),
             suite::sb([tricheck_litmus::MemOrder::Sc; 4]),
         ];
-        let table = power_table(&Sweep::new().run_power(&tests));
+        let power = builtin_stack("power").unwrap();
+        let table = stack_table(
+            &Sweep::new().run_matrix(&tests, &power.stacks),
+            &power.title,
+        );
         // 2 sync styles × 2 ARMv7 models + 2 header lines.
         assert_eq!(table.lines().count(), 2 + 4);
+        assert!(table.starts_with("== §7 compiler study: C11 → Power mappings on ARMv7 =="));
         assert!(table.contains("leading-sync"));
         assert!(table.contains("trailing-sync"));
         assert!(table.contains("ARMv7-A9like"));

@@ -4,15 +4,14 @@
 //! # Architecture
 //!
 //! A sweep evaluates every litmus test against a *matrix* of full-stack
-//! model cells. [`Sweep::run_matrix`] is the generic engine: it takes an
-//! arbitrary list of [`MatrixStack`]s — each a row key, a compiler
-//! mapping, and a µarch model. The paper's studies are thin
-//! instantiations:
-//!
-//! - [`Sweep::run_riscv`] — Figure 15's 28 cells (2 RISC-V ISAs × 2 spec
-//!   versions × 7 µarch models, with the matching Table 2/3 mapping);
-//! - [`Sweep::run_power`] — the §7 compiler study's cells
-//!   ({leading-sync, trailing-sync} × the ARMv7 models).
+//! model cells. [`Sweep::run_matrix`] is the one entry point: it takes
+//! an arbitrary list of [`MatrixStack`]s — each a row key, a compiler
+//! mapping, and a µarch model. The paper's studies are registry
+//! entries ([`crate::registry`]) passed to it like any stack file:
+//! `riscv` (Figure 15's 28 cells: 2 RISC-V ISAs × 2 spec versions × 7
+//! µarch models, with the matching Table 2/3 mapping), `power` (the §7
+//! compiler study: {leading-sync, trailing-sync} × the ARMv7 models)
+//! and `x86-tso` (the committed `models/x86-tso.stack`).
 //!
 //! The sweep's one work item is a *distinct compiled program*: in the
 //! Figure 15 matrix every program is judged by all 7 µarch models of its
@@ -46,8 +45,8 @@
 //! [`SweepResults::stats`] exposes the counters; the engine equivalence
 //! tests assert `compile_calls == tests × mappings` and
 //! `space_enumerations == distinct_programs`. [`Sweep::run_matrix_naive`]
-//! and its `run_*_naive` studies keep the pre-engine per-cell recompute
-//! path alive as the differential oracle. Timings live in the layered
+//! keeps the pre-engine per-cell recompute path alive as the
+//! differential oracle. Timings live in the layered
 //! benchmark under `perfbench/`, not here.
 //!
 //! **Persistence** ([`SpaceStore`], implemented on disk by
@@ -63,11 +62,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use tricheck_c11::C11Model;
-use tricheck_compiler::{
-    compile, power_mapping, riscv_mapping, x86_mapping, CompiledTest, Mapping, PowerSyncStyle,
-    X86MappingStyle,
-};
-use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
+use tricheck_compiler::{compile, CompiledTest, Mapping};
+use tricheck_isa::HwAnnot;
 use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome, SpaceStats};
 use tricheck_uarch::UarchModel;
 
@@ -150,80 +146,33 @@ impl std::fmt::Debug for SweepOptions {
     }
 }
 
-/// The ISA-level identity of one column of a sweep matrix — what
-/// distinguishes two stacks besides their µarch model.
-///
-/// RISC-V stacks are keyed by (ISA, spec version) — the pair picks the
-/// Table 2/3 mapping; Power stacks are keyed by the §7 sync placement
-/// style. This is the generalized row key that lets
-/// [`SweepResults`] hold Figure 15 and compiler-study rows without
-/// tagging Power cells with a fake RISC-V ISA.
+/// The row key of one column of a sweep matrix — what distinguishes
+/// two stacks besides their µarch model: an ISA label and a variant
+/// label. Figure 15's keys are (`Base`/`Base+A`, `riscv-curr`/
+/// `riscv-ours`), the §7 study's (`Power`, `leading-sync`/
+/// `trailing-sync`), and a stack file's are its `isa` directive and its
+/// `mapping` section labels. The labels are literals or interned by
+/// the stack loader, so the key stays `Copy`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum StackKey {
-    /// A RISC-V stack of the Figure 15 sweep.
-    Riscv {
-        /// RISC-V ISA (Base or Base+A).
-        isa: RiscvIsa,
-        /// Specification version (`riscv-curr` or `riscv-ours`).
-        version: SpecVersion,
-    },
-    /// A Power/ARMv7 stack of the §7 compiler study.
-    Power {
-        /// The C11 → Power sync placement style.
-        style: PowerSyncStyle,
-    },
-    /// An x86 stack of the TSO mapping study (the IR-defined model's
-    /// proving ground).
-    X86 {
-        /// The C11 → x86 mapping style.
-        style: X86MappingStyle,
-    },
-    /// A runtime-loaded stack (from a `--stack` definition file). The
-    /// labels are interned so the key stays `Copy` like the built-ins.
-    Custom {
-        /// The ISA column label from the file's `isa` line.
-        isa: &'static str,
-        /// The variant label: the file's `mapping` section label.
-        variant: &'static str,
-    },
+pub struct StackKey {
+    /// The ISA column label.
+    pub isa: &'static str,
+    /// The variant column label.
+    pub variant: &'static str,
 }
 
 impl StackKey {
-    /// The ISA column label (`"Base"`, `"Base+A"`, `"Power"`).
+    /// The ISA column label (`"Base"`, `"Base+A"`, `"Power"`, `"x86"`).
     #[must_use]
     pub fn isa_label(&self) -> &'static str {
-        match self {
-            StackKey::Riscv {
-                isa: RiscvIsa::Base,
-                ..
-            } => "Base",
-            StackKey::Riscv {
-                isa: RiscvIsa::BaseA,
-                ..
-            } => "Base+A",
-            StackKey::Power { .. } => "Power",
-            StackKey::X86 { .. } => "x86",
-            StackKey::Custom { isa, .. } => isa,
-        }
+        self.isa
     }
 
     /// The variant column label (`"riscv-curr"`, `"riscv-ours"`,
-    /// `"leading-sync"`, `"trailing-sync"`).
+    /// `"leading-sync"`, `"sc-atomics"`, …).
     #[must_use]
     pub fn variant_label(&self) -> &'static str {
-        match self {
-            StackKey::Riscv {
-                version: SpecVersion::Curr,
-                ..
-            } => "riscv-curr",
-            StackKey::Riscv {
-                version: SpecVersion::Ours,
-                ..
-            } => "riscv-ours",
-            StackKey::Power { style } => style.label(),
-            StackKey::X86 { style } => style.label(),
-            StackKey::Custom { variant, .. } => variant,
-        }
+        self.variant
     }
 }
 
@@ -652,11 +601,11 @@ impl Sweep {
     /// [`SweepResults::stats`].
     ///
     /// Mappings are deduplicated across stacks by fat-pointer identity
-    /// (address AND vtable): the paper's mappings are zero-sized statics,
-    /// so bare addresses all coincide, and dedup by name would let a name
-    /// collision reuse the wrong compiled programs. A duplicated vtable
-    /// across codegen units only costs a redundant cache column, never a
-    /// wrong reuse.
+    /// (address AND vtable): the built-in tables are one static each, a
+    /// caller's zero-sized `Mapping` impls may share one address, and
+    /// dedup by name would let a name collision reuse the wrong compiled
+    /// programs. A duplicated vtable across codegen units only costs a
+    /// redundant cache column, never a wrong reuse.
     #[must_use]
     pub fn run_matrix(&self, tests: &[LitmusTest], stacks: &[MatrixStack<'_>]) -> SweepResults {
         let items = self.run_matrix_items(tests, stacks);
@@ -749,55 +698,6 @@ impl Sweep {
             rows,
             stats: SweepStats::default(),
         }
-    }
-
-    /// The paper's full Figure 15 sweep: every Table 7 model × {Base,
-    /// Base+A} × {riscv-curr, riscv-ours}, with the matching compiler
-    /// mapping, via [`Sweep::run_matrix`].
-    #[must_use]
-    pub fn run_riscv(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix(tests, &riscv_stacks())
-    }
-
-    /// The pre-engine Figure 15 sweep: identical cells to
-    /// [`Sweep::run_riscv`] on the per-cell recompute path.
-    #[must_use]
-    pub fn run_riscv_naive(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix_naive(tests, &riscv_stacks())
-    }
-
-    /// The §7 compiler study as a cached sweep: {leading-sync,
-    /// trailing-sync} C11 → Power mappings × the ARMv7 models, via
-    /// [`Sweep::run_matrix`] — with the same exactly-once guarantees as
-    /// the RISC-V sweep (each distinct Power program is enumerated once
-    /// across all mapping × model cells).
-    #[must_use]
-    pub fn run_power(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix(tests, &power_stacks())
-    }
-
-    /// The §7 compiler study on the per-cell recompute path — the
-    /// differential oracle for [`Sweep::run_power`].
-    #[must_use]
-    pub fn run_power_naive(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix_naive(tests, &power_stacks())
-    }
-
-    /// The x86 mapping study as a cached sweep: {sc-atomics, relaxed}
-    /// C11 → x86 mappings × the IR-defined TSO model, via
-    /// [`Sweep::run_matrix`]. The third thin instantiation of the
-    /// generic engine — and the proving ground for data-defined models:
-    /// the whole stack behind it is declarative (`x86_tso_ir`).
-    #[must_use]
-    pub fn run_x86(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix(tests, &x86_stacks())
-    }
-
-    /// The x86 study on the per-cell recompute path — the differential
-    /// oracle for [`Sweep::run_x86`].
-    #[must_use]
-    pub fn run_x86_naive(&self, tests: &[LitmusTest]) -> SweepResults {
-        self.run_matrix_naive(tests, &x86_stacks())
     }
 
     /// Compiles and groups the sweep by program, then runs one work item
@@ -933,65 +833,6 @@ impl Sweep {
     }
 }
 
-/// The 28 Figure 15 stacks in presentation order: every Table 7 model ×
-/// {Base, Base+A} × {riscv-curr, riscv-ours} with the matching Table 2/3
-/// mapping. Public so out-of-process drivers (the `tricheck-dist` shard
-/// workers) can reconstruct the exact matrix [`Sweep::run_riscv`] runs.
-#[must_use]
-pub fn riscv_stacks() -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
-        for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            let mapping = riscv_mapping(isa, version);
-            for model in UarchModel::all_riscv(version) {
-                stacks.push(MatrixStack {
-                    key: StackKey::Riscv { isa, version },
-                    mapping,
-                    model,
-                });
-            }
-        }
-    }
-    stacks
-}
-
-/// The §7 compiler-study stacks: both sync placement styles × the ARMv7
-/// models, in presentation order. Public for the same reason as
-/// [`riscv_stacks`].
-#[must_use]
-pub fn power_stacks() -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for style in PowerSyncStyle::ALL {
-        let mapping = power_mapping(style);
-        for model in UarchModel::all_armv7() {
-            stacks.push(MatrixStack {
-                key: StackKey::Power { style },
-                mapping,
-                model,
-            });
-        }
-    }
-    stacks
-}
-
-/// The x86-study stacks: both mapping styles × the TSO model, in
-/// presentation order. Public for the same reason as [`riscv_stacks`].
-#[must_use]
-pub fn x86_stacks() -> Vec<MatrixStack<'static>> {
-    let mut stacks = Vec::new();
-    for style in X86MappingStyle::ALL {
-        let mapping = x86_mapping(style);
-        for model in UarchModel::all_x86() {
-            stacks.push(MatrixStack {
-                key: StackKey::X86 { style },
-                mapping,
-                model,
-            });
-        }
-    }
-    stacks
-}
-
 /// One worker's slice of the item range, drained from the front by its
 /// owner and by thieves alike (overshooting `fetch_add` is harmless: an
 /// index at or past `end` is simply not processed).
@@ -1120,7 +961,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::builtin_stack;
+    use tricheck_compiler::riscv_mapping;
+    use tricheck_isa::{RiscvIsa, SpecVersion};
     use tricheck_litmus::{suite, MemOrder};
+
+    /// A built-in matrix's stacks, by registry name.
+    fn matrix(name: &str) -> Vec<MatrixStack<'static>> {
+        builtin_stack(name).expect("built-in matrix").stacks
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -1196,9 +1045,9 @@ mod tests {
             riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
             &UarchModel::wr(SpecVersion::Curr),
         );
-        let key = StackKey::Riscv {
-            isa: RiscvIsa::Base,
-            version: SpecVersion::Curr,
+        let key = StackKey {
+            isa: "Base",
+            variant: "riscv-curr",
         };
         let rows = aggregate(key, "WR", &results);
         assert_eq!(rows.len(), 2);
@@ -1213,7 +1062,7 @@ mod tests {
         // The acceptance contract: one compile per (test, mapping), one
         // enumeration per distinct compiled program, across all 28 cells.
         let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
-        let results = Sweep::new().run_riscv(&tests);
+        let results = Sweep::new().run_matrix(&tests, &matrix("riscv"));
         let stats = results.stats();
         assert_eq!(stats.tests, tests.len());
         assert_eq!(stats.cells, 28);
@@ -1248,7 +1097,7 @@ mod tests {
         // (test, mapping) and one enumeration per distinct Power program
         // across all {mapping × model} cells.
         let tests: Vec<_> = suite::wrc_template().instantiate_all().collect();
-        let results = Sweep::new().run_power(&tests);
+        let results = Sweep::new().run_matrix(&tests, &matrix("power"));
         let stats = results.stats();
         assert_eq!(stats.tests, tests.len());
         assert_eq!(stats.cells, 4);
@@ -1273,14 +1122,15 @@ mod tests {
 
     #[test]
     fn x86_sweep_exposes_sb_only_under_the_relaxed_mapping() {
-        use tricheck_compiler::X86MappingStyle;
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let results = Sweep::new().run_x86(&tests);
-        let sc = StackKey::X86 {
-            style: X86MappingStyle::ScAtomics,
+        let results = Sweep::new().run_matrix(&tests, &matrix("x86-tso"));
+        let sc = StackKey {
+            isa: "x86",
+            variant: "sc-atomics",
         };
-        let relaxed = StackKey::X86 {
-            style: X86MappingStyle::Relaxed,
+        let relaxed = StackKey {
+            isa: "x86",
+            variant: "relaxed",
         };
         assert_eq!(results.bugs_for(sc, "x86-TSO"), 0);
         assert_eq!(
@@ -1288,15 +1138,19 @@ mod tests {
             1,
             "exactly the all-SC store-buffering variant slips through"
         );
-        assert_eq!(results.rows(), Sweep::new().run_x86_naive(&tests).rows());
+        assert_eq!(
+            results.rows(),
+            Sweep::new()
+                .run_matrix_naive(&tests, &matrix("x86-tso"))
+                .rows()
+        );
     }
 
     #[test]
     fn x86_matrix_is_two_data_defined_cells() {
-        let stacks = x86_stacks();
+        let stacks = matrix("x86-tso");
         assert_eq!(stacks.len(), 2);
         for stack in &stacks {
-            assert!(matches!(stack.key, StackKey::X86 { .. }));
             assert_eq!(stack.key.isa_label(), "x86");
             // The TSO model is IR-only: no relaxation config behind it.
             assert!(stack.model.config().is_none());
@@ -1310,12 +1164,12 @@ mod tests {
         // with RMW-compiled stores: identical rows, identical
         // exactly-once counts, strictly fewer materialized candidates.
         let tests: Vec<_> = suite::corsdwi_template().instantiate_all().collect();
-        let pruned = Sweep::new().run_riscv(&tests);
+        let pruned = Sweep::new().run_matrix(&tests, &matrix("riscv"));
         let unpruned = Sweep::with_options(SweepOptions {
             pruning: false,
             ..SweepOptions::default()
         })
-        .run_riscv(&tests);
+        .run_matrix(&tests, &matrix("riscv"));
         assert_eq!(pruned.rows(), unpruned.rows());
         assert_eq!(
             pruned.stats().distinct_programs,
@@ -1332,10 +1186,11 @@ mod tests {
     #[test]
     fn riscv_sweep_is_deterministic_across_thread_counts() {
         let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let serial = Sweep::with_options(SweepOptions::with_threads(1)).run_riscv(&tests);
+        let serial =
+            Sweep::with_options(SweepOptions::with_threads(1)).run_matrix(&tests, &matrix("riscv"));
         for threads in [2, 5] {
-            let parallel =
-                Sweep::with_options(SweepOptions::with_threads(threads)).run_riscv(&tests);
+            let parallel = Sweep::with_options(SweepOptions::with_threads(threads))
+                .run_matrix(&tests, &matrix("riscv"));
             assert_eq!(serial.rows(), parallel.rows(), "threads={threads}");
             assert_eq!(serial.stats(), parallel.stats(), "threads={threads}");
         }
@@ -1346,12 +1201,12 @@ mod tests {
         let tests: Vec<_> = suite::corr_template().instantiate_all().collect();
         let sweep = Sweep::new();
         assert_eq!(
-            sweep.run_riscv(&tests).rows(),
-            sweep.run_riscv_naive(&tests).rows()
+            sweep.run_matrix(&tests, &matrix("riscv")).rows(),
+            sweep.run_matrix_naive(&tests, &matrix("riscv")).rows()
         );
         assert_eq!(
-            sweep.run_power(&tests).rows(),
-            sweep.run_power_naive(&tests).rows()
+            sweep.run_matrix(&tests, &matrix("power")).rows(),
+            sweep.run_matrix_naive(&tests, &matrix("power")).rows()
         );
     }
 
@@ -1360,12 +1215,12 @@ mod tests {
         // For MP variants the target outcome is the only disputed one, so
         // the set-level check classifies every cell identically.
         let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
-        let target = Sweep::new().run_riscv(&tests);
+        let target = Sweep::new().run_matrix(&tests, &matrix("riscv"));
         let full = Sweep::with_options(SweepOptions {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..SweepOptions::default()
         })
-        .run_riscv(&tests);
+        .run_matrix(&tests, &matrix("riscv"));
         assert_eq!(target.rows(), full.rows());
         // And the exactly-once contract holds in outcome mode too.
         assert_eq!(
@@ -1377,11 +1232,8 @@ mod tests {
     #[test]
     fn power_rows_carry_power_keys() {
         let tests = vec![suite::sb([MemOrder::Sc; 4])];
-        let results = Sweep::new().run_power(&tests);
-        assert!(results
-            .rows()
-            .iter()
-            .all(|r| matches!(r.key, StackKey::Power { .. })));
+        let results = Sweep::new().run_matrix(&tests, &matrix("power"));
+        assert!(results.rows().iter().all(|r| r.key.isa == "Power"));
         // 2 styles × 2 models × 1 family.
         assert_eq!(results.rows().len(), 4);
         assert_eq!(

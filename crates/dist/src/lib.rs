@@ -29,7 +29,8 @@
 //! # Example: a persistent, sharded Figure 15 sweep
 //!
 //! ```no_run
-//! use tricheck_dist::{run_sharded, DistOptions, MatrixSpec};
+//! use tricheck_core::builtin_stack;
+//! use tricheck_dist::{run_sharded, DistOptions};
 //!
 //! let tests = tricheck_litmus::suite::full_suite();
 //! let opts = DistOptions {
@@ -37,7 +38,8 @@
 //!     cache_dir: Some("./tricheck-cache".into()),
 //!     ..DistOptions::default()
 //! };
-//! let dist = run_sharded(MatrixSpec::Riscv, &tests, &opts)?;
+//! let riscv = builtin_stack("riscv").expect("built in");
+//! let dist = run_sharded(&riscv, &tests, &opts)?;
 //! println!("{} bugs", dist.results.grand_total_bugs());
 //! println!("store: {}", dist.store_stats());
 //! # Ok::<(), tricheck_dist::DistError>(())
@@ -50,7 +52,7 @@ mod shard;
 mod store;
 
 pub use shard::{
-    run_sharded, shard_of, shard_worker_stdio, DistError, DistOptions, DistResults, MatrixSpec,
-    ShardReport, ERROR_MARKER, PROTOCOL_VERSION, RESULT_MARKER,
+    run_sharded, shard_of, shard_worker_stdio, DistError, DistOptions, DistResults, ShardReport,
+    ERROR_MARKER, PROTOCOL_VERSION, RESULT_MARKER,
 };
 pub use store::{DiskStore, StoreError, FORMAT_VERSION};

@@ -10,8 +10,9 @@
 //! harness passes a probe test filter) and speaks a line-oriented hex
 //! protocol over stdio:
 //!
-//! - parent → child (stdin): one line of hex — a [`ShardJob`]: protocol
-//!   version, matrix spec, outcome mode, per-shard threads, optional
+//! - parent → child (stdin): one line of hex — a shard job: protocol
+//!   version, the built-in matrix's registry name, outcome mode,
+//!   per-shard threads, optional
 //!   cache directory, and the shard's tests (fully serialized, with
 //!   their global indices).
 //! - child → parent (stdout): one line `TCSHARD-RESULT <hex>` — the
@@ -46,8 +47,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tricheck_core::{
-    power_stacks, results_from_items, riscv_stacks, x86_stacks, Classification, MatrixStack,
-    OutcomeMode, SpaceStore, StoreStats, Sweep, SweepOptions, SweepResults, SweepStats,
+    builtin_stack, results_from_items, Classification, LoadedStack, MatrixStack, OutcomeMode,
+    SpaceStore, StoreStats, Sweep, SweepOptions, SweepResults, SweepStats, BUILTIN_STACKS,
 };
 use tricheck_litmus::codec::{self, ByteReader, CodecError};
 use tricheck_litmus::{Fingerprint, LitmusTest, MemOrder};
@@ -64,8 +65,9 @@ use crate::store::DiskStore;
 /// collect-trace flag and result frames may append an encoded
 /// [`TraceReport`] so the coordinator can merge a per-worker phase and
 /// counter breakdown. v5: result frames drop the two prelude-cache
-/// counters.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// counters. v6: jobs name the matrix by its registry name (a string)
+/// instead of a one-byte matrix tag.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Checks a decoded frame version against this build's, naming both in
 /// the error so cross-build skew is diagnosable from the message alone.
@@ -84,50 +86,6 @@ fn check_version(frame: &str, got: u16) -> Result<(), String> {
 pub const RESULT_MARKER: &str = "TCSHARD-RESULT ";
 /// Stdout marker preceding a worker's error message.
 pub const ERROR_MARKER: &str = "TCSHARD-ERROR ";
-
-/// Which predefined sweep matrix a sharded run evaluates. Worker
-/// processes reconstruct the stacks from this tag — trait-object
-/// mappings cannot cross a process boundary.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MatrixSpec {
-    /// The Figure 15 RISC-V matrix ([`tricheck_core::riscv_stacks`]).
-    Riscv,
-    /// The §7 Power compiler-study matrix
-    /// ([`tricheck_core::power_stacks`]).
-    Power,
-    /// The x86 mapping-study matrix ([`tricheck_core::x86_stacks`]).
-    X86,
-}
-
-impl MatrixSpec {
-    /// The matrix's stacks, in the same order the single-process
-    /// entry points use.
-    #[must_use]
-    pub fn stacks(self) -> Vec<MatrixStack<'static>> {
-        match self {
-            MatrixSpec::Riscv => riscv_stacks(),
-            MatrixSpec::Power => power_stacks(),
-            MatrixSpec::X86 => x86_stacks(),
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            MatrixSpec::Riscv => 0,
-            MatrixSpec::Power => 1,
-            MatrixSpec::X86 => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(MatrixSpec::Riscv),
-            1 => Ok(MatrixSpec::Power),
-            2 => Ok(MatrixSpec::X86),
-            _ => Err(CodecError::Invalid("matrix spec tag")),
-        }
-    }
-}
 
 /// Options of a sharded run.
 #[derive(Clone, Debug)]
@@ -286,10 +244,16 @@ pub fn shard_of(test: &LitmusTest, shards: usize) -> usize {
     ((u128::from(fp) * shards as u128) >> 64) as usize
 }
 
-/// Runs `spec`'s matrix over `tests`, dealt across `opts.shards` worker
+/// Runs `matrix` over `tests`, dealt across `opts.shards` worker
 /// processes by fingerprint range, and merges the shards into a result
 /// bit-identical to single-process
 /// [`Sweep::run_matrix`] on the same inputs.
+///
+/// Trait-object mappings cannot cross a process boundary, so the job
+/// names the matrix and each worker rebuilds it with
+/// [`builtin_stack`]: with `shards > 1`, `matrix` must be a built-in
+/// entry (a worker rejects any other name). `shards == 1` runs any
+/// entry in-process.
 ///
 /// With `shards == 1` the sweep runs in-process (no spawn); with a
 /// cache directory every shard shares one persistent [`DiskStore`], so
@@ -301,16 +265,16 @@ pub fn shard_of(test: &LitmusTest, shards: usize) -> usize {
 /// [`DistError`] on spawn/protocol/store failures; never on engine
 /// behaviour.
 pub fn run_sharded(
-    spec: MatrixSpec,
+    matrix: &LoadedStack,
     tests: &[LitmusTest],
     opts: &DistOptions,
 ) -> Result<DistResults, DistError> {
     if opts.shards == 0 {
         return Err(DistError::NoShards);
     }
-    let stacks = spec.stacks();
+    let stacks = &matrix.stacks;
     if opts.shards == 1 {
-        return run_in_process(tests, &stacks, opts);
+        return run_in_process(tests, stacks, opts);
     }
 
     // Deal by fingerprint range.
@@ -326,7 +290,7 @@ pub fn run_sharded(
         if indices.is_empty() {
             continue;
         }
-        let job = encode_job(spec, tests, indices, threads, opts);
+        let job = encode_job(&matrix.name, tests, indices, threads, opts);
         let mut child = Command::new(&exe)
             .args(&opts.worker_args)
             .envs(opts.worker_env.iter().map(|(k, v)| (k, v)))
@@ -396,7 +360,7 @@ pub fn run_sharded(
     stats.tests = tests.len();
     stats.cells = n_stacks;
     Ok(DistResults {
-        results: results_from_items(tests, &stacks, &items, stats),
+        results: results_from_items(tests, stacks, &items, stats),
         shards: reports,
     })
 }
@@ -472,7 +436,7 @@ fn parse_worker_output(stdout: &str, exited_ok: bool) -> Result<DecodedResult, S
 
 /// Serializes a shard's job line payload.
 fn encode_job(
-    spec: MatrixSpec,
+    matrix: &str,
     tests: &[LitmusTest],
     indices: &[u32],
     threads: usize,
@@ -481,7 +445,7 @@ fn encode_job(
     let mut out = Vec::new();
     out.extend_from_slice(b"TCSJ");
     codec::put_u16(&mut out, PROTOCOL_VERSION);
-    out.push(spec.tag());
+    codec::put_str(&mut out, matrix);
     out.push(match opts.outcome_mode {
         OutcomeMode::Target => 0,
         OutcomeMode::FullOutcomes => 1,
@@ -511,7 +475,8 @@ fn encode_job(
 /// A decoded job, as seen by the worker.
 #[derive(Debug)]
 struct Job {
-    spec: MatrixSpec,
+    /// The built-in matrix the job names, rebuilt in this process.
+    matrix: LoadedStack,
     outcome_mode: OutcomeMode,
     pruning: bool,
     collect_trace: bool,
@@ -531,8 +496,14 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
     }
     let version = r.u16().map_err(|e| format!("malformed job: {e}"))?;
     check_version("job", version)?;
-    let mut inner = || -> Result<Job, CodecError> {
-        let spec = MatrixSpec::from_tag(r.u8()?)?;
+    let name = r.string().map_err(|e| format!("malformed job: {e}"))?;
+    let matrix = builtin_stack(&name).ok_or_else(|| {
+        format!(
+            "malformed job: unknown matrix '{name}' (built-in matrices: {})",
+            BUILTIN_STACKS.join(", ")
+        )
+    })?;
+    let inner = || -> Result<Job, CodecError> {
         let outcome_mode = match r.u8()? {
             0 => OutcomeMode::Target,
             1 => OutcomeMode::FullOutcomes,
@@ -578,7 +549,7 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
             return Err(CodecError::Invalid("trailing bytes in job"));
         }
         Ok(Job {
-            spec,
+            matrix,
             outcome_mode,
             pruning,
             collect_trace,
@@ -867,11 +838,11 @@ pub fn shard_worker_stdio() -> Result<(), String> {
                 pruning: job.pruning,
                 store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
             };
-            let stacks = job.spec.stacks();
             if job.collect_trace {
                 tricheck_trace::start(tricheck_trace::TraceConfig::metrics());
             }
-            let items = Sweep::with_options(sweep_opts).run_matrix_items(&job.tests, &stacks);
+            let items =
+                Sweep::with_options(sweep_opts).run_matrix_items(&job.tests, &job.matrix.stacks);
             let store_stats = store.map(|s| s.stats()).unwrap_or_default();
             let trace = if job.collect_trace {
                 let mut report = tricheck_trace::finish().report;
@@ -963,9 +934,10 @@ mod tests {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..DistOptions::default()
         };
-        let job = encode_job(MatrixSpec::Power, &tests, &indices, 3, &opts);
+        let job = encode_job("power", &tests, &indices, 3, &opts);
         let decoded = decode_job(&job).expect("roundtrip");
-        assert_eq!(decoded.spec, MatrixSpec::Power);
+        assert_eq!(decoded.matrix.name, "power");
+        assert_eq!(decoded.matrix.stacks.len(), 4);
         assert_eq!(decoded.outcome_mode, OutcomeMode::FullOutcomes);
         assert_eq!(decoded.threads, 3);
         assert_eq!(decoded.cache_dir.as_deref(), Some(Path::new("/tmp/x")));
@@ -1099,18 +1071,18 @@ mod tests {
 
     #[test]
     fn version_mismatch_errors_name_both_versions() {
-        // A v4 worker's result frame, as an old build would emit it:
-        // same magic, version 4 where this build expects 5.
+        // A v5 worker's result frame, as an old build would emit it:
+        // same magic, version 5 where this build expects 6.
         let mut result = Vec::new();
         result.extend_from_slice(b"TCSR");
-        codec::put_u16(&mut result, 4);
+        codec::put_u16(&mut result, 5);
         let err = decode_result(&result).unwrap_err();
         assert!(
-            err.contains("v4"),
+            err.contains("v5"),
             "error must name the frame version: {err}"
         );
         assert!(
-            err.contains("v5"),
+            err.contains("v6"),
             "error must name the expected version: {err}"
         );
         assert!(
@@ -1120,12 +1092,31 @@ mod tests {
 
         let mut job = Vec::new();
         job.extend_from_slice(b"TCSJ");
-        codec::put_u16(&mut job, 4);
+        codec::put_u16(&mut job, 5);
         let err = decode_job(&job).unwrap_err();
         assert!(
-            err.contains("v4") && err.contains("v5"),
+            err.contains("v5") && err.contains("v6"),
             "job error must name both versions: {err}"
         );
+    }
+
+    #[test]
+    fn job_naming_an_unknown_matrix_is_a_decode_error() {
+        let tests: Vec<LitmusTest> = suite::mp_template().instantiate_all().take(1).collect();
+        let job = encode_job("nosuch", &tests, &[0], 1, &DistOptions::default());
+        let err = decode_job(&job).unwrap_err();
+        assert!(
+            err.contains("unknown matrix 'nosuch'") && err.contains("riscv, power, x86-tso"),
+            "{err}"
+        );
+        // A name cut short by the frame's end is malformed, not a panic.
+        let mut truncated = Vec::new();
+        truncated.extend_from_slice(b"TCSJ");
+        codec::put_u16(&mut truncated, PROTOCOL_VERSION);
+        truncated.extend_from_slice(&[9, 0, 0, 0, b'r']);
+        assert!(decode_job(&truncated)
+            .unwrap_err()
+            .starts_with("malformed job"));
     }
 
     #[test]
@@ -1136,7 +1127,7 @@ mod tests {
                 collect_trace,
                 ..DistOptions::default()
             };
-            let job = encode_job(MatrixSpec::Riscv, &tests, &[0], 1, &opts);
+            let job = encode_job("riscv", &tests, &[0], 1, &opts);
             let decoded = decode_job(&job).expect("roundtrip");
             assert_eq!(decoded.collect_trace, collect_trace);
         }

@@ -109,13 +109,13 @@ type C11Key = (String, u64, u8);
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use tricheck_core::{SpaceStore, Sweep, SweepOptions};
+/// use tricheck_core::{riscv_stacks, SpaceStore, Sweep, SweepOptions};
 /// use tricheck_dist::DiskStore;
 ///
 /// let store = Arc::new(DiskStore::open("./tricheck-cache")?);
 /// let opts = SweepOptions { store: Some(store.clone()), ..SweepOptions::default() };
 /// let tests = tricheck_litmus::suite::full_suite();
-/// let results = Sweep::with_options(opts).run_riscv(&tests);
+/// let results = Sweep::with_options(opts).run_matrix(&tests, &riscv_stacks());
 /// println!("store: {}", store.stats());
 /// # Ok::<(), tricheck_dist::StoreError>(())
 /// ```

@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use tricheck_core::{OutcomeMode, Sweep, SweepOptions};
-use tricheck_dist::{run_sharded, DistOptions, MatrixSpec};
+use tricheck_core::{builtin_stack, riscv_stacks, OutcomeMode, Sweep, SweepOptions};
+use tricheck_dist::{run_sharded, DistOptions};
 use tricheck_litmus::{suite, LitmusTest};
 use tricheck_trace::TraceReport;
 
@@ -108,16 +108,15 @@ proptest! {
     /// `run_matrix` on random suite subsets, on both matrices.
     #[test]
     fn sharded_subsets_match_single_process(tests in arb_subset()) {
-        for (spec, single) in [
-            (MatrixSpec::Riscv, Sweep::new().run_riscv(&tests)),
-            (MatrixSpec::Power, Sweep::new().run_power(&tests)),
-        ] {
+        for name in ["riscv", "power"] {
+            let matrix = builtin_stack(name).expect("built-in matrix");
+            let single = Sweep::new().run_matrix(&tests, &matrix.stacks);
             for shards in [1, 2, 4] {
-                let dist = run_sharded(spec, &tests, &probe_opts(shards))
+                let dist = run_sharded(&matrix, &tests, &probe_opts(shards))
                     .expect("sharded run succeeds");
                 prop_assert!(
                     dist.results.rows() == single.rows(),
-                    "{spec:?} shards={shards} diverged from single-process rows"
+                    "{name} shards={shards} diverged from single-process rows"
                 );
             }
         }
@@ -134,12 +133,13 @@ fn sharded_power_full_suite_matches_single_process_in_both_modes() {
             outcome_mode: mode,
             ..SweepOptions::default()
         })
-        .run_power(tests);
+        .run_matrix(tests, &builtin_stack("power").unwrap().stacks);
         let opts = DistOptions {
             outcome_mode: mode,
             ..probe_opts(2)
         };
-        let dist = run_sharded(MatrixSpec::Power, tests, &opts).expect("sharded run");
+        let dist =
+            run_sharded(&builtin_stack("power").unwrap(), tests, &opts).expect("sharded run");
         assert_eq!(
             dist.results.rows(),
             single.rows(),
@@ -156,8 +156,9 @@ fn sharded_power_full_suite_matches_single_process_in_both_modes() {
 #[test]
 fn sharded_riscv_full_suite_matches_single_process() {
     let tests = cached_suite();
-    let single = Sweep::new().run_riscv(tests);
-    let dist = run_sharded(MatrixSpec::Riscv, tests, &probe_opts(2)).expect("sharded run");
+    let single = Sweep::new().run_matrix(tests, &riscv_stacks());
+    let dist =
+        run_sharded(&builtin_stack("riscv").unwrap(), tests, &probe_opts(2)).expect("sharded run");
     assert_eq!(dist.results.rows(), single.rows());
     assert_eq!(dist.results.grand_total_bugs(), single.grand_total_bugs());
 }
@@ -178,9 +179,9 @@ fn warm_store_extends_exactly_once_across_processes() {
         cache_dir: Some(dir.path().to_path_buf()),
         ..probe_opts(3)
     };
-    let single = Sweep::new().run_power(&tests);
+    let single = Sweep::new().run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
 
-    let cold = run_sharded(MatrixSpec::Power, &tests, &opts).expect("cold run");
+    let cold = run_sharded(&builtin_stack("power").unwrap(), &tests, &opts).expect("cold run");
     assert_eq!(cold.results.rows(), single.rows(), "cold == single-process");
     assert!(
         cold.results.stats().space_enumerations > 0,
@@ -191,7 +192,7 @@ fn warm_store_extends_exactly_once_across_processes() {
         "cold run populates the store"
     );
 
-    let warm = run_sharded(MatrixSpec::Power, &tests, &opts).expect("warm run");
+    let warm = run_sharded(&builtin_stack("power").unwrap(), &tests, &opts).expect("warm run");
     assert_eq!(warm.results.rows(), single.rows(), "warm == single-process");
     let stats = warm.results.stats();
     assert_eq!(
@@ -230,7 +231,7 @@ fn sharded_trace_reports_merge_to_per_worker_sums() {
         collect_trace: true,
         ..probe_opts(2)
     };
-    let dist = run_sharded(MatrixSpec::Riscv, &tests, &opts).expect("sharded run");
+    let dist = run_sharded(&builtin_stack("riscv").unwrap(), &tests, &opts).expect("sharded run");
     assert_eq!(dist.shards.len(), 2, "both shards must have received work");
     for shard in &dist.shards {
         let trace = shard
@@ -278,7 +279,8 @@ fn sharded_trace_reports_merge_to_per_worker_sums() {
     }
 
     // Untraced runs ship no report at all.
-    let untraced = run_sharded(MatrixSpec::Riscv, &tests, &probe_opts(2)).expect("untraced run");
+    let untraced = run_sharded(&builtin_stack("riscv").unwrap(), &tests, &probe_opts(2))
+        .expect("untraced run");
     assert!(untraced.shards.iter().all(|s| s.trace.is_none()));
 }
 
@@ -297,8 +299,14 @@ fn single_shard_never_spawns_a_worker() {
         worker_args: vec!["this-subcommand-does-not-exist".to_string()],
         ..DistOptions::default()
     };
-    let dist = run_sharded(MatrixSpec::Power, &tests, &opts).expect("in-process run");
-    assert_eq!(dist.results.rows(), Sweep::new().run_power(&tests).rows());
+    let dist =
+        run_sharded(&builtin_stack("power").unwrap(), &tests, &opts).expect("in-process run");
+    assert_eq!(
+        dist.results.rows(),
+        Sweep::new()
+            .run_matrix(&tests, &builtin_stack("power").unwrap().stacks)
+            .rows()
+    );
     assert_eq!(dist.shards.len(), 1);
 }
 
@@ -311,7 +319,7 @@ fn planner_reports_configuration_errors() {
         shards: 0,
         ..DistOptions::default()
     };
-    assert!(run_sharded(MatrixSpec::Power, &tests, &zero).is_err());
+    assert!(run_sharded(&builtin_stack("power").unwrap(), &tests, &zero).is_err());
 
     // Two shards with a worker filter that matches no test: children
     // exit without a result line.
@@ -320,7 +328,7 @@ fn planner_reports_configuration_errors() {
         worker_env: vec![(PROBE_ENV.to_string(), "1".to_string())],
         ..probe_opts(2)
     };
-    let err = run_sharded(MatrixSpec::Power, &tests, &broken)
+    let err = run_sharded(&builtin_stack("power").unwrap(), &tests, &broken)
         .expect_err("workers without a result line must error");
     assert!(
         err.to_string().contains("result"),

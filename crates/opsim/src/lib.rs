@@ -44,11 +44,12 @@
 //! # Example: witnessing the WRC bug on real (simulated) hardware
 //!
 //! ```
-//! use tricheck_compiler::{compile, BaseIntuitive};
+//! use tricheck_compiler::{compile, riscv_mapping};
+//! use tricheck_isa::{RiscvIsa, SpecVersion};
 //! use tricheck_litmus::suite;
 //! use tricheck_opsim::OpMachine;
 //!
-//! let compiled = compile(&suite::fig3_wrc(), &BaseIntuitive)?;
+//! let compiled = compile(&suite::fig3_wrc(), riscv_mapping(RiscvIsa::Base, SpecVersion::Curr))?;
 //! // T0 and T1 share a store buffer; T2 has its own: the nWR shape.
 //! let machine = OpMachine::nwr_with_groups(vec![vec![0, 1], vec![2]]);
 //! let outcomes = machine.run(compiled.program(), compiled.observed());
@@ -657,12 +658,12 @@ pub fn outcomes_over_partitions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricheck_compiler::{compile, riscv_mapping, BaseIntuitive, BaseRefined};
+    use tricheck_compiler::{compile, riscv_mapping};
     use tricheck_isa::{RiscvIsa, SpecVersion};
     use tricheck_litmus::{suite, MemOrder};
 
     fn compiled(test: &tricheck_litmus::LitmusTest) -> tricheck_compiler::CompiledTest {
-        compile(test, &BaseIntuitive).expect("compiles")
+        compile(test, riscv_mapping(RiscvIsa::Base, SpecVersion::Curr)).expect("compiles")
     }
 
     #[test]
@@ -751,7 +752,11 @@ mod tests {
 
     #[test]
     fn refined_mapping_fixes_wrc_even_on_shared_buffers() {
-        let c = compile(&suite::fig3_wrc(), &BaseRefined).unwrap();
+        let c = compile(
+            &suite::fig3_wrc(),
+            riscv_mapping(RiscvIsa::Base, SpecVersion::Ours),
+        )
+        .unwrap();
         let outcomes =
             outcomes_over_partitions(OpMachine::nwr_with_groups, c.program(), c.observed());
         assert!(

@@ -28,7 +28,8 @@
 //!
 //! // Assemble a full stack: Intuitive Base mapping on the shared-store-
 //! // buffer microarchitecture, under the 2016 RISC-V spec.
-//! let stack = TriCheck::new(&BaseIntuitive, UarchModel::nwr(SpecVersion::Curr));
+//! let intuitive = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let stack = TriCheck::new(intuitive, UarchModel::nwr(SpecVersion::Curr));
 //!
 //! // C11 forbids the outcome, the hardware exhibits it: a bug.
 //! assert_eq!(stack.verify(&test)?.classification(), Classification::Bug);
@@ -70,8 +71,16 @@
 //!   serial run.
 //!
 //! The pre-engine per-cell pipeline survives as
-//! [`core::Sweep::run_riscv_naive`], used by the differential tests in
+//! [`core::Sweep::run_matrix_naive`], used by the differential tests in
 //! `tests/engine_equivalence.rs` and the `pipeline` benchmark.
+//!
+//! # Stacks are data
+//!
+//! Every sweep matrix is a registry entry ([`core::StackRegistry`]):
+//! the built-in `riscv` (Figure 15), `power` (§7) and `x86-tso` (the
+//! committed `models/x86-tso.stack`) are looked up by name exactly like
+//! a user's stack file, and every compiler mapping — built-in or
+//! loaded — is a [`compiler::TableMapping`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -92,15 +101,13 @@ pub use tricheck_uarch as uarch;
 pub mod prelude {
     pub use tricheck_c11::{C11Model, C11Verdict};
     pub use tricheck_compiler::{
-        compile, power_mapping, riscv_mapping, x86_mapping, BaseAIntuitive, BaseARefined,
-        BaseIntuitive, BaseRefined, Mapping, PowerLeadingSync, PowerSyncStyle, PowerTrailingSync,
-        X86MappingStyle, X86Relaxed, X86ScAtomics,
+        compile, power_mapping, riscv_mapping, Mapping, PowerSyncStyle, TableMapping,
     };
     pub use tricheck_core::{
-        report, Classification, MatrixStack, OutcomeMode, SpaceStore, StackKey, Sweep,
-        SweepOptions, SweepResults, TestResult, TriCheck,
+        builtin_stack, report, riscv_stacks, Classification, MatrixStack, OutcomeMode, SpaceStore,
+        StackKey, StackRegistry, Sweep, SweepOptions, SweepResults, TestResult, TriCheck,
     };
-    pub use tricheck_dist::{run_sharded, DiskStore, DistOptions, DistResults, MatrixSpec};
+    pub use tricheck_dist::{run_sharded, DiskStore, DistOptions, DistResults};
     pub use tricheck_isa::{format_program, AmoBits, Asm, HwAnnot, RiscvIsa, SpecVersion};
     pub use tricheck_litmus::{suite, LitmusTest, MemOrder, Outcome, Program};
     pub use tricheck_uarch::{UarchConfig, UarchModel};
@@ -111,7 +118,8 @@ mod tests {
     #[test]
     fn prelude_compiles_a_full_stack() {
         use crate::prelude::*;
-        let stack = TriCheck::new(&BaseRefined, UarchModel::nmm(SpecVersion::Ours));
+        let refined = riscv_mapping(RiscvIsa::Base, SpecVersion::Ours);
+        let stack = TriCheck::new(refined, UarchModel::nmm(SpecVersion::Ours));
         let r = stack.verify(&suite::fig3_wrc()).expect("compiles");
         assert_eq!(r.classification(), Classification::Equivalent);
     }

@@ -1,7 +1,8 @@
 //! The microarchitecture models as declarative IR: a [`BaseRelations`]
 //! binding over hardware-level executions, a compiler from
-//! [`UarchConfig`] relaxation knobs to a [`ModelIr`], and the
-//! hand-written x86-TSO model.
+//! [`UarchConfig`] relaxation knobs to a [`ModelIr`]. Models written
+//! directly as text (e.g. the x86-TSO model in `models/x86-tso.stack`)
+//! are parsed against [`hw_vocabulary`] into the same IR.
 //!
 //! The binding is deliberately *model-free*: every base it provides is
 //! derived from the execution's events and annotations alone (program
@@ -509,64 +510,6 @@ pub fn build_uarch_ir(cfg: &UarchConfig) -> ModelIr {
     )
 }
 
-/// The x86-TSO model, defined directly in the IR with no
-/// [`UarchConfig`] behind it: a FIFO store buffer with forwarding
-/// (write→read program order relaxed, everything else preserved),
-/// multi-copy-atomic stores, and `mfence` restoring W→R order.
-///
-/// This is the Owens/Sewell x86-TSO in the Herding-Cats presentation,
-/// phrased over the same base names every other model uses — adding it
-/// took exactly this function.
-#[must_use]
-pub fn x86_tso_ir() -> ModelIr {
-    let r = set("R");
-    let w = set("W");
-    let m = set("M");
-    ModelIr::new("x86-TSO")
-        .define(
-            "ppo",
-            rel("po")
-                .restrict(m.clone(), m.clone())
-                .minus(RelExpr::cross(w.clone(), r)),
-        )
-        .define("com", rel("rf").union(rel("co")).union(rel("fr")))
-        .define(
-            "hb",
-            reference("ppo")
-                .union(rel("fence-noncum"))
-                .union(rel("rfe")),
-        )
-        .define(
-            "prop",
-            reference("ppo")
-                .union(rel("fence-noncum"))
-                .union(rel("rfe"))
-                .union(rel("fr"))
-                .plus(),
-        )
-        .axiom(
-            "ScPerLocation",
-            AxiomKind::Acyclic,
-            rel("po-loc").union(reference("com")),
-        )
-        .axiom(
-            "Atomicity",
-            AxiomKind::Empty,
-            rel("rmw").inter(rel("fr").seq(rel("co"))),
-        )
-        .axiom("Causality", AxiomKind::Acyclic, reference("hb"))
-        .axiom(
-            "Observation",
-            AxiomKind::Irreflexive,
-            rel("fre").seq(reference("prop")),
-        )
-        .axiom(
-            "Propagation",
-            AxiomKind::Acyclic,
-            rel("co").union(reference("prop")),
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,17 +559,9 @@ mod tests {
     }
 
     #[test]
-    fn tso_ir_is_self_contained() {
-        let ir = x86_tso_ir();
-        assert_eq!(ir.name(), "x86-TSO");
-        assert_eq!(ir.axioms().len(), 5);
-        assert!(ir.to_string().contains("(po-loc ∪ com)"));
-    }
-
-    #[test]
     fn every_builtin_ir_roundtrips_through_the_parser() {
         let vocab = hw_vocabulary();
-        let mut irs = vec![x86_tso_ir()];
+        let mut irs = Vec::new();
         for version in [SpecVersion::Curr, SpecVersion::Ours] {
             irs.extend(UarchConfig::all_riscv(version).iter().map(build_uarch_ir));
         }

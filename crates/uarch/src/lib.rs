@@ -58,24 +58,27 @@
 //!
 //! Every model is a declarative [`tricheck_rel::ModelIr`]: knob-driven
 //! configurations are compiled to IR by [`build_uarch_ir`], and new
-//! machines can be written directly in the IR with no config at all —
-//! [`x86_tso_ir`] is the worked example, wired into the sweep as
-//! `UarchModel::x86_tso()`. The [`HwBinding`] supplies the model-free
-//! base relations (program order, communication, fence edge sets, AMO
-//! ordering-bit sets) every model draws from. Every model is judged by
-//! one evaluator, its compiled kernel (`UarchModel::compiled`).
+//! machines can be written directly as model text with no config at
+//! all, parsed against [`hw_vocabulary`] and wrapped by
+//! `UarchModel::from_ir`. The x86-TSO model of `models/x86-tso.stack` is
+//! the worked example; the stack registry (`tricheck-core`) loads that
+//! file as the built-in x86 study. The [`HwBinding`] supplies the
+//! model-free base relations (program order, communication, fence edge
+//! sets, AMO ordering-bit sets) every model draws from. Every model is
+//! judged by one evaluator, its compiled kernel (`UarchModel::compiled`).
 //!
 //! # Examples
 //!
 //! ```
-//! use tricheck_compiler::{compile, BaseIntuitive};
-//! use tricheck_isa::SpecVersion;
+//! use tricheck_compiler::{compile, riscv_mapping};
+//! use tricheck_isa::{RiscvIsa, SpecVersion};
 //! use tricheck_litmus::suite;
 //! use tricheck_uarch::UarchModel;
 //!
 //! // The Figure 3 WRC outcome is observable on the shared-store-buffer
 //! // model under the 2016 ISA (no cumulative fences exist to prevent it).
-//! let compiled = compile(&suite::fig3_wrc(), &BaseIntuitive)?;
+//! let mapping = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+//! let compiled = compile(&suite::fig3_wrc(), mapping)?;
 //! let nwr = UarchModel::nwr(SpecVersion::Curr);
 //! assert!(nwr.observes(compiled.program(), compiled.target()));
 //! # Ok::<(), tricheck_compiler::CompileError>(())
@@ -90,7 +93,7 @@ pub mod model;
 
 pub use config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
 pub use ir::{
-    build_uarch_ir, hw_lint_schema, hw_vocabulary, x86_tso_ir, HwBinding, HW_REL_BASES,
-    HW_SET_BASES, SORT_F, SORT_R, SORT_W,
+    build_uarch_ir, hw_lint_schema, hw_vocabulary, HwBinding, HW_REL_BASES, HW_SET_BASES, SORT_F,
+    SORT_R, SORT_W,
 };
 pub use model::UarchModel;

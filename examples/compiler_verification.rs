@@ -5,45 +5,23 @@
 //!
 //! Run with: `cargo run --release --example compiler_verification`
 
-use tricheck::compiler::CompileError;
-use tricheck::litmus::{Expr, Instr, Reg};
 use tricheck::prelude::*;
 
 /// A deliberately broken mapping: like leading-sync, but it "optimizes
-/// away" the release fence (a classic miscompilation).
-struct DroppedReleaseFence;
-
-impl Mapping for DroppedReleaseFence {
-    fn name(&self) -> &'static str {
-        "power-dropped-release-fence"
+/// away" the release fence (a classic miscompilation) — a table whose
+/// `st rel` row is a plain store.
+fn dropped_release_fence() -> TableMapping {
+    let mut table = TableMapping::new("power-dropped-release-fence");
+    for row in [
+        "ld rlx = ld",
+        "ld acq = ld; ctrlisync",
+        "ld sc = hwfence; ld; ctrlisync",
+        "st rlx|rel = st", // BUG: releases compiled as plain stores.
+        "st sc = hwfence; st",
+    ] {
+        table.parse_line(row).expect("valid table row");
     }
-
-    fn load(
-        &self,
-        dst: Reg,
-        addr: Expr,
-        mo: MemOrder,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        PowerLeadingSync.load(dst, addr, mo)
-    }
-
-    fn store(
-        &self,
-        addr: Expr,
-        val: Expr,
-        mo: MemOrder,
-        scratch: Reg,
-    ) -> Result<Vec<Instr<HwAnnot>>, CompileError> {
-        match mo {
-            // BUG: releases compiled as plain stores.
-            MemOrder::Rel => Ok(vec![Instr::Write {
-                addr,
-                val,
-                ann: HwAnnot::Plain,
-            }]),
-            _ => PowerLeadingSync.store(addr, val, mo, scratch),
-        }
-    }
+    table
 }
 
 fn audit(mapping: &dyn Mapping, tests: &[LitmusTest], machine: &UarchModel) {
@@ -73,9 +51,9 @@ fn main() {
         tests.len()
     );
 
-    audit(&PowerLeadingSync, &tests, &machine);
-    audit(&PowerTrailingSync, &tests, &machine);
-    audit(&DroppedReleaseFence, &tests, &machine);
+    audit(power_mapping(PowerSyncStyle::Leading), &tests, &machine);
+    audit(power_mapping(PowerSyncStyle::Trailing), &tests, &machine);
+    audit(&dropped_release_fence(), &tests, &machine);
 
     println!(
         "\nThe trailing-sync counterexamples reproduce the paper's §7 finding; \

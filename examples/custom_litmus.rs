@@ -88,8 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Probe it through the full stack ---
     for (label, mapping) in [
-        ("intuitive", &BaseIntuitive as &dyn Mapping),
-        ("refined", &BaseRefined),
+        (
+            "intuitive",
+            riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
+        ),
+        ("refined", riscv_mapping(RiscvIsa::Base, SpecVersion::Ours)),
     ] {
         let compiled = compile(&test, mapping)?;
         let observable = machine.observes(compiled.program(), compiled.target());
@@ -104,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The outcome-set view: everything this machine can produce under the
     // intuitive mapping.
-    let compiled = compile(&test, &BaseIntuitive)?;
+    let compiled = compile(&test, riscv_mapping(RiscvIsa::Base, SpecVersion::Curr))?;
     let outcomes = machine.observable_outcomes(compiled.program(), compiled.observed());
     println!(
         "\nobservable outcomes on {} ({} total):",

@@ -11,7 +11,7 @@ use tricheck::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The WRC bug, §5.1.1, as a machine run ---
     let test = suite::fig3_wrc();
-    let compiled = compile(&test, &BaseIntuitive)?;
+    let compiled = compile(&test, riscv_mapping(RiscvIsa::Base, SpecVersion::Curr))?;
     println!("WRC compiled with the Intuitive Base mapping:");
     println!("{}", format_program(compiled.program(), Asm::RiscV));
 
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nwith private buffers the outcome disappears (store-atomic machine).");
 
     // --- The refined ISA closes it on every sharing topology ---
-    let fixed = compile(&test, &BaseRefined)?;
+    let fixed = compile(&test, riscv_mapping(RiscvIsa::Base, SpecVersion::Ours))?;
     let all = outcomes_over_partitions(
         OpMachine::nwr_with_groups,
         fixed.program(),

@@ -9,7 +9,7 @@ use tricheck::prelude::*;
 
 fn main() {
     let tests = suite::full_suite();
-    let results = Sweep::new().run_riscv(&tests);
+    let results = Sweep::new().run_matrix(&tests, &riscv_stacks());
     println!("{:#?}", results.stats());
     println!("grand total bugs: {}", results.grand_total_bugs());
 }

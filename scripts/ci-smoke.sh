@@ -33,10 +33,26 @@ if grep "tricheck-oracle" "$TMP/cli-tree.txt"; then
 fi
 
 step "CLI power-sweep smoke"
-tricheck sweep wrc --power --threads 2 --cache-stats | tee "$TMP/power.txt"
+tricheck sweep wrc --stack power --threads 2 --cache-stats | tee "$TMP/power.txt"
 # The compiled-kernel path must be active: one fused bitset kernel per
 # stack (the Power matrix has 4 cells).
 grep -E "^  compiled_kernels: 4$" "$TMP/power.txt"
+
+step "CLI sharded power-sweep smoke (the job names the registry entry)"
+tricheck sweep wrc --stack power --shards 2 --cache-stats | tee "$TMP/power-sharded.txt"
+# Two worker processes rebuild the `power` entry by name: the table is
+# byte-identical to the in-process one, and each worker compiles one
+# kernel per stack (the merged counter sums them: 2 workers × 4 stacks).
+sed '/^cache stats:/,$d' "$TMP/power.txt" > "$TMP/power-table.txt"
+sed '/^cache stats:/,$d' "$TMP/power-sharded.txt" > "$TMP/power-sharded-table.txt"
+diff "$TMP/power-table.txt" "$TMP/power-sharded-table.txt"
+grep -E "^  compiled_kernels: 8$" "$TMP/power-sharded.txt"
+# An unknown stack name fails, listing the registered names.
+if tricheck sweep wrc --stack nosuch 2> "$TMP/nosuch.txt"; then
+  echo "unknown stack name was accepted" >&2; exit 1
+fi
+grep "unknown stack 'nosuch'" "$TMP/nosuch.txt"
+grep "riscv, power, x86-tso" "$TMP/nosuch.txt"
 
 step "CLI riscv-sweep compiled-path smoke"
 tricheck sweep wrc --threads 2 --cache-stats | tee "$TMP/riscv.txt"
@@ -55,7 +71,7 @@ step "model_eval bench smoke (quick mode)"
 TRICHECK_BENCH_QUICK=1 cargo bench -q -p tricheck-bench --bench model_eval
 
 step "CLI x86-sweep smoke"
-tricheck sweep sb --x86 --threads 2 --cache-stats | tee "$TMP/x86.txt"
+tricheck sweep sb --stack x86-tso --threads 2 --cache-stats | tee "$TMP/x86.txt"
 # The IR-defined TSO stack's headline: the unfenced mapping exhibits
 # store buffering, the SC-atomics mapping is clean.
 grep -E "^sc-atomics +x86-TSO +0 " "$TMP/x86.txt"
@@ -67,8 +83,9 @@ grep "x86-TSO" "$TMP/models.txt"
 grep "ScPerLocation" "$TMP/models.txt"
 
 step "CLI stack-file smoke"
-# The committed whole-stack definition file must reproduce the built-in
-# x86 study's headline counts through `sweep --stack`.
+# The committed whole-stack definition file, loaded from disk, must
+# reproduce the built-in x86 study's headline counts (the built-in *is*
+# this file, compiled in).
 tricheck sweep sb --stack models/x86-tso.stack --threads 2 | tee "$TMP/stack.txt"
 grep -E "^sc-atomics +x86-TSO +0 " "$TMP/stack.txt"
 grep -E "^relaxed +x86-TSO +1 " "$TMP/stack.txt"
@@ -113,7 +130,7 @@ step "Metrics report smoke (riscv + power matrices)"
 # carry the pinned schema tag, and contain every required top-level key
 # with sane values.
 tricheck sweep wrc --threads 2 --metrics-json "$TMP/metrics-riscv.json"
-tricheck sweep wrc --power --threads 2 --metrics-json "$TMP/metrics-power.json"
+tricheck sweep wrc --stack power --threads 2 --metrics-json "$TMP/metrics-power.json"
 for f in "$TMP/metrics-riscv.json" "$TMP/metrics-power.json"; do
   python3 - "$f" <<'PY'
 import json, sys

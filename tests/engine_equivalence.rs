@@ -33,9 +33,9 @@ proptest! {
     /// identically, for any subset of the suite and any thread count.
     #[test]
     fn shared_engine_sweep_matches_naive_recompute(tests in arb_subset()) {
-        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_riscv_naive(&tests);
+        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_matrix_naive(&tests, &riscv_stacks());
         for threads in [1, 4] {
-            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_riscv(&tests);
+            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_matrix(&tests, &riscv_stacks());
             prop_assert!(
                 engine.rows() == naive.rows(),
                 "engine (threads={threads}) diverged from naive recompute"
@@ -125,7 +125,7 @@ fn full_suite_sweep_upholds_cache_contract() {
     ];
     let runs: Vec<SweepResults> = inputs
         .into_iter()
-        .map(|opts| Sweep::with_options(opts).run_riscv(&tests))
+        .map(|opts| Sweep::with_options(opts).run_matrix(&tests, &riscv_stacks()))
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
@@ -147,9 +147,9 @@ fn full_suite_sweep_upholds_cache_contract() {
     assert!(stats.distinct_programs < stats.compile_calls);
     // And the headline number still falls out of the cached pipeline:
     // 144 forbidden-yet-observable outcomes on A9like / Base+A / curr.
-    let key = StackKey::Riscv {
-        isa: RiscvIsa::BaseA,
-        version: SpecVersion::Curr,
+    let key = StackKey {
+        isa: "Base+A",
+        variant: "riscv-curr",
     };
     let a9_bugs = results.bugs_for(key, "A9like");
     assert_eq!(a9_bugs, 144);

@@ -58,7 +58,7 @@ fn assert_matches_fixture(name: &str, actual: &str) {
 /// per-family counts) matches the committed table.
 #[test]
 fn figure15_rows_match_committed_fixture() {
-    let results = Sweep::new().run_riscv(&suite::full_suite());
+    let results = Sweep::new().run_matrix(&suite::full_suite(), &riscv_stacks());
     assert_matches_fixture("figure15_rows.csv", &report::to_csv(&results));
 }
 
@@ -67,35 +67,39 @@ fn figure15_rows_match_committed_fixture() {
 /// aggregate form.
 #[test]
 fn sec7_counterexample_counts_match_committed_fixture() {
-    let results = Sweep::new().run_power(&suite::full_suite());
-    let mut out = report::power_table(&results);
+    let power = builtin_stack("power").expect("built-in");
+    let results = Sweep::new().run_matrix(&suite::full_suite(), &power.stacks);
+    let mut out = report::stack_table(&results, &power.title);
     out.push('\n');
     out.push_str(&report::to_csv(&results));
     assert_matches_fixture("sec7_power_rows.txt", &out);
 }
 
-/// The x86 mapping study ({sc-atomics, relaxed} × the IR-defined TSO
-/// model over the full suite) matches the committed table. The headline
-/// facts this pins: TSO exhibits the store-buffering (sb) and
+/// The x86 mapping study ({sc-atomics, relaxed} × the TSO model over
+/// the full suite) matches the committed table. The built-in `x86-tso`
+/// entry *is* the committed `models/x86-tso.stack`, parsed by the same
+/// loader as `sweep --stack FILE`, so this pins the file too. The
+/// headline facts: TSO exhibits the store-buffering (sb) and
 /// read-to-write-causality (rwc) reorderings under the unfenced relaxed
 /// mapping — and zero bugs under the standard SC-atomics mapping.
 #[test]
 fn x86_tso_rows_match_committed_fixture() {
-    let results = Sweep::new().run_x86(&suite::full_suite());
-    let mut out = report::x86_table(&results);
+    let x86 = builtin_stack("x86-tso").expect("built-in");
+    let results = Sweep::new().run_matrix(&suite::full_suite(), &x86.stacks);
+    let mut out = report::stack_table(&results, &x86.title);
     out.push('\n');
     out.push_str(&report::to_csv(&results));
     assert_matches_fixture("x86_tso_rows.txt", &out);
 
     // The headline claims, asserted directly so a fixture regeneration
     // cannot silently launder them away.
-    use tricheck::core::StackKey;
-    use tricheck::prelude::X86MappingStyle;
-    let sc = StackKey::X86 {
-        style: X86MappingStyle::ScAtomics,
+    let sc = StackKey {
+        isa: "x86",
+        variant: "sc-atomics",
     };
-    let relaxed = StackKey::X86 {
-        style: X86MappingStyle::Relaxed,
+    let relaxed = StackKey {
+        isa: "x86",
+        variant: "relaxed",
     };
     assert_eq!(
         results.bugs_for(sc, "x86-TSO"),
@@ -109,4 +113,65 @@ fn x86_tso_rows_match_committed_fixture() {
         "TSO permits SC store buffering under the unfenced mapping"
     );
     assert!(results.bugs_for(relaxed, "x86-TSO") > 0);
+}
+
+/// Every built-in compiler mapping's output for each C11 operation
+/// (`ld`/`st`/`rmw`) at each of the five memory orders — the emitted
+/// instructions or the `Unsupported` construct — matches the committed
+/// table, which was generated from the hand-written Rust mappings the
+/// tables replaced. The suite never requests a C11 RMW, so this is the
+/// only pin on the mappings' `rmw` rows.
+#[test]
+fn builtin_mappings_match_committed_fixture() {
+    use tricheck::litmus::{Expr, Reg, RmwKind};
+    let mut mappings: Vec<&dyn Mapping> = Vec::new();
+    for isa in [RiscvIsa::Base, RiscvIsa::BaseA] {
+        for version in [SpecVersion::Curr, SpecVersion::Ours] {
+            mappings.push(riscv_mapping(isa, version));
+        }
+    }
+    for style in PowerSyncStyle::ALL {
+        mappings.push(power_mapping(style));
+    }
+    let x86 = builtin_stack("x86-tso").expect("built-in");
+    for stack in &x86.stacks {
+        mappings.push(stack.mapping);
+    }
+    let orders = [
+        MemOrder::Rlx,
+        MemOrder::Acq,
+        MemOrder::Rel,
+        MemOrder::AcqRel,
+        MemOrder::Sc,
+    ];
+    let mut out = String::new();
+    for mapping in mappings {
+        out.push_str(&format!("== {} ==\n", mapping.name()));
+        for mo in orders {
+            let word = tricheck::compiler::order_word(mo);
+            let rows = [
+                ("ld", mapping.load(Reg(1), Expr::Const(0), mo)),
+                (
+                    "st",
+                    mapping.store(Expr::Const(0), Expr::Const(1), mo, Reg(128)),
+                ),
+                (
+                    "rmw",
+                    mapping.rmw(Reg(1), Expr::Const(0), RmwKind::Swap(Expr::Const(1)), mo),
+                ),
+            ];
+            for (op, emitted) in rows {
+                let text = match emitted {
+                    Ok(instrs) => instrs
+                        .iter()
+                        .map(|i| format!("{i:?}"))
+                        .collect::<Vec<_>>()
+                        .join("; "),
+                    Err(e) => format!("Err({e:?})"),
+                };
+                out.push_str(&format!("{op} {word}: {text}\n"));
+            }
+        }
+    }
+    assert_matches_fixture("builtin_mappings.txt", &out);
 }

@@ -21,7 +21,7 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use tricheck::core::{lint_path, parse_stack_file, power_stacks, riscv_stacks, x86_stacks};
+use tricheck::core::{lint_path, parse_stack_file, StackRegistry};
 use tricheck::rel::lint::{lint_model, MODEL_RULES, RULES};
 use tricheck::rel::{parse_model_spanned, BaseRelations, Severity};
 use tricheck::uarch::{
@@ -161,13 +161,10 @@ fn committed_model_files_lint_clean() {
 #[test]
 fn all_builtin_stacks_lint_clean() {
     let schema = hw_lint_schema();
-    let stacks: Vec<_> = riscv_stacks()
-        .into_iter()
-        .chain(power_stacks())
-        .chain(x86_stacks())
-        .collect();
+    let registry = StackRegistry::new();
+    let stacks: Vec<_> = registry.entries().iter().flat_map(|e| &e.stacks).collect();
     assert_eq!(stacks.len(), 34, "the registered matrices hold 34 stacks");
-    for stack in &stacks {
+    for stack in stacks {
         let ir = stack.model.ir();
         let diags = lint_model(ir, &schema, None);
         assert!(diags.is_empty(), "{}: {diags:?}", ir.name());
@@ -226,7 +223,8 @@ fn seeded_mutations_of_the_committed_stack_are_caught() {
 /// the Base+A refined mapping so AMO annotation sets are exercised too.
 #[test]
 fn hw_lint_schema_claims_hold_on_real_executions() {
-    use tricheck::compiler::{compile, BaseARefined};
+    use tricheck::compiler::{compile, riscv_mapping};
+    use tricheck::isa::{RiscvIsa, SpecVersion};
     use tricheck::litmus::{suite, ExecutionSpace};
 
     let kind_bit = |binding: &HwBinding<'_>, e: usize| {
@@ -247,7 +245,7 @@ fn hw_lint_schema_claims_hold_on_real_executions() {
     ];
     let mut candidates = 0usize;
     for test in &tests {
-        let compiled = compile(test, &BaseARefined).unwrap();
+        let compiled = compile(test, riscv_mapping(RiscvIsa::BaseA, SpecVersion::Ours)).unwrap();
         let space = ExecutionSpace::new(compiled.program().clone());
         let view = space.executions();
         for k in 0..view.len() {

@@ -8,7 +8,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use tricheck::core::{Sweep, SweepOptions};
+use tricheck::core::{riscv_stacks, Sweep, SweepOptions};
 use tricheck::litmus::{suite, LitmusTest};
 use tricheck::trace::{self, json, TraceConfig, TraceReport};
 
@@ -35,7 +35,7 @@ fn traced_serial_sweep(tests: &[LitmusTest]) -> TraceReport {
         threads: 1,
         ..SweepOptions::default()
     })
-    .run_riscv(tests);
+    .run_matrix(tests, &riscv_stacks());
     let mut report = trace::finish().report;
     for (name, value) in results.stats().as_counters() {
         report.set_counter(name, value);
@@ -179,7 +179,7 @@ fn metrics_counters_match_sweep_stats() {
         threads: 1,
         ..SweepOptions::default()
     })
-    .run_riscv(&tests);
+    .run_matrix(&tests, &riscv_stacks());
     let report = trace::finish().report;
     let stats = results.stats();
 

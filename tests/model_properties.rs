@@ -3,7 +3,7 @@
 //! regardless of memory orders.
 
 use proptest::prelude::*;
-use tricheck::core::{diagnose, power_stacks, riscv_stacks, x86_stacks};
+use tricheck::core::diagnose;
 use tricheck::prelude::*;
 use tricheck::rel::EvalScratch;
 use tricheck::uarch::HwBinding;
@@ -72,7 +72,10 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
         pruning: false,
         ..SweepOptions::default()
     });
-    let (a, b) = (pruned.run_riscv(&tests), unpruned.run_riscv(&tests));
+    let (a, b) = (
+        pruned.run_matrix(&tests, &riscv_stacks()),
+        unpruned.run_matrix(&tests, &riscv_stacks()),
+    );
     assert_eq!(a.rows(), b.rows(), "Figure 15 rows must not move");
     assert_eq!(a.stats().distinct_programs, b.stats().distinct_programs);
     assert_eq!(a.stats().space_enumerations, b.stats().space_enumerations);
@@ -87,7 +90,10 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
         "the compiled path must be active"
     );
 
-    let (a, b) = (pruned.run_power(&tests), unpruned.run_power(&tests));
+    let (a, b) = (
+        pruned.run_matrix(&tests, &builtin_stack("power").unwrap().stacks),
+        unpruned.run_matrix(&tests, &builtin_stack("power").unwrap().stacks),
+    );
     assert_eq!(a.rows(), b.rows(), "§7 rows must not move");
 
     // Full-outcome mode exercises the other verdict surface
@@ -102,8 +108,8 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
         ..SweepOptions::default()
     });
     let (a, b) = (
-        pruned_full.run_riscv(&tests),
-        unpruned_full.run_riscv(&tests),
+        pruned_full.run_matrix(&tests, &riscv_stacks()),
+        unpruned_full.run_matrix(&tests, &riscv_stacks()),
     );
     assert_eq!(a.rows(), b.rows(), "full-outcome rows must not move");
     assert_eq!(b.stats().candidates_pruned, 0);
@@ -161,10 +167,8 @@ proptest! {
         for model in UarchModel::all_armv7() {
             stacks.push((power_mapping(PowerSyncStyle::Leading), model));
         }
-        for style in [X86MappingStyle::ScAtomics, X86MappingStyle::Relaxed] {
-            for model in UarchModel::all_x86() {
-                stacks.push((x86_mapping(style), model));
-            }
+        for stack in builtin_stack("x86-tso").unwrap().stacks {
+            stacks.push((stack.mapping, stack.model));
         }
         for (mapping, model) in stacks {
             let compiled = compile(&test, mapping).unwrap();
@@ -201,11 +205,8 @@ proptest! {
     /// witness exactly when the target outcome is observable.
     #[test]
     fn diagnose_agrees_with_verify_on_every_registered_stack(test in arb_variant()) {
-        let stacks: Vec<_> = riscv_stacks()
-            .into_iter()
-            .chain(power_stacks())
-            .chain(x86_stacks())
-            .collect();
+        let registry = StackRegistry::new();
+        let stacks: Vec<_> = registry.entries().iter().flat_map(|e| &e.stacks).collect();
         prop_assert_eq!(stacks.len(), 34);
         for stack in stacks {
             let verdict = TriCheck::new(stack.mapping, stack.model.clone())

@@ -1,9 +1,9 @@
 //! Differential tests locking the generalized sweep engine to its naive
 //! oracles on the §7 compiler-study paths:
 //!
-//! - `run_power` (the cached {leading,trailing}-sync × ARMv7 sweep) must
-//!   be observationally identical to the naive per-cell recompute, at
-//!   any thread count;
+//! - the `power` matrix (the cached {leading,trailing}-sync × ARMv7
+//!   sweep through `run_matrix`) must be observationally identical to
+//!   the naive per-cell recompute, at any thread count;
 //! - the full-outcome-set sweep mode (`OutcomeMode::FullOutcomes`) must
 //!   agree with `verify_full`-style per-call streaming enumeration on
 //!   every test of the 1,701-test suite.
@@ -39,12 +39,12 @@ proptest! {
     /// thread count.
     #[test]
     fn power_engine_sweep_matches_naive_recompute(tests in arb_subset()) {
-        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_power_naive(&tests);
+        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_matrix_naive(&tests, &builtin_stack("power").unwrap().stacks);
         for threads in [1, 4] {
-            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_power(&tests);
+            let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
             prop_assert!(
                 engine.rows() == naive.rows(),
-                "run_power (threads={threads}) diverged from naive recompute"
+                "power matrix (threads={threads}) diverged from naive recompute"
             );
         }
     }
@@ -59,25 +59,25 @@ proptest! {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..SweepOptions::default()
         };
-        let naive = Sweep::with_options(serial).run_power_naive(&tests);
+        let naive = Sweep::with_options(serial).run_matrix_naive(&tests, &builtin_stack("power").unwrap().stacks);
         for threads in [1, 4] {
             let opts = SweepOptions {
                 threads,
                 outcome_mode: OutcomeMode::FullOutcomes,
                 ..SweepOptions::default()
             };
-            let engine = Sweep::with_options(opts).run_power(&tests);
+            let engine = Sweep::with_options(opts).run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
             prop_assert!(
                 engine.rows() == naive.rows(),
-                "outcome-mode run_power (threads={threads}) diverged from naive recompute"
+                "outcome-mode power matrix (threads={threads}) diverged from naive recompute"
             );
         }
     }
 }
 
-/// The §7 acceptance criterion: over the full 1,701-test suite,
-/// `run_power` produces exactly the counterexample counts of the naive
-/// per-cell study, and upholds the exactly-once contract: one C11
+/// The §7 acceptance criterion: over the full 1,701-test suite, the
+/// `power` matrix produces exactly the counterexample counts of the
+/// naive per-cell study, and upholds the exactly-once contract: one C11
 /// verdict per test, one compile per (test, sync style), and one
 /// enumeration per distinct Power program across all {mapping × model}
 /// cells.
@@ -85,8 +85,8 @@ proptest! {
 fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     let tests = suite::full_suite();
     let sweep = Sweep::new();
-    let engine = sweep.run_power(&tests);
-    let naive = sweep.run_power_naive(&tests);
+    let engine = sweep.run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
+    let naive = sweep.run_matrix_naive(&tests, &builtin_stack("power").unwrap().stacks);
     assert_eq!(engine.rows(), naive.rows());
 
     let stats = engine.stats();
@@ -116,14 +116,16 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     // mapping is invalidated on the compliant ARMv7-A9like machine while
     // leading-sync survives.
     let leading = engine.bugs_for(
-        StackKey::Power {
-            style: PowerSyncStyle::Leading,
+        StackKey {
+            isa: "Power",
+            variant: "leading-sync",
         },
         "ARMv7-A9like",
     );
     let trailing = engine.bugs_for(
-        StackKey::Power {
-            style: PowerSyncStyle::Trailing,
+        StackKey {
+            isa: "Power",
+            variant: "trailing-sync",
         },
         "ARMv7-A9like",
     );
@@ -131,8 +133,9 @@ fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     assert!(trailing > 0, "trailing-sync must be invalidated");
     // And the load→load-hazard machine breaks even leading-sync (§1–§2).
     let hazard = engine.bugs_for(
-        StackKey::Power {
-            style: PowerSyncStyle::Leading,
+        StackKey {
+            isa: "Power",
+            variant: "leading-sync",
         },
         "ARMv7-A9-ldld-hazard",
     );
@@ -175,7 +178,8 @@ fn outcome_mode_agrees_with_per_call_enumeration_on_full_suite() {
         outcome_mode: OutcomeMode::FullOutcomes,
         ..SweepOptions::default()
     };
-    let engine = Sweep::with_options(opts).run_power(&tests);
+    let engine =
+        Sweep::with_options(opts).run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
 
     // The C11 permitted sets, once per test via the streaming free
     // function (deliberately NOT the space engine).
@@ -186,7 +190,10 @@ fn outcome_mode_agrees_with_per_call_enumeration_on_full_suite() {
         let mapping = power_mapping(style);
         for model in UarchModel::all_armv7() {
             let oracle = streaming_oracle_rows(&tests, &permitted, mapping, &model);
-            let key = StackKey::Power { style };
+            let key = StackKey {
+                isa: "Power",
+                variant: style.label(),
+            };
             for (family, (bugs, strict, equivalent)) in oracle {
                 let row = engine
                     .row(key, model.name(), family)

@@ -6,37 +6,31 @@
 //!    every stack registered in the three built-in sweep matrices, and
 //!    for randomly generated IRs — the parser accepts exactly the
 //!    grammar `ModelIr`'s `Display` renders.
-//! 2. **Bit-identity**: sweeping the committed `models/x86-tso.stack`
-//!    file through [`Sweep::run_matrix`] reproduces the built-in x86
-//!    study's golden fixture byte-for-byte, proving a stack loaded from
-//!    text is the same stack as one built in Rust source.
+//! 2. **One x86 model**: the committed `models/x86-tso.cat` parses to
+//!    the same IR as the model section of `models/x86-tso.stack` (the
+//!    built-in x86 study), so the two committed copies cannot drift.
+//!    The stack file's rows are pinned by
+//!    `golden_rows::x86_tso_rows_match_committed_fixture`.
 
 use std::path::Path;
 
 use proptest::prelude::*;
-use tricheck::core::{load_stack_file, power_stacks, report, riscv_stacks, x86_stacks, Sweep};
-use tricheck::litmus::suite;
+use tricheck::core::{load_model_file, load_stack_file, StackRegistry};
 use tricheck::rel::parse_model;
 use tricheck::uarch::hw_vocabulary;
 use tricheck_oracle::random_ir;
 
-/// The committed stack file, swept over the full suite, is
-/// byte-identical to the built-in x86 study's fixture — table and CSV.
+/// The bare model file and the stack file's model section are the same
+/// model.
 #[test]
-fn file_loaded_x86_tso_stack_matches_committed_fixture() {
+fn committed_x86_model_file_matches_the_stack_files_model() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let loaded = load_stack_file(&root.join("models/x86-tso.stack"))
-        .expect("committed stack file loads cleanly");
-    let results = Sweep::new().run_matrix(&suite::full_suite(), &loaded.stacks);
-    let mut out = report::stack_table(&results, &loaded.title);
-    out.push('\n');
-    out.push_str(&report::to_csv(&results));
-    let fixture = std::fs::read_to_string(root.join("tests/fixtures/x86_tso_rows.txt"))
-        .expect("x86 fixture exists");
-    assert_eq!(
-        out, fixture,
-        "the file-loaded x86-TSO stack drifted from the built-in study"
-    );
+    let cat = load_model_file(&root.join("models/x86-tso.cat")).expect("model file loads");
+    let stack = load_stack_file(&root.join("models/x86-tso.stack")).expect("stack file loads");
+    assert!(!stack.stacks.is_empty());
+    for column in &stack.stacks {
+        assert_eq!(column.model.ir(), &cat, "{:?}", column.key);
+    }
 }
 
 /// Every stack in the three registered matrices round-trips its model IR
@@ -44,13 +38,10 @@ fn file_loaded_x86_tso_stack_matches_committed_fixture() {
 #[test]
 fn every_registered_stack_ir_roundtrips_through_the_parser() {
     let vocab = hw_vocabulary();
-    let stacks: Vec<_> = riscv_stacks()
-        .into_iter()
-        .chain(power_stacks())
-        .chain(x86_stacks())
-        .collect();
+    let registry = StackRegistry::new();
+    let stacks: Vec<_> = registry.entries().iter().flat_map(|e| &e.stacks).collect();
     assert_eq!(stacks.len(), 34, "the registered matrices hold 34 stacks");
-    for stack in &stacks {
+    for stack in stacks {
         let ir = stack.model.ir();
         let reparsed = parse_model(&ir.to_string(), &vocab)
             .unwrap_or_else(|e| panic!("{} does not reparse: {e}", ir.name()));
