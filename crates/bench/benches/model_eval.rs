@@ -5,28 +5,32 @@
 //!
 //! Three questions this answers after every model-layer change:
 //!
-//! 1. What does a candidate verdict cost on the production path — the
-//!    compiled kernel replaying a cached space-invariant prelude
-//!    (`compiled-prelude`, the shape every sweep runs) — against the
-//!    hand-written checker and the naive interpreter?
+//! 1. What does a candidate verdict cost on the production path — a
+//!    `Judge` streaming candidates through the compiled kernel under
+//!    one space-invariant prelude (`judge`, the shape every judgement
+//!    runs) — against the hand-written checker and the naive
+//!    interpreter?
 //! 2. How much interpretation overhead does compilation remove
 //!    (`interpreter` vs `compiled`)?
-//! 3. What does axiom-driven pruning save (or cost) end to end, now
-//!    that the partial-core checks ride an incremental topological
-//!    order instead of recomputing acyclicity per branch?
+//! 3. What does axiom-driven pruning save (or cost), in enumeration
+//!    alone and in a pruned against an unpruned `ExecutionSpace` judged
+//!    by all seven µarch models, now that the partial-core checks ride
+//!    an incremental topological order instead of recomputing
+//!    acyclicity per branch?
 //!
 //! Set `TRICHECK_BENCH_QUICK=1` to run a fast smoke pass (CI): fewer
 //! samples and the per-candidate variants only.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tricheck_compiler::{compile, riscv_mapping};
-use tricheck_core::{riscv_stacks, Sweep, SweepOptions};
+use tricheck_core::{riscv_stacks, Sweep};
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{
-    enumerate_executions, enumerate_executions_pruned, suite, Execution, LitmusTest,
+    enumerate_executions, enumerate_executions_pruned, suite, ConsistencyModel, Execution,
+    ExecutionSpace, LitmusTest,
 };
 use tricheck_oracle::{interpret, uarch_check};
-use tricheck_rel::EvalScratch;
+use tricheck_rel::Judge;
 use tricheck_uarch::{HwBinding, UarchModel};
 
 fn family(name: &str) -> Vec<LitmusTest> {
@@ -86,32 +90,25 @@ fn bench_model_eval(c: &mut Criterion) {
                         .count()
                 });
             });
-            // The production path: `model.consistent` routes through the
-            // compiled kernel, rebuilding the prelude per candidate.
+            // The one-shot kernel form: the prelude is rebuilt per
+            // candidate.
             group.bench_function(format!("{fam}/{}/compiled", model.name()), |b| {
                 b.iter(|| {
                     execs
                         .iter()
-                        .filter(|e| model.consistent(black_box(e)))
+                        .filter(|e| kernel.consistent(&HwBinding::new(black_box(e))))
                         .count()
                 });
             });
-            // The sweep shape: the space-invariant prelude is computed
-            // once per (space, kernel) and replayed for every candidate,
-            // with evaluation buffers reused across candidates.
-            let prelude = kernel.prelude(&HwBinding::new(&execs[0]));
-            group.bench_function(format!("{fam}/{}/compiled-prelude", model.name()), |b| {
-                let mut scratch = EvalScratch::default();
+            // The production shape: one `Judge` per stream evaluates the
+            // space-invariant prelude on its first candidate and replays
+            // it, with evaluation buffers reused across candidates.
+            group.bench_function(format!("{fam}/{}/judge", model.name()), |b| {
+                let mut judge = Judge::new(kernel);
                 b.iter(|| {
                     execs
                         .iter()
-                        .filter(|e| {
-                            kernel.consistent_with_scratch(
-                                &prelude,
-                                &HwBinding::new(black_box(e)),
-                                &mut scratch,
-                            )
-                        })
+                        .filter(|e| judge.check(&HwBinding::new(black_box(e))).is_ok())
                         .count()
                 });
             });
@@ -127,10 +124,11 @@ fn bench_model_eval(c: &mut Criterion) {
     for fam in ["wrc", "iriw"] {
         let tests = family(fam);
         let mapping = riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr);
-        let programs: Vec<_> = tests
+        let compiled: Vec<_> = tests
             .iter()
-            .map(|t| compile(t, mapping).expect("compiles").program().clone())
+            .map(|t| compile(t, mapping).expect("compiles"))
             .collect();
+        let programs: Vec<_> = compiled.iter().map(|c| c.program().clone()).collect();
         group.bench_function(format!("{fam}/enumerate/unpruned"), |b| {
             b.iter(|| {
                 let mut n = 0usize;
@@ -155,25 +153,27 @@ fn bench_model_eval(c: &mut Criterion) {
                 n
             });
         });
-        // End to end: the family through the Figure 15 engine sweep.
-        group.bench_function(format!("{fam}/sweep/pruned"), |b| {
-            b.iter(|| {
-                Sweep::new()
-                    .run_matrix(black_box(&tests), &riscv_stacks())
-                    .grand_total_bugs()
+        // Enumeration plus judgement: each program's space, unpruned
+        // or pruned, judged by all seven µarch models as a sweep judges
+        // it.
+        let models = UarchModel::all_riscv(SpecVersion::Curr);
+        for (label, space_of) in [
+            ("unpruned", ExecutionSpace::new as fn(_) -> _),
+            ("pruned", ExecutionSpace::pruned),
+        ] {
+            group.bench_function(format!("{fam}/space/{label}"), |b| {
+                b.iter(|| {
+                    let mut observed = 0usize;
+                    for c in &compiled {
+                        let space = space_of(black_box(c.program().clone()));
+                        for model in &models {
+                            observed += usize::from(model.permits(&space, c.target()));
+                        }
+                    }
+                    observed
+                });
             });
-        });
-        group.bench_function(format!("{fam}/sweep/unpruned"), |b| {
-            let opts = SweepOptions {
-                pruning: false,
-                ..SweepOptions::default()
-            };
-            b.iter(|| {
-                Sweep::with_options(opts.clone())
-                    .run_matrix(black_box(&tests), &riscv_stacks())
-                    .grand_total_bugs()
-            });
-        });
+        }
     }
 
     group.finish();

@@ -6,7 +6,7 @@
 use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, power_mapping, PowerSyncStyle, TableMapping};
 use tricheck_isa::{format_program, Asm};
-use tricheck_litmus::{suite, MemOrder};
+use tricheck_litmus::{suite, ConsistencyModel, MemOrder};
 use tricheck_uarch::UarchModel;
 
 /// The leading-sync ARMv7 mapping with ARM's hazard workaround: a full

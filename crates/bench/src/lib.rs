@@ -13,9 +13,13 @@
 //! | `headline` | the §1/§9 "144 forbidden outcomes" table |
 //! | `sec7_compiler_study` | §7 leading- vs trailing-sync on the A9like µarch |
 //!
-//! Criterion benches (`cargo bench -p tricheck-bench`) measure the engine:
-//! relation algebra, candidate enumeration, C11 evaluation, µarch
-//! evaluation, the full-stack verification path, and the sieve kernel.
+//! Criterion benches (`cargo bench -p tricheck-bench`) cover what the
+//! layered benchmark under `perfbench/` does not: the compiled kernel
+//! against the test-only oracles and pruned against unpruned spaces
+//! (`model_eval`), trace overhead, design ablations, relation algebra,
+//! the §7 and sharded sweeps, and the sieve kernel. Per-layer costs
+//! (enumeration, C11 verdicts, µarch judgements) and end-to-end sweep
+//! times are perfbench's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -57,14 +57,9 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use tricheck_litmus::{
-    outcome_set, ConsistencyModel, ExecArena, ExecCursor, Execution, ExecutionSpace, LitmusTest,
-    MemOrder, Outcome, Reg,
-};
+use tricheck_litmus::{ConsistencyModel, Execution, LitmusTest, MemOrder, Outcome};
 use tricheck_rel::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
-use tricheck_rel::{
-    linear_extensions, BindingPool, CompiledModel, EvalScratch, EventSet, Relation,
-};
+use tricheck_rel::{linear_extensions, CompiledModel, EventSet, Relation};
 
 /// The verdict of the C11 model on a litmus test's target outcome.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -153,32 +148,11 @@ impl C11Model {
         Self::compiled().kernel_id()
     }
 
-    /// `true` if the execution is consistent under C11.
-    ///
-    /// Evaluates the compiled kernel ([`C11Model::compiled`]), which
-    /// `tests/model_properties.rs` pins against the test-only oracles on
-    /// every candidate execution of random suite subsets.
-    #[must_use]
-    pub fn consistent(&self, exec: &Execution<MemOrder>) -> bool {
-        Self::compiled().consistent(&C11Binding::new(exec))
-    }
-
-    /// Whether the test's target outcome is permitted by C11.
-    ///
-    /// One-shot adapter over the execution-space engine: short-circuits
-    /// the enumeration at the first consistent witness. When the same
-    /// program is judged repeatedly, prefer [`Self::permits_target_in`]
-    /// over a shared space.
+    /// Whether the test's target outcome is permitted by C11: the
+    /// one-shot [`ConsistencyModel::observes`] over the test's program.
     #[must_use]
     pub fn permits_target(&self, test: &LitmusTest) -> bool {
-        ExecutionSpace::witness_search(test.program(), test.target(), |e| self.consistent(e))
-    }
-
-    /// Whether `target` is permitted, judged over a shared
-    /// [`ExecutionSpace`] (the enumerate-once path used by sweeps).
-    #[must_use]
-    pub fn permits_target_in(&self, space: &ExecutionSpace<MemOrder>, target: &Outcome) -> bool {
-        self.permits(space, target)
+        self.observes(test.program(), test.target())
     }
 
     /// The verdict on the test's target outcome.
@@ -191,131 +165,34 @@ impl C11Model {
         }
     }
 
-    /// The full set of outcomes C11 permits for the test.
-    ///
-    /// One-shot: streams the enumeration with O(1) execution storage.
-    /// When many models judge one program, use
-    /// [`ConsistencyModel::allowed_outcomes`] over a shared space.
+    /// The full set of outcomes C11 permits for the test: the one-shot
+    /// [`ConsistencyModel::observable_outcomes`] over its program.
     #[must_use]
     pub fn permitted_outcomes(&self, test: &LitmusTest) -> BTreeSet<Outcome> {
-        outcome_set(test.program(), test.observed(), |e| self.consistent(e))
-    }
-
-    /// The full permitted-outcome set, judged over a shared
-    /// [`ExecutionSpace`] (the enumerate-once path used by full-outcome
-    /// sweeps: the space's cached outcome partition is shared by every
-    /// model judging the program).
-    #[must_use]
-    pub fn permitted_outcomes_in(
-        &self,
-        space: &ExecutionSpace<MemOrder>,
-        observed: &[(usize, Reg)],
-    ) -> BTreeSet<Outcome> {
-        self.allowed_outcomes(space, observed)
+        self.observable_outcomes(test.program(), test.observed())
     }
 }
 
+/// C11 judges through its compiled kernel ([`C11Model::compiled`]),
+/// which `tests/model_properties.rs` pins against the test-only oracles
+/// on every candidate execution of random suite subsets.
 impl ConsistencyModel for C11Model {
     type Ann = MemOrder;
+    type Binding<'e> = C11Binding<'e>;
 
     fn model_name(&self) -> &str {
         "C11"
     }
 
-    fn consistent(&self, exec: &Execution<MemOrder>) -> bool {
-        C11Model::consistent(self, exec)
+    fn kernel(&self) -> &CompiledModel {
+        Self::compiled()
     }
 
-    // The space-judged paths stream the space's columnar views through
-    // `CompiledModel::check_batch`: one cursor rebind per candidate (no
-    // per-candidate `Execution` clone, `fr` served from the arena's
-    // derived column) and one evaluation of the kernel's space-invariant
-    // prelude per stream.
-
-    fn permits(&self, space: &ExecutionSpace<MemOrder>, target: &Outcome) -> bool {
-        let compiled = Self::compiled();
-        let view = space.matching(target);
-        if view.is_empty() {
-            return false;
+    fn bind(exec: &Execution<MemOrder>, fr: Option<Relation>) -> C11Binding<'_> {
+        C11Binding {
+            fr: fr.map_or_else(std::cell::OnceCell::new, std::cell::OnceCell::from),
+            ..C11Binding::new(exec)
         }
-        let indices = view.indices();
-        let mut pool = C11Pool::over(view.arena()).expect("non-empty view has candidates");
-        // The prelude lives for exactly this stream: batching already
-        // shares it across every candidate of the (space, kernel) pair,
-        // so caching it on the space would only defer the free to the
-        // sweep's teardown burst.
-        let prelude = compiled.prelude(&pool.bind(indices[0]));
-        let mut witnessed = false;
-        compiled.check_batch(
-            &prelude,
-            &mut pool,
-            &indices,
-            &mut EvalScratch::default(),
-            |_, ok| {
-                witnessed = ok;
-                !ok
-            },
-        );
-        witnessed
-    }
-
-    fn allowed_outcomes(
-        &self,
-        space: &ExecutionSpace<MemOrder>,
-        observed: &[(usize, Reg)],
-    ) -> BTreeSet<Outcome> {
-        let compiled = Self::compiled();
-        let view = space.executions();
-        let groups = space.outcome_groups(observed);
-        let Some(mut pool) = C11Pool::over(view.arena()) else {
-            return BTreeSet::new();
-        };
-        // Stream-local prelude: see `permits`.
-        let prelude = compiled.prelude(&pool.bind(0));
-        let mut scratch = EvalScratch::default();
-        let mut out = BTreeSet::new();
-        for (outcome, members) in groups.iter() {
-            let mut witnessed = false;
-            compiled.check_batch(&prelude, &mut pool, members, &mut scratch, |_, ok| {
-                witnessed = ok;
-                !ok
-            });
-            if witnessed {
-                out.insert(outcome.clone());
-            }
-        }
-        out
-    }
-}
-
-/// A [`BindingPool`] over a columnar space arena: one reusable
-/// [`ExecCursor`] rebinds the same skeleton execution per candidate and
-/// hands [`C11Binding`]s the arena's precomputed `fr` column.
-struct C11Pool<'a> {
-    cursor: ExecCursor<'a, MemOrder>,
-}
-
-impl<'a> C11Pool<'a> {
-    fn over(arena: &'a ExecArena<MemOrder>) -> Option<Self> {
-        Some(C11Pool {
-            cursor: arena.cursor()?,
-        })
-    }
-}
-
-impl BindingPool for C11Pool<'_> {
-    type Binding<'b>
-        = C11Binding<'b>
-    where
-        Self: 'b;
-
-    fn universe(&self) -> usize {
-        self.cursor.universe()
-    }
-
-    fn bind(&mut self, index: u32) -> C11Binding<'_> {
-        self.cursor.at(index);
-        C11Binding::with_fr(self.cursor.exec(), self.cursor.fr().clone())
     }
 }
 
@@ -331,8 +208,8 @@ pub struct C11Binding<'e> {
     /// `sw` is served both as a base and as an ingredient of `sc-bad`'s
     /// derived relations; compute it once per binding.
     sw: std::cell::OnceCell<Relation>,
-    /// `fr = rf⁻¹;co`, pre-seeded by [`C11Binding::with_fr`] when the
-    /// caller already holds the derived relation (the arena's `fr`
+    /// `fr = rf⁻¹;co`, pre-seeded by [`ConsistencyModel::bind`] when
+    /// the caller already holds the derived relation (the arena's `fr`
     /// column), computed on demand otherwise.
     fr: std::cell::OnceCell<Relation>,
 }
@@ -346,15 +223,6 @@ impl<'e> C11Binding<'e> {
             sw: std::cell::OnceCell::new(),
             fr: std::cell::OnceCell::new(),
         }
-    }
-
-    /// Binds an execution whose `fr = rf⁻¹;co` the caller has already
-    /// derived (columnar spaces keep `fr` precomputed per candidate).
-    #[must_use]
-    pub fn with_fr(exec: &'e Execution<MemOrder>, fr: Relation) -> Self {
-        let binding = Self::new(exec);
-        let _ = binding.fr.set(fr);
-        binding
     }
 
     fn sw(&self) -> &Relation {

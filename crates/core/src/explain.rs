@@ -23,6 +23,7 @@ use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, CompileError, Mapping};
 use tricheck_litmus::enumerate::enumerate_matching;
 use tricheck_litmus::LitmusTest;
+use tricheck_rel::Judge;
 use tricheck_uarch::{HwBinding, UarchModel};
 
 use crate::verdict::{Classification, TestResult};
@@ -86,8 +87,8 @@ impl fmt::Display for Diagnosis {
 
 /// Runs the full toolflow for one test and explains the verdict.
 ///
-/// Every target-matching candidate is judged once, by the model's
-/// compiled kernel under one shared prelude: the first consistent
+/// Every target-matching candidate is judged once, by one [`Judge`]
+/// over the model's compiled kernel: the first consistent
 /// candidate is the witness, and until one turns up each rejection is
 /// counted under the axiom the kernel reports. The verdict and its
 /// explanation therefore come from the same evaluation.
@@ -101,17 +102,14 @@ pub fn diagnose(
     test: &LitmusTest,
 ) -> Result<Diagnosis, CompileError> {
     let compiled = compile(test, mapping)?;
-    let kernel = uarch.compiled();
-    let mut prelude = None;
+    let mut judge = Judge::new(uarch.compiled());
     let mut witness = None;
     let mut witness_dot = None;
     let axioms = uarch.ir().axioms();
     let mut counts = vec![0usize; axioms.len()];
 
     enumerate_matching(compiled.program(), compiled.target(), &mut |exec| {
-        let binding = HwBinding::new(exec);
-        let prelude = prelude.get_or_insert_with(|| kernel.prelude(&binding));
-        match kernel.check_with(prelude, &binding) {
+        match judge.check(&HwBinding::new(exec)) {
             Ok(()) => {
                 let lines = (0..exec.len())
                     .map(|e| {

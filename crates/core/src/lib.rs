@@ -82,11 +82,9 @@ pub use runner::{
 pub use store::{C11Cached, SpaceStore, StoreStats};
 pub use verdict::{Classification, FullComparison, TestResult};
 
-use std::collections::BTreeSet;
-
 use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, CompileError, Mapping};
-use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome};
+use tricheck_litmus::{ConsistencyModel, ExecutionSpace, LitmusTest};
 use tricheck_uarch::UarchModel;
 
 /// One full-stack configuration: a C11 front end, a compiler mapping, and
@@ -124,7 +122,8 @@ impl<'m> TriCheck<'m> {
     }
 
     /// Runs Steps 1–4 of the toolflow for one litmus test, judging its
-    /// designated target outcome.
+    /// designated target outcome. Steps 1 and 3 are one-shot streams
+    /// ([`ConsistencyModel::observes`]) that stop at the first witness.
     ///
     /// # Errors
     ///
@@ -156,12 +155,10 @@ impl<'m> TriCheck<'m> {
     /// Returns a [`CompileError`] if the mapping cannot express the test.
     pub fn verify_full(&self, test: &LitmusTest) -> Result<FullComparison, CompileError> {
         let hll_space = ExecutionSpace::new(test.program().clone());
-        let permitted = self.hll.permitted_outcomes_in(&hll_space, test.observed());
+        let permitted = self.hll.allowed_outcomes(&hll_space, test.observed());
         let compiled = compile(test, self.mapping)?;
         let hw_space = ExecutionSpace::new(compiled.program().clone());
-        let observable: BTreeSet<Outcome> = self
-            .uarch
-            .observable_outcomes_in(&hw_space, compiled.observed());
+        let observable = self.uarch.allowed_outcomes(&hw_space, compiled.observed());
         Ok(FullComparison::new(test.name(), permitted, observable))
     }
 }

@@ -64,7 +64,7 @@ use std::sync::{Arc, OnceLock};
 use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, CompiledTest, Mapping};
 use tricheck_isa::HwAnnot;
-use tricheck_litmus::{ExecutionSpace, LitmusTest, Outcome, SpaceStats};
+use tricheck_litmus::{ConsistencyModel, ExecutionSpace, LitmusTest, Outcome, SpaceStats};
 use tricheck_uarch::UarchModel;
 
 use crate::store::{C11Cached, SpaceStore};
@@ -96,14 +96,14 @@ pub struct SweepOptions {
     pub threads: usize,
     /// The equivalence checked per cell (target-outcome by default).
     pub outcome_mode: OutcomeMode,
-    /// Axiom-driven enumeration pruning (on by default): each program's
-    /// execution space cuts search branches that already violate the
-    /// model-independent core (coherence + RMW atomicity), which every
-    /// model rejects anyway — strictly fewer candidates are
-    /// materialized, with bit-identical rows (pinned by
-    /// `tests/model_properties.rs` and the golden-row fixtures).
-    /// Pruned and unpruned runs may freely share a cache directory:
-    /// restored views only ever differ in already-doomed candidates.
+    /// Ignored: every sweep prunes. Each program's execution space cuts
+    /// the search branches that already violate the model-independent
+    /// core (coherence + RMW atomicity), which every model rejects
+    /// anyway, so rows are those of the unpruned per-cell reference
+    /// [`Sweep::run_matrix_naive`] (pinned by
+    /// `tests/model_properties.rs` and the golden-row fixtures). The
+    /// field remains only so that existing `pruning: true` struct
+    /// literals still compile.
     pub pruning: bool,
     /// A persistent memoization of execution spaces and C11 verdicts,
     /// consulted before computing. Each program's space is written back
@@ -140,7 +140,6 @@ impl std::fmt::Debug for SweepOptions {
         f.debug_struct("SweepOptions")
             .field("threads", &self.threads)
             .field("outcome_mode", &self.outcome_mode)
-            .field("pruning", &self.pruning)
             .field("store", &self.store.as_ref().map(|_| "<store>"))
             .finish()
     }
@@ -241,8 +240,7 @@ pub struct SweepStats {
     /// `distinct_programs` when every space is enumerated exactly once.
     pub space_enumerations: usize,
     /// Search branches cut by axiom-driven pruning across all space
-    /// enumerations (zero when [`SweepOptions::pruning`] is off or every
-    /// view was restored from the store).
+    /// enumerations (zero when every view was restored from the store).
     pub candidates_pruned: usize,
     /// Distinct compiled model kernels across the sweep's cells — each
     /// µarch model instance lowers its IR to one fused bitset kernel, so
@@ -434,8 +432,6 @@ fn group_programs(
 struct SweepCache<'t> {
     tests: &'t [LitmusTest],
     mode: OutcomeMode,
-    /// Whether spaces enumerate with axiom-driven pruning.
-    pruning: bool,
     c11: C11Model,
     /// The persistent store, consulted for C11 verdicts and spaces.
     store: Option<&'t dyn SpaceStore>,
@@ -493,10 +489,8 @@ impl SweepCache<'_> {
         let space = match self.store.and_then(|s| s.load_space(program)) {
             // Re-arm pruning on restored spaces so views enumerated
             // later in this run are pruned like fresh ones.
-            Some(loaded) if self.pruning => loaded.into_pruned(),
-            Some(loaded) => loaded,
-            None if self.pruning => ExecutionSpace::pruned(program.clone()),
-            None => ExecutionSpace::new(program.clone()),
+            Some(loaded) => loaded.into_pruned(),
+            None => ExecutionSpace::pruned(program.clone()),
         };
         let views = space.materialized_views();
         let n_mappings = self.stacks_of.len();
@@ -526,13 +520,11 @@ impl SweepCache<'_> {
     ) -> TestResult {
         let test = &self.tests[t];
         match self.c11_entry(t) {
-            C11Cached::Target(permitted) => TestResult::new(
-                test,
-                *permitted,
-                model.observes_in(space, compiled.target()),
-            ),
+            C11Cached::Target(permitted) => {
+                TestResult::new(test, *permitted, model.permits(space, compiled.target()))
+            }
             C11Cached::Full(permitted) => {
-                let observable = model.observable_outcomes_in(space, compiled.observed());
+                let observable = model.allowed_outcomes(space, compiled.observed());
                 TestResult::from_classification(test, classify_sets(permitted, &observable))
             }
         }
@@ -675,13 +667,13 @@ impl Sweep {
     }
 
     /// The naive counterpart of [`Sweep::run_matrix`]: identical cells,
-    /// but every cell recompiles and re-enumerates from scratch (the C11
-    /// verdicts are still computed once — the pre-engine pipeline always
-    /// shared those).
+    /// but every cell recompiles and re-enumerates from scratch, unpruned
+    /// (the C11 verdicts are still computed once — the pre-engine
+    /// pipeline always shared those).
     ///
-    /// Kept as the differential oracle for the engine (the equivalence
-    /// tests assert its rows match `run_matrix`'s exactly) and as the
-    /// baseline of the pipeline benchmarks. `stats()` is all zeros.
+    /// Kept as the differential oracle for the engine: the equivalence
+    /// tests assert its rows match `run_matrix`'s exactly, which pins
+    /// both the shared spaces and their pruning. `stats()` is all zeros.
     #[must_use]
     pub fn run_matrix_naive(
         &self,
@@ -719,7 +711,6 @@ impl Sweep {
         let cache = SweepCache {
             tests,
             mode: self.options.outcome_mode,
-            pruning: self.options.pruning,
             c11: C11Model::new(),
             store,
             c11_verdicts: (0..tests.len()).map(|_| OnceLock::new()).collect(),
@@ -1161,26 +1152,16 @@ mod tests {
     #[test]
     fn full_suite_pruning_is_transparent_and_nonzero() {
         // The acceptance contract of axiom-driven pruning on a family
-        // with RMW-compiled stores: identical rows, identical
-        // exactly-once counts, strictly fewer materialized candidates.
+        // with RMW-compiled stores: the pruned engine's rows are the
+        // unpruned per-cell reference's, and pruning actually fires.
         let tests: Vec<_> = suite::corsdwi_template().instantiate_all().collect();
-        let pruned = Sweep::new().run_matrix(&tests, &matrix("riscv"));
-        let unpruned = Sweep::with_options(SweepOptions {
-            pruning: false,
-            ..SweepOptions::default()
-        })
-        .run_matrix(&tests, &matrix("riscv"));
-        assert_eq!(pruned.rows(), unpruned.rows());
+        let sweep = Sweep::new();
+        let pruned = sweep.run_matrix(&tests, &matrix("riscv"));
         assert_eq!(
-            pruned.stats().distinct_programs,
-            unpruned.stats().distinct_programs
-        );
-        assert_eq!(
-            pruned.stats().space_enumerations,
-            unpruned.stats().space_enumerations
+            pruned.rows(),
+            sweep.run_matrix_naive(&tests, &matrix("riscv")).rows()
         );
         assert!(pruned.stats().candidates_pruned > 0);
-        assert_eq!(unpruned.stats().candidates_pruned, 0);
     }
 
     #[test]

@@ -66,8 +66,9 @@ use crate::store::DiskStore;
 /// [`TraceReport`] so the coordinator can merge a per-worker phase and
 /// counter breakdown. v5: result frames drop the two prelude-cache
 /// counters. v6: jobs name the matrix by its registry name (a string)
-/// instead of a one-byte matrix tag.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// instead of a one-byte matrix tag. v7: jobs drop the pruning flag
+/// (every sweep prunes).
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Checks a decoded frame version against this build's, naming both in
 /// the error so cross-build skew is diagnosable from the message alone.
@@ -99,10 +100,6 @@ pub struct DistOptions {
     pub threads: Option<usize>,
     /// The equivalence checked per cell.
     pub outcome_mode: OutcomeMode,
-    /// Axiom-driven enumeration pruning (see
-    /// [`tricheck_core::SweepOptions::pruning`]); forwarded to every
-    /// shard.
-    pub pruning: bool,
     /// Cache directory for the persistent [`DiskStore`], shared by all
     /// shards. `None` runs without persistence.
     pub cache_dir: Option<PathBuf>,
@@ -127,7 +124,6 @@ impl Default for DistOptions {
             shards: 1,
             threads: None,
             outcome_mode: OutcomeMode::Target,
-            pruning: true,
             cache_dir: None,
             collect_trace: false,
             worker_args: vec!["shard-worker".to_string()],
@@ -379,8 +375,8 @@ fn run_in_process(
     let sweep_opts = SweepOptions {
         threads: threads_per_shard(opts),
         outcome_mode: opts.outcome_mode,
-        pruning: opts.pruning,
         store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
+        ..SweepOptions::default()
     };
     let items = Sweep::with_options(sweep_opts).run_matrix_items(tests, stacks);
     let store_stats = store.map(|s| s.stats()).unwrap_or_default();
@@ -450,7 +446,6 @@ fn encode_job(
         OutcomeMode::Target => 0,
         OutcomeMode::FullOutcomes => 1,
     });
-    out.push(u8::from(opts.pruning));
     out.push(u8::from(opts.collect_trace));
     codec::put_u16(&mut out, threads as u16);
     match &opts.cache_dir {
@@ -478,7 +473,6 @@ struct Job {
     /// The built-in matrix the job names, rebuilt in this process.
     matrix: LoadedStack,
     outcome_mode: OutcomeMode,
-    pruning: bool,
     collect_trace: bool,
     threads: usize,
     cache_dir: Option<PathBuf>,
@@ -508,11 +502,6 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
             0 => OutcomeMode::Target,
             1 => OutcomeMode::FullOutcomes,
             _ => return Err(CodecError::Invalid("outcome mode")),
-        };
-        let pruning = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(CodecError::Invalid("pruning flag")),
         };
         let collect_trace = match r.u8()? {
             0 => false,
@@ -551,7 +540,6 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
         Ok(Job {
             matrix,
             outcome_mode,
-            pruning,
             collect_trace,
             threads,
             cache_dir,
@@ -835,8 +823,8 @@ pub fn shard_worker_stdio() -> Result<(), String> {
             let sweep_opts = SweepOptions {
                 threads: job.threads,
                 outcome_mode: job.outcome_mode,
-                pruning: job.pruning,
                 store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
+                ..SweepOptions::default()
             };
             if job.collect_trace {
                 tricheck_trace::start(tricheck_trace::TraceConfig::metrics());
@@ -1072,7 +1060,7 @@ mod tests {
     #[test]
     fn version_mismatch_errors_name_both_versions() {
         // A v5 worker's result frame, as an old build would emit it:
-        // same magic, version 5 where this build expects 6.
+        // same magic, version 5 where this build expects 7.
         let mut result = Vec::new();
         result.extend_from_slice(b"TCSR");
         codec::put_u16(&mut result, 5);
@@ -1082,7 +1070,7 @@ mod tests {
             "error must name the frame version: {err}"
         );
         assert!(
-            err.contains("v6"),
+            err.contains("v7"),
             "error must name the expected version: {err}"
         );
         assert!(
@@ -1095,7 +1083,7 @@ mod tests {
         codec::put_u16(&mut job, 5);
         let err = decode_job(&job).unwrap_err();
         assert!(
-            err.contains("v5") && err.contains("v6"),
+            err.contains("v5") && err.contains("v7"),
             "job error must name both versions: {err}"
         );
     }

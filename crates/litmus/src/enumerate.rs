@@ -51,7 +51,7 @@
 //!
 //! The core is *incremental*: instead of rebuilding the relation and
 //! recomputing a transitive closure at every search node, the search
-//! carries a [`CoreGraph`] — a topological order over the partial core
+//! carries a `CoreGraph` — a topological order over the partial core
 //! maintained Pearce–Kelly-style as `rf` edges are assigned and
 //! per-location `co` orders are committed. Inserting an edge that agrees
 //! with the current order costs O(1); a violating edge triggers a

@@ -8,7 +8,7 @@
 //!
 //! [`ExecutionSpace`] fixes that by making the candidate space a shared,
 //! lazily-materialized value — and stores it *columnar*: every
-//! materialized view is backed by an [`ExecArena`](crate::ExecArena)
+//! materialized view is backed by an [`ExecArena`]
 //! (one flat buffer per candidate-varying column; see `crate::arena`),
 //! not a vector of owned `Execution`s, so materializing a space costs a
 //! handful of large buffer growths and dropping it a handful of frees.
@@ -23,12 +23,11 @@
 //!   enumerated (the restricted enumeration prunes far harder than a
 //!   post-hoc filter, so an unmaterialized space never pays for the
 //!   full enumeration);
-//! - [`ExecutionSpace::realizes`] is the short-circuiting witness
-//!   search: it scans the cached matching view through a reusable
-//!   cursor and stops at the first execution the model accepts. For
-//!   one-shot queries (no sharing), [`ExecutionSpace::witness_search`]
-//!   short-circuits the *enumeration* itself without materializing
-//!   anything.
+//! - [`ExecutionSpace::outcome_groups`] partitions the full space by
+//!   outcome, once per observed-register list;
+//! - for one-shot queries (no sharing),
+//!   [`ExecutionSpace::witness_search`] short-circuits the
+//!   *enumeration* itself without materializing anything.
 //!
 //! Spaces are keyed by a structural [`Fingerprint`] of the program, so a
 //! cache of spaces deduplicates not only the model cells of one compiled
@@ -37,12 +36,13 @@
 //! mappings).
 //!
 //! [`ConsistencyModel`] is the other half of the engine: a memory model
-//! reduced to its consistency predicate. Both the C11 model and the
-//! microarchitecture models implement it, which is what lets one
-//! enumeration serve every layer of the stack. Models that judge via a
-//! compiled kernel bypass the per-`Execution` predicate entirely and
-//! stream a view's index list through
-//! `CompiledModel::check_batch` over the arena columns.
+//! reduced to a compiled kernel plus a way to bind one candidate to it.
+//! Both the C11 model and the microarchitecture models implement it,
+//! which is what lets one enumeration serve every layer of the stack.
+//! Its provided judgements are the one judging loop: each streams its
+//! candidates — a view's index list through an arena cursor, or a
+//! streaming enumeration — through one [`Judge`], which evaluates the
+//! kernel's space-invariant prelude once per stream.
 //!
 //! # View invariants
 //!
@@ -75,11 +75,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::arena::ExecArena;
+use tricheck_rel::{BaseRelations, CompiledModel, Judge, Relation};
+
+use crate::arena::{ExecArena, ExecCursor};
 use crate::codec::{self, AnnCodec, ByteReader, CodecError};
 use crate::enumerate::{
     enumerate_executions, enumerate_executions_pruned, enumerate_matching,
-    enumerate_matching_pruned, target_realizable,
+    enumerate_matching_pruned, outcome_set, target_realizable,
 };
 use crate::exec::Execution;
 use crate::mir::{Program, Reg};
@@ -199,8 +201,8 @@ impl<A: Clone> SpaceView<A> {
     }
 
     /// Materializes the `k`-th candidate of the view as an owned
-    /// [`Execution`] (test/diagnostic aid — scans should use
-    /// [`SpaceView::any`] or a cursor).
+    /// [`Execution`] (test/diagnostic aid — scans should use a cursor
+    /// over [`SpaceView::arena`]).
     ///
     /// # Panics
     ///
@@ -217,18 +219,6 @@ impl<A: Clone> SpaceView<A> {
     #[must_use]
     pub fn to_vec(&self) -> Vec<Execution<A>> {
         (0..self.len()).map(|k| self.get(k)).collect()
-    }
-
-    /// Scans the view through a reusable cursor, stopping at the first
-    /// candidate `f` accepts. Allocation-free per candidate.
-    pub fn any(&self, mut f: impl FnMut(&Execution<A>) -> bool) -> bool {
-        let Some(mut cursor) = self.arena.cursor() else {
-            return false;
-        };
-        match &self.indices {
-            Some(idx) => idx.iter().any(|&i| f(cursor.at(i))),
-            None => (0..self.arena.len() as u32).any(|i| f(cursor.at(i))),
-        }
     }
 
     /// `true` if the two views share both backing storage and index
@@ -448,22 +438,6 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
         }
     }
 
-    /// Short-circuiting witness search over the shared space: `true` if
-    /// some candidate execution realizes `target` and satisfies
-    /// `consistent`.
-    ///
-    /// The target-restricted view is materialized once (shared by every
-    /// model asking about this program); each model's scan streams it
-    /// through a cursor and stops at its first witness.
-    #[must_use]
-    pub fn realizes(
-        &self,
-        target: &Outcome,
-        consistent: impl FnMut(&Execution<A>) -> bool,
-    ) -> bool {
-        self.matching(target).any(consistent)
-    }
-
     /// The full candidate space partitioned by outcome over `observed`
     /// registers, computed once per distinct register list and shared by
     /// every model that asks (the projection of each candidate onto its
@@ -496,40 +470,13 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
         groups
     }
 
-    /// The outcomes over `observed` registers across all candidate
-    /// executions satisfying `consistent` (full-outcome-set mode).
-    ///
-    /// Runs over the cached [`ExecutionSpace::outcome_groups`] partition
-    /// through one reusable cursor: each outcome's scan stops at the
-    /// first consistent witness, and the outcome projection itself is
-    /// never recomputed per model.
-    #[must_use]
-    pub fn outcome_set(
-        &self,
-        observed: &[(usize, Reg)],
-        mut consistent: impl FnMut(&Execution<A>) -> bool,
-    ) -> BTreeSet<Outcome> {
-        let view = self.executions();
-        let groups = self.outcome_groups(observed);
-        let Some(mut cursor) = view.arena.cursor() else {
-            return BTreeSet::new();
-        };
-        groups
-            .iter()
-            .filter(|(_, members)| members.iter().any(|&i| consistent(cursor.at(i))))
-            .map(|(outcome, _)| outcome.clone())
-            .collect()
-    }
-
     /// One-shot witness search that short-circuits the *enumeration*
     /// itself: stops generating candidates at the first consistent
     /// witness, materializing nothing.
     ///
-    /// Use this when a program is judged by a single model once (e.g.
-    /// [`TriCheck::verify`]-style single-stack queries); use a shared
-    /// space when many models will judge the same program.
-    ///
-    /// [`TriCheck::verify`]: https://docs.rs/tricheck-core
+    /// Use this when a program is judged by a single model once (what
+    /// [`ConsistencyModel::observes`] does); use a shared space when
+    /// many models will judge the same program.
     #[must_use]
     pub fn witness_search(
         program: &Program<A>,
@@ -714,48 +661,127 @@ impl<A: Clone + Hash + AnnCodec> ExecutionSpace<A> {
     }
 }
 
-/// A memory model reduced to its consistency predicate over candidate
-/// executions — the judge half of the enumerate-once/judge-everywhere
-/// engine.
+/// A memory model reduced to a compiled kernel and a way to bind one
+/// candidate execution to it — the judge half of the
+/// enumerate-once/judge-everywhere engine.
 ///
 /// Implemented by `tricheck_c11::C11Model` (over [`crate::MemOrder`]
 /// annotations) and `tricheck_uarch::UarchModel` (over hardware
-/// annotations); the provided methods turn any implementation into
-/// target-mode and outcome-set verdicts over a shared
-/// [`ExecutionSpace`]. Compiled-kernel implementations override the
-/// provided methods to stream view index lists through
-/// `CompiledModel::check_batch` instead of judging one owned
-/// `Execution` at a time.
+/// annotations). The provided methods are the one judging loop: each
+/// streams its candidates through one [`Judge`] — one prelude per
+/// stream, one evaluation scratch — and stops a stream at its first
+/// consistent candidate:
+///
+/// - [`permits`](Self::permits) and
+///   [`allowed_outcomes`](Self::allowed_outcomes) judge a shared
+///   [`ExecutionSpace`], binding candidates through an arena cursor
+///   with the arena's precomputed `fr` column;
+/// - [`observes`](Self::observes) and
+///   [`observable_outcomes`](Self::observable_outcomes) judge a
+///   streaming enumeration of one program, materializing nothing.
 pub trait ConsistencyModel: Sync {
     /// The instruction annotation level the model judges.
-    type Ann: Clone + Hash;
+    type Ann: Clone + Hash + 'static;
+
+    /// The binding of the kernel's base names to one candidate.
+    type Binding<'e>: BaseRelations;
 
     /// The model's display name.
     fn model_name(&self) -> &str;
 
-    /// `true` if the candidate execution is consistent under the model.
-    fn consistent(&self, exec: &Execution<Self::Ann>) -> bool;
+    /// The model's compiled kernel.
+    fn kernel(&self) -> &CompiledModel;
+
+    /// Binds one candidate execution; `fr` is the candidate's
+    /// `rf⁻¹;co` when the caller already holds it (an arena's derived
+    /// column), computed on demand when `None`.
+    fn bind(exec: &Execution<Self::Ann>, fr: Option<Relation>) -> Self::Binding<'_>;
 
     /// Whether some execution in the shared space realizes `target`
-    /// under this model (short-circuiting witness search).
+    /// under this model: the space's target view, streamed through one
+    /// cursor and one [`Judge`] up to the first witness.
     fn permits(&self, space: &ExecutionSpace<Self::Ann>, target: &Outcome) -> bool {
-        space.realizes(target, |e| self.consistent(e))
+        let view = space.matching(target);
+        let Some(mut cursor) = view.arena().cursor() else {
+            return false;
+        };
+        let mut judge = Judge::new(self.kernel());
+        view.indices()
+            .iter()
+            .any(|&i| judge_at::<Self>(&mut judge, &mut cursor, i))
     }
 
-    /// The full outcome set this model allows over the shared space.
+    /// The full outcome set this model allows over the shared space:
+    /// the space's cached outcome partition, each group scanned up to
+    /// its first witness, all through one cursor and one [`Judge`].
     fn allowed_outcomes(
         &self,
         space: &ExecutionSpace<Self::Ann>,
         observed: &[(usize, Reg)],
     ) -> BTreeSet<Outcome> {
-        space.outcome_set(observed, |e| self.consistent(e))
+        let view = space.executions();
+        let groups = space.outcome_groups(observed);
+        let Some(mut cursor) = view.arena().cursor() else {
+            return BTreeSet::new();
+        };
+        let mut judge = Judge::new(self.kernel());
+        groups
+            .iter()
+            .filter(|(_, members)| {
+                members
+                    .iter()
+                    .any(|&i| judge_at::<Self>(&mut judge, &mut cursor, i))
+            })
+            .map(|(outcome, _)| outcome.clone())
+            .collect()
     }
+
+    /// Whether `target` is observable for `program` under this model,
+    /// one-shot: the enumeration itself stops at the first witness
+    /// ([`ExecutionSpace::witness_search`]), materializing nothing.
+    /// Prefer [`permits`](Self::permits) over a shared space when many
+    /// models judge one program.
+    fn observes(&self, program: &Program<Self::Ann>, target: &Outcome) -> bool {
+        let mut judge = Judge::new(self.kernel());
+        ExecutionSpace::witness_search(program, target, |exec| {
+            judge.check(&Self::bind(exec, None)).is_ok()
+        })
+    }
+
+    /// The outcomes over `observed` registers this model allows for
+    /// `program`, one-shot: streams the enumeration with O(1) execution
+    /// storage ([`outcome_set`]). Prefer
+    /// [`allowed_outcomes`](Self::allowed_outcomes) over a shared space
+    /// when many models judge one program.
+    fn observable_outcomes(
+        &self,
+        program: &Program<Self::Ann>,
+        observed: &[(usize, Reg)],
+    ) -> BTreeSet<Outcome> {
+        let mut judge = Judge::new(self.kernel());
+        outcome_set(program, observed, |exec| {
+            judge.check(&Self::bind(exec, None)).is_ok()
+        })
+    }
+}
+
+/// Judges arena candidate `i`: the cursor rebinds its skeleton to the
+/// candidate and the binding takes the arena's `fr` column.
+fn judge_at<M: ConsistencyModel + ?Sized>(
+    judge: &mut Judge<'_>,
+    cursor: &mut ExecCursor<'_, M::Ann>,
+    i: u32,
+) -> bool {
+    cursor.at(i);
+    judge
+        .check(&M::bind(cursor.exec(), Some(cursor.fr().clone())))
+        .is_ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{count_executions, outcome_set};
+    use crate::enumerate::count_executions;
     use crate::order::MemOrder;
     use crate::suite;
 
@@ -832,30 +858,39 @@ mod tests {
     }
 
     #[test]
-    fn realizes_agrees_with_one_shot_witness_search() {
+    fn matching_agrees_with_one_shot_witness_search() {
         for t in [
             suite::mp([MemOrder::Rlx; 4]),
             suite::mp([MemOrder::Rlx, MemOrder::Rel, MemOrder::Acq, MemOrder::Rlx]),
             suite::sb([MemOrder::Sc; 4]),
         ] {
             let space = ExecutionSpace::new(t.program().clone());
-            // Trivial model: everything consistent.
+            // Trivial model: everything consistent, so a witness exists
+            // exactly when the target view is non-empty.
             assert_eq!(
-                space.realizes(t.target(), |_| true),
+                !space.matching(t.target()).is_empty(),
                 ExecutionSpace::witness_search(t.program(), t.target(), |_| true),
                 "{}",
                 t.name()
             );
             // Impossible model: nothing consistent.
-            assert!(!space.realizes(t.target(), |_| false));
+            assert!(!ExecutionSpace::witness_search(
+                t.program(),
+                t.target(),
+                |_| false
+            ));
         }
     }
 
     #[test]
-    fn outcome_set_matches_free_function() {
+    fn outcome_groups_cover_the_free_outcome_set() {
         let t = suite::wrc([MemOrder::Rlx; 5]);
         let space = ExecutionSpace::new(t.program().clone());
-        let via_space = space.outcome_set(t.observed(), |_| true);
+        let via_space: BTreeSet<Outcome> = space
+            .outcome_groups(t.observed())
+            .iter()
+            .map(|(outcome, _)| outcome.clone())
+            .collect();
         let direct = outcome_set(t.program(), t.observed(), |_| true);
         assert_eq!(via_space, direct);
     }
@@ -889,12 +924,10 @@ mod tests {
             1,
             "partitioning must reuse the one full enumeration"
         );
-        // Repeated outcome-set queries (distinct models) share the
-        // partition: no further enumerations.
-        let all = space.outcome_set(t.observed(), |_| true);
-        let none = space.outcome_set(t.observed(), |_| false);
-        assert!(none.is_empty());
-        assert!(!all.is_empty());
+        // Later views (distinct models' scans) reuse the one
+        // enumeration too.
+        let _ = space.executions();
+        assert!(!space.matching(t.target()).is_empty());
         assert_eq!(space.stats().enumerations, 1);
     }
 

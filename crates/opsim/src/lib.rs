@@ -660,7 +660,7 @@ mod tests {
     use super::*;
     use tricheck_compiler::{compile, riscv_mapping};
     use tricheck_isa::{RiscvIsa, SpecVersion};
-    use tricheck_litmus::{suite, MemOrder};
+    use tricheck_litmus::{suite, ConsistencyModel, MemOrder};
 
     fn compiled(test: &tricheck_litmus::LitmusTest) -> tricheck_compiler::CompiledTest {
         compile(test, riscv_mapping(RiscvIsa::Base, SpecVersion::Curr)).expect("compiles")

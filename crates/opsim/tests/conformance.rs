@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tricheck_isa::{AccessTypes, FenceKind, HwAnnot, SpecVersion};
-use tricheck_litmus::{Expr, Instr, Program, Reg};
+use tricheck_litmus::{ConsistencyModel, Expr, Instr, Program, Reg};
 use tricheck_opsim::OpMachine;
 use tricheck_uarch::UarchModel;
 

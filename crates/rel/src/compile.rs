@@ -25,9 +25,10 @@
 //!   dependency edges, fence edge sets, annotation/AMO event sets, …).
 //!   Every operation whose inputs are transitively invariant moves into
 //!   a **prelude** that is evaluated once per stream of candidates of
-//!   one program: the caller computes the [`Prelude`] once and replays
-//!   it for every candidate it judges, so per-candidate work touches
-//!   only the truly candidate-dependent suffix of the dataflow graph.
+//!   one program: a [`Judge`] computes the [`Prelude`] on the stream's
+//!   first candidate and replays it for every candidate after it, so
+//!   per-candidate work touches only the truly candidate-dependent
+//!   suffix of the dataflow graph.
 //!
 //! The per-candidate body is scheduled in axiom order: checking stops at
 //! the first violated axiom having evaluated only the operations that
@@ -205,31 +206,54 @@ pub struct EvalScratch {
     body: Vec<Value>,
 }
 
-/// A source of candidate bindings addressed by dense `u32` index — the
-/// batched-checking counterpart of [`BaseRelations`].
+/// One stream of candidates of one program through one compiled
+/// kernel: the kernel's space-invariant [`Prelude`], evaluated on the
+/// stream's first candidate, and one [`EvalScratch`], reused by every
+/// candidate after it.
 ///
-/// An implementation typically wraps a columnar candidate arena plus a
-/// reusable cursor: `bind(i)` positions the cursor on candidate `i`
-/// (copying that candidate's relation rows out of flat columns into
-/// preallocated storage) and returns a [`BaseRelations`] view of it.
-/// The returned binding borrows the pool, so exactly one candidate is
-/// bound at a time — which is precisely the access pattern
-/// [`CompiledModel::check_batch`] streams.
-pub trait BindingPool {
-    /// The per-candidate binding type `bind` lends out.
-    type Binding<'a>: BaseRelations
-    where
-        Self: 'a;
+/// Every judging loop is a `Judge`: a model's witness search and
+/// outcome-set scan over a shared space or a streaming enumeration, and
+/// `diagnose`'s per-axiom explanation. A judge is bound to one program —
+/// every candidate it checks must come from the program its first one
+/// did, since the prelude is replayed for all of them.
+#[derive(Debug)]
+pub struct Judge<'k> {
+    kernel: &'k CompiledModel,
+    prelude: Option<Prelude>,
+    scratch: EvalScratch,
+}
 
-    /// The event-universe size shared by every candidate in the pool.
-    fn universe(&self) -> usize;
+impl<'k> Judge<'k> {
+    /// A judge over `kernel` that has seen no candidate yet.
+    #[must_use]
+    pub fn new(kernel: &'k CompiledModel) -> Self {
+        Judge {
+            kernel,
+            prelude: None,
+            scratch: EvalScratch::default(),
+        }
+    }
 
-    /// Binds candidate `index`, reusing the pool's internal buffers.
+    /// Checks every axiom against the stream's next candidate, as
+    /// [`CompiledModel::check_with_scratch`] does; the first call
+    /// evaluates the prelude from this candidate's binding.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first violated axiom.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `index` is out of range.
-    fn bind(&mut self, index: u32) -> Self::Binding<'_>;
+    /// Panics if the candidate's universe differs from the first
+    /// candidate's, or if the model references a base the binding does
+    /// not provide.
+    pub fn check<B: BaseRelations>(&mut self, binding: &B) -> Result<(), &'static str> {
+        let prelude = self
+            .prelude
+            .get_or_insert_with(|| self.kernel.prelude(binding));
+        self.kernel
+            .check_with_scratch(prelude, binding, &mut self.scratch)
+    }
 }
 
 /// One axiom of the compiled program: the location of its relation and
@@ -249,13 +273,14 @@ struct CompiledAxiom {
 ///
 /// Compile once (per model), then judge many candidates:
 ///
-/// - [`CompiledModel::prelude`] evaluates the space-invariant prefix
-///   for one program;
-/// - [`CompiledModel::check_with`] / [`consistent_with`](Self::consistent_with)
-///   judge one candidate, reusing a prelude;
+/// - a [`Judge`] streams the candidates of one program through the
+///   kernel: one prelude, one [`EvalScratch`];
 /// - [`CompiledModel::check`] / [`consistent`](Self::consistent) are
-///   the standalone forms (prelude recomputed per call) for one-shot
-///   callers.
+///   the standalone forms (a one-candidate stream) for one-shot
+///   callers;
+/// - [`CompiledModel::prelude`] and
+///   [`check_with_scratch`](Self::check_with_scratch) are the two
+///   halves a [`Judge`] is made of, for callers that time them apart.
 #[derive(Clone, Debug)]
 pub struct CompiledModel {
     name: String,
@@ -376,9 +401,9 @@ impl CompiledModel {
 
     /// A process-unique identity for this compiled kernel program.
     ///
-    /// Space-level prelude caches key on it: two `CompiledModel`s never
-    /// share an id, so a cached [`Prelude`] is only ever replayed by
-    /// the kernel that produced it.
+    /// An [`EvalScratch`] keys on it: two `CompiledModel`s never share
+    /// an id, so a scratch reused across kernels resets instead of
+    /// replaying another kernel's slot layout.
     #[must_use]
     pub fn kernel_id(&self) -> u64 {
         self.kernel_id
@@ -419,8 +444,11 @@ impl CompiledModel {
 
     /// Checks every axiom against one candidate execution, reusing a
     /// prelude computed by [`CompiledModel::prelude`] over the same
-    /// program. Stops at the first violated axiom without evaluating
-    /// operations only later axioms need.
+    /// program and caller-owned evaluation buffers: pass the same
+    /// [`EvalScratch`] for every candidate of a program and each
+    /// intermediate value's allocation is reused instead of recreated.
+    /// Stops at the first violated axiom without evaluating operations
+    /// only later axioms need.
     ///
     /// # Errors
     ///
@@ -431,26 +459,6 @@ impl CompiledModel {
     /// Panics if the prelude was evaluated over a different universe
     /// size, or if the model references a base the binding does not
     /// provide.
-    pub fn check_with<B: BaseRelations>(
-        &self,
-        prelude: &Prelude,
-        binding: &B,
-    ) -> Result<(), &'static str> {
-        self.check_with_scratch(prelude, binding, &mut EvalScratch::default())
-    }
-
-    /// [`CompiledModel::check_with`] with caller-owned evaluation
-    /// buffers: when judging many candidates of one program, pass the
-    /// same [`EvalScratch`] each time and every intermediate value's
-    /// allocation is reused instead of recreated per candidate.
-    ///
-    /// # Errors
-    ///
-    /// The name of the first violated axiom.
-    ///
-    /// # Panics
-    ///
-    /// As [`CompiledModel::check_with`].
     pub fn check_with_scratch<B: BaseRelations>(
         &self,
         prelude: &Prelude,
@@ -498,14 +506,8 @@ impl CompiledModel {
         Ok(())
     }
 
-    /// `true` if every axiom holds, reusing a cached prelude.
-    #[must_use]
-    pub fn consistent_with<B: BaseRelations>(&self, prelude: &Prelude, binding: &B) -> bool {
-        self.check_with(prelude, binding).is_ok()
-    }
-
     /// `true` if every axiom holds, reusing a cached prelude and
-    /// caller-owned evaluation buffers (the production sweep path).
+    /// caller-owned evaluation buffers.
     #[must_use]
     pub fn consistent_with_scratch<B: BaseRelations>(
         &self,
@@ -516,56 +518,15 @@ impl CompiledModel {
         self.check_with_scratch(prelude, binding, scratch).is_ok()
     }
 
-    /// Judges a batch of candidates drawn from a columnar pool,
-    /// streaming them through one shared [`Prelude`] and one
-    /// [`EvalScratch`].
-    ///
-    /// For each index in `indices` (in order) the pool is asked to
-    /// bind that candidate — for an arena-backed execution space this
-    /// is a row-copy from contiguous columns, not an allocation — and
-    /// the candidate is checked exactly as
-    /// [`check_with_scratch`](Self::check_with_scratch) would. The
-    /// prelude is evaluated **zero** times here: the caller computes it
-    /// once per (kernel, program) and replays it across the batch.
-    ///
-    /// `verdict(index, consistent)` is invoked per candidate; returning
-    /// `false` stops the stream early (the witness-search use: stop at
-    /// the first consistent candidate). Returns how many candidates
-    /// were judged.
-    ///
-    /// # Panics
-    ///
-    /// As [`CompiledModel::check_with_scratch`], per candidate.
-    pub fn check_batch<P: BindingPool>(
-        &self,
-        prelude: &Prelude,
-        pool: &mut P,
-        indices: &[u32],
-        scratch: &mut EvalScratch,
-        mut verdict: impl FnMut(u32, bool) -> bool,
-    ) -> usize {
-        let mut judged = 0;
-        for &index in indices {
-            let binding = pool.bind(index);
-            let consistent = self.check_with_scratch(prelude, &binding, scratch).is_ok();
-            drop(binding);
-            judged += 1;
-            if !verdict(index, consistent) {
-                break;
-            }
-        }
-        judged
-    }
-
     /// One-shot check: evaluates the prelude and the body for a single
-    /// candidate. Prefer [`CompiledModel::check_with`] with a shared
-    /// prelude when judging many candidates of one program.
+    /// candidate. Prefer a [`Judge`] when judging many candidates of one
+    /// program.
     ///
     /// # Errors
     ///
     /// The name of the first violated axiom.
     pub fn check<B: BaseRelations>(&self, binding: &B) -> Result<(), &'static str> {
-        self.check_with(&self.prelude(binding), binding)
+        Judge::new(self).check(binding)
     }
 
     /// `true` if every axiom holds (one-shot form).

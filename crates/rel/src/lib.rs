@@ -93,11 +93,13 @@
 //! (CSE), fuses `∪`/`∩`/`\` chains into single n-ary passes over the
 //! `u64` relation words, and hoists every operation reachable only from
 //! *space-invariant* bases (program-derived: `po`, dependencies, fence
-//! edges, annotation sets) into a prelude, evaluated once per stream of
-//! one program's candidates and replayed across them.
-//! At judgement time every body operation writes into a reusable
-//! [`EvalScratch`] slot, so a query loop over one program's candidates
-//! allocates nothing per candidate. The compiled path judges a
+//! edges, annotation sets) into a prelude. Every judging loop is a
+//! [`Judge`]: one stream of one program's candidates through the kernel,
+//! which evaluates the prelude on the stream's first candidate, replays
+//! it across the rest, and writes every body operation into one reusable
+//! [`EvalScratch`] slot, so the loop allocates nothing per candidate.
+//! The C11 model and every µarch model judge through it (see
+//! `tricheck-litmus`'s `ConsistencyModel`). The compiled path judges a
 //! candidate below the cost of the hand-written imperative checkers it
 //! is tested against (see `benches/model_eval.rs`), so "models as
 //! data" is free at sweep time.
@@ -172,7 +174,7 @@ pub mod ir;
 pub mod lint;
 pub mod parse;
 
-pub use compile::{BindingPool, CompiledModel, EvalScratch, Prelude};
+pub use compile::{CompiledModel, EvalScratch, Judge, Prelude};
 pub use ir::{Axiom, AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
 pub use lint::{Diagnostic, LintSchema, Severity};
 pub use parse::{parse_model, parse_model_spanned, ModelSpans, ParseError, Vocabulary};

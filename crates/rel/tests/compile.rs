@@ -6,7 +6,7 @@
 
 use tricheck_oracle::interpret;
 use tricheck_rel::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
-use tricheck_rel::{CompiledModel, EventSet, Relation};
+use tricheck_rel::{CompiledModel, EventSet, Judge, Relation};
 
 /// A four-event toy binding: 0,1 writes; 2,3
 /// reads; po 0→2, 1→3; optional fr back-edges closing an SB cycle; and
@@ -240,12 +240,15 @@ fn hoisting_moves_invariant_work_into_the_prelude() {
 
 #[test]
 fn preludes_replay_across_candidates() {
-    // po is invariant across the two Toy "candidates"; fr differs.
+    // po is invariant across the two Toy "candidates"; fr differs. One
+    // judge evaluates the prelude on the first and replays it for the
+    // second, agreeing with the one-shot form on both.
     let model = sc_like();
     let compiled = CompiledModel::compile(&model, &["po"]);
-    let prelude = compiled.prelude(&toy(false));
-    assert!(compiled.consistent_with(&prelude, &toy(false)));
-    assert!(!compiled.consistent_with(&prelude, &toy(true)));
+    let mut judge = Judge::new(&compiled);
+    assert_eq!(judge.check(&toy(false)), Ok(()));
+    assert!(judge.check(&toy(true)).is_err());
+    assert_eq!(judge.check(&toy(true)), compiled.check(&toy(true)));
 }
 
 #[test]

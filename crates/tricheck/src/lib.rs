@@ -49,9 +49,10 @@
 //!        ▼                                ▼ distinct compiled program
 //!   C11Model::permits_target     ExecutionSpace (litmus::space)
 //!        │                                │
-//!        │            ConsistencyModel::permits(space, target)
+//!        │     ConsistencyModel::{observes, permits}: candidates stream
+//!        │     through one Judge (kernel, one prelude, one scratch)
 //!        │                                │  ← C11Model and UarchModel
-//!        ▼                                ▼    are both just predicates
+//!        ▼                                ▼    are both a kernel + a binding
 //!      Step 1 verdict ──────────▶ Step 4 classification ◀── Step 3 verdict
 //! ```
 //!
@@ -59,10 +60,13 @@
 //!   program: it is lazily materialized at most once per structural
 //!   [`litmus::Fingerprint`] and shared by every model that judges the
 //!   program. A short-circuiting witness mode serves one-shot queries.
-//! - **Judgement** ([`litmus::ConsistencyModel`]) is a pure predicate
-//!   over candidate executions; [`c11::C11Model`] and
-//!   [`uarch::UarchModel`] both implement it, so `permits_target` and
-//!   `observes` are thin adapters over the same engine.
+//! - **Judgement** ([`litmus::ConsistencyModel`]) is a compiled kernel
+//!   plus a way to bind one candidate to it; [`c11::C11Model`] and
+//!   [`uarch::UarchModel`] both implement it and inherit one judging
+//!   loop: every verdict — over a shared space or a one-shot streaming
+//!   enumeration, C11 or µarch — streams its candidates through one
+//!   [`rel::Judge`], which evaluates the kernel's space-invariant prelude
+//!   once per stream.
 //! - **Scheduling** ([`core::Sweep`]) compiles every (test, mapping)
 //!   pair once, groups the (test × stack) visits by compiled program,
 //!   and fans one work item per distinct program over a work-stealing
@@ -71,8 +75,9 @@
 //!   serial run.
 //!
 //! The pre-engine per-cell pipeline survives as
-//! [`core::Sweep::run_matrix_naive`], used by the differential tests in
-//! `tests/engine_equivalence.rs` and the `pipeline` benchmark.
+//! [`core::Sweep::run_matrix_naive`], the unpruned reference the
+//! differential tests in `tests/engine_equivalence.rs` and
+//! `tests/model_properties.rs` compare sweeps against.
 //!
 //! # Stacks are data
 //!
@@ -109,7 +114,7 @@ pub mod prelude {
     };
     pub use tricheck_dist::{run_sharded, DiskStore, DistOptions, DistResults};
     pub use tricheck_isa::{format_program, AmoBits, Asm, HwAnnot, RiscvIsa, SpecVersion};
-    pub use tricheck_litmus::{suite, LitmusTest, MemOrder, Outcome, Program};
+    pub use tricheck_litmus::{suite, ConsistencyModel, LitmusTest, MemOrder, Outcome, Program};
     pub use tricheck_uarch::{UarchConfig, UarchModel};
 }
 

@@ -72,7 +72,7 @@
 //! ```
 //! use tricheck_compiler::{compile, riscv_mapping};
 //! use tricheck_isa::{RiscvIsa, SpecVersion};
-//! use tricheck_litmus::suite;
+//! use tricheck_litmus::{suite, ConsistencyModel};
 //! use tricheck_uarch::UarchModel;
 //!
 //! // The Figure 3 WRC outcome is observable on the shared-store-buffer

@@ -29,15 +29,11 @@
 //! 4. **SC-AMO visibility**: on A9like, `rfe` edges out of SC-AMO writes
 //!    are globally agreed (the coherence protocol completed the AMO).
 
-use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use tricheck_isa::{HwAnnot, SpecVersion};
-use tricheck_litmus::{
-    outcome_set, ConsistencyModel, ExecArena, ExecCursor, Execution, ExecutionSpace, Outcome,
-    Program, Reg,
-};
-use tricheck_rel::{BindingPool, CompiledModel, EvalScratch, ModelIr};
+use tricheck_litmus::{ConsistencyModel, Execution};
+use tricheck_rel::{CompiledModel, ModelIr, Relation};
 
 use crate::config::UarchConfig;
 use crate::ir::{build_uarch_ir, HwBinding};
@@ -213,10 +209,10 @@ impl UarchModel {
     }
 
     /// The model's IR lowered to a fused bitset kernel — compiled once
-    /// per model instance on first use. Program-only bases
-    /// ([`HW_INVARIANT_BASES`]) are hoisted into the kernel's prelude so
-    /// an [`ExecutionSpace`] evaluates them once per program instead of
-    /// once per candidate.
+    /// per model instance on first use. Program-only bases (`po`,
+    /// dependencies, fence edge sets, annotation and event-kind sets)
+    /// are hoisted into the kernel's prelude, evaluated once per stream
+    /// of one program's candidates instead of once per candidate.
     #[must_use]
     pub fn compiled(&self) -> &CompiledModel {
         self.compiled
@@ -235,163 +231,29 @@ impl UarchModel {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// `true` if the execution is realizable on this microarchitecture.
-    ///
-    /// Evaluates the compiled kernel ([`UarchModel::compiled`]), which
-    /// `tests/model_properties.rs` pins against the test-only oracles on
-    /// every candidate execution of random suite subsets.
-    #[must_use]
-    pub fn consistent(&self, exec: &Execution<HwAnnot>) -> bool {
-        self.compiled().consistent(&HwBinding::new(exec))
-    }
-
-    /// Whether the target outcome is observable for the compiled program
-    /// on this microarchitecture (Step 3 verdict).
-    ///
-    /// One-shot adapter over the execution-space engine: short-circuits
-    /// the enumeration at the first realizable witness. When many models
-    /// judge the same compiled program, prefer [`Self::observes_in`]
-    /// over a shared space.
-    #[must_use]
-    pub fn observes(&self, prog: &Program<HwAnnot>, target: &Outcome) -> bool {
-        ExecutionSpace::witness_search(prog, target, |e| self.consistent(e))
-    }
-
-    /// Whether `target` is observable, judged over a shared
-    /// [`ExecutionSpace`] (the enumerate-once path used by sweeps).
-    #[must_use]
-    pub fn observes_in(&self, space: &ExecutionSpace<HwAnnot>, target: &Outcome) -> bool {
-        self.permits(space, target)
-    }
-
-    /// The full set of outcomes observable on this microarchitecture.
-    ///
-    /// One-shot: streams the enumeration with O(1) execution storage.
-    /// When many models judge one program, use
-    /// [`ConsistencyModel::allowed_outcomes`] over a shared space.
-    #[must_use]
-    pub fn observable_outcomes(
-        &self,
-        prog: &Program<HwAnnot>,
-        observed: &[(usize, Reg)],
-    ) -> BTreeSet<Outcome> {
-        outcome_set(prog, observed, |e| self.consistent(e))
-    }
-
-    /// The full observable-outcome set, judged over a shared
-    /// [`ExecutionSpace`] (the enumerate-once path used by full-outcome
-    /// sweeps: the space's cached outcome partition is shared by every
-    /// model judging the program).
-    #[must_use]
-    pub fn observable_outcomes_in(
-        &self,
-        space: &ExecutionSpace<HwAnnot>,
-        observed: &[(usize, Reg)],
-    ) -> BTreeSet<Outcome> {
-        self.allowed_outcomes(space, observed)
-    }
 }
 
+/// A µarch model judges through its compiled kernel
+/// ([`UarchModel::compiled`]), which `tests/model_properties.rs` pins
+/// against the test-only oracles on every candidate execution of random
+/// suite subsets. [`ConsistencyModel::observes`] is the Step 3 verdict.
 impl ConsistencyModel for UarchModel {
     type Ann = HwAnnot;
+    type Binding<'e> = HwBinding<'e>;
 
     fn model_name(&self) -> &str {
         self.name()
     }
 
-    fn consistent(&self, exec: &Execution<HwAnnot>) -> bool {
-        UarchModel::consistent(self, exec)
+    fn kernel(&self) -> &CompiledModel {
+        self.compiled()
     }
 
-    // The space-judged paths stream the space's columnar views through
-    // `CompiledModel::check_batch`: one cursor rebind per candidate (no
-    // per-candidate `Execution` clone, `fr` served from the arena's
-    // derived column) and one evaluation of the kernel's
-    // space-invariant prelude per stream.
-
-    fn permits(&self, space: &ExecutionSpace<HwAnnot>, target: &Outcome) -> bool {
-        let compiled = self.compiled();
-        let view = space.matching(target);
-        if view.is_empty() {
-            return false;
+    fn bind(exec: &Execution<HwAnnot>, fr: Option<Relation>) -> HwBinding<'_> {
+        match fr {
+            Some(fr) => HwBinding::with_fr(exec, fr),
+            None => HwBinding::new(exec),
         }
-        let indices = view.indices();
-        let mut pool = HwPool::over(view.arena()).expect("non-empty view has candidates");
-        // The prelude lives for exactly this stream: batching already
-        // shares it across every candidate of the (space, kernel) pair.
-        let prelude = compiled.prelude(&pool.bind(indices[0]));
-        let mut witnessed = false;
-        compiled.check_batch(
-            &prelude,
-            &mut pool,
-            &indices,
-            &mut EvalScratch::default(),
-            |_, ok| {
-                witnessed = ok;
-                !ok
-            },
-        );
-        witnessed
-    }
-
-    fn allowed_outcomes(
-        &self,
-        space: &ExecutionSpace<HwAnnot>,
-        observed: &[(usize, Reg)],
-    ) -> BTreeSet<Outcome> {
-        let compiled = self.compiled();
-        let view = space.executions();
-        let groups = space.outcome_groups(observed);
-        let Some(mut pool) = HwPool::over(view.arena()) else {
-            return BTreeSet::new();
-        };
-        // Stream-local prelude: see `permits`.
-        let prelude = compiled.prelude(&pool.bind(0));
-        let mut scratch = EvalScratch::default();
-        let mut out = BTreeSet::new();
-        for (outcome, members) in groups.iter() {
-            let mut witnessed = false;
-            compiled.check_batch(&prelude, &mut pool, members, &mut scratch, |_, ok| {
-                witnessed = ok;
-                !ok
-            });
-            if witnessed {
-                out.insert(outcome.clone());
-            }
-        }
-        out
-    }
-}
-
-/// A [`BindingPool`] over a columnar space arena: one reusable
-/// [`ExecCursor`] rebinds the same skeleton execution per candidate and
-/// hands [`HwBinding`]s the arena's precomputed `fr` column.
-struct HwPool<'a> {
-    cursor: ExecCursor<'a, HwAnnot>,
-}
-
-impl<'a> HwPool<'a> {
-    fn over(arena: &'a ExecArena<HwAnnot>) -> Option<Self> {
-        Some(HwPool {
-            cursor: arena.cursor()?,
-        })
-    }
-}
-
-impl BindingPool for HwPool<'_> {
-    type Binding<'b>
-        = HwBinding<'b>
-    where
-        Self: 'b;
-
-    fn universe(&self) -> usize {
-        self.cursor.universe()
-    }
-
-    fn bind(&mut self, index: u32) -> HwBinding<'_> {
-        self.cursor.at(index);
-        HwBinding::with_fr(self.cursor.exec(), self.cursor.fr().clone())
     }
 }
 

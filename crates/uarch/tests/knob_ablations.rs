@@ -5,7 +5,7 @@
 
 use tricheck_compiler::{compile, riscv_mapping};
 use tricheck_isa::{RiscvIsa, SpecVersion};
-use tricheck_litmus::{suite, LitmusTest, MemOrder};
+use tricheck_litmus::{suite, ConsistencyModel, LitmusTest, MemOrder};
 use tricheck_uarch::{ReleasePredecessors, UarchConfig, UarchModel};
 
 fn observable(test: &LitmusTest, isa: RiscvIsa, model: &UarchModel) -> bool {

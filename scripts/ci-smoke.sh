@@ -32,6 +32,9 @@ if grep "tricheck-oracle" "$TMP/cli-tree.txt"; then
   echo "tricheck-oracle is a normal dependency of tricheck-cli" >&2; exit 1
 fi
 
+step "Rustdoc (no warnings, no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 step "CLI power-sweep smoke"
 tricheck sweep wrc --stack power --threads 2 --cache-stats | tee "$TMP/power.txt"
 # The compiled-kernel path must be active: one fused bitset kernel per

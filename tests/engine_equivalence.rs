@@ -54,14 +54,14 @@ proptest! {
         for test in &tests {
             let space = ExecutionSpace::new(test.program().clone());
             prop_assert_eq!(
-                c11.permits_target_in(&space, test.target()),
+                c11.permits(&space, test.target()),
                 c11.permits_target(test)
             );
             let compiled = compile(test, mapping).unwrap();
             let hw_space = ExecutionSpace::new(compiled.program().clone());
             for model in &models {
                 prop_assert_eq!(
-                    model.observes_in(&hw_space, compiled.target()),
+                    model.permits(&hw_space, compiled.target()),
                     model.observes(compiled.program(), compiled.target())
                 );
             }

@@ -8,9 +8,12 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use tricheck::core::{riscv_stacks, Sweep, SweepOptions};
-use tricheck::litmus::{suite, LitmusTest};
+use tricheck::compiler::riscv_mapping;
+use tricheck::core::{diagnose, riscv_stacks, Classification, Sweep, SweepOptions, TriCheck};
+use tricheck::isa::{RiscvIsa, SpecVersion};
+use tricheck::litmus::{extra, suite, LitmusTest, MemOrder};
 use tricheck::trace::{self, json, TraceConfig, TraceReport};
+use tricheck::uarch::UarchModel;
 
 fn session_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -247,5 +250,36 @@ fn serial_metrics_are_deterministic() {
     assert_eq!(
         a_stacks, b_stacks,
         "stack labels and cell counts must match"
+    );
+}
+
+/// Every judging loop evaluates the kernel's space-invariant prelude
+/// once per stream of candidates, not once per candidate. `verify`
+/// judges two one-shot streams (the C11 verdict and the µarch witness
+/// search) and `diagnose` two more, so two tests make eight streams.
+/// Figure 3's WRC has one target-matching candidate per stream; the
+/// all-SC R shape leaves the coherence order on `y` open, so its C11
+/// streams check two candidates before finding none consistent.
+#[test]
+fn one_prelude_per_judged_stream() {
+    let _guard = session_lock();
+    let mapping = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
+    let model = UarchModel::nmm(SpecVersion::Curr);
+    trace::start(TraceConfig::metrics());
+    for test in [suite::fig3_wrc(), extra::r_shape([MemOrder::Sc; 4])] {
+        let verdict = TriCheck::new(mapping, model.clone())
+            .verify(&test)
+            .expect("compiles");
+        let diagnosis = diagnose(mapping, &model, &test).expect("compiles");
+        assert_eq!(diagnosis.classification, verdict.classification());
+        assert_eq!(verdict.classification(), Classification::Bug);
+    }
+    let report = trace::finish().report;
+    let count = |phase: &str| report.phase(phase).map_or(0, |p| p.count);
+    assert_eq!(count("prelude_eval"), 8, "one prelude per judged stream");
+    assert!(
+        count("candidate_check") > count("prelude_eval"),
+        "streams check more candidates ({}) than they evaluate preludes",
+        count("candidate_check")
     );
 }

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tricheck::core::diagnose;
 use tricheck::prelude::*;
-use tricheck::rel::EvalScratch;
+use tricheck::rel::Judge;
 use tricheck::uarch::HwBinding;
 use tricheck_oracle::{c11_check, interpret, random_ir, uarch_check};
 
@@ -57,8 +57,9 @@ fn strengthen(test: &LitmusTest) -> Option<LitmusTest> {
     None
 }
 
-/// The full Figure 15 and §7 sweeps are bit-identical with axiom-driven
-/// pruning on and off — and pruning actually fires — across all 1,701
+/// The full Figure 15 and §7 sweeps, whose shared spaces are
+/// axiom-pruned, are bit-identical to the unpruned per-cell reference
+/// (`run_matrix_naive`) — and pruning actually fires — across all 1,701
 /// tests, in both outcome modes. The production cell verdicts come from
 /// the compiled bitset kernels, so this differential run also pins the
 /// compiled path against the same rows the tree-walking era produced.
@@ -67,52 +68,37 @@ fn strengthen(test: &LitmusTest) -> Option<LitmusTest> {
 #[test]
 fn full_suite_sweeps_are_identical_with_and_without_pruning() {
     let tests = suite::full_suite();
-    let pruned = Sweep::new();
-    let unpruned = Sweep::with_options(SweepOptions {
-        pruning: false,
-        ..SweepOptions::default()
-    });
-    let (a, b) = (
-        pruned.run_matrix(&tests, &riscv_stacks()),
-        unpruned.run_matrix(&tests, &riscv_stacks()),
-    );
+    let sweep = Sweep::new();
+    let a = sweep.run_matrix(&tests, &riscv_stacks());
+    let b = sweep.run_matrix_naive(&tests, &riscv_stacks());
     assert_eq!(a.rows(), b.rows(), "Figure 15 rows must not move");
-    assert_eq!(a.stats().distinct_programs, b.stats().distinct_programs);
-    assert_eq!(a.stats().space_enumerations, b.stats().space_enumerations);
-    assert_eq!(a.stats().c11_evaluations, b.stats().c11_evaluations);
     assert!(
         a.stats().candidates_pruned > 0,
         "pruning must fire on the full suite"
     );
-    assert_eq!(b.stats().candidates_pruned, 0);
     assert!(
         a.stats().compiled_kernels > 0,
         "the compiled path must be active"
     );
 
-    let (a, b) = (
-        pruned.run_matrix(&tests, &builtin_stack("power").unwrap().stacks),
-        unpruned.run_matrix(&tests, &builtin_stack("power").unwrap().stacks),
+    let power = builtin_stack("power").unwrap().stacks;
+    assert_eq!(
+        sweep.run_matrix(&tests, &power).rows(),
+        sweep.run_matrix_naive(&tests, &power).rows(),
+        "§7 rows must not move"
     );
-    assert_eq!(a.rows(), b.rows(), "§7 rows must not move");
 
     // Full-outcome mode exercises the other verdict surface
     // (`allowed_outcomes` instead of `permits`) over the same spaces.
-    let pruned_full = Sweep::with_options(SweepOptions {
+    let full = Sweep::with_options(SweepOptions {
         outcome_mode: OutcomeMode::FullOutcomes,
         ..SweepOptions::default()
     });
-    let unpruned_full = Sweep::with_options(SweepOptions {
-        outcome_mode: OutcomeMode::FullOutcomes,
-        pruning: false,
-        ..SweepOptions::default()
-    });
-    let (a, b) = (
-        pruned_full.run_matrix(&tests, &riscv_stacks()),
-        unpruned_full.run_matrix(&tests, &riscv_stacks()),
+    assert_eq!(
+        full.run_matrix(&tests, &riscv_stacks()).rows(),
+        full.run_matrix_naive(&tests, &riscv_stacks()).rows(),
+        "full-outcome rows must not move"
     );
-    assert_eq!(a.rows(), b.rows(), "full-outcome rows must not move");
-    assert_eq!(b.stats().candidates_pruned, 0);
 }
 
 proptest! {
@@ -363,7 +349,7 @@ proptest! {
     /// The model compiler agrees with the naive interpreter, verdict and
     /// first violated axiom, on random IRs over the hardware vocabulary:
     /// every enumerated candidate of a random compiled variant is judged
-    /// by the kernel through one shared prelude, as sweeps judge them.
+    /// by one `Judge` (one shared prelude), as sweeps judge them.
     #[test]
     fn compiled_random_irs_agree_with_the_interpreter(
         seed in 0u64..u64::MAX,
@@ -371,18 +357,15 @@ proptest! {
     ) {
         let ir = random_ir(seed);
         let model = UarchModel::from_ir(ir.clone());
-        let kernel = model.compiled();
         let isa = if seed & 1 == 0 { RiscvIsa::Base } else { RiscvIsa::BaseA };
         let version = if seed & 2 == 0 { SpecVersion::Curr } else { SpecVersion::Ours };
         let compiled = compile(&test, riscv_mapping(isa, version)).unwrap();
-        let mut prelude = None;
-        let mut scratch = EvalScratch::default();
+        let mut judge = Judge::new(model.compiled());
         let mut checked = 0;
         tricheck::litmus::enumerate_executions(compiled.program(), &mut |exec| {
             let binding = HwBinding::new(exec);
-            let prelude = prelude.get_or_insert_with(|| kernel.prelude(&binding));
             assert_eq!(
-                kernel.check_with_scratch(prelude, &binding, &mut scratch),
+                judge.check(&binding),
                 interpret(&ir, &binding),
                 "seed {seed}: compiled kernel disagrees with the interpreter on {} \
                  (candidate {checked})\n{ir}",
