@@ -29,7 +29,7 @@ use tricheck_litmus::{
     enumerate_executions, enumerate_executions_pruned, suite, ConsistencyModel, Execution,
     ExecutionSpace, LitmusTest,
 };
-use tricheck_oracle::{interpret, uarch_check};
+use tricheck_oracle::{interpret, uarch_check, UarchConfig};
 use tricheck_rel::Judge;
 use tricheck_uarch::{HwBinding, UarchModel};
 
@@ -67,12 +67,17 @@ fn bench_model_eval(c: &mut Criterion) {
         let test = &family(fam)[0];
         let execs = candidates(test);
         let models = [
-            UarchModel::nmm(SpecVersion::Curr),
-            UarchModel::a9like(SpecVersion::Ours),
+            (
+                UarchModel::nmm(SpecVersion::Curr),
+                UarchConfig::nmm(SpecVersion::Curr),
+            ),
+            (
+                UarchModel::a9like(SpecVersion::Ours),
+                UarchConfig::a9like(SpecVersion::Ours),
+            ),
         ];
-        for model in &models {
-            let ir = model.ir(); // build outside the timed region
-            let config = model.config().expect("knob-driven model");
+        for (model, config) in &models {
+            let ir = model.ir();
             let kernel = model.compiled(); // compile outside the timed region
             group.bench_function(format!("{fam}/{}/imperative", model.name()), |b| {
                 b.iter(|| {

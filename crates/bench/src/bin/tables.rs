@@ -1,10 +1,10 @@
 //! Regenerates the paper's Tables 1–3 (compiler mappings) and
-//! Figure 7 (the µSpec model relaxation matrix).
+//! Figure 7 (the µSpec model relaxation matrix, read from the Table 7
+//! knobs that `tricheck-oracle` pins the built-in model files to).
 
 use tricheck_compiler::{power_mapping, riscv_mapping, Mapping, PowerSyncStyle};
 use tricheck_isa::{format_instr, Asm, RiscvIsa, SpecVersion};
 use tricheck_litmus::{Expr, MemOrder, Reg};
-use tricheck_uarch::{StoreAtomicity, UarchConfig};
 
 fn mapping_row(mapping: &dyn Mapping, dialect: Asm, mo: MemOrder, is_load: bool) -> String {
     let addr = Expr::Const(1);
@@ -48,29 +48,6 @@ fn print_mapping_table(title: &str, dialect: Asm, columns: &[(&str, &dyn Mapping
     println!();
 }
 
-fn print_figure7() {
-    println!("== Figure 7: uSpec models (RISC-V-compliant relaxations) ==");
-    println!(
-        "{:<8} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}",
-        "model", "W->R", "W->W", "R->M", "MCA", "rMCA", "nMCA"
-    );
-    for cfg in UarchConfig::all_riscv(SpecVersion::Curr) {
-        let name = cfg.name.split('/').next().unwrap_or(&cfg.name);
-        let tick = |b: bool| if b { "x" } else { "" };
-        println!(
-            "{:<8} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}",
-            name,
-            "x", // all seven models relax W->R
-            tick(cfg.relax_ww),
-            tick(cfg.relax_rm),
-            tick(cfg.atomicity == StoreAtomicity::Mca),
-            tick(cfg.atomicity == StoreAtomicity::RMca),
-            tick(cfg.atomicity == StoreAtomicity::NMca),
-        );
-    }
-    println!();
-}
-
 fn main() {
     print_mapping_table(
         "Table 1: leading-sync C11 -> Power",
@@ -102,5 +79,5 @@ fn main() {
             ("Refined", riscv_mapping(RiscvIsa::BaseA, SpecVersion::Ours)),
         ],
     );
-    print_figure7();
+    println!("{}", tricheck_oracle::figure7());
 }

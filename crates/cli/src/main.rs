@@ -24,13 +24,17 @@
 //!
 //! Every option is checked against the subcommand it is given to:
 //! unknown `--flags` and flags that do not apply to the subcommand are
-//! rejected with an error naming the flag, never silently ignored.
+//! rejected with an error naming the flag, never silently ignored. Such
+//! command-line errors print the usage text after the message; a
+//! command that runs and fails (say, a model file that does not parse)
+//! prints its message alone.
 //!
 //! options: --isa base|base+a    (default base)
 //!          --spec curr|ours     (default curr)
 //!          --model WR|rWR|rWM|rMM|nWR|nMM|A9like   (default nMM)
 //!                               or a path to a herd-style model file
-//!                               (see `models/x86-tso.cat`); for `sweep`
+//!                               (every built-in is one: see
+//!                               `models/riscv-curr/`); for `sweep`
 //!                               the value must be a model file, which is
 //!                               judged under all four C11→RISC-V
 //!                               mappings
@@ -93,13 +97,45 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => ExitCode::from(code),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+        Err(e) => {
+            eprintln!("error: {e}");
+            if matches!(e, CliError::Usage(_)) {
+                eprintln!();
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why an invocation failed. Only a malformed command line earns the
+/// usage text; a command that ran and failed (a model file that does
+/// not parse, an unknown test) prints its message alone.
+#[derive(Debug, PartialEq)]
+enum CliError {
+    /// The arguments are wrong: an unknown command or flag, a missing
+    /// or bad value, or flags that do not apply or do not combine.
+    Usage(String),
+    /// The command ran and failed.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(msg.into())
 }
 
 const USAGE: &str = "usage:
@@ -118,9 +154,10 @@ const USAGE: &str = "usage:
   tricheck lint FILE [--json] [--deny-warnings]
 
 models: WR rWR rWM rMM nWR nMM A9like (default nMM), or a path to a
-        herd-style model file (models/x86-tso.cat is a worked example);
-        sweep only accepts the file form, judging it under all four
-        C11→RISC-V mappings
+        herd-style model file; every built-in is one, so copy and edit
+        models/riscv-curr/*.cat (or models/riscv-ours/) to try a
+        variant; sweep only accepts the file form, judging it under all
+        four C11→RISC-V mappings
 stacks: sweep --stack NAME sweeps a registered stack matrix instead of
         the RISC-V Figure 15 (riscv): power is the §7 compiler study
         ({leading,trailing}-sync C11→Power mappings on the ARMv7 models),
@@ -361,29 +398,27 @@ fn check_flags_apply(command: &str, opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn model_by_name(name: &str, spec: SpecVersion) -> Result<UarchModel, String> {
-    let model = match name.to_lowercase().as_str() {
-        "wr" => UarchModel::wr(spec),
-        "rwr" => UarchModel::rwr(spec),
-        "rwm" => UarchModel::rwm(spec),
-        "rmm" => UarchModel::rmm(spec),
-        "nwr" => UarchModel::nwr(spec),
-        "nmm" => UarchModel::nmm(spec),
-        "a9like" | "a9" => UarchModel::a9like(spec),
-        other => {
-            return Err(format!(
-                "unknown model '{other}' (expected one of WR rWR rWM rMM nWR nMM A9like, \
-                 or a path to a model file)"
-            ))
-        }
+/// Looks up a Table 7 model under one spec version in the built-in
+/// model table (`nMM` is `nMM/riscv-curr` under `--spec curr`; any
+/// case; `a9` abbreviates `A9like`).
+fn model_by_name(name: &str, spec: SpecVersion) -> Result<UarchModel, CliError> {
+    let bare = if name.eq_ignore_ascii_case("a9") {
+        "A9like"
+    } else {
+        name
     };
-    Ok(model)
+    UarchModel::builtin(&format!("{bare}/{spec}")).ok_or_else(|| {
+        usage(format!(
+            "unknown model '{name}' (expected one of WR rWR rWM rMM nWR nMM A9like, \
+             or a path to a model file)"
+        ))
+    })
 }
 
 /// Resolves `--model` for the single-test commands: a value naming an
 /// existing file is parsed as a herd-style model file; anything else is
 /// looked up as a built-in µarch model name.
-fn resolve_model(opts: &Options) -> Result<UarchModel, String> {
+fn resolve_model(opts: &Options) -> Result<UarchModel, CliError> {
     let path = std::path::Path::new(&opts.model);
     if path.is_file() {
         let ir = tricheck::core::load_model_file(path).map_err(|e| e.to_string())?;
@@ -439,11 +474,14 @@ fn format_c11_program(test: &LitmusTest) -> String {
     out
 }
 
-fn run(args: &[String]) -> Result<u8, String> {
-    let (positional, opts) = parse_options(args)?;
+fn run(args: &[String]) -> Result<u8, CliError> {
+    let (positional, opts) = parse_options(args).map_err(CliError::Usage)?;
     let mut pos = positional.into_iter();
-    let command = pos.next().map(String::as_str).ok_or("no command given")?;
-    check_flags_apply(command, &opts)?;
+    let command = pos
+        .next()
+        .map(String::as_str)
+        .ok_or_else(|| usage("no command given"))?;
+    check_flags_apply(command, &opts).map_err(CliError::Usage)?;
     match command {
         "list" => {
             let family = pos.next().cloned();
@@ -458,7 +496,7 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "show" => {
-            let name = pos.next().ok_or("show needs a test name")?;
+            let name = pos.next().ok_or_else(|| usage("show needs a test name"))?;
             let test = find_test(name)?;
             println!("{}", format_c11_program(&test));
             println!("target outcome: {}", test.target());
@@ -473,7 +511,9 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "compile" => {
-            let name = pos.next().ok_or("compile needs a test name")?;
+            let name = pos
+                .next()
+                .ok_or_else(|| usage("compile needs a test name"))?;
             let test = find_test(name)?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let compiled = compile(&test, mapping).map_err(|e| e.to_string())?;
@@ -482,7 +522,9 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "verify" => {
-            let name = pos.next().ok_or("verify needs a test name")?;
+            let name = pos
+                .next()
+                .ok_or_else(|| usage("verify needs a test name"))?;
             let test = find_test(name)?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
@@ -492,7 +534,9 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "diagnose" => {
-            let name = pos.next().ok_or("diagnose needs a test name")?;
+            let name = pos
+                .next()
+                .ok_or_else(|| usage("diagnose needs a test name"))?;
             let test = find_test(name)?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
@@ -501,7 +545,7 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "dot" => {
-            let name = pos.next().ok_or("dot needs a test name")?;
+            let name = pos.next().ok_or_else(|| usage("dot needs a test name"))?;
             let test = find_test(name)?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
@@ -511,14 +555,14 @@ fn run(args: &[String]) -> Result<u8, String> {
                     print!("{dot}");
                     Ok(0)
                 }
-                None => Err(format!(
+                None => Err(CliError::Failed(format!(
                     "target outcome of '{name}' is not observable on {} — no witness to draw",
                     opts.model
-                )),
+                ))),
             }
         }
         "file" => {
-            let path = pos.next().ok_or("file needs a path")?;
+            let path = pos.next().ok_or_else(|| usage("file needs a path"))?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let test = tricheck::litmus::format::parse_litmus(&text).map_err(|e| e.to_string())?;
             println!("{}", format_c11_program(&test));
@@ -530,7 +574,9 @@ fn run(args: &[String]) -> Result<u8, String> {
             Ok(0)
         }
         "lint" => {
-            let path = pos.next().ok_or("lint needs a model or stack file path")?;
+            let path = pos
+                .next()
+                .ok_or_else(|| usage("lint needs a model or stack file path"))?;
             let (origin, diags, rules) =
                 tricheck::core::lint_path(std::path::Path::new(path)).map_err(|e| e.to_string())?;
             let errors = diags
@@ -566,11 +612,10 @@ fn run(args: &[String]) -> Result<u8, String> {
             // entry or a stack file), resolved before anything else so
             // `--list-models` can catalog a loaded file too.
             if opts.stack.is_some() && opts.was_given("--model") {
-                return Err(
+                return Err(usage(
                     "--stack and --model cannot be combined: a stack file already \
-                     names its model"
-                        .to_string(),
-                );
+                     names its model",
+                ));
             }
             let mut registry = tricheck::core::StackRegistry::new();
             let spec = opts.stack.as_deref().unwrap_or("riscv");
@@ -583,12 +628,12 @@ fn run(args: &[String]) -> Result<u8, String> {
             let model_stacks = if opts.was_given("--model") {
                 let path = std::path::Path::new(&opts.model);
                 if !path.is_file() {
-                    return Err(format!(
+                    return Err(usage(format!(
                         "sweep --model takes a path to a model file, and '{}' is not \
                          a file (built-in µarch model names apply to \
                          verify/diagnose/dot/file)",
                         opts.model
-                    ));
+                    )));
                 }
                 let (ir, diags) =
                     tricheck::core::load_model_file_linted(path).map_err(|e| e.to_string())?;
@@ -609,11 +654,10 @@ fn run(args: &[String]) -> Result<u8, String> {
             if (from_file || model_stacks.is_some())
                 && (opts.shards.is_some() || opts.cache_dir.is_some())
             {
-                return Err(
+                return Err(usage(
                     "--shards/--cache-dir cannot be combined with --stack FILE or --model \
-                     FILE: sharded sweeps only run the built-in matrices"
-                        .to_string(),
-                );
+                     FILE: sharded sweeps only run the built-in matrices",
+                ));
             }
             let family = pos.next().cloned().unwrap_or_else(|| "wrc".to_string());
             let tests: Vec<LitmusTest> = suite::full_suite()
@@ -621,10 +665,10 @@ fn run(args: &[String]) -> Result<u8, String> {
                 .filter(|t| t.family() == family)
                 .collect();
             if tests.is_empty() {
-                return Err(format!("unknown family '{family}'"));
+                return Err(CliError::Failed(format!("unknown family '{family}'")));
             }
             if opts.shards.is_some() || opts.cache_dir.is_some() {
-                return run_dist_sweep(&family, &tests, matrix, &opts);
+                return Ok(run_dist_sweep(&family, &tests, matrix, &opts)?);
             }
             let session = begin_sweep_trace(&opts);
             let mut sweep_opts = SweepOptions::default();
@@ -651,8 +695,11 @@ fn run(args: &[String]) -> Result<u8, String> {
         // The child half of the --shards protocol: job on stdin, result
         // on stdout. Spawned by the planner, not typed by users (hence
         // absent from the usage text).
-        "shard-worker" => tricheck::dist::shard_worker_stdio().map(|()| 0),
-        other => Err(format!("unknown command '{other}'")),
+        "shard-worker" => {
+            tricheck::dist::shard_worker_stdio()?;
+            Ok(0)
+        }
+        other => Err(usage(format!("unknown command '{other}'"))),
     }
 }
 
@@ -1088,7 +1135,9 @@ mod tests {
 
     #[test]
     fn unknown_stack_names_fail_listing_the_registered_names() {
-        let err = run(&strings(&["sweep", "wrc", "--stack", "nosuch"])).unwrap_err();
+        let err = run(&strings(&["sweep", "wrc", "--stack", "nosuch"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("unknown stack 'nosuch'"), "{err}");
         assert!(err.contains("riscv, power, x86-tso"), "{err}");
     }
@@ -1196,10 +1245,55 @@ mod tests {
 
     #[test]
     fn all_seven_models_resolve() {
-        for m in ["WR", "rWR", "rWM", "rMM", "nWR", "nMM", "A9like"] {
-            assert!(model_by_name(m, SpecVersion::Curr).is_ok(), "{m}");
+        for spec in [SpecVersion::Curr, SpecVersion::Ours] {
+            for m in ["WR", "rWR", "rWM", "rMM", "nWR", "nMM", "A9like"] {
+                let model = model_by_name(m, spec).unwrap();
+                assert_eq!(model.name(), format!("{m}/{spec}"));
+            }
         }
+        let alias = model_by_name("a9", SpecVersion::Ours).unwrap();
+        assert_eq!(alias.name(), "A9like/riscv-ours");
+        assert_eq!(
+            model_by_name("nmm", SpecVersion::Curr).unwrap().name(),
+            "nMM/riscv-curr"
+        );
         assert!(model_by_name("tso", SpecVersion::Curr).is_err());
+    }
+
+    #[test]
+    fn command_line_errors_get_the_usage_text() {
+        for args in [
+            vec!["frobnicate"],
+            vec![],
+            vec!["sweep", "--frobnicate"],
+            vec!["verify"],
+            vec!["verify", "x", "--threads", "2"],
+            vec!["verify", "mp+rlx+rlx+rlx+rlx", "--model", "tso"],
+            vec!["sweep", "sb", "--model", "nMM"],
+        ] {
+            let err = run(&strings(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{args:?}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn failures_after_parsing_do_not_get_the_usage_text() {
+        // A model file that does not parse is the file's error, reported
+        // with its position, not a usage error.
+        let bad = temp_file("parse-error.cat", "model m\n  A: acyclic((po ∪ ))\n");
+        let path = bad.to_str().unwrap();
+        for args in [
+            vec!["verify", "mp+rlx+rlx+rlx+rlx", "--model", path],
+            vec!["sweep", "sb", "--model", path],
+            vec!["lint", path],
+        ] {
+            let err = run(&strings(&args)).unwrap_err();
+            assert!(matches!(err, CliError::Failed(_)), "{args:?}: {err:?}");
+            assert!(err.to_string().contains(":2: column"), "{err}");
+        }
+        std::fs::remove_file(&bad).unwrap();
+        let err = run(&strings(&["verify", "nonexistent"])).unwrap_err();
+        assert!(matches!(err, CliError::Failed(_)), "{err:?}");
     }
 
     #[test]
@@ -1241,7 +1335,7 @@ mod tests {
             (vec!["file", "x", "--cache-dir", "/tmp/x"], "--cache-dir"),
             (vec!["verify", "x", "--stack", STACK_FILE], "--stack"),
         ] {
-            let err = run(&strings(&args)).unwrap_err();
+            let err = run(&strings(&args)).unwrap_err().to_string();
             assert!(
                 err.contains(&format!("'{flag}' does not apply")),
                 "{args:?}: {err}"
@@ -1277,7 +1371,8 @@ mod tests {
             "--model",
             "tso",
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("unknown model 'tso'"), "{err}");
     }
 
@@ -1286,12 +1381,14 @@ mod tests {
         let e = run(&strings(&[
             "sweep", "sb", "--stack", STACK_FILE, "--model", MODEL_FILE,
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(e.contains("cannot be combined"), "{e}");
         let e = run(&strings(&[
             "sweep", "sb", "--stack", STACK_FILE, "--shards", "2",
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(e.contains("--shards/--cache-dir"), "{e}");
         let e = run(&strings(&[
             "sweep",
@@ -1301,10 +1398,13 @@ mod tests {
             "--cache-dir",
             "/tmp/x",
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(e.contains("--shards/--cache-dir"), "{e}");
         // sweep --model only takes the file form.
-        let e = run(&strings(&["sweep", "sb", "--model", "nMM"])).unwrap_err();
+        let e = run(&strings(&["sweep", "sb", "--model", "nMM"]))
+            .unwrap_err()
+            .to_string();
         assert!(e.contains("is not a file"), "{e}");
     }
 
@@ -1318,7 +1418,9 @@ mod tests {
             "stack broken\nisa x86\nmapping m\nld rlx = frobnicate\nmodel broken\n  A: acyclic(po)\n",
         )
         .unwrap();
-        let err = run(&strings(&["sweep", "sb", "--stack", bad.to_str().unwrap()])).unwrap_err();
+        let err = run(&strings(&["sweep", "sb", "--stack", bad.to_str().unwrap()]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("bad.stack:4"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1372,7 +1474,7 @@ model lint-bad
             (vec!["lint", "f", "--threads", "2"], "--threads"),
             (vec!["verify", "x", "--json"], "--json"),
         ] {
-            let err = run(&strings(&args)).unwrap_err();
+            let err = run(&strings(&args)).unwrap_err().to_string();
             assert!(
                 err.contains(&format!("'{flag}' does not apply")),
                 "{args:?}: {err}"
@@ -1424,7 +1526,9 @@ model lint-bad
     fn sweep_refuses_lint_errors_unless_allowed() {
         let bad = temp_file("sweep-gate.stack", LINT_BAD_STACK);
         let path = bad.to_str().unwrap();
-        let err = run(&strings(&["sweep", "sb", "--stack", path])).unwrap_err();
+        let err = run(&strings(&["sweep", "sb", "--stack", path]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("lint error"), "{err}");
         assert!(err.contains("--allow-lint-errors"), "{err}");
         // The override sweeps the (vacuous but well-formed) model anyway.

@@ -7,8 +7,10 @@
 //! `x86-tso` (the x86 mapping study, which *is* the committed
 //! `models/x86-tso.stack`, compiled in with `include_str!` and parsed
 //! by [`parse_stack_file`] like any user stack). The RISC-V and Power
-//! models stay knob-generated from `UarchConfig` (paper Table 7), and
-//! their mappings are the compiler crate's built-in tables.
+//! matrices pair the compiler crate's built-in mapping tables with
+//! built-in µarch models, which are model files too: the Table 7
+//! machines of `models/riscv-curr/` and `models/riscv-ours/` and the
+//! ARMv7 machines of `models/armv7/`, compiled into `tricheck-uarch`.
 //!
 //! A *stack file* packages everything `Sweep::run_matrix` needs for a
 //! matrix column that never appears in Rust source:
@@ -120,7 +122,8 @@ pub struct LoadedStack {
     /// The report table title (the `title` directive, or a default).
     pub title: String,
     /// Where the stack was loaded from (for catalogs and errors);
-    /// `built-in` for the knob-generated built-ins.
+    /// `built-in` for the `riscv` and `power` matrices, which the
+    /// registry assembles from built-in mappings and model files.
     pub origin: String,
     /// The matrix columns, in presentation order; each key carries its
     /// ISA and variant labels (for a file: the `isa` directive and the

@@ -1143,8 +1143,6 @@ mod tests {
         assert_eq!(stacks.len(), 2);
         for stack in &stacks {
             assert_eq!(stack.key.isa_label(), "x86");
-            // The TSO model is IR-only: no relaxation config behind it.
-            assert!(stack.model.config().is_none());
             assert_eq!(stack.model.ir().name(), "x86-TSO");
         }
     }

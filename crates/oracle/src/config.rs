@@ -1,5 +1,7 @@
 //! Microarchitecture configuration: the relaxation knobs of the paper's
-//! Table 7 models and the §5 ISA-refinement switches.
+//! Table 7 models and the §5 ISA-refinement switches, from which
+//! [`crate::build_uarch_ir`] generates the built-in models and
+//! [`crate::uarch_check`] evaluates them imperatively.
 
 use std::fmt;
 
@@ -31,12 +33,10 @@ pub enum ReleasePredecessors {
 }
 
 /// The full relaxation/refinement configuration of one microarchitecture
-/// model evaluated against one ISA specification version.
-///
-/// Build the paper's models through the constructors on
-/// [`crate::UarchModel`]; custom configurations support the paper's
-/// "iterative design" workflow (changing one knob and re-running
-/// TriCheck).
+/// model evaluated against one ISA specification version. The 16
+/// configurations [`UarchConfig::all_builtin`] lists generate the
+/// committed built-in model files; a modified configuration is a knob
+/// ablation (see `tests/knob_ablations.rs`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UarchConfig {
     /// Display name, e.g. `"nMM/riscv-curr"`.
@@ -208,6 +208,47 @@ impl UarchConfig {
             Self::a9like(version),
         ]
     }
+
+    /// The configurations of all 16 built-in models, in the built-in
+    /// table's order: Table 7 under riscv-curr, under riscv-ours, then
+    /// the ARMv7 machines.
+    #[must_use]
+    pub fn all_builtin() -> Vec<Self> {
+        let mut all = Self::all_riscv(SpecVersion::Curr);
+        all.extend(Self::all_riscv(SpecVersion::Ours));
+        all.extend(Self::all_armv7());
+        all
+    }
+}
+
+/// The paper's Figure 7, the relaxation matrix of the seven Table 7
+/// models, rendered from their knobs: one row per model, an `x` per
+/// relaxed ordering and for its store-atomicity class.
+#[must_use]
+pub fn figure7() -> String {
+    use fmt::Write as _;
+    let tick = |b: bool| if b { "x" } else { "" };
+    let mut out = String::from("== Figure 7: uSpec models (RISC-V-compliant relaxations) ==\n");
+    let _ = writeln!(
+        out,
+        "{:<8} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}",
+        "model", "W->R", "W->W", "R->M", "MCA", "rMCA", "nMCA"
+    );
+    for cfg in UarchConfig::all_riscv(SpecVersion::Curr) {
+        let name = cfg.name.split('/').next().unwrap_or(&cfg.name);
+        let _ = writeln!(
+            out,
+            "{:<8} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}",
+            name,
+            "x", // all seven models relax W->R
+            tick(cfg.relax_ww),
+            tick(cfg.relax_rm),
+            tick(cfg.atomicity == StoreAtomicity::Mca),
+            tick(cfg.atomicity == StoreAtomicity::RMca),
+            tick(cfg.atomicity == StoreAtomicity::NMca),
+        );
+    }
+    out
 }
 
 impl fmt::Display for UarchConfig {

@@ -8,21 +8,31 @@
 //! - [`interpret`]: a naive tree-walking interpreter of any `ModelIr`,
 //!   the compiler's oracle on arbitrary IRs (drawn by [`random_ir`]);
 //! - [`uarch_check`]: the imperative microarchitecture checker, the only
-//!   oracle independent of `build_uarch_ir`;
+//!   oracle independent of the model text;
 //! - [`c11_check`]: the imperative C11 checker, independent of
 //!   `C11Model::ir`.
 //!
 //! `tests/model_properties.rs` runs all three against the kernel.
+//!
+//! The crate also holds the knob generator of the built-in hardware
+//! models ([`UarchConfig`], [`build_uarch_ir`]), and renders the
+//! paper's Figure 7 from the same knobs ([`figure7`]). The models ship as the
+//! committed files under `models/`; the generator pins that text to the
+//! paper's Table 7 knobs, and [`uarch_check`] reads the same knobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod c11;
+mod config;
+mod generate;
 mod interpret;
 mod random;
 mod uarch;
 
 pub use c11::c11_check;
+pub use config::{figure7, ReleasePredecessors, StoreAtomicity, UarchConfig};
+pub use generate::build_uarch_ir;
 pub use interpret::interpret;
 pub use random::random_ir;
 pub use uarch::uarch_check;

@@ -2,9 +2,10 @@
 //! evaluation of the axioms in the `tricheck-uarch` crate docs, written
 //! directly over [`Relation`] operations from a [`UarchConfig`]'s knobs.
 //!
-//! It shares no code with `build_uarch_ir`, so it is the only oracle
-//! that can catch a knob compiled into the wrong IR structure. It shares
-//! only the fence edge split with the model, through [`HwBinding`]'s
+//! It shares no code with [`crate::build_uarch_ir`] or the model files
+//! that generator pins, so it is the only oracle that can catch a knob
+//! compiled into the wrong IR structure. It shares only the fence edge
+//! split with the model, through [`HwBinding`]'s
 //! `fence-noncum`/`fence-cum`/`fence-heavy` bases: that split is
 //! annotation bookkeeping, not model semantics.
 
@@ -12,7 +13,9 @@ use tricheck_isa::HwAnnot;
 use tricheck_litmus::Execution;
 use tricheck_rel::ir::BaseRelations;
 use tricheck_rel::{EventSet, Relation};
-use tricheck_uarch::{HwBinding, ReleasePredecessors, StoreAtomicity, UarchConfig};
+use tricheck_uarch::HwBinding;
+
+use crate::config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
 
 /// Checks one candidate execution against a knob-driven
 /// microarchitecture, reporting the first violated axiom under the name

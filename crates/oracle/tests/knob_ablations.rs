@@ -6,7 +6,8 @@
 use tricheck_compiler::{compile, riscv_mapping};
 use tricheck_isa::{RiscvIsa, SpecVersion};
 use tricheck_litmus::{suite, ConsistencyModel, LitmusTest, MemOrder};
-use tricheck_uarch::{ReleasePredecessors, UarchConfig, UarchModel};
+use tricheck_oracle::{build_uarch_ir, ReleasePredecessors, UarchConfig};
+use tricheck_uarch::UarchModel;
 
 fn observable(test: &LitmusTest, isa: RiscvIsa, model: &UarchModel) -> bool {
     let compiled = compile(test, riscv_mapping(isa, SpecVersion::Ours)).expect("compiles");
@@ -29,7 +30,7 @@ fn dropping_same_address_ordering_reintroduces_corr() {
     assert!(observable(
         &test,
         RiscvIsa::Base,
-        &UarchModel::from_config(cfg)
+        &UarchModel::from_ir(build_uarch_ir(&cfg))
     ));
 }
 
@@ -49,7 +50,7 @@ fn dropping_cumulative_releases_reintroduces_base_a_wrc() {
     assert!(observable(
         &test,
         RiscvIsa::BaseA,
-        &UarchModel::from_config(cfg)
+        &UarchModel::from_ir(build_uarch_ir(&cfg))
     ));
 }
 
@@ -81,7 +82,7 @@ fn eager_release_sync_forbids_the_lazy_optimization() {
     assert!(!observable(
         &test,
         RiscvIsa::BaseA,
-        &UarchModel::from_config(cfg)
+        &UarchModel::from_ir(build_uarch_ir(&cfg))
     ));
 }
 
@@ -107,5 +108,5 @@ fn a9like_visibility_knob_controls_the_96_vs_72_split() {
     nmm_like_a9.sc_amo_writes_globally_visible = true;
     nmm_like_a9.name = "nMM+amo-visibility".into();
     assert_eq!(bugs(&UarchModel::nmm(SpecVersion::Curr)), 96);
-    assert_eq!(bugs(&UarchModel::from_config(nmm_like_a9)), 72);
+    assert_eq!(bugs(&UarchModel::from_ir(build_uarch_ir(&nmm_like_a9))), 72);
 }

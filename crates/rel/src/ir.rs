@@ -83,10 +83,11 @@
 //! ```
 //!
 //! The production models live next to their bindings:
-//! `tricheck_c11::C11Model::ir()` and `tricheck_uarch`'s
-//! `build_uarch_ir` (one IR per microarchitecture configuration, plus
-//! the hand-written x86-TSO model) — see the crate docs of
-//! [`crate`](self) for the worked ARMv7 A9-like definition.
+//! `tricheck_c11::C11Model::ir()`, and the hardware models, which are
+//! text files under `models/` (the 16 `tricheck_uarch` built-ins plus
+//! the x86-TSO stack) parsed against `tricheck_uarch`'s vocabulary —
+//! see the crate docs of [`crate`](self) for the worked ARMv7 A9-like
+//! definition.
 
 use std::fmt;
 

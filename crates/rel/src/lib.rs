@@ -21,9 +21,9 @@
 //! the operators above plus acyclicity/irreflexivity/emptiness
 //! [`Axiom`]s, evaluated against any execution through a pluggable
 //! [`BaseRelations`] binding. See [`ir`] for the grammar; as a worked
-//! example, this is the complete §7 ARMv7 Cortex-A9-like machine as
-//! `tricheck-uarch`'s `build_uarch_ir` compiles it from its relaxation
-//! knobs (`Display` output, verbatim):
+//! example, this is the complete §7 ARMv7 Cortex-A9-like machine, the
+//! built-in model file `models/armv7/A9like.cat` (its header comment
+//! aside; also the model's `Display` output, verbatim):
 //!
 //! ```text
 //! model ARMv7-A9like
@@ -60,7 +60,7 @@
 //! Base relations (`po`, `rf`, `co`, `fr`, fence edge sets, …) and base
 //! sets (`R`, `W`, `M`, AMO ordering-bit sets) come from the binding;
 //! everything model-specific is in the definitions above. The C11 model
-//! and the hand-written x86-TSO machine are phrased the same way.
+//! and every other hardware model are phrased the same way.
 //!
 //! # The model parser
 //!

@@ -11,12 +11,15 @@
 //! | [`c11`] | `tricheck-c11` | the C11 axiomatic model (Step 1) |
 //! | [`isa`] | `tricheck-isa` | RISC-V / Power instruction annotations |
 //! | [`compiler`] | `tricheck-compiler` | Tables 1–3 mappings (Step 2) |
-//! | [`uarch`] | `tricheck-uarch` | the seven µSpec models (Step 3) |
+//! | [`uarch`] | `tricheck-uarch` | the µarch models, built-ins as files under `models/` (Step 3) |
 //! | [`core`] | `tricheck-core` | classification & sweeps (Step 4) |
 //! | [`dist`] | `tricheck-dist` | sharded multi-process sweeps + on-disk store |
 //! | [`trace`] | `tricheck-trace` | structured tracing + metrics for the pipeline |
-//! | [`opsim`] | `tricheck-opsim` | operational store-buffer machines |
-//! | [`sieve`] | `tricheck-sieve` | the Figure 2 workload |
+//!
+//! The facade holds the pipeline only. The operational store-buffer
+//! machines (`tricheck-opsim`, a cross-validation oracle) and the
+//! Figure 2 sieve workload (`tricheck-sieve`) are separate crates that
+//! examples, tests and benches depend on directly.
 //!
 //! # Quickstart
 //!
@@ -96,9 +99,7 @@ pub use tricheck_core as core;
 pub use tricheck_dist as dist;
 pub use tricheck_isa as isa;
 pub use tricheck_litmus as litmus;
-pub use tricheck_opsim as opsim;
 pub use tricheck_rel as rel;
-pub use tricheck_sieve as sieve;
 pub use tricheck_trace as trace;
 pub use tricheck_uarch as uarch;
 
@@ -115,7 +116,7 @@ pub mod prelude {
     pub use tricheck_dist::{run_sharded, DiskStore, DistOptions, DistResults};
     pub use tricheck_isa::{format_program, AmoBits, Asm, HwAnnot, RiscvIsa, SpecVersion};
     pub use tricheck_litmus::{suite, ConsistencyModel, LitmusTest, MemOrder, Outcome, Program};
-    pub use tricheck_uarch::{UarchConfig, UarchModel};
+    pub use tricheck_uarch::UarchModel;
 }
 
 #[cfg(test)]

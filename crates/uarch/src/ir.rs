@@ -1,17 +1,17 @@
-//! The microarchitecture models as declarative IR: a [`BaseRelations`]
-//! binding over hardware-level executions, a compiler from
-//! [`UarchConfig`] relaxation knobs to a [`ModelIr`]. Models written
-//! directly as text (e.g. the x86-TSO model in `models/x86-tso.stack`)
-//! are parsed against [`hw_vocabulary`] into the same IR.
+//! The hardware vocabulary the microarchitecture models are written
+//! in: a [`BaseRelations`] binding over hardware-level executions, and
+//! the names and lint schema a model file is parsed and checked
+//! against. Every model — the built-ins under `models/` and any user
+//! file — is text parsed against [`hw_vocabulary`] into a
+//! `tricheck_rel::ModelIr`.
 //!
 //! The binding is deliberately *model-free*: every base it provides is
 //! derived from the execution's events and annotations alone (program
 //! order, communication relations, fence-induced edge sets, AMO
 //! ordering-bit event sets). All model semantics — which relaxations a
 //! pipeline performs, what a release publishes, how propagation
-//! composes — live in the IR built by [`build_uarch_ir`], so a model is
-//! a value you can print, diff, and extend without touching the
-//! evaluator.
+//! composes — live in the model text, so a model is a file you can
+//! print, diff, and edit without touching the evaluator.
 //!
 //! # Base names
 //!
@@ -24,10 +24,8 @@
 
 use tricheck_isa::HwAnnot;
 use tricheck_litmus::{EventKind, Execution};
-use tricheck_rel::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
+use tricheck_rel::ir::BaseRelations;
 use tricheck_rel::{EventSet, Relation};
-
-use crate::config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
 
 /// Every base-relation name [`HwBinding`] can resolve, in the order the
 /// module docs list them. This is the relation half of the vocabulary a
@@ -267,249 +265,6 @@ impl BaseRelations for HwBinding<'_> {
     }
 }
 
-fn rel(name: &'static str) -> RelExpr {
-    RelExpr::base(name)
-}
-
-fn set(name: &'static str) -> SetExpr {
-    SetExpr::base(name)
-}
-
-fn reference(name: &'static str) -> RelExpr {
-    RelExpr::reference(name)
-}
-
-/// Compiles a [`UarchConfig`] into its declarative model: every
-/// relaxation knob becomes structure in the returned [`ModelIr`], and
-/// the result is judged through [`HwBinding`] with no further
-/// config-dependence. The test-only imperative checker
-/// (`tricheck_oracle::uarch_check`) is the differential oracle for this
-/// compilation.
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn build_uarch_ir(cfg: &UarchConfig) -> ModelIr {
-    let r = set("R");
-    let w = set("W");
-    let m = set("M");
-
-    // --- Preserved program order, from the relaxation knobs ---
-    let po_acc = rel("po").restrict(m.clone(), m.clone());
-    let po_loc_acc = po_acc.clone().inter(rel("same-loc"));
-    let mut pipeline_ppo = rel("addr")
-        .union(rel("data"))
-        .union(rel("rmw"))
-        .union(po_loc_acc.clone().restrict(r.clone(), w.clone()));
-    if cfg.same_addr_rr_ordered {
-        pipeline_ppo = pipeline_ppo.union(po_loc_acc.clone().restrict(r.clone(), r.clone()));
-    }
-    if cfg.atomicity == StoreAtomicity::Mca {
-        // No forwarding: a load waits for the pending same-address store.
-        pipeline_ppo = pipeline_ppo.union(po_loc_acc.restrict(w.clone(), r.clone()));
-    }
-    if !cfg.relax_ww {
-        pipeline_ppo = pipeline_ppo.union(po_acc.clone().restrict(w.clone(), w.clone()));
-    }
-    if !cfg.relax_rm {
-        pipeline_ppo = pipeline_ppo.union(po_acc.restrict(r.clone(), m.clone()));
-    }
-
-    // --- AMO aq/rl one-way barriers (§4.2.1) ---
-    let aq = rel("po").restrict(set("amo-aq").inter(m.clone()), m.clone());
-    let rl = rel("po").restrict(m.clone(), set("amo-rl").inter(m.clone()));
-
-    let mut ir = ModelIr::new(cfg.name.clone())
-        .define("pipeline-ppo", pipeline_ppo)
-        .define("aq", aq)
-        .define("rl", rl)
-        .define(
-            "ppo",
-            reference("pipeline-ppo")
-                .union(reference("aq"))
-                .union(reference("rl")),
-        )
-        .define("fences", rel("fence-noncum").union(rel("fence-cum")))
-        .define("com", rel("rf").union(rel("co")).union(rel("fr")));
-
-    // --- Happens-before ---
-    let mut hb = reference("ppo")
-        .union(reference("fences"))
-        .union(rel("rfe"));
-    if cfg.atomicity == StoreAtomicity::Mca {
-        hb = hb.union(rel("rfi"));
-    }
-    ir = ir.define("hb", hb);
-    if cfg.atomicity == StoreAtomicity::NMca {
-        // Only the non-MCA propagation construction below uses the
-        // reflexive closure; defining it elsewhere is dead code (and
-        // the lint pass would rightly flag it with W001).
-        ir = ir.define("hb-star", reference("hb").star());
-    }
-    ir = ir.define("hb-plus", reference("hb").plus());
-
-    // --- Propagation ---
-    let prop = match cfg.atomicity {
-        StoreAtomicity::Mca => reference("ppo")
-            .union(reference("fences"))
-            .union(rel("rf"))
-            .union(rel("fr"))
-            .plus(),
-        StoreAtomicity::RMca => reference("ppo")
-            .union(reference("fences"))
-            .union(rel("rfe"))
-            .union(rel("fr"))
-            .plus(),
-        StoreAtomicity::NMca => {
-            // 1. Cumulative fences (the Herding-Cats Power construction).
-            ir = ir
-                .define(
-                    "local",
-                    reference("pipeline-ppo")
-                        .union(reference("fences"))
-                        .union(reference("aq")),
-                )
-                .define(
-                    "prop-base",
-                    rel("fence-cum")
-                        .union(rel("rfe").seq(rel("fence-cum")))
-                        .seq(reference("hb-star")),
-                )
-                .define(
-                    "heavy",
-                    reference("com")
-                        .star()
-                        .seq(reference("prop-base").star())
-                        .seq(rel("fence-heavy"))
-                        .seq(reference("hb-star")),
-                )
-                .define(
-                    "cum",
-                    reference("prop-base")
-                        .inter(RelExpr::cross(w.clone(), w.clone()))
-                        .union(reference("heavy"))
-                        .seq(reference("hb-star")),
-                );
-            // 2. Release synchronization (AMO rl): the release's
-            //    predecessor set becomes visible to eligible readers.
-            //    §5.2.1 picks the predecessor relation, §5.2.3 the
-            //    eligible readers.
-            let rl_writes = set("amo-rl").inter(w.clone());
-            let preds = match cfg.release_predecessors {
-                ReleasePredecessors::ProgramOrder => rel("po"),
-                ReleasePredecessors::HappensBefore => reference("hb-plus"),
-            };
-            let eligible = if cfg.release_sync_any_load {
-                SetExpr::Universe
-            } else {
-                set("amo-aq")
-            };
-            ir = ir.define(
-                "sync",
-                preds
-                    .restrict(m.clone(), rl_writes.clone())
-                    .seq(rel("rfe").restrict(rl_writes, eligible)),
-            );
-            // 3. SC-AMO global visibility (A9like): reading a completed
-            //    AMO's write is a globally-agreed fact.
-            let scvis = if cfg.sc_amo_writes_globally_visible {
-                rel("rfe").restrict(set("amo-sc").inter(w.clone()), SetExpr::Universe)
-            } else {
-                RelExpr::Empty
-            };
-            // Non-cumulative ordering splits by the kind of its target:
-            // *drain* edges are global facts, *per-observer* edges relay
-            // through exactly one reads-from hop (see the crate docs of
-            // `crate::model`).
-            ir = ir
-                .define("scvis", scvis)
-                .define("drain", rel("fence-noncum").restrict(m.clone(), r.clone()))
-                .define(
-                    "per-observer",
-                    rel("fence-noncum")
-                        .union(reference("pipeline-ppo"))
-                        .restrict(m.clone(), w.clone()),
-                )
-                .define(
-                    "strong",
-                    reference("cum")
-                        .union(reference("sync"))
-                        .union(reference("scvis"))
-                        .union(reference("local"))
-                        .union(reference("drain"))
-                        .plus(),
-                )
-                .define(
-                    "relayed",
-                    reference("strong")
-                        .opt()
-                        .seq(reference("per-observer"))
-                        .seq(rel("rfe"))
-                        .seq(reference("local").star()),
-                )
-                .define(
-                    "fre-drain",
-                    rel("fre")
-                        .seq(reference("drain"))
-                        .seq(reference("strong").opt()),
-                );
-            reference("strong")
-                .union(reference("relayed"))
-                .union(reference("fre-drain"))
-        }
-    };
-    ir = ir.define("prop", prop);
-
-    // --- Per-location coherence order basis (§5.1.3) ---
-    let mut po_loc = rel("po-loc");
-    if cfg.relax_rm && !cfg.same_addr_rr_ordered {
-        po_loc = po_loc.minus(RelExpr::cross(r.clone(), r));
-    }
-    ir = ir.define(
-        "po-loc-all",
-        po_loc.union(
-            reference("ppo")
-                .union(reference("fences"))
-                .plus()
-                .inter(rel("same-loc")),
-        ),
-    );
-
-    let sc_amo = set("amo-sc").inter(m);
-    ir.axiom(
-        "ScPerLocation",
-        AxiomKind::Acyclic,
-        reference("po-loc-all").union(reference("com")),
-    )
-    .axiom(
-        "Atomicity",
-        AxiomKind::Empty,
-        rel("rmw").inter(rel("fr").seq(rel("co"))),
-    )
-    .axiom("Causality", AxiomKind::Acyclic, reference("hb"))
-    .axiom(
-        "Observation",
-        AxiomKind::Irreflexive,
-        rel("fre").seq(reference("prop")),
-    )
-    .axiom(
-        "Propagation",
-        AxiomKind::Acyclic,
-        rel("co").union(reference("prop")),
-    )
-    .axiom(
-        "ScAmoOrder",
-        AxiomKind::Acyclic,
-        // The global SC-AMO order must be consistent with program order,
-        // (transitive) happens-before, and direct communication between
-        // SC AMOs (§4.2.2). Restriction to an empty participant set
-        // yields the empty relation, which is vacuously acyclic — the
-        // imperative checker's "skip when no SC AMOs" special case.
-        reference("hb-plus")
-            .union(rel("po"))
-            .union(reference("com"))
-            .restrict(sc_amo.clone(), sc_amo),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,40 +291,5 @@ mod tests {
             assert!(binding.set("nonesuch").is_none());
             false
         });
-    }
-
-    #[test]
-    fn every_config_compiles_to_a_printable_model() {
-        let mut configs = Vec::new();
-        for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            configs.extend(UarchConfig::all_riscv(version));
-        }
-        configs.extend(UarchConfig::all_armv7());
-        for cfg in configs {
-            let ir = build_uarch_ir(&cfg);
-            assert_eq!(ir.name(), cfg.name);
-            let text = ir.to_string();
-            assert!(text.contains("ppo :="), "{text}");
-            assert!(
-                ir.axioms().iter().any(|a| a.name == "ScPerLocation"),
-                "{text}"
-            );
-            assert_eq!(ir.axioms().len(), 6);
-        }
-    }
-
-    #[test]
-    fn every_builtin_ir_roundtrips_through_the_parser() {
-        let vocab = hw_vocabulary();
-        let mut irs = Vec::new();
-        for version in [SpecVersion::Curr, SpecVersion::Ours] {
-            irs.extend(UarchConfig::all_riscv(version).iter().map(build_uarch_ir));
-        }
-        irs.extend(UarchConfig::all_armv7().iter().map(build_uarch_ir));
-        for ir in irs {
-            let parsed = tricheck_rel::parse_model(&ir.to_string(), &vocab)
-                .unwrap_or_else(|e| panic!("{}: {e}", ir.name()));
-            assert_eq!(parsed, ir, "{} does not round-trip", ir.name());
-        }
     }
 }

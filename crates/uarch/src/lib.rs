@@ -56,16 +56,22 @@
 //!
 //! # Models as data
 //!
-//! Every model is a declarative [`tricheck_rel::ModelIr`]: knob-driven
-//! configurations are compiled to IR by [`build_uarch_ir`], and new
-//! machines can be written directly as model text with no config at
-//! all, parsed against [`hw_vocabulary`] and wrapped by
-//! `UarchModel::from_ir`. The x86-TSO model of `models/x86-tso.stack` is
-//! the worked example; the stack registry (`tricheck-core`) loads that
-//! file as the built-in x86 study. The [`HwBinding`] supplies the
-//! model-free base relations (program order, communication, fence edge
-//! sets, AMO ordering-bit sets) every model draws from. Every model is
-//! judged by one evaluator, its compiled kernel (`UarchModel::compiled`).
+//! Every model is a declarative [`tricheck_rel::ModelIr`], and every
+//! model is a file. The 16 built-ins — the seven Table 7 µarchs under
+//! each spec version (`models/riscv-curr/`, `models/riscv-ours/`) and
+//! the two ARMv7 machines (`models/armv7/`) — are committed model text,
+//! compiled in with `include_str!` and parsed once per process; the
+//! named constructors ([`UarchModel::nmm`], [`UarchModel::all_riscv`],
+//! …) and [`UarchModel::builtin`] look them up by name. A new machine
+//! is a new file: parsed against [`hw_vocabulary`] and wrapped by
+//! [`UarchModel::from_ir`], it is judged exactly like a built-in, with
+//! no Rust change. The x86-TSO model of `models/x86-tso.stack` is the
+//! worked example of a stack file; the stack registry
+//! (`tricheck-core`) loads that file as the built-in x86 study. The
+//! [`HwBinding`] supplies the model-free base relations (program order,
+//! communication, fence edge sets, AMO ordering-bit sets) every model
+//! draws from. Every model is judged by one evaluator, its compiled
+//! kernel (`UarchModel::compiled`).
 //!
 //! # Examples
 //!
@@ -87,13 +93,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod ir;
 pub mod model;
 
-pub use config::{ReleasePredecessors, StoreAtomicity, UarchConfig};
 pub use ir::{
-    build_uarch_ir, hw_lint_schema, hw_vocabulary, HwBinding, HW_REL_BASES, HW_SET_BASES, SORT_F,
-    SORT_R, SORT_W,
+    hw_lint_schema, hw_vocabulary, HwBinding, HW_REL_BASES, HW_SET_BASES, SORT_F, SORT_R, SORT_W,
 };
 pub use model::UarchModel;

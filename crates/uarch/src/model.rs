@@ -1,5 +1,5 @@
-//! The axiomatic evaluation of candidate executions against a
-//! microarchitecture configuration.
+//! The microarchitecture model type and the table of built-in models,
+//! which are the committed model files under `models/`, compiled in.
 //!
 //! # The `prop` construction for non-MCA models
 //!
@@ -28,30 +28,30 @@
 //!    the eligible readers (any load vs acquires only, §5.2.3).
 //! 4. **SC-AMO visibility**: on A9like, `rfe` edges out of SC-AMO writes
 //!    are globally agreed (the coherence protocol completed the AMO).
+//!
+//! `models/riscv-curr/nMM.cat` spells the construction out as the
+//! definitions `cum`, `sync`, `scvis`, `drain`, `per-observer`,
+//! `strong`, `relayed` and `fre-drain`.
 
-use std::sync::OnceLock;
+use std::sync::{LazyLock, OnceLock};
 
 use tricheck_isa::{HwAnnot, SpecVersion};
 use tricheck_litmus::{ConsistencyModel, Execution};
-use tricheck_rel::{CompiledModel, ModelIr, Relation};
+use tricheck_rel::{parse_model, CompiledModel, ModelIr, Relation};
 
-use crate::config::UarchConfig;
-use crate::ir::{build_uarch_ir, HwBinding};
+use crate::ir::{hw_vocabulary, HwBinding};
 
 /// A microarchitecture memory model: a declarative [`ModelIr`] judged
-/// over hardware-level candidate executions.
+/// over hardware-level candidate executions by one evaluator, its
+/// compiled kernel ([`UarchModel::compiled`]).
 ///
-/// Models come in two flavours. Knob-driven models wrap a
-/// [`UarchConfig`] (the paper's Table 7 machines); their IR is compiled
-/// from the knobs by [`build_uarch_ir`] on first use. Data-defined
-/// models ([`UarchModel::from_ir`], e.g. the x86-TSO model of
-/// `models/x86-tso.stack`) *are* their IR, with no config behind them.
-/// Either way the one evaluator is the compiled kernel,
-/// [`UarchModel::compiled`].
+/// Every model is text. The built-ins ([`UarchModel::builtin`] and the
+/// named constructors) are the committed model files under `models/`;
+/// a user's model file is parsed against [`hw_vocabulary`] and wrapped
+/// by [`UarchModel::from_ir`] the same way.
 #[derive(Clone, Debug)]
 pub struct UarchModel {
-    name: String,
-    kind: ModelKind,
+    ir: ModelIr,
     compiled: OnceLock<CompiledModel>,
 }
 
@@ -77,103 +77,133 @@ const HW_INVARIANT_BASES: &[&str] = &[
     "amo-sc",
 ];
 
-#[derive(Clone, Debug)]
-enum ModelKind {
-    /// Knob-driven: IR compiled from the config lazily.
-    Config {
-        config: UarchConfig,
-        ir: OnceLock<ModelIr>,
-    },
-    /// Data-defined: the IR is the whole model.
-    Ir(ModelIr),
+/// The built-in models' files, in presentation order: Table 7's seven
+/// µarchs under riscv-curr, the same seven under riscv-ours, then the
+/// two ARMv7 machines of the §7 compiler study.
+const BUILTIN_FILES: [&str; 16] = [
+    include_str!("../../../models/riscv-curr/WR.cat"),
+    include_str!("../../../models/riscv-curr/rWR.cat"),
+    include_str!("../../../models/riscv-curr/rWM.cat"),
+    include_str!("../../../models/riscv-curr/rMM.cat"),
+    include_str!("../../../models/riscv-curr/nWR.cat"),
+    include_str!("../../../models/riscv-curr/nMM.cat"),
+    include_str!("../../../models/riscv-curr/A9like.cat"),
+    include_str!("../../../models/riscv-ours/WR.cat"),
+    include_str!("../../../models/riscv-ours/rWR.cat"),
+    include_str!("../../../models/riscv-ours/rWM.cat"),
+    include_str!("../../../models/riscv-ours/rMM.cat"),
+    include_str!("../../../models/riscv-ours/nWR.cat"),
+    include_str!("../../../models/riscv-ours/nMM.cat"),
+    include_str!("../../../models/riscv-ours/A9like.cat"),
+    include_str!("../../../models/armv7/A9like.cat"),
+    include_str!("../../../models/armv7/A9-ldld-hazard.cat"),
+];
+
+/// The built-in models, parsed once per process; every lookup hands
+/// out a clone.
+static BUILTINS: LazyLock<Vec<ModelIr>> = LazyLock::new(|| {
+    let vocab = hw_vocabulary();
+    BUILTIN_FILES
+        .iter()
+        .map(|src| parse_model(src, &vocab).expect("a committed model file parses"))
+        .collect()
+});
+
+fn builtins_where(keep: impl Fn(&str) -> bool) -> Vec<UarchModel> {
+    BUILTINS
+        .iter()
+        .filter(|ir| keep(ir.name()))
+        .map(|ir| UarchModel::from_ir(ir.clone()))
+        .collect()
 }
 
 impl UarchModel {
-    /// Wraps an explicit configuration.
-    #[must_use]
-    pub fn from_config(config: UarchConfig) -> Self {
-        UarchModel {
-            name: config.name.clone(),
-            kind: ModelKind::Config {
-                config,
-                ir: OnceLock::new(),
-            },
-            compiled: OnceLock::new(),
-        }
-    }
-
-    /// Wraps a data-defined model: the IR is the whole model, with no
-    /// configuration behind it.
+    /// Wraps a model: the IR is the whole model.
     #[must_use]
     pub fn from_ir(ir: ModelIr) -> Self {
         UarchModel {
-            name: ir.name().to_string(),
-            kind: ModelKind::Ir(ir),
+            ir,
             compiled: OnceLock::new(),
         }
     }
 
-    /// Table 7 `WR` under the given spec version.
+    /// The built-in model named `name` (`"nMM/riscv-curr"`,
+    /// `"ARMv7-A9like"`, …; ASCII case-insensitive), or `None`.
+    #[must_use]
+    pub fn builtin(name: &str) -> Option<Self> {
+        BUILTINS
+            .iter()
+            .find(|ir| ir.name().eq_ignore_ascii_case(name))
+            .map(|ir| Self::from_ir(ir.clone()))
+    }
+
+    fn table7(model: &str, version: SpecVersion) -> Self {
+        Self::builtin(&format!("{model}/{version}")).expect("every Table 7 model is built in")
+    }
+
+    /// Table 7 `WR` under the given spec version
+    /// (`models/<version>/WR.cat`).
     #[must_use]
     pub fn wr(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::wr(version))
+        Self::table7("WR", version)
     }
 
     /// Table 7 `rWR`.
     #[must_use]
     pub fn rwr(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::rwr(version))
+        Self::table7("rWR", version)
     }
 
     /// Table 7 `rWM`.
     #[must_use]
     pub fn rwm(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::rwm(version))
+        Self::table7("rWM", version)
     }
 
     /// Table 7 `rMM`.
     #[must_use]
     pub fn rmm(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::rmm(version))
+        Self::table7("rMM", version)
     }
 
     /// Table 7 `nWR`.
     #[must_use]
     pub fn nwr(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::nwr(version))
+        Self::table7("nWR", version)
     }
 
     /// Table 7 `nMM`.
     #[must_use]
     pub fn nmm(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::nmm(version))
+        Self::table7("nMM", version)
     }
 
     /// Table 7 `A9like`.
     #[must_use]
     pub fn a9like(version: SpecVersion) -> Self {
-        Self::from_config(UarchConfig::a9like(version))
+        Self::table7("A9like", version)
     }
 
-    /// The ARMv7 model for the §7 compiler study.
+    /// The ARMv7 model for the §7 compiler study
+    /// (`models/armv7/A9like.cat`).
     #[must_use]
     pub fn armv7_a9like() -> Self {
-        Self::from_config(UarchConfig::armv7_a9like())
+        Self::builtin("ARMv7-A9like").expect("built in")
     }
 
-    /// The ARMv7-A9 with the §1/§2 read-after-read hazard.
+    /// The ARMv7-A9 with the §1/§2 read-after-read hazard
+    /// (`models/armv7/A9-ldld-hazard.cat`).
     #[must_use]
     pub fn armv7_a9_ldld_hazard() -> Self {
-        Self::from_config(UarchConfig::armv7_a9_ldld_hazard())
+        Self::builtin("ARMv7-A9-ldld-hazard").expect("built in")
     }
 
-    /// All seven Table 7 models for one spec version.
+    /// All seven Table 7 models for one spec version, in the paper's
+    /// presentation order.
     #[must_use]
     pub fn all_riscv(version: SpecVersion) -> Vec<Self> {
-        UarchConfig::all_riscv(version)
-            .into_iter()
-            .map(Self::from_config)
-            .collect()
+        let suffix = format!("/{version}");
+        builtins_where(|name| name.ends_with(&suffix))
     }
 
     /// The ARMv7 models of the §7 compiler study: the compliant
@@ -181,31 +211,13 @@ impl UarchModel {
     /// (the §1–§2 erratum).
     #[must_use]
     pub fn all_armv7() -> Vec<Self> {
-        UarchConfig::all_armv7()
-            .into_iter()
-            .map(Self::from_config)
-            .collect()
+        builtins_where(|name| name.starts_with("ARMv7-"))
     }
 
-    /// The model's relaxation configuration, or `None` for a
-    /// data-defined (IR-only) model.
-    #[must_use]
-    pub fn config(&self) -> Option<&UarchConfig> {
-        match &self.kind {
-            ModelKind::Config { config, .. } => Some(config),
-            ModelKind::Ir(_) => None,
-        }
-    }
-
-    /// The model's declarative IR — compiled from the config on first
-    /// use for knob-driven models, the model itself for data-defined
-    /// ones.
+    /// The model's declarative IR.
     #[must_use]
     pub fn ir(&self) -> &ModelIr {
-        match &self.kind {
-            ModelKind::Config { config, ir } => ir.get_or_init(|| build_uarch_ir(config)),
-            ModelKind::Ir(ir) => ir,
-        }
+        &self.ir
     }
 
     /// The model's IR lowered to a fused bitset kernel — compiled once
@@ -216,7 +228,7 @@ impl UarchModel {
     #[must_use]
     pub fn compiled(&self) -> &CompiledModel {
         self.compiled
-            .get_or_init(|| CompiledModel::compile(self.ir(), HW_INVARIANT_BASES))
+            .get_or_init(|| CompiledModel::compile(&self.ir, HW_INVARIANT_BASES))
     }
 
     /// The process-unique id of this model's compiled kernel (the unit
@@ -226,10 +238,10 @@ impl UarchModel {
         self.compiled().kernel_id()
     }
 
-    /// The model's display name.
+    /// The model's display name (the model file's `model` line).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        self.ir.name()
     }
 }
 
@@ -284,6 +296,28 @@ mod tests {
 
     fn basea_ours(test: &LitmusTest, model: &UarchModel) -> bool {
         observes(test, riscv_mapping(BaseA, Ours), model)
+    }
+
+    #[test]
+    fn builtin_table_holds_the_sixteen_models_in_presentation_order() {
+        let names = |models: Vec<UarchModel>| -> Vec<String> {
+            models.iter().map(|m| m.name().to_string()).collect()
+        };
+        for version in [Curr, Ours] {
+            let expected: Vec<String> = ["WR", "rWR", "rWM", "rMM", "nWR", "nMM", "A9like"]
+                .iter()
+                .map(|m| format!("{m}/{version}"))
+                .collect();
+            assert_eq!(names(UarchModel::all_riscv(version)), expected);
+        }
+        assert_eq!(
+            names(UarchModel::all_armv7()),
+            ["ARMv7-A9like", "ARMv7-A9-ldld-hazard"]
+        );
+        assert_eq!(BUILTINS.len(), 16);
+        let nmm = UarchModel::builtin("NMM/RISCV-CURR").expect("case-insensitive lookup");
+        assert_eq!(nmm.ir(), UarchModel::nmm(Curr).ir());
+        assert!(UarchModel::builtin("nMM").is_none());
     }
 
     // ---- §5.1.1: lack of cumulative lightweight fences (WRC) ----

@@ -1,6 +1,6 @@
 //! Authoring a custom litmus test and a custom microarchitecture
-//! configuration — the downstream-user workflow for exploring an MCM
-//! design point beyond the paper's seven-template suite.
+//! model — the downstream-user workflow for exploring an MCM design
+//! point beyond the paper's seven-template suite.
 //!
 //! The test is ISA2, a transitive message-passing chain through *two*
 //! release/acquire hops (not part of the paper's suite). Like WRC, it
@@ -11,7 +11,8 @@
 
 use tricheck::litmus::{Expr, Instr, Outcome, Program, Reg, Val};
 use tricheck::prelude::*;
-use tricheck::uarch::{ReleasePredecessors, StoreAtomicity};
+use tricheck::rel::parse_model;
+use tricheck::uarch::hw_vocabulary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- A custom C11 litmus test, written directly in the micro-IR ---
@@ -73,18 +74,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let c11 = C11Model::new();
     println!("C11 verdict for {}: {:?}", test.name(), c11.judge(&test));
 
-    // --- A custom microarchitecture from raw configuration knobs ---
+    // --- A custom microarchitecture, written as model text ---
     // In-order issue, but stores drain through buffers shared with a
-    // neighbouring core (non-multi-copy-atomic) — the nWR shape, rebuilt
-    // explicitly.
-    let mut config = UarchConfig::nwr(SpecVersion::Curr);
-    config.name = "custom-inorder-nMCA".to_string();
-    assert_eq!(config.atomicity, StoreAtomicity::NMca);
-    assert_eq!(
-        config.release_predecessors,
-        ReleasePredecessors::ProgramOrder
-    );
-    let machine = UarchModel::from_config(config);
+    // neighbouring core (non-multi-copy-atomic): the committed nWR file,
+    // edited. A design iteration is an edit of this text; the one here
+    // only renames the machine, and its releases still publish just
+    // their program-order predecessors (`sync := ([M]po[...`).
+    let text = include_str!("../models/riscv-curr/nWR.cat")
+        .replace("model nWR/riscv-curr", "model custom-inorder-nMCA");
+    assert!(text.contains("sync := ([M]po[(amo-rl"));
+    let machine = UarchModel::from_ir(parse_model(&text, &hw_vocabulary())?);
 
     // --- Probe it through the full stack ---
     for (label, mapping) in [

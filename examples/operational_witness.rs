@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example operational_witness`
 
-use tricheck::opsim::{outcomes_over_partitions, OpMachine};
 use tricheck::prelude::*;
+use tricheck_opsim::{outcomes_over_partitions, OpMachine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The WRC bug, §5.1.1, as a machine run ---
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "after the cumulative-fence refinement, no buffer-sharing topology \
          (all {} partitions) reaches the forbidden outcome.",
-        tricheck::opsim::partitions(3).len()
+        tricheck_opsim::partitions(3).len()
     );
 
     // --- And the axiomatic model agrees in both directions ---

@@ -24,12 +24,14 @@ counter() { sed -n "s/^  $1: \([0-9][0-9]*\)$/\1/p" "$2"; }
 cargo build --release -q -p tricheck-cli
 tricheck() { "${CARGO_TARGET_DIR:-target}/release/tricheck" "$@"; }
 
-step "Oracle isolation (dev-only oracles stay out of the shipped CLI)"
-# tricheck-oracle is a dev-dependency only: the CLI's tree must not list it.
+step "Dependency isolation (the shipped CLI holds the pipeline only)"
+# The oracles, the operational machines and the sieve workload are
+# reached only by tests, examples and benches: the CLI's tree must list
+# none of them.
 cargo tree -e normal -p tricheck-cli > "$TMP/cli-tree.txt"
 grep -q "tricheck-core" "$TMP/cli-tree.txt"
-if grep "tricheck-oracle" "$TMP/cli-tree.txt"; then
-  echo "tricheck-oracle is a normal dependency of tricheck-cli" >&2; exit 1
+if grep -E "tricheck-(oracle|opsim|sieve)" "$TMP/cli-tree.txt"; then
+  echo "a test-only crate is a normal dependency of tricheck-cli" >&2; exit 1
 fi
 
 step "Rustdoc (no warnings, no broken or private intra-doc links)"
@@ -67,6 +69,18 @@ enumerations="$(counter space_enumerations "$TMP/riscv.txt")"
 if [[ -z "$programs" || "$programs" -eq 0 || "$enumerations" != "$programs" ]]; then
   echo "expected space_enumerations == distinct_programs > 0," \
     "got $enumerations and $programs" >&2
+  exit 1
+fi
+
+step "CLI model-file sweep smoke (a built-in model, loaded from its file)"
+tricheck sweep wrc --model models/riscv-curr/nMM.cat --threads 2 | tee "$TMP/nmm-file.txt"
+# The file's own column (Base/riscv-curr) must equal the built-in nMM
+# row of the default sweep above.
+file_row="$(grep -E '^Base +riscv-curr +nMM ' "$TMP/nmm-file.txt" || true)"
+builtin_row="$(grep -E '^Base +riscv-curr +nMM ' "$TMP/riscv.txt" || true)"
+if [[ -z "$file_row" || "$file_row" != "$builtin_row" ]]; then
+  echo "models/riscv-curr/nMM.cat row '$file_row' differs from the" \
+    "built-in '$builtin_row'" >&2
   exit 1
 fi
 
@@ -163,10 +177,12 @@ print("sharded ok: per-worker breakdown merges to", merged)
 PY
 
 step "Lint smoke (committed files clean, bad file caught, JSON schema)"
-# The committed model and stack files must stay clean even under
+# Every committed model and stack file must stay clean even under
 # --deny-warnings.
-tricheck lint models/x86-tso.stack --deny-warnings
-tricheck lint models/x86-tso.cat --deny-warnings
+shopt -s globstar
+for f in models/**/*.cat models/*.stack; do
+  tricheck lint "$f" --deny-warnings
+done
 # The known-bad fixture must exit nonzero with the rule code and
 # position on stderr.
 if tricheck lint tests/fixtures/lint/e001.cat 2> "$TMP/lint-bad.txt"; then

@@ -6,7 +6,7 @@
 //! 1. **Fixtures**: every rule E001–W004 has a minimal fixture under
 //!    `tests/fixtures/lint/` producing exactly the expected diagnostic,
 //!    code and line:column included.
-//! 2. **Clean corpus**: the committed `models/x86-tso.{cat,stack}` and
+//! 2. **Clean corpus**: every committed file under `models/` and
 //!    all 34 built-in stacks lint clean — the pass has no false
 //!    positives on real models.
 //! 3. **Mutation coverage**: six seeded breakages of the committed
@@ -153,9 +153,20 @@ fn committed_model_files_lint_clean() {
     let (_, diags, rules) = lint_path(&root.join("models/x86-tso.stack")).unwrap();
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(rules, RULES.len());
-    let (_, diags, rules) = lint_path(&root.join("models/x86-tso.cat")).unwrap();
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(rules, MODEL_RULES);
+    // Every bare model file: x86-tso.cat and the 16 built-ins in the
+    // subdirectories.
+    let mut cats = vec![root.join("models/x86-tso.cat")];
+    for dir in ["armv7", "riscv-curr", "riscv-ours"] {
+        for entry in std::fs::read_dir(root.join("models").join(dir)).unwrap() {
+            cats.push(entry.unwrap().path());
+        }
+    }
+    assert_eq!(cats.len(), 17);
+    for cat in cats {
+        let (_, diags, rules) = lint_path(&cat).unwrap();
+        assert!(diags.is_empty(), "{}: {diags:?}", cat.display());
+        assert_eq!(rules, MODEL_RULES);
+    }
 }
 
 #[test]

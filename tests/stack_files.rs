@@ -15,7 +15,8 @@
 use std::path::Path;
 
 use proptest::prelude::*;
-use tricheck::core::{load_model_file, load_stack_file, StackRegistry};
+use tricheck::core::{load_model_file, load_stack_file, stacks_for_model, StackRegistry};
+use tricheck::prelude::{riscv_stacks, suite, Sweep};
 use tricheck::rel::parse_model;
 use tricheck::uarch::hw_vocabulary;
 use tricheck_oracle::random_ir;
@@ -31,6 +32,46 @@ fn committed_x86_model_file_matches_the_stack_files_model() {
     for column in &stack.stacks {
         assert_eq!(column.model.ir(), &cat, "{:?}", column.key);
     }
+}
+
+/// Each committed Table 7 model file, loaded from disk and swept through
+/// `stacks_for_model` (the `sweep --model FILE` matrix), reproduces the
+/// built-in `riscv` columns of that model and spec version under both
+/// ISAs: the 14 files, each paired with its own version's two mappings,
+/// rebuild the Figure 15 matrix row for row.
+#[test]
+fn committed_table7_model_files_sweep_like_the_builtin_matrix() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("models");
+    let mut file_stacks = Vec::new();
+    for version in ["riscv-curr", "riscv-ours"] {
+        let mut files: Vec<_> = std::fs::read_dir(root.join(version))
+            .expect("model directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 7, "{version}: {files:?}");
+        for path in files {
+            let ir = load_model_file(&path).expect("model file loads");
+            assert!(ir.name().ends_with(version), "{}", path.display());
+            let stacks = stacks_for_model(&ir);
+            assert_eq!(stacks.len(), 4);
+            file_stacks.extend(
+                stacks
+                    .into_iter()
+                    .filter(|s| s.key.variant_label() == version),
+            );
+        }
+    }
+    assert_eq!(file_stacks.len(), 28);
+    let tests = suite::full_suite();
+    let sorted = |stacks| {
+        let mut rows = Sweep::new().run_matrix(&tests, stacks).rows().to_vec();
+        rows.sort_by(|a, b| (a.key, &a.model, a.family).cmp(&(b.key, &b.model, b.family)));
+        rows
+    };
+    let from_files = sorted(&file_stacks);
+    assert_eq!(from_files.len(), 28 * 7, "28 stacks × 7 families");
+    assert_eq!(from_files, sorted(&riscv_stacks()));
 }
 
 /// Every stack in the three registered matrices round-trips its model IR
