@@ -11,6 +11,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tricheck_core::{builtin_stack, OutcomeMode, Sweep, SweepOptions};
 use tricheck_litmus::suite;
+use tricheck_oracle::run_matrix_naive;
 
 fn bench_power_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("power_sweep");
@@ -20,10 +21,15 @@ fn bench_power_sweep(c: &mut Criterion) {
     // changes.
     let wrc: Vec<_> = suite::wrc_template().instantiate_all().collect();
     for threads in [1, SweepOptions::default().threads] {
-        let sweep = Sweep::with_options(SweepOptions::with_threads(threads));
+        let options = SweepOptions::with_threads(threads);
+        let sweep = Sweep::with_options(options.clone());
         group.bench_function(format!("wrc_family/naive/threads{threads}"), |b| {
             b.iter(|| {
-                sweep.run_matrix_naive(black_box(&wrc), &builtin_stack("power").unwrap().stacks)
+                run_matrix_naive(
+                    &options,
+                    black_box(&wrc),
+                    &builtin_stack("power").unwrap().stacks,
+                )
             });
         });
         group.bench_function(format!("wrc_family/engine/threads{threads}"), |b| {
@@ -37,7 +43,11 @@ fn bench_power_sweep(c: &mut Criterion) {
     let sweep = Sweep::new();
     group.bench_function("full_suite/naive", |b| {
         b.iter(|| {
-            sweep.run_matrix_naive(black_box(&full), &builtin_stack("power").unwrap().stacks)
+            run_matrix_naive(
+                &SweepOptions::default(),
+                black_box(&full),
+                &builtin_stack("power").unwrap().stacks,
+            )
         });
     });
     group.bench_function("full_suite/engine", |b| {
@@ -47,11 +57,14 @@ fn bench_power_sweep(c: &mut Criterion) {
         outcome_mode: OutcomeMode::FullOutcomes,
         ..SweepOptions::default()
     };
-    let outcome_sweep = Sweep::with_options(outcome_opts);
+    let outcome_sweep = Sweep::with_options(outcome_opts.clone());
     group.bench_function("full_suite/outcomes/naive", |b| {
         b.iter(|| {
-            outcome_sweep
-                .run_matrix_naive(black_box(&full), &builtin_stack("power").unwrap().stacks)
+            run_matrix_naive(
+                &outcome_opts,
+                black_box(&full),
+                &builtin_stack("power").unwrap().stacks,
+            )
         });
     });
     group.bench_function("full_suite/outcomes/engine", |b| {

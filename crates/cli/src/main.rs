@@ -45,9 +45,8 @@
 //!                               trailing-sync C11→Power mappings × the
 //!                               ARMv7 models — or `x86-tso`), or a
 //!                               whole-stack definition file: compiler
-//!                               mapping tables plus a model section
-//!                               (see `models/x86-tso.stack`, which *is*
-//!                               the `x86-tso` built-in)
+//!                               mapping tables plus their models (each
+//!                               built-in *is* its `models/NAME.stack`)
 //!          --threads N          sweep worker threads (default: all cores;
 //!                               1 = deterministic serial run; with
 //!                               --shards, threads *per shard*, default
@@ -163,9 +162,9 @@ stacks: sweep --stack NAME sweeps a registered stack matrix instead of
         ({leading,trailing}-sync C11→Power mappings on the ARMv7 models),
         x86-tso the x86 study ({sc-atomics,relaxed} C11→x86 mappings on
         TSO); sweep --stack FILE loads a whole-stack definition file —
-        named compiler-mapping tables plus a model section
-        (models/x86-tso.stack is the x86-tso built-in) — and sweeps the
-        family through every mapping it defines
+        named compiler-mapping tables plus their models (each built-in
+        is its models/NAME.stack) — and sweeps the family through every
+        mapping it defines
 sweeps: --threads 1 gives a deterministic serial run; --cache-stats prints
         the shared execution-space engine's cache counters; --outcomes
         compares full outcome sets instead of the target outcome (the

@@ -2,21 +2,20 @@
 //!
 //! A [`Mapping`] turns each C11 atomic access into a sequence of hardware
 //! instructions (fences, plain accesses, AMOs). Every mapping is a
-//! [`TableMapping`]: per-(operation, order) rows in the [`table`] syntax.
-//! The paper's built-in mappings are such tables, parsed once:
+//! [`TableMapping`]: per-(operation, order) rows in the [`table`] syntax,
+//! held by a `mapping` section of a stack file ([`stack`]). The paper's
+//! mappings are the sections of the committed built-in stack files,
+//! compiled in and parsed once:
 //!
-//! | mapping | returned by | paper artifact |
-//! |---------|-------------|----------------|
-//! | `riscv-base-intuitive` | [`riscv_mapping`]`(Base, Curr)` | Table 2, "Intuitive" column |
-//! | `riscv-base-refined` | [`riscv_mapping`]`(Base, Ours)` | Table 2, "Refined" column (§5.3) |
-//! | `riscv-base+a-intuitive` | [`riscv_mapping`]`(BaseA, Curr)` | Table 3, "Intuitive" column |
-//! | `riscv-base+a-refined` | [`riscv_mapping`]`(BaseA, Ours)` | Table 3, "Refined" column (§5.3) |
-//! | `power-leading-sync` | [`power_mapping`]`(Leading)` | Table 1 (McKenney–Silvera leading-sync) |
-//! | `power-trailing-sync` | [`power_mapping`]`(Trailing)` | Batty et al. trailing-sync (§7) |
-//!
-//! The x86 study's two mappings (`x86-sc-atomics`, `x86-relaxed`) live
-//! in `models/x86-tso.stack` and load through the stack registry
-//! (`tricheck-core`) like any stack file.
+//! | mapping | file | returned by | paper artifact |
+//! |---------|------|-------------|----------------|
+//! | `riscv-base-intuitive` | `models/riscv.stack` | [`riscv_mapping`]`(Base, Curr)` | Table 2, "Intuitive" column |
+//! | `riscv-base-refined` | `models/riscv.stack` | [`riscv_mapping`]`(Base, Ours)` | Table 2, "Refined" column (§5.3) |
+//! | `riscv-base+a-intuitive` | `models/riscv.stack` | [`riscv_mapping`]`(BaseA, Curr)` | Table 3, "Intuitive" column |
+//! | `riscv-base+a-refined` | `models/riscv.stack` | [`riscv_mapping`]`(BaseA, Ours)` | Table 3, "Refined" column (§5.3) |
+//! | `power-leading-sync` | `models/power.stack` | [`power_mapping`]`(Leading)` | Table 1 (McKenney–Silvera leading-sync) |
+//! | `power-trailing-sync` | `models/power.stack` | [`power_mapping`]`(Trailing)` | Batty et al. trailing-sync (§7) |
+//! | `x86-sc-atomics`, `x86-relaxed` | `models/x86-tso.stack` | the `x86-tso` stack | the x86 mapping study |
 //!
 //! [`compile`] applies a mapping to a whole litmus test, preserving the
 //! observable registers so language-level and ISA-level outcomes can be
@@ -41,15 +40,16 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::LazyLock;
 
 use tricheck_isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck_litmus::{
     Expr, Instr, LitmusTest, MemOrder, Outcome, Program, ProgramError, Reg, RmwKind,
 };
 
+pub mod stack;
 pub mod table;
 
+pub use stack::{builtin_headers, parse_stack_header, MappingSection, StackFileError, StackHeader};
 pub use table::{order_word, reachable_orders, MapOp, MapStep, TableMapping};
 
 /// Errors produced while compiling a litmus test.
@@ -140,112 +140,16 @@ pub trait Mapping: Sync {
     }
 }
 
-/// The paper's built-in mappings as `(report name, table rows)` in the
-/// [`table`] syntax — the same rows a stack file's `mapping` section
-/// holds. Bits are literal, so the 2016 ISA's `aq.rl` (which implies
-/// store atomicity) is spelled `.aq.rl.sc`.
-const BUILTIN_TABLES: [(&str, &str); 6] = [
-    // Table 2, "Intuitive": derived from the 2016 manual's fence
-    // descriptions alone.
-    (
-        "riscv-base-intuitive",
-        "ld rlx = ld
-         ld acq = ld; fence r,rw
-         ld sc = fence rw,rw; ld; fence rw,rw
-         st rlx = st
-         st rel = fence rw,w; st
-         st sc = fence rw,rw; st",
-    ),
-    // Table 2, "Refined": the proposed cumulative fences (§5.3).
-    (
-        "riscv-base-refined",
-        "ld rlx = ld
-         ld acq = ld; fence r,rw
-         ld sc = hwfence; ld; fence r,rw
-         st rlx = st
-         st rel = lwfence; st
-         st sc = hwfence; st",
-    ),
-    // Table 3, "Intuitive": AMOADD of zero for loads, AMOSWAP for stores.
-    (
-        "riscv-base+a-intuitive",
-        "ld rlx = ld
-         ld acq = amo.ld.aq
-         ld sc = amo.ld.aq.rl.sc
-         st rlx = st
-         st rel = amo.st.rl
-         st sc = amo.st.aq.rl.sc
-         rmw rlx = rmw
-         rmw acq = rmw.aq
-         rmw rel = rmw.rl
-         rmw acq-rel|sc = rmw.aq.rl.sc",
-    ),
-    // Table 3, "Refined": the decoupled `.sc` store-atomicity bit
-    // (§5.2.2, §5.3); releases are cumulative in the refined ISA (§5.2.1).
-    (
-        "riscv-base+a-refined",
-        "ld rlx = ld
-         ld acq = amo.ld.aq
-         ld sc = amo.ld.aq.sc
-         st rlx = st
-         st rel = amo.st.rl
-         st sc = amo.st.rl.sc
-         rmw rlx = rmw
-         rmw acq = rmw.aq
-         rmw rel = rmw.rl
-         rmw acq-rel = rmw.aq.rl
-         rmw sc = rmw.aq.rl.sc",
-    ),
-    // Table 1: the McKenney–Silvera leading-sync C11 → Power mapping.
-    (
-        "power-leading-sync",
-        "ld rlx = ld
-         ld acq = ld; ctrlisync
-         ld sc = hwfence; ld; ctrlisync
-         st rlx = st
-         st rel = lwfence; st
-         st sc = hwfence; st",
-    ),
-    // The Batty et al. trailing-sync mapping, "supposedly proven correct"
-    // and invalidated by TriCheck's §7 analysis.
-    (
-        "power-trailing-sync",
-        "ld rlx = ld
-         ld acq = ld; ctrlisync
-         ld sc = ld; hwfence
-         st rlx = st
-         st rel = lwfence; st
-         st sc = lwfence; st; hwfence",
-    ),
-];
-
-/// [`BUILTIN_TABLES`], each parsed once.
-static BUILTINS: LazyLock<Vec<TableMapping>> = LazyLock::new(|| {
-    BUILTIN_TABLES
-        .iter()
-        .map(|&(name, rows)| {
-            let mut table = TableMapping::new(name);
-            for row in rows.lines() {
-                table
-                    .parse_line(row)
-                    .unwrap_or_else(|e| panic!("built-in mapping {name}: {e}"));
-            }
-            table
-        })
-        .collect()
-});
-
 /// The Table 2/3 mapping the paper evaluates for a given RISC-V ISA and
 /// refinement stage.
 #[must_use]
 pub fn riscv_mapping(isa: RiscvIsa, version: SpecVersion) -> &'static dyn Mapping {
-    let index = match (isa, version) {
-        (RiscvIsa::Base, SpecVersion::Curr) => 0,
-        (RiscvIsa::Base, SpecVersion::Ours) => 1,
-        (RiscvIsa::BaseA, SpecVersion::Curr) => 2,
-        (RiscvIsa::BaseA, SpecVersion::Ours) => 3,
-    };
-    &BUILTINS[index]
+    stack::builtin_mapping(match (isa, version) {
+        (RiscvIsa::Base, SpecVersion::Curr) => "riscv-base-intuitive",
+        (RiscvIsa::Base, SpecVersion::Ours) => "riscv-base-refined",
+        (RiscvIsa::BaseA, SpecVersion::Curr) => "riscv-base+a-intuitive",
+        (RiscvIsa::BaseA, SpecVersion::Ours) => "riscv-base+a-refined",
+    })
 }
 
 /// Where the §7 C11 → Power mappings place the heavyweight `sync` of an
@@ -283,10 +187,10 @@ impl fmt::Display for PowerSyncStyle {
 /// The §7 compiler-study mapping for one sync placement style.
 #[must_use]
 pub fn power_mapping(style: PowerSyncStyle) -> &'static dyn Mapping {
-    match style {
-        PowerSyncStyle::Leading => &BUILTINS[4],
-        PowerSyncStyle::Trailing => &BUILTINS[5],
-    }
+    stack::builtin_mapping(match style {
+        PowerSyncStyle::Leading => "power-leading-sync",
+        PowerSyncStyle::Trailing => "power-trailing-sync",
+    })
 }
 
 /// A compiled litmus test: the ISA-level program plus the original test's

@@ -129,7 +129,7 @@ fn mo_index(mo: MemOrder) -> usize {
 /// tables — see the [module docs](self) for the entry syntax.
 #[derive(Clone, Debug, Default)]
 pub struct TableMapping {
-    name: &'static str,
+    pub(crate) name: &'static str,
     loads: [Option<Vec<MapStep>>; 5],
     stores: [Option<Vec<MapStep>>; 5],
     rmws: [Option<Vec<MapStep>>; 5],

@@ -1,16 +1,16 @@
 //! The stack registry: every sweep matrix — built-in or loaded from a
 //! definition file — is a [`LoadedStack`] looked up by name.
 //!
-//! The built-ins are [`BUILTIN_STACKS`]: `riscv` (Figure 15: the four
-//! Table 2/3 mappings × the seven Table 7 µarchs), `power` (the §7
-//! compiler study: leading-/trailing-sync × the ARMv7 models) and
-//! `x86-tso` (the x86 mapping study, which *is* the committed
-//! `models/x86-tso.stack`, compiled in with `include_str!` and parsed
-//! by [`parse_stack_file`] like any user stack). The RISC-V and Power
-//! matrices pair the compiler crate's built-in mapping tables with
-//! built-in µarch models, which are model files too: the Table 7
-//! machines of `models/riscv-curr/` and `models/riscv-ours/` and the
-//! ARMv7 machines of `models/armv7/`, compiled into `tricheck-uarch`.
+//! The built-ins are [`BUILTIN_STACKS`], and each *is* a committed
+//! stack file: `riscv` (Figure 15: the four Table 2/3 mappings × the
+//! seven Table 7 µarchs of their spec version) is `models/riscv.stack`,
+//! `power` (the §7 compiler study: leading-/trailing-sync × the ARMv7
+//! models) is `models/power.stack`, and `x86-tso` (the x86 mapping
+//! study) is `models/x86-tso.stack`. `tricheck-compiler` compiles the
+//! three files in and parses their headers once per process
+//! ([`tricheck_compiler::builtin_headers`]); this module assembles each
+//! once, by the same code as [`parse_stack_file`], and
+//! [`builtin_stack`] hands out copies with fresh model instances.
 //!
 //! A *stack file* packages everything `Sweep::run_matrix` needs for a
 //! matrix column that never appears in Rust source:
@@ -37,16 +37,17 @@
 //!   Causality: acyclic(hb)
 //! ```
 //!
-//! Header directives: `stack <name>` (required, first), `isa <label>`
-//! (required; the report's ISA column), `title <text>` (optional table
-//! title). Each `mapping <label>` section defines one compiler mapping
-//! as a [`TableMapping`] table (see `tricheck_compiler::table` for the
-//! entry syntax); an optional `name <internal>` line sets the mapping's
-//! report name (default `<stack>-<label>`). Everything from the `model`
-//! line onward is a model in the `ModelIr` display grammar, parsed by
+//! A stack file has a header — `stack`, `title` and `isa` directives
+//! and `mapping` sections of [`TableMapping`](tricheck_compiler::TableMapping)
+//! rows, each with an optional `name` line (its report name) and an
+//! optional `models` line naming the built-in models
+//! ([`UarchModel::builtin`]) that judge it — parsed by
+//! [`tricheck_compiler::parse_stack_header`]; `models/README.md` gives
+//! the grammar. A mapping with no `models` line is judged by the
+//! file's model section: everything from the `model` line onward, in
+//! the `ModelIr` display grammar, parsed by
 //! [`tricheck_rel::parse::parse_model`] against the hardware vocabulary
-//! ([`tricheck_uarch::hw_vocabulary`]) and compiled through the same
-//! `CompiledModel` fast path as the built-in stacks.
+//! ([`tricheck_uarch::hw_vocabulary`]).
 //!
 //! `#` and `//` start comments. A bare model file (starting directly at
 //! its `model` line, conventionally `.cat`) can be loaded with
@@ -56,78 +57,51 @@
 use std::fmt;
 use std::fs;
 use std::path::Path;
+use std::sync::LazyLock;
 
 use tricheck_compiler::{
-    order_word, power_mapping, reachable_orders, riscv_mapping, MapOp, Mapping, PowerSyncStyle,
-    TableMapping,
+    builtin_headers, order_word, parse_stack_header, reachable_orders, MapOp, MappingSection,
+    StackHeader,
 };
-use tricheck_isa::{RiscvIsa, SpecVersion};
-use tricheck_litmus::MemOrder;
 use tricheck_rel::lint::{lint_model, Diagnostic, MODEL_RULES, RULES};
-use tricheck_rel::parse::{intern, parse_model_spanned, ParseError};
+use tricheck_rel::parse::{parse_model_spanned, ParseError};
 use tricheck_rel::ModelIr;
 use tricheck_uarch::{hw_lint_schema, hw_vocabulary, UarchModel};
 
 use crate::runner::{MatrixStack, StackKey};
 
-/// An error while loading a stack or model definition file, carrying
-/// the file origin and 1-based line for `file:line: message` display.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StackFileError {
-    /// The file (or other origin label) being loaded.
-    pub origin: String,
-    /// 1-based line number within the file.
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
+pub use tricheck_compiler::StackFileError;
+
+/// Re-anchors a model-text [`ParseError`] at its position within the
+/// surrounding file, whose `first_line` is the model text's line 1.
+fn parse_error(origin: &str, first_line: usize, e: &ParseError) -> StackFileError {
+    StackFileError::new(
+        origin,
+        first_line + e.line - 1,
+        format!("column {}: {}", e.col, e.msg),
+    )
 }
-
-impl StackFileError {
-    fn new(origin: &str, line: usize, msg: impl Into<String>) -> Self {
-        StackFileError {
-            origin: origin.to_string(),
-            line,
-            msg: msg.into(),
-        }
-    }
-
-    /// Re-anchors a model-text [`ParseError`] at its position within the
-    /// surrounding file.
-    fn from_parse(origin: &str, first_model_line: usize, e: &ParseError) -> Self {
-        StackFileError::new(
-            origin,
-            first_model_line + e.line - 1,
-            format!("column {}: {}", e.col, e.msg),
-        )
-    }
-}
-
-impl fmt::Display for StackFileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.origin, self.line, self.msg)
-    }
-}
-
-impl std::error::Error for StackFileError {}
 
 /// One registered sweep matrix, ready for `Sweep::run_matrix`: a
-/// built-in ([`builtin_stack`]) or a stack definition file. A file's
-/// mapping tables are leaked once per load to satisfy the
-/// `&'static dyn Mapping` the matrix requires — stacks are loaded a
-/// handful of times per process, so the leakage is bounded like the
-/// name interner's.
+/// built-in ([`builtin_stack`]) or a stack definition file. A loaded
+/// file's header, mapping tables included, is leaked once per load to
+/// satisfy the `&'static dyn Mapping` the matrix requires — stacks are
+/// loaded a handful of times per process, so the leakage is bounded
+/// like the name interner's. The built-ins' tables are the compiler
+/// crate's statics.
+#[derive(Clone)]
 pub struct LoadedStack {
     /// The stack's lookup name (the `stack` directive).
     pub name: String,
     /// The report table title (the `title` directive, or a default).
     pub title: String,
-    /// Where the stack was loaded from (for catalogs and errors);
-    /// `built-in` for the `riscv` and `power` matrices, which the
-    /// registry assembles from built-in mappings and model files.
+    /// Where the stack was loaded from (for catalogs and errors): the
+    /// file path, or for a built-in the committed file it was compiled
+    /// from (`models/riscv.stack`, …).
     pub origin: String,
-    /// The matrix columns, in presentation order; each key carries its
-    /// ISA and variant labels (for a file: the `isa` directive and the
-    /// `mapping` section label, all sharing the file's model).
+    /// The matrix columns, in presentation order: each `mapping`
+    /// section once per model that judges it, keyed by its `isa` label
+    /// and section label.
     pub stacks: Vec<MatrixStack<'static>>,
     /// Lint findings over the model text and mapping tables, with
     /// lines re-anchored to file coordinates. Loading succeeds even
@@ -148,68 +122,30 @@ impl fmt::Debug for LoadedStack {
     }
 }
 
-/// The built-in matrices' names, in catalog order. `x86-tso` is the
-/// committed stack file's own `stack` name.
+/// The built-in matrices' names, in catalog order: the `stack` names
+/// of the committed `models/riscv.stack`, `models/power.stack` and
+/// `models/x86-tso.stack`.
 pub const BUILTIN_STACKS: [&str; 3] = ["riscv", "power", "x86-tso"];
 
-/// The committed x86-TSO stack file: the built-in x86 study.
-const X86_TSO_STACK: &str = include_str!("../../../models/x86-tso.stack");
+/// The built-in stack files, each assembled once per process. Their
+/// models are never compiled: a clone gets its own kernel on first use.
+static BUILTINS: LazyLock<Vec<LoadedStack>> = LazyLock::new(|| {
+    builtin_headers()
+        .iter()
+        .map(|header| {
+            assemble(header).unwrap_or_else(|e| panic!("a committed stack file loads: {e}"))
+        })
+        .collect()
+});
 
-/// Builds the built-in matrix registered under `name` (one of
-/// [`BUILTIN_STACKS`]), or `None` for any other name. Each call builds
-/// fresh model instances; the mappings are the compiler crate's
-/// statics, so every column of one (ISA, version) or sync style shares
-/// one mapping pointer and the sweep compiles each (test, mapping) pair
-/// once.
+/// The built-in matrix registered under `name` (one of
+/// [`BUILTIN_STACKS`]), or `None` for any other name. Each call hands
+/// out fresh model instances; the mappings are the compiler crate's
+/// statics, so every column of one mapping section shares one mapping
+/// pointer and the sweep compiles each (test, mapping) pair once.
 #[must_use]
 pub fn builtin_stack(name: &str) -> Option<LoadedStack> {
-    type Column = (StackKey, &'static dyn Mapping, Vec<UarchModel>);
-    let (title, columns): (&str, Vec<Column>) = match name {
-        "riscv" => (
-            "Figure 15: C11 → RISC-V mappings on the Table 7 µarchs",
-            riscv_columns()
-                .map(|(key, mapping, version)| (key, mapping, UarchModel::all_riscv(version)))
-                .collect(),
-        ),
-        "power" => (
-            "§7 compiler study: C11 → Power mappings on ARMv7",
-            PowerSyncStyle::ALL
-                .into_iter()
-                .map(|style| {
-                    let key = StackKey {
-                        isa: "Power",
-                        variant: style.label(),
-                    };
-                    (key, power_mapping(style), UarchModel::all_armv7())
-                })
-                .collect(),
-        ),
-        "x86-tso" => {
-            return Some(
-                parse_stack_file(X86_TSO_STACK, "models/x86-tso.stack")
-                    .expect("the committed x86-TSO stack file parses"),
-            )
-        }
-        _ => return None,
-    };
-    let stacks = columns
-        .into_iter()
-        .flat_map(|(key, mapping, models)| {
-            models.into_iter().map(move |model| MatrixStack {
-                key,
-                mapping,
-                model,
-            })
-        })
-        .collect();
-    Some(LoadedStack {
-        name: name.to_string(),
-        title: title.to_string(),
-        origin: "built-in".to_string(),
-        stacks,
-        lints: Vec::new(),
-        rules_checked: 0,
-    })
+    BUILTINS.iter().find(|entry| entry.name == name).cloned()
 }
 
 /// The 28 Figure 15 stacks in presentation order — the `riscv`
@@ -217,24 +153,6 @@ pub fn builtin_stack(name: &str) -> Option<LoadedStack> {
 #[must_use]
 pub fn riscv_stacks() -> Vec<MatrixStack<'static>> {
     builtin_stack("riscv").expect("riscv is built in").stacks
-}
-
-/// Figure 15's four (ISA, spec version) columns: the row key, the
-/// Table 2/3 mapping, and the spec version its µarchs implement.
-fn riscv_columns() -> impl Iterator<Item = (StackKey, &'static dyn Mapping, SpecVersion)> {
-    [RiscvIsa::Base, RiscvIsa::BaseA]
-        .into_iter()
-        .flat_map(|isa| {
-            [SpecVersion::Curr, SpecVersion::Ours]
-                .into_iter()
-                .map(move |version| {
-                    let key = StackKey {
-                        isa: intern(&isa.to_string()),
-                        variant: intern(&version.to_string()),
-                    };
-                    (key, riscv_mapping(isa, version), version)
-                })
-        })
 }
 
 /// The sweep matrices of one invocation: the built-ins, plus any stack
@@ -339,8 +257,8 @@ pub fn load_model_file_linted(path: &Path) -> Result<(ModelIr, Vec<Diagnostic>),
     let origin = path.display().to_string();
     let src = fs::read_to_string(path)
         .map_err(|e| StackFileError::new(&origin, 0, format!("cannot read model file: {e}")))?;
-    let (ir, spans) = parse_model_spanned(&src, &hw_vocabulary())
-        .map_err(|e| StackFileError::from_parse(&origin, 1, &e))?;
+    let (ir, spans) =
+        parse_model_spanned(&src, &hw_vocabulary()).map_err(|e| parse_error(&origin, 1, &e))?;
     let lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
     Ok((ir, lints))
 }
@@ -372,8 +290,8 @@ pub fn lint_path(path: &Path) -> Result<(String, Vec<Diagnostic>, usize), StackF
         let loaded = parse_stack_file(&src, &origin)?;
         Ok((origin.clone(), loaded.lints, loaded.rules_checked))
     } else {
-        let (ir, spans) = parse_model_spanned(&src, &hw_vocabulary())
-            .map_err(|e| StackFileError::from_parse(&origin, 1, &e))?;
+        let (ir, spans) =
+            parse_model_spanned(&src, &hw_vocabulary()).map_err(|e| parse_error(&origin, 1, &e))?;
         let lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
         Ok((origin, lints, MODEL_RULES))
     }
@@ -381,25 +299,30 @@ pub fn lint_path(path: &Path) -> Result<(String, Vec<Diagnostic>, usize), StackF
 
 /// Pairs a runtime-loaded hardware model with the four built-in RISC-V
 /// compiler mappings — the `sweep --model FILE` matrix: the custom
-/// model judged under each (ISA, spec version) mapping of Figure 15.
+/// model judged under each (ISA, spec version) mapping of Figure 15,
+/// i.e. each mapping section of `models/riscv.stack`.
 #[must_use]
 pub fn stacks_for_model(ir: &ModelIr) -> Vec<MatrixStack<'static>> {
-    riscv_columns()
-        .map(|(key, mapping, _)| MatrixStack {
-            key,
-            mapping,
+    let riscv = builtin_headers()
+        .iter()
+        .find(|header| header.name == "riscv")
+        .expect("riscv is built in");
+    riscv
+        .mappings
+        .iter()
+        .map(|section| MatrixStack {
+            key: section_key(section),
+            mapping: &section.table,
             model: UarchModel::from_ir(ir.clone()),
         })
         .collect()
 }
 
-/// One `mapping` section mid-parse: label, optional internal name, and
-/// the table lines with their line numbers.
-struct MappingSection {
-    label: String,
-    label_line: usize,
-    name: Option<String>,
-    lines: Vec<(usize, String)>,
+fn section_key(section: &MappingSection) -> StackKey {
+    StackKey {
+        isa: section.isa,
+        variant: section.label,
+    }
 }
 
 /// Parses stack-file text; `origin` labels errors (usually the path).
@@ -408,181 +331,63 @@ struct MappingSection {
 ///
 /// A [`StackFileError`] naming the origin and line.
 pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFileError> {
-    let err = |line: usize, msg: String| StackFileError::new(origin, line, msg);
+    let header = parse_stack_header(src, origin)?;
+    assemble(Box::leak(Box::new(header)))
+}
 
-    let mut name: Option<String> = None;
-    let mut isa: Option<String> = None;
-    let mut title: Option<String> = None;
-    let mut mappings: Vec<MappingSection> = Vec::new();
-    let mut model_start: Option<usize> = None; // 0-based index of the `model` line
-    let mut last_line = 0usize;
-
-    for (idx, raw) in src.lines().enumerate() {
-        let lineno = idx + 1;
-        last_line = lineno;
-        let stripped = match raw.find('#').into_iter().chain(raw.find("//")).min() {
-            Some(cut) => &raw[..cut],
-            None => raw,
-        };
-        let body = stripped.trim();
-        if body.is_empty() {
-            continue;
+/// Builds a stack from its parsed header: parses and lints the model
+/// section, resolves each `models` line to built-in models, and lints
+/// the mapping tables. The one assembly behind both built-in and
+/// loaded stacks.
+fn assemble(header: &'static StackHeader) -> Result<LoadedStack, StackFileError> {
+    let origin = header.origin.as_str();
+    let mut lints = Vec::new();
+    let file_model = match &header.model {
+        Some((first_line, text)) => {
+            let (ir, spans) = parse_model_spanned(text, &hw_vocabulary())
+                .map_err(|e| parse_error(origin, *first_line, &e))?;
+            // Model-level lint, re-anchored from model-text lines to
+            // file lines.
+            lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
+            for d in &mut lints {
+                d.line += first_line - 1;
+            }
+            Some(ir)
         }
-        let (word, rest) = body.split_once(char::is_whitespace).unwrap_or((body, ""));
-        let rest = rest.trim();
-        match word {
-            "stack" => {
-                if name.is_some() {
-                    return Err(err(lineno, "duplicate 'stack' directive".into()));
-                }
-                if rest.is_empty() {
-                    return Err(err(lineno, "'stack' needs a name".into()));
-                }
-                name = Some(rest.to_string());
-            }
-            "isa" => {
-                if isa.is_some() {
-                    return Err(err(lineno, "duplicate 'isa' directive".into()));
-                }
-                if rest.is_empty() {
-                    return Err(err(
-                        lineno,
-                        "'isa' needs a label (the report's ISA column)".into(),
-                    ));
-                }
-                isa = Some(rest.to_string());
-            }
-            "title" => {
-                if rest.is_empty() {
-                    return Err(err(lineno, "'title' needs text".into()));
-                }
-                title = Some(rest.to_string());
-            }
-            "mapping" => {
-                if rest.is_empty() {
-                    return Err(err(
-                        lineno,
-                        "'mapping' needs a label (the report's variant column)".into(),
-                    ));
-                }
-                if mappings.iter().any(|m| m.label == rest) {
-                    return Err(err(lineno, format!("duplicate mapping label '{rest}'")));
-                }
-                mappings.push(MappingSection {
-                    label: rest.to_string(),
-                    label_line: lineno,
-                    name: None,
-                    lines: Vec::new(),
-                });
-            }
-            "name" => {
-                let Some(section) = mappings.last_mut() else {
-                    return Err(err(
-                        lineno,
-                        "'name' must appear inside a 'mapping' section".into(),
-                    ));
-                };
-                if section.name.is_some() {
-                    return Err(err(
-                        lineno,
-                        "duplicate 'name' directive in this mapping".into(),
-                    ));
-                }
-                if rest.is_empty() {
-                    return Err(err(lineno, "'name' needs a value".into()));
-                }
-                section.name = Some(rest.to_string());
-            }
-            "ld" | "st" | "rmw" => {
-                let Some(section) = mappings.last_mut() else {
-                    return Err(err(
-                        lineno,
-                        format!("'{word}' table entry must appear inside a 'mapping' section"),
-                    ));
-                };
-                section.lines.push((lineno, body.to_string()));
-            }
-            "model" => {
-                model_start = Some(idx);
-                break;
-            }
-            other => {
-                return Err(err(
-                    lineno,
-                    format!(
-                        "unknown directive '{other}' (expected stack, isa, title, mapping, \
-                         name, ld, st, rmw or model)"
-                    ),
-                ));
-            }
-        }
-    }
-
-    let name = name.ok_or_else(|| err(1, "missing 'stack <name>' directive".into()))?;
-    let isa = isa.ok_or_else(|| err(last_line.max(1), "missing 'isa <label>' directive".into()))?;
-    if mappings.is_empty() {
-        return Err(err(
-            last_line.max(1),
-            "a stack needs at least one 'mapping' section".into(),
-        ));
-    }
-    let model_start = model_start.ok_or_else(|| {
-        err(
-            last_line.max(1),
-            "missing 'model' section (the stack's µarch model text)".into(),
-        )
-    })?;
-
-    // The model text: everything from the `model` line to EOF, handed to
-    // the rel parser verbatim (it strips comments itself).
-    let model_text: String = src
-        .lines()
-        .skip(model_start)
-        .flat_map(|l| [l, "\n"])
-        .collect();
-    let (ir, spans) = parse_model_spanned(&model_text, &hw_vocabulary())
-        .map_err(|e| StackFileError::from_parse(origin, model_start + 1, &e))?;
-
-    // Model-level lint, re-anchored from model-text lines to file
-    // lines (model-text line 1 is file line `model_start + 1`).
-    let mut lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
-    for d in &mut lints {
-        d.line += model_start;
-    }
+        None => None,
+    };
     let model_lint_count = lints.len();
 
     let mut stacks = Vec::new();
-    for section in mappings {
-        let internal = section
-            .name
-            .unwrap_or_else(|| format!("{name}-{}", section.label));
-        let mut table = TableMapping::new(intern(&internal));
-        let mut rows: Vec<(usize, MapOp, Vec<MemOrder>)> = Vec::new();
-        for (lineno, line) in &section.lines {
-            let (op, orders) = table.parse_line(line).map_err(|msg| err(*lineno, msg))?;
-            rows.push((*lineno, op, orders));
-        }
-        if !table.defines_anything() {
-            return Err(err(
-                section.label_line,
-                format!("mapping '{}' has no table entries", section.label),
-            ));
-        }
-        lint_mapping_table(
-            &section.label,
-            section.label_line,
-            &table,
-            &rows,
-            &mut lints,
-        );
-        stacks.push(MatrixStack {
-            key: StackKey {
-                isa: intern(&isa),
-                variant: intern(&section.label),
-            },
-            mapping: Box::leak(Box::new(table)),
-            model: UarchModel::from_ir(ir.clone()),
-        });
+    for section in &header.mappings {
+        lint_mapping_table(section, &mut lints);
+        let models = match &section.models {
+            Some((line, names)) => names
+                .iter()
+                .map(|name| {
+                    UarchModel::builtin(name).ok_or_else(|| {
+                        StackFileError::new(
+                            origin,
+                            *line,
+                            format!(
+                                "unknown built-in model '{name}' (built-in models: {})",
+                                UarchModel::builtin_names().join(", ")
+                            ),
+                        )
+                    })
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+            None => vec![UarchModel::from_ir(
+                file_model
+                    .clone()
+                    .expect("the header requires a model section"),
+            )],
+        };
+        stacks.extend(models.into_iter().map(|model| MatrixStack {
+            key: section_key(section),
+            mapping: &section.table,
+            model,
+        }));
     }
 
     lints.sort_by(|a, b| (a.line, a.col, a.code, &a.msg).cmp(&(b.line, b.col, b.code, &b.msg)));
@@ -593,8 +398,11 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
     );
 
     Ok(LoadedStack {
-        title: title.unwrap_or_else(|| format!("stack study: {name}")),
-        name,
+        name: header.name.clone(),
+        title: header
+            .title
+            .clone()
+            .unwrap_or_else(|| format!("stack study: {}", header.name)),
         origin: origin.to_string(),
         stacks,
         lints,
@@ -610,13 +418,8 @@ pub fn parse_stack_file(src: &str, origin: &str) -> Result<LoadedStack, StackFil
 /// `CompileError::Unsupported` the first time a test uses it. An op
 /// with no rows at all is deliberate (the mapping does not claim to
 /// support it) and is not flagged.
-fn lint_mapping_table(
-    label: &str,
-    label_line: usize,
-    table: &TableMapping,
-    rows: &[(usize, MapOp, Vec<MemOrder>)],
-    out: &mut Vec<Diagnostic>,
-) {
+fn lint_mapping_table(section: &MappingSection, out: &mut Vec<Diagnostic>) {
+    let (label, table, rows) = (section.label, &section.table, &section.rows);
     for (lineno, op, orders) in rows {
         for &mo in orders {
             if !reachable_orders(*op).contains(&mo) {
@@ -646,7 +449,7 @@ fn lint_mapping_table(
             if !table.defines(op, mo) {
                 out.push(Diagnostic::warning(
                     "W004",
-                    (label_line, 1),
+                    (section.line, 1),
                     format!(
                         "mapping '{label}' defines some '{op}' orders but leaves '{op} {mo}' \
                          undefined — compiling a test that uses it fails with Unsupported",
@@ -699,15 +502,15 @@ model x86-TSO-toy
         assert_eq!(names, BUILTIN_STACKS);
         let counts: Vec<usize> = registry.entries().iter().map(|e| e.stacks.len()).collect();
         assert_eq!(counts, [28, 4, 2]);
-        // Every built-in is lint-clean; only the text-defined one ran the pass.
+        // Every built-in is a stack file: each ran the lint pass, clean.
         let rules: Vec<usize> = registry.entries().iter().map(|e| e.rules_checked).collect();
-        assert_eq!(rules, [0, 0, RULES.len()]);
+        assert_eq!(rules, [RULES.len(); 3]);
         assert!(registry.entries().iter().all(|e| e.lints.is_empty()));
         assert!(builtin_stack("nosuch").is_none());
     }
 
     #[test]
-    fn riscv_columns_share_one_mapping_per_isa_and_version() {
+    fn riscv_sections_share_one_mapping_per_isa_and_version() {
         let stacks = riscv_stacks();
         for pair in stacks.windows(2) {
             let same_key = pair[0].key == pair[1].key;
@@ -763,6 +566,44 @@ model x86-TSO-toy
         assert_eq!(loaded.stacks[0].key.isa_label(), "x86");
         assert_eq!(loaded.stacks[0].key.variant_label(), "strong");
         assert_eq!(loaded.stacks[0].model.name(), "x86-TSO-toy");
+    }
+
+    #[test]
+    fn isa_and_models_lines_shape_the_matrix() {
+        // Two ISAs share a section label; `models` lines name built-in
+        // models, and the section without one falls back to the file's
+        // model.
+        let src = TOY_STACK
+            .replace(
+                "mapping weak\n",
+                "isa x86-ish\nmapping strong\n  models WR/riscv-curr ARMv7-A9like\n",
+            )
+            .replace("isa x86\n", "isa x86\ntitle two ISAs\n");
+        let loaded = parse_stack_file(&src, "duo.stack").unwrap();
+        assert_eq!(loaded.title, "two ISAs");
+        let columns: Vec<(&str, &str, &str, &str)> = loaded
+            .stacks
+            .iter()
+            .map(|s| {
+                (
+                    s.key.isa_label(),
+                    s.key.variant_label(),
+                    s.mapping.name(),
+                    s.model.name(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            columns,
+            [
+                ("x86", "strong", "toy-strong", "x86-TSO-toy"),
+                ("x86-ish", "strong", "toy-x86-strong", "WR/riscv-curr"),
+                ("x86-ish", "strong", "toy-x86-strong", "ARMv7-A9like"),
+            ]
+        );
+        #[allow(ambiguous_wide_pointer_comparisons)]
+        let shared = std::ptr::eq(loaded.stacks[1].mapping, loaded.stacks[2].mapping);
+        assert!(shared, "one section's columns share its mapping");
     }
 
     #[test]
@@ -831,6 +672,46 @@ model x86-TSO-toy
                 "'name' must appear inside a 'mapping' section",
             ),
             ("stack a\nbogus directive\n", 2, "unknown directive 'bogus'"),
+            ("stack a\nisa x\ntitle t\ntitle u\n", 4, "duplicate 'title'"),
+            (
+                "stack a\nisa x\nmodels WR/riscv-curr\n",
+                3,
+                "'models' must appear inside a 'mapping' section",
+            ),
+            (
+                // An `isa` line closes the section above it.
+                "stack a\nisa x\nmapping m\n  ld rlx = ld\nisa y\nmodels WR/riscv-curr\n",
+                6,
+                "'models' must appear inside a 'mapping' section",
+            ),
+            (
+                "stack a\nisa x\nmapping m\n  models WR/riscv-curr\n  models nMM/riscv-curr\n",
+                5,
+                "duplicate 'models'",
+            ),
+            (
+                "stack a\nisa x\nmapping m\n  models WR/riscv-curr nMM/bogus\n  ld rlx = ld\n",
+                4,
+                "unknown built-in model 'nMM/bogus' (built-in models: WR/riscv-curr, ",
+            ),
+            (
+                // A label may repeat under another ISA, not under its own.
+                "stack a\nisa x\nmapping m\n  ld rlx = ld\nisa y\nmapping m\n  ld rlx = ld\n\
+                 isa x\nmapping m\n",
+                9,
+                "duplicate mapping label 'm' under 'isa x'",
+            ),
+            (
+                "stack a\nisa x\nmapping m\n  models WR/riscv-curr\n  ld rlx = ld\nisa y\n",
+                6,
+                "this 'isa' directive labels no 'mapping' section",
+            ),
+            (
+                "stack a\nisa x\nmapping m\n  models WR/riscv-curr\n  ld rlx = ld\n\
+                 model m\n  A: acyclic(po)\n",
+                6,
+                "unused 'model' section",
+            ),
         ] {
             let e = parse_stack_file(src, "mut.stack").unwrap_err();
             assert_eq!(e.origin, "mut.stack", "{src:?}");
@@ -944,6 +825,13 @@ model x86-TSO-toy
             (
                 "stack s\nisa x\nmapping m\nmodel m\n  A: acyclic(po)\n",
                 "has no table entries",
+            ),
+            (
+                // Mapping `n` has no `models` line and nothing else
+                // judges it.
+                "stack s\nisa x\nmapping m\n  models WR/riscv-curr\n  ld rlx = ld\n\
+                 mapping n\n  ld rlx = ld\n",
+                "missing 'model' section (the µarch model text that judges mapping 'n'",
             ),
         ] {
             let e = parse_stack_file(src, "omit.stack").unwrap_err();

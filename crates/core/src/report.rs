@@ -131,15 +131,11 @@ pub fn headline_table(results: &SweepResults) -> String {
 /// (`LoadedStack::title`): per (row key, model) cell, the total Bug /
 /// Overly Strict / Equivalent counts across the whole suite, in matrix
 /// order — the §7 compiler study, the x86 study, or any stack file.
+/// When the rows span more than one ISA label (the `riscv` matrix), an
+/// ISA column leads, so a `Base` row never reads like its `Base+A`
+/// twin.
 #[must_use]
 pub fn stack_table(results: &SweepResults, title: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let _ = writeln!(
-        out,
-        "{:<15} {:<22} {:>6} {:>14} {:>11} {:>7}",
-        "mapping", "model", "Bugs", "OverlyStrict", "Equivalent", "Total"
-    );
     // Aggregate each (key, model) pair over families, preserving the
     // rows' matrix order.
     let mut order: Vec<(StackKey, &str)> = Vec::new();
@@ -149,6 +145,27 @@ pub fn stack_table(results: &SweepResults, title: &str) -> String {
             order.push(cell);
         }
     }
+    let multi_isa = order.iter().any(|(key, _)| key.isa != order[0].0.isa);
+    let isa_cell = |isa: &str| {
+        if multi_isa {
+            format!("{isa:<8} ")
+        } else {
+            String::new()
+        }
+    };
+    let mut out = String::new();
+    let _ = writeln!(out, "== {title} ==");
+    let _ = writeln!(
+        out,
+        "{}{:<15} {:<22} {:>6} {:>14} {:>11} {:>7}",
+        isa_cell("ISA"),
+        "mapping",
+        "model",
+        "Bugs",
+        "OverlyStrict",
+        "Equivalent",
+        "Total"
+    );
     for (key, model) in order {
         let (mut bugs, mut strict, mut equiv) = (0, 0, 0);
         for row in results
@@ -162,7 +179,8 @@ pub fn stack_table(results: &SweepResults, title: &str) -> String {
         }
         let _ = writeln!(
             out,
-            "{:<15} {:<22} {:>6} {:>14} {:>11} {:>7}",
+            "{}{:<15} {:<22} {:>6} {:>14} {:>11} {:>7}",
+            isa_cell(key.isa_label()),
             key.variant_label(),
             model,
             bugs,
@@ -264,6 +282,24 @@ mod tests {
         assert!(table.contains("trailing-sync"));
         assert!(table.contains("ARMv7-A9like"));
         assert!(table.contains("ARMv7-A9-ldld-hazard"));
+    }
+
+    #[test]
+    fn riscv_stack_table_rows_are_distinct() {
+        // All-relaxed MP compiles to the same plain code under Base and
+        // Base+A, so only the ISA column tells each row from its twin.
+        let tests = vec![suite::mp([tricheck_litmus::MemOrder::Rlx; 4])];
+        let riscv = builtin_stack("riscv").unwrap();
+        let table = stack_table(
+            &Sweep::new().run_matrix(&tests, &riscv.stacks),
+            &riscv.title,
+        );
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert_eq!(rows.len(), 28, "{table}");
+        let distinct: std::collections::BTreeSet<&str> = rows.iter().copied().collect();
+        assert_eq!(distinct.len(), 28, "{table}");
+        assert!(table.lines().nth(1).unwrap().starts_with("ISA "), "{table}");
+        assert!(rows[0].starts_with("Base     riscv-curr "), "{table}");
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //!
 //! [`SweepResults::stats`] exposes the counters; the engine equivalence
 //! tests assert `compile_calls == tests × mappings` and
-//! `space_enumerations == distinct_programs`. [`Sweep::run_matrix_naive`]
-//! keeps the pre-engine per-cell recompute path alive as the
-//! differential oracle. Timings live in the layered
+//! `space_enumerations == distinct_programs`. The pre-engine per-cell
+//! recompute path lives on in the test-only `tricheck-oracle` crate as
+//! the differential oracle. Timings live in the layered
 //! benchmark under `perfbench/`, not here.
 //!
 //! **Persistence** ([`SpaceStore`], implemented on disk by
@@ -99,8 +99,8 @@ pub struct SweepOptions {
     /// Ignored: every sweep prunes. Each program's execution space cuts
     /// the search branches that already violate the model-independent
     /// core (coherence + RMW atomicity), which every model rejects
-    /// anyway, so rows are those of the unpruned per-cell reference
-    /// [`Sweep::run_matrix_naive`] (pinned by
+    /// anyway, so rows are those of `tricheck-oracle`'s unpruned
+    /// per-cell reference sweep (pinned by
     /// `tests/model_properties.rs` and the golden-row fixtures). The
     /// field remains only so that existing `pruning: true` struct
     /// literals still compile.
@@ -178,6 +178,7 @@ impl StackKey {
 /// One full-stack column of a sweep matrix: a row key, the compiler
 /// mapping producing the hardware programs, and the µarch model judging
 /// them. [`Sweep::run_matrix`] takes a list of these.
+#[derive(Clone)]
 pub struct MatrixStack<'m> {
     /// The row key under which this cell's results are aggregated.
     pub key: StackKey,
@@ -284,8 +285,8 @@ impl SweepResults {
         &self.rows
     }
 
-    /// The sweep's cache counters ([`SweepStats::default`] for the naive
-    /// paths, which cache nothing).
+    /// The sweep's cache counters ([`SweepStats::default`] for the
+    /// oracle's per-cell reference sweep, which caches nothing).
     #[must_use]
     pub fn stats(&self) -> &SweepStats {
         &self.stats
@@ -666,32 +667,6 @@ impl Sweep {
         }
     }
 
-    /// The naive counterpart of [`Sweep::run_matrix`]: identical cells,
-    /// but every cell recompiles and re-enumerates from scratch, unpruned
-    /// (the C11 verdicts are still computed once — the pre-engine
-    /// pipeline always shared those).
-    ///
-    /// Kept as the differential oracle for the engine: the equivalence
-    /// tests assert its rows match `run_matrix`'s exactly, which pins
-    /// both the shared spaces and their pruning. `stats()` is all zeros.
-    #[must_use]
-    pub fn run_matrix_naive(
-        &self,
-        tests: &[LitmusTest],
-        stacks: &[MatrixStack<'_>],
-    ) -> SweepResults {
-        let c11 = self.c11_entries_naive(tests);
-        let mut rows = Vec::new();
-        for stack in stacks {
-            let results = self.cell_results_naive(tests, &c11, stack.mapping, &stack.model);
-            rows.extend(aggregate(stack.key, stack.model.name(), &results));
-        }
-        SweepResults {
-            rows,
-            stats: SweepStats::default(),
-        }
-    }
-
     /// Compiles and groups the sweep by program, then runs one work item
     /// per distinct program over the work-stealing pool, returning
     /// per-slot results (test-major) plus the sweep's counters.
@@ -739,8 +714,7 @@ impl Sweep {
         run_work_stealing(items.len(), self.options.threads, &process);
 
         // Step 1 for tests no mapping could compile, so
-        // `c11_evaluations == tests` holds on every matrix (the naive
-        // path evaluates every test's C11 verdict too).
+        // `c11_evaluations == tests` holds on every matrix.
         for t in 0..tests.len() {
             cache.c11_entry(t);
         }
@@ -782,45 +756,6 @@ impl Sweep {
             drop(items);
         }
         (results, stats)
-    }
-
-    /// Step 1 verdicts for all tests, computed in parallel (naive path).
-    fn c11_entries_naive(&self, tests: &[LitmusTest]) -> Vec<C11Cached> {
-        let hll = C11Model::new();
-        let mode = self.options.outcome_mode;
-        parallel_map(tests, self.options.threads, |t| match mode {
-            OutcomeMode::Target => C11Cached::Target(hll.permits_target(t)),
-            OutcomeMode::FullOutcomes => C11Cached::Full(hll.permitted_outcomes(t)),
-        })
-    }
-
-    fn cell_results_naive(
-        &self,
-        tests: &[LitmusTest],
-        c11: &[C11Cached],
-        mapping: &dyn Mapping,
-        model: &UarchModel,
-    ) -> Vec<TestResult> {
-        let indexed: Vec<(usize, &LitmusTest)> = tests.iter().enumerate().collect();
-        parallel_map(&indexed, self.options.threads, |&(i, test)| {
-            let Ok(compiled) = compile(test, mapping) else {
-                return None;
-            };
-            Some(match &c11[i] {
-                C11Cached::Target(permitted) => {
-                    let observable = model.observes(compiled.program(), compiled.target());
-                    TestResult::new(test, *permitted, observable)
-                }
-                C11Cached::Full(permitted) => {
-                    let observable =
-                        model.observable_outcomes(compiled.program(), compiled.observed());
-                    TestResult::from_classification(test, classify_sets(permitted, &observable))
-                }
-            })
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 
@@ -920,35 +855,6 @@ fn aggregate(key: StackKey, model: &str, results: &[TestResult]) -> Vec<SweepRow
         .collect()
 }
 
-/// Applies `f` to every item, splitting the work over `threads` OS
-/// threads. Order of results matches the input order. (Used by the naive
-/// per-cell path; the engine path schedules finer-grained items through
-/// [`run_work_stealing`].)
-pub(crate) fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut results: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| s.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        results = handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect();
-    });
-    results.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,19 +866,6 @@ mod tests {
     /// A built-in matrix's stacks, by registry name.
     fn matrix(name: &str) -> Vec<MatrixStack<'static>> {
         builtin_stack(name).expect("built-in matrix").stacks
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let doubled = parallel_map(&items, 7, |&x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_single_threaded_fallback() {
-        let items = vec![1, 2, 3];
-        assert_eq!(parallel_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);
     }
 
     #[test]
@@ -1112,32 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn x86_sweep_exposes_sb_only_under_the_relaxed_mapping() {
-        let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
-        let results = Sweep::new().run_matrix(&tests, &matrix("x86-tso"));
-        let sc = StackKey {
-            isa: "x86",
-            variant: "sc-atomics",
-        };
-        let relaxed = StackKey {
-            isa: "x86",
-            variant: "relaxed",
-        };
-        assert_eq!(results.bugs_for(sc, "x86-TSO"), 0);
-        assert_eq!(
-            results.bugs_for(relaxed, "x86-TSO"),
-            1,
-            "exactly the all-SC store-buffering variant slips through"
-        );
-        assert_eq!(
-            results.rows(),
-            Sweep::new()
-                .run_matrix_naive(&tests, &matrix("x86-tso"))
-                .rows()
-        );
-    }
-
-    #[test]
     fn x86_matrix_is_two_data_defined_cells() {
         let stacks = matrix("x86-tso");
         assert_eq!(stacks.len(), 2);
@@ -1145,21 +1012,6 @@ mod tests {
             assert_eq!(stack.key.isa_label(), "x86");
             assert_eq!(stack.model.ir().name(), "x86-TSO");
         }
-    }
-
-    #[test]
-    fn full_suite_pruning_is_transparent_and_nonzero() {
-        // The acceptance contract of axiom-driven pruning on a family
-        // with RMW-compiled stores: the pruned engine's rows are the
-        // unpruned per-cell reference's, and pruning actually fires.
-        let tests: Vec<_> = suite::corsdwi_template().instantiate_all().collect();
-        let sweep = Sweep::new();
-        let pruned = sweep.run_matrix(&tests, &matrix("riscv"));
-        assert_eq!(
-            pruned.rows(),
-            sweep.run_matrix_naive(&tests, &matrix("riscv")).rows()
-        );
-        assert!(pruned.stats().candidates_pruned > 0);
     }
 
     #[test]
@@ -1173,20 +1025,6 @@ mod tests {
             assert_eq!(serial.rows(), parallel.rows(), "threads={threads}");
             assert_eq!(serial.stats(), parallel.stats(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn engine_sweep_matches_naive_sweep_on_a_family() {
-        let tests: Vec<_> = suite::corr_template().instantiate_all().collect();
-        let sweep = Sweep::new();
-        assert_eq!(
-            sweep.run_matrix(&tests, &matrix("riscv")).rows(),
-            sweep.run_matrix_naive(&tests, &matrix("riscv")).rows()
-        );
-        assert_eq!(
-            sweep.run_matrix(&tests, &matrix("power")).rows(),
-            sweep.run_matrix_naive(&tests, &matrix("power")).rows()
-        );
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! - [`uarch_check`]: the imperative microarchitecture checker, the only
 //!   oracle independent of the model text;
 //! - [`c11_check`]: the imperative C11 checker, independent of
-//!   `C11Model::ir`.
+//!   `C11Model::ir`;
+//! - [`run_matrix_naive`]: the per-cell, unpruned reference sweep that
+//!   `Sweep::run_matrix`'s shared execution-space engine replaced.
 //!
-//! `tests/model_properties.rs` runs all three against the kernel.
+//! `tests/model_properties.rs` runs the first three against the kernel;
+//! `tests/engine_equivalence.rs` and `tests/power_equivalence.rs` pin
+//! the engine's rows to the reference sweep's.
 //!
 //! The crate also holds the knob generator of the built-in hardware
 //! models ([`UarchConfig`], [`build_uarch_ir`]), and renders the
@@ -28,6 +32,7 @@ mod config;
 mod generate;
 mod interpret;
 mod random;
+mod sweep;
 mod uarch;
 
 pub use c11::c11_check;
@@ -35,4 +40,5 @@ pub use config::{figure7, ReleasePredecessors, StoreAtomicity, UarchConfig};
 pub use generate::build_uarch_ir;
 pub use interpret::interpret;
 pub use random::random_ir;
+pub use sweep::run_matrix_naive;
 pub use uarch::uarch_check;

@@ -78,17 +78,21 @@
 //!   serial run.
 //!
 //! The pre-engine per-cell pipeline survives as
-//! [`core::Sweep::run_matrix_naive`], the unpruned reference the
-//! differential tests in `tests/engine_equivalence.rs` and
-//! `tests/model_properties.rs` compare sweeps against.
+//! `tricheck_oracle::run_matrix_naive` (in the test-only oracle crate),
+//! the unpruned reference the differential tests in
+//! `tests/engine_equivalence.rs` and `tests/model_properties.rs`
+//! compare sweeps against.
 //!
 //! # Stacks are data
 //!
-//! Every sweep matrix is a registry entry ([`core::StackRegistry`]):
-//! the built-in `riscv` (Figure 15), `power` (§7) and `x86-tso` (the
-//! committed `models/x86-tso.stack`) are looked up by name exactly like
-//! a user's stack file, and every compiler mapping — built-in or
-//! loaded — is a [`compiler::TableMapping`].
+//! Every sweep matrix is a registry entry ([`core::StackRegistry`]),
+//! and every built-in is a committed stack file: `riscv` (Figure 15) is
+//! `models/riscv.stack`, `power` (§7) is `models/power.stack` and
+//! `x86-tso` is `models/x86-tso.stack`. They are compiled in, parsed
+//! once, and assembled by the same loader as a user's
+//! `sweep --stack FILE`; every compiler mapping — built-in or loaded —
+//! is a [`compiler::TableMapping`] in one of those files' `mapping`
+//! sections.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -137,6 +137,12 @@ impl UarchModel {
             .map(|ir| Self::from_ir(ir.clone()))
     }
 
+    /// Every built-in model's name, in presentation order.
+    #[must_use]
+    pub fn builtin_names() -> Vec<&'static str> {
+        BUILTINS.iter().map(ModelIr::name).collect()
+    }
+
     fn table7(model: &str, version: SpecVersion) -> Self {
         Self::builtin(&format!("{model}/{version}")).expect("every Table 7 model is built in")
     }

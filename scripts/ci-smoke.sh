@@ -72,6 +72,21 @@ if [[ -z "$programs" || "$programs" -eq 0 || "$enumerations" != "$programs" ]]; 
   exit 1
 fi
 
+step "CLI built-in stack files smoke (each built-in matrix is its committed file)"
+# The riscv and power built-ins are compiled in from models/riscv.stack
+# and models/power.stack: loaded from disk, each prints the same table.
+for stack in riscv power; do
+  tricheck sweep wrc --stack "$stack" --threads 2 > "$TMP/$stack-builtin.txt"
+  tricheck sweep wrc --stack "models/$stack.stack" --threads 2 > "$TMP/$stack-file.txt"
+  diff "$TMP/$stack-builtin.txt" "$TMP/$stack-file.txt"
+done
+# The riscv table's ISA column keeps every Base row apart from its
+# Base+A twin.
+sed '1,2d' "$TMP/riscv-builtin.txt" | sort | uniq -d > "$TMP/riscv-dups.txt"
+if [[ -s "$TMP/riscv-dups.txt" ]]; then
+  echo "indistinguishable riscv table rows:" >&2; cat "$TMP/riscv-dups.txt" >&2; exit 1
+fi
+
 step "CLI model-file sweep smoke (a built-in model, loaded from its file)"
 tricheck sweep wrc --model models/riscv-curr/nMM.cat --threads 2 | tee "$TMP/nmm-file.txt"
 # The file's own column (Base/riscv-curr) must equal the built-in nMM

@@ -8,6 +8,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use tricheck::litmus::ExecutionSpace;
 use tricheck::prelude::*;
+use tricheck_oracle::run_matrix_naive;
 
 /// The 1,701-test suite, instantiated once for every property case.
 fn cached_suite() -> &'static [LitmusTest] {
@@ -33,7 +34,7 @@ proptest! {
     /// identically, for any subset of the suite and any thread count.
     #[test]
     fn shared_engine_sweep_matches_naive_recompute(tests in arb_subset()) {
-        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_matrix_naive(&tests, &riscv_stacks());
+        let naive = run_matrix_naive(&SweepOptions::with_threads(1), &tests, &riscv_stacks());
         for threads in [1, 4] {
             let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_matrix(&tests, &riscv_stacks());
             prop_assert!(
@@ -153,4 +154,62 @@ fn full_suite_sweep_upholds_cache_contract() {
     };
     let a9_bugs = results.bugs_for(key, "A9like");
     assert_eq!(a9_bugs, 144);
+}
+
+/// A built-in matrix's stacks, by registry name.
+fn matrix(name: &str) -> Vec<MatrixStack<'static>> {
+    builtin_stack(name).expect("built-in matrix").stacks
+}
+
+#[test]
+fn x86_sweep_exposes_sb_only_under_the_relaxed_mapping() {
+    let tests: Vec<_> = suite::sb_template().instantiate_all().collect();
+    let results = Sweep::new().run_matrix(&tests, &matrix("x86-tso"));
+    let sc = StackKey {
+        isa: "x86",
+        variant: "sc-atomics",
+    };
+    let relaxed = StackKey {
+        isa: "x86",
+        variant: "relaxed",
+    };
+    assert_eq!(results.bugs_for(sc, "x86-TSO"), 0);
+    assert_eq!(
+        results.bugs_for(relaxed, "x86-TSO"),
+        1,
+        "exactly the all-SC store-buffering variant slips through"
+    );
+    assert_eq!(
+        results.rows(),
+        run_matrix_naive(&SweepOptions::default(), &tests, &matrix("x86-tso")).rows()
+    );
+}
+
+#[test]
+fn full_suite_pruning_is_transparent_and_nonzero() {
+    // The acceptance contract of axiom-driven pruning on a family
+    // with RMW-compiled stores: the pruned engine's rows are the
+    // unpruned per-cell reference's, and pruning actually fires.
+    let tests: Vec<_> = suite::corsdwi_template().instantiate_all().collect();
+    let pruned = Sweep::new().run_matrix(&tests, &matrix("riscv"));
+    assert_eq!(
+        pruned.rows(),
+        run_matrix_naive(&SweepOptions::default(), &tests, &matrix("riscv")).rows()
+    );
+    assert!(pruned.stats().candidates_pruned > 0);
+}
+
+#[test]
+fn engine_sweep_matches_naive_sweep_on_a_family() {
+    let tests: Vec<_> = suite::corr_template().instantiate_all().collect();
+    let options = SweepOptions::default();
+    for name in ["riscv", "power"] {
+        assert_eq!(
+            Sweep::with_options(options.clone())
+                .run_matrix(&tests, &matrix(name))
+                .rows(),
+            run_matrix_naive(&options, &tests, &matrix(name)).rows(),
+            "{name}"
+        );
+    }
 }

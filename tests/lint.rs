@@ -9,8 +9,8 @@
 //! 2. **Clean corpus**: every committed file under `models/` and
 //!    all 34 built-in stacks lint clean — the pass has no false
 //!    positives on real models.
-//! 3. **Mutation coverage**: six seeded breakages of the committed
-//!    stack file each trip the intended rule — the pass has no false
+//! 3. **Mutation coverage**: seven seeded breakages of the committed
+//!    stack files each trip the intended rule — the pass has no false
 //!    negatives on the defect classes it claims to catch.
 //! 4. **Schema faithfulness**: every definite claim in
 //!    [`hw_lint_schema`] (emptiness sorts, irreflexivity, acyclicity)
@@ -150,9 +150,12 @@ fn w004_fixture_unreachable_and_missing_mapping_rows() {
 #[test]
 fn committed_model_files_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (_, diags, rules) = lint_path(&root.join("models/x86-tso.stack")).unwrap();
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(rules, RULES.len());
+    for stack in ["riscv", "power", "x86-tso"] {
+        let path = root.join(format!("models/{stack}.stack"));
+        let (_, diags, rules) = lint_path(&path).unwrap();
+        assert!(diags.is_empty(), "{stack}: {diags:?}");
+        assert_eq!(rules, RULES.len());
+    }
     // Every bare model file: x86-tso.cat and the 16 built-ins in the
     // subdirectories.
     let mut cats = vec![root.join("models/x86-tso.cat")];
@@ -182,9 +185,10 @@ fn all_builtin_stacks_lint_clean() {
     }
 }
 
-/// Six seeded breakages of the committed stack file, one per rule: the
-/// pass must catch every one (and the unmutated file is clean, so each
-/// finding is attributable to its mutation alone).
+/// Six seeded breakages of the committed x86 stack file, one per rule,
+/// plus a W004 breakage of `models/riscv.stack`: the pass must catch
+/// every one (and the unmutated files are clean, so each finding is
+/// attributable to its mutation alone).
 #[test]
 fn seeded_mutations_of_the_committed_stack_are_caught() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -216,9 +220,16 @@ fn seeded_mutations_of_the_committed_stack_are_caught() {
         // Dropping the SC-store row leaves a reachable order undefined.
         ("  st sc = st; mfence\n", "", "W004"),
     ];
-    for (from, to, expected) in mutations {
+    // And one of the built-in RISC-V matrix: Base+A refined loses its
+    // SC-RMW row.
+    let riscv = std::fs::read_to_string(root.join("models/riscv.stack")).unwrap();
+    let cases = mutations
+        .iter()
+        .map(|&(from, to, expected)| (&pristine, from, to, expected))
+        .chain([(&riscv, "  rmw sc = rmw.aq.rl.sc\n", "", "W004")]);
+    for (pristine, from, to, expected) in cases {
         let mutated = pristine.replace(from, to);
-        assert_ne!(mutated, pristine, "mutation '{from}' did not apply");
+        assert_ne!(&mutated, pristine, "mutation '{from}' did not apply");
         let loaded = parse_stack_file(&mutated, "mut.stack")
             .unwrap_or_else(|e| panic!("mutation '{from}' must still parse: {e}"));
         assert!(

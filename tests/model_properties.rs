@@ -7,7 +7,9 @@ use tricheck::core::diagnose;
 use tricheck::prelude::*;
 use tricheck::rel::Judge;
 use tricheck::uarch::HwBinding;
-use tricheck_oracle::{c11_check, interpret, random_ir, uarch_check, UarchConfig};
+use tricheck_oracle::{
+    c11_check, interpret, random_ir, run_matrix_naive, uarch_check, UarchConfig,
+};
 
 /// Strategy: a random template index and a random order assignment.
 fn arb_variant() -> impl Strategy<Value = LitmusTest> {
@@ -70,7 +72,7 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
     let tests = suite::full_suite();
     let sweep = Sweep::new();
     let a = sweep.run_matrix(&tests, &riscv_stacks());
-    let b = sweep.run_matrix_naive(&tests, &riscv_stacks());
+    let b = run_matrix_naive(&SweepOptions::default(), &tests, &riscv_stacks());
     assert_eq!(a.rows(), b.rows(), "Figure 15 rows must not move");
     assert!(
         a.stats().candidates_pruned > 0,
@@ -84,19 +86,21 @@ fn full_suite_sweeps_are_identical_with_and_without_pruning() {
     let power = builtin_stack("power").unwrap().stacks;
     assert_eq!(
         sweep.run_matrix(&tests, &power).rows(),
-        sweep.run_matrix_naive(&tests, &power).rows(),
+        run_matrix_naive(&SweepOptions::default(), &tests, &power).rows(),
         "§7 rows must not move"
     );
 
     // Full-outcome mode exercises the other verdict surface
     // (`allowed_outcomes` instead of `permits`) over the same spaces.
-    let full = Sweep::with_options(SweepOptions {
+    let full = SweepOptions {
         outcome_mode: OutcomeMode::FullOutcomes,
         ..SweepOptions::default()
-    });
+    };
     assert_eq!(
-        full.run_matrix(&tests, &riscv_stacks()).rows(),
-        full.run_matrix_naive(&tests, &riscv_stacks()).rows(),
+        Sweep::with_options(full.clone())
+            .run_matrix(&tests, &riscv_stacks())
+            .rows(),
+        run_matrix_naive(&full, &tests, &riscv_stacks()).rows(),
         "full-outcome rows must not move"
     );
 }

@@ -13,6 +13,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use tricheck::prelude::*;
+use tricheck_oracle::run_matrix_naive;
 
 /// The 1,701-test suite, instantiated once for every property case.
 fn cached_suite() -> &'static [LitmusTest] {
@@ -39,7 +40,7 @@ proptest! {
     /// thread count.
     #[test]
     fn power_engine_sweep_matches_naive_recompute(tests in arb_subset()) {
-        let naive = Sweep::with_options(SweepOptions::with_threads(1)).run_matrix_naive(&tests, &builtin_stack("power").unwrap().stacks);
+        let naive = run_matrix_naive(&SweepOptions::with_threads(1), &tests, &builtin_stack("power").unwrap().stacks);
         for threads in [1, 4] {
             let engine = Sweep::with_options(SweepOptions::with_threads(threads)).run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
             prop_assert!(
@@ -59,7 +60,7 @@ proptest! {
             outcome_mode: OutcomeMode::FullOutcomes,
             ..SweepOptions::default()
         };
-        let naive = Sweep::with_options(serial).run_matrix_naive(&tests, &builtin_stack("power").unwrap().stacks);
+        let naive = run_matrix_naive(&serial, &tests, &builtin_stack("power").unwrap().stacks);
         for threads in [1, 4] {
             let opts = SweepOptions {
                 threads,
@@ -84,9 +85,12 @@ proptest! {
 #[test]
 fn full_suite_power_sweep_matches_naive_and_upholds_contract() {
     let tests = suite::full_suite();
-    let sweep = Sweep::new();
-    let engine = sweep.run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
-    let naive = sweep.run_matrix_naive(&tests, &builtin_stack("power").unwrap().stacks);
+    let engine = Sweep::new().run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
+    let naive = run_matrix_naive(
+        &SweepOptions::default(),
+        &tests,
+        &builtin_stack("power").unwrap().stacks,
+    );
     assert_eq!(engine.rows(), naive.rows());
 
     let stats = engine.stats();

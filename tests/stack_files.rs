@@ -11,12 +11,19 @@
 //!    built-in x86 study), so the two committed copies cannot drift.
 //!    The stack file's rows are pinned by
 //!    `golden_rows::x86_tso_rows_match_committed_fixture`.
+//! 3. **Built-ins are the files**: `models/riscv.stack` and
+//!    `models/power.stack`, loaded from disk, sweep exactly like the
+//!    compiled-in `riscv` and `power` entries, whose mappings are the
+//!    compiler's statics, handed out without re-parsing or leaking.
 
 use std::path::Path;
 
 use proptest::prelude::*;
 use tricheck::core::{load_model_file, load_stack_file, stacks_for_model, StackRegistry};
-use tricheck::prelude::{riscv_stacks, suite, Sweep};
+use tricheck::prelude::{
+    builtin_stack, riscv_mapping, riscv_stacks, suite, Mapping, MatrixStack, RiscvIsa, SpecVersion,
+    Sweep,
+};
 use tricheck::rel::parse_model;
 use tricheck::uarch::hw_vocabulary;
 use tricheck_oracle::random_ir;
@@ -32,6 +39,61 @@ fn committed_x86_model_file_matches_the_stack_files_model() {
     for column in &stack.stacks {
         assert_eq!(column.model.ir(), &cat, "{:?}", column.key);
     }
+}
+
+/// The data address of a mapping (fat-pointer vtables may differ per
+/// codegen unit; the table is the same object either way).
+fn addr(mapping: &dyn Mapping) -> *const () {
+    (mapping as *const dyn Mapping).cast()
+}
+
+/// The committed `riscv` and `power` stack files, loaded from disk,
+/// have the built-in entries' keys, mappings, models and full-suite
+/// rows.
+#[test]
+fn committed_builtin_stack_files_match_the_builtin_entries() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let tests = suite::full_suite();
+    let columns = |stacks: &[MatrixStack<'_>]| -> Vec<_> {
+        stacks
+            .iter()
+            .map(|s| {
+                let model = s.model.name().to_string();
+                (s.key, s.mapping.name(), model)
+            })
+            .collect()
+    };
+    for (name, cells) in [("riscv", 28), ("power", 4)] {
+        let file =
+            load_stack_file(&root.join(format!("models/{name}.stack"))).expect("stack file loads");
+        let builtin = builtin_stack(name).expect("built in");
+        assert_eq!(file.name, name);
+        assert_eq!(file.title, builtin.title);
+        assert!(file.lints.is_empty(), "{name}: {:?}", file.lints);
+        assert_eq!(file.stacks.len(), cells);
+        assert_eq!(columns(&file.stacks), columns(&builtin.stacks), "{name}");
+        assert_eq!(
+            Sweep::new().run_matrix(&tests, &file.stacks).rows(),
+            Sweep::new().run_matrix(&tests, &builtin.stacks).rows(),
+            "{name}"
+        );
+    }
+}
+
+/// `riscv_mapping` is the `riscv` entry's first mapping section, and
+/// handing out a built-in entry again re-parses and leaks nothing: the
+/// second call's mappings are the first call's.
+#[test]
+fn builtin_mappings_are_parsed_once() {
+    let first = riscv_stacks();
+    assert_eq!(
+        addr(riscv_mapping(RiscvIsa::Base, SpecVersion::Curr)),
+        addr(first[0].mapping)
+    );
+    let again = builtin_stack("riscv").expect("built in").stacks;
+    let pointers =
+        |stacks: &[MatrixStack<'_>]| -> Vec<_> { stacks.iter().map(|s| addr(s.mapping)).collect() };
+    assert_eq!(pointers(&first), pointers(&again));
 }
 
 /// Each committed Table 7 model file, loaded from disk and swept through
