@@ -14,9 +14,9 @@
 //!    (`interpreter` vs `compiled`)?
 //! 3. What does axiom-driven pruning save (or cost), in enumeration
 //!    alone and in a pruned against an unpruned `ExecutionSpace` judged
-//!    by all seven µarch models, now that the partial-core checks ride
-//!    an incremental topological order instead of recomputing
-//!    acyclicity per branch?
+//!    by all seven µarch models, where each prune check rebuilds the
+//!    branch's partial coherence core as a bitset relation and tests
+//!    its acyclicity?
 //!
 //! Set `TRICHECK_BENCH_QUICK=1` to run a fast smoke pass (CI): fewer
 //! samples and the per-candidate variants only.

@@ -980,7 +980,7 @@ fn list_models(
     extra: &[(String, &[tricheck::core::MatrixStack<'_>])],
 ) -> String {
     let mut out = String::new();
-    let (builtins, loaded) = entries.split_at(tricheck::core::BUILTIN_STACKS.len());
+    let (builtins, loaded) = entries.split_at(tricheck::core::builtin_names().count());
     for entry in builtins {
         let title = format!("{} (built-in): {}", entry.name, entry.title);
         render_stack_section(&mut out, &title, &entry.stacks);

@@ -1,7 +1,7 @@
 //! The stack registry: every sweep matrix — built-in or loaded from a
 //! definition file — is a [`LoadedStack`] looked up by name.
 //!
-//! The built-ins are [`BUILTIN_STACKS`], and each *is* a committed
+//! The built-ins ([`builtin_names`]) are each a committed
 //! stack file: `riscv` (Figure 15: the four Table 2/3 mappings × the
 //! seven Table 7 µarchs of their spec version) is `models/riscv.stack`,
 //! `power` (the §7 compiler study: leading-/trailing-sync × the ARMv7
@@ -122,11 +122,6 @@ impl fmt::Debug for LoadedStack {
     }
 }
 
-/// The built-in matrices' names, in catalog order: the `stack` names
-/// of the committed `models/riscv.stack`, `models/power.stack` and
-/// `models/x86-tso.stack`.
-pub const BUILTIN_STACKS: [&str; 3] = ["riscv", "power", "x86-tso"];
-
 /// The built-in stack files, each assembled once per process. Their
 /// models are never compiled: a clone gets its own kernel on first use.
 static BUILTINS: LazyLock<Vec<LoadedStack>> = LazyLock::new(|| {
@@ -138,8 +133,14 @@ static BUILTINS: LazyLock<Vec<LoadedStack>> = LazyLock::new(|| {
         .collect()
 });
 
+/// The built-in matrices' names, in catalog order: the `stack` names
+/// of the stack files `tricheck-compiler` compiles in.
+pub fn builtin_names() -> impl Iterator<Item = &'static str> {
+    BUILTINS.iter().map(|entry| entry.name.as_str())
+}
+
 /// The built-in matrix registered under `name` (one of
-/// [`BUILTIN_STACKS`]), or `None` for any other name. Each call hands
+/// [`builtin_names`]), or `None` for any other name. Each call hands
 /// out fresh model instances; the mappings are the compiler crate's
 /// statics, so every column of one mapping section shares one mapping
 /// pointer and the sweep compiles each (test, mapping) pair once.
@@ -164,10 +165,7 @@ pub struct StackRegistry {
 impl Default for StackRegistry {
     fn default() -> Self {
         StackRegistry {
-            entries: BUILTIN_STACKS
-                .iter()
-                .filter_map(|name| builtin_stack(name))
-                .collect(),
+            entries: BUILTINS.clone(),
         }
     }
 }
@@ -499,7 +497,8 @@ model x86-TSO-toy
     fn builtins_are_registered_under_their_own_names() {
         let registry = StackRegistry::new();
         let names: Vec<&str> = registry.entries().iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, BUILTIN_STACKS);
+        assert_eq!(names, ["riscv", "power", "x86-tso"]);
+        assert!(builtin_names().eq(names));
         let counts: Vec<usize> = registry.entries().iter().map(|e| e.stacks.len()).collect();
         assert_eq!(counts, [28, 4, 2]);
         // Every built-in is a stack file: each ran the lint pass, clean.
@@ -540,7 +539,7 @@ model x86-TSO-toy
             "{}",
             loaded.origin
         );
-        assert_eq!(registry.entries().len(), BUILTIN_STACKS.len() + 1);
+        assert_eq!(registry.entries().len(), 4);
         // The name still finds the built-in, which the file reproduces.
         assert_eq!(
             registry.get("x86-tso").unwrap().origin,

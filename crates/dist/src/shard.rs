@@ -47,8 +47,8 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tricheck_core::{
-    builtin_stack, results_from_items, Classification, LoadedStack, MatrixStack, OutcomeMode,
-    SpaceStore, StoreStats, Sweep, SweepOptions, SweepResults, SweepStats, BUILTIN_STACKS,
+    builtin_names, builtin_stack, results_from_items, Classification, LoadedStack, MatrixStack,
+    OutcomeMode, SpaceStore, StoreStats, Sweep, SweepOptions, SweepResults, SweepStats,
 };
 use tricheck_litmus::codec::{self, ByteReader, CodecError};
 use tricheck_litmus::{Fingerprint, LitmusTest, MemOrder};
@@ -494,7 +494,7 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
     let matrix = builtin_stack(&name).ok_or_else(|| {
         format!(
             "malformed job: unknown matrix '{name}' (built-in matrices: {})",
-            BUILTIN_STACKS.join(", ")
+            builtin_names().collect::<Vec<_>>().join(", ")
         )
     })?;
     let inner = || -> Result<Job, CodecError> {

@@ -37,16 +37,21 @@
 //! may share one cache directory. Space files are read-merge-written:
 //! concurrent writers of the same fingerprint race benignly — one
 //! writer's entry survives, the loser's work is recomputed on the next
-//! cold lookup. The verdict file is merged with the on-disk state at
-//! [`DiskStore::flush`] under the same last-writer-wins discipline.
+//! cold lookup. The verdict file is one file every shard extends, so
+//! [`DiskStore::flush`] holds an exclusive `c11.verdicts.lock` file
+//! across its whole read-merge-write-rename: concurrent flushes
+//! serialize and the file ends up holding the union of their entries.
+//! A flush that has waited five seconds for the lock treats it as stale
+//! (its holder crashed), removes it and takes it.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use tricheck_core::{C11Cached, OutcomeMode, SpaceStore, StoreStats};
 use tricheck_isa::HwAnnot;
@@ -72,6 +77,49 @@ pub const FORMAT_VERSION: u32 = 3;
 const SPACE_MAGIC: &[u8; 8] = b"TCKSPC\x00\x01";
 /// Magic prefix of the C11 verdict file.
 const C11_MAGIC: &[u8; 8] = b"TCKC11\x00\x01";
+
+/// How long [`DiskStore::flush`] waits for another flush's lock file
+/// before it treats the lock as stale.
+const LOCK_WAIT: Duration = Duration::from_secs(5);
+
+/// An exclusive lock file, removed on drop.
+struct LockFile(PathBuf);
+
+impl LockFile {
+    /// Creates `path` exclusively, polling in short sleeps while another
+    /// holder has it. After [`LOCK_WAIT`] the lock is stale: it is
+    /// removed and taken.
+    fn acquire(path: PathBuf) -> LockFile {
+        let create = || {
+            fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+        };
+        let deadline = Instant::now() + LOCK_WAIT;
+        loop {
+            match create() {
+                Err(e) if e.kind() == ErrorKind::AlreadyExists && Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+                    let _ = fs::remove_file(&path);
+                    let _ = create();
+                    return LockFile(path);
+                }
+                // Taken, or the directory is unwritable (and so is the
+                // verdict file the lock guards).
+                _ => return LockFile(path),
+            }
+        }
+    }
+}
+
+impl Drop for LockFile {
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.0);
+    }
+}
 
 /// Failure to open a cache directory.
 #[derive(Debug)]
@@ -475,9 +523,10 @@ impl SpaceStore for DiskStore {
             return;
         }
         let mut map = self.c11.lock().expect("c11 lock");
-        // Merge with whatever a sibling process flushed since we loaded;
-        // our entries win on conflict (they are newer observations of
-        // the same deterministic computation, so any difference means a
+        let _lock = LockFile::acquire(self.dir.join("c11.verdicts.lock"));
+        // Merge with whatever a sibling flushed since we loaded; our
+        // entries win on conflict (they are newer observations of the
+        // same deterministic computation, so any difference means a
         // content change and our key already differs).
         let mut merged = self.read_c11_file();
         for (k, v) in map.drain() {

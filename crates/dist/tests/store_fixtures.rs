@@ -6,9 +6,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use tricheck_core::{builtin_stack, SpaceStore, Sweep, SweepOptions, SweepResults};
+use tricheck_core::{
+    builtin_stack, C11Cached, OutcomeMode, SpaceStore, Sweep, SweepOptions, SweepResults,
+};
 use tricheck_dist::DiskStore;
 use tricheck_litmus::{suite, LitmusTest};
 
@@ -313,6 +315,45 @@ fn corrupt_verdict_file_is_evicted_at_open() {
     let store = Arc::new(DiskStore::open(dir.path()).expect("reopen store"));
     assert_eq!(store.stats().evictions, 1, "verdict file evicted at open");
     assert!(!verdicts.exists(), "evicted file is deleted");
+}
+
+/// Two handles on one directory flush disjoint verdict sets at once
+/// (the in-process shape of two shard workers finishing together): the
+/// flush lock serializes them, so a fresh open holds the union.
+#[test]
+fn concurrent_verdict_flushes_keep_both_sets() {
+    let tests = small_suite();
+    let (left, right) = tests.split_at(tests.len() / 2);
+    for round in 0..20 {
+        let dir = TempDir::new("flush");
+        let handles = [
+            DiskStore::open(dir.path()).expect("open store"),
+            DiskStore::open(dir.path()).expect("open store"),
+        ];
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for (store, half) in handles.iter().zip([left, right]) {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    for test in half {
+                        store.save_c11(test, &C11Cached::Target(true));
+                    }
+                    barrier.wait();
+                    store.flush();
+                });
+            }
+        });
+        let fresh = DiskStore::open(dir.path()).expect("reopen store");
+        let missing = tests
+            .iter()
+            .filter(|t| fresh.load_c11(t, OutcomeMode::Target).is_none())
+            .count();
+        assert_eq!(missing, 0, "round {round}: a concurrent flush lost entries");
+        assert!(
+            !dir.path().join("c11.verdicts.lock").exists(),
+            "the lock file is released"
+        );
+    }
 }
 
 #[test]

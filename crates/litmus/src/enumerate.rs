@@ -15,16 +15,15 @@
 //!
 //! # Axiom-driven pruning
 //!
-//! The `*_pruned` entry points additionally maintain a *model-independent
-//! coherence core* — the relation `(po_loc \ R×R) ∪ rf ∪ co ∪ fr`, built
-//! incrementally from the partial `rf` assignment, the forced coherence
-//! edges (initialization writes first, same-thread same-location writes
-//! in program order), and the per-location orders as they are chosen —
-//! and cut any search branch whose partial core already closes a cycle
-//! or already violates RMW atomicity (a write known to sit
-//! coherence-between an RMW's read source and its write half —
-//! `rmw ∩ (fr ; co) = ∅` is checked verbatim by C11 and every
-//! microarchitecture model).
+//! The `*_pruned` entry points additionally cut any search branch that
+//! already violates the *model-independent coherence core*: the partial
+//! relation `(po_loc \ R×R) ∪ rf ∪ co ∪ fr` over the locations resolved
+//! so far, the `rf` choices made so far, and the coherence orders
+//! committed so far (plus the forced edges: initialization writes first,
+//! same-thread same-location writes in program order) is cyclic, or a
+//! write is already known to sit coherence-between an RMW's read source
+//! and its write half (`rmw ∩ (fr ; co) = ∅` is checked verbatim by C11
+//! and every microarchitecture model).
 //!
 //! The coherence half is sound to prune against because every model in
 //! the stack implies its acyclicity on complete candidates:
@@ -49,17 +48,12 @@
 //! enumeration yields precisely the candidates on which
 //! [`core_consistent`] holds, with identical surviving executions.
 //!
-//! The core is *incremental*: instead of rebuilding the relation and
-//! recomputing a transitive closure at every search node, the search
-//! carries a `CoreGraph` — a topological order over the partial core
-//! maintained Pearce–Kelly-style as `rf` edges are assigned and
-//! per-location `co` orders are committed. Inserting an edge that agrees
-//! with the current order costs O(1); a violating edge triggers a
-//! bounded reorder of the affected region (or sets a sticky cycle flag,
-//! since the core only grows along a branch). Programs with
-//! register-computed addresses fall back to building the graph fresh at
-//! each check (their locations resolve per candidate), with identical
-//! decisions either way — cycle detection is exact, not heuristic.
+//! The check is one from-scratch build: at each `rf` choice that can
+//! close a violation, and at each committed per-location order, the
+//! search builds the partial core as a bitset [`Relation`] and tests
+//! [`Relation::is_acyclic`]. Programs are capped at 64 events, so the
+//! core is at most 64 machine words; constant- and register-address
+//! programs take the same path.
 
 use std::collections::BTreeMap;
 
@@ -108,22 +102,12 @@ struct Skeleton<A> {
     /// atomicity violation needs an RMW — so a program with neither
     /// skips every prune check.
     core_prunable: bool,
-    /// Per-event: `true` for reads whose assignment can contribute to a
-    /// core violation (RMW read halves, and reads with a same-thread
-    /// possibly-same-location write). Other reads skip the per-choice
-    /// check; the per-location coherence-order check still covers every
-    /// completed candidate.
+    /// Per-event: `true` for reads whose `rf` choice can close a core
+    /// violation (RMW read halves, and reads with a same-thread
+    /// possibly-same-location write). Only these choices run the prune
+    /// check; the check at each committed coherence order still covers
+    /// every completed candidate.
     read_relevant: Vec<bool>,
-    /// `true` when every address is a constant — then the two static
-    /// core ingredients below are exact and the prune check skips its
-    /// per-call location scans.
-    all_const_addrs: bool,
-    /// Forced coherence edges (init-first, same-thread po order) over
-    /// the static locations; empty unless `all_const_addrs`.
-    static_forced_co: Relation,
-    /// `po_loc \ R×R` over the static locations; empty unless
-    /// `all_const_addrs`.
-    static_po_loc: Relation,
 }
 
 impl<A: Clone> Skeleton<A> {
@@ -284,9 +268,8 @@ impl<A: Clone> Skeleton<A> {
             _ => false,                 // a fence participates in nothing
         };
         let mut read_relevant = vec![false; n];
-        for (r, w) in &rmw_pairs {
-            read_relevant[*r] = true;
-            let _ = w;
+        for &(r, _) in &rmw_pairs {
+            read_relevant[r] = true;
         }
         for range in &thread_ranges {
             for a in range.clone() {
@@ -305,59 +288,6 @@ impl<A: Clone> Skeleton<A> {
         }
         let core_prunable = read_relevant.iter().any(|&x| x);
 
-        // Static core ingredients for constant-address programs: the
-        // prune check reuses these instead of re-scanning locations at
-        // every search node.
-        let all_const_addrs = !addr_expr.iter().any(|e| matches!(e, Some(Expr::Reg(_))));
-        let static_loc = |e: usize| -> Option<Loc> {
-            init_loc[e].or(match addr_expr[e] {
-                Some(Expr::Const(a)) => Some(Loc(a)),
-                _ => None,
-            })
-        };
-        let mut static_forced_co = Relation::empty(n);
-        let mut static_po_loc = Relation::empty(n);
-        if all_const_addrs {
-            let writes: Vec<usize> = events
-                .iter()
-                .filter(|e| e.kind == EventKind::Write)
-                .map(|e| e.id)
-                .collect();
-            for (i, &a) in writes.iter().enumerate() {
-                let Some(la) = static_loc(a) else { continue };
-                for &b in &writes[i + 1..] {
-                    if static_loc(b) != Some(la) {
-                        continue;
-                    }
-                    let (ea, eb) = (&events[a], &events[b]);
-                    if ea.tid.is_none() && eb.tid.is_some() {
-                        static_forced_co.insert(a, b);
-                    } else if eb.tid.is_none() && ea.tid.is_some() {
-                        static_forced_co.insert(b, a);
-                    } else if ea.tid == eb.tid && ea.tid.is_some() {
-                        if ea.po_index < eb.po_index {
-                            static_forced_co.insert(a, b);
-                        } else {
-                            static_forced_co.insert(b, a);
-                        }
-                    }
-                }
-            }
-            for (a, b) in po.pairs() {
-                let (Some(la), Some(lb)) = (static_loc(a), static_loc(b)) else {
-                    continue;
-                };
-                if la != lb {
-                    continue;
-                }
-                let both_reads =
-                    events[a].kind == EventKind::Read && events[b].kind == EventKind::Read;
-                if !both_reads {
-                    static_po_loc.insert(a, b);
-                }
-            }
-        }
-
         Skeleton {
             events,
             addr_expr,
@@ -374,9 +304,6 @@ impl<A: Clone> Skeleton<A> {
             expected,
             core_prunable,
             read_relevant,
-            all_const_addrs,
-            static_forced_co,
-            static_po_loc,
         }
     }
 
@@ -456,280 +383,58 @@ impl<A: Clone> Skeleton<A> {
             }
         }
     }
-}
 
-/// Incremental cycle detection over the growing partial coherence core:
-/// a topological order of the current (acyclic) core, repaired locally
-/// on each edge insertion (Pearce–Kelly).
-///
-/// An edge agreeing with the order costs O(1). A violating edge
-/// triggers discovery of the affected region (the nodes topologically
-/// between the edge's endpoints) and a reorder confined to it; if the
-/// target's region reaches back to the source, the edge closes a cycle
-/// and the sticky [`CoreGraph::cyclic`] flag is set — sound because the
-/// core only ever grows along a search branch, so a cycle never
-/// un-closes. Fixed-size arrays keep clones allocation-free
-/// (`Relation` caps universes at 64 events).
-#[derive(Clone)]
-struct CoreGraph {
-    /// Successor bitsets.
-    adj: [u64; 64],
-    /// Predecessor bitsets (for the backward half of the repair).
-    radj: [u64; 64],
-    /// Topological position of each node (a permutation of `0..n`).
-    pos: [u32; 64],
-    /// Inverse of `pos`: the node at each position.
-    node_at: [u32; 64],
-    /// Set once an inserted edge closed a cycle; sticky.
-    cyclic: bool,
-}
-
-impl CoreGraph {
-    fn new(n: usize) -> Self {
-        assert!(n <= 64, "Relation caps universes at 64 events");
-        let mut pos = [0u32; 64];
-        let mut node_at = [0u32; 64];
-        for (i, (p, q)) in pos.iter_mut().zip(node_at.iter_mut()).enumerate() {
-            *p = i as u32;
-            *q = i as u32;
-        }
-        CoreGraph {
-            adj: [0; 64],
-            radj: [0; 64],
-            pos,
-            node_at,
-            cyclic: false,
-        }
-    }
-
-    fn insert(&mut self, a: usize, b: usize) {
-        if a == b {
-            self.cyclic = true;
-            return;
-        }
-        let bit_b = 1u64 << b;
-        if self.adj[a] & bit_b != 0 {
-            return;
-        }
-        self.adj[a] |= bit_b;
-        self.radj[b] |= 1 << a;
-        if self.cyclic || self.pos[a] < self.pos[b] {
-            return; // order already valid (or moot)
-        }
-        // Affected region: the nodes at positions pos[b]..=pos[a]. Every
-        // pre-existing edge respects the order, so any path between
-        // region nodes stays inside the region.
-        let (lo, hi) = (self.pos[b] as usize, self.pos[a] as usize);
-        let mut region = 0u64;
-        for p in lo..=hi {
-            region |= 1 << self.node_at[p];
-        }
-        // Forward discovery from b; reaching a closes a cycle.
-        let mut fwd = bit_b;
-        let mut frontier = bit_b;
-        while frontier != 0 {
-            let mut next = 0u64;
-            while frontier != 0 {
-                let x = frontier.trailing_zeros() as usize;
-                frontier &= frontier - 1;
-                next |= self.adj[x];
-            }
-            next &= region & !fwd;
-            if next & (1 << a) != 0 {
-                self.cyclic = true;
-                return;
-            }
-            fwd |= next;
-            frontier = next;
-        }
-        // Backward discovery from a.
-        let mut back = 1u64 << a;
-        let mut frontier = back;
-        while frontier != 0 {
-            let mut next = 0u64;
-            while frontier != 0 {
-                let x = frontier.trailing_zeros() as usize;
-                frontier &= frontier - 1;
-                next |= self.radj[x];
-            }
-            next &= region & !back;
-            back |= next;
-            frontier = next;
-        }
-        // Repair: everything reaching `a` moves before everything
-        // reachable from `b`, reusing the vacated positions in ascending
-        // order; relative order within each side is preserved.
-        let mut slots = [0u32; 64];
-        let mut nodes = [0u32; 64];
-        let mut k = 0;
-        for p in lo..=hi {
-            if (back | fwd) & (1 << self.node_at[p]) != 0 {
-                slots[k] = p as u32;
-                k += 1;
-            }
-        }
-        let mut m = 0;
-        for p in lo..=hi {
-            let x = self.node_at[p];
-            if back & (1 << x) != 0 {
-                nodes[m] = x;
-                m += 1;
-            }
-        }
-        for p in lo..=hi {
-            let x = self.node_at[p];
-            if fwd & (1 << x) != 0 {
-                nodes[m] = x;
-                m += 1;
-            }
-        }
-        debug_assert_eq!(k, m);
-        for i in 0..k {
-            self.pos[nodes[i] as usize] = slots[i];
-            self.node_at[slots[i] as usize] = nodes[i];
-        }
-    }
-}
-
-/// The incrementally-maintained prune state carried down a search
-/// branch: the core's cycle detector plus the committed coherence lower
-/// bound (forced edges + the per-location orders chosen so far), which
-/// seeds the derived `fr` edges and the RMW-atomicity check.
-#[derive(Clone)]
-struct CoreState {
-    graph: CoreGraph,
-    co_lower: Relation,
-}
-
-impl CoreState {
-    /// The static seed for constant-address programs: forced coherence
-    /// edges and `po_loc \ R×R` are known before any search choice.
-    fn new_static<A>(skel: &Skeleton<A>) -> CoreState {
-        let n = skel.events.len();
-        let mut graph = CoreGraph::new(n);
-        for (a, b) in skel.static_forced_co.pairs() {
-            graph.insert(a, b);
-        }
-        for (a, b) in skel.static_po_loc.pairs() {
-            graph.insert(a, b);
-        }
-        CoreState {
-            graph,
-            co_lower: skel.static_forced_co.clone(),
-        }
-    }
-
-    /// A from-scratch build for register-computed-address programs,
-    /// whose locations (hence forced edges and `po_loc`) only resolve as
-    /// `rf` choices land: the same edge set the incremental path
-    /// accumulates, so decisions are identical.
-    fn fresh_dynamic<A>(
-        skel: &Skeleton<A>,
-        rf_choice: &[Option<usize>],
-        loc: &[Option<Loc>],
-        co_known: Option<&Relation>,
-    ) -> CoreState {
-        let n = skel.events.len();
-        let mut co_lower = match co_known {
-            Some(co) => co.clone(),
-            None => Relation::empty(n),
-        };
-        for (i, &a) in skel.writes.iter().enumerate() {
-            let Some(la) = loc[a] else { continue };
-            for &b in &skel.writes[i + 1..] {
-                if loc[b] != Some(la) {
-                    continue;
-                }
-                let (ea, eb) = (&skel.events[a], &skel.events[b]);
-                if ea.tid.is_none() && eb.tid.is_some() {
-                    co_lower.insert(a, b);
-                } else if eb.tid.is_none() && ea.tid.is_some() {
-                    co_lower.insert(b, a);
-                } else if ea.tid == eb.tid && ea.tid.is_some() {
-                    if ea.po_index < eb.po_index {
-                        co_lower.insert(a, b);
-                    } else {
-                        co_lower.insert(b, a);
-                    }
+    /// The coherence edges every model forces between same-location
+    /// writes, over the locations `loc` has resolved: the
+    /// initialization write first, and each thread's writes in program
+    /// order.
+    fn forced_co(&self, loc: &[Option<Loc>]) -> Relation {
+        let mut forced = Relation::empty(self.events.len());
+        for &a in &self.writes {
+            for &b in &self.writes {
+                let (ea, eb) = (&self.events[a], &self.events[b]);
+                let init_first = ea.tid.is_none() && eb.tid.is_some();
+                let same_thread_po =
+                    ea.tid.is_some() && ea.tid == eb.tid && ea.po_index < eb.po_index;
+                if loc[a].is_some() && loc[a] == loc[b] && (init_first || same_thread_po) {
+                    forced.insert(a, b);
                 }
             }
         }
-        let mut graph = CoreGraph::new(n);
-        for (a, b) in co_lower.pairs() {
-            graph.insert(a, b);
-        }
-        for (a, b) in skel.po.pairs() {
-            let (Some(la), Some(lb)) = (loc[a], loc[b]) else {
-                continue;
-            };
-            if la != lb {
-                continue;
-            }
-            let both_reads =
-                skel.events[a].kind == EventKind::Read && skel.events[b].kind == EventKind::Read;
-            if !both_reads {
-                graph.insert(a, b);
-            }
-        }
-        let mut state = CoreState { graph, co_lower };
-        for &r in &skel.reads {
-            if let Some(w) = rf_choice[r] {
-                state.assign_rf(r, w);
-            }
-        }
-        state
-    }
-
-    /// Records `rf(w, r)` plus the `fr` edges it implies against the
-    /// current coherence lower bound (a read is coherence-before every
-    /// write known to be co-after its source).
-    fn assign_rf(&mut self, r: usize, w: usize) {
-        self.graph.insert(w, r);
-        for w2 in self.co_lower.successors(w).iter() {
-            if w2 != r {
-                self.graph.insert(r, w2);
-            }
-        }
-    }
-
-    /// Commits one location's total coherence order: inserts the new
-    /// `co` pairs and, for each, the `fr` edges from the earlier write's
-    /// readers to the later write.
-    fn commit_group(&mut self, reads: &[usize], rf_choice: &[Option<usize>], order: &[usize]) {
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                let (wi, wj) = (order[i], order[j]);
-                if self.co_lower.contains(wi, wj) {
-                    continue; // forced edge: already present with its fr
-                }
-                self.co_lower.insert(wi, wj);
-                self.graph.insert(wi, wj);
-                for &r in reads {
-                    if rf_choice[r] == Some(wi) && r != wj {
-                        self.graph.insert(r, wj);
-                    }
-                }
-            }
-        }
+        forced
     }
 
     /// `false` iff the branch is dead under every model: the partial
-    /// core is cyclic, or a write is already known to sit
-    /// coherence-between an RMW's read source and its write half
-    /// (`rmw ∩ (fr ; co) = ∅`, checked verbatim by every model).
-    fn ok(&self, rmw: &Relation, rf_choice: &[Option<usize>]) -> bool {
-        if self.graph.cyclic {
-            return false;
+    /// core built from the resolved locations `loc`, the `rf` choices
+    /// made so far and the committed coherence orders `co` (plus the
+    /// forced edges) is cyclic, or a write already sits
+    /// coherence-between an RMW's read source and its write half.
+    fn core_ok(&self, rf_choice: &[Option<usize>], loc: &[Option<Loc>], co: &Relation) -> bool {
+        let co = co.union(&self.forced_co(loc));
+        let mut core = co.clone();
+        for (a, b) in self.po.pairs() {
+            let both_reads =
+                self.events[a].kind == EventKind::Read && self.events[b].kind == EventKind::Read;
+            if loc[a].is_some() && loc[a] == loc[b] && !both_reads {
+                core.insert(a, b);
+            }
         }
-        for (r, w) in rmw.pairs() {
-            let Some(s) = rf_choice[r] else { continue };
-            for w2 in self.co_lower.successors(s).iter() {
-                if w2 != w && self.co_lower.contains(w2, w) {
-                    return false;
+        for &r in &self.reads {
+            if let Some(w) = rf_choice[r] {
+                core.insert(w, r);
+                for later in co.successors(w).iter() {
+                    core.insert(r, later); // fr
                 }
             }
         }
-        true
+        core.is_acyclic()
+            && self.rmw.pairs().all(|(r, w)| {
+                rf_choice[r].is_none_or(|src| {
+                    !co.successors(src)
+                        .iter()
+                        .any(|between| between != w && co.contains(between, w))
+                })
+            })
     }
 }
 
@@ -856,11 +561,7 @@ fn enumerate_inner<A: Clone>(
         prune,
         pruned_branches: 0,
     };
-    // Constant-address programs maintain the prune state incrementally
-    // through the whole search; dynamic-address programs rebuild it at
-    // each check (their locations resolve per candidate).
-    let core = (prune && skel.all_const_addrs).then(|| CoreState::new_static(&skel));
-    let completed = ctx.assign_reads(0, &mut rf_choice, core.as_ref());
+    let completed = ctx.assign_reads(0, &mut rf_choice);
     Enumeration {
         completed,
         pruned_branches: ctx.pruned_branches,
@@ -878,14 +579,9 @@ struct Ctx<'a, A, F> {
 }
 
 impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
-    fn assign_reads(
-        &mut self,
-        k: usize,
-        rf_choice: &mut Vec<Option<usize>>,
-        core: Option<&CoreState>,
-    ) -> bool {
+    fn assign_reads(&mut self, k: usize, rf_choice: &mut Vec<Option<usize>>) -> bool {
         if k == self.skel.reads.len() {
-            return self.finalize(rf_choice, core);
+            return self.finalize(rf_choice);
         }
         let r = self.skel.reads[k];
         for wi in 0..self.skel.writes.len() {
@@ -900,26 +596,16 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
             }
             rf_choice[r] = Some(w);
             if let Some((loc, _)) = self.skel.propagate(rf_choice) {
-                // Extend the incremental core with this choice's rf/fr
-                // edges before deciding whether to check it.
-                let next_core = core.map(|c| {
-                    let mut c = c.clone();
-                    c.assign_rf(r, w);
-                    c
-                });
                 let dead = self.prune && self.skel.read_relevant[r] && {
-                    match &next_core {
-                        Some(c) => !c.ok(&self.skel.rmw, rf_choice),
-                        None => !CoreState::fresh_dynamic(self.skel, rf_choice, &loc, None)
-                            .ok(&self.skel.rmw, rf_choice),
-                    }
+                    let no_co = Relation::empty(loc.len());
+                    !self.skel.core_ok(rf_choice, &loc, &no_co)
                 };
                 if dead {
                     // Every completion of this branch keeps the cycle:
                     // resolved locations, chosen rf edges and forced co
                     // edges only ever grow.
                     self.pruned_branches += 1;
-                } else if !self.assign_reads(k + 1, rf_choice, next_core.as_ref()) {
+                } else if !self.assign_reads(k + 1, rf_choice) {
                     rf_choice[r] = None;
                     return false;
                 }
@@ -929,7 +615,7 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
         true
     }
 
-    fn finalize(&mut self, rf_choice: &[Option<usize>], core: Option<&CoreState>) -> bool {
+    fn finalize(&mut self, rf_choice: &[Option<usize>]) -> bool {
         let Some((loc, val)) = self.skel.propagate(rf_choice) else {
             return true;
         };
@@ -960,26 +646,10 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
                 .or_default()
                 .push(w);
         }
-        // Constraints: init writes first, same-thread writes in program
-        // order (required by coherence in C11 and by SC-per-location in
-        // every hardware model, so pruning here is sound).
-        let mut constraint = Relation::empty(n);
-        for ws in groups.values() {
-            for &a in ws {
-                for &b in ws {
-                    if a == b {
-                        continue;
-                    }
-                    let (ea, eb) = (&self.skel.events[a], &self.skel.events[b]);
-                    let init_first = ea.tid.is_none() && eb.tid.is_some();
-                    let same_thread_po =
-                        ea.tid == eb.tid && ea.tid.is_some() && ea.po_index < eb.po_index;
-                    if init_first || same_thread_po {
-                        constraint.insert(a, b);
-                    }
-                }
-            }
-        }
+        // Each order extends the forced edges (required by coherence in
+        // C11 and by SC-per-location in every hardware model, so
+        // skipping the other orders is sound).
+        let constraint = self.skel.forced_co(&loc);
 
         let mut rf = Relation::empty(n);
         for &r in &self.skel.reads {
@@ -989,17 +659,7 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
 
         let groups: Vec<Vec<usize>> = groups.into_values().collect();
         let mut co = Relation::empty(n);
-        self.enumerate_co(
-            &groups,
-            0,
-            &constraint,
-            &mut co,
-            rf_choice,
-            &rf,
-            &loc,
-            &val,
-            core,
-        )
+        self.enumerate_co(&groups, 0, &constraint, &mut co, rf_choice, &rf, &loc, &val)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1013,7 +673,6 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
         rf: &Relation,
         loc: &[Option<Loc>],
         val: &[Option<Val>],
-        core: Option<&CoreState>,
     ) -> bool {
         let n = self.skel.events.len();
         if g == groups.len() {
@@ -1035,21 +694,9 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
             // One location's order committed: a core cycle through it
             // survives into every completion (later groups only add
             // other locations' edges), so the whole subtree is dead.
-            let next_core = core.map(|c| {
-                let mut c = c.clone();
-                c.commit_group(&self.skel.reads, rf_choice, order);
-                c
-            });
-            if self.prune {
-                let dead = match &next_core {
-                    Some(c) => !c.ok(&self.skel.rmw, rf_choice),
-                    None => !CoreState::fresh_dynamic(self.skel, rf_choice, loc, Some(&co_next))
-                        .ok(&self.skel.rmw, rf_choice),
-                };
-                if dead {
-                    self.pruned_branches += 1;
-                    return true;
-                }
+            if self.prune && !self.skel.core_ok(rf_choice, loc, &co_next) {
+                self.pruned_branches += 1;
+                return true;
             }
             keep_going = self.enumerate_co(
                 groups,
@@ -1060,7 +707,6 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
                 rf,
                 loc,
                 val,
-                next_core.as_ref(),
             );
             keep_going
         });
@@ -1306,7 +952,9 @@ mod tests {
             suite::corr([MemOrder::Rlx; 4]).program().clone(),
             suite::corsdwi([MemOrder::Rlx; 5]).program().clone(),
             suite::iriw([MemOrder::Rlx; 6]).program().clone(),
+            register_address_race(),
         ];
+        let mut counts = Vec::new();
         for prog in progs {
             let mut all = Vec::new();
             enumerate_executions(&prog, &mut |e| {
@@ -1324,7 +972,53 @@ mod tests {
             if all.len() > surviving.len() {
                 assert!(result.pruned_branches > 0, "cuts must be counted");
             }
+            counts.push((all.len(), surviving.len(), result.pruned_branches));
         }
+        assert_eq!(counts.last(), Some(&(12, 6, 4)), "register-address case");
+    }
+
+    /// A register-address program whose store races a same-thread load
+    /// once its location resolves: T0 `r0 = ld y; st [r0], 2; r1 = ld x`,
+    /// T1 `st x, 1; st y, &x` (x is location 0, so both of `r0`'s
+    /// sources send the store to x, but only after `r0` has one).
+    fn register_address_race() -> Program<crate::order::MemOrder> {
+        let ann = crate::order::MemOrder::Rlx;
+        let (x, y) = (0, 1);
+        Program::new(
+            vec![
+                vec![
+                    Instr::Read {
+                        dst: Reg(0),
+                        addr: Expr::Const(y),
+                        ann,
+                    },
+                    Instr::Write {
+                        addr: Expr::Reg(Reg(0)),
+                        val: Expr::Const(2),
+                        ann,
+                    },
+                    Instr::Read {
+                        dst: Reg(1),
+                        addr: Expr::Const(x),
+                        ann,
+                    },
+                ],
+                vec![
+                    Instr::Write {
+                        addr: Expr::Const(x),
+                        val: Expr::Const(1),
+                        ann,
+                    },
+                    Instr::Write {
+                        addr: Expr::Const(y),
+                        val: Expr::Const(x),
+                        ann,
+                    },
+                ],
+            ],
+            [],
+        )
+        .expect("valid register-address program")
     }
 
     #[test]

@@ -36,17 +36,11 @@
 //!
 //! # Enabled / disabled story
 //!
-//! Instrumentation is **off by default** and has a two-level kill
-//! switch:
-//!
-//! - **Runtime**: every probe starts with one relaxed load of a global
-//!   flag word; when no session is active ([`start`] not called) the
-//!   probe returns immediately — no clock read, no TLS touch, no
-//!   allocation. This is the path the `trace_overhead` bench guard pins
-//!   (< 2% on the full Figure 15 sweep).
-//! - **Compile time**: building this crate with the `off` feature
-//!   replaces the flag load with a constant `0`, so the optimizer folds
-//!   every probe to nothing and the session API becomes inert.
+//! Instrumentation is **off by default**: every probe starts with one
+//! relaxed load of a global flag word, and when no session is active
+//! ([`start`] not called) the probe returns immediately — no clock
+//! read, no TLS touch, no allocation. This is the path the
+//! `trace_overhead` bench guard pins (< 2% on the full Figure 15 sweep).
 //!
 //! With a session active, the steady-state hot path is still
 //! allocation-free: histograms are fixed 256-bucket arrays, span stacks
@@ -115,15 +109,10 @@ const PROGRESS: u32 = 1 << 2;
 
 static FLAGS: AtomicU32 = AtomicU32::new(0);
 
-/// One relaxed load when the runtime gate is in play; a literal `0`
-/// (and thus dead code downstream) when built with the `off` feature.
+/// The session's enable bits: one relaxed load per probe.
 #[inline]
 fn flags() -> u32 {
-    if cfg!(feature = "off") {
-        0
-    } else {
-        FLAGS.load(Ordering::Relaxed)
-    }
+    FLAGS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -675,12 +664,8 @@ pub fn active() -> bool {
 }
 
 /// Arms the process-wide collector, discarding any stale buffered data
-/// from a previous session. A no-op under the `off` feature, and when
-/// `config` enables nothing.
+/// from a previous session. A no-op when `config` enables nothing.
 pub fn start(config: TraceConfig) {
-    if cfg!(feature = "off") {
-        return;
-    }
     let mut bits = 0;
     if config.metrics {
         bits |= METRICS;
@@ -1267,7 +1252,6 @@ mod tests {
     use super::*;
 
     /// Sessions are process-global; serialize the tests that use them.
-    #[cfg(not(feature = "off"))]
     fn session_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
@@ -1294,7 +1278,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn disabled_probes_record_nothing() {
         let _guard = session_lock();
         // No session: spans and counters must leave no trace behind.
@@ -1309,7 +1292,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn self_time_excludes_children() {
         let _guard = session_lock();
         start(TraceConfig::metrics());
@@ -1343,7 +1325,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn counters_and_keyed_spans_aggregate() {
         let _guard = session_lock();
         start(TraceConfig::metrics());
@@ -1372,7 +1353,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn events_capture_and_chrome_render() {
         let _guard = session_lock();
         start(TraceConfig {
@@ -1495,7 +1475,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "off"))]
     fn progress_snapshot_tracks_items() {
         let _guard = session_lock();
         start(TraceConfig {

@@ -152,10 +152,13 @@ sed '/^cache stats:/,$d' "$TMP/cold.txt" > "$TMP/cold-chart.txt"
 sed '/^cache stats:/,$d' "$TMP/warm.txt" > "$TMP/warm-chart.txt"
 diff "$TMP/cold-chart.txt" "$TMP/warm-chart.txt"
 # The warm run must be served from the store: nonzero space hits, zero
-# enumerations across all shards.
+# enumerations and zero C11 recomputations across all shards (the cold
+# shards' concurrent verdict flushes must not have lost entries).
 grep -E "^  store_space_hits: [1-9][0-9]*$" "$TMP/warm.txt"
 grep -E "^  store_space_misses: 0$" "$TMP/warm.txt"
 grep -E "^  space_enumerations: 0$" "$TMP/warm.txt"
+grep -E "^  c11_evaluations: 0$" "$TMP/warm.txt"
+grep -E "^  store_c11_misses: 0$" "$TMP/warm.txt"
 
 step "Metrics report smoke (riscv + power matrices)"
 # --metrics-json on both built-in matrices: the document must parse,
