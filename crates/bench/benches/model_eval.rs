@@ -12,7 +12,14 @@
 //!    interpreter?
 //! 2. How much interpretation overhead does compilation remove
 //!    (`interpreter` vs `compiled`)?
-//! 3. What does axiom-driven pruning save (or cost), in enumeration
+//! 3. What does fusing save? A sweep judges each candidate under all
+//!    seven Table 7 models of a mapping with one fused kernel (shared
+//!    terms evaluated once, one verdict bit per model); `per-model`
+//!    judges the same candidates with the seven models' own kernels in
+//!    turn. `stream` replays one prelude across every candidate;
+//!    `restart` begins a new stream per candidate, the shape of target
+//!    mode, where a stream has about one candidate.
+//! 4. What does axiom-driven pruning save (or cost), in enumeration
 //!    alone and in a pruned against an unpruned `ExecutionSpace` judged
 //!    by all seven µarch models, where each prune check rebuilds the
 //!    branch's partial coherence core as a bitset relation and tests
@@ -115,6 +122,47 @@ fn bench_model_eval(c: &mut Criterion) {
                         .iter()
                         .filter(|e| judge.check(&HwBinding::new(black_box(e))).is_ok())
                         .count()
+                });
+            });
+        }
+    }
+
+    // --- one fused riscv-curr kernel vs its seven per-model kernels ---
+    let models = UarchModel::all_riscv(SpecVersion::Curr);
+    let fused = UarchModel::fuse(&models.iter().collect::<Vec<_>>());
+    let live = u64::MAX >> (64 - models.len());
+    for fam in ["wrc", "iriw"] {
+        let execs = candidates(&family(fam)[0]);
+        for (shape, restart) in [("stream", false), ("restart", true)] {
+            group.bench_function(format!("{fam}/riscv-curr/per-model/{shape}"), |b| {
+                let mut judges: Vec<Judge<'_>> =
+                    models.iter().map(|m| Judge::new(m.compiled())).collect();
+                b.iter(|| {
+                    let mut consistent = 0;
+                    for e in &execs {
+                        let binding = HwBinding::new(black_box(e));
+                        for (judge, model) in judges.iter_mut().zip(&models) {
+                            if restart {
+                                judge.restart(model.compiled());
+                            }
+                            consistent += usize::from(judge.check(&binding).is_ok());
+                        }
+                    }
+                    consistent
+                });
+            });
+            group.bench_function(format!("{fam}/riscv-curr/fused/{shape}"), |b| {
+                let mut judge = Judge::new(&fused);
+                b.iter(|| {
+                    let mut consistent = 0;
+                    for e in &execs {
+                        if restart {
+                            judge.restart(&fused);
+                        }
+                        let mask = judge.check_mask(&HwBinding::new(black_box(e)), live);
+                        consistent += mask.count_ones() as usize;
+                    }
+                    consistent
                 });
             });
         }

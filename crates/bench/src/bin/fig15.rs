@@ -6,10 +6,10 @@
 //! restricts order permutations to the {rlx, sc}-only subset for a fast
 //! smoke run; `--csv PATH` additionally writes the raw per-cell counts
 //! for external plotting; `--json FILE` writes the run's structured
-//! `tricheck-metrics/v1` report (phase timings and counters) for perf
-//! trajectories and CI guards.
+//! `tricheck-metrics/v1` report (its config, phase timings and counters)
+//! for perf trajectories and CI guards.
 
-use tricheck_core::{report, riscv_stacks, Sweep};
+use tricheck_core::{report, riscv_stacks, Sweep, SweepOptions};
 use tricheck_litmus::{suite, LitmusTest, MemOrder, SlotKind};
 
 fn quick_suite() -> Vec<LitmusTest> {
@@ -61,8 +61,12 @@ fn main() {
         tests.len(),
         if quick { "quick" } else { "full" }
     );
-    let (results, trace) =
-        tricheck_bench::timed_report(|| Sweep::new().run_matrix(&tests, &riscv_stacks()));
+    let options = SweepOptions::default();
+    let config = options.run_config(tests.len());
+    let (results, mut trace) = tricheck_bench::timed_report(|| {
+        Sweep::with_options(options).run_matrix(&tests, &riscv_stacks())
+    });
+    trace.config = Some(config);
 
     for family in ["wrc", "rwc", "mp", "sb", "iriw"] {
         println!("{}", report::family_chart(&results, family));

@@ -141,13 +141,6 @@ impl C11Model {
         COMPILED.get_or_init(|| CompiledModel::compile(Self::ir(), &["po", "rmw", "init"]))
     }
 
-    /// The process-unique id of the compiled C11 kernel (the unit of
-    /// `--cache-stats` kernel counting).
-    #[must_use]
-    pub fn kernel_id(&self) -> u64 {
-        Self::compiled().kernel_id()
-    }
-
     /// Whether the test's target outcome is permitted by C11: the
     /// one-shot [`ConsistencyModel::observes`] over the test's program.
     #[must_use]

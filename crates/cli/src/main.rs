@@ -65,9 +65,11 @@
 //!                               sweeps skip enumeration; shared by all
 //!                               shards
 //!          --metrics-json FILE  write the structured sweep metrics report
-//!                               (tricheck-metrics/v1 JSON: per-phase
-//!                               timings with p50/p95/max, counters,
-//!                               per-stack and per-worker breakdowns)
+//!                               (tricheck-metrics/v1 JSON: the run's
+//!                               config, per-phase timings with
+//!                               p50/p95/max, counters, per-mapping
+//!                               judgement latency, per-worker
+//!                               breakdowns)
 //!          --progress           live progress line on stderr (tests
 //!                               done/total, current phase, ETA); stdout
 //!                               output is untouched
@@ -670,13 +672,8 @@ fn run(args: &[String]) -> Result<u8, CliError> {
                 return Ok(run_dist_sweep(&family, &tests, matrix, &opts)?);
             }
             let session = begin_sweep_trace(&opts);
-            let mut sweep_opts = SweepOptions::default();
-            if let Some(threads) = opts.threads {
-                sweep_opts.threads = threads;
-            }
-            if opts.outcomes {
-                sweep_opts.outcome_mode = OutcomeMode::FullOutcomes;
-            }
+            let sweep_opts = sweep_options(&opts);
+            let config = sweep_opts.run_config(tests.len());
             let sweep = Sweep::with_options(sweep_opts);
             let stacks = match &model_stacks {
                 Some((_, stacks)) => stacks,
@@ -684,8 +681,15 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             };
             let results = sweep.run_matrix(&tests, stacks);
             print_sweep_report(&results, &family, matrix, &opts);
-            let report =
-                end_sweep_trace(session, &opts, results.stats(), None, None, lint_counters)?;
+            let report = end_sweep_trace(
+                session,
+                &opts,
+                config,
+                results.stats(),
+                None,
+                None,
+                lint_counters,
+            )?;
             if opts.cache_stats {
                 print_engine_stats(&report);
             }
@@ -700,6 +704,18 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         }
         other => Err(usage(format!("unknown command '{other}'"))),
     }
+}
+
+/// The sweep options `opts` asks for: `--threads` and `--outcomes`.
+fn sweep_options(opts: &Options) -> SweepOptions {
+    let mut sweep_opts = SweepOptions::default();
+    if let Some(threads) = opts.threads {
+        sweep_opts.threads = threads;
+    }
+    if opts.outcomes {
+        sweep_opts.outcome_mode = OutcomeMode::FullOutcomes;
+    }
+    sweep_opts
 }
 
 /// Prints a sweep's report: the `--stack` entry's study table under its
@@ -730,14 +746,11 @@ fn run_dist_sweep(
         .as_deref()
         .map(validate_cache_dir)
         .transpose()?;
+    let sweep_opts = sweep_options(opts);
     let dist_opts = DistOptions {
         shards: opts.shards.unwrap_or(1),
         threads: opts.threads,
-        outcome_mode: if opts.outcomes {
-            OutcomeMode::FullOutcomes
-        } else {
-            OutcomeMode::Target
-        },
+        outcome_mode: sweep_opts.outcome_mode,
         cache_dir,
         // Spawned workers run their shard under a metrics session and
         // ship the drained report back (protocol v4) so the merged
@@ -752,6 +765,7 @@ fn run_dist_sweep(
     let trace_report = end_sweep_trace(
         session,
         opts,
+        sweep_opts.run_config(tests.len()),
         dist.results.stats(),
         opts.cache_dir.is_some().then_some(&store_stats),
         Some(&dist),
@@ -917,12 +931,14 @@ fn spawn_progress_renderer() -> (
 }
 
 /// Drains the session begun by [`begin_sweep_trace`]: folds in
-/// per-worker shard reports, injects the authoritative engine and store
-/// counters, and writes the `--metrics-json` / `--trace` files. The
-/// returned report is the single source for `--cache-stats`.
+/// per-worker shard reports, records the run's `config`, injects the
+/// authoritative engine and store counters, and writes the
+/// `--metrics-json` / `--trace` files. The returned report is the single
+/// source for `--cache-stats`.
 fn end_sweep_trace(
     session: SweepTrace,
     opts: &Options,
+    config: tricheck::trace::RunConfig,
     stats: &tricheck::core::SweepStats,
     store: Option<&tricheck::core::StoreStats>,
     dist: Option<&tricheck::dist::DistResults>,
@@ -944,6 +960,7 @@ fn end_sweep_trace(
     if let Some(dist) = dist {
         dist.absorb_traces(&mut report);
     }
+    report.config = Some(config);
     for (name, value) in stats.as_counters() {
         report.set_counter(name, value);
     }

@@ -26,21 +26,30 @@
 //!    never a wrong verdict. Two mappings that emit identical code (e.g.
 //!    for all-relaxed variants) land in one group. Groups are ordered by
 //!    first appearance in test-major order.
-//! 2. **Per-program pipeline** (work-stealing pool). Each item builds
-//!    its one [`ExecutionSpace`] — or loads it from the store — and
-//!    judges it for every (test, stack) visit, i.e. every stack of every
-//!    grouped (test, mapping) pair, writing each classification into its
-//!    (test, stack) slot. The tests' C11 verdicts come from a `OnceLock`
-//!    per test (in [`OutcomeMode::FullOutcomes`] the cached value is the
-//!    full permitted-outcome set). The item then saves the space back to
-//!    the store if it materialized a new view, and drops it.
+//! 2. **Per-program pipeline** (work-stealing pool). Before the pool
+//!    starts, the µarch models of each deduplicated mapping are fused
+//!    into one kernel ([`UarchModel::fuse`]; a mapping judged by more
+//!    than 64 stacks gets one kernel per 64), which lives for this sweep
+//!    only. Each item builds its one [`ExecutionSpace`] — or loads it
+//!    from the store — and makes one judgement per grouped (test,
+//!    mapping) compilation: the mapping's fused kernel judges the space
+//!    under all of the mapping's models at once ([`witness_mask`] or
+//!    [`outcome_masks`]), one prelude for all of them, and each stack's
+//!    bit lands in its (test, stack) slot — one byte holding the Step 1
+//!    and Step 3 verdicts. The tests' C11 verdicts come from a
+//!    `OnceLock` per test (in [`OutcomeMode::FullOutcomes`] the cached
+//!    value is the full permitted-outcome set). The item then saves the
+//!    space back to the store if it materialized a new view, and drops
+//!    it.
 //!
 //! No space outlives its item, so workers share no space map, and each
-//! distinct program is enumerated at most once by construction.
+//! distinct program is enumerated at most once by construction. Each
+//! worker owns one [`Judge`] and restarts it per judgement, so the
+//! evaluation buffers are allocated once per worker, not per visit.
 //! `SweepOptions::threads == 1` bypasses the pool for a fully
-//! deterministic serial run; the parallel path produces bit-identical
-//! [`SweepResults`] regardless (results are written by slot and
-//! aggregated in a fixed order).
+//! deterministic serial run on the caller's stack; the parallel path
+//! produces bit-identical [`SweepResults`] regardless (results are
+//! written by slot and aggregated in a fixed order).
 //!
 //! [`SweepResults::stats`] exposes the counters; the engine equivalence
 //! tests assert `compile_calls == tests × mappings` and
@@ -58,17 +67,19 @@
 //! per-slot layer the cross-process shard planner merges through.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, CompiledTest, Mapping};
-use tricheck_isa::HwAnnot;
-use tricheck_litmus::{ConsistencyModel, ExecutionSpace, LitmusTest, Outcome, SpaceStats};
+use tricheck_litmus::{
+    outcome_masks, witness_mask, ExecutionSpace, LitmusTest, Outcome, SpaceStats,
+};
+use tricheck_rel::{CompiledModel, Judge};
 use tricheck_uarch::UarchModel;
 
 use crate::store::{C11Cached, SpaceStore};
-use crate::verdict::{Classification, TestResult};
+use crate::verdict::{classify, Classification, TestResult};
 
 /// Which equivalence a sweep checks per (test, cell).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -119,6 +130,18 @@ impl SweepOptions {
         SweepOptions {
             threads,
             ..SweepOptions::default()
+        }
+    }
+
+    /// The `config` object a metrics report records for a sweep of
+    /// `suite_size` tests under these options.
+    #[must_use]
+    pub fn run_config(&self, suite_size: usize) -> tricheck_trace::RunConfig {
+        tricheck_trace::RunConfig {
+            threads: self.threads as u64,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            outcome_mode: format!("{:?}", self.outcome_mode),
+            suite_size: suite_size as u64,
         }
     }
 }
@@ -243,10 +266,11 @@ pub struct SweepStats {
     /// Search branches cut by axiom-driven pruning across all space
     /// enumerations (zero when every view was restored from the store).
     pub candidates_pruned: usize,
-    /// Distinct compiled model kernels across the sweep's cells — each
-    /// µarch model instance lowers its IR to one fused bitset kernel, so
-    /// a single-process sweep reports exactly one kernel per stack
-    /// (sharded runs sum their per-process counts).
+    /// Kernels the sweep judged with: the models of each deduplicated
+    /// mapping are fused into one kernel (one per 64 stacks), so a
+    /// single-process sweep reports one per mapping — 4 on the Figure 15
+    /// matrix, 2 on the §7 study. Sharded runs sum their per-process
+    /// counts.
     pub compiled_kernels: usize,
 }
 
@@ -358,12 +382,9 @@ pub fn results_from_items(
     let n_stacks = stacks.len();
     let mut rows = Vec::new();
     for (s, stack) in stacks.iter().enumerate() {
-        let cell_results: Vec<TestResult> = (0..tests.len())
-            .filter_map(|t| {
-                items[t * n_stacks + s].map(|c| TestResult::from_classification(&tests[t], c))
-            })
-            .collect();
-        rows.extend(aggregate(stack.key, stack.model.name(), &cell_results));
+        let cells = (0..tests.len())
+            .filter_map(|t| items[t * n_stacks + s].map(|c| (tests[t].family(), c)));
+        rows.extend(aggregate(stack.key, stack.model.name(), cells));
     }
     SweepResults { rows, stats }
 }
@@ -428,6 +449,35 @@ fn group_programs(
     (compiled, items)
 }
 
+/// One kernel a sweep judges with: the µarch models of up to 64 stacks
+/// that share a mapping, fused, so bit `j` of a verdict mask is
+/// `stacks[j]`'s.
+struct FusedKernel {
+    stacks: Vec<usize>,
+    kernel: CompiledModel,
+}
+
+impl FusedKernel {
+    /// Every stack's bit.
+    fn live(&self) -> u64 {
+        u64::MAX >> (64 - self.stacks.len())
+    }
+}
+
+/// A (test, stack) slot of a sweep's result table: `0` until judged,
+/// then bit 0 set beside the Step 1 (`permitted`, bit 1) and Step 3
+/// (`observable`, bit 2) verdicts.
+fn slot(permitted: bool, observable: bool) -> u8 {
+    1 | u8::from(permitted) << 1 | u8::from(observable) << 2
+}
+
+/// A slot's (permitted, observable) verdicts, `None` if never judged
+/// (the stack's mapping cannot compile the test).
+fn verdicts(slot: &AtomicU8) -> Option<(bool, bool)> {
+    let code = slot.load(Ordering::Relaxed);
+    (code != 0).then_some((code & 2 != 0, code & 4 != 0))
+}
+
 /// The read-only inputs and the per-test C11 verdicts shared by every
 /// work item of one sweep.
 struct SweepCache<'t> {
@@ -440,8 +490,8 @@ struct SweepCache<'t> {
     c11_verdicts: Vec<OnceLock<C11Cached>>,
     /// The grouping pre-pass's compilations, `t * n_mappings + m`.
     compiled: Vec<Option<CompiledTest>>,
-    /// The stacks (cell indices) judging each deduplicated mapping.
-    stacks_of: Vec<Vec<usize>>,
+    /// The fused kernels judging each deduplicated mapping's programs.
+    kernels_of: Vec<Vec<FusedKernel>>,
     c11_evaluations: AtomicUsize,
 }
 
@@ -471,15 +521,16 @@ impl SweepCache<'_> {
     }
 
     /// Runs one work item: builds or loads the program's space, judges
-    /// every (test, stack) visit against it, hands each result to `emit`
-    /// with its (test, stack) pair, and saves the space back to the
-    /// store if a new view was materialized. The space is dropped on
-    /// return; its counters are returned instead.
-    fn run_item(
-        &self,
+    /// it once per (test, mapping) compilation with the worker's
+    /// `judge`, under all of the mapping's models at once, hands each
+    /// stack's slot to `emit` with its (test, stack) pair, and saves the
+    /// space back to the store if a new view was materialized. The space
+    /// is dropped on return; its counters are returned instead.
+    fn run_item<'k>(
+        &'k self,
         item: &ProgramItem,
-        cells: &[Cell<'_>],
-        emit: impl Fn(usize, usize, TestResult),
+        judge: &mut Option<Judge<'k>>,
+        emit: impl Fn(usize, usize, u8),
     ) -> SpaceStats {
         let compiled = |c: usize| {
             self.compiled[c]
@@ -494,12 +545,33 @@ impl SweepCache<'_> {
             None => ExecutionSpace::pruned(program.clone()),
         };
         let views = space.materialized_views();
-        let n_mappings = self.stacks_of.len();
+        let n_mappings = self.kernels_of.len();
         for &c in &item.compiles {
-            let t = c / n_mappings;
-            for &s in &self.stacks_of[c % n_mappings] {
-                let _cell = tricheck_trace::cell_span(s);
-                emit(t, s, self.judge(t, cells[s].model, &space, compiled(c)));
+            let (t, m) = (c / n_mappings, c % n_mappings);
+            let c11 = self.c11_entry(t);
+            let _cell = tricheck_trace::cell_span(m);
+            for fused in &self.kernels_of[m] {
+                let judge = judge.get_or_insert_with(|| Judge::new(&fused.kernel));
+                judge.restart(&fused.kernel);
+                match c11 {
+                    C11Cached::Target(permitted) => {
+                        let target = compiled(c).target();
+                        let observable =
+                            witness_mask::<UarchModel>(judge, &space, target, fused.live());
+                        for (j, &s) in fused.stacks.iter().enumerate() {
+                            emit(t, s, slot(*permitted, observable >> j & 1 == 1));
+                        }
+                    }
+                    C11Cached::Full(permitted) => {
+                        let observed = compiled(c).observed();
+                        let allowed =
+                            outcome_masks::<UarchModel>(judge, &space, observed, fused.live());
+                        for (j, &s) in fused.stacks.iter().enumerate() {
+                            let (p, o) = classify_outcomes(permitted, &allowed, 1 << j).quadrant();
+                            emit(t, s, slot(p, o));
+                        }
+                    }
+                }
             }
         }
         if let Some(store) = self.store {
@@ -509,36 +581,29 @@ impl SweepCache<'_> {
         }
         space.stats()
     }
-
-    /// Steps 1, 3 and 4 for one (test, stack) visit over the program's
-    /// space.
-    fn judge(
-        &self,
-        t: usize,
-        model: &UarchModel,
-        space: &ExecutionSpace<HwAnnot>,
-        compiled: &CompiledTest,
-    ) -> TestResult {
-        let test = &self.tests[t];
-        match self.c11_entry(t) {
-            C11Cached::Target(permitted) => {
-                TestResult::new(test, *permitted, model.permits(space, compiled.target()))
-            }
-            C11Cached::Full(permitted) => {
-                let observable = model.allowed_outcomes(space, compiled.observed());
-                TestResult::from_classification(test, classify_sets(permitted, &observable))
-            }
-        }
-    }
 }
 
-/// The set-level Step 4 classification: any observable-but-forbidden
-/// outcome is a bug witness; otherwise any permitted-but-unobservable
-/// outcome makes the cell overly strict.
-fn classify_sets(permitted: &BTreeSet<Outcome>, observable: &BTreeSet<Outcome>) -> Classification {
-    if observable.difference(permitted).next().is_some() {
+/// The set-level Step 4 classification of the model with bit `model`
+/// in `allowed` (each outcome the space exhibits under some model, with
+/// the mask of those models): any observable-but-forbidden outcome is a
+/// bug witness; otherwise any permitted-but-unobservable outcome makes
+/// the cell overly strict.
+fn classify_outcomes(
+    permitted: &BTreeSet<Outcome>,
+    allowed: &[(Outcome, u64)],
+    model: u64,
+) -> Classification {
+    let observable = || {
+        allowed
+            .iter()
+            .filter(move |(_, mask)| mask & model != 0)
+            .map(|(outcome, _)| outcome)
+    };
+    if observable().any(|outcome| !permitted.contains(outcome)) {
         Classification::Bug
-    } else if permitted.difference(observable).next().is_some() {
+    } else if observable().count() < permitted.len() {
+        // The observable outcomes are distinct and all permitted, so
+        // fewer of them means a permitted one is missing.
         Classification::OverlyStrict
     } else {
         Classification::Equivalent
@@ -582,9 +647,12 @@ impl Sweep {
             mapping_idx: 0,
             model,
         }];
-        tricheck_trace::set_keys([format!("{}/{}", mapping.name(), model.name())]);
-        let (results, _) = self.run_cells(tests, &[mapping], &cells);
-        results.into_iter().flatten().collect()
+        let (slots, _) = self.run_cells(tests, &[mapping], &cells);
+        tests
+            .iter()
+            .zip(&slots)
+            .filter_map(|(test, slot)| verdicts(slot).map(|(p, o)| TestResult::new(test, p, o)))
+            .collect()
     }
 
     /// Runs the generic sweep matrix: every test × every stack, on the
@@ -643,46 +711,51 @@ impl Sweep {
                 }
             })
             .collect();
-        // Label the per-stack latency histograms; the iterator is only
-        // consumed when a metrics session is collecting.
-        tricheck_trace::set_keys(stacks.iter().map(|stack| {
-            format!(
-                "{}/{}/{}",
-                stack.key.isa_label(),
-                stack.key.variant_label(),
-                stack.model.name()
-            )
-        }));
-        let (results, stats) = self.run_cells(tests, &mappings, &cells);
-        // Reducing 20k+ results to bare classifications drops every
-        // per-slot `TestResult` (and its heap data) in one pass —
-        // teardown work, like freeing the sweep's tables in `run_cells`.
-        let _t = tricheck_trace::span(tricheck_trace::Phase::Teardown);
+        let (slots, stats) = self.run_cells(tests, &mappings, &cells);
+        // Collected from a borrowed iterator, so the vector is allocated
+        // at its exact length rather than reusing the slot table's
+        // allocation.
         MatrixItems {
-            items: results
-                .into_iter()
-                .map(|r| r.map(|r| r.classification()))
+            items: slots
+                .iter()
+                .map(|slot| verdicts(slot).map(|(p, o)| classify(p, o)))
                 .collect(),
             stats,
         }
     }
 
-    /// Compiles and groups the sweep by program, then runs one work item
-    /// per distinct program over the work-stealing pool, returning
-    /// per-slot results (test-major) plus the sweep's counters.
+    /// Compiles and groups the sweep by program, fuses one kernel per
+    /// mapping, then runs one work item per distinct program over the
+    /// work-stealing pool, returning the (test, stack) slot table
+    /// (test-major) plus the sweep's counters.
     fn run_cells(
         &self,
         tests: &[LitmusTest],
         mappings: &[&dyn Mapping],
         cells: &[Cell<'_>],
-    ) -> (Vec<Option<TestResult>>, SweepStats) {
+    ) -> (Vec<AtomicU8>, SweepStats) {
         let store = self.options.store.as_deref();
         let (compiled, items) = group_programs(tests, mappings);
         let compile_calls = compiled.len();
-        let mut stacks_of = vec![Vec::new(); mappings.len()];
-        for (s, cell) in cells.iter().enumerate() {
-            stacks_of[cell.mapping_idx].push(s);
-        }
+        let kernels_of: Vec<Vec<FusedKernel>> = (0..mappings.len())
+            .map(|m| {
+                let stacks: Vec<usize> = (0..cells.len())
+                    .filter(|&s| cells[s].mapping_idx == m)
+                    .collect();
+                stacks
+                    .chunks(64)
+                    .map(|chunk| FusedKernel {
+                        kernel: UarchModel::fuse(
+                            &chunk.iter().map(|&s| cells[s].model).collect::<Vec<_>>(),
+                        ),
+                        stacks: chunk.to_vec(),
+                    })
+                    .collect()
+            })
+            .collect();
+        // Label the per-mapping judgement latency histograms; the
+        // iterator is only consumed when a metrics session is collecting.
+        tricheck_trace::set_keys(mappings.iter().map(|m| m.name().to_string()));
         let cache = SweepCache {
             tests,
             mode: self.options.outcome_mode,
@@ -690,28 +763,30 @@ impl Sweep {
             store,
             c11_verdicts: (0..tests.len()).map(|_| OnceLock::new()).collect(),
             compiled,
-            stacks_of,
+            kernels_of,
             c11_evaluations: AtomicUsize::new(0),
         };
         let n_cells = cells.len();
-        let results: Vec<OnceLock<TestResult>> = (0..tests.len() * n_cells)
-            .map(|_| OnceLock::new())
+        let slots: Vec<AtomicU8> = (0..tests.len() * n_cells)
+            .map(|_| AtomicU8::new(0))
             .collect();
         let space_stats: Vec<OnceLock<SpaceStats>> =
             (0..items.len()).map(|_| OnceLock::new()).collect();
-        let process = |i: usize| {
-            let stats = cache.run_item(&items[i], cells, |t, s, result| {
-                results[t * n_cells + s]
-                    .set(result)
-                    .expect("each (test, stack) slot is judged exactly once");
+        tricheck_trace::progress_begin(items.len() as u64);
+        // Each worker's state is its one judge, created on its first item.
+        run_work_stealing::<Option<Judge<'_>>>(items.len(), self.options.threads, &|judge, i| {
+            let stats = cache.run_item(&items[i], judge, |t, s, code| {
+                let previous = slots[t * n_cells + s].swap(code, Ordering::Relaxed);
+                assert_eq!(
+                    previous, 0,
+                    "each (test, stack) slot is judged exactly once"
+                );
             });
             space_stats[i]
                 .set(stats)
                 .expect("each work item runs exactly once");
             tricheck_trace::progress_item_done();
-        };
-        tricheck_trace::progress_begin(items.len() as u64);
-        run_work_stealing(items.len(), self.options.threads, &process);
+        });
 
         // Step 1 for tests no mapping could compile, so
         // `c11_evaluations == tests` holds on every matrix.
@@ -733,11 +808,7 @@ impl Sweep {
             compile_calls,
             compile_cache_hits: tests.len() * n_cells - compile_calls,
             distinct_programs: items.len(),
-            compiled_kernels: cells
-                .iter()
-                .map(|c| c.model.kernel_id())
-                .collect::<BTreeSet<_>>()
-                .len(),
+            compiled_kernels: cache.kernels_of.iter().map(Vec::len).sum(),
             ..SweepStats::default()
         };
         for s in space_stats.into_iter().filter_map(OnceLock::into_inner) {
@@ -745,17 +816,17 @@ impl Sweep {
             stats.space_cache_hits += s.cache_hits;
             stats.candidates_pruned += s.candidates_pruned;
         }
-        let results = results.into_iter().map(OnceLock::into_inner).collect();
         // Every space is already gone, dropped by its work item; what
-        // remains is the compiled-program and C11-verdict tables. Small,
-        // but worth its own phase so a regression that reinflates the
-        // end-of-sweep deallocation burst stays visible in traces.
+        // remains is the compiled-program, C11-verdict and fused-kernel
+        // tables. Small, but worth its own phase so a regression that
+        // reinflates the end-of-sweep deallocation burst stays visible
+        // in traces.
         {
             let _t = tricheck_trace::span(tricheck_trace::Phase::Teardown);
             drop(cache);
             drop(items);
         }
-        (results, stats)
+        (slots, stats)
     }
 }
 
@@ -778,17 +849,24 @@ impl Chunk {
     }
 }
 
-/// Runs `process(0..n_items)` over `threads` workers with work stealing.
+/// Runs `process(state, 0..n_items)` over `threads` workers with work
+/// stealing, each worker passing its own `state` (created by
+/// `S::default()` on the worker's stack) to every item it processes.
 ///
 /// Items are dealt into contiguous per-worker chunks; a worker drains its
 /// own chunk, then repeatedly steals from the chunk with the most items
 /// remaining until the whole range is exhausted. `threads <= 1` runs the
-/// items serially on the calling thread, in order — the deterministic
-/// debugging mode `SweepOptions::threads` documents.
-fn run_work_stealing(n_items: usize, threads: usize, process: &(impl Fn(usize) + Sync)) {
+/// items serially on the calling thread, in order, with one state — the
+/// deterministic debugging mode `SweepOptions::threads` documents.
+fn run_work_stealing<S: Default>(
+    n_items: usize,
+    threads: usize,
+    process: &(impl Fn(&mut S, usize) + Sync),
+) {
     if threads <= 1 || n_items <= 1 {
+        let mut state = S::default();
         for i in 0..n_items {
-            process(i);
+            process(&mut state, i);
         }
         return;
     }
@@ -804,10 +882,11 @@ fn run_work_stealing(n_items: usize, threads: usize, process: &(impl Fn(usize) +
     std::thread::scope(|scope| {
         for w in 0..workers {
             scope.spawn(move || {
+                let mut state = S::default();
                 let mut current = w;
                 loop {
                     if let Some(i) = chunks[current].take() {
-                        process(i);
+                        process(&mut state, i);
                         continue;
                     }
                     // Own chunk drained: steal from the fullest victim.
@@ -824,16 +903,22 @@ fn run_work_stealing(n_items: usize, threads: usize, process: &(impl Fn(usize) +
     });
 }
 
-fn aggregate(key: StackKey, model: &str, results: &[TestResult]) -> Vec<SweepRow> {
+/// One stack's rows from its (family, classification) cells, one row
+/// per family in order of first appearance.
+fn aggregate(
+    key: StackKey,
+    model: &str,
+    cells: impl IntoIterator<Item = (&'static str, Classification)>,
+) -> Vec<SweepRow> {
     let mut by_family: BTreeMap<&'static str, (usize, usize, usize)> = BTreeMap::new();
     // Preserve suite presentation order by first appearance.
     let mut order: Vec<&'static str> = Vec::new();
-    for r in results {
-        if !by_family.contains_key(r.family()) {
-            order.push(r.family());
+    for (family, classification) in cells {
+        if !by_family.contains_key(family) {
+            order.push(family);
         }
-        let entry = by_family.entry(r.family()).or_default();
-        match r.classification() {
+        let entry = by_family.entry(family).or_default();
+        match classification {
             Classification::Bug => entry.0 += 1,
             Classification::OverlyStrict => entry.1 += 1,
             Classification::Equivalent => entry.2 += 1,
@@ -872,7 +957,7 @@ mod tests {
     fn work_stealing_processes_every_item_exactly_once() {
         for (n_items, threads) in [(0, 4), (1, 4), (7, 3), (100, 8), (64, 64), (13, 100)] {
             let counts: Vec<AtomicUsize> = (0..n_items).map(|_| AtomicUsize::new(0)).collect();
-            run_work_stealing(n_items, threads, &|i| {
+            run_work_stealing(n_items, threads, &|_: &mut (), i| {
                 counts[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -933,7 +1018,11 @@ mod tests {
             isa: "Base",
             variant: "riscv-curr",
         };
-        let rows = aggregate(key, "WR", &results);
+        let rows = aggregate(
+            key,
+            "WR",
+            results.iter().map(|r| (r.family(), r.classification())),
+        );
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].family, "mp");
         assert_eq!(rows[0].total(), 2);
@@ -973,6 +1062,43 @@ mod tests {
         // code, so deduplication must find strictly fewer programs than
         // (test, mapping) pairs.
         assert!(stats.distinct_programs < stats.compile_calls);
+    }
+
+    #[test]
+    fn items_are_exact_size_and_one_kernel_judges_each_mapping() {
+        let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
+        let items = Sweep::with_options(SweepOptions::with_threads(1))
+            .run_matrix_items(&tests, &matrix("riscv"));
+        assert_eq!(items.items.len(), tests.len() * 28);
+        // Built fresh from the slot table, not collected in place into
+        // its allocation: a caller that keeps the vector keeps no more.
+        assert_eq!(items.items.capacity(), items.items.len());
+        assert_eq!(
+            items.stats.compiled_kernels, 4,
+            "one fused kernel per mapping"
+        );
+    }
+
+    #[test]
+    fn a_mapping_judged_by_more_than_64_stacks_fuses_in_chunks() {
+        let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
+        let riscv = matrix("riscv");
+        let first: Vec<MatrixStack<'static>> = riscv
+            .iter()
+            .filter(|stack| stack.key == riscv[0].key)
+            .cloned()
+            .collect();
+        assert_eq!(first.len(), 7, "one mapping's Table 7 models");
+        let many: Vec<MatrixStack<'static>> = (0..65).map(|i| first[i % 7].clone()).collect();
+        let sweep = Sweep::with_options(SweepOptions::with_threads(2));
+        let wide = sweep.run_matrix_items(&tests, &many);
+        let narrow = sweep.run_matrix_items(&tests, &first);
+        assert_eq!(wide.stats.compiled_kernels, 2, "64 stacks, then 1");
+        for t in 0..tests.len() {
+            for s in 0..65 {
+                assert_eq!(wide.items[t * 65 + s], narrow.items[t * 7 + s % 7]);
+            }
+        }
     }
 
     #[test]

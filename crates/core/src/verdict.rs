@@ -20,6 +20,29 @@ pub enum Classification {
     Equivalent,
 }
 
+/// The Step 4 classification of a (permitted, observable) verdict pair.
+pub(crate) fn classify(permitted: bool, observable: bool) -> Classification {
+    match (permitted, observable) {
+        (false, true) => Classification::Bug,
+        (true, false) => Classification::OverlyStrict,
+        _ => Classification::Equivalent,
+    }
+}
+
+impl Classification {
+    /// A (permitted, observable) pair that [`classify`] maps back to
+    /// `self`: how a set-level verdict (full-outcome sweep mode) is
+    /// reported as a [`TestResult`], whose bits are then set-level facts
+    /// rather than verdicts about the designated target outcome.
+    pub(crate) fn quadrant(self) -> (bool, bool) {
+        match self {
+            Classification::Bug => (false, true),
+            Classification::OverlyStrict => (true, false),
+            Classification::Equivalent => (true, true),
+        }
+    }
+}
+
 impl fmt::Display for Classification {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -48,19 +71,6 @@ impl TestResult {
             permitted,
             observable,
         }
-    }
-
-    /// A result carrying a set-level verdict (full-outcome sweep mode).
-    /// The synthesized `permitted`/`observable` bits reproduce the
-    /// classification's quadrant; they are set-level facts, not verdicts
-    /// about the designated target outcome.
-    pub(crate) fn from_classification(test: &LitmusTest, c: Classification) -> Self {
-        let (permitted, observable) = match c {
-            Classification::Bug => (false, true),
-            Classification::OverlyStrict => (true, false),
-            Classification::Equivalent => (true, true),
-        };
-        TestResult::new(test, permitted, observable)
     }
 
     /// The litmus test's name.
@@ -99,11 +109,7 @@ impl TestResult {
     /// The Step 4 classification.
     #[must_use]
     pub fn classification(&self) -> Classification {
-        match (self.permitted, self.observable) {
-            (false, true) => Classification::Bug,
-            (true, false) => Classification::OverlyStrict,
-            _ => Classification::Equivalent,
-        }
+        classify(self.permitted, self.observable)
     }
 }
 

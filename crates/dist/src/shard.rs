@@ -659,12 +659,15 @@ fn decode_report(r: &mut ByteReader<'_>) -> Result<TraceReport, CodecError> {
         }
         workers.push(WorkerReport { shard, report });
     }
+    // A worker's frame carries no `config`: the coordinator records the
+    // run's.
     Ok(TraceReport {
         wall_ns,
         phases,
         counters,
         stacks,
         workers,
+        config: None,
     })
 }
 
@@ -991,6 +994,7 @@ mod tests {
             counters: vec![("candidates_enumerated".to_string(), 7)],
             stacks: Vec::new(),
             workers: Vec::new(),
+            config: None,
         };
         inner.set_counter("pruned_branches", 3);
         let mut outer = TraceReport {
@@ -1023,6 +1027,7 @@ mod tests {
                 hist: vec![(9, 3)],
             }],
             workers: Vec::new(),
+            config: None,
         };
         outer.workers.push(WorkerReport {
             shard: 1,

@@ -75,6 +75,7 @@ pub use mir::{Expr, Instr, Loc, Program, ProgramError, Reg, RmwKind, Val};
 pub use order::MemOrder;
 pub use outcome::Outcome;
 pub use space::{
-    ConsistencyModel, ExecutionSpace, Fingerprint, OutcomeGroups, SpaceStats, SpaceView,
+    outcome_masks, witness_mask, ConsistencyModel, ExecutionSpace, Fingerprint, OutcomeGroups,
+    SpaceStats, SpaceView,
 };
 pub use template::{LitmusTest, SlotKind, Template};

@@ -39,10 +39,14 @@
 //! reduced to a compiled kernel plus a way to bind one candidate to it.
 //! Both the C11 model and the microarchitecture models implement it,
 //! which is what lets one enumeration serve every layer of the stack.
-//! Its provided judgements are the one judging loop: each streams its
-//! candidates — a view's index list through an arena cursor, or a
-//! streaming enumeration — through one [`Judge`], which evaluates the
-//! kernel's space-invariant prelude once per stream.
+//! Its provided judgements stream their candidates — a view's index
+//! list through an arena cursor, or a streaming enumeration — through
+//! one [`Judge`], which evaluates the kernel's space-invariant prelude
+//! once per stream. Over a shared space there is one witness-search
+//! loop ([`witness_mask`]) and one outcome-group loop
+//! ([`outcome_masks`]); each takes the caller's judge and a mask of
+//! live models, so a sweep judges a program under every model of a
+//! fused kernel in one pass.
 //!
 //! # View invariants
 //!
@@ -667,15 +671,15 @@ impl<A: Clone + Hash + AnnCodec> ExecutionSpace<A> {
 ///
 /// Implemented by `tricheck_c11::C11Model` (over [`crate::MemOrder`]
 /// annotations) and `tricheck_uarch::UarchModel` (over hardware
-/// annotations). The provided methods are the one judging loop: each
-/// streams its candidates through one [`Judge`] — one prelude per
-/// stream, one evaluation scratch — and stops a stream at its first
-/// consistent candidate:
+/// annotations). The provided methods stream their candidates through
+/// one [`Judge`] — one prelude per stream, one evaluation scratch — and
+/// stop a stream at its first consistent candidate:
 ///
 /// - [`permits`](Self::permits) and
 ///   [`allowed_outcomes`](Self::allowed_outcomes) judge a shared
-///   [`ExecutionSpace`], binding candidates through an arena cursor
-///   with the arena's precomputed `fr` column;
+///   [`ExecutionSpace`]: they are the width-1 calls of the two
+///   shared-space loops, [`witness_mask`] and [`outcome_masks`], which
+///   a sweep calls with a fused kernel and every model of a mapping;
 /// - [`observes`](Self::observes) and
 ///   [`observable_outcomes`](Self::observable_outcomes) judge a
 ///   streaming enumeration of one program, materializing nothing.
@@ -698,41 +702,21 @@ pub trait ConsistencyModel: Sync {
     fn bind(exec: &Execution<Self::Ann>, fr: Option<Relation>) -> Self::Binding<'_>;
 
     /// Whether some execution in the shared space realizes `target`
-    /// under this model: the space's target view, streamed through one
-    /// cursor and one [`Judge`] up to the first witness.
+    /// under this model: the width-1 [`witness_mask`].
     fn permits(&self, space: &ExecutionSpace<Self::Ann>, target: &Outcome) -> bool {
-        let view = space.matching(target);
-        let Some(mut cursor) = view.arena().cursor() else {
-            return false;
-        };
-        let mut judge = Judge::new(self.kernel());
-        view.indices()
-            .iter()
-            .any(|&i| judge_at::<Self>(&mut judge, &mut cursor, i))
+        witness_mask::<Self>(&mut Judge::new(self.kernel()), space, target, 1) != 0
     }
 
     /// The full outcome set this model allows over the shared space:
-    /// the space's cached outcome partition, each group scanned up to
-    /// its first witness, all through one cursor and one [`Judge`].
+    /// the width-1 [`outcome_masks`].
     fn allowed_outcomes(
         &self,
         space: &ExecutionSpace<Self::Ann>,
         observed: &[(usize, Reg)],
     ) -> BTreeSet<Outcome> {
-        let view = space.executions();
-        let groups = space.outcome_groups(observed);
-        let Some(mut cursor) = view.arena().cursor() else {
-            return BTreeSet::new();
-        };
-        let mut judge = Judge::new(self.kernel());
-        groups
-            .iter()
-            .filter(|(_, members)| {
-                members
-                    .iter()
-                    .any(|&i| judge_at::<Self>(&mut judge, &mut cursor, i))
-            })
-            .map(|(outcome, _)| outcome.clone())
+        outcome_masks::<Self>(&mut Judge::new(self.kernel()), space, observed, 1)
+            .into_iter()
+            .map(|(outcome, _)| outcome)
             .collect()
     }
 
@@ -765,17 +749,72 @@ pub trait ConsistencyModel: Sync {
     }
 }
 
-/// Judges arena candidate `i`: the cursor rebinds its skeleton to the
-/// candidate and the binding takes the arena's `fr` column.
-fn judge_at<M: ConsistencyModel + ?Sized>(
+/// The shared-space witness search: the models among `live` (bits of
+/// the judge's kernel, see [`Judge::check_mask`]) that realize `target`
+/// on some candidate of `space`. The space's target view streams
+/// through one cursor and the judge's current stream, and each
+/// candidate is judged only under the live models still without a
+/// witness, so the search stops once every one has its witness.
+pub fn witness_mask<M: ConsistencyModel + ?Sized>(
+    judge: &mut Judge<'_>,
+    space: &ExecutionSpace<M::Ann>,
+    target: &Outcome,
+    live: u64,
+) -> u64 {
+    let view = space.matching(target);
+    let Some(mut cursor) = view.arena().cursor() else {
+        return 0;
+    };
+    first_witnesses::<M>(judge, &mut cursor, &view.indices(), live)
+}
+
+/// The shared-space outcome scan: every outcome of the space's cached
+/// partition over `observed` that some model among `live` allows, with
+/// the mask of the models that allow it. Each group is scanned, through
+/// one cursor and the judge's current stream, until every live model
+/// has a witness in it.
+pub fn outcome_masks<M: ConsistencyModel + ?Sized>(
+    judge: &mut Judge<'_>,
+    space: &ExecutionSpace<M::Ann>,
+    observed: &[(usize, Reg)],
+    live: u64,
+) -> Vec<(Outcome, u64)> {
+    let view = space.executions();
+    let groups = space.outcome_groups(observed);
+    let Some(mut cursor) = view.arena().cursor() else {
+        return Vec::new();
+    };
+    groups
+        .iter()
+        .filter_map(|(outcome, members)| {
+            let found = first_witnesses::<M>(judge, &mut cursor, members, live);
+            (found != 0).then(|| (outcome.clone(), found))
+        })
+        .collect()
+}
+
+/// Judges arena candidates `members` in order, each under the models
+/// of `live` without a witness yet (the cursor rebinds its skeleton to
+/// the candidate and the binding takes the arena's `fr` column), and
+/// returns the models that found one.
+fn first_witnesses<M: ConsistencyModel + ?Sized>(
     judge: &mut Judge<'_>,
     cursor: &mut ExecCursor<'_, M::Ann>,
-    i: u32,
-) -> bool {
-    cursor.at(i);
-    judge
-        .check(&M::bind(cursor.exec(), Some(cursor.fr().clone())))
-        .is_ok()
+    members: &[u32],
+    live: u64,
+) -> u64 {
+    let mut found = 0;
+    for &i in members {
+        if found == live {
+            break;
+        }
+        cursor.at(i);
+        found |= judge.check_mask(
+            &M::bind(cursor.exec(), Some(cursor.fr().clone())),
+            live & !found,
+        );
+    }
+    found
 }
 
 #[cfg(test)]

@@ -29,23 +29,28 @@
 //!   first candidate and replays it for every candidate after it, so
 //!   per-candidate work touches only the truly candidate-dependent
 //!   suffix of the dataflow graph.
+//! - **Fusing models** — [`CompiledModel::fuse`] lowers several models
+//!   (up to 64) through one CSE table, so the operations they share —
+//!   every base fetch, `com`, the fence sets, common `ppo`/`hb` terms —
+//!   form one prelude and one body. A sweep fuses the µarch models that
+//!   judge one compiler mapping's programs and judges each candidate
+//!   under all of them in one pass ([`Judge::check_mask`]).
 //!
-//! The per-candidate body is scheduled in axiom order: checking stops at
-//! the first violated axiom having evaluated only the operations that
-//! axiom (and earlier ones) can reach. [`CompiledModel::check`] reports
-//! the first violated axiom in declaration order, exactly as a direct
-//! reading of the model would; the test-only naive interpreter
-//! (`tricheck_oracle::interpret`) pins that on random IRs.
+//! Each axiom carries its model's bit and the list of body operations
+//! its relation needs. One evaluation loop serves every check: it walks
+//! the axioms in declaration order, skips those of models already
+//! decided (outside the live mask, or failed on this candidate), and
+//! evaluates on demand only the operations a tested axiom needs.
+//! [`CompiledModel::check`] — the width-1 case — reports the first
+//! violated axiom in declaration order, exactly as a direct reading of
+//! the model would; the test-only naive interpreter
+//! (`tricheck_oracle::interpret`) pins that, and the fused masks, on
+//! random IRs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
 use crate::{mask, EventSet, Relation};
-
-/// Monotone source of process-unique kernel identities (see
-/// [`CompiledModel::kernel_id`]).
-static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Where an operation's result lives at evaluation time: in the
 /// per-program [`Prelude`] (space-invariant, computed once) or in the
@@ -171,11 +176,11 @@ impl Value {
     }
 }
 
-/// The space-invariant values of one compiled model over one program:
+/// The space-invariant values of one compiled kernel over one program:
 /// every operation reachable only from invariant bases, evaluated once.
 /// Obtained from [`CompiledModel::prelude`] and shared across every
 /// candidate of that program the caller judges.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Prelude {
     n: usize,
     values: Vec<Value>,
@@ -191,19 +196,30 @@ impl Prelude {
 
 /// Reusable per-candidate evaluation buffers.
 ///
-/// Judging a candidate fills one value slot per body operation; with a
-/// scratch those slots (and every intermediate relation's row storage)
-/// are reused across candidates instead of being reallocated per
-/// judgement — the difference between the compiled path beating the
-/// hand-written checkers and merely matching them. A scratch is bound
-/// to whichever kernel and universe size last used it and resets itself
-/// transparently when either changes, so one long-lived scratch per
-/// query loop is always correct.
+/// Judging a candidate fills one value slot per body operation it
+/// needs; with a scratch those slots (and every intermediate relation's
+/// row storage) are reused across candidates instead of being
+/// reallocated per judgement. A scratch carries no kernel or universe
+/// identity: every operation overwrites its whole slot, resizing the
+/// slot's rows in place when the universe changes, so one scratch can
+/// serve any sequence of kernels and programs.
 #[derive(Default, Debug)]
 pub struct EvalScratch {
-    kernel: u64,
-    n: usize,
     body: Vec<Value>,
+    /// One bit per body slot: evaluated for the current candidate.
+    done: Vec<u64>,
+}
+
+impl EvalScratch {
+    /// Readies `len` body slots for a new candidate: none evaluated.
+    fn begin(&mut self, len: usize) {
+        if self.body.len() < len {
+            self.body
+                .resize_with(len, || Value::Set(EventSet::empty(0)));
+        }
+        self.done.clear();
+        self.done.resize(len.div_ceil(64), 0);
+    }
 }
 
 /// One stream of candidates of one program through one compiled
@@ -212,14 +228,19 @@ pub struct EvalScratch {
 /// candidate after it.
 ///
 /// Every judging loop is a `Judge`: a model's witness search and
-/// outcome-set scan over a shared space or a streaming enumeration, and
-/// `diagnose`'s per-axiom explanation. A judge is bound to one program —
-/// every candidate it checks must come from the program its first one
-/// did, since the prelude is replayed for all of them.
+/// outcome-set scan over a shared space or a streaming enumeration, a
+/// sweep's fused judgement of one program under all of its mapping's
+/// models, and `diagnose`'s per-axiom explanation. A stream is bound to
+/// one program — every candidate it checks must come from the program
+/// its first one did, since the prelude is replayed for all of them.
+/// [`Judge::restart`] begins the next stream, over any kernel, keeping
+/// the prelude's and the scratch's buffers.
 #[derive(Debug)]
 pub struct Judge<'k> {
     kernel: &'k CompiledModel,
-    prelude: Option<Prelude>,
+    /// Whether `prelude` holds this stream's values yet.
+    primed: bool,
+    prelude: Prelude,
     scratch: EvalScratch,
 }
 
@@ -229,9 +250,18 @@ impl<'k> Judge<'k> {
     pub fn new(kernel: &'k CompiledModel) -> Self {
         Judge {
             kernel,
-            prelude: None,
+            primed: false,
+            prelude: Prelude::default(),
             scratch: EvalScratch::default(),
         }
+    }
+
+    /// Ends the current stream and begins a new one over `kernel`: the
+    /// next candidate evaluates a fresh prelude. The evaluation buffers
+    /// are kept.
+    pub fn restart(&mut self, kernel: &'k CompiledModel) {
+        self.kernel = kernel;
+        self.primed = false;
     }
 
     /// Checks every axiom against the stream's next candidate, as
@@ -240,7 +270,7 @@ impl<'k> Judge<'k> {
     ///
     /// # Errors
     ///
-    /// The name of the first violated axiom.
+    /// The name of the first violated axiom, in declaration order.
     ///
     /// # Panics
     ///
@@ -248,30 +278,55 @@ impl<'k> Judge<'k> {
     /// candidate's, or if the model references a base the binding does
     /// not provide.
     pub fn check<B: BaseRelations>(&mut self, binding: &B) -> Result<(), &'static str> {
-        let prelude = self
-            .prelude
-            .get_or_insert_with(|| self.kernel.prelude(binding));
+        self.prime(binding);
         self.kernel
-            .check_with_scratch(prelude, binding, &mut self.scratch)
+            .check_with_scratch(&self.prelude, binding, &mut self.scratch)
+    }
+
+    /// Judges the stream's next candidate under the models in `live`
+    /// (bit `j` is the `j`-th model the kernel fused) and returns the
+    /// subset that finds it consistent. The axioms of a model outside
+    /// `live`, and those of a model after its first violated axiom, are
+    /// skipped, and so is every operation only they need.
+    ///
+    /// # Panics
+    ///
+    /// As [`Judge::check`].
+    pub fn check_mask<B: BaseRelations>(&mut self, binding: &B, live: u64) -> u64 {
+        self.prime(binding);
+        self.kernel
+            .judge_axioms(&self.prelude, binding, &mut self.scratch, live, false)
+            .0
+    }
+
+    fn prime<B: BaseRelations>(&mut self, binding: &B) {
+        if !self.primed {
+            self.kernel.prelude_into(binding, &mut self.prelude);
+            self.primed = true;
+        }
     }
 }
 
-/// One axiom of the compiled program: the location of its relation and
-/// how much of the body schedule must be evaluated before testing it.
+/// One axiom of the compiled program: its model, the location of its
+/// relation, and the body operations that relation needs.
 #[derive(Clone, Debug)]
 struct CompiledAxiom {
     name: &'static str,
     kind: AxiomKind,
+    /// The declaring model's bit.
+    model: u64,
     rel: Loc,
-    /// Body operations `[0, body_cutoff)` are exactly those first needed
-    /// by this axiom or an earlier one.
-    body_cutoff: usize,
+    /// Every body slot the relation transitively reads, ascending —
+    /// which is an evaluation order, since operands take lower slots
+    /// than their users.
+    needs: Vec<u32>,
 }
 
-/// A [`ModelIr`] lowered to a flat program of fused bitset kernels —
-/// see the [module docs](self) for the compile pipeline.
+/// One or more [`ModelIr`]s lowered to a flat program of fused bitset
+/// kernels — see the [module docs](self) for the compile pipeline.
 ///
-/// Compile once (per model), then judge many candidates:
+/// Compile once (per model, or per set of models that judge the same
+/// programs), then judge many candidates:
 ///
 /// - a [`Judge`] streams the candidates of one program through the
 ///   kernel: one prelude, one [`EvalScratch`];
@@ -284,7 +339,7 @@ struct CompiledAxiom {
 #[derive(Clone, Debug)]
 pub struct CompiledModel {
     name: String,
-    kernel_id: u64,
+    models: usize,
     base_rels: Vec<&'static str>,
     base_sets: Vec<&'static str>,
     prelude_ops: Vec<Op<Loc>>,
@@ -293,7 +348,26 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Lowers a model into a compiled kernel program.
+    /// Lowers one model into a compiled kernel program: the width-1
+    /// case of [`CompiledModel::fuse`].
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledModel::fuse`].
+    #[must_use]
+    pub fn compile(ir: &ModelIr, space_invariant_bases: &[&str]) -> CompiledModel {
+        Self::fuse(&[ir], space_invariant_bases)
+    }
+
+    /// Lowers up to 64 models into one kernel program with one CSE
+    /// table: an operation the models share — a base fetch, `com`, a
+    /// fence set, a common `ppo` term — is scheduled, and evaluated per
+    /// candidate, once. Each model's definitions resolve within that
+    /// model, so equal names in two models may define different
+    /// relations. Model `j`'s axioms carry bit `j` of the mask
+    /// [`Judge::check_mask`] takes and returns; [`CompiledModel::check`]
+    /// requires every axiom of every model, in model then declaration
+    /// order.
     ///
     /// `space_invariant_bases` names the base relations and sets whose
     /// value depends only on the *program* (not on the candidate
@@ -303,16 +377,22 @@ impl CompiledModel {
     ///
     /// # Panics
     ///
-    /// Panics if the model references an undefined definition name or
-    /// contains a definition cycle (model bugs, surfaced at compile time
-    /// instead of per evaluation). Unknown *base* names still panic at
+    /// Panics if `irs` is empty or holds more than 64 models, or if a
+    /// model references an undefined definition name or contains a
+    /// definition cycle (model bugs, surfaced at compile time instead
+    /// of per evaluation). Unknown *base* names still panic at
     /// evaluation time, because which bases exist is the binding's
     /// contract.
     #[must_use]
-    pub fn compile(ir: &ModelIr, space_invariant_bases: &[&str]) -> CompiledModel {
+    pub fn fuse(irs: &[&ModelIr], space_invariant_bases: &[&str]) -> CompiledModel {
+        assert!(
+            (1..=64).contains(&irs.len()),
+            "a kernel fuses 1 to 64 models, not {}",
+            irs.len()
+        );
         let _t = tricheck_trace::span(tricheck_trace::Phase::KernelCompile);
         let mut lowerer = Lowerer {
-            defs: ir.defs(),
+            defs: &[],
             invariant: space_invariant_bases,
             nodes: Vec::new(),
             node_invariant: Vec::new(),
@@ -322,91 +402,88 @@ impl CompiledModel {
             def_nodes: Vec::new(),
             resolving: Vec::new(),
         };
-        let roots: Vec<(usize, &'static str, AxiomKind)> = ir
-            .axioms()
-            .iter()
-            .map(|axiom| (lowerer.lower_rel(&axiom.rel), axiom.name, axiom.kind))
-            .collect();
+        let mut roots: Vec<(usize, &'static str, AxiomKind, u64)> = Vec::new();
+        for (j, ir) in irs.iter().enumerate() {
+            lowerer.defs = ir.defs();
+            lowerer.def_nodes.clear();
+            for axiom in ir.axioms() {
+                let root = lowerer.lower_rel(&axiom.rel);
+                roots.push((root, axiom.name, axiom.kind, 1 << j));
+            }
+        }
+        let nodes = &lowerer.nodes;
 
-        // Tag every node with the first axiom that reaches it.
-        let mut first_needed: Vec<Option<usize>> = vec![None; lowerer.nodes.len()];
-        for (k, &(root, _, _)) in roots.iter().enumerate() {
-            let mut stack = vec![root];
-            while let Some(node) = stack.pop() {
-                if first_needed[node].is_some() {
-                    continue;
-                }
-                first_needed[node] = Some(k);
-                lowerer.nodes[node].for_each_operand(|child| stack.push(child));
+        // Reachability in one backward pass: the arena is topological
+        // (operands precede users), so a node is final when visited.
+        let mut reached = vec![false; nodes.len()];
+        for &(root, ..) in &roots {
+            reached[root] = true;
+        }
+        for i in (0..nodes.len()).rev() {
+            if reached[i] {
+                nodes[i].for_each_operand(|child| reached[child] = true);
             }
         }
 
-        // Schedule: invariant nodes in arena (topological) order form
-        // the prelude; the rest are stable-sorted by (first axiom, id),
-        // which preserves topological order because an operand is first
-        // needed no later than its user.
-        let prelude_ids: Vec<usize> = (0..lowerer.nodes.len())
-            .filter(|&i| first_needed[i].is_some() && lowerer.node_invariant[i])
-            .collect();
-        let mut body_ids: Vec<usize> = (0..lowerer.nodes.len())
-            .filter(|&i| first_needed[i].is_some() && !lowerer.node_invariant[i])
-            .collect();
-        body_ids.sort_by_key(|&i| first_needed[i]);
-
-        let mut locs: Vec<Option<Loc>> = vec![None; lowerer.nodes.len()];
-        for (slot, &id) in prelude_ids.iter().enumerate() {
-            locs[id] = Some(Loc::Prelude(u32::try_from(slot).expect("prelude fits u32")));
-        }
-        for (slot, &id) in body_ids.iter().enumerate() {
-            locs[id] = Some(Loc::Body(u32::try_from(slot).expect("body fits u32")));
+        // Schedule in arena order: reachable invariant nodes form the
+        // prelude, the other reachable nodes the per-candidate body.
+        let mut locs: Vec<Option<Loc>> = vec![None; nodes.len()];
+        let (mut prelude_ops, mut body_ops) = (Vec::new(), Vec::new());
+        for i in (0..nodes.len()).filter(|&i| reached[i]) {
+            let (ops, loc): (&mut Vec<usize>, fn(u32) -> Loc) = if lowerer.node_invariant[i] {
+                (&mut prelude_ops, Loc::Prelude)
+            } else {
+                (&mut body_ops, Loc::Body)
+            };
+            locs[i] = Some(loc(u32::try_from(ops.len()).expect("schedule fits u32")));
+            ops.push(i);
         }
         let loc_of = |id: usize| locs[id].expect("every scheduled operand has a location");
 
+        // Each node's body cone — the body slots it transitively reads,
+        // itself included — as a bitset row, in one forward pass.
+        let words = body_ops.len().div_ceil(64);
+        let mut cones = vec![0u64; nodes.len() * words];
+        for i in (0..nodes.len()).filter(|&i| reached[i] && !lowerer.node_invariant[i]) {
+            let (earlier, rest) = cones.split_at_mut(i * words);
+            let row = &mut rest[..words];
+            nodes[i].for_each_operand(|child| {
+                for (word, bits) in row.iter_mut().zip(&earlier[child * words..][..words]) {
+                    *word |= bits;
+                }
+            });
+            let Loc::Body(slot) = loc_of(i) else {
+                unreachable!("a candidate-dependent node is scheduled in the body")
+            };
+            row[slot as usize / 64] |= 1 << (slot % 64);
+        }
+
         let axioms = roots
             .iter()
-            .enumerate()
-            .map(|(k, &(root, name, kind))| CompiledAxiom {
+            .map(|&(root, name, kind, model)| CompiledAxiom {
                 name,
                 kind,
+                model,
                 rel: loc_of(root),
-                body_cutoff: body_ids
-                    .iter()
-                    .position(|&i| first_needed[i] > Some(k))
-                    .unwrap_or(body_ids.len()),
+                needs: bit_indices(&cones[root * words..][..words]),
             })
             .collect();
-
         CompiledModel {
-            name: ir.name().to_string(),
-            kernel_id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
+            name: irs.iter().map(|ir| ir.name()).collect::<Vec<_>>().join("+"),
+            models: irs.len(),
             base_rels: lowerer.base_rels,
             base_sets: lowerer.base_sets,
-            prelude_ops: prelude_ids
-                .iter()
-                .map(|&i| lowerer.nodes[i].map(loc_of))
-                .collect(),
-            body_ops: body_ids
-                .iter()
-                .map(|&i| lowerer.nodes[i].map(loc_of))
-                .collect(),
+            prelude_ops: prelude_ops.iter().map(|&i| nodes[i].map(loc_of)).collect(),
+            body_ops: body_ops.iter().map(|&i| nodes[i].map(loc_of)).collect(),
             axioms,
         }
     }
 
-    /// The source model's display name.
+    /// The source model's display name; a fused kernel joins its
+    /// models' names with `+`.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// A process-unique identity for this compiled kernel program.
-    ///
-    /// An [`EvalScratch`] keys on it: two `CompiledModel`s never share
-    /// an id, so a scratch reused across kernels resets instead of
-    /// replaying another kernel's slot layout.
-    #[must_use]
-    pub fn kernel_id(&self) -> u64 {
-        self.kernel_id
     }
 
     /// Number of operations hoisted into the space-invariant prelude.
@@ -431,24 +508,34 @@ impl CompiledModel {
     /// provide (a model-definition bug).
     #[must_use]
     pub fn prelude<B: BaseRelations>(&self, binding: &B) -> Prelude {
+        let mut prelude = Prelude::default();
+        self.prelude_into(binding, &mut prelude);
+        prelude
+    }
+
+    /// [`CompiledModel::prelude`] into a caller-owned prelude, reusing
+    /// its slots' storage.
+    fn prelude_into<B: BaseRelations>(&self, binding: &B, prelude: &mut Prelude) {
         let _t = tricheck_trace::span(tricheck_trace::Phase::PreludeEval);
         let n = binding.universe();
-        let mut values: Vec<Value> = Vec::with_capacity(self.prelude_ops.len());
-        for op in &self.prelude_ops {
-            let mut value = Value::Set(EventSet::empty(0));
-            self.eval_into(op, n, binding, &values, &[], &mut value);
-            values.push(value);
+        prelude.n = n;
+        let values = &mut prelude.values;
+        if values.len() < self.prelude_ops.len() {
+            values.resize_with(self.prelude_ops.len(), || Value::Set(EventSet::empty(0)));
         }
-        Prelude { n, values }
+        for (i, op) in self.prelude_ops.iter().enumerate() {
+            let (done, rest) = values.split_at_mut(i);
+            self.eval_into(op, n, binding, done, &[], &mut rest[0]);
+        }
     }
 
     /// Checks every axiom against one candidate execution, reusing a
     /// prelude computed by [`CompiledModel::prelude`] over the same
     /// program and caller-owned evaluation buffers: pass the same
-    /// [`EvalScratch`] for every candidate of a program and each
-    /// intermediate value's allocation is reused instead of recreated.
-    /// Stops at the first violated axiom without evaluating operations
-    /// only later axioms need.
+    /// [`EvalScratch`] for every candidate and each intermediate
+    /// value's allocation is reused instead of recreated. Stops at the
+    /// first violated axiom without evaluating operations only later
+    /// axioms need.
     ///
     /// # Errors
     ///
@@ -465,45 +552,10 @@ impl CompiledModel {
         binding: &B,
         scratch: &mut EvalScratch,
     ) -> Result<(), &'static str> {
-        let _t = tricheck_trace::span(tricheck_trace::Phase::CandidateCheck);
-        let n = binding.universe();
-        assert_eq!(
-            prelude.n, n,
-            "prelude evaluated over a different event universe"
-        );
-        if scratch.kernel != self.kernel_id || scratch.n != n {
-            scratch.body.clear();
-            scratch.kernel = self.kernel_id;
-            scratch.n = n;
+        match self.judge_axioms(prelude, binding, scratch, mask(self.models), true) {
+            (_, Some(violated)) => Err(violated),
+            (_, None) => Ok(()),
         }
-        let mut evaluated = 0;
-        for axiom in &self.axioms {
-            while evaluated < axiom.body_cutoff {
-                if scratch.body.len() == evaluated {
-                    scratch.body.push(Value::Set(EventSet::empty(0)));
-                }
-                let (done, rest) = scratch.body.split_at_mut(evaluated);
-                self.eval_into(
-                    &self.body_ops[evaluated],
-                    n,
-                    binding,
-                    &prelude.values,
-                    done,
-                    &mut rest[0],
-                );
-                evaluated += 1;
-            }
-            let rel = fetch(axiom.rel, &prelude.values, &scratch.body).as_rel();
-            let holds = match axiom.kind {
-                AxiomKind::Acyclic => rel.is_acyclic(),
-                AxiomKind::Irreflexive => rel.is_irreflexive(),
-                AxiomKind::Empty => rel.is_empty(),
-            };
-            if !holds {
-                return Err(axiom.name);
-            }
-        }
-        Ok(())
     }
 
     /// `true` if every axiom holds, reusing a cached prelude and
@@ -535,13 +587,75 @@ impl CompiledModel {
         self.check(binding).is_ok()
     }
 
+    /// The one evaluation loop. Tests, in declaration order, the axioms
+    /// of the models in `live` that no earlier axiom has failed,
+    /// evaluating on demand each body operation an axiom needs that
+    /// this candidate has not evaluated yet. Returns the models in
+    /// `live` whose axioms all hold and, with `first_only`, stops at
+    /// (and names) the first violated axiom.
+    fn judge_axioms<B: BaseRelations>(
+        &self,
+        prelude: &Prelude,
+        binding: &B,
+        scratch: &mut EvalScratch,
+        live: u64,
+        first_only: bool,
+    ) -> (u64, Option<&'static str>) {
+        let _t = tricheck_trace::span(tricheck_trace::Phase::CandidateCheck);
+        let n = binding.universe();
+        assert_eq!(
+            prelude.n, n,
+            "prelude evaluated over a different event universe"
+        );
+        scratch.begin(self.body_ops.len());
+        let mut holding = live;
+        for axiom in &self.axioms {
+            if holding & axiom.model == 0 {
+                continue;
+            }
+            for &slot in &axiom.needs {
+                let (word, bit) = (slot as usize / 64, 1 << (slot % 64));
+                if scratch.done[word] & bit != 0 {
+                    continue;
+                }
+                let (done, rest) = scratch.body.split_at_mut(slot as usize);
+                self.eval_into(
+                    &self.body_ops[slot as usize],
+                    n,
+                    binding,
+                    &prelude.values,
+                    done,
+                    &mut rest[0],
+                );
+                scratch.done[word] |= bit;
+            }
+            let rel = fetch(axiom.rel, &prelude.values, &scratch.body).as_rel();
+            let holds = match axiom.kind {
+                AxiomKind::Acyclic => rel.is_acyclic(),
+                AxiomKind::Irreflexive => rel.is_irreflexive(),
+                AxiomKind::Empty => rel.is_empty(),
+            };
+            if !holds {
+                holding &= !axiom.model;
+                if first_only {
+                    return (holding, Some(axiom.name));
+                }
+                if holding == 0 {
+                    break;
+                }
+            }
+        }
+        (holding, None)
+    }
+
     /// Executes one operation into a caller-owned slot. Fused n-ary
     /// kernels make a single pass over the operand rows; everything
     /// else maps 1:1 onto the [`Relation`] algebra — but written
-    /// in place, so a slot that already holds a right-sized relation
-    /// (a reused [`EvalScratch`]) costs zero allocations. Every row of
-    /// the output is overwritten unconditionally; stale slot contents
-    /// never leak through.
+    /// in place, so a slot that already holds a relation (a reused
+    /// [`EvalScratch`] or [`Prelude`]) costs no allocation beyond
+    /// growing its rows to a larger universe. Every row of the output is
+    /// overwritten unconditionally; stale slot contents never leak
+    /// through.
     fn eval_into<B: BaseRelations>(
         &self,
         op: &Op<Loc>,
@@ -718,17 +832,34 @@ impl CompiledModel {
     }
 }
 
-/// The slot's relation rows, reusing its storage when the slot already
-/// holds a relation over the same universe (the steady state of a
-/// reused [`EvalScratch`]) and reallocating otherwise.
+/// The slot's relation rows over a universe of `n`, reusing its
+/// storage: a relation slot is resized in place (the caller overwrites
+/// every row), and only a slot holding a set is reallocated.
 fn rel_rows(slot: &mut Value, n: usize) -> &mut Vec<u64> {
-    if !matches!(slot, Value::Rel(r) if r.n == n && r.rows.len() == n) {
+    if let Value::Set(_) = slot {
         *slot = Value::Rel(Relation::empty(n));
     }
     match slot {
-        Value::Rel(r) => &mut r.rows,
+        Value::Rel(r) => {
+            r.n = n;
+            r.rows.resize(n, 0);
+            &mut r.rows
+        }
         Value::Set(_) => unreachable!("slot was just made a relation"),
     }
+}
+
+/// The indices of the set bits of a bitset row, ascending.
+fn bit_indices(row: &[u64]) -> Vec<u32> {
+    let mut out = Vec::new();
+    for (w, &word) in row.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(u32::try_from(w * 64).expect("schedule fits u32") + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 fn fetch<'v>(loc: Loc, prelude: &'v [Value], body: &'v [Value]) -> &'v Value {

@@ -93,13 +93,20 @@
 //! (CSE), fuses `∪`/`∩`/`\` chains into single n-ary passes over the
 //! `u64` relation words, and hoists every operation reachable only from
 //! *space-invariant* bases (program-derived: `po`, dependencies, fence
-//! edges, annotation sets) into a prelude. Every judging loop is a
-//! [`Judge`]: one stream of one program's candidates through the kernel,
-//! which evaluates the prelude on the stream's first candidate, replays
-//! it across the rest, and writes every body operation into one reusable
-//! [`EvalScratch`] slot, so the loop allocates nothing per candidate.
-//! The C11 model and every µarch model judge through it (see
-//! `tricheck-litmus`'s `ConsistencyModel`). The compiled path judges a
+//! edges, annotation sets) into a prelude. [`CompiledModel::fuse`]
+//! lowers several models into one such kernel with one CSE table, so
+//! the terms they share are evaluated once per candidate and
+//! [`Judge::check_mask`] returns the set of models that accept it.
+//! Every judging loop is a [`Judge`]: one stream of one program's
+//! candidates through the kernel, which evaluates the prelude on the
+//! stream's first candidate, replays it across the rest, and writes
+//! every body operation into a reusable [`EvalScratch`] slot, so the
+//! loop allocates nothing per candidate. The scratch carries no kernel
+//! identity — every operation overwrites its slot — so
+//! [`Judge::restart`] moves one judge, buffers and all, on to the next
+//! program or kernel: a sweep keeps one judge per worker. The C11 model
+//! and every µarch model judge through it (see `tricheck-litmus`'s
+//! `ConsistencyModel`). The compiled path judges a
 //! candidate below the cost of the hand-written imperative checkers it
 //! is tested against (see `benches/model_eval.rs`), so "models as
 //! data" is free at sweep time.

@@ -272,10 +272,40 @@ fn cse_shares_repeated_subexpressions() {
 }
 
 #[test]
-fn kernel_ids_are_unique() {
-    let a = CompiledModel::compile(&sc_like(), &[]);
-    let b = CompiledModel::compile(&sc_like(), &[]);
-    assert_ne!(a.kernel_id(), b.kernel_id());
+fn fused_kernels_judge_each_model_on_shared_terms() {
+    // Two models that both define `ghb`, differently: SC keeps all of
+    // po, TSO drops W→R pairs. Fused, they share the po/rf/fr fetches
+    // and still resolve `ghb` per model.
+    let sc = sc_like();
+    let tso = ModelIr::new("toy-tso")
+        .define(
+            "ghb",
+            RelExpr::base("po")
+                .minus(RelExpr::cross(SetExpr::base("W"), SetExpr::base("R")))
+                .union(RelExpr::base("rf"))
+                .union(RelExpr::base("fr")),
+        )
+        .axiom("Tso", AxiomKind::Acyclic, RelExpr::reference("ghb"));
+    let fused = CompiledModel::fuse(&[&sc, &tso], &[]);
+    let alone = [
+        CompiledModel::compile(&sc, &[]),
+        CompiledModel::compile(&tso, &[]),
+    ];
+    assert_eq!(fused.name(), "toy-sc+toy-tso");
+    assert!(fused.body_op_count() < alone[0].body_op_count() + alone[1].body_op_count());
+    let mut judge = Judge::new(&fused);
+    for (fr_back, mask) in [(false, 0b11), (true, 0b10)] {
+        judge.restart(&fused);
+        let binding = toy(fr_back);
+        assert_eq!(judge.check_mask(&binding, 0b11), mask, "fr_back={fr_back}");
+        assert_eq!(judge.check_mask(&binding, 0b01), mask & 0b01);
+        assert_eq!(judge.check_mask(&binding, 0), 0);
+        for (j, kernel) in alone.iter().enumerate() {
+            assert_eq!(kernel.consistent(&binding), mask >> j & 1 == 1);
+        }
+        // The width-1 reading of a fused kernel requires every model.
+        assert_eq!(fused.check(&binding), alone[0].check(&binding));
+    }
 }
 
 #[test]

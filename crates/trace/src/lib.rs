@@ -23,9 +23,10 @@
 //! - **Counters** ([`count`]): monotonic `u64` adds over a [`Counter`],
 //!   e.g. candidates enumerated or pruning branches cut.
 //!
-//! [`cell_span`] additionally tags the span with a stack index
-//! registered via [`set_keys`], producing the per-stack latency
-//! histograms (`p50`/`p95`/`max`) in the report.
+//! [`cell_span`] additionally tags the span with a key index
+//! registered via [`set_keys`] (the sweep engine keys by compiler
+//! mapping), producing the per-key latency histograms
+//! (`p50`/`p95`/`max`) of the report's `stacks` rows.
 //!
 //! Every record lands in a buffer owned by the recording thread
 //! (registered once, on first use, in a global registry that outlives
@@ -63,6 +64,9 @@
 //! ```json
 //! {
 //!   "schema": "tricheck-metrics/v1",
+//!   "config": {"threads": 1, "nproc": 2, // the run's configuration,
+//!              "outcome_mode": "Target", // set by the sweep's caller
+//!              "suite_size": 1701},
 //!   "wall_ns": 123456789,            // session wall clock
 //!   "busy_ns": 987654321,            // sum of per-phase self time
 //!   "phases": [                      // fixed pipeline order, active phases only
@@ -70,8 +74,8 @@
 //!      "p50_ns": 3, "p95_ns": 4, "max_ns": 5}
 //!   ],
 //!   "counters": {"c11_evaluations": 1701, "pruned_branches": 408},
-//!   "stacks": [                      // per-stack cell latency, from cell_span keys
-//!     {"label": "RISC-V/Curr-Base/WR", "total_ns": 1, "count": 2,
+//!   "stacks": [                      // per-key cell latency, from cell_span keys
+//!     {"label": "riscv-base-intuitive", "total_ns": 1, "count": 2,
 //!      "p50_ns": 3, "p95_ns": 4, "max_ns": 5}
 //!   ],
 //!   "workers": [                     // per-shard breakdown (sharded runs only)
@@ -87,6 +91,14 @@
 //! 19% relative error) over inclusive durations. `counters` is the
 //! superset surface: the sweep engine's `SweepStats` and the store's
 //! `StoreStats` are injected as counters next to the ones recorded here.
+//! `stacks` holds one row per [`cell_span`] key: the sweep engine keys
+//! its `cell` spans by compiler mapping — one span per (test, mapping)
+//! judgement, under all of the mapping's µarch models at once — so a
+//! row is the latency of judging one compiled test under a mapping,
+//! not of one (test, stack) cell. `config` (additive to v1) records the
+//! threads, host parallelism, outcome mode and suite size of the run;
+//! the CLI's `sweep --metrics-json` and the `fig15 --json` experiment
+//! set it.
 //!
 //! [`TraceSession::chrome_json`] renders the captured spans as a Chrome
 //! `chrome://tracing` / Perfetto-compatible `traceEvents` document
@@ -126,9 +138,10 @@ fn flags() -> u32 {
 /// order phases appear in reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// One (test, stack) visit, judged inside its program's work item
-    /// by the sweep engine. Its self time is the engine's own judging
-    /// overhead; its inclusive durations are per-cell cost.
+    /// One judgement of a compiled test under all of its compiler
+    /// mapping's µarch models, inside its program's work item in the
+    /// sweep engine. Its self time is the engine's own judging overhead;
+    /// its inclusive durations are the per-(test, mapping) cost.
     Cell,
     /// C11 axiomatic evaluation of one litmus test (Step 1).
     C11Eval,
@@ -893,7 +906,7 @@ impl PhaseStat {
     }
 }
 
-/// Aggregated per-stack cell timing.
+/// Aggregated cell timing of one [`set_keys`] key (a `stacks` row).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyStat {
     /// Stack label as registered via [`set_keys`].
@@ -947,6 +960,24 @@ pub struct TraceReport {
     pub stacks: Vec<KeyStat>,
     /// Per-shard breakdown, for merged coordinator reports.
     pub workers: Vec<WorkerReport>,
+    /// The run's configuration, set by the program that ran it (the
+    /// `config` object; absent from the document when `None`).
+    pub config: Option<RunConfig>,
+}
+
+/// The configuration of the run a report measured — what a reader needs
+/// before comparing two reports.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Worker threads per process.
+    pub threads: u64,
+    /// The host's available parallelism.
+    pub nproc: u64,
+    /// The equivalence checked, as the sweep options spell it
+    /// (`"Target"` or `"FullOutcomes"`).
+    pub outcome_mode: String,
+    /// Litmus tests swept.
+    pub suite_size: u64,
 }
 
 impl TraceReport {
@@ -1048,6 +1079,17 @@ impl TraceReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n  \"schema\": \"tricheck-metrics/v1\",\n");
+        if let Some(c) = &self.config {
+            let _ = writeln!(
+                out,
+                "  \"config\": {{\"threads\": {}, \"nproc\": {}, \"outcome_mode\": \"{}\", \
+                 \"suite_size\": {}}},",
+                c.threads,
+                c.nproc,
+                json_escape(&c.outcome_mode),
+                c.suite_size
+            );
+        }
         let _ = writeln!(out, "  \"wall_ns\": {},", self.wall_ns);
         let _ = writeln!(out, "  \"busy_ns\": {},", self.busy_ns());
         out.push_str("  \"phases\": ");

@@ -73,9 +73,12 @@
 //! - **Scheduling** ([`core::Sweep`]) compiles every (test, mapping)
 //!   pair once, groups the (test × stack) visits by compiled program,
 //!   and fans one work item per distinct program over a work-stealing
-//!   pool; `SweepResults::stats()` proves the exactly-once contract, and
-//!   `SweepOptions { threads: 1 }` degrades to a fully deterministic
-//!   serial run.
+//!   pool. Each mapping's µarch models are fused into one kernel
+//!   ([`uarch::UarchModel::fuse`]), so a compiled test is judged under
+//!   all of them in one pass ([`litmus::witness_mask`]) by the worker's
+//!   one judge. `SweepResults::stats()` proves the exactly-once
+//!   contract, and `SweepOptions { threads: 1 }` degrades to a fully
+//!   deterministic serial run.
 //!
 //! The pre-engine per-cell pipeline survives as
 //! `tricheck_oracle::run_matrix_naive` (in the test-only oracle crate),

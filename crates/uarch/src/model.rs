@@ -237,11 +237,19 @@ impl UarchModel {
             .get_or_init(|| CompiledModel::compile(&self.ir, HW_INVARIANT_BASES))
     }
 
-    /// The process-unique id of this model's compiled kernel (the unit
-    /// of `--cache-stats` kernel counting).
+    /// One kernel judging every model in `models` at once
+    /// ([`CompiledModel::fuse`], with the same hoisted bases as
+    /// [`UarchModel::compiled`]): bit `j` of a
+    /// [`Judge::check_mask`](tricheck_rel::Judge::check_mask) verdict is
+    /// `models[j]`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `models` is empty or holds more than 64 models.
     #[must_use]
-    pub fn kernel_id(&self) -> u64 {
-        self.compiled().kernel_id()
+    pub fn fuse(models: &[&UarchModel]) -> CompiledModel {
+        let irs: Vec<&ModelIr> = models.iter().map(|m| &m.ir).collect();
+        CompiledModel::fuse(&irs, HW_INVARIANT_BASES)
     }
 
     /// The model's display name (the model file's `model` line).

@@ -31,15 +31,18 @@ fn family(name: &str) -> Vec<LitmusTest> {
 }
 
 /// One deterministic serial sweep under a metrics session, with the
-/// engine counters injected exactly as the CLI injects them.
+/// run's config and the engine counters injected exactly as the CLI
+/// injects them.
 fn traced_serial_sweep(tests: &[LitmusTest]) -> TraceReport {
-    trace::start(TraceConfig::metrics());
-    let results = Sweep::with_options(SweepOptions {
+    let options = SweepOptions {
         threads: 1,
         ..SweepOptions::default()
-    })
-    .run_matrix(tests, &riscv_stacks());
+    };
+    let config = options.run_config(tests.len());
+    trace::start(TraceConfig::metrics());
+    let results = Sweep::with_options(options).run_matrix(tests, &riscv_stacks());
     let mut report = trace::finish().report;
+    report.config = Some(config);
     for (name, value) in results.stats().as_counters() {
         report.set_counter(name, value);
     }
@@ -55,7 +58,8 @@ fn as_u64(v: &json::Value, what: &str) -> u64 {
 #[test]
 fn metrics_json_schema_is_pinned() {
     let _guard = session_lock();
-    let report = traced_serial_sweep(&family("sb"));
+    let tests = family("sb");
+    let report = traced_serial_sweep(&tests);
     let doc = report.to_json();
     let parsed = json::parse(&doc).expect("metrics document must be valid JSON");
     let top = parsed.as_object().expect("top level must be an object");
@@ -64,8 +68,25 @@ fn metrics_json_schema_is_pinned() {
     let keys: Vec<&str> = top.keys().map(String::as_str).collect();
     assert_eq!(
         keys,
-        ["busy_ns", "counters", "phases", "schema", "stacks", "wall_ns", "workers"],
+        ["busy_ns", "config", "counters", "phases", "schema", "stacks", "wall_ns", "workers"],
         "top-level key set changed — bump the schema version"
+    );
+    // config{}: the run's threads, host parallelism, mode and size.
+    let config = parsed
+        .get("config")
+        .and_then(json::Value::as_object)
+        .expect("config must be an object");
+    let config_keys: Vec<&str> = config.keys().map(String::as_str).collect();
+    assert_eq!(
+        config_keys,
+        ["nproc", "outcome_mode", "suite_size", "threads"]
+    );
+    assert_eq!(as_u64(&config["threads"], "threads"), 1);
+    assert!(as_u64(&config["nproc"], "nproc") >= 1);
+    assert_eq!(config["outcome_mode"].as_str(), Some("Target"));
+    assert_eq!(
+        as_u64(&config["suite_size"], "suite_size"),
+        tests.len() as u64
     );
     assert_eq!(
         parsed.get("schema").and_then(json::Value::as_str),
@@ -143,25 +164,35 @@ fn metrics_json_schema_is_pinned() {
         );
     }
 
-    // stacks[]: one per-cell latency row per matrix stack, labelled.
+    // stacks[]: one judgement-latency row per compiler mapping (each
+    // `cell` span judges a compiled test under all of the mapping's
+    // models at once), labelled with the mapping's name.
     let stacks = parsed
         .get("stacks")
         .and_then(json::Value::as_array)
         .expect("stacks must be an array");
-    assert_eq!(stacks.len(), 28, "the Figure 15 matrix has 28 stacks");
-    for stack in stacks {
-        let label = stack
-            .get("label")
-            .and_then(json::Value::as_str)
-            .expect("stack.label must be a string");
-        assert!(
-            label.contains('/'),
-            "label {label} must be isa/variant/model"
-        );
-        for field in ["total_ns", "count", "p50_ns", "p95_ns", "max_ns"] {
-            as_u64(stack.get(field).expect(field), field);
-        }
-    }
+    let labels: Vec<&str> = stacks
+        .iter()
+        .map(|stack| {
+            for field in ["total_ns", "count", "p50_ns", "p95_ns", "max_ns"] {
+                as_u64(stack.get(field).expect(field), field);
+            }
+            stack
+                .get("label")
+                .and_then(json::Value::as_str)
+                .expect("stack.label must be a string")
+        })
+        .collect();
+    assert_eq!(
+        labels,
+        [
+            "riscv-base-intuitive",
+            "riscv-base-refined",
+            "riscv-base+a-intuitive",
+            "riscv-base+a-refined"
+        ],
+        "the Figure 15 matrix judges through its 4 mappings"
+    );
 
     // workers[]: empty on an unsharded run, but present and an array.
     let workers = parsed
@@ -204,11 +235,21 @@ fn metrics_counters_match_sweep_stats() {
         c11.count, stats.c11_evaluations as u64,
         "one c11_eval span per engine evaluation"
     );
+    // Every compiled (test, mapping) pair is judged once, under all of
+    // the mapping's models, in one stream: one cell span each and at
+    // most one prelude each, plus at most one per C11 verdict.
     let cell = report.phase("cell").expect("cell phase");
     assert_eq!(
-        cell.count,
-        (stats.tests * stats.cells) as u64,
-        "one cell span per (test, stack) item"
+        cell.count, stats.compile_calls as u64,
+        "one cell span per (test, mapping) judgement"
+    );
+    let preludes = report.phase("prelude_eval").expect("prelude_eval phase");
+    assert!(
+        preludes.count <= (stats.compile_calls + stats.c11_evaluations) as u64,
+        "{} preludes for {} judgements and {} C11 verdicts",
+        preludes.count,
+        stats.compile_calls,
+        stats.c11_evaluations
     );
 }
 

@@ -385,3 +385,118 @@ proptest! {
         prop_assert!(checked > 0);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A fused kernel of 2–7 random IRs judges every model as the naive
+    /// interpreter does: on each candidate, bit `j` of the mask is
+    /// `interpret(ir_j)`'s verdict, and a narrower live mask gets the
+    /// same bits for the models it keeps. One `Judge` is restarted
+    /// across the fused kernel, a single-model kernel and programs of
+    /// different universe sizes, so a scratch carried from one kernel
+    /// or universe to the next must never leak a stale slot.
+    #[test]
+    fn fused_random_irs_agree_with_the_interpreter_per_model(
+        seed in 0u64..u64::MAX,
+        width in 2usize..8,
+        test in arb_variant()
+    ) {
+        let irs: Vec<_> = (0..width as u64).map(|j| random_ir(seed ^ j.wrapping_mul(0x9e37_79b9))).collect();
+        let models: Vec<UarchModel> = irs.iter().cloned().map(UarchModel::from_ir).collect();
+        let fused = UarchModel::fuse(&models.iter().collect::<Vec<_>>());
+        let single = models[width - 1].compiled();
+        let live = u64::MAX >> (64 - width);
+        let narrow = (seed >> 32) & live;
+        let mapping = riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr);
+        let mut judge = Judge::new(single);
+        let mut universes = Vec::new();
+        for test in [test, suite::mp([MemOrder::Rlx; 4]), suite::fig3_wrc()] {
+            let compiled = compile(&test, mapping).unwrap();
+            let program = compiled.program();
+            judge.restart(&fused);
+            let mut checked = 0;
+            tricheck::litmus::enumerate_executions(program, &mut |exec| {
+                let binding = HwBinding::new(exec);
+                universes.push(exec.len());
+                let mask = judge.check_mask(&binding, live);
+                for (j, ir) in irs.iter().enumerate() {
+                    assert_eq!(
+                        mask >> j & 1 == 1,
+                        interpret(ir, &binding).is_ok(),
+                        "seed {seed}: fused bit {j} disagrees with the interpreter on {} \
+                         (candidate {checked})\n{ir}",
+                        test.name()
+                    );
+                }
+                assert_eq!(judge.check_mask(&binding, narrow), mask & narrow);
+                checked += 1;
+                checked < 40
+            });
+            judge.restart(single);
+            let mut checked = 0;
+            tricheck::litmus::enumerate_executions(program, &mut |exec| {
+                let binding = HwBinding::new(exec);
+                assert_eq!(judge.check(&binding), interpret(&irs[width - 1], &binding));
+                checked += 1;
+                checked < 40
+            });
+        }
+        universes.sort_unstable();
+        universes.dedup();
+        prop_assert!(universes.len() > 1, "the streams span several universe sizes");
+    }
+}
+
+/// The kernel a sweep fuses for each mapping of every registered stack
+/// (the 4 riscv mappings' Table 7 models, the 2 Power mappings' ARMv7
+/// models, the 2 x86 mappings' TSO model) judges every candidate of a
+/// suite subset exactly as its models' own kernels do, bit by bit.
+#[test]
+fn fused_kernels_agree_with_their_models_on_every_registered_stack() {
+    let tests: Vec<LitmusTest> = suite::full_suite().into_iter().step_by(29).collect();
+    let registry = StackRegistry::new();
+    let mut sets = 0;
+    for entry in registry.entries() {
+        let mut mappings: Vec<&str> = entry.stacks.iter().map(|s| s.mapping.name()).collect();
+        mappings.sort_unstable();
+        mappings.dedup();
+        for name in mappings {
+            let stacks: Vec<&MatrixStack<'_>> = entry
+                .stacks
+                .iter()
+                .filter(|s| s.mapping.name() == name)
+                .collect();
+            let models: Vec<&UarchModel> = stacks.iter().map(|s| &s.model).collect();
+            let fused = UarchModel::fuse(&models);
+            let live = u64::MAX >> (64 - models.len());
+            let mut judge = Judge::new(&fused);
+            let mut own: Vec<Judge<'_>> = models.iter().map(|m| Judge::new(m.compiled())).collect();
+            for test in &tests {
+                let Ok(compiled) = compile(test, stacks[0].mapping) else {
+                    continue;
+                };
+                judge.restart(&fused);
+                for (j, model) in models.iter().enumerate() {
+                    own[j].restart(model.compiled());
+                }
+                tricheck::litmus::enumerate_executions(compiled.program(), &mut |exec| {
+                    let binding = HwBinding::new(exec);
+                    let mask = judge.check_mask(&binding, live);
+                    for (j, model_judge) in own.iter_mut().enumerate() {
+                        assert_eq!(
+                            mask >> j & 1 == 1,
+                            model_judge.check(&binding).is_ok(),
+                            "{name}: fused bit of {} disagrees on {}",
+                            models[j].name(),
+                            test.name()
+                        );
+                    }
+                    true
+                });
+            }
+            sets += 1;
+        }
+    }
+    assert_eq!(sets, 8, "4 riscv, 2 power and 2 x86 mappings");
+}
