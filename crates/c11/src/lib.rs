@@ -54,12 +54,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use tricheck_litmus::{ConsistencyModel, Execution, LitmusTest, MemOrder, Outcome};
 use tricheck_rel::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
-use tricheck_rel::{linear_extensions, CompiledModel, EventSet, Relation};
+use tricheck_rel::{linear_extensions, CompiledModel, EventSet, Relation, MAX_EVENTS};
 
 /// The verdict of the C11 model on a litmus test's target outcome.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -181,9 +182,9 @@ impl ConsistencyModel for C11Model {
         Self::compiled()
     }
 
-    fn bind(exec: &Execution<MemOrder>, fr: Option<Relation>) -> C11Binding<'_> {
+    fn bind<'e>(exec: &'e Execution<MemOrder>, fr: Option<&'e Relation>) -> C11Binding<'e> {
         C11Binding {
-            fr: fr.map_or_else(std::cell::OnceCell::new, std::cell::OnceCell::from),
+            lent_fr: fr,
             ..C11Binding::new(exec)
         }
     }
@@ -195,16 +196,19 @@ impl ConsistencyModel for C11Model {
 /// (release-sequence synchronization, see [`C11Model::ir`] for why it
 /// is a base), and `sc-bad` (a witness relation that is empty iff a
 /// total SC order satisfying Batty's conditions exists); set `init`.
+/// The execution's own relations are lent; each derived one is computed
+/// at most once per binding, inline, and lent from there.
 #[derive(Debug)]
 pub struct C11Binding<'e> {
     exec: &'e Execution<MemOrder>,
-    /// `sw` is served both as a base and as an ingredient of `sc-bad`'s
-    /// derived relations; compute it once per binding.
-    sw: std::cell::OnceCell<Relation>,
-    /// `fr = rf⁻¹;co`, pre-seeded by [`ConsistencyModel::bind`] when
-    /// the caller already holds the derived relation (the arena's `fr`
-    /// column), computed on demand otherwise.
-    fr: std::cell::OnceCell<Relation>,
+    /// `fr = rf⁻¹;co` as [`ConsistencyModel::bind`]'s caller lends it
+    /// (an arena cursor's derived column), if it does; otherwise
+    /// computed into `fr` on demand.
+    lent_fr: Option<&'e Relation>,
+    fr: OnceCell<Relation>,
+    /// `sw` is served both as a base and as an ingredient of `sc-bad`.
+    sw: OnceCell<Relation>,
+    sc_bad: OnceCell<Relation>,
 }
 
 impl<'e> C11Binding<'e> {
@@ -213,8 +217,10 @@ impl<'e> C11Binding<'e> {
     pub fn new(exec: &'e Execution<MemOrder>) -> Self {
         C11Binding {
             exec,
-            sw: std::cell::OnceCell::new(),
-            fr: std::cell::OnceCell::new(),
+            lent_fr: None,
+            fr: OnceCell::new(),
+            sw: OnceCell::new(),
+            sc_bad: OnceCell::new(),
         }
     }
 
@@ -223,7 +229,26 @@ impl<'e> C11Binding<'e> {
     }
 
     fn fr(&self) -> &Relation {
-        self.fr.get_or_init(|| self.exec.fr())
+        match self.lent_fr {
+            Some(fr) => fr,
+            None => self.fr.get_or_init(|| self.exec.fr()),
+        }
+    }
+
+    fn sc_bad(&self) -> Relation {
+        let n = self.exec.len();
+        // An execution with no seq_cst events trivially has an SC order;
+        // skip the derived-relation work entirely.
+        let has_sc = (0..n).any(|e| self.exec.ann(e).is_some_and(|mo| mo.is_sc()));
+        if !has_sc {
+            return Relation::empty(n);
+        }
+        let derived = DerivedRelations::with_sw(self.exec, self.sw());
+        if sc_order_exists(self.exec, &derived) {
+            Relation::empty(n)
+        } else {
+            Relation::identity(n).restrict(derived.sc_events, derived.sc_events)
+        }
     }
 }
 
@@ -232,29 +257,15 @@ impl BaseRelations for C11Binding<'_> {
         self.exec.len()
     }
 
-    fn rel(&self, name: &str) -> Option<Relation> {
+    fn rel(&self, name: &str) -> Option<&Relation> {
         Some(match name {
-            "po" => self.exec.po().clone(),
-            "rf" => self.exec.rf().clone(),
-            "co" => self.exec.co().clone(),
-            "fr" => self.fr().clone(),
-            "rmw" => self.exec.rmw().clone(),
-            "sw" => self.sw().clone(),
-            "sc-bad" => {
-                let n = self.exec.len();
-                // An execution with no seq_cst events trivially has an
-                // SC order; skip the derived-relation work entirely.
-                let has_sc = (0..n).any(|e| self.exec.ann(e).is_some_and(|mo| mo.is_sc()));
-                if !has_sc {
-                    return Some(Relation::empty(n));
-                }
-                let derived = DerivedRelations::with_sw(self.exec, self.sw().clone());
-                if sc_order_exists(self.exec, &derived) {
-                    Relation::empty(n)
-                } else {
-                    Relation::identity(n).restrict(derived.sc_events, derived.sc_events)
-                }
-            }
+            "po" => self.exec.po(),
+            "rf" => self.exec.rf(),
+            "co" => self.exec.co(),
+            "fr" => self.fr(),
+            "rmw" => self.exec.rmw(),
+            "sw" => self.sw(),
+            "sc-bad" => self.sc_bad.get_or_init(|| self.sc_bad()),
             _ => return None,
         })
     }
@@ -278,11 +289,11 @@ impl DerivedRelations {
     /// Builds the derived relations around a precomputed `sw` (the
     /// [`C11Binding`] shares one `sw` between the IR base and the
     /// `sc-bad` witness instead of deriving release sequences twice).
-    fn with_sw(exec: &Execution<MemOrder>, sw: Relation) -> Self {
+    fn with_sw(exec: &Execution<MemOrder>, sw: &Relation) -> Self {
         let n = exec.len();
 
         // hb = (sb ∪ sw ∪ init-before-everything)⁺
-        let mut hb_base = exec.po().union(&sw);
+        let mut hb_base = exec.po().union(sw);
         for init in exec.inits().iter() {
             for e in 0..n {
                 if !exec.inits().contains(e) {
@@ -313,7 +324,7 @@ fn synchronizes_with(exec: &Execution<MemOrder>) -> Relation {
         if !mo.is_release() {
             continue;
         }
-        for w2 in release_sequence(exec, w) {
+        for w2 in release_sequence(exec, w).iter() {
             for r in exec.rf().successors(w2).iter() {
                 if !exec.is_external(w, r) {
                     continue; // sw is cross-thread
@@ -329,31 +340,27 @@ fn synchronizes_with(exec: &Execution<MemOrder>) -> Relation {
 
 /// The release sequence headed by `w`: `w` plus the maximal contiguous run
 /// of `mo`-successors that are same-thread writes or RMW writes.
-fn release_sequence(exec: &Execution<MemOrder>, w: usize) -> Vec<usize> {
-    let mut rs = vec![w];
-    let Some(loc) = exec.loc(w) else { return rs };
-    // co is a per-location strict total order: sort the location's writes
-    // by their number of co-predecessors within the location.
-    let mut loc_writes: Vec<usize> = exec
-        .writes()
-        .iter()
-        .filter(|&e| exec.loc(e) == Some(loc))
-        .collect();
-    let key = |e: usize, all: &[usize]| all.iter().filter(|&&p| exec.co().contains(p, e)).count();
-    let snapshot = loc_writes.clone();
-    loc_writes.sort_by_key(|&e| key(e, &snapshot));
-    let start = loc_writes
-        .iter()
-        .position(|&e| e == w)
-        .expect("w writes to loc");
-    for &w2 in &loc_writes[start + 1..] {
-        let same_thread = !exec.is_external(w, w2);
-        let is_rmw = exec.events()[w2].is_rmw;
-        if same_thread || is_rmw {
-            rs.push(w2);
-        } else {
+fn release_sequence(exec: &Execution<MemOrder>, w: usize) -> EventSet {
+    let n = exec.len();
+    let mut rs = EventSet::from_ids(n, [w]);
+    if exec.loc(w).is_none() {
+        return rs;
+    }
+    // co is a per-location strict total order, transitively closed: the
+    // co-successors of `w` are exactly the later writes to its location,
+    // and the next one in order is the one that precedes all the others.
+    let mut later = exec.co().successors(w);
+    loop {
+        let next = later
+            .iter()
+            .find(|&x| exec.co().successors(x) == later.minus(EventSet::from_ids(n, [x])));
+        let Some(next) = next else { break };
+        let same_thread = !exec.is_external(w, next);
+        if !(same_thread || exec.events()[next].is_rmw) {
             break;
         }
+        rs.insert(next);
+        later = later.minus(EventSet::from_ids(n, [next]));
     }
     rs
 }
@@ -363,7 +370,6 @@ fn sc_order_exists(exec: &Execution<MemOrder>, derived: &DerivedRelations) -> bo
     if derived.sc_events.is_empty() {
         return true;
     }
-    let n = exec.len();
     // S must be consistent with hb and mo restricted to SC events.
     let constraint = derived
         .hb
@@ -374,7 +380,7 @@ fn sc_order_exists(exec: &Execution<MemOrder>, derived: &DerivedRelations) -> bo
     }
     let mut found = false;
     linear_extensions(derived.sc_events, &constraint, &mut |order| {
-        let mut pos = vec![usize::MAX; n];
+        let mut pos = [usize::MAX; MAX_EVENTS];
         for (i, &e) in order.iter().enumerate() {
             pos[e] = i;
         }

@@ -94,6 +94,38 @@ use tricheck::core::explain::diagnose;
 use tricheck::core::report;
 use tricheck::prelude::*;
 
+/// Writes to standard output, the one place a failed write is handled.
+/// A closed stdout (`tricheck list | head -1`) is not an error: the
+/// reader took what it wanted, so the process exits 0 at once, quietly.
+/// Any other write failure is reported and exits nonzero.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to standard output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -489,7 +521,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             let mut count = 0;
             for t in suite::full_suite() {
                 if family.as_deref().is_none_or(|f| t.family() == f) {
-                    println!("{}", t.name());
+                    outln!("{}", t.name());
                     count += 1;
                 }
             }
@@ -499,10 +531,10 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         "show" => {
             let name = pos.next().ok_or_else(|| usage("show needs a test name"))?;
             let test = find_test(name)?;
-            println!("{}", format_c11_program(&test));
-            println!("target outcome: {}", test.target());
+            outln!("{}", format_c11_program(&test));
+            outln!("target outcome: {}", test.target());
             let c11 = C11Model::new();
-            println!(
+            outln!(
                 "C11 verdict: {}",
                 match c11.judge(&test) {
                     C11Verdict::Permitted => "permitted",
@@ -518,8 +550,8 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             let test = find_test(name)?;
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let compiled = compile(&test, mapping).map_err(|e| e.to_string())?;
-            println!("mapping: {}", mapping.name());
-            print!("{}", format_program(compiled.program(), Asm::RiscV));
+            outln!("mapping: {}", mapping.name());
+            out!("{}", format_program(compiled.program(), Asm::RiscV));
             Ok(0)
         }
         "verify" => {
@@ -531,7 +563,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             let model = resolve_model(&opts)?;
             let stack = TriCheck::new(mapping, model);
             let result = stack.verify(&test).map_err(|e| e.to_string())?;
-            println!("{result}");
+            outln!("{result}");
             Ok(0)
         }
         "diagnose" => {
@@ -542,7 +574,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
             let d = diagnose(mapping, &model, &test).map_err(|e| e.to_string())?;
-            print!("{d}");
+            out!("{d}");
             Ok(0)
         }
         "dot" => {
@@ -553,7 +585,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             let d = diagnose(mapping, &model, &test).map_err(|e| e.to_string())?;
             match d.witness_dot {
                 Some(dot) => {
-                    print!("{dot}");
+                    out!("{dot}");
                     Ok(0)
                 }
                 None => Err(CliError::Failed(format!(
@@ -566,12 +598,12 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             let path = pos.next().ok_or_else(|| usage("file needs a path"))?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let test = tricheck::litmus::format::parse_litmus(&text).map_err(|e| e.to_string())?;
-            println!("{}", format_c11_program(&test));
-            println!("target outcome: {}", test.target());
+            outln!("{}", format_c11_program(&test));
+            outln!("target outcome: {}", test.target());
             let mapping = riscv_mapping(opts.isa, opts.spec);
             let model = resolve_model(&opts)?;
             let d = diagnose(mapping, &model, &test).map_err(|e| e.to_string())?;
-            print!("{d}");
+            out!("{d}");
             Ok(0)
         }
         "lint" => {
@@ -586,15 +618,15 @@ fn run(args: &[String]) -> Result<u8, CliError> {
                 .count();
             let warnings = diags.len() - errors;
             if opts.json {
-                println!("{}", lint_json(&origin, rules, &diags));
+                outln!("{}", lint_json(&origin, rules, &diags));
             } else {
                 for d in &diags {
                     eprintln!("{origin}:{d}");
                 }
                 if diags.is_empty() {
-                    println!("{origin}: clean ({rules} rules checked)");
+                    outln!("{origin}: clean ({rules} rules checked)");
                 } else {
-                    println!(
+                    outln!(
                         "{origin}: {errors} error(s), {warnings} warning(s) \
                          ({rules} rules checked)"
                     );
@@ -649,7 +681,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
                 if let Some((name, stacks)) = &model_stacks {
                     extra.push((format!("{name} (loaded from {})", opts.model), stacks));
                 }
-                print!("{}", list_models(registry.entries(), &extra));
+                out!("{}", list_models(registry.entries(), &extra));
                 return Ok(0);
             }
             if (from_file || model_stacks.is_some())
@@ -1059,7 +1091,7 @@ fn validate_cache_dir(path: &str) -> Result<std::path::PathBuf, String> {
 /// busy-vs-wall gap.
 fn print_report(render: impl FnOnce() -> String) {
     let _t = tricheck::trace::span(tricheck::trace::Phase::Report);
-    print!("{}", render());
+    out!("{}", render());
 }
 
 /// Prints the `--cache-stats` block: every counter of the final
@@ -1069,10 +1101,10 @@ fn print_report(render: impl FnOnce() -> String) {
 /// is set), and trace-layer counters all share one flat namespace —
 /// the same names the `--metrics-json` document uses.
 fn print_engine_stats(report: &tricheck::trace::TraceReport) {
-    println!();
-    println!("cache stats:");
+    outln!();
+    outln!("cache stats:");
     for (name, value) in &report.counters {
-        println!("  {name}: {value}");
+        outln!("  {name}: {value}");
     }
 }
 

@@ -44,8 +44,11 @@
 //!
 //! No space outlives its item, so workers share no space map, and each
 //! distinct program is enumerated at most once by construction. Each
-//! worker owns one [`Judge`] and restarts it per judgement, so the
-//! evaluation buffers are allocated once per worker, not per visit.
+//! worker owns one [`Judge`], restarted per judgement, and one
+//! [`EnumScratch`] per annotation level, which every enumeration it runs
+//! (a space's view, a C11 verdict) and every cursor over a space reuse:
+//! the evaluation and enumeration buffers are allocated once per
+//! worker, not per program or per candidate.
 //! `SweepOptions::threads == 1` bypasses the pool for a fully
 //! deterministic serial run on the caller's stack; the parallel path
 //! produces bit-identical [`SweepResults`] regardless (results are
@@ -72,8 +75,10 @@ use std::sync::{Arc, OnceLock};
 
 use tricheck_c11::C11Model;
 use tricheck_compiler::{compile, CompiledTest, Mapping};
+use tricheck_isa::HwAnnot;
 use tricheck_litmus::{
-    outcome_masks, witness_mask, ExecutionSpace, LitmusTest, Outcome, SpaceStats,
+    outcome_masks, witness_mask, ConsistencyModel, EnumScratch, ExecutionSpace, LitmusTest,
+    MemOrder, Outcome, SpaceStats,
 };
 use tricheck_rel::{CompiledModel, Judge};
 use tricheck_uarch::UarchModel;
@@ -396,57 +401,94 @@ struct Cell<'a> {
     model: &'a UarchModel,
 }
 
-/// The sweep's work item: one distinct compiled program and every
-/// (test, mapping) compilation that produced it.
-struct ProgramItem {
-    /// Indices into [`SweepCache::compiled`] (`t * n_mappings + m`), in
-    /// test-major order; the first one's program is the item's.
-    compiles: Vec<usize>,
+/// The grouping pre-pass's output: every (test, mapping) compilation
+/// and the sweep's work items — one per distinct compiled program, in
+/// order of first appearance — each listing the compilations that
+/// produced its program.
+struct Grouping {
+    /// `compiled[t * mappings.len() + m]`, `None` where the mapping
+    /// cannot compile the test.
+    compiled: Vec<Option<CompiledTest>>,
+    /// Every compilation index grouped by item, test-major within one.
+    order: Vec<usize>,
+    /// Item `i`'s compilations are `order[starts[i]..starts[i + 1]]`;
+    /// the first one's program is the item's.
+    starts: Vec<usize>,
 }
 
 /// The grouping pre-pass: compiles every (test, mapping) pair exactly
-/// once (`compiled[t * mappings.len() + m]`, `None` where the mapping
-/// cannot compile the test) and groups the compilations by the program
-/// they produce, in order of first appearance.
+/// once and groups the compilations by the program they produce, in
+/// order of first appearance.
 ///
 /// Programs are bucketed by fingerprint and told apart within a bucket
 /// by structural equality, so a fingerprint collision can never merge
 /// two programs into one verdict.
-fn group_programs(
-    tests: &[LitmusTest],
-    mappings: &[&dyn Mapping],
-) -> (Vec<Option<CompiledTest>>, Vec<ProgramItem>) {
-    let mut compiled: Vec<Option<CompiledTest>> = Vec::with_capacity(tests.len() * mappings.len());
-    let mut items: Vec<ProgramItem> = Vec::new();
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+fn group_programs(tests: &[LitmusTest], mappings: &[&dyn Mapping]) -> Grouping {
+    let n = tests.len() * mappings.len();
+    let mut compiled: Vec<Option<CompiledTest>> = Vec::with_capacity(n);
+    // Per compilation, its item; per item, its first compilation and the
+    // next item in the same fingerprint bucket.
+    let mut item_of: Vec<usize> = Vec::with_capacity(n);
+    let mut first: Vec<usize> = Vec::new();
+    let mut next_in_bucket: Vec<Option<usize>> = Vec::new();
+    let mut buckets: HashMap<u64, usize> = HashMap::new();
     for test in tests {
         for mapping in mappings {
             let result = {
                 let _t = tricheck_trace::span(tricheck_trace::Phase::Compile);
                 compile(test, *mapping).ok()
             };
+            let c = compiled.len();
+            let mut item = usize::MAX;
             if let Some(program) = result.as_ref().map(CompiledTest::program) {
                 let fingerprint = tricheck_litmus::Fingerprint::of(program).as_u64();
-                let bucket = buckets.entry(fingerprint).or_default();
-                let found = bucket.iter().copied().find(|&i| {
-                    compiled[items[i].compiles[0]]
+                let head = buckets.get(&fingerprint).copied();
+                let mut probe = head;
+                while let Some(i) = probe {
+                    if compiled[first[i]]
                         .as_ref()
-                        .is_some_and(|c| c.program() == program)
-                });
-                match found {
-                    Some(i) => items[i].compiles.push(compiled.len()),
-                    None => {
-                        bucket.push(items.len());
-                        items.push(ProgramItem {
-                            compiles: vec![compiled.len()],
-                        });
+                        .is_some_and(|other| other.program() == program)
+                    {
+                        item = i;
+                        break;
                     }
+                    probe = next_in_bucket[i];
+                }
+                if item == usize::MAX {
+                    item = first.len();
+                    first.push(c);
+                    next_in_bucket.push(head);
+                    buckets.insert(fingerprint, item);
                 }
             }
+            item_of.push(item);
             compiled.push(result);
         }
     }
-    (compiled, items)
+    // A counting sort of the compilations by item keeps each item's in
+    // test-major order.
+    let mut starts = vec![0; first.len() + 1];
+    for &item in item_of.iter().filter(|&&i| i != usize::MAX) {
+        starts[item + 1] += 1;
+    }
+    for i in 0..first.len() {
+        starts[i + 1] += starts[i];
+    }
+    let mut fill = starts.clone();
+    let mut order = vec![0; starts[first.len()]];
+    for (c, &item) in item_of
+        .iter()
+        .enumerate()
+        .filter(|&(_, &i)| i != usize::MAX)
+    {
+        order[fill[item]] = c;
+        fill[item] += 1;
+    }
+    Grouping {
+        compiled,
+        order,
+        starts,
+    }
 }
 
 /// One kernel a sweep judges with: the µarch models of up to 64 stacks
@@ -478,6 +520,18 @@ fn verdicts(slot: &AtomicU8) -> Option<(bool, bool)> {
     (code != 0).then_some((code & 2 != 0, code & 4 != 0))
 }
 
+/// One sweep worker's reusable state, created on the worker's stack and
+/// passed to every item it runs: its one judge (created on its first
+/// judgement, restarted per judgement) and one enumeration scratch per
+/// annotation level — compiled programs for their spaces, C11 programs
+/// for their Step 1 verdicts. Once warm, none of them allocates.
+#[derive(Default)]
+struct Worker<'k> {
+    judge: Option<Judge<'k>>,
+    hw: EnumScratch<HwAnnot>,
+    c11: EnumScratch<MemOrder>,
+}
+
 /// The read-only inputs and the per-test C11 verdicts shared by every
 /// work item of one sweep.
 struct SweepCache<'t> {
@@ -501,7 +555,7 @@ impl SweepCache<'_> {
     /// a store attached, a persisted verdict is loaded instead of
     /// evaluated — `c11_evaluations` counts only actual evaluations, so
     /// a fully warm run reports zero.
-    fn c11_entry(&self, t: usize) -> &C11Cached {
+    fn c11_entry<'k>(&'k self, t: usize, worker: &mut Worker<'k>) -> &'k C11Cached {
         self.c11_verdicts[t].get_or_init(|| {
             if let Some(cached) = self
                 .store
@@ -512,7 +566,17 @@ impl SweepCache<'_> {
             self.c11_evaluations.fetch_add(1, Ordering::Relaxed);
             let _t = tricheck_trace::span(tricheck_trace::Phase::C11Eval);
             match self.mode {
-                OutcomeMode::Target => C11Cached::Target(self.c11.permits_target(&self.tests[t])),
+                OutcomeMode::Target => {
+                    let test = &self.tests[t];
+                    let kernel = C11Model::compiled();
+                    let judge = worker.judge.get_or_insert_with(|| Judge::new(kernel));
+                    C11Cached::Target(self.c11.observes_with(
+                        judge,
+                        &mut worker.c11,
+                        test.program(),
+                        test.target(),
+                    ))
+                }
                 OutcomeMode::FullOutcomes => {
                     C11Cached::Full(self.c11.permitted_outcomes(&self.tests[t]))
                 }
@@ -521,15 +585,15 @@ impl SweepCache<'_> {
     }
 
     /// Runs one work item: builds or loads the program's space, judges
-    /// it once per (test, mapping) compilation with the worker's
-    /// `judge`, under all of the mapping's models at once, hands each
+    /// it once per (test, mapping) compilation with the worker's judge
+    /// and scratch, under all of the mapping's models at once, hands each
     /// stack's slot to `emit` with its (test, stack) pair, and saves the
     /// space back to the store if a new view was materialized. The space
     /// is dropped on return; its counters are returned instead.
     fn run_item<'k>(
         &'k self,
-        item: &ProgramItem,
-        judge: &mut Option<Judge<'k>>,
+        compiles: &[usize],
+        worker: &mut Worker<'k>,
         emit: impl Fn(usize, usize, u8),
     ) -> SpaceStats {
         let compiled = |c: usize| {
@@ -537,7 +601,7 @@ impl SweepCache<'_> {
                 .as_ref()
                 .expect("items are grouped from compiled programs")
         };
-        let program = compiled(item.compiles[0]).program();
+        let program = compiled(compiles[0]).program();
         let space = match self.store.and_then(|s| s.load_space(program)) {
             // Re-arm pruning on restored spaces so views enumerated
             // later in this run are pruned like fresh ones.
@@ -546,26 +610,39 @@ impl SweepCache<'_> {
         };
         let views = space.materialized_views();
         let n_mappings = self.kernels_of.len();
-        for &c in &item.compiles {
+        for &c in compiles {
             let (t, m) = (c / n_mappings, c % n_mappings);
-            let c11 = self.c11_entry(t);
+            let c11 = self.c11_entry(t, worker);
             let _cell = tricheck_trace::cell_span(m);
             for fused in &self.kernels_of[m] {
-                let judge = judge.get_or_insert_with(|| Judge::new(&fused.kernel));
+                let judge = worker
+                    .judge
+                    .get_or_insert_with(|| Judge::new(&fused.kernel));
                 judge.restart(&fused.kernel);
+                let scratch = &mut worker.hw;
                 match c11 {
                     C11Cached::Target(permitted) => {
                         let target = compiled(c).target();
-                        let observable =
-                            witness_mask::<UarchModel>(judge, &space, target, fused.live());
+                        let observable = witness_mask::<UarchModel>(
+                            judge,
+                            scratch,
+                            &space,
+                            target,
+                            fused.live(),
+                        );
                         for (j, &s) in fused.stacks.iter().enumerate() {
                             emit(t, s, slot(*permitted, observable >> j & 1 == 1));
                         }
                     }
                     C11Cached::Full(permitted) => {
                         let observed = compiled(c).observed();
-                        let allowed =
-                            outcome_masks::<UarchModel>(judge, &space, observed, fused.live());
+                        let allowed = outcome_masks::<UarchModel>(
+                            judge,
+                            scratch,
+                            &space,
+                            observed,
+                            fused.live(),
+                        );
                         for (j, &s) in fused.stacks.iter().enumerate() {
                             let (p, o) = classify_outcomes(permitted, &allowed, 1 << j).quadrant();
                             emit(t, s, slot(p, o));
@@ -735,8 +812,14 @@ impl Sweep {
         cells: &[Cell<'_>],
     ) -> (Vec<AtomicU8>, SweepStats) {
         let store = self.options.store.as_deref();
-        let (compiled, items) = group_programs(tests, mappings);
+        let Grouping {
+            compiled,
+            order,
+            starts,
+        } = group_programs(tests, mappings);
         let compile_calls = compiled.len();
+        let n_items = starts.len() - 1;
+        let item = |i: usize| &order[starts[i]..starts[i + 1]];
         let kernels_of: Vec<Vec<FusedKernel>> = (0..mappings.len())
             .map(|m| {
                 let stacks: Vec<usize> = (0..cells.len())
@@ -771,11 +854,10 @@ impl Sweep {
             .map(|_| AtomicU8::new(0))
             .collect();
         let space_stats: Vec<OnceLock<SpaceStats>> =
-            (0..items.len()).map(|_| OnceLock::new()).collect();
-        tricheck_trace::progress_begin(items.len() as u64);
-        // Each worker's state is its one judge, created on its first item.
-        run_work_stealing::<Option<Judge<'_>>>(items.len(), self.options.threads, &|judge, i| {
-            let stats = cache.run_item(&items[i], judge, |t, s, code| {
+            (0..n_items).map(|_| OnceLock::new()).collect();
+        tricheck_trace::progress_begin(n_items as u64);
+        run_work_stealing::<Worker<'_>>(n_items, self.options.threads, &|worker, i| {
+            let stats = cache.run_item(item(i), worker, |t, s, code| {
                 let previous = slots[t * n_cells + s].swap(code, Ordering::Relaxed);
                 assert_eq!(
                     previous, 0,
@@ -790,8 +872,9 @@ impl Sweep {
 
         // Step 1 for tests no mapping could compile, so
         // `c11_evaluations == tests` holds on every matrix.
+        let mut worker = Worker::default();
         for t in 0..tests.len() {
-            cache.c11_entry(t);
+            cache.c11_entry(t, &mut worker);
         }
         if let Some(store) = store {
             for (t, slot) in cache.c11_verdicts.iter().enumerate() {
@@ -807,7 +890,7 @@ impl Sweep {
             c11_evaluations: cache.c11_evaluations.load(Ordering::Relaxed),
             compile_calls,
             compile_cache_hits: tests.len() * n_cells - compile_calls,
-            distinct_programs: items.len(),
+            distinct_programs: n_items,
             compiled_kernels: cache.kernels_of.iter().map(Vec::len).sum(),
             ..SweepStats::default()
         };
@@ -824,7 +907,7 @@ impl Sweep {
         {
             let _t = tricheck_trace::span(tricheck_trace::Phase::Teardown);
             drop(cache);
-            drop(items);
+            drop((order, starts));
         }
         (slots, stats)
     }

@@ -24,9 +24,11 @@
 //! matching sets, outcome partitions) are `u32` index lists instead of
 //! cloned candidate vectors.
 //!
-//! [`ExecCursor`] is the read side: it owns one skeleton clone and
+//! [`ExecCursor`] is the read side: it owns one skeleton copy and
 //! rebinds it to any candidate index by copying that candidate's rows
-//! out of the columns — zero allocations per candidate. The rebound
+//! out of the columns — zero allocations per candidate. The copy can
+//! reuse a caller's execution buffer ([`ExecArena::cursor_in`]), so a
+//! worker that keeps one allocates nothing per cursor either. The rebound
 //! `Execution` is bit-identical (`==`) to the one the enumerator
 //! visited, so every existing model predicate works unchanged.
 
@@ -252,13 +254,25 @@ impl<A: Clone> ExecArena<A> {
     /// A reusable cursor over this arena, or `None` if it is empty.
     #[must_use]
     pub fn cursor(&self) -> Option<ExecCursor<'_, A>> {
-        let skeleton = self.skeleton.as_ref()?;
-        Some(ExecCursor {
+        (!self.is_empty()).then(|| self.cursor_in(Execution::default()))
+    }
+
+    /// A cursor that rebinds `buffer` — any execution, whose vectors'
+    /// capacity it reuses — instead of a fresh skeleton clone;
+    /// [`ExecCursor::into_buffer`] hands the buffer back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is empty.
+    #[must_use]
+    pub fn cursor_in(&self, mut buffer: Execution<A>) -> ExecCursor<'_, A> {
+        buffer.clone_from(self.skeleton.as_ref().expect("a cursor needs a candidate"));
+        ExecCursor {
             arena: self,
-            exec: skeleton.clone(),
+            exec: buffer,
             fr: Relation::empty(self.n),
             pos: None,
-        })
+        }
     }
 
     /// The whole flat `rf`/`co`/`loc`/`val` columns (the snapshot
@@ -378,6 +392,13 @@ impl<A: Clone> ExecCursor<'_, A> {
     #[must_use]
     pub fn universe(&self) -> usize {
         self.arena.universe()
+    }
+
+    /// Ends the cursor, returning its execution buffer for reuse (see
+    /// [`ExecArena::cursor_in`]).
+    #[must_use]
+    pub fn into_buffer(self) -> Execution<A> {
+        self.exec
     }
 }
 

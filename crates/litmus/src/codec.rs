@@ -29,8 +29,6 @@
 //! assert_eq!(&decoded, test.program());
 //! ```
 
-use std::collections::BTreeMap;
-
 use tricheck_rel::{EventSet, Relation};
 
 use crate::arena::ExecArena;
@@ -425,19 +423,14 @@ fn put_relation(out: &mut Vec<u8>, rel: &Relation, n: usize) {
 }
 
 fn read_relation(r: &mut ByteReader<'_>, n: usize) -> Result<Relation, CodecError> {
-    let mut pairs = Vec::new();
-    for a in 0..n {
-        let bits = r.u64()?;
-        for b in 0..64 {
-            if bits & (1u64 << b) != 0 {
-                if b >= n {
-                    return Err(CodecError::Invalid("relation event index"));
-                }
-                pairs.push((a, b));
-            }
+    let mut rows = [0u64; tricheck_rel::MAX_EVENTS];
+    for row in &mut rows[..n] {
+        *row = r.u64()?;
+        if n < 64 && *row >> n != 0 {
+            return Err(CodecError::Invalid("relation event index"));
         }
     }
-    Ok(Relation::from_pairs(n, pairs))
+    Relation::try_from_row_words(n, &rows[..n]).ok_or(CodecError::Invalid("relation event index"))
 }
 
 /// Encodes one candidate execution.
@@ -486,7 +479,7 @@ pub fn encode_execution<A: AnnCodec>(e: &Execution<A>) -> Vec<u8> {
     }
     put_u64(&mut out, e.inits.bits());
     put_u16(&mut out, e.reg_def.len() as u16);
-    for (&(tid, reg), &ev) in &e.reg_def {
+    for &((tid, reg), ev) in &e.reg_def {
         put_u32(&mut out, tid as u32);
         out.push(reg.0);
         out.push(ev as u8);
@@ -563,7 +556,7 @@ pub fn decode_execution<A: AnnCodec>(r: &mut ByteReader<'_>) -> Result<Execution
     }
     let inits = EventSet::from_ids(n, (0..n).filter(|&i| init_bits & (1u64 << i) != 0));
     let n_defs = r.u16()? as usize;
-    let mut reg_def = BTreeMap::new();
+    let mut reg_def: Vec<((usize, Reg), usize)> = Vec::with_capacity(n_defs.min(n));
     for _ in 0..n_defs {
         let tid = r.u32()? as usize;
         let reg = Reg(r.u8()?);
@@ -571,7 +564,10 @@ pub fn decode_execution<A: AnnCodec>(r: &mut ByteReader<'_>) -> Result<Execution
         if ev >= n {
             return Err(CodecError::Invalid("register definition event index"));
         }
-        reg_def.insert((tid, reg), ev);
+        if reg_def.last().is_some_and(|&(key, _)| key >= (tid, reg)) {
+            return Err(CodecError::Invalid("register definition order"));
+        }
+        reg_def.push(((tid, reg), ev));
     }
     Ok(Execution {
         events,

@@ -54,8 +54,23 @@
 //! [`Relation::is_acyclic`]. Programs are capped at 64 events, so the
 //! core is at most 64 machine words; constant- and register-address
 //! programs take the same path.
-
-use std::collections::BTreeMap;
+//!
+//! # Scratch ownership
+//!
+//! Every buffer the search uses lives in an [`EnumScratch`], which its
+//! caller owns and reuses across programs (a sweep keeps one per
+//! worker, beside the worker's `Judge`): the program's skeleton tables,
+//! the `rf` choice stack, the per-location write groups, and the one
+//! [`Execution`] the search visits. The skeleton is written straight
+//! into that execution (events, `po`, dependencies, `rmw`, register
+//! definitions), each register operand is resolved to its defining
+//! event once, when the skeleton is built, and the resolution fixpoint
+//! writes its locations and values into the execution's own `loc`/`val`
+//! columns; a visit then only overwrites `rf` and `co`. Relations are
+//! inline bitsets and coherence orders live on the recursion's stack,
+//! so once a scratch has seen a program as large as the next one, the
+//! search allocates nothing. The free functions below are one-shot
+//! forms over a fresh scratch.
 
 use tricheck_rel::{linear_extensions, EventSet, Relation};
 
@@ -63,37 +78,67 @@ use crate::exec::{Event, EventKind, Execution};
 use crate::mir::{Expr, Instr, Loc, Program, Reg, RmwKind, Val};
 use crate::outcome::Outcome;
 
-/// Fully-propagated per-event locations and values.
-type ResolvedState = (Vec<Option<Loc>>, Vec<Option<Val>>);
+/// An address or value operand with its register, if any, resolved to
+/// the event that defines it.
+#[derive(Clone, Copy, Debug)]
+enum Operand {
+    Const(u64),
+    /// The value read by this event (a register's defining read).
+    Event(usize),
+}
 
-/// How a write event obtains its value.
+impl Operand {
+    fn eval(self, val: &[Option<Val>]) -> Option<u64> {
+        match self {
+            Operand::Const(c) => Some(c),
+            Operand::Event(def) => val[def].map(|v| v.0),
+        }
+    }
+}
+
+/// How an event obtains its value.
 #[derive(Clone, Copy, Debug)]
 enum ValSrc {
     /// Initialization write: always zero.
     InitZero,
     /// The value operand of a plain store or an `amoswap`.
-    Expr(Expr),
+    Operand(Operand),
     /// The value read by this event's own RMW read half (`amoadd` of 0).
     OwnRead(usize),
-    /// Reads and fences have no value source; reads get values via `rf`.
+    /// A read: its `rf` source's value.
+    Rf,
+    /// A fence has no value.
     None,
 }
 
-struct Skeleton<A> {
-    events: Vec<Event<A>>,
-    addr_expr: Vec<Option<Expr>>,
+/// The per-program tables the search reads, rebuilt into reused
+/// buffers for every program. The events and the program-invariant
+/// relations live in the scratch's [`Execution`] instead.
+#[derive(Debug, Default)]
+struct Skeleton {
+    /// Per event: the address operand (`None` for inits and fences).
+    addr: Vec<Option<Operand>>,
     val_src: Vec<ValSrc>,
-    po: Relation,
-    addr: Relation,
-    data: Relation,
-    rmw: Relation,
-    inits: EventSet,
+    /// Per event: the location an initialization write starts with.
     init_loc: Vec<Option<Loc>>,
-    reg_def: BTreeMap<(usize, Reg), usize>,
-    reads: Vec<usize>,
-    writes: Vec<usize>,
     /// Expected value per event id, derived from a target outcome.
     expected: Vec<Option<Val>>,
+    reads: Vec<usize>,
+    writes: Vec<usize>,
+    /// Reads and writes (every event that must resolve a location and
+    /// a value), as a bitmask.
+    accesses: u64,
+    /// Same-thread `po` pairs that are not read→read: the part of
+    /// program order the core keeps once both ends share a location.
+    po_core: Relation,
+    /// The write pairs every model orders in `co` once they share a
+    /// location: the initialization write first, and each thread's
+    /// writes in program order.
+    co_forced: Relation,
+    rmw: Relation,
+    /// Whether every register the target outcome constrains is
+    /// assigned by the program (no candidate matches otherwise).
+    target_defined: bool,
     /// Whether any candidate of this program can violate the
     /// model-independent core at all. A core cycle needs a same-thread
     /// mixed read/write pair that may share a location (pure W→W pairs
@@ -102,244 +147,277 @@ struct Skeleton<A> {
     /// atomicity violation needs an RMW — so a program with neither
     /// skips every prune check.
     core_prunable: bool,
-    /// Per-event: `true` for reads whose `rf` choice can close a core
-    /// violation (RMW read halves, and reads with a same-thread
-    /// possibly-same-location write). Only these choices run the prune
-    /// check; the check at each committed coherence order still covers
-    /// every completed candidate.
-    read_relevant: Vec<bool>,
+    /// Bit per read whose `rf` choice can close a core violation (RMW
+    /// read halves, and reads with a same-thread possibly-same-location
+    /// write). Only these choices run the prune check; the check at
+    /// each committed coherence order still covers every completed
+    /// candidate.
+    read_relevant: u64,
 }
 
-impl<A: Clone> Skeleton<A> {
-    fn build(prog: &Program<A>, target: Option<&Outcome>) -> Self {
-        let mut events = Vec::new();
-        let mut addr_expr = Vec::new();
-        let mut val_src = Vec::new();
-        let mut init_loc = Vec::new();
-        let mut reg_def = BTreeMap::new();
-        let mut rmw_pairs = Vec::new();
-        let mut addr_deps = Vec::new();
-        let mut data_deps = Vec::new();
+impl Skeleton {
+    /// Rebuilds the tables for `prog`, writing the events, `po`,
+    /// dependency and `rmw` relations, the init set and the register
+    /// definitions into `exec`.
+    fn build<A: Clone>(
+        &mut self,
+        exec: &mut Execution<A>,
+        prog: &Program<A>,
+        target: Option<&Outcome>,
+    ) {
+        let n = prog.locations().len()
+            + prog
+                .threads()
+                .iter()
+                .flatten()
+                .map(|instr| {
+                    if matches!(instr, Instr::Rmw { .. }) {
+                        2
+                    } else {
+                        1
+                    }
+                })
+                .sum::<usize>();
+        self.addr.clear();
+        self.val_src.clear();
+        self.init_loc.clear();
+        exec.events.clear();
+        exec.reg_def.clear();
+        let (mut addr, mut data, mut rmw) =
+            (Relation::empty(n), Relation::empty(n), Relation::empty(n));
 
         for &l in prog.locations() {
-            let id = events.len();
-            events.push(Event {
-                id,
+            exec.events.push(Event {
+                id: exec.events.len(),
                 tid: None,
                 po_index: 0,
                 kind: EventKind::Write,
                 ann: None,
                 is_rmw: false,
             });
-            addr_expr.push(None);
-            val_src.push(ValSrc::InitZero);
-            init_loc.push(Some(l));
+            self.addr.push(None);
+            self.val_src.push(ValSrc::InitZero);
+            self.init_loc.push(Some(l));
         }
-        let inits = EventSet::from_ids(
-            events.len().max(1),
-            0..events.len(), // placeholder universe; fixed up below
-        );
-        let init_count = events.len();
+        let init_count = exec.events.len();
 
-        let mut thread_ranges = Vec::new();
         for (tid, thread) in prog.threads().iter().enumerate() {
-            let start = events.len();
             let mut po_index = 0usize;
-            let mut push =
-                |kind: EventKind, ann: Option<A>, is_rmw: bool, events: &mut Vec<Event<A>>| {
-                    let id = events.len();
-                    events.push(Event {
+            // Registers are assigned once per thread and only read after
+            // their assignment (`Program::new` checks both), so every
+            // operand resolves to a definition already recorded.
+            let resolve = |expr: Expr, reg_def: &[((usize, Reg), usize)]| match expr {
+                Expr::Const(c) => Operand::Const(c),
+                Expr::Reg(r) => Operand::Event(
+                    reg_def
+                        .iter()
+                        .rev()
+                        .find(|&&(key, _)| key == (tid, r))
+                        .expect("registers are assigned before use")
+                        .1,
+                ),
+            };
+            for instr in thread {
+                let mut push = |kind: EventKind, ann: &A, is_rmw: bool| {
+                    let id = exec.events.len();
+                    exec.events.push(Event {
                         id,
                         tid: Some(tid),
                         po_index,
                         kind,
-                        ann,
+                        ann: Some(ann.clone()),
                         is_rmw,
                     });
                     po_index += 1;
+                    self.init_loc.push(None);
                     id
                 };
-            for instr in thread {
                 match instr {
-                    Instr::Read { dst, addr, ann } => {
-                        let e = push(EventKind::Read, Some(ann.clone()), false, &mut events);
-                        addr_expr.push(Some(*addr));
-                        val_src.push(ValSrc::None);
-                        init_loc.push(None);
-                        if let Some(r) = addr.dep() {
-                            addr_deps.push((reg_def[&(tid, r)], e));
+                    Instr::Read { dst, addr: a, ann } => {
+                        let e = push(EventKind::Read, ann, false);
+                        let op = resolve(*a, &exec.reg_def);
+                        self.addr.push(Some(op));
+                        self.val_src.push(ValSrc::Rf);
+                        if let Operand::Event(def) = op {
+                            addr.insert(def, e);
                         }
-                        reg_def.insert((tid, *dst), e);
+                        exec.reg_def.push(((tid, *dst), e));
                     }
-                    Instr::Write { addr, val, ann } => {
-                        let e = push(EventKind::Write, Some(ann.clone()), false, &mut events);
-                        addr_expr.push(Some(*addr));
-                        val_src.push(ValSrc::Expr(*val));
-                        init_loc.push(None);
-                        if let Some(r) = addr.dep() {
-                            addr_deps.push((reg_def[&(tid, r)], e));
+                    Instr::Write { addr: a, val, ann } => {
+                        let e = push(EventKind::Write, ann, false);
+                        let op = resolve(*a, &exec.reg_def);
+                        let v = resolve(*val, &exec.reg_def);
+                        self.addr.push(Some(op));
+                        self.val_src.push(ValSrc::Operand(v));
+                        if let Operand::Event(def) = op {
+                            addr.insert(def, e);
                         }
-                        if let Some(r) = val.dep() {
-                            data_deps.push((reg_def[&(tid, r)], e));
+                        if let Operand::Event(def) = v {
+                            data.insert(def, e);
                         }
                     }
                     Instr::Rmw {
                         dst,
-                        addr,
+                        addr: a,
                         kind,
                         ann,
                     } => {
-                        let r = push(EventKind::Read, Some(ann.clone()), true, &mut events);
-                        addr_expr.push(Some(*addr));
-                        val_src.push(ValSrc::None);
-                        init_loc.push(None);
-                        let w = push(EventKind::Write, Some(ann.clone()), true, &mut events);
-                        addr_expr.push(Some(*addr));
-                        val_src.push(match kind {
+                        let r = push(EventKind::Read, ann, true);
+                        let w = push(EventKind::Write, ann, true);
+                        let op = resolve(*a, &exec.reg_def);
+                        self.addr.extend([Some(op), Some(op)]);
+                        self.val_src.push(ValSrc::Rf);
+                        self.val_src.push(match kind {
                             RmwKind::FetchAddZero => ValSrc::OwnRead(r),
-                            RmwKind::Swap(v) => ValSrc::Expr(*v),
-                        });
-                        init_loc.push(None);
-                        if let Some(dep) = addr.dep() {
-                            addr_deps.push((reg_def[&(tid, dep)], r));
-                            addr_deps.push((reg_def[&(tid, dep)], w));
-                        }
-                        if let RmwKind::Swap(v) = kind {
-                            if let Some(dep) = v.dep() {
-                                data_deps.push((reg_def[&(tid, dep)], w));
+                            RmwKind::Swap(v) => {
+                                let v = resolve(*v, &exec.reg_def);
+                                if let Operand::Event(def) = v {
+                                    data.insert(def, w);
+                                }
+                                ValSrc::Operand(v)
                             }
+                        });
+                        if let Operand::Event(def) = op {
+                            addr.insert(def, r);
+                            addr.insert(def, w);
                         }
-                        rmw_pairs.push((r, w));
-                        reg_def.insert((tid, *dst), r);
+                        rmw.insert(r, w);
+                        exec.reg_def.push(((tid, *dst), r));
                     }
                     Instr::Fence { ann } => {
-                        push(EventKind::Fence, Some(ann.clone()), false, &mut events);
-                        addr_expr.push(None);
-                        val_src.push(ValSrc::None);
-                        init_loc.push(None);
+                        push(EventKind::Fence, ann, false);
+                        self.addr.push(None);
+                        self.val_src.push(ValSrc::None);
                     }
                 }
             }
-            thread_ranges.push(start..events.len());
         }
+        debug_assert_eq!(exec.events.len(), n);
+        exec.reg_def.sort_unstable();
 
-        let n = events.len();
+        let events = &exec.events;
         let mut po = Relation::empty(n);
-        for range in &thread_ranges {
-            for a in range.clone() {
-                for b in (a + 1)..range.end {
-                    po.insert(a, b);
+        for (a, ea) in events.iter().enumerate().skip(init_count) {
+            for eb in &events[a + 1..] {
+                if eb.tid == ea.tid {
+                    po.insert(a, eb.id);
                 }
             }
         }
-        let inits = EventSet::from_ids(n, inits.iter().filter(|&i| i < init_count));
-        let reads = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Read)
-            .map(|e| e.id)
-            .collect();
-        let writes = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Write)
-            .map(|e| e.id)
-            .collect();
+        self.reads.clear();
+        self.writes.clear();
+        self.accesses = 0;
+        for e in events {
+            match e.kind {
+                EventKind::Read => self.reads.push(e.id),
+                EventKind::Write => self.writes.push(e.id),
+                EventKind::Fence => continue,
+            }
+            self.accesses |= 1 << e.id;
+        }
 
-        let mut expected = vec![None; n];
+        self.expected.clear();
+        self.expected.resize(n, None);
+        self.target_defined = true;
         if let Some(t) = target {
             for ((tid, reg), val) in t.iter() {
-                if let Some(&e) = reg_def.get(&(tid, reg)) {
-                    expected[e] = Some(val);
+                match exec.defining_event(tid, reg) {
+                    Some(e) => self.expected[e] = Some(val),
+                    None => self.target_defined = false,
                 }
             }
         }
 
         // Static prune-relevance analysis (see the field docs). Two
-        // accesses "may share a location" when their address expressions
+        // accesses "may share a location" when their address operands
         // are equal constants, or either is register-computed (then any
         // location is reachable, so be conservative).
-        let const_loc = |e: usize| match addr_expr[e] {
-            Some(Expr::Const(a)) => Some(Some(Loc(a))),
-            Some(Expr::Reg(_)) => Some(None), // dynamic: unknown
-            None => None,                     // fence
-        };
-        let may_share = |a: usize, b: usize| match (const_loc(a), const_loc(b)) {
-            (Some(Some(la)), Some(Some(lb))) => la == lb,
+        let may_share = |a: usize, b: usize| match (self.addr[a], self.addr[b]) {
+            (Some(Operand::Const(la)), Some(Operand::Const(lb))) => la == lb,
             (Some(_), Some(_)) => true, // at least one dynamic address
             _ => false,                 // a fence participates in nothing
         };
-        let mut read_relevant = vec![false; n];
-        for &(r, _) in &rmw_pairs {
-            read_relevant[r] = true;
+        let is_read = |e: usize| events[e].kind == EventKind::Read;
+        self.read_relevant = 0;
+        for (r, _) in rmw.pairs() {
+            self.read_relevant |= 1 << r;
         }
-        for range in &thread_ranges {
-            for a in range.clone() {
-                for b in (a + 1)..range.end {
-                    let (ka, kb) = (events[a].kind, events[b].kind);
-                    let mixed = matches!(
-                        (ka, kb),
-                        (EventKind::Read, EventKind::Write) | (EventKind::Write, EventKind::Read)
-                    );
-                    if mixed && may_share(a, b) {
-                        let read = if ka == EventKind::Read { a } else { b };
-                        read_relevant[read] = true;
-                    }
-                }
+        let mut po_core = Relation::empty(n);
+        let mut co_forced = Relation::empty(n);
+        for (a, b) in po.pairs() {
+            let (ka, kb) = (events[a].kind, events[b].kind);
+            let mixed = matches!(
+                (ka, kb),
+                (EventKind::Read, EventKind::Write) | (EventKind::Write, EventKind::Read)
+            );
+            if mixed && may_share(a, b) {
+                self.read_relevant |= 1 << if is_read(a) { a } else { b };
+            }
+            if !(is_read(a) && is_read(b)) {
+                po_core.insert(a, b);
+            }
+            if ka == EventKind::Write && kb == EventKind::Write {
+                co_forced.insert(a, b);
             }
         }
-        let core_prunable = read_relevant.iter().any(|&x| x);
-
-        Skeleton {
-            events,
-            addr_expr,
-            val_src,
-            po,
-            addr: Relation::from_pairs(n, addr_deps),
-            data: Relation::from_pairs(n, data_deps),
-            rmw: Relation::from_pairs(n, rmw_pairs),
-            inits,
-            init_loc,
-            reg_def,
-            reads,
-            writes,
-            expected,
-            core_prunable,
-            read_relevant,
+        for &a in &self.writes[..init_count] {
+            for &b in &self.writes[init_count..] {
+                co_forced.insert(a, b);
+            }
         }
+        self.core_prunable = self.read_relevant != 0;
+        self.po_core = po_core;
+        self.co_forced = co_forced;
+        self.rmw = rmw.clone();
+
+        exec.po = po;
+        exec.addr = addr;
+        exec.data = data;
+        exec.rmw = rmw;
+        exec.inits = EventSet::from_ids(n, 0..init_count);
+        exec.rf = Relation::empty(n);
+        exec.co = Relation::empty(n);
+        exec.loc.clear();
+        exec.loc.resize(n, None);
+        exec.val.clear();
+        exec.val.resize(n, None);
     }
 
-    /// Resolves locations and values given a (partial) `rf` assignment.
-    /// Returns `None` on contradiction (rf source/location mismatch or a
-    /// resolved value contradicting the target outcome).
+    /// Resolves locations and values into `loc`/`val` given a (partial)
+    /// `rf` assignment. Returns `false` on contradiction (rf
+    /// source/location mismatch or a resolved value contradicting the
+    /// target outcome).
     #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
-    fn propagate(&self, rf_choice: &[Option<usize>]) -> Option<ResolvedState> {
-        let n = self.events.len();
-        let mut loc = self.init_loc.clone();
-        let mut val: Vec<Option<Val>> = vec![None; n];
+    fn propagate(
+        &self,
+        rf_choice: &[Option<usize>],
+        loc: &mut [Option<Loc>],
+        val: &mut [Option<Val>],
+    ) -> bool {
+        let n = loc.len();
+        loc.copy_from_slice(&self.init_loc);
         for e in 0..n {
-            if matches!(self.val_src[e], ValSrc::InitZero) {
-                val[e] = Some(Val(0));
-            }
+            val[e] = match self.val_src[e] {
+                ValSrc::InitZero => Some(Val(0)),
+                _ => None,
+            };
         }
         loop {
             let mut changed = false;
             for e in 0..n {
                 if loc[e].is_none() {
-                    if let Some(expr) = self.addr_expr[e] {
-                        if let Some(a) = self.eval(expr, e, &val) {
-                            loc[e] = Some(Loc(a));
-                            changed = true;
-                        }
+                    if let Some(a) = self.addr[e].and_then(|op| op.eval(val)) {
+                        loc[e] = Some(Loc(a));
+                        changed = true;
                     }
                 }
                 if val[e].is_none() {
                     let resolved = match self.val_src[e] {
                         ValSrc::InitZero => Some(Val(0)),
-                        ValSrc::Expr(expr) => self.eval(expr, e, &val).map(Val),
+                        ValSrc::Operand(op) => op.eval(val).map(Val),
                         ValSrc::OwnRead(r) => val[r],
-                        ValSrc::None => match self.events[e].kind {
-                            EventKind::Read => rf_choice[e].and_then(|w| val[w]),
-                            _ => None,
-                        },
+                        ValSrc::Rf => rf_choice[e].and_then(|w| val[w]),
+                        ValSrc::None => None,
                     };
                     if resolved.is_some() {
                         val[e] = resolved;
@@ -356,32 +434,18 @@ impl<A: Clone> Skeleton<A> {
             if let Some(w) = rf_choice[r] {
                 if let (Some(lr), Some(lw)) = (loc[r], loc[w]) {
                     if lr != lw {
-                        return None;
+                        return false;
                     }
                 }
             }
         }
-        for e in 0..n {
-            if let (Some(expect), Some(actual)) = (self.expected[e], val[e]) {
-                if expect != actual {
-                    return None;
-                }
-            }
-        }
-        Some((loc, val))
-    }
-
-    fn eval(&self, expr: Expr, event: usize, val: &[Option<Val>]) -> Option<u64> {
-        match expr {
-            Expr::Const(c) => Some(c),
-            Expr::Reg(r) => {
-                let tid = self.events[event]
-                    .tid
-                    .expect("init events have no register operands");
-                let def = self.reg_def[&(tid, r)];
-                val[def].map(|v| v.0)
-            }
-        }
+        self.expected
+            .iter()
+            .zip(val.iter())
+            .all(|(expect, actual)| match (expect, actual) {
+                (Some(expect), Some(actual)) => expect == actual,
+                _ => true,
+            })
     }
 
     /// The coherence edges every model forces between same-location
@@ -389,19 +453,13 @@ impl<A: Clone> Skeleton<A> {
     /// initialization write first, and each thread's writes in program
     /// order.
     fn forced_co(&self, loc: &[Option<Loc>]) -> Relation {
-        let mut forced = Relation::empty(self.events.len());
-        for &a in &self.writes {
-            for &b in &self.writes {
-                let (ea, eb) = (&self.events[a], &self.events[b]);
-                let init_first = ea.tid.is_none() && eb.tid.is_some();
-                let same_thread_po =
-                    ea.tid.is_some() && ea.tid == eb.tid && ea.po_index < eb.po_index;
-                if loc[a].is_some() && loc[a] == loc[b] && (init_first || same_thread_po) {
-                    forced.insert(a, b);
-                }
+        self.co_forced.map_rows(|a, row| {
+            if row == 0 {
+                0
+            } else {
+                row & same_loc_mask(loc, a)
             }
-        }
-        forced
+        })
     }
 
     /// `false` iff the branch is dead under every model: the partial
@@ -410,23 +468,23 @@ impl<A: Clone> Skeleton<A> {
     /// forced edges) is cyclic, or a write already sits
     /// coherence-between an RMW's read source and its write half.
     fn core_ok(&self, rf_choice: &[Option<usize>], loc: &[Option<Loc>], co: &Relation) -> bool {
+        let n = loc.len();
         let co = co.union(&self.forced_co(loc));
-        let mut core = co.clone();
-        for (a, b) in self.po.pairs() {
-            let both_reads =
-                self.events[a].kind == EventKind::Read && self.events[b].kind == EventKind::Read;
-            if loc[a].is_some() && loc[a] == loc[b] && !both_reads {
-                core.insert(a, b);
-            }
-        }
+        let mut rf = Relation::empty(n);
         for &r in &self.reads {
             if let Some(w) = rf_choice[r] {
-                core.insert(w, r);
-                for later in co.successors(w).iter() {
-                    core.insert(r, later); // fr
-                }
+                rf.insert(w, r);
             }
         }
+        let fr = rf.inverse().compose(&co);
+        let po_loc = self.po_core.map_rows(|a, row| {
+            if row == 0 {
+                0
+            } else {
+                row & same_loc_mask(loc, a)
+            }
+        });
+        let core = co.union(&po_loc).union(&rf).union(&fr);
         core.is_acyclic()
             && self.rmw.pairs().all(|(r, w)| {
                 rf_choice[r].is_none_or(|src| {
@@ -435,6 +493,109 @@ impl<A: Clone> Skeleton<A> {
                         .any(|between| between != w && co.contains(between, w))
                 })
             })
+    }
+}
+
+/// The events other than `a` whose resolved location is `a`'s, as a
+/// bitmask (empty while `a`'s location is unresolved).
+fn same_loc_mask(loc: &[Option<Loc>], a: usize) -> u64 {
+    let Some(l) = loc[a] else {
+        return 0;
+    };
+    loc.iter()
+        .enumerate()
+        .filter(|&(b, &lb)| b != a && lb == Some(l))
+        .fold(0, |mask, (b, _)| mask | 1 << b)
+}
+
+/// Reusable enumeration buffers: the skeleton tables of the program
+/// being enumerated, the `rf` choice stack, the per-location write
+/// groups, and the [`Execution`] every visit sees (see the
+/// [module docs](self#scratch-ownership)).
+///
+/// A scratch carries nothing from one enumeration to the next but
+/// buffer capacity, so one can serve any sequence of programs. Keep one
+/// per worker and pass it to every enumeration the worker runs.
+///
+/// # Examples
+///
+/// ```
+/// use tricheck_litmus::{suite, EnumScratch, MemOrder};
+///
+/// let mut scratch = EnumScratch::new();
+/// for test in [suite::mp([MemOrder::Rlx; 4]), suite::sb([MemOrder::Rlx; 4])] {
+///     let mut matching = 0;
+///     let run = scratch.enumerate(test.program(), Some(test.target()), true, &mut |_| {
+///         matching += 1;
+///         true
+///     });
+///     assert!(run.completed && matching > 0);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct EnumScratch<A> {
+    pub(crate) exec: Execution<A>,
+    skel: Skeleton,
+    rf_choice: Vec<Option<usize>>,
+    /// One entry per resolved location: the writes to it.
+    groups: Vec<(Loc, EventSet)>,
+}
+
+impl<A> Default for EnumScratch<A> {
+    fn default() -> Self {
+        EnumScratch {
+            exec: Execution::default(),
+            skel: Skeleton::default(),
+            rf_choice: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+}
+
+impl<A: Clone> EnumScratch<A> {
+    /// An empty scratch; its buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Enumerates the candidate executions of `prog`, calling `visit`
+    /// on each: all of them, or with a `target` only those whose
+    /// outcome over the target's registers equals it, and with `prune`
+    /// only those satisfying [`core_consistent`] (cut during the
+    /// search, see the module docs). `visit` returning `false` aborts
+    /// the enumeration.
+    pub fn enumerate(
+        &mut self,
+        prog: &Program<A>,
+        target: Option<&Outcome>,
+        prune: bool,
+        visit: &mut impl FnMut(&Execution<A>) -> bool,
+    ) -> Enumeration {
+        let EnumScratch {
+            exec,
+            skel,
+            rf_choice,
+            groups,
+        } = self;
+        skel.build(exec, prog, target);
+        rf_choice.clear();
+        rf_choice.resize(exec.len(), None);
+        let mut ctx = Ctx {
+            skel,
+            exec,
+            rf_choice,
+            groups,
+            visit,
+            check_target: target.is_some(),
+            prune: prune && skel.core_prunable,
+            pruned_branches: 0,
+        };
+        let completed = ctx.assign_reads(0);
+        Enumeration {
+            completed,
+            pruned_branches: ctx.pruned_branches,
+        }
     }
 }
 
@@ -457,7 +618,9 @@ pub fn enumerate_executions<A: Clone>(
     prog: &Program<A>,
     visit: &mut impl FnMut(&Execution<A>) -> bool,
 ) -> bool {
-    enumerate_inner(prog, None, false, visit).completed
+    EnumScratch::new()
+        .enumerate(prog, None, false, visit)
+        .completed
 }
 
 /// Enumerates only the candidate executions whose outcome over the
@@ -471,7 +634,9 @@ pub fn enumerate_matching<A: Clone>(
     target: &Outcome,
     visit: &mut impl FnMut(&Execution<A>) -> bool,
 ) -> bool {
-    enumerate_inner(prog, Some(target), false, visit).completed
+    EnumScratch::new()
+        .enumerate(prog, Some(target), false, visit)
+        .completed
 }
 
 /// The outcome of a pruned enumeration pass: whether `visit` ran to
@@ -495,7 +660,7 @@ pub fn enumerate_executions_pruned<A: Clone>(
     prog: &Program<A>,
     visit: &mut impl FnMut(&Execution<A>) -> bool,
 ) -> Enumeration {
-    enumerate_inner(prog, None, true, visit)
+    EnumScratch::new().enumerate(prog, None, true, visit)
 }
 
 /// [`enumerate_matching`] with axiom-driven pruning (see
@@ -505,7 +670,7 @@ pub fn enumerate_matching_pruned<A: Clone>(
     target: &Outcome,
     visit: &mut impl FnMut(&Execution<A>) -> bool,
 ) -> Enumeration {
-    enumerate_inner(prog, Some(target), true, visit)
+    EnumScratch::new().enumerate(prog, Some(target), true, visit)
 }
 
 /// The model-independent core on a complete candidate:
@@ -530,159 +695,112 @@ pub fn core_consistent<A>(exec: &Execution<A>) -> bool {
             .is_empty()
 }
 
-fn enumerate_inner<A: Clone>(
-    prog: &Program<A>,
-    target: Option<&Outcome>,
-    prune: bool,
-    visit: &mut impl FnMut(&Execution<A>) -> bool,
-) -> Enumeration {
-    let skel = Skeleton::build(prog, target);
-    let n = skel.events.len();
-    let mut exec = Execution {
-        events: skel.events.clone(),
-        po: skel.po.clone(),
-        addr: skel.addr.clone(),
-        data: skel.data.clone(),
-        rmw: skel.rmw.clone(),
-        rf: Relation::empty(n),
-        co: Relation::empty(n),
-        loc: vec![None; n],
-        val: vec![None; n],
-        inits: skel.inits,
-        reg_def: skel.reg_def.clone(),
-    };
-    let mut rf_choice: Vec<Option<usize>> = vec![None; n];
-    let prune = prune && skel.core_prunable;
-    let mut ctx = Ctx {
-        skel: &skel,
-        exec: &mut exec,
-        visit,
-        target,
-        prune,
-        pruned_branches: 0,
-    };
-    let completed = ctx.assign_reads(0, &mut rf_choice);
-    Enumeration {
-        completed,
-        pruned_branches: ctx.pruned_branches,
-    }
-}
-
 struct Ctx<'a, A, F> {
-    skel: &'a Skeleton<A>,
+    skel: &'a Skeleton,
     exec: &'a mut Execution<A>,
+    rf_choice: &'a mut [Option<usize>],
+    groups: &'a mut Vec<(Loc, EventSet)>,
     visit: &'a mut F,
-    target: Option<&'a Outcome>,
+    /// Whether a target outcome restricts the enumeration.
+    check_target: bool,
     /// Whether to cut branches whose partial coherence core is cyclic.
     prune: bool,
     pruned_branches: usize,
 }
 
 impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
-    fn assign_reads(&mut self, k: usize, rf_choice: &mut Vec<Option<usize>>) -> bool {
+    fn assign_reads(&mut self, k: usize) -> bool {
         if k == self.skel.reads.len() {
-            return self.finalize(rf_choice);
+            return self.finalize();
         }
         let r = self.skel.reads[k];
-        for wi in 0..self.skel.writes.len() {
-            let w = self.skel.writes[wi];
+        for &w in &self.skel.writes {
             // A read never reads its own thread's po-later writes (that
             // violates coherence in every model we evaluate), including
             // its own RMW write half.
-            let er = &self.skel.events[r];
-            let ew = &self.skel.events[w];
+            let (er, ew) = (&self.exec.events[r], &self.exec.events[w]);
             if er.tid == ew.tid && ew.po_index > er.po_index {
                 continue;
             }
-            rf_choice[r] = Some(w);
-            if let Some((loc, _)) = self.skel.propagate(rf_choice) {
-                let dead = self.prune && self.skel.read_relevant[r] && {
-                    let no_co = Relation::empty(loc.len());
-                    !self.skel.core_ok(rf_choice, &loc, &no_co)
+            self.rf_choice[r] = Some(w);
+            let exec = &mut *self.exec;
+            if self
+                .skel
+                .propagate(self.rf_choice, &mut exec.loc, &mut exec.val)
+            {
+                let dead = self.prune && self.skel.read_relevant & 1 << r != 0 && {
+                    let no_co = Relation::empty(exec.len());
+                    !self.skel.core_ok(self.rf_choice, &exec.loc, &no_co)
                 };
                 if dead {
                     // Every completion of this branch keeps the cycle:
                     // resolved locations, chosen rf edges and forced co
                     // edges only ever grow.
                     self.pruned_branches += 1;
-                } else if !self.assign_reads(k + 1, rf_choice) {
-                    rf_choice[r] = None;
+                } else if !self.assign_reads(k + 1) {
+                    self.rf_choice[r] = None;
                     return false;
                 }
             }
-            rf_choice[r] = None;
+            self.rf_choice[r] = None;
         }
         true
     }
 
-    fn finalize(&mut self, rf_choice: &[Option<usize>]) -> bool {
-        let Some((loc, val)) = self.skel.propagate(rf_choice) else {
+    fn finalize(&mut self) -> bool {
+        let exec = &mut *self.exec;
+        if !self
+            .skel
+            .propagate(self.rf_choice, &mut exec.loc, &mut exec.val)
+        {
             return true;
-        };
+        }
         // Every read and write must have fully resolved location & value.
-        for e in &self.skel.events {
-            if e.kind != EventKind::Fence && (loc[e.id].is_none() || val[e.id].is_none()) {
+        let mut accesses = self.skel.accesses;
+        while accesses != 0 {
+            let e = accesses.trailing_zeros() as usize;
+            accesses &= accesses - 1;
+            if exec.loc[e].is_none() || exec.val[e].is_none() {
                 return true; // unresolvable (out-of-thin-air shape): discard
             }
         }
-        // rf location agreement was checked under "both known"; all are
-        // known now, so recheck via propagate above. Target must match in
-        // full (propagate only checks resolved values).
-        if let Some(target) = self.target {
-            for ((tid, reg), expect) in target.iter() {
-                match self.skel.reg_def.get(&(tid, reg)) {
-                    Some(&e) if val[e] == Some(expect) => {}
-                    _ => return true,
-                }
-            }
+        // Every target register resolved and matched its expected value
+        // above; the target must also name only assigned registers.
+        if self.check_target && !self.skel.target_defined {
+            return true;
         }
 
-        // Group writes by resolved location for coherence enumeration.
-        let n = self.skel.events.len();
-        let mut groups: BTreeMap<Loc, Vec<usize>> = BTreeMap::new();
+        // Group writes by resolved location for coherence enumeration,
+        // in location order.
+        let n = exec.len();
+        self.groups.clear();
         for &w in &self.skel.writes {
-            groups
-                .entry(loc[w].expect("writes resolved above"))
-                .or_default()
-                .push(w);
+            let l = exec.loc[w].expect("writes resolved above");
+            match self.groups.iter_mut().find(|(g, _)| *g == l) {
+                Some((_, members)) => members.insert(w),
+                None => self.groups.push((l, EventSet::from_ids(n, [w]))),
+            }
         }
+        self.groups.sort_unstable_by_key(|&(l, _)| l);
         // Each order extends the forced edges (required by coherence in
         // C11 and by SC-per-location in every hardware model, so
         // skipping the other orders is sound).
-        let constraint = self.skel.forced_co(&loc);
+        let constraint = self.skel.forced_co(&exec.loc);
 
         let mut rf = Relation::empty(n);
         for &r in &self.skel.reads {
-            let w = rf_choice[r].expect("all reads assigned");
+            let w = self.rf_choice[r].expect("all reads assigned");
             rf.insert(w, r);
         }
-
-        let groups: Vec<Vec<usize>> = groups.into_values().collect();
-        let mut co = Relation::empty(n);
-        self.enumerate_co(&groups, 0, &constraint, &mut co, rf_choice, &rf, &loc, &val)
+        exec.rf = rf;
+        self.enumerate_co(0, &constraint, &Relation::empty(n))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_co(
-        &mut self,
-        groups: &[Vec<usize>],
-        g: usize,
-        constraint: &Relation,
-        co: &mut Relation,
-        rf_choice: &[Option<usize>],
-        rf: &Relation,
-        loc: &[Option<Loc>],
-        val: &[Option<Val>],
-    ) -> bool {
-        let n = self.skel.events.len();
-        if g == groups.len() {
-            self.exec.rf = rf.clone();
-            self.exec.co = co.clone();
-            self.exec.loc = loc.to_vec();
-            self.exec.val = val.to_vec();
+    fn enumerate_co(&mut self, g: usize, constraint: &Relation, co: &Relation) -> bool {
+        let Some(&(_, members)) = self.groups.get(g) else {
+            self.exec.co.clone_from(co);
             return (self.visit)(self.exec);
-        }
-        let members = EventSet::from_ids(n, groups[g].iter().copied());
+        };
         let mut keep_going = true;
         linear_extensions(members, constraint, &mut |order| {
             let mut co_next = co.clone();
@@ -694,20 +812,11 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
             // One location's order committed: a core cycle through it
             // survives into every completion (later groups only add
             // other locations' edges), so the whole subtree is dead.
-            if self.prune && !self.skel.core_ok(rf_choice, loc, &co_next) {
+            if self.prune && !self.skel.core_ok(self.rf_choice, &self.exec.loc, &co_next) {
                 self.pruned_branches += 1;
                 return true;
             }
-            keep_going = self.enumerate_co(
-                groups,
-                g + 1,
-                constraint,
-                &mut co_next,
-                rf_choice,
-                rf,
-                loc,
-                val,
-            );
+            keep_going = self.enumerate_co(g + 1, constraint, &co_next);
             keep_going
         });
         keep_going

@@ -1,7 +1,5 @@
 //! Candidate executions: events plus the `rf` and `co` witness relations.
 
-use std::collections::BTreeMap;
-
 use tricheck_rel::{EventSet, Relation};
 
 use crate::mir::{Loc, Reg, Val};
@@ -44,8 +42,11 @@ pub struct Event<A> {
 ///
 /// Memory models are predicates over this type. Executions are produced by
 /// [`crate::enumerate_executions`]; all relations range over
-/// `0..self.len()` event ids.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// `0..self.len()` event ids. The relations are inline bitsets; the
+/// per-event tables are vectors, and [`Clone::clone_from`] reuses their
+/// buffers, so an execution rebound to another candidate or program of
+/// no larger size allocates nothing.
+#[derive(PartialEq, Eq, Debug)]
 pub struct Execution<A> {
     pub(crate) events: Vec<Event<A>>,
     pub(crate) po: Relation,
@@ -57,7 +58,60 @@ pub struct Execution<A> {
     pub(crate) loc: Vec<Option<Loc>>,
     pub(crate) val: Vec<Option<Val>>,
     pub(crate) inits: EventSet,
-    pub(crate) reg_def: BTreeMap<(usize, Reg), usize>,
+    /// `((tid, reg), event)` for every register a thread assigns,
+    /// sorted by `(tid, reg)`: the event that defines it.
+    pub(crate) reg_def: Vec<((usize, Reg), usize)>,
+}
+
+impl<A: Clone> Clone for Execution<A> {
+    fn clone(&self) -> Self {
+        Execution {
+            events: self.events.clone(),
+            po: self.po.clone(),
+            addr: self.addr.clone(),
+            data: self.data.clone(),
+            rmw: self.rmw.clone(),
+            rf: self.rf.clone(),
+            co: self.co.clone(),
+            loc: self.loc.clone(),
+            val: self.val.clone(),
+            inits: self.inits,
+            reg_def: self.reg_def.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.events.clone_from(&source.events);
+        self.po.clone_from(&source.po);
+        self.addr.clone_from(&source.addr);
+        self.data.clone_from(&source.data);
+        self.rmw.clone_from(&source.rmw);
+        self.rf.clone_from(&source.rf);
+        self.co.clone_from(&source.co);
+        self.loc.clone_from(&source.loc);
+        self.val.clone_from(&source.val);
+        self.inits = source.inits;
+        self.reg_def.clone_from(&source.reg_def);
+    }
+}
+
+impl<A> Default for Execution<A> {
+    /// The execution of the empty program, holding no buffers.
+    fn default() -> Self {
+        Execution {
+            events: Vec::new(),
+            po: Relation::default(),
+            addr: Relation::default(),
+            data: Relation::default(),
+            rmw: Relation::default(),
+            rf: Relation::default(),
+            co: Relation::default(),
+            loc: Vec::new(),
+            val: Vec::new(),
+            inits: EventSet::empty(0),
+            reg_def: Vec::new(),
+        }
+    }
 }
 
 impl<A> Execution<A> {
@@ -199,22 +253,40 @@ impl<A> Execution<A> {
         }
     }
 
+    /// The events of `a`'s thread, `a` included, as a bitmask (empty
+    /// for an initialization write, which is external to every event).
+    fn thread_mask(&self, a: usize) -> u64 {
+        let Some(tid) = self.events[a].tid else {
+            return 0;
+        };
+        self.events
+            .iter()
+            .filter(|e| e.tid == Some(tid))
+            .fold(0, |mask, e| mask | 1 << e.id)
+    }
+
     /// External (inter-thread) part of a relation.
     #[must_use]
     pub fn external(&self, r: &Relation) -> Relation {
-        Relation::from_pairs(
-            self.len(),
-            r.pairs().filter(|&(a, b)| self.is_external(a, b)),
-        )
+        r.map_rows(|a, row| {
+            if row == 0 {
+                0
+            } else {
+                row & !self.thread_mask(a)
+            }
+        })
     }
 
     /// Internal (intra-thread) part of a relation.
     #[must_use]
     pub fn internal(&self, r: &Relation) -> Relation {
-        Relation::from_pairs(
-            self.len(),
-            r.pairs().filter(|&(a, b)| !self.is_external(a, b)),
-        )
+        r.map_rows(|a, row| {
+            if row == 0 {
+                0
+            } else {
+                row & self.thread_mask(a)
+            }
+        })
     }
 
     /// External reads-from (`rfe`).
@@ -250,7 +322,10 @@ impl<A> Execution<A> {
     /// The event that assigned `reg` in thread `tid`, if any.
     #[must_use]
     pub fn defining_event(&self, tid: usize, reg: Reg) -> Option<usize> {
-        self.reg_def.get(&(tid, reg)).copied()
+        self.reg_def
+            .binary_search_by_key(&(tid, reg), |&(key, _)| key)
+            .ok()
+            .map(|i| self.reg_def[i].1)
     }
 
     /// Extracts the outcome over the given observed registers.

@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::mir::{Expr, Instr, Loc, Program, Reg, RmwKind, Val};
+use crate::mir::{Expr, Instr, Loc, Program, ProgramError, Reg, RmwKind, Val};
 use crate::order::MemOrder;
 use crate::outcome::Outcome;
 use crate::template::LitmusTest;
@@ -346,18 +346,30 @@ pub fn parse_litmus(text: &str) -> Result<LitmusTest, ParseError> {
 
     // Column-major: cell (row r, col t) is thread t's r-th instruction.
     let mut threads: Vec<Vec<Instr<MemOrder>>> = vec![Vec::new(); n_threads];
+    // The line each thread's instructions came from, to place program
+    // errors.
+    let mut instr_lines: Vec<Vec<usize>> = vec![Vec::new(); n_threads];
     for (line_no, row) in rows.iter().skip(1) {
         for (t, cell) in row.iter().enumerate() {
             if cell.is_empty() {
                 continue;
             }
             threads[t].push(parse_instr(cell, &mut locs, *line_no)?);
+            instr_lines[t].push(*line_no);
         }
     }
 
-    let program = Program::new(threads, extra_locs).map_err(|e| ParseError {
-        line: 1,
-        message: e.to_string(),
+    let program = Program::new(threads, extra_locs).map_err(|e| {
+        let line = match e {
+            ProgramError::RegisterReassigned { tid, index, .. }
+            | ProgramError::UndefinedRegister { tid, index, .. } => instr_lines[tid][index],
+            // The table as a whole is too large: point at its header.
+            ProgramError::TooManyEvents { .. } => rows[0].0,
+        };
+        ParseError {
+            line,
+            message: e.to_string(),
+        }
     })?;
     Ok(LitmusTest::new(name, "parsed", program, outcome))
 }
@@ -560,6 +572,31 @@ mod tests {
         let e = parse_litmus(text).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("mis-arity"));
+    }
+
+    #[test]
+    fn program_errors_name_the_offending_row() {
+        // Line 4 reads r5, which thread 1 never assigns.
+        let text = "C11 bad-reg\n\
+                    P0          | P1              ;\n\
+                    st(x,1,rlx) | r0 = ld(y,rlx)  ;\n\
+                    st(y,1,rlx) | r1 = ld([r5],acq) ;\n\
+                    exists (P1:r0=1 /\\ P1:r1=0)\n";
+        let e = parse_litmus(text).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 4: register r5 read before assignment in thread 1"
+        );
+        // Line 5 assigns r0 a second time.
+        let text = "C11 twice\n\
+                    P0             ;\n\
+                    -- a comment line keeps its number\n\
+                    r0 = ld(x,rlx) ;\n\
+                    r0 = ld(y,rlx) ;\n\
+                    exists (P0:r0=0)\n";
+        let e = parse_litmus(text).unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("assigned twice"), "{e}");
     }
 
     #[test]

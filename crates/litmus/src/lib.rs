@@ -68,7 +68,8 @@ pub use arena::{ExecArena, ExecCursor};
 pub use codec::{AnnCodec, ByteReader, CodecError};
 pub use enumerate::{
     core_consistent, count_executions, enumerate_executions, enumerate_executions_pruned,
-    enumerate_matching, enumerate_matching_pruned, outcome_set, target_realizable, Enumeration,
+    enumerate_matching, enumerate_matching_pruned, outcome_set, target_realizable, EnumScratch,
+    Enumeration,
 };
 pub use exec::{Event, EventKind, Execution};
 pub use mir::{Expr, Instr, Loc, Program, ProgramError, Reg, RmwKind, Val};

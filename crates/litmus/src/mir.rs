@@ -4,7 +4,6 @@
 //! Both C11-level litmus tests and their compiled ISA-level counterparts
 //! are values of [`Program<A>`] for different annotation types `A`.
 
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -189,6 +188,8 @@ pub enum ProgramError {
     RegisterReassigned {
         /// Thread index.
         tid: usize,
+        /// Position of the second assignment in the thread.
+        index: usize,
         /// The offending register.
         reg: Reg,
     },
@@ -197,6 +198,8 @@ pub enum ProgramError {
     UndefinedRegister {
         /// Thread index.
         tid: usize,
+        /// Position of the reading instruction in the thread.
+        index: usize,
         /// The register that was read before assignment.
         reg: Reg,
     },
@@ -211,10 +214,10 @@ pub enum ProgramError {
 impl fmt::Display for ProgramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProgramError::RegisterReassigned { tid, reg } => {
+            ProgramError::RegisterReassigned { tid, reg, .. } => {
                 write!(f, "register {reg} assigned twice in thread {tid}")
             }
-            ProgramError::UndefinedRegister { tid, reg } => {
+            ProgramError::UndefinedRegister { tid, reg, .. } => {
                 write!(f, "register {reg} read before assignment in thread {tid}")
             }
             ProgramError::TooManyEvents { events } => {
@@ -280,37 +283,33 @@ impl<A> Program<A> {
         threads: Vec<Vec<Instr<A>>>,
         extra_locations: impl IntoIterator<Item = Loc>,
     ) -> Result<Self, ProgramError> {
-        let mut locations: BTreeSet<Loc> = extra_locations.into_iter().collect();
+        let mut locations: Vec<Loc> = extra_locations.into_iter().collect();
         let mut events = 0usize;
         for (tid, thread) in threads.iter().enumerate() {
-            let mut assigned: BTreeSet<Reg> = BTreeSet::new();
-            for instr in thread {
+            // One bit per register `r0`…`r255`: assigned so far.
+            let mut assigned = [0u64; 4];
+            let is_assigned =
+                |assigned: &[u64; 4], r: Reg| assigned[r.0 as usize / 64] >> (r.0 % 64) & 1 != 0;
+            for (index, instr) in thread.iter().enumerate() {
                 let check_expr = |e: &Expr| -> Result<(), ProgramError> {
-                    if let Some(reg) = e.dep() {
-                        if !assigned.contains(&reg) {
-                            return Err(ProgramError::UndefinedRegister { tid, reg });
+                    match e.dep() {
+                        Some(reg) if !is_assigned(&assigned, reg) => {
+                            Err(ProgramError::UndefinedRegister { tid, index, reg })
                         }
+                        _ => Ok(()),
                     }
-                    Ok(())
                 };
-                match instr {
+                let (addr, dst) = match instr {
                     Instr::Read { dst, addr, .. } => {
                         check_expr(addr)?;
-                        if let Expr::Const(a) = addr {
-                            locations.insert(Loc(*a));
-                        }
-                        if !assigned.insert(*dst) {
-                            return Err(ProgramError::RegisterReassigned { tid, reg: *dst });
-                        }
                         events += 1;
+                        (Some(addr), Some(*dst))
                     }
                     Instr::Write { addr, val, .. } => {
                         check_expr(addr)?;
                         check_expr(val)?;
-                        if let Expr::Const(a) = addr {
-                            locations.insert(Loc(*a));
-                        }
                         events += 1;
+                        (Some(addr), None)
                     }
                     Instr::Rmw {
                         dst, addr, kind, ..
@@ -319,28 +318,32 @@ impl<A> Program<A> {
                         if let RmwKind::Swap(v) = kind {
                             check_expr(v)?;
                         }
-                        if let Expr::Const(a) = addr {
-                            locations.insert(Loc(*a));
-                        }
-                        if !assigned.insert(*dst) {
-                            return Err(ProgramError::RegisterReassigned { tid, reg: *dst });
-                        }
                         events += 2; // read half + write half
+                        (Some(addr), Some(*dst))
                     }
                     Instr::Fence { .. } => {
                         events += 1;
+                        (None, None)
                     }
+                };
+                if let Some(Expr::Const(a)) = addr {
+                    locations.push(Loc(*a));
+                }
+                if let Some(reg) = dst {
+                    if is_assigned(&assigned, reg) {
+                        return Err(ProgramError::RegisterReassigned { tid, index, reg });
+                    }
+                    assigned[reg.0 as usize / 64] |= 1 << (reg.0 % 64);
                 }
             }
         }
+        locations.sort_unstable();
+        locations.dedup();
         let total = events + locations.len();
         if total > tricheck_rel::MAX_EVENTS {
             return Err(ProgramError::TooManyEvents { events: total });
         }
-        Ok(Program {
-            threads,
-            locations: locations.into_iter().collect(),
-        })
+        Ok(Program { threads, locations })
     }
 
     /// The threads of the program, in thread-id order.
@@ -411,6 +414,7 @@ mod tests {
             err,
             ProgramError::RegisterReassigned {
                 tid: 0,
+                index: 1,
                 reg: Reg(0)
             }
         );
@@ -430,6 +434,7 @@ mod tests {
             p.unwrap_err(),
             ProgramError::UndefinedRegister {
                 tid: 0,
+                index: 0,
                 reg: Reg(0)
             }
         );

@@ -81,12 +81,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tricheck_rel::{BaseRelations, CompiledModel, Judge, Relation};
 
-use crate::arena::{ExecArena, ExecCursor};
+use crate::arena::ExecArena;
 use crate::codec::{self, AnnCodec, ByteReader, CodecError};
-use crate::enumerate::{
-    enumerate_executions, enumerate_executions_pruned, enumerate_matching,
-    enumerate_matching_pruned, outcome_set, target_realizable,
-};
+use crate::enumerate::{outcome_set, target_realizable, EnumScratch};
 use crate::exec::Execution;
 use crate::mir::{Program, Reg};
 use crate::outcome::Outcome;
@@ -332,41 +329,28 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
         self.fingerprint
     }
 
-    /// Runs one enumeration pass into a fresh arena, honoring the
-    /// space's pruning mode and maintaining the enumeration counters.
-    fn enumerate_into(&self, target: Option<&Outcome>) -> ExecArena<A> {
+    /// Runs one enumeration pass through `scratch` into a fresh arena,
+    /// honoring the space's pruning mode and maintaining the
+    /// enumeration counters.
+    fn enumerate_into(
+        &self,
+        target: Option<&Outcome>,
+        scratch: &mut EnumScratch<A>,
+    ) -> ExecArena<A> {
         let _t = tricheck_trace::span(tricheck_trace::Phase::SpaceEnum);
         self.enumerations.fetch_add(1, Ordering::Relaxed);
         let mut arena = ExecArena::new();
-        let mut push = |exec: &Execution<A>| {
+        let e = scratch.enumerate(&self.program, target, self.prune, &mut |exec| {
             arena.push(exec);
             true
-        };
-        match (self.prune, target) {
-            (true, None) => {
-                let e = enumerate_executions_pruned(&self.program, &mut push);
-                self.candidates_pruned
-                    .fetch_add(e.pruned_branches, Ordering::Relaxed);
-                tricheck_trace::count(
-                    tricheck_trace::Counter::PrunedBranches,
-                    e.pruned_branches as u64,
-                );
-            }
-            (true, Some(target)) => {
-                let e = enumerate_matching_pruned(&self.program, target, &mut push);
-                self.candidates_pruned
-                    .fetch_add(e.pruned_branches, Ordering::Relaxed);
-                tricheck_trace::count(
-                    tricheck_trace::Counter::PrunedBranches,
-                    e.pruned_branches as u64,
-                );
-            }
-            (false, None) => {
-                enumerate_executions(&self.program, &mut push);
-            }
-            (false, Some(target)) => {
-                enumerate_matching(&self.program, target, &mut push);
-            }
+        });
+        if self.prune {
+            self.candidates_pruned
+                .fetch_add(e.pruned_branches, Ordering::Relaxed);
+            tricheck_trace::count(
+                tricheck_trace::Counter::PrunedBranches,
+                e.pruned_branches as u64,
+            );
         }
         tricheck_trace::count(
             tricheck_trace::Counter::CandidatesEnumerated,
@@ -380,10 +364,17 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
     /// after.
     #[must_use]
     pub fn executions(&self) -> SpaceView<A> {
+        self.executions_in(&mut EnumScratch::new())
+    }
+
+    /// [`ExecutionSpace::executions`], enumerating (on first use)
+    /// through the caller's reusable `scratch`.
+    #[must_use]
+    pub fn executions_in(&self, scratch: &mut EnumScratch<A>) -> SpaceView<A> {
         let mut enumerated = false;
         let arena = self.full.get_or_init(|| {
             enumerated = true;
-            Arc::new(self.enumerate_into(None))
+            Arc::new(self.enumerate_into(None, scratch))
         });
         if !enumerated {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -404,6 +395,13 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
     /// once, on first insertion.
     #[must_use]
     pub fn matching(&self, target: &Outcome) -> SpaceView<A> {
+        self.matching_in(target, &mut EnumScratch::new())
+    }
+
+    /// [`ExecutionSpace::matching`], enumerating (on first use per
+    /// target) through the caller's reusable `scratch`.
+    #[must_use]
+    pub fn matching_in(&self, target: &Outcome, scratch: &mut EnumScratch<A>) -> SpaceView<A> {
         // The lock is held across the enumeration so each (space, target)
         // pair is enumerated exactly once even under contention — the
         // losing racer waits and reads the winner's result. Distinct
@@ -422,7 +420,7 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
                 .collect();
             MatchView::Indices(Arc::new(matching))
         } else {
-            MatchView::Restricted(Arc::new(self.enumerate_into(Some(target))))
+            MatchView::Restricted(Arc::new(self.enumerate_into(Some(target), scratch)))
         };
         let resolved = self.resolve_match(&view);
         map.insert(target.clone(), view);
@@ -697,14 +695,16 @@ pub trait ConsistencyModel: Sync {
     fn kernel(&self) -> &CompiledModel;
 
     /// Binds one candidate execution; `fr` is the candidate's
-    /// `rf⁻¹;co` when the caller already holds it (an arena's derived
-    /// column), computed on demand when `None`.
-    fn bind(exec: &Execution<Self::Ann>, fr: Option<Relation>) -> Self::Binding<'_>;
+    /// `rf⁻¹;co` when the caller already holds it (an arena cursor's
+    /// derived column), lent to the binding; computed on demand when
+    /// `None`.
+    fn bind<'e>(exec: &'e Execution<Self::Ann>, fr: Option<&'e Relation>) -> Self::Binding<'e>;
 
     /// Whether some execution in the shared space realizes `target`
     /// under this model: the width-1 [`witness_mask`].
     fn permits(&self, space: &ExecutionSpace<Self::Ann>, target: &Outcome) -> bool {
-        witness_mask::<Self>(&mut Judge::new(self.kernel()), space, target, 1) != 0
+        let judge = &mut Judge::new(self.kernel());
+        witness_mask::<Self>(judge, &mut EnumScratch::new(), space, target, 1) != 0
     }
 
     /// The full outcome set this model allows over the shared space:
@@ -714,7 +714,8 @@ pub trait ConsistencyModel: Sync {
         space: &ExecutionSpace<Self::Ann>,
         observed: &[(usize, Reg)],
     ) -> BTreeSet<Outcome> {
-        outcome_masks::<Self>(&mut Judge::new(self.kernel()), space, observed, 1)
+        let judge = &mut Judge::new(self.kernel());
+        outcome_masks::<Self>(judge, &mut EnumScratch::new(), space, observed, 1)
             .into_iter()
             .map(|(outcome, _)| outcome)
             .collect()
@@ -726,10 +727,28 @@ pub trait ConsistencyModel: Sync {
     /// Prefer [`permits`](Self::permits) over a shared space when many
     /// models judge one program.
     fn observes(&self, program: &Program<Self::Ann>, target: &Outcome) -> bool {
-        let mut judge = Judge::new(self.kernel());
-        ExecutionSpace::witness_search(program, target, |exec| {
-            judge.check(&Self::bind(exec, None)).is_ok()
-        })
+        let judge = &mut Judge::new(self.kernel());
+        self.observes_with(judge, &mut EnumScratch::new(), program, target)
+    }
+
+    /// [`observes`](Self::observes) through a caller's reusable buffers:
+    /// `judge` is restarted on this model's kernel, and the enumeration
+    /// runs in `scratch`, so a worker that keeps both allocates nothing
+    /// per call once they are warm.
+    fn observes_with<'k>(
+        &'k self,
+        judge: &mut Judge<'k>,
+        scratch: &mut EnumScratch<Self::Ann>,
+        program: &Program<Self::Ann>,
+        target: &Outcome,
+    ) -> bool {
+        judge.restart(self.kernel());
+        let mut found = false;
+        scratch.enumerate(program, Some(target), false, &mut |exec| {
+            found = judge.check(&Self::bind(exec, None)).is_ok();
+            !found
+        });
+        found
     }
 
     /// The outcomes over `observed` registers this model allows for
@@ -751,69 +770,75 @@ pub trait ConsistencyModel: Sync {
 
 /// The shared-space witness search: the models among `live` (bits of
 /// the judge's kernel, see [`Judge::check_mask`]) that realize `target`
-/// on some candidate of `space`. The space's target view streams
-/// through one cursor and the judge's current stream, and each
-/// candidate is judged only under the live models still without a
+/// on some candidate of `space`. The space's target view is enumerated,
+/// if it is not yet, through `scratch`, and streams through a cursor
+/// over the scratch's execution buffer and the judge's current stream;
+/// each candidate is judged only under the live models still without a
 /// witness, so the search stops once every one has its witness.
 pub fn witness_mask<M: ConsistencyModel + ?Sized>(
     judge: &mut Judge<'_>,
+    scratch: &mut EnumScratch<M::Ann>,
     space: &ExecutionSpace<M::Ann>,
     target: &Outcome,
     live: u64,
 ) -> u64 {
-    let view = space.matching(target);
-    let Some(mut cursor) = view.arena().cursor() else {
-        return 0;
-    };
-    first_witnesses::<M>(judge, &mut cursor, &view.indices(), live)
+    let view = space.matching_in(target, scratch);
+    match &view.indices {
+        Some(members) => {
+            first_witnesses::<M>(judge, scratch, view.arena(), members.iter().copied(), live)
+        }
+        None => first_witnesses::<M>(judge, scratch, view.arena(), 0..view.len() as u32, live),
+    }
 }
 
 /// The shared-space outcome scan: every outcome of the space's cached
 /// partition over `observed` that some model among `live` allows, with
 /// the mask of the models that allow it. Each group is scanned, through
-/// one cursor and the judge's current stream, until every live model
-/// has a witness in it.
+/// a cursor over the scratch's execution buffer and the judge's current
+/// stream, until every live model has a witness in it.
 pub fn outcome_masks<M: ConsistencyModel + ?Sized>(
     judge: &mut Judge<'_>,
+    scratch: &mut EnumScratch<M::Ann>,
     space: &ExecutionSpace<M::Ann>,
     observed: &[(usize, Reg)],
     live: u64,
 ) -> Vec<(Outcome, u64)> {
-    let view = space.executions();
+    let view = space.executions_in(scratch);
     let groups = space.outcome_groups(observed);
-    let Some(mut cursor) = view.arena().cursor() else {
-        return Vec::new();
-    };
     groups
         .iter()
         .filter_map(|(outcome, members)| {
-            let found = first_witnesses::<M>(judge, &mut cursor, members, live);
+            let found =
+                first_witnesses::<M>(judge, scratch, view.arena(), members.iter().copied(), live);
             (found != 0).then(|| (outcome.clone(), found))
         })
         .collect()
 }
 
 /// Judges arena candidates `members` in order, each under the models
-/// of `live` without a witness yet (the cursor rebinds its skeleton to
-/// the candidate and the binding takes the arena's `fr` column), and
-/// returns the models that found one.
+/// of `live` without a witness yet, and returns the models that found
+/// one. The cursor rebinds the scratch's execution buffer to each
+/// candidate, and the binding borrows the arena's `fr` column.
 fn first_witnesses<M: ConsistencyModel + ?Sized>(
     judge: &mut Judge<'_>,
-    cursor: &mut ExecCursor<'_, M::Ann>,
-    members: &[u32],
+    scratch: &mut EnumScratch<M::Ann>,
+    arena: &ExecArena<M::Ann>,
+    members: impl IntoIterator<Item = u32>,
     live: u64,
 ) -> u64 {
+    if arena.is_empty() {
+        return 0;
+    }
+    let mut cursor = arena.cursor_in(std::mem::take(&mut scratch.exec));
     let mut found = 0;
-    for &i in members {
+    for i in members {
         if found == live {
             break;
         }
         cursor.at(i);
-        found |= judge.check_mask(
-            &M::bind(cursor.exec(), Some(cursor.fr().clone())),
-            live & !found,
-        );
+        found |= judge.check_mask(&M::bind(cursor.exec(), Some(cursor.fr())), live & !found);
     }
+    scratch.exec = cursor.into_buffer();
     found
 }
 

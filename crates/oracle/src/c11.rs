@@ -27,7 +27,7 @@ pub fn c11_check(exec: &Execution<MemOrder>) -> Result<(), &'static str> {
 
     // hb = (sb ∪ sw ∪ init-before-everything)⁺
     let sw = binding.rel("sw").expect("C11Binding provides sw");
-    let mut hb_base = exec.po().union(&sw);
+    let mut hb_base = exec.po().union(sw);
     for init in inits.iter() {
         for e in 0..n {
             if !inits.contains(e) {

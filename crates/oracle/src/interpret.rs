@@ -85,7 +85,7 @@ impl<B: BaseRelations> Naive<'_, B> {
                     n,
                     "base relation '{name}' has the wrong universe"
                 );
-                value
+                value.clone()
             }
             RelExpr::Ref(name) => {
                 assert!(

@@ -92,6 +92,7 @@ impl HwRelations {
             binding
                 .rel(name)
                 .expect("HwBinding provides the fence bases")
+                .clone()
         };
         let (f_noncum, f_cum, f_heavy) = (
             fence("fence-noncum"),

@@ -50,7 +50,7 @@
 use std::collections::HashMap;
 
 use crate::ir::{AxiomKind, BaseRelations, ModelIr, RelExpr, SetExpr};
-use crate::{mask, EventSet, Relation};
+use crate::{close_rows, mask, EventSet, Relation};
 
 /// Where an operation's result lives at evaluation time: in the
 /// per-program [`Prelude`] (space-invariant, computed once) or in the
@@ -151,29 +151,15 @@ impl<T: Copy> Op<T> {
     }
 }
 
-/// A computed bitset value: a relation or an event set. Which one an
-/// operation produces is fixed at compile time, so evaluation never
-/// checks the tag on a hot path that matters.
-#[derive(Clone, Debug)]
-enum Value {
-    Rel(Relation),
-    Set(EventSet),
-}
-
-impl Value {
-    fn as_rel(&self) -> &Relation {
-        match self {
-            Value::Rel(r) => r,
-            Value::Set(_) => unreachable!("compiler scheduled a set where a relation is needed"),
-        }
-    }
-
-    fn as_set(&self) -> EventSet {
-        match self {
-            Value::Set(s) => *s,
-            Value::Rel(_) => unreachable!("compiler scheduled a relation where a set is needed"),
-        }
-    }
+/// A computed bitset value slot: an operation producing a relation
+/// writes `rel`, one producing a set writes `set`. Which one an
+/// operation produces is fixed at compile time, so the reader knows
+/// which field holds the value, and a slot reused across operations of
+/// either kind never changes shape.
+#[derive(Clone, Debug, Default)]
+struct Value {
+    rel: Relation,
+    set: EventSet,
 }
 
 /// The space-invariant values of one compiled kernel over one program:
@@ -197,12 +183,14 @@ impl Prelude {
 /// Reusable per-candidate evaluation buffers.
 ///
 /// Judging a candidate fills one value slot per body operation it
-/// needs; with a scratch those slots (and every intermediate relation's
-/// row storage) are reused across candidates instead of being
-/// reallocated per judgement. A scratch carries no kernel or universe
-/// identity: every operation overwrites its whole slot, resizing the
-/// slot's rows in place when the universe changes, so one scratch can
-/// serve any sequence of kernels and programs.
+/// needs. Every slot holds an inline [`Relation`] (or an [`EventSet`]),
+/// so once the slot vector has grown to the largest kernel it serves,
+/// judging allocates nothing: a base fetch copies the binding's lent
+/// rows into its slot, and every other operation writes its result
+/// rows in place. A scratch carries no kernel or universe identity:
+/// every operation overwrites its whole slot, resizing the slot's rows
+/// when the universe changes, so one scratch can serve any sequence of
+/// kernels and programs.
 #[derive(Default, Debug)]
 pub struct EvalScratch {
     body: Vec<Value>,
@@ -214,8 +202,7 @@ impl EvalScratch {
     /// Readies `len` body slots for a new candidate: none evaluated.
     fn begin(&mut self, len: usize) {
         if self.body.len() < len {
-            self.body
-                .resize_with(len, || Value::Set(EventSet::empty(0)));
+            self.body.resize_with(len, Value::default);
         }
         self.done.clear();
         self.done.resize(len.div_ceil(64), 0);
@@ -521,7 +508,7 @@ impl CompiledModel {
         prelude.n = n;
         let values = &mut prelude.values;
         if values.len() < self.prelude_ops.len() {
-            values.resize_with(self.prelude_ops.len(), || Value::Set(EventSet::empty(0)));
+            values.resize_with(self.prelude_ops.len(), Value::default);
         }
         for (i, op) in self.prelude_ops.iter().enumerate() {
             let (done, rest) = values.split_at_mut(i);
@@ -629,7 +616,7 @@ impl CompiledModel {
                 );
                 scratch.done[word] |= bit;
             }
-            let rel = fetch(axiom.rel, &prelude.values, &scratch.body).as_rel();
+            let rel = &fetch(axiom.rel, &prelude.values, &scratch.body).rel;
             let holds = match axiom.kind {
                 AxiomKind::Acyclic => rel.is_acyclic(),
                 AxiomKind::Irreflexive => rel.is_irreflexive(),
@@ -665,8 +652,8 @@ impl CompiledModel {
         body: &[Value],
         slot: &mut Value,
     ) {
-        let rel = |loc: Loc| fetch(loc, prelude, body).as_rel();
-        let set = |loc: Loc| fetch(loc, prelude, body).as_set();
+        let rel = |loc: Loc| &fetch(loc, prelude, body).rel;
+        let set = |loc: Loc| fetch(loc, prelude, body).set;
         match op {
             Op::BaseRel(i) => {
                 let name = self.base_rels[*i as usize];
@@ -678,7 +665,7 @@ impl CompiledModel {
                     n,
                     "base relation '{name}' has the wrong universe"
                 );
-                *slot = Value::Rel(value);
+                rel_rows(slot, n).copy_from_slice(value.row_words());
             }
             Op::BaseSet(i) => {
                 let name = self.base_sets[*i as usize];
@@ -690,7 +677,7 @@ impl CompiledModel {
                     n,
                     "base set '{name}' has the wrong universe"
                 );
-                *slot = Value::Set(value);
+                slot.set = value;
             }
             Op::EmptyRel => rel_rows(slot, n).fill(0),
             Op::IdRel => {
@@ -698,8 +685,8 @@ impl CompiledModel {
                     *row = 1 << i;
                 }
             }
-            Op::UniverseSet => *slot = Value::Set(EventSet::full(n)),
-            Op::EmptySet => *slot = Value::Set(EventSet::empty(n)),
+            Op::UniverseSet => slot.set = EventSet::full(n),
+            Op::EmptySet => slot.set = EventSet::empty(n),
             Op::CrossRel(dom, rng) => {
                 let (dom_bits, rng_bits) = (set(*dom).bits(), set(*rng).bits());
                 for (i, row) in rel_rows(slot, n).iter_mut().enumerate() {
@@ -712,40 +699,40 @@ impl CompiledModel {
             }
             Op::UnionRel(operands) => {
                 let rows = rel_rows(slot, n);
-                rows.copy_from_slice(&rel(operands[0]).rows);
+                rows.copy_from_slice(rel(operands[0]).row_words());
                 for &operand in &operands[1..] {
-                    for (out, row) in rows.iter_mut().zip(&rel(operand).rows) {
+                    for (out, row) in rows.iter_mut().zip(rel(operand).row_words()) {
                         *out |= row;
                     }
                 }
             }
             Op::InterRel(operands) => {
                 let rows = rel_rows(slot, n);
-                rows.copy_from_slice(&rel(operands[0]).rows);
+                rows.copy_from_slice(rel(operands[0]).row_words());
                 for &operand in &operands[1..] {
-                    for (out, row) in rows.iter_mut().zip(&rel(operand).rows) {
+                    for (out, row) in rows.iter_mut().zip(rel(operand).row_words()) {
                         *out &= row;
                     }
                 }
             }
             Op::MinusRel(base, subtrahends) => {
                 let rows = rel_rows(slot, n);
-                rows.copy_from_slice(&rel(*base).rows);
+                rows.copy_from_slice(rel(*base).row_words());
                 for &operand in subtrahends {
-                    for (out, row) in rows.iter_mut().zip(&rel(operand).rows) {
+                    for (out, row) in rows.iter_mut().zip(rel(operand).row_words()) {
                         *out &= !row;
                     }
                 }
             }
             Op::SeqRel(a, b) => {
                 let (a, b) = (rel(*a), rel(*b));
-                for (out, &mids) in rel_rows(slot, n).iter_mut().zip(&a.rows) {
+                for (out, &mids) in rel_rows(slot, n).iter_mut().zip(a.row_words()) {
                     let mut row = 0u64;
                     let mut mids = mids;
                     while mids != 0 {
                         let m = mids.trailing_zeros() as usize;
                         mids &= mids - 1;
-                        row |= b.rows[m];
+                        row |= b.row_words()[m];
                     }
                     *out = row;
                 }
@@ -754,7 +741,7 @@ impl CompiledModel {
                 let source = rel(*a);
                 let rows = rel_rows(slot, n);
                 rows.fill(0);
-                for (i, &row) in source.rows.iter().enumerate() {
+                for (i, &row) in source.row_words().iter().enumerate() {
                     let mut bits = row;
                     while bits != 0 {
                         let j = bits.trailing_zeros() as usize;
@@ -764,42 +751,29 @@ impl CompiledModel {
                 }
             }
             Op::PlusRel(a) => {
-                // Word-parallel repeated squaring in place (see
-                // [`Relation::transitive_closure`]).
-                let rows = {
-                    let source = rel(*a);
-                    let rows = rel_rows(slot, n);
-                    rows.copy_from_slice(&source.rows);
-                    rows
-                };
-                loop {
-                    let mut changed = false;
-                    for a in 0..n {
-                        let mut row = rows[a];
-                        let mut mids = row;
-                        while mids != 0 {
-                            let b = mids.trailing_zeros() as usize;
-                            mids &= mids - 1;
-                            row |= rows[b];
-                        }
-                        changed |= row != rows[a];
-                        rows[a] = row;
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
+                let source = rel(*a);
+                let rows = rel_rows(slot, n);
+                rows.copy_from_slice(source.row_words());
+                close_rows(rows);
             }
             Op::OptRel(a) => {
                 let source = rel(*a);
-                for (i, (out, &row)) in rel_rows(slot, n).iter_mut().zip(&source.rows).enumerate() {
+                for (i, (out, &row)) in rel_rows(slot, n)
+                    .iter_mut()
+                    .zip(source.row_words())
+                    .enumerate()
+                {
                     *out = row | (1 << i);
                 }
             }
             Op::RestrictRel(a, dom, rng) => {
                 let (dom_bits, rng_bits) = (set(*dom).bits(), set(*rng).bits());
                 let source = rel(*a);
-                for (i, (out, &row)) in rel_rows(slot, n).iter_mut().zip(&source.rows).enumerate() {
+                for (i, (out, &row)) in rel_rows(slot, n)
+                    .iter_mut()
+                    .zip(source.row_words())
+                    .enumerate()
+                {
                     *out = if dom_bits & (1 << i) != 0 {
                         row & rng_bits
                     } else {
@@ -812,41 +786,30 @@ impl CompiledModel {
                 for &operand in operands {
                     bits |= set(operand).bits();
                 }
-                *slot = Value::Set(EventSet { n, bits });
+                slot.set = EventSet { n, bits };
             }
             Op::InterSet(operands) => {
                 let mut bits = mask(n);
                 for &operand in operands {
                     bits &= set(operand).bits();
                 }
-                *slot = Value::Set(EventSet { n, bits });
+                slot.set = EventSet { n, bits };
             }
             Op::MinusSet(base, subtrahends) => {
                 let mut bits = set(*base).bits();
                 for &operand in subtrahends {
                     bits &= !set(operand).bits();
                 }
-                *slot = Value::Set(EventSet { n, bits });
+                slot.set = EventSet { n, bits };
             }
         }
     }
 }
 
-/// The slot's relation rows over a universe of `n`, reusing its
-/// storage: a relation slot is resized in place (the caller overwrites
-/// every row), and only a slot holding a set is reallocated.
-fn rel_rows(slot: &mut Value, n: usize) -> &mut Vec<u64> {
-    if let Value::Set(_) = slot {
-        *slot = Value::Rel(Relation::empty(n));
-    }
-    match slot {
-        Value::Rel(r) => {
-            r.n = n;
-            r.rows.resize(n, 0);
-            &mut r.rows
-        }
-        Value::Set(_) => unreachable!("slot was just made a relation"),
-    }
+/// The slot's relation rows over a universe of `n`, for the caller to
+/// overwrite in full: the slot's inline relation, resized in place.
+fn rel_rows(slot: &mut Value, n: usize) -> &mut [u64] {
+    slot.rel.resize_rows(n)
 }
 
 /// The indices of the set bits of a bitset row, ascending.

@@ -58,14 +58,18 @@
 //! // location, both reads seeing the initial state (events 0,1 writes;
 //! // 2,3 reads; rf from an implicit init elsewhere so fr points at the
 //! // remote writes).
-//! struct Sb;
+//! struct Sb {
+//!     po: Relation,
+//!     rfe: Relation,
+//!     fr: Relation,
+//! }
 //! impl tricheck_rel::ir::BaseRelations for Sb {
 //!     fn universe(&self) -> usize { 4 }
-//!     fn rel(&self, name: &str) -> Option<Relation> {
+//!     fn rel(&self, name: &str) -> Option<&Relation> {
 //!         Some(match name {
-//!             "po" => Relation::from_pairs(4, [(0, 2), (1, 3)]),
-//!             "rfe" => Relation::empty(4),
-//!             "fr" => Relation::from_pairs(4, [(2, 1), (3, 0)]),
+//!             "po" => &self.po,
+//!             "rfe" => &self.rfe,
+//!             "fr" => &self.fr,
 //!             _ => return None,
 //!         })
 //!     }
@@ -79,7 +83,12 @@
 //! }
 //!
 //! // TSO relaxes W→R, so the store-buffering cycle is consistent.
-//! assert!(CompiledModel::compile(&model, &[]).consistent(&Sb));
+//! let sb = Sb {
+//!     po: Relation::from_pairs(4, [(0, 2), (1, 3)]),
+//!     rfe: Relation::empty(4),
+//!     fr: Relation::from_pairs(4, [(2, 1), (3, 0)]),
+//! };
+//! assert!(CompiledModel::compile(&model, &[]).consistent(&sb));
 //! ```
 //!
 //! The production models live next to their bindings:
@@ -390,15 +399,18 @@ impl fmt::Display for ModelIr {
 /// A [`CompiledModel`](crate::CompiledModel) queries each base it
 /// reaches once per evaluation: once per program through its prelude
 /// for the bases the caller declares space-invariant, once per
-/// candidate for the rest. Bindings may still cache relations that
-/// several base names share.
+/// candidate for the rest. A binding computes each derived base (one
+/// several names may share) at most once per candidate and lends it.
 pub trait BaseRelations {
     /// Number of events the execution's relations range over.
     fn universe(&self) -> usize;
 
     /// The base relation with the given name, or `None` if the binding
-    /// does not define it.
-    fn rel(&self, name: &str) -> Option<Relation>;
+    /// does not define it. The relation is lent, not built per call: a
+    /// binding hands out the execution's own relations and computes
+    /// each derived base at most once per candidate, and the evaluator
+    /// copies the rows into a slot it owns.
+    fn rel(&self, name: &str) -> Option<&Relation>;
 
     /// The base event set with the given name, or `None` if the binding
     /// does not define it.

@@ -210,7 +210,7 @@ pub const MAX_EVENTS: usize = 64;
 /// let all = EventSet::full(4);
 /// assert_eq!(all.minus(reads).len(), 2);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EventSet {
     n: usize,
     bits: u64,
@@ -367,8 +367,13 @@ fn mask(n: usize) -> u64 {
 
 /// A binary relation over a universe of `n ≤ 64` events.
 ///
-/// Rows are stored as `u64` bitmasks: bit `j` of row `i` is set iff the
-/// pair `(i, j)` is in the relation.
+/// Rows are stored inline as `u64` bitmasks: bit `j` of row `i` is set
+/// iff the pair `(i, j)` is in the relation. The storage is a fixed
+/// `[u64; MAX_EVENTS]` plus the universe size, so a relation lives on
+/// the stack (or inline in whatever holds it) and creating, cloning or
+/// overwriting one never touches the heap. Rows at and above `n`, and
+/// bits at and above `n` in every row, are always zero, which keeps the
+/// derived `Eq` and `Hash` equal to set equality over the universe.
 ///
 /// # Examples
 ///
@@ -385,7 +390,14 @@ fn mask(n: usize) -> u64 {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Relation {
     n: usize,
-    rows: Vec<u64>,
+    rows: [u64; MAX_EVENTS],
+}
+
+impl Default for Relation {
+    /// The empty relation over the empty universe.
+    fn default() -> Self {
+        Relation::empty(0)
+    }
 }
 
 impl Relation {
@@ -402,7 +414,7 @@ impl Relation {
         );
         Relation {
             n,
-            rows: vec![0; n],
+            rows: [0; MAX_EVENTS],
         }
     }
 
@@ -414,8 +426,8 @@ impl Relation {
     #[must_use]
     pub fn identity(n: usize) -> Self {
         let mut r = Self::empty(n);
-        for i in 0..n {
-            r.rows[i] = 1 << i;
+        for (i, row) in r.rows_mut().iter_mut().enumerate() {
+            *row = 1 << i;
         }
         r
     }
@@ -428,9 +440,7 @@ impl Relation {
     #[must_use]
     pub fn full(n: usize) -> Self {
         let mut r = Self::empty(n);
-        for row in &mut r.rows {
-            *row = mask(n);
-        }
+        r.rows_mut().fill(mask(n));
         r
     }
 
@@ -496,13 +506,16 @@ impl Relation {
     /// Returns `true` if the relation has no pairs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows.iter().all(|&r| r == 0)
+        self.row_words().iter().all(|&r| r == 0)
     }
 
     /// Number of pairs in the relation.
     #[must_use]
     pub fn pair_count(&self) -> usize {
-        self.rows.iter().map(|r| r.count_ones() as usize).sum()
+        self.row_words()
+            .iter()
+            .map(|r| r.count_ones() as usize)
+            .sum()
     }
 
     /// Union of two relations.
@@ -512,14 +525,7 @@ impl Relation {
     /// Panics if the universes differ.
     #[must_use]
     pub fn union(&self, other: &Relation) -> Relation {
-        self.check(other);
-        let rows = self
-            .rows
-            .iter()
-            .zip(&other.rows)
-            .map(|(a, b)| a | b)
-            .collect();
-        Relation { n: self.n, rows }
+        self.zip_rows(other, |a, b| a | b)
     }
 
     /// Intersection of two relations.
@@ -529,14 +535,7 @@ impl Relation {
     /// Panics if the universes differ.
     #[must_use]
     pub fn intersect(&self, other: &Relation) -> Relation {
-        self.check(other);
-        let rows = self
-            .rows
-            .iter()
-            .zip(&other.rows)
-            .map(|(a, b)| a & b)
-            .collect();
-        Relation { n: self.n, rows }
+        self.zip_rows(other, |a, b| a & b)
     }
 
     /// Difference (`self \ other`).
@@ -546,14 +545,7 @@ impl Relation {
     /// Panics if the universes differ.
     #[must_use]
     pub fn minus(&self, other: &Relation) -> Relation {
-        self.check(other);
-        let rows = self
-            .rows
-            .iter()
-            .zip(&other.rows)
-            .map(|(a, b)| a & !b)
-            .collect();
-        Relation { n: self.n, rows }
+        self.zip_rows(other, |a, b| a & !b)
     }
 
     /// Relational composition `self ; other` (`(a,c)` iff `∃b. (a,b) ∧ (b,c)`).
@@ -582,7 +574,7 @@ impl Relation {
     #[must_use]
     pub fn inverse(&self) -> Relation {
         let mut out = Relation::empty(self.n);
-        for (a, &row) in self.rows.iter().enumerate() {
+        for (a, &row) in self.row_words().iter().enumerate() {
             let mut bits = row;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
@@ -596,43 +588,21 @@ impl Relation {
     /// Transitive closure `self⁺` (one or more steps).
     #[must_use]
     pub fn transitive_closure(&self) -> Relation {
-        // Word-parallel repeated squaring: each pass replaces every
-        // row's successors with its successors-of-successors as well
-        // (R := R ∪ R;R, the union taken 64 columns at a time), so the
-        // reachable path length doubles per pass — at most ⌈log₂ n⌉
-        // passes instead of Floyd–Warshall's n pivot rounds. Updating
-        // in place only accelerates convergence: a row read mid-pass
-        // already holds a subset of the closure.
-        let mut rows = self.rows.clone();
-        loop {
-            let mut changed = false;
-            for a in 0..self.n {
-                let mut row = rows[a];
-                let mut mids = row;
-                while mids != 0 {
-                    let b = mids.trailing_zeros() as usize;
-                    mids &= mids - 1;
-                    row |= rows[b];
-                }
-                changed |= row != rows[a];
-                rows[a] = row;
-            }
-            if !changed {
-                return Relation { n: self.n, rows };
-            }
-        }
+        let mut out = self.clone();
+        close_rows(out.rows_mut());
+        out
     }
 
     /// Reflexive-transitive closure `self*` (zero or more steps).
     #[must_use]
     pub fn reflexive_transitive_closure(&self) -> Relation {
-        self.transitive_closure().union(&Relation::identity(self.n))
+        self.transitive_closure().maybe()
     }
 
     /// Reflexive closure `self?` (`self ∪ identity`).
     #[must_use]
     pub fn maybe(&self) -> Relation {
-        self.union(&Relation::identity(self.n))
+        self.map_rows(|i, row| row | 1 << i)
     }
 
     /// Restricts the relation to pairs with the first component in `dom`
@@ -652,10 +622,23 @@ impl Relation {
         out
     }
 
+    /// The relation with row `i` replaced by `f(i, row)`, for every
+    /// event `i` of the universe. Bits `f` sets outside the universe
+    /// are dropped.
+    #[must_use]
+    pub fn map_rows(&self, mut f: impl FnMut(usize, u64) -> u64) -> Relation {
+        let mut out = Relation::empty(self.n);
+        let keep = mask(self.n);
+        for (i, (out, &row)) in out.rows_mut().iter_mut().zip(self.row_words()).enumerate() {
+            *out = f(i, row) & keep;
+        }
+        out
+    }
+
     /// Returns `true` if the relation contains no pair `(a, a)`.
     #[must_use]
     pub fn is_irreflexive(&self) -> bool {
-        self.rows
+        self.row_words()
             .iter()
             .enumerate()
             .all(|(i, &row)| row & (1 << i) == 0)
@@ -676,27 +659,33 @@ impl Relation {
     #[must_use]
     pub fn is_subset_of(&self, other: &Relation) -> bool {
         self.check(other);
-        self.rows.iter().zip(&other.rows).all(|(a, b)| a & !b == 0)
+        self.row_words()
+            .iter()
+            .zip(other.row_words())
+            .all(|(a, b)| a & !b == 0)
     }
 
     /// Iterates over all pairs `(a, b)` in the relation.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rows.iter().enumerate().flat_map(move |(a, &row)| {
-            (0..self.n).filter_map(move |b| {
-                if row & (1 << b) != 0 {
-                    Some((a, b))
-                } else {
-                    None
-                }
+        self.row_words()
+            .iter()
+            .enumerate()
+            .flat_map(move |(a, &row)| {
+                (0..self.n).filter_map(move |b| {
+                    if row & (1 << b) != 0 {
+                        Some((a, b))
+                    } else {
+                        None
+                    }
+                })
             })
-        })
     }
 
     /// The set of events with at least one outgoing edge.
     #[must_use]
     pub fn domain(&self) -> EventSet {
         let mut s = EventSet::empty(self.n);
-        for (a, &row) in self.rows.iter().enumerate() {
+        for (a, &row) in self.row_words().iter().enumerate() {
             if row != 0 {
                 s.insert(a);
             }
@@ -708,7 +697,7 @@ impl Relation {
     #[must_use]
     pub fn range(&self) -> EventSet {
         let mut bits = 0u64;
-        for &row in &self.rows {
+        for &row in self.row_words() {
             bits |= row;
         }
         EventSet { n: self.n, bits }
@@ -724,12 +713,11 @@ impl Relation {
     /// operation instead of a pair-by-pair rebuild.
     #[must_use]
     pub fn row_words(&self) -> &[u64] {
-        &self.rows
+        &self.rows[..self.n]
     }
 
     /// Overwrites this relation's rows from a slice of raw row words
-    /// (the same layout [`row_words`](Self::row_words) exposes),
-    /// without reallocating.
+    /// (the same layout [`row_words`](Self::row_words) exposes).
     ///
     /// # Panics
     ///
@@ -748,7 +736,7 @@ impl Relation {
             "row words set bits outside the {}-event universe",
             self.n
         );
-        self.rows.copy_from_slice(words);
+        self.rows[..self.n].copy_from_slice(words);
     }
 
     /// Builds a relation directly from raw row words, validating that
@@ -757,11 +745,13 @@ impl Relation {
     /// Returns `None` on any mismatch — this is the checked entry
     /// point snapshot decoding uses, where the words come from disk.
     #[must_use]
-    pub fn try_from_row_words(n: usize, rows: Vec<u64>) -> Option<Relation> {
+    pub fn try_from_row_words(n: usize, rows: &[u64]) -> Option<Relation> {
         if n > MAX_EVENTS || rows.len() != n || rows.iter().any(|&w| w & !mask(n) != 0) {
             return None;
         }
-        Some(Relation { n, rows })
+        let mut r = Relation::empty(n);
+        r.rows[..n].copy_from_slice(rows);
+        Some(r)
     }
 
     /// The successors of event `a` as a set.
@@ -810,12 +800,72 @@ impl Relation {
         }
     }
 
+    /// Resizes the relation to a universe of `n` events and returns its
+    /// rows for the caller to overwrite in full. Rows that fall outside
+    /// the new universe are cleared, so the zero invariant holds as
+    /// long as the caller writes only in-universe bits.
+    pub(crate) fn resize_rows(&mut self, n: usize) -> &mut [u64] {
+        assert!(
+            n <= MAX_EVENTS,
+            "event universe too large: {n} > {MAX_EVENTS}"
+        );
+        if n < self.n {
+            self.rows[n..self.n].fill(0);
+        }
+        self.n = n;
+        &mut self.rows[..n]
+    }
+
+    fn rows_mut(&mut self) -> &mut [u64] {
+        &mut self.rows[..self.n]
+    }
+
+    fn zip_rows(&self, other: &Relation, f: impl Fn(u64, u64) -> u64) -> Relation {
+        self.check(other);
+        let mut out = Relation::empty(self.n);
+        for (out, (&a, &b)) in out
+            .rows_mut()
+            .iter_mut()
+            .zip(self.row_words().iter().zip(other.row_words()))
+        {
+            *out = f(a, b);
+        }
+        out
+    }
+
     fn check(&self, other: &Relation) {
         assert_eq!(
             self.n, other.n,
             "relation universes differ: {} vs {}",
             self.n, other.n
         );
+    }
+}
+
+/// Closes `rows` transitively in place: word-parallel repeated
+/// squaring, where each pass replaces every row's successors with its
+/// successors-of-successors as well (R := R ∪ R;R, the union taken 64
+/// columns at a time), so the reachable path length doubles per pass —
+/// at most ⌈log₂ n⌉ passes instead of Floyd–Warshall's n pivot rounds.
+/// Updating in place only accelerates convergence: a row read mid-pass
+/// already holds a subset of the closure.
+pub(crate) fn close_rows(rows: &mut [u64]) {
+    loop {
+        let mut changed = false;
+        for a in 0..rows.len() {
+            let mut row = rows[a];
+            let mut mids = row;
+            while mids != 0 {
+                let b = mids.trailing_zeros() as usize;
+                mids &= mids - 1;
+                row |= rows[b];
+            }
+            changed |= row != rows[a];
+            rows[a] = row;
+        }
+        if !changed {
+            return;
+        }
     }
 }
 
@@ -857,39 +907,41 @@ pub fn linear_extensions<F: FnMut(&[usize]) -> bool>(
     precedes: &Relation,
     visit: &mut F,
 ) -> bool {
-    let members: Vec<usize> = events.iter().collect();
-    let mut order = Vec::with_capacity(members.len());
-    let mut used = EventSet::empty(events.universe());
-    extend(&members, precedes, &mut order, &mut used, visit)
+    // The partial order's predecessor masks within `events`, and the
+    // order under construction, both on the stack: no allocation.
+    let mut preds = [0u64; MAX_EVENTS];
+    for m in events.iter() {
+        for p in events.iter() {
+            if p != m && precedes.contains(p, m) {
+                preds[m] |= 1 << p;
+            }
+        }
+    }
+    let mut order = [0usize; MAX_EVENTS];
+    extend(events.bits(), &preds, &mut order, 0, 0, visit)
 }
 
 fn extend<F: FnMut(&[usize]) -> bool>(
-    members: &[usize],
-    precedes: &Relation,
-    order: &mut Vec<usize>,
-    used: &mut EventSet,
+    members: u64,
+    preds: &[u64; MAX_EVENTS],
+    order: &mut [usize; MAX_EVENTS],
+    len: usize,
+    used: u64,
     visit: &mut F,
 ) -> bool {
-    if order.len() == members.len() {
-        return visit(order);
+    if used == members {
+        return visit(&order[..len]);
     }
-    for &cand in members {
-        if used.contains(cand) {
-            continue;
-        }
+    let mut free = members & !used;
+    while free != 0 {
+        let cand = free.trailing_zeros() as usize;
+        free &= free - 1;
         // cand may be placed next iff all its predecessors are already placed.
-        let ok = members
-            .iter()
-            .all(|&m| m == cand || used.contains(m) || !precedes.contains(m, cand));
-        if !ok {
+        if preds[cand] & !used != 0 {
             continue;
         }
-        used.insert(cand);
-        order.push(cand);
-        let keep_going = extend(members, precedes, order, used, visit);
-        order.pop();
-        *used = EventSet::from_ids(used.universe(), order.iter().copied());
-        if !keep_going {
+        order[len] = cand;
+        if !extend(members, preds, order, len + 1, used | 1 << cand, visit) {
             return false;
         }
     }

@@ -12,13 +12,21 @@ use tricheck_rel::{CompiledModel, EventSet, Judge, Relation};
 /// reads; po 0→2, 1→3; optional fr back-edges closing an SB cycle; and
 /// optionally a base `want`, the relation an operator test expects.
 struct Toy {
-    fr_back: bool,
+    po: Relation,
+    rf: Relation,
+    fr: Relation,
     want: Option<Relation>,
 }
 
 fn toy(fr_back: bool) -> Toy {
     Toy {
-        fr_back,
+        po: Relation::from_pairs(4, [(0, 2), (1, 3)]),
+        rf: Relation::empty(4),
+        fr: if fr_back {
+            Relation::from_pairs(4, [(2, 1), (3, 0)])
+        } else {
+            Relation::empty(4)
+        },
         want: None,
     }
 }
@@ -28,18 +36,12 @@ impl BaseRelations for Toy {
         4
     }
 
-    fn rel(&self, name: &str) -> Option<Relation> {
+    fn rel(&self, name: &str) -> Option<&Relation> {
         Some(match name {
-            "po" => Relation::from_pairs(4, [(0, 2), (1, 3)]),
-            "rf" => Relation::empty(4),
-            "fr" => {
-                if self.fr_back {
-                    Relation::from_pairs(4, [(2, 1), (3, 0)])
-                } else {
-                    Relation::empty(4)
-                }
-            }
-            "want" => return self.want.clone(),
+            "po" => &self.po,
+            "rf" => &self.rf,
+            "fr" => &self.fr,
+            "want" => return self.want.as_ref(),
             _ => return None,
         })
     }
@@ -145,8 +147,8 @@ fn operators_match_relation_algebra() {
         // be rejected: the axiom has teeth.
         for (want, verdict) in [(expected, Ok(())), (Relation::empty(4), Err("Eq"))] {
             let binding = Toy {
-                fr_back: true,
                 want: Some(want),
+                ..toy(true)
             };
             assert_eq!(interpret(&model, &binding), verdict, "interpreter: {expr}");
             assert_eq!(compiled.check(&binding), verdict, "compiled: {expr}");

@@ -22,6 +22,8 @@
 //! Sets: `R`, `W`, `F`, `M` (accesses), `init`, `amo-aq`, `amo-rl`,
 //! `amo-sc`.
 
+use std::cell::OnceCell;
+
 use tricheck_isa::HwAnnot;
 use tricheck_litmus::{EventKind, Execution};
 use tricheck_rel::ir::BaseRelations;
@@ -116,25 +118,26 @@ pub fn hw_lint_schema() -> tricheck_rel::lint::LintSchema {
 }
 
 /// The fence-induced edge sets of an execution, split by cumulativity
-/// class: `(non-cumulative, cumulative, heavyweight-cumulative)` edges.
+/// class: `[non-cumulative, cumulative, heavyweight-cumulative]` edges.
 /// `heavy ⊆ cumulative`. Each edge `(x, y)` relates accesses of the
 /// fencing thread that the fence's kind orders.
 ///
 /// The split is annotation bookkeeping, not model semantics, so it
 /// lives in the binding rather than in any model.
 #[must_use]
-fn fence_edges(exec: &Execution<HwAnnot>) -> (Relation, Relation, Relation) {
+fn fence_edges(exec: &Execution<HwAnnot>) -> [Relation; 3] {
     let n = exec.len();
     let accesses = exec.reads().union(exec.writes());
     let kind = |e: usize| exec.events()[e].kind;
     let mut f_noncum = Relation::empty(n);
     let mut f_cum = Relation::empty(n);
     let mut f_heavy = Relation::empty(n);
+    let po_inv = exec.po().inverse();
     for f in exec.fences().iter() {
         let Some(HwAnnot::Fence(k)) = exec.ann(f) else {
             continue;
         };
-        for x in exec.po().inverse().successors(f).intersect(accesses).iter() {
+        for x in po_inv.successors(f).intersect(accesses).iter() {
             for y in exec.po().successors(f).intersect(accesses).iter() {
                 if k.orders(kind(x), kind(y)) {
                     if k.is_cumulative() {
@@ -149,23 +152,31 @@ fn fence_edges(exec: &Execution<HwAnnot>) -> (Relation, Relation, Relation) {
             }
         }
     }
-    (f_noncum, f_cum, f_heavy)
+    [f_noncum, f_cum, f_heavy]
 }
 
 /// The model-free binding of IR base names to one hardware-level
 /// candidate execution.
+///
+/// Bases the execution stores (`po`, `rf`, `co`, dependencies, `rmw`)
+/// are lent straight from it. Each derived base is computed at most
+/// once per binding, on first use, into an inline cell, and lent from
+/// there: the three fence edge sets share one computation, `fr` backs
+/// `fr` and `fre`, and `same-loc` backs `same-loc` and `po-loc`. None
+/// of it touches the heap.
 #[derive(Debug)]
 pub struct HwBinding<'e> {
     exec: &'e Execution<HwAnnot>,
-    /// The three fence edge sets share one computation; the evaluator
-    /// asks for them under separate names.
-    fences: std::cell::OnceCell<(Relation, Relation, Relation)>,
-    /// `same_loc` backs both the `same-loc` and `po-loc` bases.
-    same_loc: std::cell::OnceCell<Relation>,
-    /// `fr = rf⁻¹;co`, backing the `fr` and `fre` bases. Pre-seeded by
-    /// [`HwBinding::with_fr`] when the caller already holds the derived
-    /// relation (the arena's `fr` column), computed on demand otherwise.
-    fr: std::cell::OnceCell<Relation>,
+    /// `fr = rf⁻¹;co` as the caller lends it (an arena cursor's derived
+    /// column), if it does; otherwise computed into `fr` on demand.
+    lent_fr: Option<&'e Relation>,
+    fr: OnceCell<Relation>,
+    fences: OnceCell<[Relation; 3]>,
+    same_loc: OnceCell<Relation>,
+    po_loc: OnceCell<Relation>,
+    fre: OnceCell<Relation>,
+    rfe: OnceCell<Relation>,
+    rfi: OnceCell<Relation>,
 }
 
 impl<'e> HwBinding<'e> {
@@ -174,15 +185,20 @@ impl<'e> HwBinding<'e> {
     pub fn new(exec: &'e Execution<HwAnnot>) -> Self {
         HwBinding {
             exec,
-            fences: std::cell::OnceCell::new(),
-            same_loc: std::cell::OnceCell::new(),
-            fr: std::cell::OnceCell::new(),
+            lent_fr: None,
+            fr: OnceCell::new(),
+            fences: OnceCell::new(),
+            same_loc: OnceCell::new(),
+            po_loc: OnceCell::new(),
+            fre: OnceCell::new(),
+            rfe: OnceCell::new(),
+            rfi: OnceCell::new(),
         }
     }
 
     /// Binds an execution whose `fr = rf⁻¹;co` the caller has already
-    /// derived (columnar spaces keep `fr` precomputed per candidate), so
-    /// the `fr`/`fre` bases skip the inverse-compose recompute.
+    /// derived, so the `fr`/`fre` bases skip the inverse-compose
+    /// recompute.
     #[must_use]
     pub fn with_fr(exec: &'e Execution<HwAnnot>, fr: Relation) -> Self {
         let binding = Self::new(exec);
@@ -190,12 +206,21 @@ impl<'e> HwBinding<'e> {
         binding
     }
 
-    fn fence_rels(&self) -> &(Relation, Relation, Relation) {
-        self.fences.get_or_init(|| fence_edges(self.exec))
+    /// [`HwBinding::with_fr`] over a borrowed `fr` (columnar spaces
+    /// keep `fr` precomputed per candidate; the cursor lends it).
+    #[must_use]
+    pub fn lending_fr(exec: &'e Execution<HwAnnot>, fr: &'e Relation) -> Self {
+        HwBinding {
+            lent_fr: Some(fr),
+            ..Self::new(exec)
+        }
     }
 
     fn fr(&self) -> &Relation {
-        self.fr.get_or_init(|| self.exec.fr())
+        match self.lent_fr {
+            Some(fr) => fr,
+            None => self.fr.get_or_init(|| self.exec.fr()),
+        }
     }
 
     fn same_loc(&self) -> &Relation {
@@ -229,23 +254,27 @@ impl BaseRelations for HwBinding<'_> {
         self.exec.len()
     }
 
-    fn rel(&self, name: &str) -> Option<Relation> {
+    fn rel(&self, name: &str) -> Option<&Relation> {
+        let exec = self.exec;
+        let fence = |i: usize| &self.fences.get_or_init(|| fence_edges(exec))[i];
         Some(match name {
-            "po" => self.exec.po().clone(),
-            "po-loc" => self.exec.po().intersect(self.same_loc()),
-            "same-loc" => self.same_loc().clone(),
-            "addr" => self.exec.addr().clone(),
-            "data" => self.exec.data().clone(),
-            "rmw" => self.exec.rmw().clone(),
-            "rf" => self.exec.rf().clone(),
-            "rfe" => self.exec.rfe(),
-            "rfi" => self.exec.rfi(),
-            "co" => self.exec.co().clone(),
-            "fr" => self.fr().clone(),
-            "fre" => self.exec.external(self.fr()),
-            "fence-noncum" => self.fence_rels().0.clone(),
-            "fence-cum" => self.fence_rels().1.clone(),
-            "fence-heavy" => self.fence_rels().2.clone(),
+            "po" => exec.po(),
+            "po-loc" => self
+                .po_loc
+                .get_or_init(|| exec.po().intersect(self.same_loc())),
+            "same-loc" => self.same_loc(),
+            "addr" => exec.addr(),
+            "data" => exec.data(),
+            "rmw" => exec.rmw(),
+            "rf" => exec.rf(),
+            "rfe" => self.rfe.get_or_init(|| exec.rfe()),
+            "rfi" => self.rfi.get_or_init(|| exec.rfi()),
+            "co" => exec.co(),
+            "fr" => self.fr(),
+            "fre" => self.fre.get_or_init(|| exec.external(self.fr())),
+            "fence-noncum" => fence(0),
+            "fence-cum" => fence(1),
+            "fence-heavy" => fence(2),
             _ => return None,
         })
     }

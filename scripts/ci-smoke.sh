@@ -117,6 +117,15 @@ tricheck sweep --list-models | tee "$TMP/models.txt"
 grep "x86-TSO" "$TMP/models.txt"
 grep "ScPerLocation" "$TMP/models.txt"
 
+step "CLI closed-stdout smoke (a reader that stops early is not a crash)"
+# `head -1` closes the pipe after one line; with pipefail the pipeline
+# fails unless tricheck itself exits 0, and it must not panic.
+tricheck list 2> "$TMP/list-stderr.txt" | head -1
+if grep -q "panicked" "$TMP/list-stderr.txt"; then
+  echo "tricheck list panicked on a closed stdout:" >&2
+  cat "$TMP/list-stderr.txt" >&2; exit 1
+fi
+
 step "CLI stack-file smoke"
 # The committed whole-stack definition file, loaded from disk, must
 # reproduce the built-in x86 study's headline counts (the built-in *is*
@@ -266,5 +275,8 @@ PY
 
 step "Trace overhead bench (quick mode)"
 TRICHECK_BENCH_QUICK=1 cargo bench -q -p tricheck-bench --bench trace_overhead
+
+step "Allocation pins (warm enumeration and judging allocate nothing)"
+cargo test --release -q --test allocations
 
 step "all smoke checks passed"
