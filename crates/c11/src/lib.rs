@@ -182,9 +182,9 @@ impl ConsistencyModel for C11Model {
         Self::compiled()
     }
 
-    fn bind<'e>(exec: &'e Execution<MemOrder>, fr: Option<&'e Relation>) -> C11Binding<'e> {
+    fn bind(exec: &Execution<MemOrder>, fr: Option<Relation>) -> C11Binding<'_> {
         C11Binding {
-            lent_fr: fr,
+            fr: fr.map_or_else(OnceCell::new, OnceCell::from),
             ..C11Binding::new(exec)
         }
     }
@@ -201,10 +201,9 @@ impl ConsistencyModel for C11Model {
 #[derive(Debug)]
 pub struct C11Binding<'e> {
     exec: &'e Execution<MemOrder>,
-    /// `fr = rf⁻¹;co` as [`ConsistencyModel::bind`]'s caller lends it
-    /// (an arena cursor's derived column), if it does; otherwise
-    /// computed into `fr` on demand.
-    lent_fr: Option<&'e Relation>,
+    /// `fr = rf⁻¹;co`, pre-seeded by [`ConsistencyModel::bind`] when
+    /// the caller already holds the derived relation (the arena's `fr`
+    /// column), computed on demand otherwise.
     fr: OnceCell<Relation>,
     /// `sw` is served both as a base and as an ingredient of `sc-bad`.
     sw: OnceCell<Relation>,
@@ -217,7 +216,6 @@ impl<'e> C11Binding<'e> {
     pub fn new(exec: &'e Execution<MemOrder>) -> Self {
         C11Binding {
             exec,
-            lent_fr: None,
             fr: OnceCell::new(),
             sw: OnceCell::new(),
             sc_bad: OnceCell::new(),
@@ -229,10 +227,7 @@ impl<'e> C11Binding<'e> {
     }
 
     fn fr(&self) -> &Relation {
-        match self.lent_fr {
-            Some(fr) => fr,
-            None => self.fr.get_or_init(|| self.exec.fr()),
-        }
+        self.fr.get_or_init(|| self.exec.fr())
     }
 
     fn sc_bad(&self) -> Relation {

@@ -74,7 +74,7 @@
 
 use tricheck_rel::{linear_extensions, EventSet, Relation};
 
-use crate::exec::{Event, EventKind, Execution};
+use crate::exec::{same_loc, Event, EventKind, Execution};
 use crate::mir::{Expr, Instr, Loc, Program, Reg, RmwKind, Val};
 use crate::outcome::Outcome;
 
@@ -453,13 +453,7 @@ impl Skeleton {
     /// initialization write first, and each thread's writes in program
     /// order.
     fn forced_co(&self, loc: &[Option<Loc>]) -> Relation {
-        self.co_forced.map_rows(|a, row| {
-            if row == 0 {
-                0
-            } else {
-                row & same_loc_mask(loc, a)
-            }
-        })
+        self.co_forced.intersect(&same_loc(loc))
     }
 
     /// `false` iff the branch is dead under every model: the partial
@@ -469,7 +463,8 @@ impl Skeleton {
     /// coherence-between an RMW's read source and its write half.
     fn core_ok(&self, rf_choice: &[Option<usize>], loc: &[Option<Loc>], co: &Relation) -> bool {
         let n = loc.len();
-        let co = co.union(&self.forced_co(loc));
+        let same = same_loc(loc);
+        let co = co.union(&self.co_forced.intersect(&same));
         let mut rf = Relation::empty(n);
         for &r in &self.reads {
             if let Some(w) = rf_choice[r] {
@@ -477,13 +472,7 @@ impl Skeleton {
             }
         }
         let fr = rf.inverse().compose(&co);
-        let po_loc = self.po_core.map_rows(|a, row| {
-            if row == 0 {
-                0
-            } else {
-                row & same_loc_mask(loc, a)
-            }
-        });
+        let po_loc = self.po_core.intersect(&same);
         let core = co.union(&po_loc).union(&rf).union(&fr);
         core.is_acyclic()
             && self.rmw.pairs().all(|(r, w)| {
@@ -494,18 +483,6 @@ impl Skeleton {
                 })
             })
     }
-}
-
-/// The events other than `a` whose resolved location is `a`'s, as a
-/// bitmask (empty while `a`'s location is unresolved).
-fn same_loc_mask(loc: &[Option<Loc>], a: usize) -> u64 {
-    let Some(l) = loc[a] else {
-        return 0;
-    };
-    loc.iter()
-        .enumerate()
-        .filter(|&(b, &lb)| b != a && lb == Some(l))
-        .fold(0, |mask, (b, _)| mask | 1 << b)
 }
 
 /// Reusable enumeration buffers: the skeleton tables of the program

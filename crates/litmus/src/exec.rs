@@ -1,6 +1,6 @@
 //! Candidate executions: events plus the `rf` and `co` witness relations.
 
-use tricheck_rel::{EventSet, Relation};
+use tricheck_rel::{EventSet, Relation, MAX_EVENTS};
 
 use crate::mir::{Loc, Reg, Val};
 use crate::outcome::Outcome;
@@ -224,17 +224,7 @@ impl<A> Execution<A> {
     /// Pairs of distinct events on the same location.
     #[must_use]
     pub fn same_loc(&self) -> Relation {
-        let n = self.len();
-        let mut r = Relation::empty(n);
-        for a in 0..n {
-            let Some(la) = self.loc[a] else { continue };
-            for b in 0..n {
-                if a != b && self.loc[b] == Some(la) {
-                    r.insert(a, b);
-                }
-            }
-        }
-        r
+        same_loc(&self.loc)
     }
 
     /// Program order restricted to same-location pairs.
@@ -355,6 +345,32 @@ impl<A> Execution<A> {
             self.events.iter().filter(|e| e.kind == kind).map(|e| e.id),
         )
     }
+}
+
+/// Pairs of distinct events whose locations in `loc` are resolved and
+/// equal: one pass groups the events by location, a second writes each
+/// event's group minus itself.
+pub(crate) fn same_loc(loc: &[Option<Loc>]) -> Relation {
+    let mut groups = [(Loc(0), 0u64); MAX_EVENTS];
+    let mut distinct = 0;
+    let mut group_of = [usize::MAX; MAX_EVENTS];
+    for (e, l) in loc.iter().enumerate() {
+        let Some(l) = *l else { continue };
+        let g = match groups[..distinct].iter().position(|&(gl, _)| gl == l) {
+            Some(g) => g,
+            None => {
+                groups[distinct].0 = l;
+                distinct += 1;
+                distinct - 1
+            }
+        };
+        groups[g].1 |= 1 << e;
+        group_of[e] = g;
+    }
+    Relation::empty(loc.len()).map_rows(|e, _| match group_of[e] {
+        usize::MAX => 0,
+        g => groups[g].1 & !(1 << e),
+    })
 }
 
 impl<A: std::fmt::Display> Execution<A> {

@@ -695,10 +695,9 @@ pub trait ConsistencyModel: Sync {
     fn kernel(&self) -> &CompiledModel;
 
     /// Binds one candidate execution; `fr` is the candidate's
-    /// `rf⁻¹;co` when the caller already holds it (an arena cursor's
-    /// derived column), lent to the binding; computed on demand when
-    /// `None`.
-    fn bind<'e>(exec: &'e Execution<Self::Ann>, fr: Option<&'e Relation>) -> Self::Binding<'e>;
+    /// `rf⁻¹;co` when the caller already holds it (an arena's derived
+    /// column), computed on demand when `None`.
+    fn bind(exec: &Execution<Self::Ann>, fr: Option<Relation>) -> Self::Binding<'_>;
 
     /// Whether some execution in the shared space realizes `target`
     /// under this model: the width-1 [`witness_mask`].
@@ -818,7 +817,7 @@ pub fn outcome_masks<M: ConsistencyModel + ?Sized>(
 /// Judges arena candidates `members` in order, each under the models
 /// of `live` without a witness yet, and returns the models that found
 /// one. The cursor rebinds the scratch's execution buffer to each
-/// candidate, and the binding borrows the arena's `fr` column.
+/// candidate, and the binding takes a copy of the arena's `fr` rows.
 fn first_witnesses<M: ConsistencyModel + ?Sized>(
     judge: &mut Judge<'_>,
     scratch: &mut EnumScratch<M::Ann>,
@@ -836,7 +835,10 @@ fn first_witnesses<M: ConsistencyModel + ?Sized>(
             break;
         }
         cursor.at(i);
-        found |= judge.check_mask(&M::bind(cursor.exec(), Some(cursor.fr())), live & !found);
+        found |= judge.check_mask(
+            &M::bind(cursor.exec(), Some(cursor.fr().clone())),
+            live & !found,
+        );
     }
     scratch.exec = cursor.into_buffer();
     found

@@ -645,10 +645,11 @@ impl Relation {
     }
 
     /// Returns `true` if the relation (viewed as a directed graph) has no
-    /// cycle. Equivalent to the transitive closure being irreflexive.
+    /// cycle. Equivalent to the transitive closure being irreflexive,
+    /// but decided without building it (see [`peel_sinks`]).
     #[must_use]
     pub fn is_acyclic(&self) -> bool {
-        self.transitive_closure().is_irreflexive()
+        peel_sinks(self.row_words(), |_| {})
     }
 
     /// Returns `true` if every pair of `self` is also in `other`.
@@ -842,14 +843,69 @@ impl Relation {
     }
 }
 
-/// Closes `rows` transitively in place: word-parallel repeated
-/// squaring, where each pass replaces every row's successors with its
+/// Peels the graph `rows` describes sinks first: each round removes
+/// every remaining event with no edge into the remaining events, and
+/// `visit` sees the removed events round by round, so every event comes
+/// after all of its successors. Returns whether peeling empties the
+/// graph, which is exactly when it is acyclic (an event on a cycle, a
+/// self-loop included, always keeps an edge into the rest). A round is
+/// one pass over the remaining rows, and there are at most as many
+/// rounds as the longest path has events.
+fn peel_sinks(rows: &[u64], mut visit: impl FnMut(usize)) -> bool {
+    let mut remaining = mask(rows.len());
+    while remaining != 0 {
+        let mut sinks = 0u64;
+        let mut bits = remaining;
+        while bits != 0 {
+            let a = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if rows[a] & remaining == 0 {
+                sinks |= 1 << a;
+            }
+        }
+        if sinks == 0 {
+            return false;
+        }
+        remaining &= !sinks;
+        while sinks != 0 {
+            visit(sinks.trailing_zeros() as usize);
+            sinks &= sinks - 1;
+        }
+    }
+    true
+}
+
+/// Closes `rows` transitively in place. An acyclic graph (the common
+/// case: every ordering relation a model builds) takes one pass in
+/// sinks-first order, each event's closure its successors plus their
+/// finished closures. A cyclic one falls back to word-parallel repeated
+/// squaring: each pass replaces every row's successors with its
 /// successors-of-successors as well (R := R ∪ R;R, the union taken 64
 /// columns at a time), so the reachable path length doubles per pass —
 /// at most ⌈log₂ n⌉ passes instead of Floyd–Warshall's n pivot rounds.
 /// Updating in place only accelerates convergence: a row read mid-pass
 /// already holds a subset of the closure.
 pub(crate) fn close_rows(rows: &mut [u64]) {
+    let mut order = [0u8; MAX_EVENTS];
+    let mut len = 0;
+    let acyclic = peel_sinks(rows, |a| {
+        order[len] = a as u8;
+        len += 1;
+    });
+    if acyclic {
+        for &a in &order[..len] {
+            let a = usize::from(a);
+            let mut row = rows[a];
+            let mut mids = row;
+            while mids != 0 {
+                let b = mids.trailing_zeros() as usize;
+                mids &= mids - 1;
+                row |= rows[b];
+            }
+            rows[a] = row;
+        }
+        return;
+    }
     loop {
         let mut changed = false;
         for a in 0..rows.len() {

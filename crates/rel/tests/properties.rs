@@ -9,6 +9,34 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
     proptest::collection::vec((0..N, 0..N), 0..24).prop_map(|pairs| Relation::from_pairs(N, pairs))
 }
 
+/// A relation whose edges all point from a lower to a higher event:
+/// always acyclic, so closures take the sinks-first path.
+fn arb_dag() -> impl Strategy<Value = Relation> {
+    proptest::collection::vec((0..N, 0..N), 0..24)
+        .prop_map(|pairs| Relation::from_pairs(N, pairs.into_iter().filter(|&(a, b)| a < b)))
+}
+
+/// The closure by Floyd–Warshall, the textbook reference.
+fn naive_closure(r: &Relation) -> Relation {
+    let mut reach = [[false; N]; N];
+    for (a, b) in r.pairs() {
+        reach[a][b] = true;
+    }
+    for k in 0..N {
+        for i in 0..N {
+            for j in 0..N {
+                reach[i][j] |= reach[i][k] && reach[k][j];
+            }
+        }
+    }
+    Relation::from_pairs(
+        N,
+        (0..N)
+            .flat_map(|i| (0..N).map(move |j| (i, j)))
+            .filter(|&(i, j)| reach[i][j]),
+    )
+}
+
 fn arb_set() -> impl Strategy<Value = EventSet> {
     proptest::collection::vec(0..N, 0..N).prop_map(|ids| EventSet::from_ids(N, ids))
 }
@@ -47,6 +75,24 @@ proptest! {
         let lhs = a.compose(&b.union(&c));
         let rhs = a.compose(&b).union(&a.compose(&c));
         prop_assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn transitive_closure_matches_floyd_warshall(a in arb_relation(), d in arb_dag()) {
+        prop_assert_eq!(a.transitive_closure(), naive_closure(&a));
+        prop_assert_eq!(d.transitive_closure(), naive_closure(&d));
+    }
+
+    #[test]
+    fn acyclicity_matches_an_irreflexive_closure(a in arb_relation(), d in arb_dag()) {
+        prop_assert_eq!(a.is_acyclic(), naive_closure(&a).is_irreflexive());
+        prop_assert!(d.is_acyclic());
+        // One back edge from the end of a path to its start closes a cycle.
+        if let Some((x, y)) = d.pairs().next() {
+            let mut cyclic = d.clone();
+            cyclic.insert(y, x);
+            prop_assert!(!cyclic.is_acyclic());
+        }
     }
 
     #[test]

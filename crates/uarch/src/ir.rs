@@ -167,9 +167,9 @@ fn fence_edges(exec: &Execution<HwAnnot>) -> [Relation; 3] {
 #[derive(Debug)]
 pub struct HwBinding<'e> {
     exec: &'e Execution<HwAnnot>,
-    /// `fr = rf⁻¹;co` as the caller lends it (an arena cursor's derived
-    /// column), if it does; otherwise computed into `fr` on demand.
-    lent_fr: Option<&'e Relation>,
+    /// `fr = rf⁻¹;co`, pre-seeded by [`HwBinding::with_fr`] when the
+    /// caller already holds the derived relation (the arena's `fr`
+    /// column), computed on demand otherwise.
     fr: OnceCell<Relation>,
     fences: OnceCell<[Relation; 3]>,
     same_loc: OnceCell<Relation>,
@@ -185,7 +185,6 @@ impl<'e> HwBinding<'e> {
     pub fn new(exec: &'e Execution<HwAnnot>) -> Self {
         HwBinding {
             exec,
-            lent_fr: None,
             fr: OnceCell::new(),
             fences: OnceCell::new(),
             same_loc: OnceCell::new(),
@@ -197,8 +196,8 @@ impl<'e> HwBinding<'e> {
     }
 
     /// Binds an execution whose `fr = rf⁻¹;co` the caller has already
-    /// derived, so the `fr`/`fre` bases skip the inverse-compose
-    /// recompute.
+    /// derived (columnar spaces keep `fr` precomputed per candidate), so
+    /// the `fr`/`fre` bases skip the inverse-compose recompute.
     #[must_use]
     pub fn with_fr(exec: &'e Execution<HwAnnot>, fr: Relation) -> Self {
         let binding = Self::new(exec);
@@ -206,21 +205,8 @@ impl<'e> HwBinding<'e> {
         binding
     }
 
-    /// [`HwBinding::with_fr`] over a borrowed `fr` (columnar spaces
-    /// keep `fr` precomputed per candidate; the cursor lends it).
-    #[must_use]
-    pub fn lending_fr(exec: &'e Execution<HwAnnot>, fr: &'e Relation) -> Self {
-        HwBinding {
-            lent_fr: Some(fr),
-            ..Self::new(exec)
-        }
-    }
-
     fn fr(&self) -> &Relation {
-        match self.lent_fr {
-            Some(fr) => fr,
-            None => self.fr.get_or_init(|| self.exec.fr()),
-        }
+        self.fr.get_or_init(|| self.exec.fr())
     }
 
     fn same_loc(&self) -> &Relation {

@@ -275,9 +275,9 @@ impl ConsistencyModel for UarchModel {
         self.compiled()
     }
 
-    fn bind<'e>(exec: &'e Execution<HwAnnot>, fr: Option<&'e Relation>) -> HwBinding<'e> {
+    fn bind(exec: &Execution<HwAnnot>, fr: Option<Relation>) -> HwBinding<'_> {
         match fr {
-            Some(fr) => HwBinding::lending_fr(exec, fr),
+            Some(fr) => HwBinding::with_fr(exec, fr),
             None => HwBinding::new(exec),
         }
     }
