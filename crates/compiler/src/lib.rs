@@ -246,8 +246,11 @@ impl CompiledTest {
 /// test's accesses or the result fails program validation.
 pub fn compile(test: &LitmusTest, mapping: &dyn Mapping) -> Result<CompiledTest, CompileError> {
     let mut threads = Vec::with_capacity(test.program().threads().len());
+    // Each thread is gathered in one reused buffer and stored at its
+    // exact length: a sweep keeps every compiled program until it ends.
+    let mut out = Vec::new();
     for thread in test.program().threads() {
-        let mut out = Vec::new();
+        out.clear();
         let mut scratch = SCRATCH_BASE;
         let mut next_scratch = || {
             let r = Reg(scratch);
@@ -278,7 +281,7 @@ pub fn compile(test: &LitmusTest, mapping: &dyn Mapping) -> Result<CompiledTest,
                 }
             }
         }
-        threads.push(out);
+        threads.push(out.clone());
     }
     let program = Program::new(threads, test.program().locations().iter().copied())?;
     Ok(CompiledTest {

@@ -283,7 +283,12 @@ impl<A> Program<A> {
         threads: Vec<Vec<Instr<A>>>,
         extra_locations: impl IntoIterator<Item = Loc>,
     ) -> Result<Self, ProgramError> {
+        // Kept sorted and free of duplicates as addresses are added, so
+        // the common case — every constant address already among the
+        // extras, as in a compiled test — allocates once, exactly.
         let mut locations: Vec<Loc> = extra_locations.into_iter().collect();
+        locations.sort_unstable();
+        locations.dedup();
         let mut events = 0usize;
         for (tid, thread) in threads.iter().enumerate() {
             // One bit per register `r0`…`r255`: assigned so far.
@@ -327,7 +332,9 @@ impl<A> Program<A> {
                     }
                 };
                 if let Some(Expr::Const(a)) = addr {
-                    locations.push(Loc(*a));
+                    if let Err(at) = locations.binary_search(&Loc(*a)) {
+                        locations.insert(at, Loc(*a));
+                    }
                 }
                 if let Some(reg) = dst {
                     if is_assigned(&assigned, reg) {
@@ -337,8 +344,7 @@ impl<A> Program<A> {
                 }
             }
         }
-        locations.sort_unstable();
-        locations.dedup();
+
         let total = events + locations.len();
         if total > tricheck_rel::MAX_EVENTS {
             return Err(ProgramError::TooManyEvents { events: total });
