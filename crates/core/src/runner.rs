@@ -401,94 +401,57 @@ struct Cell<'a> {
     model: &'a UarchModel,
 }
 
-/// The grouping pre-pass's output: every (test, mapping) compilation
-/// and the sweep's work items — one per distinct compiled program, in
-/// order of first appearance — each listing the compilations that
-/// produced its program.
-struct Grouping {
-    /// `compiled[t * mappings.len() + m]`, `None` where the mapping
-    /// cannot compile the test.
-    compiled: Vec<Option<CompiledTest>>,
-    /// Every compilation index grouped by item, test-major within one.
-    order: Vec<usize>,
-    /// Item `i`'s compilations are `order[starts[i]..starts[i + 1]]`;
-    /// the first one's program is the item's.
-    starts: Vec<usize>,
+/// The sweep's work item: one distinct compiled program and every
+/// (test, mapping) compilation that produced it.
+struct ProgramItem {
+    /// Indices into [`SweepCache::compiled`] (`t * n_mappings + m`), in
+    /// test-major order; the first one's program is the item's.
+    compiles: Vec<usize>,
 }
 
 /// The grouping pre-pass: compiles every (test, mapping) pair exactly
-/// once and groups the compilations by the program they produce, in
-/// order of first appearance.
+/// once (`compiled[t * mappings.len() + m]`, `None` where the mapping
+/// cannot compile the test) and groups the compilations by the program
+/// they produce, in order of first appearance.
 ///
 /// Programs are bucketed by fingerprint and told apart within a bucket
 /// by structural equality, so a fingerprint collision can never merge
 /// two programs into one verdict.
-fn group_programs(tests: &[LitmusTest], mappings: &[&dyn Mapping]) -> Grouping {
-    let n = tests.len() * mappings.len();
-    let mut compiled: Vec<Option<CompiledTest>> = Vec::with_capacity(n);
-    // Per compilation, its item; per item, its first compilation and the
-    // next item in the same fingerprint bucket.
-    let mut item_of: Vec<usize> = Vec::with_capacity(n);
-    let mut first: Vec<usize> = Vec::new();
-    let mut next_in_bucket: Vec<Option<usize>> = Vec::new();
-    let mut buckets: HashMap<u64, usize> = HashMap::new();
+fn group_programs(
+    tests: &[LitmusTest],
+    mappings: &[&dyn Mapping],
+) -> (Vec<Option<CompiledTest>>, Vec<ProgramItem>) {
+    let mut compiled: Vec<Option<CompiledTest>> = Vec::with_capacity(tests.len() * mappings.len());
+    let mut items: Vec<ProgramItem> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for test in tests {
         for mapping in mappings {
             let result = {
                 let _t = tricheck_trace::span(tricheck_trace::Phase::Compile);
                 compile(test, *mapping).ok()
             };
-            let c = compiled.len();
-            let mut item = usize::MAX;
             if let Some(program) = result.as_ref().map(CompiledTest::program) {
                 let fingerprint = tricheck_litmus::Fingerprint::of(program).as_u64();
-                let head = buckets.get(&fingerprint).copied();
-                let mut probe = head;
-                while let Some(i) = probe {
-                    if compiled[first[i]]
+                let bucket = buckets.entry(fingerprint).or_default();
+                let found = bucket.iter().copied().find(|&i| {
+                    compiled[items[i].compiles[0]]
                         .as_ref()
-                        .is_some_and(|other| other.program() == program)
-                    {
-                        item = i;
-                        break;
+                        .is_some_and(|c| c.program() == program)
+                });
+                match found {
+                    Some(i) => items[i].compiles.push(compiled.len()),
+                    None => {
+                        bucket.push(items.len());
+                        items.push(ProgramItem {
+                            compiles: vec![compiled.len()],
+                        });
                     }
-                    probe = next_in_bucket[i];
-                }
-                if item == usize::MAX {
-                    item = first.len();
-                    first.push(c);
-                    next_in_bucket.push(head);
-                    buckets.insert(fingerprint, item);
                 }
             }
-            item_of.push(item);
             compiled.push(result);
         }
     }
-    // A counting sort of the compilations by item keeps each item's in
-    // test-major order.
-    let mut starts = vec![0; first.len() + 1];
-    for &item in item_of.iter().filter(|&&i| i != usize::MAX) {
-        starts[item + 1] += 1;
-    }
-    for i in 0..first.len() {
-        starts[i + 1] += starts[i];
-    }
-    let mut fill = starts.clone();
-    let mut order = vec![0; starts[first.len()]];
-    for (c, &item) in item_of
-        .iter()
-        .enumerate()
-        .filter(|&(_, &i)| i != usize::MAX)
-    {
-        order[fill[item]] = c;
-        fill[item] += 1;
-    }
-    Grouping {
-        compiled,
-        order,
-        starts,
-    }
+    (compiled, items)
 }
 
 /// One kernel a sweep judges with: the µarch models of up to 64 stacks
@@ -592,7 +555,7 @@ impl SweepCache<'_> {
     /// is dropped on return; its counters are returned instead.
     fn run_item<'k>(
         &'k self,
-        compiles: &[usize],
+        item: &ProgramItem,
         worker: &mut Worker<'k>,
         emit: impl Fn(usize, usize, u8),
     ) -> SpaceStats {
@@ -601,7 +564,7 @@ impl SweepCache<'_> {
                 .as_ref()
                 .expect("items are grouped from compiled programs")
         };
-        let program = compiled(compiles[0]).program();
+        let program = compiled(item.compiles[0]).program();
         let space = match self.store.and_then(|s| s.load_space(program)) {
             // Re-arm pruning on restored spaces so views enumerated
             // later in this run are pruned like fresh ones.
@@ -610,7 +573,7 @@ impl SweepCache<'_> {
         };
         let views = space.materialized_views();
         let n_mappings = self.kernels_of.len();
-        for &c in compiles {
+        for &c in &item.compiles {
             let (t, m) = (c / n_mappings, c % n_mappings);
             let c11 = self.c11_entry(t, worker);
             let _cell = tricheck_trace::cell_span(m);
@@ -812,14 +775,8 @@ impl Sweep {
         cells: &[Cell<'_>],
     ) -> (Vec<AtomicU8>, SweepStats) {
         let store = self.options.store.as_deref();
-        let Grouping {
-            compiled,
-            order,
-            starts,
-        } = group_programs(tests, mappings);
+        let (compiled, items) = group_programs(tests, mappings);
         let compile_calls = compiled.len();
-        let n_items = starts.len() - 1;
-        let item = |i: usize| &order[starts[i]..starts[i + 1]];
         let kernels_of: Vec<Vec<FusedKernel>> = (0..mappings.len())
             .map(|m| {
                 let stacks: Vec<usize> = (0..cells.len())
@@ -854,10 +811,10 @@ impl Sweep {
             .map(|_| AtomicU8::new(0))
             .collect();
         let space_stats: Vec<OnceLock<SpaceStats>> =
-            (0..n_items).map(|_| OnceLock::new()).collect();
-        tricheck_trace::progress_begin(n_items as u64);
-        run_work_stealing::<Worker<'_>>(n_items, self.options.threads, &|worker, i| {
-            let stats = cache.run_item(item(i), worker, |t, s, code| {
+            (0..items.len()).map(|_| OnceLock::new()).collect();
+        tricheck_trace::progress_begin(items.len() as u64);
+        run_work_stealing::<Worker<'_>>(items.len(), self.options.threads, &|worker, i| {
+            let stats = cache.run_item(&items[i], worker, |t, s, code| {
                 let previous = slots[t * n_cells + s].swap(code, Ordering::Relaxed);
                 assert_eq!(
                     previous, 0,
@@ -890,7 +847,7 @@ impl Sweep {
             c11_evaluations: cache.c11_evaluations.load(Ordering::Relaxed),
             compile_calls,
             compile_cache_hits: tests.len() * n_cells - compile_calls,
-            distinct_programs: n_items,
+            distinct_programs: items.len(),
             compiled_kernels: cache.kernels_of.iter().map(Vec::len).sum(),
             ..SweepStats::default()
         };
@@ -907,7 +864,7 @@ impl Sweep {
         {
             let _t = tricheck_trace::span(tricheck_trace::Phase::Teardown);
             drop(cache);
-            drop((order, starts));
+            drop(items);
         }
         (slots, stats)
     }
