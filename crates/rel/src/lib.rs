@@ -646,7 +646,9 @@ impl Relation {
 
     /// Returns `true` if the relation (viewed as a directed graph) has no
     /// cycle. Equivalent to the transitive closure being irreflexive,
-    /// but decided without building it (see [`peel_sinks`]).
+    /// but decided without building it: events with no edge into the
+    /// rest are peeled off round by round, and the graph is acyclic iff
+    /// that empties it.
     #[must_use]
     pub fn is_acyclic(&self) -> bool {
         peel_sinks(self.row_words(), |_| {})
