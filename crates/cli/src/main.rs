@@ -94,15 +94,25 @@ use tricheck::core::explain::diagnose;
 use tricheck::core::report;
 use tricheck::prelude::*;
 
+/// Set once a write to standard output has failed with a broken pipe.
+static STDOUT_CLOSED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
 /// Writes to standard output, the one place a failed write is handled.
 /// A closed stdout (`tricheck list | head -1`) is not an error: the
-/// reader took what it wanted, so the process exits 0 at once, quietly.
+/// reader took what it wanted, so this and every later write are
+/// dropped quietly and the command runs to its end, writing its other
+/// outputs (`--metrics-json`, `--trace`) and returning its own status.
 /// Any other write failure is reported and exits nonzero.
 fn write_stdout(args: std::fmt::Arguments<'_>) {
     use std::io::Write as _;
+    use std::sync::atomic::Ordering;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
         }
         eprintln!("error: writing to standard output: {e}");
         std::process::exit(1);

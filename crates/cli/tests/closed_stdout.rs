@@ -1,37 +1,82 @@
-//! The `tricheck` binary with its standard output closed early, as
-//! `tricheck list | head -1` closes it: the command must exit 0 without
-//! a panic or a backtrace on standard error.
+//! The `tricheck` binary with its standard output closed, as
+//! `tricheck list | head -1` closes it once `head` has its line. Each
+//! test hands the child the write end of a pipe whose read end is
+//! already closed, so the child's first write to stdout fails with a
+//! broken pipe whatever the scheduling. The command must then run to
+//! its end: no panic, its other output files written, and its own exit
+//! status returned.
 
-use std::io::{BufRead, BufReader, Read};
-use std::process::{Command, Stdio};
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+
+/// Runs `tricheck` with `args` and a stdout nobody reads.
+fn run_with_closed_stdout(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("creates a pipe");
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_tricheck"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("the tricheck binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    output
+}
+
+fn scratch_path(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tricheck-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creates a scratch directory");
+    dir.join(name)
+}
 
 #[test]
-fn closing_stdout_after_the_first_line_exits_quietly() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_tricheck"))
-        .arg("list")
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("the tricheck binary starts");
-    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut first = String::new();
-    stdout.read_line(&mut first).expect("reads the first line");
-    assert!(!first.trim().is_empty(), "list prints a test name first");
-    // Close the read end: every later write by the child fails with a
-    // broken pipe. `list` prints well over a pipe buffer's worth of
-    // names, so it is still writing when the pipe closes.
-    drop(stdout);
-    let mut stderr = String::new();
-    child
-        .stderr
-        .take()
-        .expect("piped stderr")
-        .read_to_string(&mut stderr)
-        .expect("reads stderr");
-    let status = child.wait().expect("the child exits");
+fn a_closed_stdout_exits_quietly() {
+    let output = run_with_closed_stdout(&["list"]);
     assert!(
-        status.success(),
-        "exit status {status:?} with stdout closed; stderr:\n{stderr}"
+        output.status.success(),
+        "exit status {:?} with stdout closed; stderr:\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
     );
-    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_still_writes_the_metrics_document() {
+    let metrics = scratch_path("metrics.json");
+    let _ = std::fs::remove_file(&metrics);
+    let output = run_with_closed_stdout(&[
+        "sweep",
+        "sb",
+        "--stack",
+        "x86-tso",
+        "--threads",
+        "1",
+        "--metrics-json",
+        metrics.to_str().expect("a UTF-8 path"),
+    ]);
+    assert!(
+        output.status.success(),
+        "exit status {:?}; stderr:\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let doc = std::fs::read_to_string(&metrics).expect("the metrics document was written");
+    assert!(
+        doc.trim_start().starts_with('{'),
+        "metrics document:\n{doc}"
+    );
+    let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
+fn a_failing_lint_keeps_its_status_with_stdout_closed() {
+    let output = run_with_closed_stdout(&["lint", "../../tests/fixtures/lint/e001.cat"]);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 }

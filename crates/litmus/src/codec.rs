@@ -426,9 +426,6 @@ fn read_relation(r: &mut ByteReader<'_>, n: usize) -> Result<Relation, CodecErro
     let mut rows = [0u64; tricheck_rel::MAX_EVENTS];
     for row in &mut rows[..n] {
         *row = r.u64()?;
-        if n < 64 && *row >> n != 0 {
-            return Err(CodecError::Invalid("relation event index"));
-        }
     }
     Relation::try_from_row_words(n, &rows[..n]).ok_or(CodecError::Invalid("relation event index"))
 }

@@ -1,6 +1,6 @@
 //! Candidate executions: events plus the `rf` and `co` witness relations.
 
-use tricheck_rel::{EventSet, Relation, MAX_EVENTS};
+use tricheck_rel::{EventSet, Relation};
 
 use crate::mir::{Loc, Reg, Val};
 use crate::outcome::Outcome;
@@ -243,40 +243,22 @@ impl<A> Execution<A> {
         }
     }
 
-    /// The events of `a`'s thread, `a` included, as a bitmask (empty
-    /// for an initialization write, which is external to every event).
-    fn thread_mask(&self, a: usize) -> u64 {
-        let Some(tid) = self.events[a].tid else {
-            return 0;
-        };
-        self.events
-            .iter()
-            .filter(|e| e.tid == Some(tid))
-            .fold(0, |mask, e| mask | 1 << e.id)
-    }
-
     /// External (inter-thread) part of a relation.
     #[must_use]
     pub fn external(&self, r: &Relation) -> Relation {
-        r.map_rows(|a, row| {
-            if row == 0 {
-                0
-            } else {
-                row & !self.thread_mask(a)
-            }
-        })
+        Relation::from_pairs(
+            self.len(),
+            r.pairs().filter(|&(a, b)| self.is_external(a, b)),
+        )
     }
 
     /// Internal (intra-thread) part of a relation.
     #[must_use]
     pub fn internal(&self, r: &Relation) -> Relation {
-        r.map_rows(|a, row| {
-            if row == 0 {
-                0
-            } else {
-                row & self.thread_mask(a)
-            }
-        })
+        Relation::from_pairs(
+            self.len(),
+            r.pairs().filter(|&(a, b)| !self.is_external(a, b)),
+        )
     }
 
     /// External reads-from (`rfe`).
@@ -348,29 +330,18 @@ impl<A> Execution<A> {
 }
 
 /// Pairs of distinct events whose locations in `loc` are resolved and
-/// equal: one pass groups the events by location, a second writes each
-/// event's group minus itself.
+/// equal.
 pub(crate) fn same_loc(loc: &[Option<Loc>]) -> Relation {
-    let mut groups = [(Loc(0), 0u64); MAX_EVENTS];
-    let mut distinct = 0;
-    let mut group_of = [usize::MAX; MAX_EVENTS];
-    for (e, l) in loc.iter().enumerate() {
-        let Some(l) = *l else { continue };
-        let g = match groups[..distinct].iter().position(|&(gl, _)| gl == l) {
-            Some(g) => g,
-            None => {
-                groups[distinct].0 = l;
-                distinct += 1;
-                distinct - 1
+    let mut r = Relation::empty(loc.len());
+    for (a, la) in loc.iter().enumerate() {
+        let Some(la) = la else { continue };
+        for (b, lb) in loc.iter().enumerate() {
+            if a != b && *lb == Some(*la) {
+                r.insert(a, b);
             }
-        };
-        groups[g].1 |= 1 << e;
-        group_of[e] = g;
+        }
     }
-    Relation::empty(loc.len()).map_rows(|e, _| match group_of[e] {
-        usize::MAX => 0,
-        g => groups[g].1 & !(1 << e),
-    })
+    r
 }
 
 impl<A: std::fmt::Display> Execution<A> {

@@ -596,13 +596,13 @@ impl Relation {
     /// Reflexive-transitive closure `self*` (zero or more steps).
     #[must_use]
     pub fn reflexive_transitive_closure(&self) -> Relation {
-        self.transitive_closure().maybe()
+        self.transitive_closure().union(&Relation::identity(self.n))
     }
 
     /// Reflexive closure `self?` (`self ∪ identity`).
     #[must_use]
     pub fn maybe(&self) -> Relation {
-        self.map_rows(|i, row| row | 1 << i)
+        self.union(&Relation::identity(self.n))
     }
 
     /// Restricts the relation to pairs with the first component in `dom`
@@ -622,19 +622,6 @@ impl Relation {
         out
     }
 
-    /// The relation with row `i` replaced by `f(i, row)`, for every
-    /// event `i` of the universe. Bits `f` sets outside the universe
-    /// are dropped.
-    #[must_use]
-    pub fn map_rows(&self, mut f: impl FnMut(usize, u64) -> u64) -> Relation {
-        let mut out = Relation::empty(self.n);
-        let keep = mask(self.n);
-        for (i, (out, &row)) in out.rows_mut().iter_mut().zip(self.row_words()).enumerate() {
-            *out = f(i, row) & keep;
-        }
-        out
-    }
-
     /// Returns `true` if the relation contains no pair `(a, a)`.
     #[must_use]
     pub fn is_irreflexive(&self) -> bool {
@@ -645,13 +632,10 @@ impl Relation {
     }
 
     /// Returns `true` if the relation (viewed as a directed graph) has no
-    /// cycle. Equivalent to the transitive closure being irreflexive,
-    /// but decided without building it: events with no edge into the
-    /// rest are peeled off round by round, and the graph is acyclic iff
-    /// that empties it.
+    /// cycle. Equivalent to the transitive closure being irreflexive.
     #[must_use]
     pub fn is_acyclic(&self) -> bool {
-        peel_sinks(self.row_words(), |_| {})
+        self.transitive_closure().is_irreflexive()
     }
 
     /// Returns `true` if every pair of `self` is also in `other`.
@@ -845,42 +829,7 @@ impl Relation {
     }
 }
 
-/// Peels the graph `rows` describes sinks first: each round removes
-/// every remaining event with no edge into the remaining events, and
-/// `visit` sees the removed events round by round, so every event comes
-/// after all of its successors. Returns whether peeling empties the
-/// graph, which is exactly when it is acyclic (an event on a cycle, a
-/// self-loop included, always keeps an edge into the rest). A round is
-/// one pass over the remaining rows, and there are at most as many
-/// rounds as the longest path has events.
-fn peel_sinks(rows: &[u64], mut visit: impl FnMut(usize)) -> bool {
-    let mut remaining = mask(rows.len());
-    while remaining != 0 {
-        let mut sinks = 0u64;
-        let mut bits = remaining;
-        while bits != 0 {
-            let a = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if rows[a] & remaining == 0 {
-                sinks |= 1 << a;
-            }
-        }
-        if sinks == 0 {
-            return false;
-        }
-        remaining &= !sinks;
-        while sinks != 0 {
-            visit(sinks.trailing_zeros() as usize);
-            sinks &= sinks - 1;
-        }
-    }
-    true
-}
-
-/// Closes `rows` transitively in place. An acyclic graph (the common
-/// case: every ordering relation a model builds) takes one pass in
-/// sinks-first order, each event's closure its successors plus their
-/// finished closures. A cyclic one falls back to word-parallel repeated
+/// Closes `rows` transitively in place by word-parallel repeated
 /// squaring: each pass replaces every row's successors with its
 /// successors-of-successors as well (R := R ∪ R;R, the union taken 64
 /// columns at a time), so the reachable path length doubles per pass —
@@ -888,26 +837,6 @@ fn peel_sinks(rows: &[u64], mut visit: impl FnMut(usize)) -> bool {
 /// Updating in place only accelerates convergence: a row read mid-pass
 /// already holds a subset of the closure.
 pub(crate) fn close_rows(rows: &mut [u64]) {
-    let mut order = [0u8; MAX_EVENTS];
-    let mut len = 0;
-    let acyclic = peel_sinks(rows, |a| {
-        order[len] = a as u8;
-        len += 1;
-    });
-    if acyclic {
-        for &a in &order[..len] {
-            let a = usize::from(a);
-            let mut row = rows[a];
-            let mut mids = row;
-            while mids != 0 {
-                let b = mids.trailing_zeros() as usize;
-                mids &= mids - 1;
-                row |= rows[b];
-            }
-            rows[a] = row;
-        }
-        return;
-    }
     loop {
         let mut changed = false;
         for a in 0..rows.len() {

@@ -10,7 +10,7 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
 }
 
 /// A relation whose edges all point from a lower to a higher event:
-/// always acyclic, so closures take the sinks-first path.
+/// always acyclic.
 fn arb_dag() -> impl Strategy<Value = Relation> {
     proptest::collection::vec((0..N, 0..N), 0..24)
         .prop_map(|pairs| Relation::from_pairs(N, pairs.into_iter().filter(|&(a, b)| a < b)))
