@@ -1,5 +1,5 @@
 //! The suite runner: compile once per (test, mapping), enumerate once per
-//! distinct compiled program, judge everywhere.
+//! distinct compiled program, judge once per distinct (program, target).
 //!
 //! # Architecture
 //!
@@ -27,20 +27,19 @@
 //!    for all-relaxed variants) land in one group. Groups are ordered by
 //!    first appearance in test-major order.
 //! 2. **Per-program pipeline** (work-stealing pool). Before the pool
-//!    starts, the µarch models of each deduplicated mapping are fused
-//!    into one kernel ([`UarchModel::fuse`]; a mapping judged by more
-//!    than 64 stacks gets one kernel per 64), which lives for this sweep
-//!    only. Each item builds its one [`ExecutionSpace`] — or loads it
-//!    from the store — and makes one judgement per grouped (test,
-//!    mapping) compilation: the mapping's fused kernel judges the space
-//!    under all of the mapping's models at once ([`witness_mask`] or
-//!    [`outcome_masks`]), one prelude for all of them, and each stack's
-//!    bit lands in its (test, stack) slot — one byte holding the Step 1
-//!    and Step 3 verdicts. The tests' C11 verdicts come from a
-//!    `OnceLock` per test (in [`OutcomeMode::FullOutcomes`] the cached
-//!    value is the full permitted-outcome set). The item then saves the
-//!    space back to the store if it materialized a new view, and drops
-//!    it.
+//!    starts, the stacks' *distinct* µarch models (Figure 15's 28 stacks
+//!    have 14) are fused into one kernel ([`UarchModel::fuse`]; one per
+//!    64 models) that lives for this sweep only. Each item builds its
+//!    one [`ExecutionSpace`] — or loads it from the store — and judges it
+//!    once per distinct target among its (test, mapping) compilations
+//!    (in [`OutcomeMode::FullOutcomes`], per distinct observed register
+//!    list), under the models of every mapping that asks at once
+//!    ([`witness_mask`] or [`outcome_masks`]) with one prelude; each
+//!    stack's bit lands in its (test, stack) slot — one byte holding the
+//!    Step 1 and Step 3 verdicts. The tests' C11 verdicts come from a
+//!    `OnceLock` per test (in full-outcome mode, the full permitted set).
+//!    The item then saves the space back to the store if it materialized
+//!    a new view, and drops it.
 //!
 //! No space outlives its item, so workers share no space map, and each
 //! distinct program is enumerated at most once by construction. Each
@@ -180,7 +179,7 @@ impl std::fmt::Debug for SweepOptions {
 /// `trailing-sync`), and a stack file's are its `isa` directive and its
 /// `mapping` section labels. The labels are literals or interned by
 /// the stack loader, so the key stays `Copy`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct StackKey {
     /// The ISA column label.
     pub isa: &'static str,
@@ -243,7 +242,7 @@ impl SweepRow {
 }
 
 /// Work counters for one sweep, proving the
-/// enumerate-once/judge-everywhere contract.
+/// enumerate-once/judge-once contract.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SweepStats {
     /// Litmus tests swept.
@@ -264,6 +263,9 @@ pub struct SweepStats {
     pub distinct_programs: usize,
     /// Queries a program's space answered from a view it had already
     /// materialized (or restored from the store), summed over programs.
+    /// Each distinct (program, target) is judged once, so a cold
+    /// target-mode sweep reports 0 (unless more than 64 distinct models
+    /// ask one space twice) and a warm rerun one per judgement.
     pub space_cache_hits: usize,
     /// Enumeration passes actually run across all spaces — equals
     /// `distinct_programs` when every space is enumerated exactly once.
@@ -271,11 +273,10 @@ pub struct SweepStats {
     /// Search branches cut by axiom-driven pruning across all space
     /// enumerations (zero when every view was restored from the store).
     pub candidates_pruned: usize,
-    /// Kernels the sweep judged with: the models of each deduplicated
-    /// mapping are fused into one kernel (one per 64 stacks), so a
-    /// single-process sweep reports one per mapping — 4 on the Figure 15
-    /// matrix, 2 on the §7 study. Sharded runs sum their per-process
-    /// counts.
+    /// Kernels the sweep judged with: the stacks' distinct µarch models
+    /// are fused into one kernel (one per 64 distinct models), so a
+    /// single-process sweep of any built-in matrix reports 1. Sharded
+    /// runs sum their per-process counts.
     pub compiled_kernels: usize,
 }
 
@@ -394,25 +395,12 @@ pub fn results_from_items(
     SweepResults { rows, stats }
 }
 
-/// One scheduled cell of a sweep: a matrix stack's µarch model plus its
-/// mapping's index into the deduplicated mapping list.
-struct Cell<'a> {
-    mapping_idx: usize,
-    model: &'a UarchModel,
-}
-
-/// The sweep's work item: one distinct compiled program and every
-/// (test, mapping) compilation that produced it.
-struct ProgramItem {
-    /// Indices into [`SweepCache::compiled`] (`t * n_mappings + m`), in
-    /// test-major order; the first one's program is the item's.
-    compiles: Vec<usize>,
-}
-
 /// The grouping pre-pass: compiles every (test, mapping) pair exactly
 /// once (`compiled[t * mappings.len() + m]`, `None` where the mapping
 /// cannot compile the test) and groups the compilations by the program
-/// they produce, in order of first appearance.
+/// they produce, in order of first appearance. Each group — the sweep's
+/// work item — lists its compilations' indices in test-major order; the
+/// first one's program is the item's.
 ///
 /// Programs are bucketed by fingerprint and told apart within a bucket
 /// by structural equality, so a fingerprint collision can never merge
@@ -420,9 +408,9 @@ struct ProgramItem {
 fn group_programs(
     tests: &[LitmusTest],
     mappings: &[&dyn Mapping],
-) -> (Vec<Option<CompiledTest>>, Vec<ProgramItem>) {
+) -> (Vec<Option<CompiledTest>>, Vec<Vec<usize>>) {
     let mut compiled: Vec<Option<CompiledTest>> = Vec::with_capacity(tests.len() * mappings.len());
-    let mut items: Vec<ProgramItem> = Vec::new();
+    let mut items: Vec<Vec<usize>> = Vec::new();
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
     for test in tests {
         for mapping in mappings {
@@ -434,17 +422,15 @@ fn group_programs(
                 let fingerprint = tricheck_litmus::Fingerprint::of(program).as_u64();
                 let bucket = buckets.entry(fingerprint).or_default();
                 let found = bucket.iter().copied().find(|&i| {
-                    compiled[items[i].compiles[0]]
+                    compiled[items[i][0]]
                         .as_ref()
                         .is_some_and(|c| c.program() == program)
                 });
                 match found {
-                    Some(i) => items[i].compiles.push(compiled.len()),
+                    Some(i) => items[i].push(compiled.len()),
                     None => {
                         bucket.push(items.len());
-                        items.push(ProgramItem {
-                            compiles: vec![compiled.len()],
-                        });
+                        items.push(vec![compiled.len()]);
                     }
                 }
             }
@@ -454,19 +440,63 @@ fn group_programs(
     (compiled, items)
 }
 
-/// One kernel a sweep judges with: the µarch models of up to 64 stacks
-/// that share a mapping, fused, so bit `j` of a verdict mask is
-/// `stacks[j]`'s.
-struct FusedKernel {
-    stacks: Vec<usize>,
-    kernel: CompiledModel,
+/// One sweep's judging plan, built once per sweep: the stacks'
+/// mappings, deduplicated, and their *distinct* µarch models (by
+/// [`ModelIr`](tricheck_rel::ModelIr) equality) fused into kernels of up
+/// to 64 models each ([`UarchModel::fuse`]).
+///
+/// Mappings are told apart by fat-pointer identity (address AND
+/// vtable): the built-in tables are one static each, a caller's
+/// zero-sized `Mapping` impls may share one address, and dedup by name
+/// would let a name collision reuse the wrong compiled programs. A
+/// duplicated vtable across codegen units only costs a redundant cache
+/// column, never a wrong reuse.
+struct SweepPlan<'m> {
+    /// The deduplicated mappings, in order of first appearance.
+    mappings: Vec<&'m dyn Mapping>,
+    /// The fused kernels; the sweep's `d`-th distinct model is bit
+    /// `d % 64` of kernel `d / 64`.
+    kernels: Vec<CompiledModel>,
+    /// Per stack: its mapping's index, its kernel and its bit (a mask).
+    stacks: Vec<(usize, usize, u64)>,
 }
 
-impl FusedKernel {
-    /// Every stack's bit.
-    fn live(&self) -> u64 {
-        u64::MAX >> (64 - self.stacks.len())
+impl<'m> SweepPlan<'m> {
+    fn new(stacks: &'m [MatrixStack<'_>]) -> Self {
+        let mut mappings: Vec<&'m dyn Mapping> = Vec::new();
+        let mut models: Vec<&UarchModel> = Vec::new();
+        let stacks: Vec<(usize, usize, u64)> = stacks
+            .iter()
+            .map(|stack| {
+                #[allow(ambiguous_wide_pointer_comparisons)]
+                let m = index_in(&mut mappings, stack.mapping, |m| {
+                    std::ptr::eq(m as *const dyn Mapping, stack.mapping)
+                });
+                let d = index_in(&mut models, &stack.model, |m| m.ir() == stack.model.ir());
+                (m, d / 64, 1 << (d % 64))
+            })
+            .collect();
+        SweepPlan {
+            mappings,
+            kernels: models.chunks(64).map(UarchModel::fuse).collect(),
+            stacks,
+        }
     }
+
+    /// The stacks of mapping `m` judged by kernel `k`, with their bits.
+    fn stacks_of(&self, m: usize, k: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let stacks = self.stacks.iter().enumerate();
+        stacks.filter_map(move |(s, &(sm, sk, bit))| ((sm, sk) == (m, k)).then_some((s, bit)))
+    }
+}
+
+/// The index of the first entry of `list` that is `same`, pushing `x`
+/// first if there is none.
+fn index_in<T: Copy>(list: &mut Vec<T>, x: T, same: impl Fn(T) -> bool) -> usize {
+    list.iter().position(|&y| same(y)).unwrap_or_else(|| {
+        list.push(x);
+        list.len() - 1
+    })
 }
 
 /// A (test, stack) slot of a sweep's result table: `0` until judged,
@@ -507,8 +537,8 @@ struct SweepCache<'t> {
     c11_verdicts: Vec<OnceLock<C11Cached>>,
     /// The grouping pre-pass's compilations, `t * n_mappings + m`.
     compiled: Vec<Option<CompiledTest>>,
-    /// The fused kernels judging each deduplicated mapping's programs.
-    kernels_of: Vec<Vec<FusedKernel>>,
+    /// The mappings and the fused kernels every item judges with.
+    plan: SweepPlan<'t>,
     c11_evaluations: AtomicUsize,
 }
 
@@ -548,14 +578,16 @@ impl SweepCache<'_> {
     }
 
     /// Runs one work item: builds or loads the program's space, judges
-    /// it once per (test, mapping) compilation with the worker's judge
-    /// and scratch, under all of the mapping's models at once, hands each
-    /// stack's slot to `emit` with its (test, stack) pair, and saves the
-    /// space back to the store if a new view was materialized. The space
-    /// is dropped on return; its counters are returned instead.
+    /// it with the worker's judge and scratch once per distinct target
+    /// among the item's compilations (in outcome mode, per observed
+    /// register list) under the models of every mapping that asks,
+    /// hands each stack's slot to `emit` with its (test, stack) pair,
+    /// and saves the space back to the store if a new view was
+    /// materialized. The space is dropped on return; its counters are
+    /// returned instead.
     fn run_item<'k>(
         &'k self,
-        item: &ProgramItem,
+        item: &[usize],
         worker: &mut Worker<'k>,
         emit: impl Fn(usize, usize, u8),
     ) -> SpaceStats {
@@ -564,7 +596,7 @@ impl SweepCache<'_> {
                 .as_ref()
                 .expect("items are grouped from compiled programs")
         };
-        let program = compiled(item.compiles[0]).program();
+        let program = compiled(item[0]).program();
         let space = match self.store.and_then(|s| s.load_space(program)) {
             // Re-arm pruning on restored spaces so views enumerated
             // later in this run are pruned like fresh ones.
@@ -572,44 +604,53 @@ impl SweepCache<'_> {
             None => ExecutionSpace::pruned(program.clone()),
         };
         let views = space.materialized_views();
-        let n_mappings = self.kernels_of.len();
-        for &c in &item.compiles {
-            let (t, m) = (c / n_mappings, c % n_mappings);
-            let c11 = self.c11_entry(t, worker);
-            let _cell = tricheck_trace::cell_span(m);
-            for fused in &self.kernels_of[m] {
-                let judge = worker
-                    .judge
-                    .get_or_insert_with(|| Judge::new(&fused.kernel));
-                judge.restart(&fused.kernel);
-                let scratch = &mut worker.hw;
-                match c11 {
-                    C11Cached::Target(permitted) => {
-                        let target = compiled(c).target();
-                        let observable = witness_mask::<UarchModel>(
-                            judge,
-                            scratch,
-                            &space,
-                            target,
-                            fused.live(),
-                        );
-                        for (j, &s) in fused.stacks.iter().enumerate() {
-                            emit(t, s, slot(*permitted, observable >> j & 1 == 1));
-                        }
-                    }
-                    C11Cached::Full(permitted) => {
-                        let observed = compiled(c).observed();
-                        let allowed = outcome_masks::<UarchModel>(
-                            judge,
-                            scratch,
-                            &space,
-                            observed,
-                            fused.live(),
-                        );
-                        for (j, &s) in fused.stacks.iter().enumerate() {
-                            let (p, o) = classify_outcomes(permitted, &allowed, 1 << j).quadrant();
-                            emit(t, s, slot(p, o));
-                        }
+        let n_mappings = self.plan.mappings.len();
+        for &c in item {
+            self.c11_entry(c / n_mappings, worker);
+        }
+        // Two compilations of one program ask one question when they
+        // share its target (in outcome mode, its observed registers).
+        let same = |a: usize, b: usize| match self.mode {
+            OutcomeMode::Target => compiled(a).target() == compiled(b).target(),
+            OutcomeMode::FullOutcomes => compiled(a).observed() == compiled(b).observed(),
+        };
+        for (i, &c) in item.iter().enumerate() {
+            if item[..i].iter().any(|&d| same(c, d)) {
+                continue;
+            }
+            let served = || item[i..].iter().filter(move |&&d| same(c, d));
+            let _cell = tricheck_trace::cell_span(c % n_mappings);
+            for (k, kernel) in self.plan.kernels.iter().enumerate() {
+                let live = served()
+                    .flat_map(|d| self.plan.stacks_of(d % n_mappings, k))
+                    .fold(0, |live, (_, bit)| live | bit);
+                if live == 0 {
+                    continue;
+                }
+                let judge = worker.judge.get_or_insert_with(|| Judge::new(kernel));
+                judge.restart(kernel);
+                let (scratch, asked) = (&mut worker.hw, compiled(c));
+                let (observable, allowed) = match self.mode {
+                    OutcomeMode::Target => (
+                        witness_mask::<UarchModel>(judge, scratch, &space, asked.target(), live),
+                        Vec::new(),
+                    ),
+                    OutcomeMode::FullOutcomes => (
+                        0,
+                        outcome_masks::<UarchModel>(judge, scratch, &space, asked.observed(), live),
+                    ),
+                };
+                for &d in served() {
+                    let t = d / n_mappings;
+                    let c11 = self.c11_entry(t, worker);
+                    for (s, bit) in self.plan.stacks_of(d % n_mappings, k) {
+                        let (p, o) = match c11 {
+                            C11Cached::Target(permitted) => (*permitted, observable & bit != 0),
+                            C11Cached::Full(permitted) => {
+                                classify_outcomes(permitted, &allowed, bit).quadrant()
+                            }
+                        };
+                        emit(t, s, slot(p, o));
                     }
                 }
             }
@@ -683,11 +724,12 @@ impl Sweep {
         mapping: &dyn Mapping,
         model: &UarchModel,
     ) -> Vec<TestResult> {
-        let cells = [Cell {
-            mapping_idx: 0,
-            model,
+        let stacks = [MatrixStack {
+            key: StackKey::default(),
+            mapping,
+            model: model.clone(),
         }];
-        let (slots, _) = self.run_cells(tests, &[mapping], &cells);
+        let (slots, _) = self.run_cells(tests, &stacks);
         tests
             .iter()
             .zip(&slots)
@@ -697,16 +739,10 @@ impl Sweep {
 
     /// Runs the generic sweep matrix: every test × every stack, on the
     /// shared execution-space engine. Each (test, mapping) pair is
-    /// compiled exactly once and each distinct compiled program is
-    /// enumerated exactly once across all cells — see
-    /// [`SweepResults::stats`].
-    ///
-    /// Mappings are deduplicated across stacks by fat-pointer identity
-    /// (address AND vtable): the built-in tables are one static each, a
-    /// caller's zero-sized `Mapping` impls may share one address, and
-    /// dedup by name would let a name collision reuse the wrong compiled
-    /// programs. A duplicated vtable across codegen units only costs a
-    /// redundant cache column, never a wrong reuse.
+    /// compiled exactly once, each distinct compiled program is
+    /// enumerated exactly once across all cells, and each distinct
+    /// (program, target) is judged once under every model that asks —
+    /// see [`SweepResults::stats`].
     #[must_use]
     pub fn run_matrix(&self, tests: &[LitmusTest], stacks: &[MatrixStack<'_>]) -> SweepResults {
         let items = self.run_matrix_items(tests, stacks);
@@ -730,28 +766,7 @@ impl Sweep {
         tests: &[LitmusTest],
         stacks: &[MatrixStack<'_>],
     ) -> MatrixItems {
-        let mut mappings: Vec<&dyn Mapping> = Vec::new();
-        let cells: Vec<Cell<'_>> = stacks
-            .iter()
-            .map(|stack| {
-                #[allow(ambiguous_wide_pointer_comparisons)]
-                let mapping_idx = match mappings
-                    .iter()
-                    .position(|m| std::ptr::eq(*m as *const dyn Mapping, stack.mapping))
-                {
-                    Some(i) => i,
-                    None => {
-                        mappings.push(stack.mapping);
-                        mappings.len() - 1
-                    }
-                };
-                Cell {
-                    mapping_idx,
-                    model: &stack.model,
-                }
-            })
-            .collect();
-        let (slots, stats) = self.run_cells(tests, &mappings, &cells);
+        let (slots, stats) = self.run_cells(tests, stacks);
         // Collected from a borrowed iterator, so the vector is allocated
         // at its exact length rather than reusing the slot table's
         // allocation.
@@ -764,38 +779,22 @@ impl Sweep {
         }
     }
 
-    /// Compiles and groups the sweep by program, fuses one kernel per
-    /// mapping, then runs one work item per distinct program over the
-    /// work-stealing pool, returning the (test, stack) slot table
-    /// (test-major) plus the sweep's counters.
+    /// Plans the sweep's one set of fused kernels, compiles and groups
+    /// the sweep by program, then runs one work item per distinct
+    /// program over the work-stealing pool, returning the (test, stack)
+    /// slot table (test-major) plus the sweep's counters.
     fn run_cells(
         &self,
         tests: &[LitmusTest],
-        mappings: &[&dyn Mapping],
-        cells: &[Cell<'_>],
+        stacks: &[MatrixStack<'_>],
     ) -> (Vec<AtomicU8>, SweepStats) {
         let store = self.options.store.as_deref();
-        let (compiled, items) = group_programs(tests, mappings);
+        let plan = SweepPlan::new(stacks);
+        let (compiled, items) = group_programs(tests, &plan.mappings);
         let compile_calls = compiled.len();
-        let kernels_of: Vec<Vec<FusedKernel>> = (0..mappings.len())
-            .map(|m| {
-                let stacks: Vec<usize> = (0..cells.len())
-                    .filter(|&s| cells[s].mapping_idx == m)
-                    .collect();
-                stacks
-                    .chunks(64)
-                    .map(|chunk| FusedKernel {
-                        kernel: UarchModel::fuse(
-                            &chunk.iter().map(|&s| cells[s].model).collect::<Vec<_>>(),
-                        ),
-                        stacks: chunk.to_vec(),
-                    })
-                    .collect()
-            })
-            .collect();
-        // Label the per-mapping judgement latency histograms; the
-        // iterator is only consumed when a metrics session is collecting.
-        tricheck_trace::set_keys(mappings.iter().map(|m| m.name().to_string()));
+        // Label the judgement latency histograms by mapping; the iterator
+        // is only consumed when a metrics session is collecting.
+        tricheck_trace::set_keys(plan.mappings.iter().map(|m| m.name().to_string()));
         let cache = SweepCache {
             tests,
             mode: self.options.outcome_mode,
@@ -803,10 +802,10 @@ impl Sweep {
             store,
             c11_verdicts: (0..tests.len()).map(|_| OnceLock::new()).collect(),
             compiled,
-            kernels_of,
+            plan,
             c11_evaluations: AtomicUsize::new(0),
         };
-        let n_cells = cells.len();
+        let n_cells = stacks.len();
         let slots: Vec<AtomicU8> = (0..tests.len() * n_cells)
             .map(|_| AtomicU8::new(0))
             .collect();
@@ -848,7 +847,7 @@ impl Sweep {
             compile_calls,
             compile_cache_hits: tests.len() * n_cells - compile_calls,
             distinct_programs: items.len(),
-            compiled_kernels: cache.kernels_of.iter().map(Vec::len).sum(),
+            compiled_kernels: cache.plan.kernels.len(),
             ..SweepStats::default()
         };
         for s in space_stats.into_iter().filter_map(OnceLock::into_inner) {
@@ -1105,7 +1104,7 @@ mod tests {
     }
 
     #[test]
-    fn items_are_exact_size_and_one_kernel_judges_each_mapping() {
+    fn items_are_exact_size_and_one_kernel_judges_the_sweep() {
         let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
         let items = Sweep::with_options(SweepOptions::with_threads(1))
             .run_matrix_items(&tests, &matrix("riscv"));
@@ -1114,13 +1113,13 @@ mod tests {
         // its allocation: a caller that keeps the vector keeps no more.
         assert_eq!(items.items.capacity(), items.items.len());
         assert_eq!(
-            items.stats.compiled_kernels, 4,
-            "one fused kernel per mapping"
+            items.stats.compiled_kernels, 1,
+            "the 14 distinct models of 28 stacks fuse into one kernel"
         );
     }
 
     #[test]
-    fn a_mapping_judged_by_more_than_64_stacks_fuses_in_chunks() {
+    fn copies_of_a_model_fuse_once() {
         let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
         let riscv = matrix("riscv");
         let first: Vec<MatrixStack<'static>> = riscv
@@ -1133,10 +1132,41 @@ mod tests {
         let sweep = Sweep::with_options(SweepOptions::with_threads(2));
         let wide = sweep.run_matrix_items(&tests, &many);
         let narrow = sweep.run_matrix_items(&tests, &first);
-        assert_eq!(wide.stats.compiled_kernels, 2, "64 stacks, then 1");
+        assert_eq!(wide.stats.compiled_kernels, 1, "7 distinct models");
         for t in 0..tests.len() {
             for s in 0..65 {
                 assert_eq!(wide.items[t * 65 + s], narrow.items[t * 7 + s % 7]);
+            }
+        }
+    }
+
+    #[test]
+    fn more_than_64_distinct_models_fuse_in_chunks() {
+        let tests: Vec<_> = suite::mp_template().instantiate_all().collect();
+        let text = include_str!("../../../models/riscv-curr/nMM.cat");
+        let renamed = |i: usize| {
+            let text = text.replacen("model nMM/", &format!("model nMM{i}/"), 1);
+            let ir = tricheck_rel::parse_model(&text, &tricheck_uarch::hw_vocabulary())
+                .expect("a renamed committed model parses");
+            UarchModel::from_ir(ir)
+        };
+        let stack = |model: UarchModel| MatrixStack {
+            key: StackKey {
+                isa: "Base",
+                variant: "riscv-curr",
+            },
+            mapping: riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
+            model,
+        };
+        let many: Vec<MatrixStack<'static>> = (0..65).map(|i| stack(renamed(i))).collect();
+        let sweep = Sweep::with_options(SweepOptions::with_threads(2));
+        let wide = sweep.run_matrix_items(&tests, &many);
+        let one = sweep.run_matrix_items(&tests, &[stack(UarchModel::nmm(SpecVersion::Curr))]);
+        assert_eq!(wide.stats.compiled_kernels, 2, "64 distinct models, then 1");
+        assert_eq!(one.stats.compiled_kernels, 1);
+        for t in 0..tests.len() {
+            for s in 0..65 {
+                assert_eq!(wide.items[t * 65 + s], one.items[t]);
             }
         }
     }
@@ -1168,6 +1198,10 @@ mod tests {
         // Leading- and trailing-sync agree on relaxed-only code, so
         // deduplication must find strictly fewer programs than pairs.
         assert!(stats.distinct_programs < stats.compile_calls);
+        assert_eq!(
+            stats.compiled_kernels, 1,
+            "both mappings' 2 models fuse once"
+        );
     }
 
     #[test]
@@ -1178,6 +1212,13 @@ mod tests {
             assert_eq!(stack.key.isa_label(), "x86");
             assert_eq!(stack.model.ir().name(), "x86-TSO");
         }
+        let tests = vec![suite::sb([MemOrder::Sc; 4]), suite::sb([MemOrder::Rlx; 4])];
+        let results = Sweep::new().run_matrix(&tests, &stacks);
+        assert_eq!(
+            results.stats().compiled_kernels,
+            1,
+            "one model judges both mappings"
+        );
     }
 
     #[test]

@@ -287,13 +287,19 @@ pub fn run_sharded(
             continue;
         }
         let job = encode_job(&matrix.name, tests, indices, threads, opts);
-        let mut child = Command::new(&exe)
+        let spawned = Command::new(&exe)
             .args(&opts.worker_args)
             .envs(opts.worker_env.iter().map(|(k, v)| (k, v)))
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .spawn()
-            .map_err(DistError::Spawn)?;
+            .spawn();
+        let mut child = match spawned {
+            Ok(child) => child,
+            Err(e) => {
+                reap(children);
+                return Err(DistError::Spawn(e));
+            }
+        };
         {
             let mut stdin = child.stdin.take().expect("piped stdin");
             let mut line = hex_encode(&job);
@@ -310,48 +316,57 @@ pub fn run_sharded(
 
     // Collect every worker's result. Workers run concurrently; reading
     // them in order cannot deadlock because each child's stdin is
-    // already written and closed.
+    // already written and closed. On the first failure every worker
+    // still running is reaped before the error is returned.
     let n_stacks = stacks.len();
     let mut items: Vec<Option<Classification>> = vec![None; tests.len() * n_stacks];
     let mut stats = SweepStats::default();
     let mut reports = Vec::new();
-    for (shard, mut child) in children {
-        let _exchange = tricheck_trace::span(tricheck_trace::Phase::ShardExchange);
-        let mut stdout = String::new();
-        child
-            .stdout
-            .take()
-            .expect("piped stdout")
-            .read_to_string(&mut stdout)
-            .map_err(DistError::Spawn)?;
-        let status = child.wait().map_err(DistError::Spawn)?;
-        let (shard_items, shard_stats, shard_store, shard_trace) =
-            parse_worker_output(&stdout, status.success())
-                .map_err(|message| DistError::Worker { shard, message })?;
-        let indices = &dealt[shard];
-        if shard_items.len() != indices.len() * n_stacks {
-            return Err(DistError::Worker {
+    let mut pending = children.into_iter();
+    while let Some((shard, mut child)) = pending.next() {
+        let mut collect = || -> Result<(), DistError> {
+            let _exchange = tricheck_trace::span(tricheck_trace::Phase::ShardExchange);
+            let mut stdout = String::new();
+            child
+                .stdout
+                .take()
+                .expect("piped stdout")
+                .read_to_string(&mut stdout)
+                .map_err(DistError::Spawn)?;
+            let status = child.wait().map_err(DistError::Spawn)?;
+            let (shard_items, shard_stats, shard_store, shard_trace) =
+                parse_worker_output(&stdout, status.success())
+                    .map_err(|message| DistError::Worker { shard, message })?;
+            let indices = &dealt[shard];
+            if shard_items.len() != indices.len() * n_stacks {
+                return Err(DistError::Worker {
+                    shard,
+                    message: format!(
+                        "result has {} items, expected {}",
+                        shard_items.len(),
+                        indices.len() * n_stacks
+                    ),
+                });
+            }
+            for (local, &global) in indices.iter().enumerate() {
+                let global = global as usize;
+                items[global * n_stacks..(global + 1) * n_stacks]
+                    .copy_from_slice(&shard_items[local * n_stacks..(local + 1) * n_stacks]);
+            }
+            stats = merge_stats(stats, shard_stats);
+            reports.push(ShardReport {
                 shard,
-                message: format!(
-                    "result has {} items, expected {}",
-                    shard_items.len(),
-                    indices.len() * n_stacks
-                ),
+                tests: indices.len(),
+                stats: shard_stats,
+                store: shard_store,
+                trace: shard_trace,
             });
+            Ok(())
+        };
+        if let Err(e) = collect() {
+            reap(std::iter::once((shard, child)).chain(pending));
+            return Err(e);
         }
-        for (local, &global) in indices.iter().enumerate() {
-            let global = global as usize;
-            items[global * n_stacks..(global + 1) * n_stacks]
-                .copy_from_slice(&shard_items[local * n_stacks..(local + 1) * n_stacks]);
-        }
-        stats = merge_stats(stats, shard_stats);
-        reports.push(ShardReport {
-            shard,
-            tests: indices.len(),
-            stats: shard_stats,
-            store: shard_store,
-            trace: shard_trace,
-        });
     }
     stats.tests = tests.len();
     stats.cells = n_stacks;
@@ -359,6 +374,16 @@ pub fn run_sharded(
         results: results_from_items(tests, stacks, &items, stats),
         shards: reports,
     })
+}
+
+/// Kills and waits every child, so a failed sweep leaves no worker
+/// running (a worker left behind would sweep on and then die writing
+/// to a closed pipe).
+fn reap(children: impl IntoIterator<Item = (usize, Child)>) {
+    for (_, mut child) in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
 }
 
 /// The `--shards 1` fast path: no process spawning, one in-process
@@ -514,8 +539,8 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
             1 => Some(PathBuf::from(r.string()?)),
             _ => return Err(CodecError::Invalid("cache dir flag")),
         };
-        let n = r.u32()? as usize;
-        let mut tests = Vec::with_capacity(n);
+        let n = r.u32()?;
+        let mut tests = Vec::with_capacity(capacity(n, &r, 20));
         for _ in 0..n {
             let _global = r.u32()?; // the parent tracks the mapping
             let name = r.string()?;
@@ -549,6 +574,14 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
     inner().map_err(|e| format!("malformed job: {e}"))
 }
 
+/// The capacity to reserve for `n` count-prefixed entries of at least
+/// `min_bytes` each: no more than the reader's remaining bytes can
+/// hold, so a corrupt count cannot ask for an allocation the frame
+/// cannot back.
+fn capacity(n: u32, r: &ByteReader<'_>, min_bytes: usize) -> usize {
+    (n as usize).min(r.remaining() / min_bytes + 1)
+}
+
 /// Appends a length-prefixed `(bucket, count)` sparse histogram.
 fn put_hist(out: &mut Vec<u8>, hist: &[(u16, u64)]) {
     codec::put_u32(out, hist.len() as u32);
@@ -559,8 +592,8 @@ fn put_hist(out: &mut Vec<u8>, hist: &[(u16, u64)]) {
 }
 
 fn read_hist(r: &mut ByteReader<'_>) -> Result<Vec<(u16, u64)>, CodecError> {
-    let n = r.u32()? as usize;
-    let mut hist = Vec::with_capacity(n);
+    let n = r.u32()?;
+    let mut hist = Vec::with_capacity(capacity(n, r, 10));
     for _ in 0..n {
         let bucket = r.u16()?;
         let count = r.u64()?;
@@ -608,8 +641,8 @@ fn encode_report(report: &TraceReport) -> Vec<u8> {
 
 fn decode_report(r: &mut ByteReader<'_>) -> Result<TraceReport, CodecError> {
     let wall_ns = r.u64()?;
-    let n_phases = r.u32()? as usize;
-    let mut phases = Vec::with_capacity(n_phases);
+    let n_phases = r.u32()?;
+    let mut phases = Vec::with_capacity(capacity(n_phases, r, 32));
     for _ in 0..n_phases {
         let name = r.string()?;
         let total_ns = r.u64()?;
@@ -624,15 +657,15 @@ fn decode_report(r: &mut ByteReader<'_>) -> Result<TraceReport, CodecError> {
             hist,
         });
     }
-    let n_counters = r.u32()? as usize;
-    let mut counters = Vec::with_capacity(n_counters);
+    let n_counters = r.u32()?;
+    let mut counters = Vec::with_capacity(capacity(n_counters, r, 12));
     for _ in 0..n_counters {
         let name = r.string()?;
         let value = r.u64()?;
         counters.push((name, value));
     }
-    let n_stacks = r.u32()? as usize;
-    let mut stacks = Vec::with_capacity(n_stacks);
+    let n_stacks = r.u32()?;
+    let mut stacks = Vec::with_capacity(capacity(n_stacks, r, 32));
     for _ in 0..n_stacks {
         let label = r.string()?;
         let total_ns = r.u64()?;
@@ -647,8 +680,8 @@ fn decode_report(r: &mut ByteReader<'_>) -> Result<TraceReport, CodecError> {
             hist,
         });
     }
-    let n_workers = r.u32()? as usize;
-    let mut workers = Vec::with_capacity(n_workers);
+    let n_workers = r.u32()?;
+    let mut workers = Vec::with_capacity(capacity(n_workers, r, 12));
     for _ in 0..n_workers {
         let shard = r.u64()?;
         let frame = r.bytes()?;
@@ -744,8 +777,8 @@ fn decode_result(bytes: &[u8]) -> Result<DecodedResult, String> {
         .map_err(|e| format!("malformed result payload: {e}"))?;
     check_version("result", version)?;
     let mut inner = || -> Result<DecodedResult, CodecError> {
-        let n = r.u32()? as usize;
-        let mut items = Vec::with_capacity(n);
+        let n = r.u32()?;
+        let mut items = Vec::with_capacity(capacity(n, &r, 1));
         for _ in 0..n {
             items.push(match r.u8()? {
                 0 => None,
@@ -1160,5 +1193,93 @@ mod tests {
         let b = intern_family("wrc");
         assert!(std::ptr::eq(a, b));
         assert_eq!(intern_family("brand-new-family"), "brand-new-family");
+    }
+
+    /// A `u32::MAX` entry count with no entries behind it.
+    fn huge_count(out: &mut Vec<u8>) {
+        codec::put_u32(out, u32::MAX);
+    }
+
+    #[test]
+    fn a_huge_count_with_no_payload_is_an_error_in_every_frame() {
+        let mut job = b"TCSJ".to_vec();
+        codec::put_u16(&mut job, PROTOCOL_VERSION);
+        codec::put_str(&mut job, "power");
+        job.extend_from_slice(&[0, 0]); // target mode, no trace
+        codec::put_u16(&mut job, 1);
+        job.push(0); // no cache dir
+        huge_count(&mut job);
+        assert!(decode_job(&job).is_err(), "job tests");
+
+        let mut result = b"TCSR".to_vec();
+        codec::put_u16(&mut result, PROTOCOL_VERSION);
+        huge_count(&mut result);
+        assert!(decode_result(&result).is_err(), "result items");
+
+        let mut hist = Vec::new();
+        huge_count(&mut hist);
+        assert!(read_hist(&mut ByteReader::new(&hist)).is_err(), "histogram");
+
+        // A report's four lists, each after empty lists before it.
+        for empty_before in 0..4 {
+            let mut report = Vec::new();
+            codec::put_u64(&mut report, 1);
+            for _ in 0..empty_before {
+                codec::put_u32(&mut report, 0);
+            }
+            huge_count(&mut report);
+            assert!(
+                decode_report(&mut ByteReader::new(&report)).is_err(),
+                "report list {empty_before}"
+            );
+        }
+    }
+
+    /// Applies one to three random byte edits: flip, insert, delete,
+    /// overwrite four bytes with a huge count, or truncate.
+    fn mutate(frame: &[u8], rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        let mut bytes = frame.to_vec();
+        for _ in 0..rng.gen_range(1..=3) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..5) {
+                0 if at < bytes.len() => bytes[at] ^= 1u8 << rng.gen_range(0..8u32),
+                1 => bytes.insert(at, rng.gen_range(0..=255)),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                3 if at + 4 <= bytes.len() => {
+                    bytes[at..at + 4].copy_from_slice(&rng.gen_range(0..=u32::MAX).to_le_bytes());
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn mutated_frames_decode_or_fail_without_panicking() {
+        use rand::SeedableRng;
+        let tests: Vec<LitmusTest> = suite::wrc_template().instantiate_all().take(3).collect();
+        let job = encode_job("power", &tests, &[0, 1, 2], 2, &DistOptions::default());
+        let items = vec![
+            Some(Classification::Bug),
+            None,
+            Some(Classification::Equivalent),
+        ];
+        let result = encode_result(
+            &items,
+            &SweepStats::default(),
+            &StoreStats::default(),
+            Some(&sample_report()),
+        );
+        assert!(decode_job(&job).is_ok() && decode_result(&result).is_ok());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for _ in 0..150 {
+            let mutant = mutate(&job, &mut rng);
+            let _ = decode_job(&mutant);
+            let mutant = mutate(&result, &mut rng);
+            let _ = decode_result(&mutant);
+        }
     }
 }

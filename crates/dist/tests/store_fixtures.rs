@@ -3,6 +3,7 @@
 //! recompute with rows identical to a storeless run — degraded
 //! performance is acceptable, a wrong row never is.
 
+use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,6 +51,21 @@ fn run_with_store(tests: &[LitmusTest], store: &Arc<DiskStore>) -> SweepResults 
     Sweep::with_options(opts).run_matrix(tests, &builtin_stack("power").unwrap().stacks)
 }
 
+/// The distinct (program, target) pairs the power sweep of `tests`
+/// judges, found by compiling every (test, mapping) pair.
+fn distinct_judgements(tests: &[LitmusTest]) -> usize {
+    let stacks = builtin_stack("power").unwrap().stacks;
+    let mut pairs = HashSet::new();
+    for test in tests {
+        for stack in &stacks {
+            if let Ok(compiled) = tricheck_compiler::compile(test, stack.mapping) {
+                pairs.insert((compiled.program().clone(), compiled.target().clone()));
+            }
+        }
+    }
+    pairs.len()
+}
+
 fn space_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = fs::read_dir(dir.join("spaces"))
         .expect("spaces dir")
@@ -73,11 +89,23 @@ fn populate(dir: &Path, tests: &[LitmusTest]) -> SweepResults {
 fn warm_store_serves_hits_and_identical_rows() {
     let dir = TempDir::new("warm");
     let tests = small_suite();
-    let baseline = populate(dir.path(), &tests);
+    let cold = run_with_store(
+        &tests,
+        &Arc::new(DiskStore::open(dir.path()).expect("open store")),
+    );
+    // Each distinct (program, target) is judged once, so a cold sweep
+    // asks no space for a view twice ...
+    assert_eq!(cold.stats().space_cache_hits, 0);
+    let baseline = Sweep::new().run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
+    assert_eq!(cold.rows(), baseline.rows(), "cold cached run == storeless");
 
     let store = Arc::new(DiskStore::open(dir.path()).expect("reopen store"));
     let warm = run_with_store(&tests, &store);
     assert_eq!(warm.rows(), baseline.rows(), "warm run == storeless");
+    // ... and a warm one serves every judgement from a restored view.
+    let judgements = distinct_judgements(&tests);
+    assert!(judgements < warm.stats().compile_calls);
+    assert_eq!(warm.stats().space_cache_hits, judgements);
     let stats = store.stats();
     assert!(stats.space_hits > 0, "warm run must hit the space cache");
     assert_eq!(stats.space_misses, 0, "every space must be served warm");

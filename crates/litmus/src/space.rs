@@ -677,7 +677,8 @@ impl<A: Clone + Hash + AnnCodec> ExecutionSpace<A> {
 ///   [`allowed_outcomes`](Self::allowed_outcomes) judge a shared
 ///   [`ExecutionSpace`]: they are the width-1 calls of the two
 ///   shared-space loops, [`witness_mask`] and [`outcome_masks`], which
-///   a sweep calls with a fused kernel and every model of a mapping;
+///   a sweep calls with its one fused kernel and the models of every
+///   mapping that emitted the program;
 /// - [`observes`](Self::observes) and
 ///   [`observable_outcomes`](Self::observable_outcomes) judge a
 ///   streaming enumeration of one program, materializing nothing.

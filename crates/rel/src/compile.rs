@@ -32,9 +32,10 @@
 //! - **Fusing models** — [`CompiledModel::fuse`] lowers several models
 //!   (up to 64) through one CSE table, so the operations they share —
 //!   every base fetch, `com`, the fence sets, common `ppo`/`hb` terms —
-//!   form one prelude and one body. A sweep fuses the µarch models that
-//!   judge one compiler mapping's programs and judges each candidate
-//!   under all of them in one pass ([`Judge::check_mask`]).
+//!   form one prelude and one body. A sweep fuses its stacks' distinct
+//!   µarch models once and judges each candidate under the models of
+//!   every mapping that emitted the program in one pass
+//!   ([`Judge::check_mask`], with those models' bits as the live mask).
 //!
 //! Each axiom carries its model's bit and the list of body operations
 //! its relation needs. One evaluation loop serves every check: it walks

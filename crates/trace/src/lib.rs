@@ -25,7 +25,8 @@
 //!
 //! [`cell_span`] additionally tags the span with a key index
 //! registered via [`set_keys`] (the sweep engine keys by compiler
-//! mapping), producing the per-key latency histograms
+//! mapping: a judgement's first compilation's), producing the per-key
+//! latency histograms
 //! (`p50`/`p95`/`max`) of the report's `stacks` rows.
 //!
 //! Every record lands in a buffer owned by the recording thread
@@ -91,11 +92,13 @@
 //! 19% relative error) over inclusive durations. `counters` is the
 //! superset surface: the sweep engine's `SweepStats` and the store's
 //! `StoreStats` are injected as counters next to the ones recorded here.
-//! `stacks` holds one row per [`cell_span`] key: the sweep engine keys
-//! its `cell` spans by compiler mapping — one span per (test, mapping)
-//! judgement, under all of the mapping's µarch models at once — so a
-//! row is the latency of judging one compiled test under a mapping,
-//! not of one (test, stack) cell. `config` (additive to v1) records the
+//! `stacks` holds one row per [`cell_span`] key: the sweep engine
+//! emits one `cell` span per judgement — one per distinct (program,
+//! target), under the µarch models of every mapping that emitted it at
+//! once — keyed by the mapping of the first compilation it serves, so a
+//! row is the latency of the judgements first asked for by that
+//! mapping, not of one (test, stack) cell. A program two mappings emit
+//! is judged, and counted, once. `config` (additive to v1) records the
 //! threads, host parallelism, outcome mode and suite size of the run;
 //! the CLI's `sweep --metrics-json` and the `fig15 --json` experiment
 //! set it.
@@ -138,10 +141,12 @@ fn flags() -> u32 {
 /// order phases appear in reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// One judgement of a compiled test under all of its compiler
-    /// mapping's µarch models, inside its program's work item in the
-    /// sweep engine. Its self time is the engine's own judging overhead;
-    /// its inclusive durations are the per-(test, mapping) cost.
+    /// One judgement of a distinct (program, target) — every compiled
+    /// test that shares it — under the µarch models of every mapping
+    /// that emitted it, inside its program's work item in the sweep
+    /// engine, keyed by the mapping of the first compilation it serves.
+    /// Its self time is the engine's own judging overhead; its inclusive
+    /// durations are the per-judgement cost.
     Cell,
     /// C11 axiomatic evaluation of one litmus test (Step 1).
     C11Eval,

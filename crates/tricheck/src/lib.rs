@@ -73,10 +73,11 @@
 //! - **Scheduling** ([`core::Sweep`]) compiles every (test, mapping)
 //!   pair once, groups the (test × stack) visits by compiled program,
 //!   and fans one work item per distinct program over a work-stealing
-//!   pool. Each mapping's µarch models are fused into one kernel
-//!   ([`uarch::UarchModel::fuse`]), so a compiled test is judged under
-//!   all of them in one pass ([`litmus::witness_mask`]) by the worker's
-//!   one judge. `SweepResults::stats()` proves the exactly-once
+//!   pool. The matrix's distinct µarch models are fused into one kernel
+//!   ([`uarch::UarchModel::fuse`]), so each distinct (program, target)
+//!   is judged once, under the models of every mapping that emitted
+//!   it, in one pass ([`litmus::witness_mask`]) by the worker's one
+//!   judge. `SweepResults::stats()` proves the exactly-once
 //!   contract, and `SweepOptions { threads: 1 }` degrades to a fully
 //!   deterministic serial run.
 //!

@@ -6,10 +6,13 @@
 //! a schema version bump. The trace collector is process-global, so
 //! every test that opens a session serializes on [`session_lock`].
 
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use tricheck::compiler::riscv_mapping;
-use tricheck::core::{diagnose, riscv_stacks, Classification, Sweep, SweepOptions, TriCheck};
+use tricheck::compiler::{compile, riscv_mapping};
+use tricheck::core::{
+    diagnose, riscv_stacks, Classification, MatrixStack, Sweep, SweepOptions, TriCheck,
+};
 use tricheck::isa::{RiscvIsa, SpecVersion};
 use tricheck::litmus::{extra, suite, LitmusTest, MemOrder};
 use tricheck::trace::{self, json, TraceConfig, TraceReport};
@@ -47,6 +50,20 @@ fn traced_serial_sweep(tests: &[LitmusTest]) -> TraceReport {
         report.set_counter(name, value);
     }
     report
+}
+
+/// The distinct (program, target) pairs a sweep of `tests` over
+/// `stacks` judges, found by compiling every (test, mapping) pair.
+fn distinct_judgements(tests: &[LitmusTest], stacks: &[MatrixStack<'_>]) -> usize {
+    let mut pairs = HashSet::new();
+    for test in tests {
+        for stack in stacks {
+            if let Ok(compiled) = compile(test, stack.mapping) {
+                pairs.insert((compiled.program().clone(), compiled.target().clone()));
+            }
+        }
+    }
+    pairs.len()
 }
 
 fn as_u64(v: &json::Value, what: &str) -> u64 {
@@ -235,20 +252,24 @@ fn metrics_counters_match_sweep_stats() {
         c11.count, stats.c11_evaluations as u64,
         "one c11_eval span per engine evaluation"
     );
-    // Every compiled (test, mapping) pair is judged once, under all of
-    // the mapping's models, in one stream: one cell span each and at
-    // most one prelude each, plus at most one per C11 verdict.
+    // Every distinct (program, target) pair is judged once, under the
+    // models of every mapping that emits it, in one stream: one cell
+    // span each and at most one prelude each, plus at most one per C11
+    // verdict. Mappings that emit one program share its judgement, so
+    // there are fewer judgements than compilations.
+    let judgements = distinct_judgements(&tests, &riscv_stacks());
     let cell = report.phase("cell").expect("cell phase");
     assert_eq!(
-        cell.count, stats.compile_calls as u64,
-        "one cell span per (test, mapping) judgement"
+        cell.count, judgements as u64,
+        "one cell span per distinct (program, target) judgement"
     );
+    assert!(judgements < stats.compile_calls);
     let preludes = report.phase("prelude_eval").expect("prelude_eval phase");
     assert!(
-        preludes.count <= (stats.compile_calls + stats.c11_evaluations) as u64,
+        preludes.count <= (judgements + stats.c11_evaluations) as u64,
         "{} preludes for {} judgements and {} C11 verdicts",
         preludes.count,
-        stats.compile_calls,
+        judgements,
         stats.c11_evaluations
     );
 }
