@@ -58,12 +58,16 @@
 //!                               every C11-permitted outcome with every
 //!                               µarch-observable one, not just the target
 //!          --shards N           deal the sweep across N worker processes
-//!                               by program fingerprint range (1 = run
-//!                               in-process, no spawning)
+//!                               by program fingerprint range (default
+//!                               1 = run in-process, no spawning; N > 1
+//!                               takes built-in matrices only, since
+//!                               workers rebuild the matrix by name)
 //!          --cache-dir PATH     persist execution spaces and C11 verdicts
 //!                               in PATH (created if missing) so repeated
 //!                               sweeps skip enumeration; shared by all
-//!                               shards
+//!                               shards, and by any matrix: a stack or
+//!                               model file rerun after an edit reuses
+//!                               what the edit left unchanged
 //!          --metrics-json FILE  write the structured sweep metrics report
 //!                               (tricheck-metrics/v1 JSON: the run's
 //!                               config, per-phase timings with
@@ -84,9 +88,10 @@
 //!                               vacuous axioms)
 //! ```
 //!
-//! There is also a hidden `shard-worker` subcommand — the child half of
-//! the `--shards` protocol (job on stdin, result on stdout). It is an
-//! implementation detail of `tricheck-dist`, not a user command.
+//! Every sweep, whatever its matrix, is one `tricheck_dist::run_sharded`
+//! call. There is also a hidden `shard-worker` subcommand — the child
+//! half of the `--shards` protocol (job on stdin, result on stdout). It
+//! is an implementation detail of `tricheck-dist`, not a user command.
 
 use std::process::ExitCode;
 
@@ -192,7 +197,7 @@ const USAGE: &str = "usage:
                  [--shards N] [--cache-dir PATH]
                  [--metrics-json FILE] [--progress] [--trace FILE]
                  [--model FILE | --stack NAME|FILE]
-  tricheck sweep --list-models [--stack FILE]
+  tricheck sweep --list-models [--stack FILE | --model FILE]
   tricheck file PATH [--model M] [--isa base|base+a] [--spec curr|ours]
   tricheck lint FILE [--json] [--deny-warnings]
 
@@ -215,8 +220,10 @@ sweeps: --threads 1 gives a deterministic serial run; --cache-stats prints
         stronger verify_full equivalence, at witness-mode cost);
         --list-models prints every registered stack (ISA, mapping, model,
         IR axioms) and exits; --shards N deals the sweep across N worker
-        processes (1 = in process); --cache-dir PATH persists execution
-        spaces and C11 verdicts across runs (and across shards);
+        processes (default 1 = in process; N > 1 only for built-in
+        stacks); --cache-dir PATH persists execution spaces and C11
+        verdicts across runs, shards and matrices (built-in, --stack
+        FILE or --model FILE alike);
         --metrics-json FILE writes the structured tricheck-metrics/v1
         report; --progress renders a live stderr progress line; --trace
         FILE writes a chrome://tracing timeline
@@ -377,28 +384,13 @@ fn parse_options(args: &[String]) -> Result<(Vec<&String>, Options), String> {
 fn unknown_flag(flag: &str) -> String {
     let nearest = ALL_FLAGS
         .iter()
-        .map(|known| (edit_distance(flag, known), known))
+        .map(|known| (tricheck::rel::parse::edit_distance(flag, known), known))
         .min()
         .filter(|(d, _)| *d <= 3);
     match nearest {
         Some((_, known)) => format!("unknown option '{flag}' (did you mean '{known}'?)"),
         None => format!("unknown option '{flag}'"),
     }
-}
-
-/// Levenshtein distance, for the `unknown_flag` hint.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.iter().enumerate() {
-        let mut row = vec![i + 1];
-        for (j, cb) in b.iter().enumerate() {
-            let subst = prev[j] + usize::from(ca != cb);
-            row.push(subst.min(prev[j + 1] + 1).min(row[j] + 1));
-        }
-        prev = row;
-    }
-    prev[b.len()]
 }
 
 /// Rejects options that do not apply to the given subcommand. Flags are
@@ -464,8 +456,8 @@ fn model_by_name(name: &str, spec: SpecVersion) -> Result<UarchModel, CliError> 
 fn resolve_model(opts: &Options) -> Result<UarchModel, CliError> {
     let path = std::path::Path::new(&opts.model);
     if path.is_file() {
-        let ir = tricheck::core::load_model_file(path).map_err(|e| e.to_string())?;
-        Ok(UarchModel::from_ir(ir))
+        let mut loaded = tricheck::core::load_model_file(path).map_err(|e| e.to_string())?;
+        Ok(loaded.stacks.swap_remove(0).model)
     } else {
         model_by_name(&opts.model, opts.spec)
     }
@@ -652,8 +644,9 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         }
         "sweep" => {
             // The matrix to sweep (Figure 15 unless --stack names another
-            // entry or a stack file), resolved before anything else so
-            // `--list-models` can catalog a loaded file too.
+            // entry or a stack file, or --model a model file), resolved
+            // before anything else so `--list-models` can catalog a
+            // loaded file too.
             if opts.stack.is_some() && opts.was_given("--model") {
                 return Err(usage(
                     "--stack and --model cannot be combined: a stack file already \
@@ -661,14 +654,7 @@ fn run(args: &[String]) -> Result<u8, CliError> {
                 ));
             }
             let mut registry = tricheck::core::StackRegistry::new();
-            let spec = opts.stack.as_deref().unwrap_or("riscv");
-            let from_file = registry.get(spec).is_none();
-            let matrix = registry.resolve(spec)?;
-            gate_lints(&matrix.origin, &matrix.lints, opts.allow_lint_errors)?;
-            // The lint pass ran while this invocation loaded the file.
-            let mut lint_counters =
-                from_file.then_some((matrix.rules_checked as u64, matrix.lints.len() as u64));
-            let model_stacks = if opts.was_given("--model") {
+            let (matrix, from_file) = if opts.was_given("--model") {
                 let path = std::path::Path::new(&opts.model);
                 if !path.is_file() {
                     return Err(usage(format!(
@@ -678,28 +664,23 @@ fn run(args: &[String]) -> Result<u8, CliError> {
                         opts.model
                     )));
                 }
-                let (ir, diags) =
-                    tricheck::core::load_model_file_linted(path).map_err(|e| e.to_string())?;
-                gate_lints(&opts.model, &diags, opts.allow_lint_errors)?;
-                lint_counters = Some((tricheck::rel::lint::MODEL_RULES as u64, diags.len() as u64));
-                Some((ir.name().to_string(), tricheck::core::stacks_for_model(&ir)))
+                let loaded = tricheck::core::load_model_file(path).map_err(|e| e.to_string())?;
+                (registry.register(loaded), true)
             } else {
-                None
+                let spec = opts.stack.as_deref().unwrap_or("riscv");
+                let from_file = registry.get(spec).is_none();
+                (registry.resolve(spec)?, from_file)
             };
+            gate_lints(&matrix.origin, &matrix.lints, opts.allow_lint_errors)?;
             if opts.list_models {
-                let mut extra: Vec<(String, &[tricheck::core::MatrixStack<'_>])> = Vec::new();
-                if let Some((name, stacks)) = &model_stacks {
-                    extra.push((format!("{name} (loaded from {})", opts.model), stacks));
-                }
-                out!("{}", list_models(registry.entries(), &extra));
+                out!("{}", list_models(registry.entries()));
                 return Ok(0);
             }
-            if (from_file || model_stacks.is_some())
-                && (opts.shards.is_some() || opts.cache_dir.is_some())
-            {
+            let shards = opts.shards.unwrap_or(1);
+            if from_file && shards > 1 {
                 return Err(usage(
-                    "--shards/--cache-dir cannot be combined with --stack FILE or --model \
-                     FILE: sharded sweeps only run the built-in matrices",
+                    "--shards N>1 cannot be combined with --stack FILE or --model FILE: \
+                     shard workers rebuild the built-in matrices by name",
                 ));
             }
             let family = pos.next().cloned().unwrap_or_else(|| "wrc".to_string());
@@ -710,26 +691,47 @@ fn run(args: &[String]) -> Result<u8, CliError> {
             if tests.is_empty() {
                 return Err(CliError::Failed(format!("unknown family '{family}'")));
             }
-            if opts.shards.is_some() || opts.cache_dir.is_some() {
-                return Ok(run_dist_sweep(&family, &tests, matrix, &opts)?);
-            }
-            let session = begin_sweep_trace(&opts);
-            let sweep_opts = sweep_options(&opts);
-            let config = sweep_opts.run_config(tests.len());
-            let sweep = Sweep::with_options(sweep_opts);
-            let stacks = match &model_stacks {
-                Some((_, stacks)) => stacks,
-                None => &matrix.stacks,
+            let cache_dir = opts
+                .cache_dir
+                .as_deref()
+                .map(validate_cache_dir)
+                .transpose()?;
+            let sweep_opts = SweepOptions {
+                outcome_mode: if opts.outcomes {
+                    OutcomeMode::FullOutcomes
+                } else {
+                    OutcomeMode::Target
+                },
+                ..opts
+                    .threads
+                    .map_or_else(SweepOptions::default, SweepOptions::with_threads)
             };
-            let results = sweep.run_matrix(&tests, stacks);
-            print_sweep_report(&results, &family, matrix, &opts);
+            let dist_opts = DistOptions {
+                shards,
+                threads: opts.threads,
+                outcome_mode: sweep_opts.outcome_mode,
+                cache_dir,
+                // Spawned workers run their shard under a metrics session
+                // and ship the drained report back, so the merged metrics
+                // carry a per-worker breakdown.
+                collect_trace: wants_metrics(&opts),
+                ..DistOptions::default()
+            };
+            let session = begin_sweep_trace(&opts);
+            let dist = run_sharded(matrix, &tests, &dist_opts).map_err(|e| e.to_string())?;
+            if opts.stack.is_some() {
+                print_report(|| report::stack_table(&dist.results, &matrix.title));
+            } else {
+                print_report(|| report::family_chart(&dist.results, &family));
+            }
+            // A file is linted while it loads, before the session began.
+            let lint_counters =
+                from_file.then_some((matrix.rules_checked as u64, matrix.lints.len() as u64));
             let report = end_sweep_trace(
                 session,
                 &opts,
-                config,
-                results.stats(),
-                None,
-                None,
+                sweep_opts.run_config(tests.len()),
+                &dist,
                 lint_counters,
             )?;
             if opts.cache_stats {
@@ -746,79 +748,6 @@ fn run(args: &[String]) -> Result<u8, CliError> {
         }
         other => Err(usage(format!("unknown command '{other}'"))),
     }
-}
-
-/// The sweep options `opts` asks for: `--threads` and `--outcomes`.
-fn sweep_options(opts: &Options) -> SweepOptions {
-    let mut sweep_opts = SweepOptions::default();
-    if let Some(threads) = opts.threads {
-        sweep_opts.threads = threads;
-    }
-    if opts.outcomes {
-        sweep_opts.outcome_mode = OutcomeMode::FullOutcomes;
-    }
-    sweep_opts
-}
-
-/// Prints a sweep's report: the `--stack` entry's study table under its
-/// title, else the Figure-15 chart of one family.
-fn print_sweep_report(
-    results: &tricheck::core::SweepResults,
-    family: &str,
-    matrix: &tricheck::core::LoadedStack,
-    opts: &Options,
-) {
-    if opts.stack.is_some() {
-        print_report(|| report::stack_table(results, &matrix.title));
-    } else {
-        print_report(|| report::family_chart(results, family));
-    }
-}
-
-/// The sharded / persistent sweep path (`--shards` or `--cache-dir`)
-/// over a built-in matrix.
-fn run_dist_sweep(
-    family: &str,
-    tests: &[LitmusTest],
-    matrix: &tricheck::core::LoadedStack,
-    opts: &Options,
-) -> Result<u8, String> {
-    let cache_dir = opts
-        .cache_dir
-        .as_deref()
-        .map(validate_cache_dir)
-        .transpose()?;
-    let sweep_opts = sweep_options(opts);
-    let dist_opts = DistOptions {
-        shards: opts.shards.unwrap_or(1),
-        threads: opts.threads,
-        outcome_mode: sweep_opts.outcome_mode,
-        cache_dir,
-        // Spawned workers run their shard under a metrics session and
-        // ship the drained report back (protocol v4) so the merged
-        // metrics carry a per-worker breakdown.
-        collect_trace: wants_metrics(opts),
-        ..DistOptions::default()
-    };
-    let session = begin_sweep_trace(opts);
-    let dist = run_sharded(matrix, tests, &dist_opts).map_err(|e| e.to_string())?;
-    print_sweep_report(&dist.results, family, matrix, opts);
-    let store_stats = dist.store_stats();
-    let trace_report = end_sweep_trace(
-        session,
-        opts,
-        sweep_opts.run_config(tests.len()),
-        dist.results.stats(),
-        opts.cache_dir.is_some().then_some(&store_stats),
-        Some(&dist),
-        // Sharded sweeps only run the built-in matrices, which are
-        // lint-clean by construction (tests/lint.rs pins it).
-        None,
-    )?;
-    if opts.cache_stats {
-        print_engine_stats(&trace_report);
-    }
-    Ok(0)
 }
 
 /// Prints a `--model`/`--stack` file's lint findings to stderr and
@@ -889,24 +818,7 @@ fn lint_json(
 /// A JSON string literal: quotes, backslashes (model text contains `\`
 /// for set difference) and control characters escaped.
 fn json_string(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", tricheck::trace::json_escape(s))
 }
 
 /// Whether the run needs metrics aggregation (not just progress).
@@ -974,16 +886,14 @@ fn spawn_progress_renderer() -> (
 
 /// Drains the session begun by [`begin_sweep_trace`]: folds in
 /// per-worker shard reports, records the run's `config`, injects the
-/// authoritative engine and store counters, and writes the
-/// `--metrics-json` / `--trace` files. The returned report is the single
-/// source for `--cache-stats`.
+/// authoritative engine counters (and store counters under
+/// `--cache-dir`), and writes the `--metrics-json` / `--trace` files.
+/// The returned report is the single source for `--cache-stats`.
 fn end_sweep_trace(
     session: SweepTrace,
     opts: &Options,
     config: tricheck::trace::RunConfig,
-    stats: &tricheck::core::SweepStats,
-    store: Option<&tricheck::core::StoreStats>,
-    dist: Option<&tricheck::dist::DistResults>,
+    dist: &tricheck::dist::DistResults,
     lint_counters: Option<(u64, u64)>,
 ) -> Result<tricheck::trace::TraceReport, String> {
     if let Some((stop, handle)) = session.progress {
@@ -999,20 +909,10 @@ fn end_sweep_trace(
     // Workers first: absorbing sums the per-worker counters; the
     // engine's own summed totals then overwrite them with identical
     // values (the invariant `tests/metrics_report.rs` pins).
-    if let Some(dist) = dist {
-        dist.absorb_traces(&mut report);
-    }
+    dist.absorb_traces(&mut report);
     report.config = Some(config);
-    for (name, value) in stats.as_counters() {
-        report.set_counter(name, value);
-    }
-    if let Some(store) = store {
-        for (name, value) in store.as_counters() {
-            report.set_counter(name, value);
-        }
-    }
-    // Stack/model files are linted while loading, *before* the trace
-    // session begins — inject the counts the session could not capture.
+    let store = opts.cache_dir.is_some().then(|| dist.store_stats());
+    tricheck::dist::set_sweep_counters(&mut report, dist.results.stats(), store.as_ref());
     if let Some((rules, diags)) = lint_counters {
         report.set_counter("lint_rules_checked", rules);
         report.set_counter("lint_diagnostics", diags);
@@ -1030,14 +930,11 @@ fn end_sweep_trace(
 
 /// Renders every registered sweep stack (`sweep --list-models`): each
 /// registry entry's cells (the built-ins under their titles, then any
-/// stack file loaded by `--stack`) plus any `--model` file section,
-/// each with its ISA column, mapping, µarch model, and the model's IR
-/// axiom names — so data-defined models added to any matrix (or loaded
-/// from a stack file) are discoverable without reading source.
-fn list_models(
-    entries: &[tricheck::core::LoadedStack],
-    extra: &[(String, &[tricheck::core::MatrixStack<'_>])],
-) -> String {
+/// stack or model file the command line loaded), each with its ISA
+/// column, mapping, µarch model, and the model's IR axiom names — so
+/// data-defined models added to any matrix (or loaded from a file) are
+/// discoverable without reading source.
+fn list_models(entries: &[tricheck::core::LoadedStack]) -> String {
     let mut out = String::new();
     let (builtins, loaded) = entries.split_at(tricheck::core::builtin_names().count());
     for entry in builtins {
@@ -1047,9 +944,6 @@ fn list_models(
     for entry in loaded {
         let title = format!("{} (loaded from {})", entry.name, entry.origin);
         render_stack_section(&mut out, &title, &entry.stacks);
-    }
-    for (title, stacks) in extra {
-        render_stack_section(&mut out, title, stacks);
     }
     out
 }
@@ -1202,7 +1096,7 @@ mod tests {
 
     #[test]
     fn list_models_names_every_matrix_and_axiom() {
-        let listing = list_models(tricheck::core::StackRegistry::new().entries(), &[]);
+        let listing = list_models(tricheck::core::StackRegistry::new().entries());
         for needle in [
             "riscv (built-in): Figure 15",
             "power (built-in): §7 compiler study",
@@ -1442,23 +1336,30 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(e.contains("cannot be combined"), "{e}");
-        let e = run(&strings(&[
-            "sweep", "sb", "--stack", STACK_FILE, "--shards", "2",
-        ]))
-        .unwrap_err()
-        .to_string();
-        assert!(e.contains("--shards/--cache-dir"), "{e}");
-        let e = run(&strings(&[
+        // Workers rebuild built-in matrices by name: a file takes one
+        // shard only.
+        for matrix in [["--stack", STACK_FILE], ["--model", MODEL_FILE]] {
+            let e = run(&strings(&[
+                "sweep", "sb", matrix[0], matrix[1], "--shards", "2",
+            ]))
+            .unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)), "{e:?}");
+            assert!(e.to_string().contains("--shards N>1"), "{e}");
+        }
+        // One shard and a store take a file like a built-in.
+        let dir = std::env::temp_dir().join(format!("tricheck-cli-model-{}", std::process::id()));
+        let args = strings(&[
             "sweep",
             "sb",
             "--model",
             MODEL_FILE,
+            "--shards",
+            "1",
             "--cache-dir",
-            "/tmp/x",
-        ]))
-        .unwrap_err()
-        .to_string();
-        assert!(e.contains("--shards/--cache-dir"), "{e}");
+            dir.to_str().unwrap(),
+        ]);
+        assert_eq!(run(&args), Ok(0));
+        std::fs::remove_dir_all(&dir).unwrap();
         // sweep --model only takes the file form.
         let e = run(&strings(&["sweep", "sb", "--model", "nMM"]))
             .unwrap_err()

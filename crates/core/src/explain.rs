@@ -233,7 +233,11 @@ mod tests {
     fn file_model_rejections_use_its_own_axiom_names() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/fixtures/models/renamed-axioms.cat");
-        let model = UarchModel::from_ir(crate::load_model_file(&path).unwrap());
+        let model = crate::load_model_file(&path)
+            .unwrap()
+            .stacks
+            .swap_remove(0)
+            .model;
         let test = suite::wrc([MemOrder::Sc; 5]);
         assert_eq!(test.name(), "wrc+sc+sc+sc+sc+sc");
         let d = diagnose(riscv_mapping(Base, Curr), &model, &test).unwrap();
@@ -256,7 +260,11 @@ mod tests {
     fn rejections_follow_the_models_axiom_order() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/fixtures/models/axiom-order.cat");
-        let model = UarchModel::from_ir(crate::load_model_file(&path).unwrap());
+        let model = crate::load_model_file(&path)
+            .unwrap()
+            .stacks
+            .swap_remove(0)
+            .model;
         let test = suite::corr([MemOrder::Sc, MemOrder::Sc, MemOrder::Rlx, MemOrder::Rlx]);
         assert_eq!(test.name(), "corr+sc+sc+rlx+rlx");
         let d = diagnose(riscv_mapping(BaseA, Curr), &model, &test).unwrap();

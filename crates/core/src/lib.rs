@@ -71,9 +71,8 @@ pub mod verdict;
 
 pub use explain::{diagnose, Diagnosis};
 pub use registry::{
-    builtin_names, builtin_stack, lint_path, load_model_file, load_model_file_linted,
-    load_stack_file, parse_stack_file, riscv_stacks, stacks_for_model, LoadedStack, StackFileError,
-    StackRegistry,
+    builtin_names, builtin_stack, lint_path, load_model_file, load_stack_file, parse_model_file,
+    parse_stack_file, riscv_stacks, LoadedStack, StackFileError, StackRegistry,
 };
 pub use runner::{
     results_from_items, MatrixItems, MatrixStack, OutcomeMode, StackKey, Sweep, SweepOptions,

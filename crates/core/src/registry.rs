@@ -50,9 +50,10 @@
 //! ([`tricheck_uarch::hw_vocabulary`]).
 //!
 //! `#` and `//` start comments. A bare model file (starting directly at
-//! its `model` line, conventionally `.cat`) can be loaded with
-//! [`load_model_file`] and swept through the built-in RISC-V mappings
-//! via [`stacks_for_model`].
+//! its `model` line, conventionally `.cat`) is a matrix too:
+//! [`load_model_file`] pairs its model with the four mapping sections
+//! of `models/riscv.stack`, the `sweep --model FILE` matrix. Every
+//! matrix, built-in or loaded, sweeps down the same path.
 
 use std::fmt;
 use std::fs;
@@ -65,7 +66,6 @@ use tricheck_compiler::{
 };
 use tricheck_rel::lint::{lint_model, Diagnostic, MODEL_RULES, RULES};
 use tricheck_rel::parse::{parse_model_spanned, ParseError};
-use tricheck_rel::ModelIr;
 use tricheck_uarch::{hw_lint_schema, hw_vocabulary, UarchModel};
 
 use crate::runner::{MatrixStack, StackKey};
@@ -83,8 +83,9 @@ fn parse_error(origin: &str, first_line: usize, e: &ParseError) -> StackFileErro
 }
 
 /// One registered sweep matrix, ready for `Sweep::run_matrix`: a
-/// built-in ([`builtin_stack`]) or a stack definition file. A loaded
-/// file's header, mapping tables included, is leaked once per load to
+/// built-in ([`builtin_stack`]), a stack definition file, or a bare
+/// model file ([`load_model_file`]). A loaded stack file's header,
+/// mapping tables included, is leaked once per load to
 /// satisfy the `&'static dyn Mapping` the matrix requires — stacks are
 /// loaded a handful of times per process, so the leakage is bounded
 /// like the name interner's. The built-ins' tables are the compiler
@@ -184,6 +185,12 @@ impl StackRegistry {
         self.entries.iter().find(|e| e.name == name)
     }
 
+    /// Registers a loaded matrix after the entries already held.
+    pub fn register(&mut self, loaded: LoadedStack) -> &LoadedStack {
+        self.entries.push(loaded);
+        self.entries.last().expect("just pushed")
+    }
+
     /// Resolves `sweep --stack NAME|FILE`: a registered name, else a
     /// stack file path, which is loaded and registered.
     ///
@@ -206,8 +213,7 @@ impl StackRegistry {
             ));
         }
         let loaded = load_stack_file(path).map_err(|e| e.to_string())?;
-        self.entries.push(loaded);
-        Ok(self.entries.last().expect("just pushed"))
+        Ok(self.register(loaded))
     }
 
     /// Every registered entry: the built-ins, then loaded files in load
@@ -232,33 +238,53 @@ pub fn load_stack_file(path: &Path) -> Result<LoadedStack, StackFileError> {
 }
 
 /// Loads a bare model file (`.cat`-style: the `model` line and its
-/// defs/axioms, nothing else), validated against the hardware
-/// vocabulary.
+/// defs/axioms, nothing else) as a matrix; see [`parse_model_file`].
 ///
 /// # Errors
 ///
 /// A [`StackFileError`] naming the file and line on parse or I/O
 /// failure.
-pub fn load_model_file(path: &Path) -> Result<ModelIr, StackFileError> {
-    load_model_file_linted(path).map(|(ir, _)| ir)
-}
-
-/// Like [`load_model_file`], but also runs the model-level lint rules
-/// and returns the diagnostics (a bare model file needs no line
-/// re-anchoring — model text and file coordinates coincide).
-///
-/// # Errors
-///
-/// A [`StackFileError`] naming the file and line on parse or I/O
-/// failure.
-pub fn load_model_file_linted(path: &Path) -> Result<(ModelIr, Vec<Diagnostic>), StackFileError> {
+pub fn load_model_file(path: &Path) -> Result<LoadedStack, StackFileError> {
     let origin = path.display().to_string();
     let src = fs::read_to_string(path)
         .map_err(|e| StackFileError::new(&origin, 0, format!("cannot read model file: {e}")))?;
+    parse_model_file(&src, &origin)
+}
+
+/// Parses bare-model-file text, validated against the hardware
+/// vocabulary, into the `sweep --model FILE` matrix: the model judging
+/// each mapping section of `models/riscv.stack` (the four C11→RISC-V
+/// mappings of Figure 15), named after the model. Only the model-level
+/// lint rules run (there are no mapping tables), and need no line
+/// re-anchoring: model text and file coordinates coincide.
+///
+/// # Errors
+///
+/// A [`StackFileError`] naming the origin and line.
+pub fn parse_model_file(src: &str, origin: &str) -> Result<LoadedStack, StackFileError> {
     let (ir, spans) =
-        parse_model_spanned(&src, &hw_vocabulary()).map_err(|e| parse_error(&origin, 1, &e))?;
+        parse_model_spanned(src, &hw_vocabulary()).map_err(|e| parse_error(origin, 1, &e))?;
     let lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
-    Ok((ir, lints))
+    let riscv = builtin_headers()
+        .iter()
+        .find(|header| header.name == "riscv")
+        .expect("riscv is built in");
+    Ok(LoadedStack {
+        name: ir.name().to_string(),
+        title: format!("{} under the Figure 15 mappings", ir.name()),
+        origin: origin.to_string(),
+        stacks: riscv
+            .mappings
+            .iter()
+            .map(|section| MatrixStack {
+                key: section_key(section),
+                mapping: &section.table,
+                model: UarchModel::from_ir(ir.clone()),
+            })
+            .collect(),
+        lints,
+        rules_checked: MODEL_RULES,
+    })
 }
 
 /// Lints one definition file — stack or bare model, distinguished by
@@ -284,36 +310,12 @@ pub fn lint_path(path: &Path) -> Result<(String, Vec<Diagnostic>, usize), StackF
         )
         .find(|body| !body.is_empty())
         .is_some_and(|body| body == "stack" || body.starts_with("stack "));
-    if is_stack {
-        let loaded = parse_stack_file(&src, &origin)?;
-        Ok((origin.clone(), loaded.lints, loaded.rules_checked))
+    let loaded = if is_stack {
+        parse_stack_file(&src, &origin)?
     } else {
-        let (ir, spans) =
-            parse_model_spanned(&src, &hw_vocabulary()).map_err(|e| parse_error(&origin, 1, &e))?;
-        let lints = lint_model(&ir, &hw_lint_schema(), Some(&spans));
-        Ok((origin, lints, MODEL_RULES))
-    }
-}
-
-/// Pairs a runtime-loaded hardware model with the four built-in RISC-V
-/// compiler mappings — the `sweep --model FILE` matrix: the custom
-/// model judged under each (ISA, spec version) mapping of Figure 15,
-/// i.e. each mapping section of `models/riscv.stack`.
-#[must_use]
-pub fn stacks_for_model(ir: &ModelIr) -> Vec<MatrixStack<'static>> {
-    let riscv = builtin_headers()
-        .iter()
-        .find(|header| header.name == "riscv")
-        .expect("riscv is built in");
-    riscv
-        .mappings
-        .iter()
-        .map(|section| MatrixStack {
-            key: section_key(section),
-            mapping: &section.table,
-            model: UarchModel::from_ir(ir.clone()),
-        })
-        .collect()
+        parse_model_file(&src, &origin)?
+    };
+    Ok((origin, loaded.lints, loaded.rules_checked))
 }
 
 fn section_key(section: &MappingSection) -> StackKey {
@@ -629,12 +631,18 @@ model x86-TSO-toy
     }
 
     #[test]
-    fn stacks_for_model_pairs_the_four_riscv_mappings() {
+    fn a_model_file_is_its_model_under_the_four_riscv_mappings() {
         let loaded = parse_stack_file(TOY_STACK, "toy.stack").unwrap();
-        let ir = loaded.stacks[0].model.ir().clone();
-        let stacks = stacks_for_model(&ir);
-        assert_eq!(stacks.len(), 4);
-        let keys: Vec<(&str, &str)> = stacks
+        let text = loaded.stacks[0].model.ir().to_string();
+        let matrix = parse_model_file(&text, "toy.cat").unwrap();
+        assert_eq!(
+            (matrix.name.as_str(), matrix.origin.as_str()),
+            ("x86-TSO-toy", "toy.cat")
+        );
+        assert!(matrix.lints.is_empty(), "{:?}", matrix.lints);
+        assert_eq!(matrix.rules_checked, MODEL_RULES);
+        let keys: Vec<(&str, &str)> = matrix
+            .stacks
             .iter()
             .map(|s| (s.key.isa_label(), s.key.variant_label()))
             .collect();
@@ -647,7 +655,21 @@ model x86-TSO-toy
                 ("Base+A", "riscv-ours"),
             ]
         );
-        assert!(stacks.iter().all(|s| s.model.name() == "x86-TSO-toy"));
+        assert!(matrix
+            .stacks
+            .iter()
+            .all(|s| s.model.name() == "x86-TSO-toy"));
+        // The mappings are the built-in riscv matrix's own tables.
+        let riscv = riscv_stacks();
+        for stack in &matrix.stacks {
+            let builtin = riscv.iter().find(|b| b.key == stack.key).unwrap();
+            // Data addresses: vtables may differ per codegen unit.
+            assert!(
+                std::ptr::addr_eq(stack.mapping, builtin.mapping),
+                "{:?}",
+                stack.key
+            );
+        }
     }
 
     #[test]

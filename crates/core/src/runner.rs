@@ -263,9 +263,12 @@ pub struct SweepStats {
     pub distinct_programs: usize,
     /// Queries a program's space answered from a view it had already
     /// materialized (or restored from the store), summed over programs.
-    /// Each distinct (program, target) is judged once, so a cold
-    /// target-mode sweep reports 0 (unless more than 64 distinct models
-    /// ask one space twice) and a warm rerun one per judgement.
+    /// Each distinct (program, target) — in outcome mode, each distinct
+    /// (program, observed registers) — is judged once, so a cold sweep
+    /// of either mode reports 0 (unless more than 64 distinct models ask
+    /// one space twice). A warm rerun reports one per judgement in
+    /// target mode (the matching view) and two in outcome mode (the full
+    /// view and its outcome partition).
     pub space_cache_hits: usize,
     /// Enumeration passes actually run across all spaces — equals
     /// `distinct_programs` when every space is enumerated exactly once.

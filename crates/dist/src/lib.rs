@@ -21,7 +21,10 @@
 //!   to [`Sweep::run_matrix`](tricheck_core::Sweep::run_matrix) by
 //!   construction. Shards sharing a cache directory share the store,
 //!   which is what makes exactly-once hold *across* processes on a
-//!   warm cache (summed per-shard `space_enumerations == 0`).
+//!   warm cache (summed per-shard `space_enumerations == 0`). With one
+//!   shard it sweeps in process, over any matrix — built-in, stack
+//!   file or model file — store included: every CLI sweep is one
+//!   [`run_sharded`] call.
 //!
 //! See `crates/dist/README.md` for the file-format and protocol
 //! specifications.
@@ -52,7 +55,7 @@ mod shard;
 mod store;
 
 pub use shard::{
-    run_sharded, shard_of, shard_worker_stdio, DistError, DistOptions, DistResults, ShardReport,
-    ERROR_MARKER, PROTOCOL_VERSION, RESULT_MARKER,
+    run_sharded, set_sweep_counters, shard_of, shard_worker_stdio, DistError, DistOptions,
+    DistResults, ShardReport, ERROR_MARKER, PROTOCOL_VERSION, RESULT_MARKER,
 };
 pub use store::{DiskStore, StoreError, FORMAT_VERSION};

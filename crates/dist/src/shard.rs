@@ -243,18 +243,23 @@ pub fn shard_of(test: &LitmusTest, shards: usize) -> usize {
 /// Runs `matrix` over `tests`, dealt across `opts.shards` worker
 /// processes by fingerprint range, and merges the shards into a result
 /// bit-identical to single-process
-/// [`Sweep::run_matrix`] on the same inputs.
+/// [`Sweep::run_matrix`] on the same inputs. Every CLI sweep is one
+/// call to this function.
 ///
-/// Trait-object mappings cannot cross a process boundary, so the job
-/// names the matrix and each worker rebuilds it with
-/// [`builtin_stack`]: with `shards > 1`, `matrix` must be a built-in
-/// entry (a worker rejects any other name). `shards == 1` runs any
-/// entry in-process.
+/// With `shards == 1` the sweep runs in-process (no spawn) over any
+/// entry: a built-in, a stack file or a model file. With a cache
+/// directory the sweep, or every shard, reads and writes one persistent
+/// [`DiskStore`], so a warm rerun loads every execution space and C11
+/// verdict instead of recomputing them — across processes, and for
+/// any matrix, since spaces are keyed by compiled program and verdicts
+/// by test content.
 ///
-/// With `shards == 1` the sweep runs in-process (no spawn); with a
-/// cache directory every shard shares one persistent [`DiskStore`], so
-/// a warm rerun loads every execution space and C11 verdict instead of
-/// recomputing them — across processes.
+/// Trait-object mappings cannot cross a process boundary, so with
+/// `shards > 1` the job names the matrix and each worker rebuilds it
+/// with [`builtin_stack`]: `matrix` must then be the built-in entry
+/// itself. A worker rejects an unknown name, but a loaded file may
+/// reuse a built-in's (`models/riscv.stack` is named `riscv`), so the
+/// caller must refuse loaded entries with more than one shard.
 ///
 /// # Errors
 ///
@@ -270,7 +275,12 @@ pub fn run_sharded(
     }
     let stacks = &matrix.stacks;
     if opts.shards == 1 {
-        return run_in_process(tests, stacks, opts);
+        // The caller's own trace session records the sweep.
+        let (items, report) = sweep_shard(stacks, tests, opts, false)?;
+        return Ok(DistResults {
+            results: results_from_items(tests, stacks, &items, report.stats),
+            shards: vec![report],
+        });
     }
 
     // Deal by fingerprint range.
@@ -386,14 +396,19 @@ fn reap(children: impl IntoIterator<Item = (usize, Child)>) {
     }
 }
 
-/// The `--shards 1` fast path: no process spawning, one in-process
-/// sweep (with the persistent store when configured).
-fn run_in_process(
-    tests: &[LitmusTest],
+/// The store-backed sweep one process runs over its shard — the whole
+/// run in process (`shards == 1`), or one worker's share: opens the
+/// store in `opts.cache_dir` (if any), sweeps `tests` through `stacks`,
+/// and reads the store's counters. With `trace`, the sweep runs under
+/// its own metrics session, begun once the store is open, whose drained
+/// report carries the authoritative counters ([`set_sweep_counters`]).
+fn sweep_shard(
     stacks: &[MatrixStack<'_>],
+    tests: &[LitmusTest],
     opts: &DistOptions,
-) -> Result<DistResults, DistError> {
-    let store: Option<Arc<DiskStore>> = match &opts.cache_dir {
+    trace: bool,
+) -> Result<(Vec<Option<Classification>>, ShardReport), crate::store::StoreError> {
+    let store = match &opts.cache_dir {
         Some(dir) => Some(Arc::new(DiskStore::open(dir)?)),
         None => None,
     };
@@ -403,19 +418,42 @@ fn run_in_process(
         store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
         ..SweepOptions::default()
     };
+    if trace {
+        tricheck_trace::start(tricheck_trace::TraceConfig::metrics());
+    }
     let items = Sweep::with_options(sweep_opts).run_matrix_items(tests, stacks);
     let store_stats = store.map(|s| s.stats()).unwrap_or_default();
+    let trace = trace.then(|| {
+        let mut report = tricheck_trace::finish().report;
+        set_sweep_counters(&mut report, &items.stats, Some(&store_stats));
+        report
+    });
     let report = ShardReport {
         shard: 0,
         tests: tests.len(),
         stats: items.stats,
         store: store_stats,
-        trace: None,
+        trace,
     };
-    Ok(DistResults {
-        results: results_from_items(tests, stacks, &items.items, items.stats),
-        shards: vec![report],
-    })
+    Ok((items.items, report))
+}
+
+/// Writes a sweep's engine counters, and its store counters when it ran
+/// against a store, into `report`, overwriting what the trace session
+/// counted itself: the sweep's own totals are authoritative. A shard
+/// worker's report and a caller's merged metrics both take their
+/// counters from here.
+pub fn set_sweep_counters(
+    report: &mut TraceReport,
+    stats: &SweepStats,
+    store: Option<&StoreStats>,
+) {
+    for (name, value) in stats.as_counters() {
+        report.set_counter(name, value);
+    }
+    for (name, value) in store.iter().flat_map(|s| s.as_counters()) {
+        report.set_counter(name, value);
+    }
 }
 
 /// Field-wise sum of two shards' stats (`tests`/`cells` are fixed up by
@@ -497,10 +535,10 @@ fn encode_job(
 struct Job {
     /// The built-in matrix the job names, rebuilt in this process.
     matrix: LoadedStack,
-    outcome_mode: OutcomeMode,
-    collect_trace: bool,
-    threads: usize,
-    cache_dir: Option<PathBuf>,
+    /// The worker's own run: one process, the per-shard thread count the
+    /// parent resolved, and the parent's mode, trace flag and cache
+    /// directory.
+    opts: DistOptions,
     tests: Vec<LitmusTest>,
 }
 
@@ -564,10 +602,13 @@ fn decode_job(bytes: &[u8]) -> Result<Job, String> {
         }
         Ok(Job {
             matrix,
-            outcome_mode,
-            collect_trace,
-            threads,
-            cache_dir,
+            opts: DistOptions {
+                threads: Some(threads),
+                outcome_mode,
+                cache_dir,
+                collect_trace,
+                ..DistOptions::default()
+            },
             tests,
         })
     };
@@ -852,39 +893,18 @@ pub fn shard_worker_stdio() -> Result<(), String> {
             let hex = line.trim();
             let bytes = hex_decode(hex).ok_or("job line is not valid hex".to_string())?;
             let job = decode_job(&bytes)?;
-            let store: Option<Arc<DiskStore>> = match &job.cache_dir {
-                Some(dir) => Some(Arc::new(DiskStore::open(dir).map_err(|e| e.to_string())?)),
-                None => None,
-            };
-            let sweep_opts = SweepOptions {
-                threads: job.threads,
-                outcome_mode: job.outcome_mode,
-                store: store.clone().map(|s| s as Arc<dyn SpaceStore>),
-                ..SweepOptions::default()
-            };
-            if job.collect_trace {
-                tricheck_trace::start(tricheck_trace::TraceConfig::metrics());
-            }
-            let items =
-                Sweep::with_options(sweep_opts).run_matrix_items(&job.tests, &job.matrix.stacks);
-            let store_stats = store.map(|s| s.stats()).unwrap_or_default();
-            let trace = if job.collect_trace {
-                let mut report = tricheck_trace::finish().report;
-                for (name, value) in items.stats.as_counters() {
-                    report.set_counter(name, value);
-                }
-                for (name, value) in store_stats.as_counters() {
-                    report.set_counter(name, value);
-                }
-                Some(report)
-            } else {
-                None
-            };
+            let (items, report) = sweep_shard(
+                &job.matrix.stacks,
+                &job.tests,
+                &job.opts,
+                job.opts.collect_trace,
+            )
+            .map_err(|e| e.to_string())?;
             Ok(encode_result(
-                &items.items,
-                &items.stats,
-                &store_stats,
-                trace.as_ref(),
+                &items,
+                &report.stats,
+                &report.store,
+                report.trace.as_ref(),
             ))
         });
     match outcome {
@@ -962,9 +982,10 @@ mod tests {
         let decoded = decode_job(&job).expect("roundtrip");
         assert_eq!(decoded.matrix.name, "power");
         assert_eq!(decoded.matrix.stacks.len(), 4);
-        assert_eq!(decoded.outcome_mode, OutcomeMode::FullOutcomes);
-        assert_eq!(decoded.threads, 3);
-        assert_eq!(decoded.cache_dir.as_deref(), Some(Path::new("/tmp/x")));
+        assert_eq!(decoded.opts.shards, 1);
+        assert_eq!(decoded.opts.outcome_mode, OutcomeMode::FullOutcomes);
+        assert_eq!(decoded.opts.threads, Some(3));
+        assert_eq!(decoded.opts.cache_dir.as_deref(), Some(Path::new("/tmp/x")));
         assert_eq!(decoded.tests.len(), tests.len());
         for (a, b) in decoded.tests.iter().zip(&tests) {
             assert_eq!(a.name(), b.name());
@@ -1155,7 +1176,7 @@ mod tests {
             };
             let job = encode_job("riscv", &tests, &[0], 1, &opts);
             let decoded = decode_job(&job).expect("roundtrip");
-            assert_eq!(decoded.collect_trace, collect_trace);
+            assert_eq!(decoded.opts.collect_trace, collect_trace);
         }
     }
 

@@ -322,7 +322,8 @@ impl DiskStore {
                 return None;
             }
             let n = r.u32().ok()? as usize;
-            let mut entries = Vec::with_capacity(n);
+            // Each entry takes at least 8 bytes (two length prefixes).
+            let mut entries = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
             for _ in 0..n {
                 let program = r.bytes().ok()?.to_vec();
                 let snapshot = r.bytes().ok()?.to_vec();
@@ -364,7 +365,9 @@ impl DiskStore {
             let payload = Self::validate_file(C11_MAGIC, &bytes)?;
             let mut r = ByteReader::new(payload);
             let n = r.u32().ok()? as usize;
-            let mut map = HashMap::with_capacity(n);
+            // Each entry takes at least 14 bytes: name prefix, hash, mode
+            // and a one-byte verdict.
+            let mut map = HashMap::with_capacity(n.min(r.remaining() / 14 + 1));
             for _ in 0..n {
                 let name = r.string().ok()?;
                 let test_hash = r.u64().ok()?;

@@ -44,22 +44,33 @@ fn small_suite() -> Vec<LitmusTest> {
 }
 
 fn run_with_store(tests: &[LitmusTest], store: &Arc<DiskStore>) -> SweepResults {
+    run_in_mode(tests, store, OutcomeMode::Target)
+}
+
+fn run_in_mode(tests: &[LitmusTest], store: &Arc<DiskStore>, mode: OutcomeMode) -> SweepResults {
     let opts = SweepOptions {
+        outcome_mode: mode,
         store: Some(Arc::clone(store) as Arc<dyn SpaceStore>),
         ..SweepOptions::default()
     };
     Sweep::with_options(opts).run_matrix(tests, &builtin_stack("power").unwrap().stacks)
 }
 
-/// The distinct (program, target) pairs the power sweep of `tests`
-/// judges, found by compiling every (test, mapping) pair.
-fn distinct_judgements(tests: &[LitmusTest]) -> usize {
+/// The judgements the power sweep of `tests` makes in `mode`, found by
+/// compiling every (test, mapping) pair: one per distinct (program,
+/// target) in target mode, one per distinct (program, observed
+/// registers) in outcome mode.
+fn distinct_judgements(tests: &[LitmusTest], mode: OutcomeMode) -> usize {
     let stacks = builtin_stack("power").unwrap().stacks;
     let mut pairs = HashSet::new();
     for test in tests {
         for stack in &stacks {
             if let Ok(compiled) = tricheck_compiler::compile(test, stack.mapping) {
-                pairs.insert((compiled.program().clone(), compiled.target().clone()));
+                let asked = match mode {
+                    OutcomeMode::Target => format!("{}", compiled.target()),
+                    OutcomeMode::FullOutcomes => format!("{:?}", compiled.observed()),
+                };
+                pairs.insert((compiled.program().clone(), asked));
             }
         }
     }
@@ -87,34 +98,47 @@ fn populate(dir: &Path, tests: &[LitmusTest]) -> SweepResults {
 
 #[test]
 fn warm_store_serves_hits_and_identical_rows() {
-    let dir = TempDir::new("warm");
-    let tests = small_suite();
-    let cold = run_with_store(
-        &tests,
-        &Arc::new(DiskStore::open(dir.path()).expect("open store")),
-    );
-    // Each distinct (program, target) is judged once, so a cold sweep
-    // asks no space for a view twice ...
-    assert_eq!(cold.stats().space_cache_hits, 0);
-    let baseline = Sweep::new().run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
-    assert_eq!(cold.rows(), baseline.rows(), "cold cached run == storeless");
+    for (mode, hits_per_judgement) in [(OutcomeMode::Target, 1), (OutcomeMode::FullOutcomes, 2)] {
+        let dir = TempDir::new("warm");
+        let tests = small_suite();
+        let cold = run_in_mode(
+            &tests,
+            &Arc::new(DiskStore::open(dir.path()).expect("open store")),
+            mode,
+        );
+        // Each distinct judgement is made once, so a cold sweep asks no
+        // space for a view twice ...
+        assert_eq!(cold.stats().space_cache_hits, 0, "{mode:?}");
+        let baseline = Sweep::with_options(SweepOptions {
+            outcome_mode: mode,
+            ..SweepOptions::default()
+        })
+        .run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
+        assert_eq!(cold.rows(), baseline.rows(), "cold cached run == storeless");
 
-    let store = Arc::new(DiskStore::open(dir.path()).expect("reopen store"));
-    let warm = run_with_store(&tests, &store);
-    assert_eq!(warm.rows(), baseline.rows(), "warm run == storeless");
-    // ... and a warm one serves every judgement from a restored view.
-    let judgements = distinct_judgements(&tests);
-    assert!(judgements < warm.stats().compile_calls);
-    assert_eq!(warm.stats().space_cache_hits, judgements);
-    let stats = store.stats();
-    assert!(stats.space_hits > 0, "warm run must hit the space cache");
-    assert_eq!(stats.space_misses, 0, "every space must be served warm");
-    assert!(stats.c11_hits > 0, "warm run must hit the verdict cache");
-    assert_eq!(stats.c11_misses, 0);
-    assert_eq!(stats.evictions, 0);
-    // And nothing was enumerated or evaluated again.
-    assert_eq!(warm.stats().space_enumerations, 0);
-    assert_eq!(warm.stats().c11_evaluations, 0);
+        let store = Arc::new(DiskStore::open(dir.path()).expect("reopen store"));
+        let warm = run_in_mode(&tests, &store, mode);
+        assert_eq!(warm.rows(), baseline.rows(), "warm run == storeless");
+        // ... and a warm one serves every judgement from restored views:
+        // the matching view in target mode, the full view and its
+        // outcome partition in outcome mode.
+        let judgements = distinct_judgements(&tests, mode);
+        assert!(judgements < warm.stats().compile_calls);
+        assert_eq!(
+            warm.stats().space_cache_hits,
+            hits_per_judgement * judgements,
+            "{mode:?}"
+        );
+        let stats = store.stats();
+        assert!(stats.space_hits > 0, "warm run must hit the space cache");
+        assert_eq!(stats.space_misses, 0, "every space must be served warm");
+        assert!(stats.c11_hits > 0, "warm run must hit the verdict cache");
+        assert_eq!(stats.c11_misses, 0);
+        assert_eq!(stats.evictions, 0);
+        // And nothing was enumerated or evaluated again.
+        assert_eq!(warm.stats().space_enumerations, 0);
+        assert_eq!(warm.stats().c11_evaluations, 0);
+    }
 }
 
 #[test]

@@ -694,12 +694,10 @@ pub fn read_arena<A: AnnCodec + Clone>(r: &mut ByteReader<'_>) -> Result<ExecAre
 /// depending on derived `Hash` byte streams).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    use std::hash::Hasher as _;
+    let mut h = crate::space::Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -788,5 +786,9 @@ mod tests {
         // pinned FNV-1a parameters.
         assert_eq!(fnv1a(&[]), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        // The published FNV-1a-64 test vectors: stores written by any
+        // build checksum alike.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

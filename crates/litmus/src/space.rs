@@ -123,7 +123,7 @@ impl Fingerprint {
 /// between Rust releases, so same-build processes always agree on
 /// fingerprints (the remaining instability is the derived-`Hash` byte
 /// stream — see [`Fingerprint`]).
-struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -371,11 +371,7 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
     /// through the caller's reusable `scratch`.
     #[must_use]
     pub fn executions_in(&self, scratch: &mut EnumScratch<A>) -> SpaceView<A> {
-        let mut enumerated = false;
-        let arena = self.full.get_or_init(|| {
-            enumerated = true;
-            Arc::new(self.enumerate_into(None, scratch))
-        });
+        let (arena, enumerated) = self.full_arena(scratch);
         if !enumerated {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -383,6 +379,18 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
             arena: Arc::clone(arena),
             indices: None,
         }
+    }
+
+    /// The full arena, enumerated on first use, and whether this call
+    /// enumerated it. Counts no cache hit: callers that answer a query
+    /// from it decide whether that query was a reuse.
+    fn full_arena(&self, scratch: &mut EnumScratch<A>) -> (&Arc<ExecArena<A>>, bool) {
+        let mut enumerated = false;
+        let arena = self.full.get_or_init(|| {
+            enumerated = true;
+            Arc::new(self.enumerate_into(None, scratch))
+        });
+        (arena, enumerated)
     }
 
     /// The candidate executions whose outcome matches `target`,
@@ -459,7 +467,9 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
-        let arena = self.executions().arena;
+        // Reading the full arena is part of computing the partition, not
+        // a query answered from a cached view: it counts no hit.
+        let arena = Arc::clone(self.full_arena(&mut EnumScratch::new()).0);
         let mut by_outcome: BTreeMap<Outcome, Vec<u32>> = BTreeMap::new();
         for i in 0..arena.len() as u32 {
             by_outcome
@@ -638,7 +648,9 @@ impl<A: Clone + Hash + AnnCodec> ExecutionSpace<A> {
             for _ in 0..n_groups {
                 let observed = codec::read_observed(&mut r)?;
                 let n_parts = r.u32()? as usize;
-                let mut partition: OutcomeGroups = Vec::with_capacity(n_parts);
+                // Each part takes at least 8 bytes (two count prefixes).
+                let mut partition: OutcomeGroups =
+                    Vec::with_capacity(n_parts.min(r.remaining() / 8 + 1));
                 for _ in 0..n_parts {
                     let outcome_bytes = r.bytes()?;
                     let outcome = codec::decode_outcome(&mut ByteReader::new(outcome_bytes))?;
@@ -984,8 +996,12 @@ mod tests {
         let t = suite::sb([MemOrder::Rlx; 4]);
         let space = ExecutionSpace::new(t.program().clone());
         let a = space.outcome_groups(t.observed());
+        // Reading the full arena to partition it is no reuse ...
+        assert_eq!(space.stats().cache_hits, 0);
         let b = space.outcome_groups(t.observed());
         assert!(Arc::ptr_eq(&a, &b));
+        // ... but answering from the cached partition is.
+        assert_eq!(space.stats().cache_hits, 1);
         assert_eq!(
             space.stats().enumerations,
             1,

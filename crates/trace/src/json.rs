@@ -8,7 +8,9 @@
 //! resorting to substring checks. It accepts standard JSON (RFC 8259)
 //! with two simplifications: numbers are classified as `u64` when they
 //! are non-negative integers and `f64` otherwise, and `\uXXXX` escapes
-//! outside the BMP must be valid surrogate pairs.
+//! outside the BMP must be valid surrogate pairs. Arrays and objects
+//! nest at most [`MAX_DEPTH`] deep, far beyond the handful of levels
+//! the emitters write; deeper input is an error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -87,15 +89,23 @@ impl Value {
     }
 }
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// metrics document nests five levels deep (with shard workers), the
+/// chrome trace four.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (rejecting trailing garbage).
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first syntax error.
+/// Returns a message naming the byte offset of the first syntax error,
+/// or of the first array or object nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -107,8 +117,13 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Always on a character boundary: the parser steps over ASCII
+    /// bytes and whole characters only.
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -137,8 +152,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -259,11 +285,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. Input is a &str, so
-                    // slicing at char boundaries is safe.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
+                    // Consume one character; `pos` is on a boundary.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("a byte remains");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -403,6 +429,25 @@ mod tests {
         let v = parse(r#""é😀""#).unwrap();
         assert_eq!(v.as_str(), Some("é😀"));
         assert!(parse(r#""\ud83d""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = format!("\"{}\"", "é".repeat(1_000_000));
+        assert_eq!(
+            parse(&long).unwrap().as_str().map(str::len),
+            Some(2_000_000)
+        );
     }
 
     #[test]

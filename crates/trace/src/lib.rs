@@ -1171,7 +1171,10 @@ fn merge_sparse(dst: &mut Vec<(u16, u64)>, src: &[(u16, u64)]) {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal: quotes,
+/// backslashes and control characters.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {

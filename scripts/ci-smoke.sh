@@ -171,6 +171,31 @@ grep -E "^  space_enumerations: 0$" "$TMP/warm.txt"
 grep -E "^  c11_evaluations: 0$" "$TMP/warm.txt"
 grep -E "^  store_c11_misses: 0$" "$TMP/warm.txt"
 
+step "Cached stack-file and model-file sweeps (a file sweeps like a built-in)"
+# A stack file and a model file take the same store as the built-ins:
+# a warm rerun enumerates nothing, evaluates no C11 test, and prints
+# the table a storeless run prints.
+check_warm_rerun() {  # name, then the sweep's matrix arguments
+  local name="$1"; shift
+  rm -rf "$TMP/$name"
+  tricheck sweep sb "$@" > "$TMP/$name-storeless.txt"
+  for run in cold warm; do
+    tricheck sweep sb "$@" --cache-dir "$TMP/$name" --cache-stats | tee "$TMP/$name-$run.txt"
+    sed '/^cache stats:/,$d' "$TMP/$name-$run.txt" | sed '$d' > "$TMP/$name-$run-table.txt"
+    diff "$TMP/$name-storeless.txt" "$TMP/$name-$run-table.txt"
+  done
+  grep -E "^  space_enumerations: 0$" "$TMP/$name-warm.txt"
+  grep -E "^  c11_evaluations: 0$" "$TMP/$name-warm.txt"
+}
+check_warm_rerun x86-stack --stack models/x86-tso.stack
+check_warm_rerun x86-model --model models/x86-tso.cat
+# Workers rebuild the matrix by registry name, so a loaded file takes
+# one shard only: more is refused before any worker spawns.
+if tricheck sweep sb --stack models/x86-tso.stack --shards 2 2> "$TMP/file-shards.txt"; then
+  echo "a stack file was swept with --shards 2" >&2; exit 1
+fi
+grep -e "--shards N>1 cannot be combined" "$TMP/file-shards.txt"
+
 step "Metrics report smoke (riscv + power matrices)"
 # --metrics-json on both built-in matrices: the document must parse,
 # carry the pinned schema tag, and contain every required top-level key

@@ -19,7 +19,7 @@
 use std::path::Path;
 
 use proptest::prelude::*;
-use tricheck::core::{load_model_file, load_stack_file, stacks_for_model, StackRegistry};
+use tricheck::core::{load_model_file, load_stack_file, StackRegistry};
 use tricheck::prelude::{
     builtin_stack, riscv_mapping, riscv_stacks, suite, Mapping, MatrixStack, RiscvIsa, SpecVersion,
     Sweep,
@@ -34,10 +34,11 @@ use tricheck_oracle::random_ir;
 fn committed_x86_model_file_matches_the_stack_files_model() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let cat = load_model_file(&root.join("models/x86-tso.cat")).expect("model file loads");
+    let cat = cat.stacks[0].model.ir();
     let stack = load_stack_file(&root.join("models/x86-tso.stack")).expect("stack file loads");
     assert!(!stack.stacks.is_empty());
     for column in &stack.stacks {
-        assert_eq!(column.model.ir(), &cat, "{:?}", column.key);
+        assert_eq!(column.model.ir(), cat, "{:?}", column.key);
     }
 }
 
@@ -96,8 +97,9 @@ fn builtin_mappings_are_parsed_once() {
     assert_eq!(pointers(&first), pointers(&again));
 }
 
-/// Each committed Table 7 model file, loaded from disk and swept through
-/// `stacks_for_model` (the `sweep --model FILE` matrix), reproduces the
+/// Each committed Table 7 model file, loaded from disk as the
+/// `sweep --model FILE` matrix (its model under the four RISC-V
+/// mappings), reproduces the
 /// built-in `riscv` columns of that model and spec version under both
 /// ISAs: the 14 files, each paired with its own version's two mappings,
 /// rebuild the Figure 15 matrix row for row.
@@ -113,12 +115,13 @@ fn committed_table7_model_files_sweep_like_the_builtin_matrix() {
         files.sort();
         assert_eq!(files.len(), 7, "{version}: {files:?}");
         for path in files {
-            let ir = load_model_file(&path).expect("model file loads");
-            assert!(ir.name().ends_with(version), "{}", path.display());
-            let stacks = stacks_for_model(&ir);
-            assert_eq!(stacks.len(), 4);
+            let matrix = load_model_file(&path).expect("model file loads");
+            assert!(matrix.name.ends_with(version), "{}", path.display());
+            assert!(matrix.lints.is_empty(), "{}", path.display());
+            assert_eq!(matrix.stacks.len(), 4);
             file_stacks.extend(
-                stacks
+                matrix
+                    .stacks
                     .into_iter()
                     .filter(|s| s.key.variant_label() == version),
             );

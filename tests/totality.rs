@@ -1,7 +1,10 @@
 //! Totality of the text parsers over seeded mutants of the committed
 //! corpus: every mutant of every `litmus/*.litmus`, `models/**/*.cat`
 //! and `models/*.stack` file must come back `Ok` or `Err` — quickly, and
-//! without a panic.
+//! without a panic. The same holds for the two readers of what the
+//! tool itself writes: the execution-space snapshot decoder (over byte
+//! mutants of real target-mode and outcome-mode snapshots) and the JSON
+//! reader (over text mutants of a real `--metrics-json` document).
 //!
 //! Mutants are drawn with the in-repo `rand` shim from fixed seeds, so
 //! a failure reproduces: its message names the file, the seed and the
@@ -21,8 +24,12 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tricheck::compiler::{compile, riscv_mapping};
 use tricheck::core::registry::parse_stack_file;
+use tricheck::core::{builtin_stack, Sweep, SweepOptions};
+use tricheck::isa::{HwAnnot, RiscvIsa, SpecVersion};
 use tricheck::litmus::format::parse_litmus;
+use tricheck::litmus::{suite, ExecutionSpace, LitmusTest, MemOrder};
 use tricheck::rel::lint::lint_model;
 use tricheck::rel::parse_model_spanned;
 use tricheck::uarch::{hw_lint_schema, hw_vocabulary, UarchModel};
@@ -163,32 +170,71 @@ fn corpus(dir: &str, ext: &str) -> Vec<PathBuf> {
 fn assert_total(files: &[PathBuf], check: impl Fn(&str) -> bool) {
     for (f, path) in files.iter().enumerate() {
         let original = std::fs::read_to_string(path).expect("committed file reads");
-        assert!(check(&original), "{} is rejected", path.display());
-        let mut accepted = 0;
-        for m in 0..MUTANTS_PER_FILE {
-            let seed = (f as u64) << 32 | m;
-            let mutant = mutate(&original, &mut StdRng::seed_from_u64(seed));
-            let start = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| check(&mutant)));
-            let elapsed = start.elapsed();
-            let Ok(ok) = outcome else {
-                panic!(
-                    "{} mutant {seed:#x} panicked; mutated text:\n{mutant}",
-                    path.display()
-                );
-            };
-            assert!(
-                elapsed < TIME_BOUND,
-                "{} mutant {seed:#x} took {elapsed:?}; mutated text:\n{mutant}",
-                path.display()
-            );
-            accepted += usize::from(ok);
-        }
-        // Mutants that still parse exercise the post-parse steps; some
-        // edits (a duplicated blank line, a swapped comment) keep every
-        // file valid.
-        assert!(accepted > 0, "{}: no mutant was accepted", path.display());
+        assert_total_over(
+            &path.display().to_string(),
+            f,
+            original.as_str(),
+            mutate,
+            |t| check(t),
+        );
     }
+}
+
+/// Runs `check` on `original` (which must be accepted) and on
+/// [`MUTANTS_PER_FILE`] mutants of it drawn by `mutate` from seeds
+/// `index << 32 | m`, failing on any panic or any check slower than
+/// [`TIME_BOUND`]. Some mutant must still be accepted, so the steps
+/// after the parse are exercised too.
+fn assert_total_over<T: ?Sized + std::fmt::Debug + ToOwned>(
+    label: &str,
+    index: usize,
+    original: &T,
+    mutate: impl Fn(&T, &mut StdRng) -> T::Owned,
+    check: impl Fn(&T) -> bool,
+) where
+    T::Owned: std::borrow::Borrow<T>,
+{
+    use std::borrow::Borrow;
+    assert!(check(original), "{label} is rejected");
+    let mut accepted = 0;
+    for m in 0..MUTANTS_PER_FILE {
+        let seed = (index as u64) << 32 | m;
+        let mutant = mutate(original, &mut StdRng::seed_from_u64(seed));
+        let mutant: &T = mutant.borrow();
+        let start = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| check(mutant)));
+        let elapsed = start.elapsed();
+        let Ok(ok) = outcome else {
+            panic!("{label} mutant {seed:#x} panicked; mutant:\n{mutant:?}");
+        };
+        assert!(
+            elapsed < TIME_BOUND,
+            "{label} mutant {seed:#x} took {elapsed:?}; mutant:\n{mutant:?}"
+        );
+        accepted += usize::from(ok);
+    }
+    assert!(accepted > 0, "{label}: no mutant was accepted");
+}
+
+/// Applies one to three random byte edits: flip a bit, insert, delete,
+/// overwrite four bytes with a random count, or truncate.
+fn mutate_bytes(bytes: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0..5) {
+            0 if at < bytes.len() => bytes[at] ^= 1u8 << rng.gen_range(0..8u32),
+            1 => bytes.insert(at, rng.gen_range(0..=255)),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 if at + 4 <= bytes.len() => {
+                bytes[at..at + 4].copy_from_slice(&rng.gen_range(0..=u32::MAX).to_le_bytes());
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    bytes
 }
 
 #[test]
@@ -221,4 +267,117 @@ fn stack_parser_is_total_over_mutants_of_the_stack_files() {
         }
         true
     });
+}
+
+/// A few compiled tests whose spaces the snapshot mutants start from:
+/// plain loads and stores, fences, and an RMW under Base+A.
+fn snapshot_tests() -> Vec<LitmusTest> {
+    vec![
+        suite::mp([MemOrder::Rlx; 4]),
+        suite::wrc([
+            MemOrder::Rlx,
+            MemOrder::Rlx,
+            MemOrder::Rel,
+            MemOrder::Acq,
+            MemOrder::Rlx,
+        ]),
+        suite::corsdwi([MemOrder::Sc; 5]),
+    ]
+}
+
+#[test]
+fn snapshot_decoder_is_total_over_mutants_of_real_snapshots() {
+    let mapping = riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr);
+    for (t, test) in snapshot_tests().iter().enumerate() {
+        let compiled = compile(test, mapping).expect("the test compiles");
+        let (program, target, observed) =
+            (compiled.program(), compiled.target(), compiled.observed());
+        // A target-mode space holds a matching view; an outcome-mode one
+        // the full arena and its outcome partition.
+        let target_mode = ExecutionSpace::new(program.clone());
+        let _ = target_mode.matching(target);
+        let outcome_mode = ExecutionSpace::new(program.clone());
+        let _ = outcome_mode.outcome_groups(observed);
+        for (mode, space) in [("target", target_mode), ("outcome", outcome_mode)] {
+            let label = format!("{} {mode}-mode snapshot", test.name());
+            let index = 2 * t + usize::from(mode == "outcome");
+            assert_total_over(
+                &label,
+                index,
+                space.snapshot().as_slice(),
+                mutate_bytes,
+                |bytes| {
+                    let Ok(restored) = ExecutionSpace::from_snapshot(program.clone(), bytes) else {
+                        return false;
+                    };
+                    let _ = restored.matching(target).len();
+                    let _ = restored.outcome_groups(observed).len();
+                    let _ = restored.snapshot();
+                    true
+                },
+            );
+        }
+    }
+}
+
+/// One empty outcome partition that claims `u32::MAX` parts: a decoder
+/// that reserves the claimed count asks for hundreds of gigabytes.
+#[test]
+fn a_snapshot_claiming_four_billion_outcome_parts_is_an_error() {
+    let mut bytes = vec![0]; // no full view
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // no matching views
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // one partition
+    bytes.extend_from_slice(&0u16.to_le_bytes()); // over no registers
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // of u32::MAX parts
+    assert_eq!(bytes.len(), 15);
+    let compiled = compile(
+        &suite::mp([MemOrder::Rlx; 4]),
+        riscv_mapping(RiscvIsa::Base, SpecVersion::Curr),
+    )
+    .expect("mp compiles");
+    assert!(ExecutionSpace::<HwAnnot>::from_snapshot(compiled.program().clone(), &bytes).is_err());
+}
+
+/// A real `--metrics-json` document: a traced sweep whose report also
+/// absorbs a copy of itself as a shard worker's, so the per-worker
+/// section nests as deep as a sharded run's.
+fn metrics_document() -> String {
+    tricheck::trace::start(tricheck::trace::TraceConfig::metrics());
+    let tests: Vec<LitmusTest> = suite::full_suite()
+        .into_iter()
+        .filter(|t| t.family() == "sb")
+        .collect();
+    let options = SweepOptions::with_threads(1);
+    let config = options.run_config(tests.len());
+    let results = Sweep::with_options(options)
+        .run_matrix(&tests, &builtin_stack("x86-tso").expect("built in").stacks);
+    let mut report = tricheck::trace::finish().report;
+    for (name, value) in results.stats().as_counters() {
+        report.set_counter(name, value);
+    }
+    report.config = Some(config);
+    report.absorb_worker(1, report.clone());
+    report.to_json()
+}
+
+#[test]
+fn json_reader_is_total_over_mutants_of_a_metrics_document() {
+    use tricheck::trace::json::{parse, to_string};
+    assert_total_over(
+        "metrics document",
+        0,
+        metrics_document().as_str(),
+        mutate,
+        |text| {
+            let Ok(value) = parse(text) else {
+                return false;
+            };
+            // What the reader accepts, its writer reproduces.
+            assert_eq!(parse(&to_string(&value)).as_ref(), Ok(&value));
+            true
+        },
+    );
+    // Nesting far past any emitted document fails, without recursing
+    // once per level.
+    assert!(parse(&"[".repeat(1_000_000)).is_err());
 }
