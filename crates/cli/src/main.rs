@@ -215,7 +215,7 @@ stacks: sweep --stack NAME sweeps a registered stack matrix instead of
         is its models/NAME.stack) — and sweeps the family through every
         mapping it defines
 sweeps: --threads 1 gives a deterministic serial run; --cache-stats prints
-        the shared execution-space engine's cache counters; --outcomes
+        the sweep's compile, enumeration and cache counters; --outcomes
         compares full outcome sets instead of the target outcome (the
         stronger verify_full equivalence, at witness-mode cost);
         --list-models prints every registered stack (ISA, mapping, model,

@@ -18,11 +18,12 @@
 //! [`runner::Sweep`] fans a litmus suite across a matrix of full-stack
 //! cells and aggregates Figure-15-style counts; [`report`] renders them.
 //!
-//! Sweeps run on the shared execution-space engine (see [`runner`] for
-//! the architecture): C11 verdicts are computed once per test,
-//! compilation once per (test, mapping), and candidate-execution
-//! enumeration once per distinct compiled program, with a work-stealing
-//! scheduler fanning (test × stack) items over the shared caches.
+//! Sweeps share work across cells (see [`runner`] for the architecture):
+//! C11 verdicts are computed once per test, compilation once per (test,
+//! mapping), and candidate-execution enumeration once per distinct
+//! compiled program and question — judged as it streams, or through a
+//! stored execution space — with a work-stealing scheduler fanning the
+//! programs over the workers.
 //! [`SweepResults::stats`] exposes the counters that prove it.
 //! [`Sweep::run_matrix`](runner::Sweep::run_matrix) is the one entry
 //! point — it takes any list of [`MatrixStack`]s keyed by [`StackKey`].

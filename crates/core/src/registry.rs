@@ -670,6 +670,12 @@ model x86-TSO-toy
                 stack.key
             );
         }
+        // So a matrix mixing both constructors' stacks compiles each
+        // (test, mapping) pair once, whichever site coerced the mapping.
+        let tests = [suite::mp([MemOrder::Rlx; 4]), suite::sb([MemOrder::Sc; 4])];
+        let mixed: Vec<MatrixStack<'static>> = riscv.into_iter().chain(matrix.stacks).collect();
+        let stats = *Sweep::new().run_matrix(&tests, &mixed).stats();
+        assert_eq!(stats.compile_calls, tests.len() * 4, "4 distinct mappings");
     }
 
     #[test]

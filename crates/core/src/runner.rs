@@ -29,25 +29,43 @@
 //! 2. **Per-program pipeline** (work-stealing pool). Before the pool
 //!    starts, the stacks' *distinct* µarch models (Figure 15's 28 stacks
 //!    have 14) are fused into one kernel ([`UarchModel::fuse`]; one per
-//!    64 models) that lives for this sweep only. Each item builds its
-//!    one [`ExecutionSpace`] — or loads it from the store — and judges it
-//!    once per distinct target among its (test, mapping) compilations
-//!    (in [`OutcomeMode::FullOutcomes`], per distinct observed register
-//!    list), under the models of every mapping that asks at once
-//!    ([`witness_mask`] or [`outcome_masks`]) with one prelude; each
-//!    stack's bit lands in its (test, stack) slot — one byte holding the
-//!    Step 1 and Step 3 verdicts. The tests' C11 verdicts come from a
-//!    `OnceLock` per test (in full-outcome mode, the full permitted set).
-//!    The item then saves the space back to the store if it materialized
-//!    a new view, and drops it.
+//!    64 models) that lives for this sweep only. Each item answers one
+//!    *question* per distinct target among its (test, mapping)
+//!    compilations (in [`OutcomeMode::FullOutcomes`], per distinct
+//!    observed register list), under the models of every mapping that
+//!    asks at once; each stack's bit lands in its (test, stack) slot —
+//!    one byte holding the Step 1 and Step 3 verdicts. The tests' C11
+//!    verdicts come from a `OnceLock` per test (in full-outcome mode,
+//!    the full permitted set).
 //!
-//! No space outlives its item, so workers share no space map, and each
-//! distinct program is enumerated at most once by construction. Each
-//! worker owns one [`Judge`], restarted per judgement, and one
-//! [`EnumScratch`] per annotation level, which every enumeration it runs
-//! (a space's view, a C11 verdict) and every cursor over a space reuse:
-//! the evaluation and enumeration buffers are allocated once per
-//! worker, not per program or per candidate.
+//! Where an item's candidates come from depends on the store:
+//!
+//! - **No store (streaming).** Each question is one complete pruned
+//!   enumeration of the program through the worker's [`EnumScratch`]
+//!   (restricted to the target in target mode), and the enumeration's
+//!   visit callback binds each candidate once and judges it with
+//!   [`Judge::check_mask`] under the live models not yet decided: in
+//!   target mode those without a witness yet, in outcome mode those that
+//!   have not yet shown this candidate's outcome. Only judging stops
+//!   early; the enumeration runs to completion, so its counters equal a
+//!   materialized space's. No [`ExecutionSpace`], arena or view is made,
+//!   and no program is cloned.
+//! - **A store.** The item loads the program's [`ExecutionSpace`] from
+//!   the store, or builds one, answers each question from it
+//!   ([`witness_mask`] or [`outcome_masks`], one prelude per kernel),
+//!   saves the space back if it materialized a new view (a warm run
+//!   reads those views), and drops it.
+//!
+//! Both paths share the live masks, the C11 lookups, the classification
+//! and the emission; they differ only in where candidates come from. No
+//! space outlives its item, so workers share no space map, and each
+//! distinct question is enumerated at most once by construction. Each
+//! worker owns one [`Judge`] per fused kernel (one enumeration feeds all
+//! of them), restarted per question, a judge for its C11 verdicts, and
+//! one [`EnumScratch`] per annotation level, which every enumeration it
+//! runs and every cursor over a space reuse: the evaluation and
+//! enumeration buffers are allocated once per worker, not per program
+//! or per candidate.
 //! `SweepOptions::threads == 1` bypasses the pool for a fully
 //! deterministic serial run on the caller's stack; the parallel path
 //! produces bit-identical [`SweepResults`] regardless (results are
@@ -64,7 +82,8 @@
 //! `tricheck-dist`): with a store attached, C11 verdicts and
 //! materialized spaces are loaded instead of recomputed and written
 //! back, so repeated sweeps — and shard processes sharing one cache
-//! directory — amortize enumeration across process lifetimes.
+//! directory — amortize enumeration across process lifetimes. This is
+//! the one reason a sweep still materializes spaces.
 //! [`Sweep::run_matrix_items`] / [`results_from_items`] expose the
 //! per-slot layer the cross-process shard planner merges through.
 
@@ -95,9 +114,10 @@ pub enum OutcomeMode {
     /// Compare the *full* outcome sets — every outcome C11 permits
     /// against every outcome the µarch exhibits (the stronger
     /// [`TriCheck::verify_full`](crate::TriCheck::verify_full)
-    /// equivalence). On the engine this runs at witness-mode cost: the
-    /// enumeration and outcome partition are computed once per distinct
-    /// compiled program and shared by every model cell.
+    /// equivalence). On the engine this runs at witness-mode cost: one
+    /// enumeration per distinct (compiled program, observed registers)
+    /// is shared by every model cell, each candidate judged only under
+    /// the models that have not yet shown its outcome.
     FullOutcomes,
 }
 
@@ -258,20 +278,23 @@ pub struct SweepStats {
     /// needs its (test, mapping) compilation and all but the first per
     /// pair reuse it, so this is `tests × cells − compile_calls`.
     pub compile_cache_hits: usize,
-    /// Distinct compiled programs — the sweep's work items, one
-    /// execution space each.
+    /// Distinct compiled programs — the sweep's work items.
     pub distinct_programs: usize,
     /// Queries a program's space answered from a view it had already
     /// materialized (or restored from the store), summed over programs.
-    /// Each distinct (program, target) — in outcome mode, each distinct
-    /// (program, observed registers) — is judged once, so a cold sweep
-    /// of either mode reports 0 (unless more than 64 distinct models ask
-    /// one space twice). A warm rerun reports one per judgement in
+    /// A store-less sweep builds no space — it judges candidates as the
+    /// enumerator yields them — so it reports 0. Each distinct (program,
+    /// target) — in outcome mode, each distinct (program, observed
+    /// registers) — is judged once, so a cold store-attached sweep of
+    /// either mode reports 0 too (unless more than 64 distinct models
+    /// ask one space twice). A warm rerun reports one per judgement in
     /// target mode (the matching view) and two in outcome mode (the full
     /// view and its outcome partition).
     pub space_cache_hits: usize,
-    /// Enumeration passes actually run across all spaces — equals
-    /// `distinct_programs` when every space is enumerated exactly once.
+    /// Enumeration passes actually run across all programs: one per
+    /// distinct question (a store-attached sweep in outcome mode shares
+    /// one full enumeration among a program's questions). Equals
+    /// `distinct_programs` when every program asks one question.
     pub space_enumerations: usize,
     /// Search branches cut by axiom-driven pruning across all space
     /// enumerations (zero when every view was restored from the store).
@@ -448,12 +471,14 @@ fn group_programs(
 /// [`ModelIr`](tricheck_rel::ModelIr) equality) fused into kernels of up
 /// to 64 models each ([`UarchModel::fuse`]).
 ///
-/// Mappings are told apart by fat-pointer identity (address AND
-/// vtable): the built-in tables are one static each, a caller's
-/// zero-sized `Mapping` impls may share one address, and dedup by name
-/// would let a name collision reuse the wrong compiled programs. A
-/// duplicated vtable across codegen units only costs a redundant cache
-/// column, never a wrong reuse.
+/// Two stacks share a mapping when their `&dyn Mapping`s point at the
+/// same data *and* the mapping reports the same [`Mapping::name`]. The
+/// address alone is what identifies a built-in table (each is one
+/// static, but a static reached through two coercion sites may carry
+/// two vtables, so the vtable is not compared); the name tells apart
+/// zero-sized impls, which may share one address, and a name alone
+/// would let two different mappings with one name reuse each other's
+/// compiled programs.
 struct SweepPlan<'m> {
     /// The deduplicated mappings, in order of first appearance.
     mappings: Vec<&'m dyn Mapping>,
@@ -471,9 +496,8 @@ impl<'m> SweepPlan<'m> {
         let stacks: Vec<(usize, usize, u64)> = stacks
             .iter()
             .map(|stack| {
-                #[allow(ambiguous_wide_pointer_comparisons)]
                 let m = index_in(&mut mappings, stack.mapping, |m| {
-                    std::ptr::eq(m as *const dyn Mapping, stack.mapping)
+                    std::ptr::addr_eq(m, stack.mapping) && m.name() == stack.mapping.name()
                 });
                 let d = index_in(&mut models, &stack.model, |m| m.ir() == stack.model.ir());
                 (m, d / 64, 1 << (d % 64))
@@ -517,15 +541,42 @@ fn verdicts(slot: &AtomicU8) -> Option<(bool, bool)> {
 }
 
 /// One sweep worker's reusable state, created on the worker's stack and
-/// passed to every item it runs: its one judge (created on its first
-/// judgement, restarted per judgement) and one enumeration scratch per
-/// annotation level — compiled programs for their spaces, C11 programs
-/// for their Step 1 verdicts. Once warm, none of them allocates.
+/// passed to every item it runs: one [`Asked`] per fused kernel (created
+/// on its first item), the judge of its C11 verdicts, and one
+/// enumeration scratch per annotation level — compiled programs for
+/// their judgements, C11 programs for their Step 1 verdicts. Once warm,
+/// none of them allocates.
 #[derive(Default)]
 struct Worker<'k> {
-    judge: Option<Judge<'k>>,
+    kernels: Vec<Asked<'k>>,
+    c11_judge: Option<Judge<'k>>,
     hw: EnumScratch<HwAnnot>,
     c11: EnumScratch<MemOrder>,
+}
+
+/// One fused kernel's share of a worker: its judge, restarted per
+/// question, and the question being answered — the kernel's models that
+/// ask it and their answer so far.
+struct Asked<'k> {
+    judge: Judge<'k>,
+    /// The models asking: the bits of every stack the question serves.
+    live: u64,
+    /// Target mode: the live models with a witness of the target.
+    found: u64,
+    /// Outcome mode: each outcome some live model allows, with the
+    /// models that allow it.
+    allowed: Vec<(Outcome, u64)>,
+}
+
+impl<'k> Asked<'k> {
+    /// Begins the next question, asked by the models `live`: a new
+    /// judgement stream with no answer yet.
+    fn ask(&mut self, kernel: &'k CompiledModel, live: u64) {
+        self.judge.restart(kernel);
+        self.live = live;
+        self.found = 0;
+        self.allowed.clear();
+    }
 }
 
 /// The read-only inputs and the per-test C11 verdicts shared by every
@@ -565,7 +616,7 @@ impl SweepCache<'_> {
                 OutcomeMode::Target => {
                     let test = &self.tests[t];
                     let kernel = C11Model::compiled();
-                    let judge = worker.judge.get_or_insert_with(|| Judge::new(kernel));
+                    let judge = worker.c11_judge.get_or_insert_with(|| Judge::new(kernel));
                     C11Cached::Target(self.c11.observes_with(
                         judge,
                         &mut worker.c11,
@@ -580,14 +631,16 @@ impl SweepCache<'_> {
         })
     }
 
-    /// Runs one work item: builds or loads the program's space, judges
-    /// it with the worker's judge and scratch once per distinct target
-    /// among the item's compilations (in outcome mode, per observed
-    /// register list) under the models of every mapping that asks,
-    /// hands each stack's slot to `emit` with its (test, stack) pair,
-    /// and saves the space back to the store if a new view was
-    /// materialized. The space is dropped on return; its counters are
-    /// returned instead.
+    /// Runs one work item: answers each distinct question among the
+    /// item's compilations — its target, or in outcome mode its observed
+    /// register list — under the models of every mapping that asks, and
+    /// hands each stack's slot to `emit` with its (test, stack) pair.
+    ///
+    /// Without a store, each question is one pruned enumeration of the
+    /// program whose candidates are judged as they are produced. With
+    /// one, the program's space is loaded or built, judged, and saved
+    /// back if it materialized a new view. Returns the item's
+    /// enumeration counters.
     fn run_item<'k>(
         &'k self,
         item: &[usize],
@@ -599,14 +652,27 @@ impl SweepCache<'_> {
                 .as_ref()
                 .expect("items are grouped from compiled programs")
         };
-        let program = compiled(item[0]).program();
-        let space = match self.store.and_then(|s| s.load_space(program)) {
-            // Re-arm pruning on restored spaces so views enumerated
-            // later in this run are pruned like fresh ones.
-            Some(loaded) => loaded.into_pruned(),
-            None => ExecutionSpace::pruned(program.clone()),
-        };
-        let views = space.materialized_views();
+        let space = self.store.map(|store| {
+            let program = compiled(item[0]).program();
+            let space = match store.load_space(program) {
+                // Re-arm pruning on restored spaces so views enumerated
+                // later in this run are pruned like fresh ones.
+                Some(loaded) => loaded.into_pruned(),
+                None => ExecutionSpace::pruned(program.clone()),
+            };
+            let views = space.materialized_views();
+            (store, space, views)
+        });
+        let mut streamed = SpaceStats::default();
+        if worker.kernels.is_empty() {
+            let asked = |kernel| Asked {
+                judge: Judge::new(kernel),
+                live: 0,
+                found: 0,
+                allowed: Vec::new(),
+            };
+            worker.kernels = self.plan.kernels.iter().map(asked).collect();
+        }
         let n_mappings = self.plan.mappings.len();
         for &c in item {
             self.c11_entry(c / n_mappings, worker);
@@ -623,34 +689,28 @@ impl SweepCache<'_> {
             }
             let served = || item[i..].iter().filter(move |&&d| same(c, d));
             let _cell = tricheck_trace::cell_span(c % n_mappings);
-            for (k, kernel) in self.plan.kernels.iter().enumerate() {
+            for (k, asked) in worker.kernels.iter_mut().enumerate() {
                 let live = served()
                     .flat_map(|d| self.plan.stacks_of(d % n_mappings, k))
                     .fold(0, |live, (_, bit)| live | bit);
-                if live == 0 {
-                    continue;
+                asked.ask(&self.plan.kernels[k], live);
+            }
+            match &space {
+                Some((_, space, _)) => self.judge_space(space, compiled(c), worker),
+                None => {
+                    streamed.enumerations += 1;
+                    streamed.candidates_pruned += self.judge_stream(compiled(c), worker);
                 }
-                let judge = worker.judge.get_or_insert_with(|| Judge::new(kernel));
-                judge.restart(kernel);
-                let (scratch, asked) = (&mut worker.hw, compiled(c));
-                let (observable, allowed) = match self.mode {
-                    OutcomeMode::Target => (
-                        witness_mask::<UarchModel>(judge, scratch, &space, asked.target(), live),
-                        Vec::new(),
-                    ),
-                    OutcomeMode::FullOutcomes => (
-                        0,
-                        outcome_masks::<UarchModel>(judge, scratch, &space, asked.observed(), live),
-                    ),
-                };
-                for &d in served() {
-                    let t = d / n_mappings;
-                    let c11 = self.c11_entry(t, worker);
+            }
+            for &d in served() {
+                let t = d / n_mappings;
+                let c11 = self.c11_entry(t, worker);
+                for (k, asked) in worker.kernels.iter().enumerate() {
                     for (s, bit) in self.plan.stacks_of(d % n_mappings, k) {
                         let (p, o) = match c11 {
-                            C11Cached::Target(permitted) => (*permitted, observable & bit != 0),
+                            C11Cached::Target(permitted) => (*permitted, asked.found & bit != 0),
                             C11Cached::Full(permitted) => {
-                                classify_outcomes(permitted, &allowed, bit).quadrant()
+                                classify_outcomes(permitted, &asked.allowed, bit).quadrant()
                             }
                         };
                         emit(t, s, slot(p, o));
@@ -658,12 +718,90 @@ impl SweepCache<'_> {
                 }
             }
         }
-        if let Some(store) = self.store {
-            if space.materialized_views() > views {
-                store.save_space(&space);
+        match space {
+            Some((store, space, views)) => {
+                if space.materialized_views() > views {
+                    store.save_space(&space);
+                }
+                space.stats()
+            }
+            None => streamed,
+        }
+    }
+
+    /// Answers one question from the program's shared space: each
+    /// kernel with live models runs one [`witness_mask`] or
+    /// [`outcome_masks`] pass over the space's view.
+    fn judge_space(
+        &self,
+        space: &ExecutionSpace<HwAnnot>,
+        question: &CompiledTest,
+        worker: &mut Worker<'_>,
+    ) {
+        let Worker { kernels, hw, .. } = worker;
+        for asked in kernels.iter_mut().filter(|asked| asked.live != 0) {
+            let (judge, live) = (&mut asked.judge, asked.live);
+            match self.mode {
+                OutcomeMode::Target => {
+                    asked.found =
+                        witness_mask::<UarchModel>(judge, hw, space, question.target(), live);
+                }
+                OutcomeMode::FullOutcomes => {
+                    asked.allowed =
+                        outcome_masks::<UarchModel>(judge, hw, space, question.observed(), live);
+                }
             }
         }
-        space.stats()
+    }
+
+    /// Answers one question by streaming: one complete pruned
+    /// enumeration of the question's program (restricted to its target
+    /// in target mode), each candidate bound once and judged by every
+    /// kernel under the live models it has not yet decided — those
+    /// without a witness of the target, or in outcome mode of this
+    /// candidate's outcome. Only judging stops early, so the
+    /// enumeration counters match a materialized space's. Returns the
+    /// pruned branches.
+    fn judge_stream(&self, question: &CompiledTest, worker: &mut Worker<'_>) -> usize {
+        let Worker { kernels, hw, .. } = worker;
+        let program = question.program();
+        match self.mode {
+            OutcomeMode::Target => {
+                hw.enumerate_counted(program, Some(question.target()), true, &mut |exec| {
+                    if kernels.iter().all(|asked| asked.found == asked.live) {
+                        return;
+                    }
+                    let binding = UarchModel::bind(exec, None);
+                    for asked in kernels.iter_mut() {
+                        let pending = asked.live & !asked.found;
+                        if pending != 0 {
+                            asked.found |= asked.judge.check_mask(&binding, pending);
+                        }
+                    }
+                })
+            }
+            OutcomeMode::FullOutcomes => {
+                let observed = question.observed();
+                hw.enumerate_counted(program, None, true, &mut |exec| {
+                    let outcome = exec.outcome(observed);
+                    let binding = UarchModel::bind(exec, None);
+                    for asked in kernels.iter_mut() {
+                        let entry = asked.allowed.iter().position(|(o, _)| *o == outcome);
+                        let known = entry.map_or(0, |e| asked.allowed[e].1);
+                        let pending = asked.live & !known;
+                        if pending == 0 {
+                            continue;
+                        }
+                        let found = asked.judge.check_mask(&binding, pending);
+                        match entry {
+                            Some(e) => asked.allowed[e].1 |= found,
+                            None if found != 0 => asked.allowed.push((outcome.clone(), found)),
+                            None => {}
+                        }
+                    }
+                })
+            }
+        }
     }
 }
 
@@ -740,12 +878,10 @@ impl Sweep {
             .collect()
     }
 
-    /// Runs the generic sweep matrix: every test × every stack, on the
-    /// shared execution-space engine. Each (test, mapping) pair is
-    /// compiled exactly once, each distinct compiled program is
-    /// enumerated exactly once across all cells, and each distinct
-    /// (program, target) is judged once under every model that asks —
-    /// see [`SweepResults::stats`].
+    /// Runs the generic sweep matrix: every test × every stack. Each
+    /// (test, mapping) pair is compiled exactly once, and each distinct
+    /// (program, target) is enumerated and judged once under every model
+    /// that asks, across all cells — see [`SweepResults::stats`].
     #[must_use]
     pub fn run_matrix(&self, tests: &[LitmusTest], stacks: &[MatrixStack<'_>]) -> SweepResults {
         let items = self.run_matrix_items(tests, stacks);
@@ -1167,6 +1303,9 @@ mod tests {
         let one = sweep.run_matrix_items(&tests, &[stack(UarchModel::nmm(SpecVersion::Curr))]);
         assert_eq!(wide.stats.compiled_kernels, 2, "64 distinct models, then 1");
         assert_eq!(one.stats.compiled_kernels, 1);
+        // One enumeration per question feeds both kernels.
+        assert_eq!(wide.stats.space_enumerations, one.stats.space_enumerations);
+        assert_eq!(wide.stats.candidates_pruned, one.stats.candidates_pruned);
         for t in 0..tests.len() {
             for s in 0..65 {
                 assert_eq!(wide.items[t * 65 + s], one.items[t]);

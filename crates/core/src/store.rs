@@ -3,7 +3,8 @@
 //! receives newly-computed ones back.
 //!
 //! The engine's three cache layers (C11 verdict per test, compilation
-//! per (test, mapping), execution space per distinct compiled program)
+//! per (test, mapping), execution space per distinct compiled program —
+//! built only when a store is attached; a store-less sweep streams)
 //! live for one `run_matrix` call. A store extends the first and third
 //! across calls — and, with an on-disk implementation, across *process
 //! lifetimes*: a warm store turns "enumerate once per sweep" into

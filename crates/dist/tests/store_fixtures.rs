@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use tricheck_core::{
-    builtin_stack, C11Cached, OutcomeMode, SpaceStore, Sweep, SweepOptions, SweepResults,
+    builtin_stack, results_from_items, C11Cached, OutcomeMode, SpaceStore, Sweep, SweepOptions,
+    SweepResults,
 };
 use tricheck_dist::DiskStore;
 use tricheck_litmus::{suite, LitmusTest};
@@ -101,20 +102,34 @@ fn warm_store_serves_hits_and_identical_rows() {
     for (mode, hits_per_judgement) in [(OutcomeMode::Target, 1), (OutcomeMode::FullOutcomes, 2)] {
         let dir = TempDir::new("warm");
         let tests = small_suite();
-        let cold = run_in_mode(
-            &tests,
-            &Arc::new(DiskStore::open(dir.path()).expect("open store")),
-            mode,
-        );
+        let stacks = builtin_stack("power").unwrap().stacks;
+        let sweep = |store: Option<Arc<dyn SpaceStore>>| {
+            Sweep::with_options(SweepOptions {
+                outcome_mode: mode,
+                store,
+                ..SweepOptions::default()
+            })
+        };
+        let opened = Arc::new(DiskStore::open(dir.path()).expect("open store"));
+        let cold = sweep(Some(opened)).run_matrix_items(&tests, &stacks);
         // Each distinct judgement is made once, so a cold sweep asks no
         // space for a view twice ...
-        assert_eq!(cold.stats().space_cache_hits, 0, "{mode:?}");
-        let baseline = Sweep::with_options(SweepOptions {
-            outcome_mode: mode,
-            ..SweepOptions::default()
-        })
-        .run_matrix(&tests, &builtin_stack("power").unwrap().stacks);
-        assert_eq!(cold.rows(), baseline.rows(), "cold cached run == storeless");
+        assert_eq!(cold.stats.space_cache_hits, 0, "{mode:?}");
+        // A store-less sweep judges each candidate as the enumerator
+        // yields it, where a cold cached one materializes the candidates
+        // into a space first: every (test, stack) verdict and both
+        // enumeration counters agree.
+        let streamed = sweep(None).run_matrix_items(&tests, &stacks);
+        assert_eq!(streamed.items, cold.items, "cold cached run == storeless");
+        assert_eq!(
+            streamed.stats.space_enumerations, cold.stats.space_enumerations,
+            "{mode:?}"
+        );
+        assert_eq!(
+            streamed.stats.candidates_pruned, cold.stats.candidates_pruned,
+            "{mode:?}"
+        );
+        let baseline = results_from_items(&tests, &stacks, &streamed.items, streamed.stats);
 
         let store = Arc::new(DiskStore::open(dir.path()).expect("reopen store"));
         let warm = run_in_mode(&tests, &store, mode);

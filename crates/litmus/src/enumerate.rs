@@ -574,6 +574,33 @@ impl<A: Clone> EnumScratch<A> {
             pruned_branches: ctx.pruned_branches,
         }
     }
+
+    /// One complete [`enumerate`](Self::enumerate) pass as a sweep runs
+    /// it, whether it fills an arena or judges each candidate as it
+    /// comes: inside a `space_enum` span (a judge's spans nest in it),
+    /// never aborted, and with the candidates visited and the branches
+    /// pruned added to the trace counters. Returns the pruned branches.
+    pub fn enumerate_counted(
+        &mut self,
+        prog: &Program<A>,
+        target: Option<&Outcome>,
+        prune: bool,
+        visit: &mut impl FnMut(&Execution<A>),
+    ) -> usize {
+        let _t = tricheck_trace::span(tricheck_trace::Phase::SpaceEnum);
+        let mut candidates = 0u64;
+        let e = self.enumerate(prog, target, prune, &mut |exec| {
+            candidates += 1;
+            visit(exec);
+            true
+        });
+        tricheck_trace::count(
+            tricheck_trace::Counter::PrunedBranches,
+            e.pruned_branches as u64,
+        );
+        tricheck_trace::count(tricheck_trace::Counter::CandidatesEnumerated, candidates);
+        e.pruned_branches
+    }
 }
 
 /// Enumerates all candidate executions of `prog`, calling `visit` on each.

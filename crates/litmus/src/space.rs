@@ -45,8 +45,10 @@
 //! once per stream. Over a shared space there is one witness-search
 //! loop ([`witness_mask`]) and one outcome-group loop
 //! ([`outcome_masks`]); each takes the caller's judge and a mask of
-//! live models, so a sweep judges a program under every model of a
-//! fused kernel in one pass.
+//! live models, so a store-attached sweep judges a program under every
+//! model of a fused kernel in one pass. A store-less sweep builds no
+//! space: it judges each candidate inside one
+//! [`EnumScratch::enumerate_counted`] pass per question.
 //!
 //! # View invariants
 //!
@@ -301,7 +303,7 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
     /// axiom-pruned: candidates cyclic in the model-independent
     /// coherence core are cut during the search instead of being
     /// materialized and rejected by every model individually. This is
-    /// the sweep engine's default space.
+    /// the space a store-attached sweep builds.
     #[must_use]
     pub fn pruned(program: Program<A>) -> Self {
         Self::new(program).into_pruned()
@@ -337,25 +339,12 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
         target: Option<&Outcome>,
         scratch: &mut EnumScratch<A>,
     ) -> ExecArena<A> {
-        let _t = tricheck_trace::span(tricheck_trace::Phase::SpaceEnum);
         self.enumerations.fetch_add(1, Ordering::Relaxed);
         let mut arena = ExecArena::new();
-        let e = scratch.enumerate(&self.program, target, self.prune, &mut |exec| {
+        let pruned = scratch.enumerate_counted(&self.program, target, self.prune, &mut |exec| {
             arena.push(exec);
-            true
         });
-        if self.prune {
-            self.candidates_pruned
-                .fetch_add(e.pruned_branches, Ordering::Relaxed);
-            tricheck_trace::count(
-                tricheck_trace::Counter::PrunedBranches,
-                e.pruned_branches as u64,
-            );
-        }
-        tricheck_trace::count(
-            tricheck_trace::Counter::CandidatesEnumerated,
-            arena.len() as u64,
-        );
+        self.candidates_pruned.fetch_add(pruned, Ordering::Relaxed);
         arena
     }
 
@@ -689,8 +678,8 @@ impl<A: Clone + Hash + AnnCodec> ExecutionSpace<A> {
 ///   [`allowed_outcomes`](Self::allowed_outcomes) judge a shared
 ///   [`ExecutionSpace`]: they are the width-1 calls of the two
 ///   shared-space loops, [`witness_mask`] and [`outcome_masks`], which
-///   a sweep calls with its one fused kernel and the models of every
-///   mapping that emitted the program;
+///   a store-attached sweep calls with its one fused kernel and the
+///   models of every mapping that emitted the program;
 /// - [`observes`](Self::observes) and
 ///   [`observable_outcomes`](Self::observable_outcomes) judge a
 ///   streaming enumeration of one program, materializing nothing.

@@ -37,6 +37,82 @@ fn naive_closure(r: &Relation) -> Relation {
     )
 }
 
+/// A splitmix64 stream: the seeded source of the wide-universe cases.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+}
+
+/// Sink peeling against the closure it replaced, at the universe sizes
+/// where word edges bite (empty, one event, a full 64-bit row): sparse
+/// and dense random edges, a self-loop now and then, and a cycle (or,
+/// one edge short, a path) through up to every event in a random
+/// order, which the peeling can only dismantle one event per round.
+#[test]
+fn sink_peeling_matches_an_irreflexive_closure_on_wide_universes() {
+    let mut rng = SplitMix(0x7269_6368_6563_6b21);
+    let (mut acyclic, mut cyclic) = (0, 0);
+    for n in [0usize, 1, 2, 10, 63, 64] {
+        for case in 0..200 {
+            let mut r = Relation::empty(n);
+            if n > 0 {
+                let edges = match case % 3 {
+                    0 => rng.below(n + 1),
+                    1 => rng.below(2 * n + 1),
+                    _ => rng.below(n * n / 4 + 1),
+                };
+                for _ in 0..edges {
+                    let (a, b) = (rng.below(n), rng.below(n));
+                    // Mostly forward edges, so acyclic cases stay common.
+                    if a < b || rng.below(8) == 0 {
+                        r.insert(a, b);
+                    }
+                }
+                if rng.below(10) == 0 {
+                    let a = rng.below(n);
+                    r.insert(a, a);
+                }
+                if case % 4 == 0 {
+                    let mut order: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        order.swap(i, rng.below(i + 1));
+                    }
+                    order.truncate(1 + rng.below(n));
+                    for pair in order.windows(2) {
+                        r.insert(pair[0], pair[1]);
+                    }
+                    if rng.below(2) == 0 {
+                        r.insert(order[order.len() - 1], order[0]);
+                    }
+                }
+            }
+            let expected = r.transitive_closure().is_irreflexive();
+            assert_eq!(r.is_acyclic(), expected, "n={n} case={case}: {r:?}");
+            assert_eq!(r.topological_order().is_some(), expected, "n={n}");
+            if expected {
+                acyclic += 1;
+            } else {
+                cyclic += 1;
+            }
+        }
+    }
+    assert!(
+        acyclic > 200 && cyclic > 200,
+        "{acyclic} acyclic, {cyclic} cyclic"
+    );
+}
+
 fn arb_set() -> impl Strategy<Value = EventSet> {
     proptest::collection::vec(0..N, 0..N).prop_map(|ids| EventSet::from_ids(N, ids))
 }

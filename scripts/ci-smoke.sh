@@ -74,6 +74,32 @@ if [[ -z "$programs" || "$programs" -eq 0 || "$enumerations" != "$programs" ]]; 
   exit 1
 fi
 
+step "Streamed vs materialized judging (store-less vs a fresh --cache-dir)"
+# Without a store, each candidate is judged as the enumerator yields it;
+# with one, each program's space is materialized first. Both print the
+# same chart, and enumerate and prune the same, in either mode.
+for mode in target outcomes; do
+  flags=(--threads 1 --cache-stats)
+  if [[ "$mode" == outcomes ]]; then flags+=(--outcomes); fi
+  rm -rf "$TMP/judging-$mode-cache"
+  tricheck sweep wrc "${flags[@]}" > "$TMP/streamed-$mode.txt"
+  tricheck sweep wrc "${flags[@]}" --cache-dir "$TMP/judging-$mode-cache" \
+    > "$TMP/materialized-$mode.txt"
+  for run in streamed materialized; do
+    sed '/^cache stats:/,$d' "$TMP/$run-$mode.txt" > "$TMP/$run-$mode-chart.txt"
+  done
+  diff "$TMP/streamed-$mode-chart.txt" "$TMP/materialized-$mode-chart.txt"
+  for name in space_enumerations candidates_pruned; do
+    streamed="$(counter "$name" "$TMP/streamed-$mode.txt")"
+    materialized="$(counter "$name" "$TMP/materialized-$mode.txt")"
+    if [[ -z "$streamed" || "$streamed" != "$materialized" ]]; then
+      echo "$mode mode: $name reads '$streamed' streamed," \
+        "'$materialized' materialized" >&2
+      exit 1
+    fi
+  done
+done
+
 step "CLI built-in stack files smoke (each built-in matrix is its committed file)"
 # The riscv and power built-ins are compiled in from models/riscv.stack
 # and models/power.stack: loaded from disk, each prints the same table.

@@ -11,11 +11,14 @@
 //! - a pruned matching enumeration through a warm `EnumScratch`
 //!   allocates nothing;
 //! - a warm `Judge::check_mask` stream over a fused kernel allocates
-//!   nothing per candidate, and neither does a warm C11 verdict;
-//! - a serial Figure 15 sweep allocates at most 40 times per distinct
+//!   nothing per candidate, whether it reads a materialized space or
+//!   judges each candidate inside the enumeration's callback (the
+//!   store-less sweep's streamed judgement), and neither does a warm C11
+//!   verdict;
+//! - a serial Figure 15 sweep allocates at most 20 times per distinct
 //!   program. What remains is compile output (the compiled programs,
-//!   their targets and names) and the shared execution-space engine
-//!   (each program's space, its arena and its view caches).
+//!   their targets and names) and the grouping pre-pass's tables; a
+//!   store-less sweep builds no execution space.
 //!
 //! Run with `cargo test --release --test allocations`.
 
@@ -29,7 +32,7 @@ use tricheck::isa::{RiscvIsa, SpecVersion};
 use tricheck::litmus::{
     suite, witness_mask, ConsistencyModel, EnumScratch, ExecutionSpace, LitmusTest,
 };
-use tricheck::rel::Judge;
+use tricheck::rel::{CompiledModel, Judge};
 use tricheck::uarch::UarchModel;
 
 /// Counts every allocation and reallocation of the calling thread.
@@ -119,9 +122,9 @@ fn warm_pruned_matching_enumeration_allocates_nothing() {
     );
 }
 
-#[test]
-fn warm_fused_judgement_allocates_nothing_per_candidate() {
-    let compiled = compiled_subset();
+/// The Base+A/riscv-curr mapping's 7 Table 7 models fused into one
+/// kernel, with the mask of all of them.
+fn fused_base_a_curr() -> (CompiledModel, u64) {
     let models: Vec<UarchModel> = riscv_stacks()
         .into_iter()
         .filter(|s| s.key.isa == "Base+A" && s.key.variant == "riscv-curr")
@@ -129,7 +132,13 @@ fn warm_fused_judgement_allocates_nothing_per_candidate() {
         .collect();
     assert_eq!(models.len(), 7, "one mapping's Table 7 models");
     let kernel = UarchModel::fuse(&models.iter().collect::<Vec<_>>());
-    let live = u64::MAX >> (64 - models.len());
+    (kernel, u64::MAX >> (64 - models.len()))
+}
+
+#[test]
+fn warm_fused_judgement_allocates_nothing_per_candidate() {
+    let compiled = compiled_subset();
+    let (kernel, live) = fused_base_a_curr();
     let mut judge = Judge::new(&kernel);
     let mut scratch = EnumScratch::new();
     // The spaces are materialized up front, so the passes below
@@ -167,6 +176,50 @@ fn warm_fused_judgement_allocates_nothing_per_candidate() {
 }
 
 #[test]
+fn warm_streamed_judgement_allocates_nothing() {
+    let compiled = compiled_subset();
+    let (kernel, live) = fused_base_a_curr();
+    let mut judge = Judge::new(&kernel);
+    let mut scratch = EnumScratch::new();
+    let mut verdicts = vec![0u64; compiled.len()];
+    let mut judge_all = |verdicts: &mut [u64]| {
+        for (verdict, c) in verdicts.iter_mut().zip(&compiled) {
+            judge.restart(&kernel);
+            let mut found = 0;
+            scratch.enumerate_counted(c.program(), Some(c.target()), true, &mut |exec| {
+                if found != live {
+                    found |= judge.check_mask(&UarchModel::bind(exec, None), live & !found);
+                }
+            });
+            *verdict = found;
+        }
+    };
+    judge_all(&mut verdicts);
+    let cold = verdicts.clone();
+    let (allocations, ()) = allocations_in(|| judge_all(&mut verdicts));
+    assert_eq!(cold, verdicts);
+    // The streamed verdicts are the materialized space's.
+    let mut judge = Judge::new(&kernel);
+    for (&verdict, c) in verdicts.iter().zip(&compiled) {
+        let space = ExecutionSpace::pruned(c.program().clone());
+        judge.restart(&kernel);
+        let materialized =
+            witness_mask::<UarchModel>(&mut judge, &mut scratch, &space, c.target(), live);
+        assert_eq!(verdict, materialized, "{}", c.name());
+    }
+    assert!(
+        verdicts.iter().any(|&v| v != 0),
+        "some model observes a target"
+    );
+    assert_eq!(
+        allocations,
+        0,
+        "warm streamed judgements of {} programs",
+        compiled.len()
+    );
+}
+
+#[test]
 fn warm_c11_verdicts_allocate_nothing() {
     let tests = subset();
     let c11 = C11Model::new();
@@ -188,7 +241,7 @@ fn warm_c11_verdicts_allocate_nothing() {
 }
 
 #[test]
-fn serial_sweep_allocates_at_most_40_times_per_distinct_program() {
+fn serial_sweep_allocates_at_most_20_times_per_distinct_program() {
     let tests = subset();
     let stacks = riscv_stacks();
     let sweep = Sweep::with_options(SweepOptions::with_threads(1));
@@ -201,7 +254,7 @@ fn serial_sweep_allocates_at_most_40_times_per_distinct_program() {
     assert!(programs > 1000, "{programs} distinct programs");
     let per_program = allocations as f64 / programs as f64;
     assert!(
-        allocations <= 40 * programs,
+        allocations <= 20 * programs,
         "{allocations} allocations over {programs} distinct programs ({per_program:.1} each)"
     );
 }
