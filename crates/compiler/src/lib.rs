@@ -197,20 +197,12 @@ pub fn power_mapping(style: PowerSyncStyle) -> &'static dyn Mapping {
 /// target outcome (observable registers are preserved by compilation).
 #[derive(Clone, Debug)]
 pub struct CompiledTest {
-    name: String,
     mapping: &'static str,
     program: Program<HwAnnot>,
     target: Outcome,
-    observed: Vec<(usize, Reg)>,
 }
 
 impl CompiledTest {
-    /// The compiled test's name (`<source>@<mapping>`).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The mapping that produced it.
     #[must_use]
     pub fn mapping(&self) -> &'static str {
@@ -232,7 +224,7 @@ impl CompiledTest {
     /// The observed registers carried over from the source test.
     #[must_use]
     pub fn observed(&self) -> &[(usize, Reg)] {
-        &self.observed
+        self.target.observed()
     }
 }
 
@@ -285,11 +277,9 @@ pub fn compile(test: &LitmusTest, mapping: &dyn Mapping) -> Result<CompiledTest,
     }
     let program = Program::new(threads, test.program().locations().iter().copied())?;
     Ok(CompiledTest {
-        name: format!("{}@{}", test.name(), mapping.name()),
         mapping: mapping.name(),
         program,
         target: test.target().clone(),
-        observed: test.observed().to_vec(),
     })
 }
 

@@ -454,11 +454,11 @@ mod tests {
     fn outcome_of_matches_execution_outcome() {
         let t = suite::sb([MemOrder::Rlx; 4]);
         let (arena, originals) = arena_and_originals(&t);
-        let observed: Vec<_> = t.target().observed().collect();
+        let observed = t.target().observed();
         for (i, original) in originals.iter().enumerate() {
             assert_eq!(
-                arena.outcome_of(i as u32, &observed),
-                original.outcome(&observed)
+                arena.outcome_of(i as u32, observed),
+                original.outcome(observed)
             );
         }
     }

@@ -9,9 +9,39 @@
 //! dependencies, RMW write-back values) by running a resolution fixpoint
 //! after each `rf` choice: a read's value is its source write's value, a
 //! write's value/address may depend on earlier reads of its thread.
-//! Choices that contradict themselves (source location mismatch) are
-//! pruned; executions with unresolvable values (cyclic value dependencies,
-//! which only out-of-thin-air shapes produce) are discarded.
+//! Choices that contradict themselves (source location mismatch, or a
+//! value contradicting the target outcome) are pruned; executions with
+//! unresolvable values (cyclic value dependencies, which only
+//! out-of-thin-air shapes produce) are discarded.
+//!
+//! # What the program text resolves
+//!
+//! In most litmus programs every location and every written value is a
+//! constant, so most of that work can be done once per program. When
+//! the skeleton is built it records each event's *static* location (an
+//! initialization write's, or a constant address) and *static* value
+//! (an initialization write's zero, a constant store or `amoswap`
+//! operand), and the list of *dynamic* events that still need the
+//! fixpoint: every read (its value is its source's), every `amoadd`
+//! write half, and every access with a register operand.
+//!
+//! - A read branches only over the writes its `rf` can take: not its
+//!   own thread's po-later writes, only writes whose static location
+//!   matches its own (a register-computed location on either side
+//!   matches anything), and, under a target, only writes whose static
+//!   value equals the read's expected one. The skipped branches are
+//!   exactly those the fixpoint would reject, so the visited candidates
+//!   and the pruned-branch counts are those of trying every write.
+//! - The fixpoint after each surviving choice starts from the static
+//!   tables and iterates over the dynamic events only. The last choice's
+//!   fixpoint resolves the complete candidate, so completing it runs no
+//!   further one.
+//!
+//! Where a location is register-computed (`litmus/dep_fig13.litmus`
+//! loads through one), the static filter cannot decide a branch and
+//! the per-branch fixpoint still does. The filter's tables also give
+//! the inputs of a static candidate bound: `rf` choices per read ×
+//! per-location coherence linearisations.
 //!
 //! # Axiom-driven pruning
 //!
@@ -72,9 +102,9 @@
 //! search allocates nothing. The free functions below are one-shot
 //! forms over a fresh scratch.
 
-use tricheck_rel::{linear_extensions, EventSet, Relation};
+use tricheck_rel::{linear_extensions, EventSet, Relation, MAX_EVENTS};
 
-use crate::exec::{same_loc, Event, EventKind, Execution};
+use crate::exec::{from_rows, same_loc, Event, EventKind, Execution};
 use crate::mir::{Expr, Instr, Loc, Program, Reg, RmwKind, Val};
 use crate::outcome::Outcome;
 
@@ -119,12 +149,33 @@ struct Skeleton {
     /// Per event: the address operand (`None` for inits and fences).
     addr: Vec<Option<Operand>>,
     val_src: Vec<ValSrc>,
-    /// Per event: the location an initialization write starts with.
-    init_loc: Vec<Option<Loc>>,
+    /// Per event: the location the program text fixes (an init
+    /// write's, or a constant address), `None` where a register
+    /// computes it.
+    static_loc: Vec<Option<Loc>>,
+    /// Per event: the value the program text fixes (an init write's
+    /// zero, a constant store or swap operand), `None` for reads and
+    /// for writes whose value comes from a register or a read.
+    static_val: Vec<Option<Val>>,
+    /// Accesses with a location or value still to resolve: every read,
+    /// and every write with a register operand or an `amoadd` value.
+    /// The resolution fixpoint visits only these.
+    dynamic: u64,
     /// Expected value per event id, derived from a target outcome.
     expected: Vec<Option<Val>>,
+    /// The events `expected` constrains, as a bitmask.
+    expected_events: u64,
     reads: Vec<usize>,
-    writes: Vec<usize>,
+    /// Per read (indexed like `reads`): the writes its `rf` may pick.
+    /// A read never reads its own thread's po-later writes (that
+    /// violates coherence in every model we evaluate), including its
+    /// own RMW write half; and a write whose static location differs
+    /// from the read's, or — under a target — whose static value
+    /// differs from the read's expected one, fails the fixpoint's
+    /// contradiction check on every branch, so it is never tried.
+    sources: Vec<u64>,
+    /// The write events (initialization writes included), as a bitmask.
+    writes: u64,
     /// Reads and writes (every event that must resolve a location and
     /// a value), as a bitmask.
     accesses: u64,
@@ -155,6 +206,23 @@ struct Skeleton {
     read_relevant: u64,
 }
 
+/// The events `lo..hi` as a bitmask.
+fn span(lo: usize, hi: usize) -> u64 {
+    let below = |k: usize| if k >= 64 { !0 } else { (1u64 << k) - 1 };
+    below(hi) & !below(lo)
+}
+
+/// The set bits of `bits`, lowest first.
+fn bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let e = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            e
+        })
+    })
+}
+
 impl Skeleton {
     /// Rebuilds the tables for `prog`, writing the events, `po`,
     /// dependency and `rmw` relations, the init set and the register
@@ -165,7 +233,8 @@ impl Skeleton {
         prog: &Program<A>,
         target: Option<&Outcome>,
     ) {
-        let n = prog.locations().len()
+        let locations = prog.locations();
+        let n = locations.len()
             + prog
                 .threads()
                 .iter()
@@ -180,13 +249,16 @@ impl Skeleton {
                 .sum::<usize>();
         self.addr.clear();
         self.val_src.clear();
-        self.init_loc.clear();
         exec.events.clear();
         exec.reg_def.clear();
         let (mut addr, mut data, mut rmw) =
             (Relation::empty(n), Relation::empty(n), Relation::empty(n));
+        // Per event: the events of its thread (itself included), and
+        // its po-successors; zero for initialization writes.
+        let mut thread_rows = [0u64; MAX_EVENTS];
+        let mut po_rows = [0u64; MAX_EVENTS];
 
-        for &l in prog.locations() {
+        for _ in locations {
             exec.events.push(Event {
                 id: exec.events.len(),
                 tid: None,
@@ -197,11 +269,11 @@ impl Skeleton {
             });
             self.addr.push(None);
             self.val_src.push(ValSrc::InitZero);
-            self.init_loc.push(Some(l));
         }
         let init_count = exec.events.len();
 
         for (tid, thread) in prog.threads().iter().enumerate() {
+            let first = exec.events.len();
             let mut po_index = 0usize;
             // Registers are assigned once per thread and only read after
             // their assignment (`Program::new` checks both), so every
@@ -229,7 +301,6 @@ impl Skeleton {
                         is_rmw,
                     });
                     po_index += 1;
-                    self.init_loc.push(None);
                     id
                 };
                 match instr {
@@ -291,86 +362,131 @@ impl Skeleton {
                     }
                 }
             }
+            // A thread's events are contiguous and pushed in program
+            // order, so each one's po-successors are the rest of them.
+            let last = exec.events.len();
+            for e in first..last {
+                thread_rows[e] = span(first, last);
+                po_rows[e] = span(e + 1, last);
+            }
         }
         debug_assert_eq!(exec.events.len(), n);
         exec.reg_def.sort_unstable();
 
-        let events = &exec.events;
-        let mut po = Relation::empty(n);
-        for (a, ea) in events.iter().enumerate().skip(init_count) {
-            for eb in &events[a + 1..] {
-                if eb.tid == ea.tid {
-                    po.insert(a, eb.id);
-                }
-            }
-        }
+        // What the program text fixes. Every constant address is one of
+        // the program's locations, whose init write has the same index.
+        self.static_loc.clear();
+        self.static_val.clear();
+        let mut loc_rows = [0u64; MAX_EVENTS];
+        let (mut reads, mut writes, mut dyn_addr, mut fixed) = (0u64, 0u64, 0u64, 0u64);
         self.reads.clear();
-        self.writes.clear();
-        self.accesses = 0;
-        for e in events {
-            match e.kind {
-                EventKind::Read => self.reads.push(e.id),
-                EventKind::Write => self.writes.push(e.id),
+        for (e, event) in exec.events.iter().enumerate() {
+            let (loc, at) = match self.addr[e] {
+                None if e < init_count => (Some(locations[e]), Some(e)),
+                Some(Operand::Const(c)) => {
+                    let l = Loc(c);
+                    (Some(l), locations.binary_search(&l).ok())
+                }
+                _ => (None, None),
+            };
+            let val = match self.val_src[e] {
+                ValSrc::InitZero => Some(Val(0)),
+                ValSrc::Operand(Operand::Const(c)) => Some(Val(c)),
+                _ => None,
+            };
+            self.static_loc.push(loc);
+            self.static_val.push(val);
+            let bit = 1u64 << e;
+            match event.kind {
+                EventKind::Read => {
+                    reads |= bit;
+                    self.reads.push(e);
+                }
+                EventKind::Write => writes |= bit,
                 EventKind::Fence => continue,
             }
-            self.accesses |= 1 << e.id;
+            match at {
+                Some(i) => loc_rows[i] |= bit,
+                None => dyn_addr |= bit,
+            }
+            if loc.is_some() && val.is_some() {
+                fixed |= bit;
+            }
         }
+        self.writes = writes;
+        self.accesses = reads | writes;
+        self.dynamic = self.accesses & !fixed;
+        // The accesses that may share a location with `e`: those with
+        // its static location or a register-computed one, or any access
+        // if `e`'s own address is register-computed.
+        let may_share = |e: usize| match self.static_loc[e] {
+            Some(l) => locations.binary_search(&l).map_or(0, |i| loc_rows[i]) | dyn_addr,
+            None => !0,
+        };
 
         self.expected.clear();
         self.expected.resize(n, None);
+        self.expected_events = 0;
         self.target_defined = true;
         if let Some(t) = target {
             for ((tid, reg), val) in t.iter() {
                 match exec.defining_event(tid, reg) {
-                    Some(e) => self.expected[e] = Some(val),
+                    Some(e) => {
+                        self.expected[e] = Some(val);
+                        self.expected_events |= 1 << e;
+                    }
                     None => self.target_defined = false,
                 }
             }
         }
 
-        // Static prune-relevance analysis (see the field docs). Two
-        // accesses "may share a location" when their address operands
-        // are equal constants, or either is register-computed (then any
-        // location is reachable, so be conservative).
-        let may_share = |a: usize, b: usize| match (self.addr[a], self.addr[b]) {
-            (Some(Operand::Const(la)), Some(Operand::Const(lb))) => la == lb,
-            (Some(_), Some(_)) => true, // at least one dynamic address
-            _ => false,                 // a fence participates in nothing
-        };
-        let is_read = |e: usize| events[e].kind == EventKind::Read;
-        self.read_relevant = 0;
-        for (r, _) in rmw.pairs() {
-            self.read_relevant |= 1 << r;
+        self.sources.clear();
+        for &r in &self.reads {
+            let mut sources = writes & !po_rows[r] & may_share(r);
+            if let Some(v) = self.expected[r] {
+                for w in bits(sources) {
+                    if self.static_val[w].is_some_and(|val| val != v) {
+                        sources &= !(1 << w);
+                    }
+                }
+            }
+            self.sources.push(sources);
         }
-        let mut po_core = Relation::empty(n);
-        let mut co_forced = Relation::empty(n);
-        for (a, b) in po.pairs() {
-            let (ka, kb) = (events[a].kind, events[b].kind);
-            let mixed = matches!(
-                (ka, kb),
-                (EventKind::Read, EventKind::Write) | (EventKind::Write, EventKind::Read)
-            );
-            if mixed && may_share(a, b) {
-                self.read_relevant |= 1 << if is_read(a) { a } else { b };
-            }
-            if !(is_read(a) && is_read(b)) {
-                po_core.insert(a, b);
-            }
-            if ka == EventKind::Write && kb == EventKind::Write {
-                co_forced.insert(a, b);
+
+        // Static prune relevance (see the field docs): RMW read halves,
+        // and reads with a same-thread write that may share their
+        // location.
+        let mut read_relevant = 0u64;
+        for (r, &row) in rmw.row_words().iter().enumerate() {
+            if row != 0 {
+                read_relevant |= 1 << r;
             }
         }
-        for &a in &self.writes[..init_count] {
-            for &b in &self.writes[init_count..] {
-                co_forced.insert(a, b);
+        for &r in &self.reads {
+            if thread_rows[r] & writes & may_share(r) != 0 {
+                read_relevant |= 1 << r;
             }
         }
-        self.core_prunable = self.read_relevant != 0;
-        self.po_core = po_core;
-        self.co_forced = co_forced;
+        self.read_relevant = read_relevant;
+        self.core_prunable = read_relevant != 0;
+
+        let mut po_core = [0u64; MAX_EVENTS];
+        let mut co_forced = [0u64; MAX_EVENTS];
+        for e in 0..n {
+            po_core[e] = po_rows[e] & if reads & 1 << e != 0 { !reads } else { !0 };
+        }
+        for w in bits(writes) {
+            co_forced[w] = if w < init_count {
+                writes & !span(0, init_count)
+            } else {
+                po_rows[w] & writes
+            };
+        }
+        self.po_core = from_rows(&po_core, n);
+        self.co_forced = from_rows(&co_forced, n);
         self.rmw = rmw.clone();
 
-        exec.po = po;
+        exec.po = from_rows(&po_rows, n);
         exec.addr = addr;
         exec.data = data;
         exec.rmw = rmw;
@@ -384,68 +500,52 @@ impl Skeleton {
     }
 
     /// Resolves locations and values into `loc`/`val` given a (partial)
-    /// `rf` assignment. Returns `false` on contradiction (rf
-    /// source/location mismatch or a resolved value contradicting the
-    /// target outcome).
-    #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
+    /// `rf` assignment: starts from what the program text fixes and
+    /// iterates over the dynamic events only. Returns `false` on
+    /// contradiction (rf source/location mismatch or a resolved value
+    /// contradicting the target outcome).
     fn propagate(
         &self,
         rf_choice: &[Option<usize>],
         loc: &mut [Option<Loc>],
         val: &mut [Option<Val>],
     ) -> bool {
-        let n = loc.len();
-        loc.copy_from_slice(&self.init_loc);
-        for e in 0..n {
-            val[e] = match self.val_src[e] {
-                ValSrc::InitZero => Some(Val(0)),
-                _ => None,
-            };
-        }
+        loc.copy_from_slice(&self.static_loc);
+        val.copy_from_slice(&self.static_val);
+        // Locations feed nothing, so the fixpoint is reached once a
+        // pass resolves no new value.
+        let mut pending = self.dynamic;
         loop {
-            let mut changed = false;
-            for e in 0..n {
+            let mut resolved = false;
+            for e in bits(pending) {
                 if loc[e].is_none() {
-                    if let Some(a) = self.addr[e].and_then(|op| op.eval(val)) {
-                        loc[e] = Some(Loc(a));
-                        changed = true;
-                    }
+                    loc[e] = self.addr[e].and_then(|op| op.eval(val)).map(Loc);
                 }
                 if val[e].is_none() {
-                    let resolved = match self.val_src[e] {
-                        ValSrc::InitZero => Some(Val(0)),
+                    val[e] = match self.val_src[e] {
                         ValSrc::Operand(op) => op.eval(val).map(Val),
                         ValSrc::OwnRead(r) => val[r],
                         ValSrc::Rf => rf_choice[e].and_then(|w| val[w]),
-                        ValSrc::None => None,
+                        ValSrc::InitZero | ValSrc::None => None,
                     };
-                    if resolved.is_some() {
-                        val[e] = resolved;
-                        changed = true;
-                    }
+                    resolved |= val[e].is_some();
+                }
+                if loc[e].is_some() && val[e].is_some() {
+                    pending &= !(1 << e);
                 }
             }
-            if !changed {
+            if !resolved {
                 break;
             }
         }
         // Contradiction checks.
-        for &r in &self.reads {
-            if let Some(w) = rf_choice[r] {
-                if let (Some(lr), Some(lw)) = (loc[r], loc[w]) {
-                    if lr != lw {
-                        return false;
-                    }
-                }
-            }
-        }
-        self.expected
-            .iter()
-            .zip(val.iter())
-            .all(|(expect, actual)| match (expect, actual) {
-                (Some(expect), Some(actual)) => expect == actual,
-                _ => true,
-            })
+        let rf_crosses_locations = self.reads.iter().any(|&r| {
+            rf_choice[r]
+                .is_some_and(|w| matches!((loc[r], loc[w]), (Some(lr), Some(lw)) if lr != lw))
+        });
+        !rf_crosses_locations
+            && bits(self.expected_events)
+                .all(|e| val[e].is_none_or(|actual| Some(actual) == self.expected[e]))
     }
 
     /// The coherence edges every model forces between same-location
@@ -465,22 +565,29 @@ impl Skeleton {
         let n = loc.len();
         let same = same_loc(loc);
         let co = co.union(&self.co_forced.intersect(&same));
-        let mut rf = Relation::empty(n);
+        let co_rows = co.row_words();
+        let mut core = [0u64; MAX_EVENTS];
+        for (e, (row, (&po_core, &same))) in core
+            .iter_mut()
+            .zip(self.po_core.row_words().iter().zip(same.row_words()))
+            .enumerate()
+        {
+            *row = co_rows[e] | po_core & same;
+        }
+        // `rf` edges, and `fr = rf⁻¹;co`: a read precedes its source's
+        // coherence successors.
         for &r in &self.reads {
             if let Some(w) = rf_choice[r] {
-                rf.insert(w, r);
+                core[w] |= 1 << r;
+                core[r] |= co_rows[w];
             }
         }
-        let fr = rf.inverse().compose(&co);
-        let po_loc = self.po_core.intersect(&same);
-        let core = co.union(&po_loc).union(&rf).union(&fr);
-        core.is_acyclic()
-            && self.rmw.pairs().all(|(r, w)| {
-                rf_choice[r].is_none_or(|src| {
-                    !co.successors(src)
-                        .iter()
-                        .any(|between| between != w && co.contains(between, w))
-                })
+        from_rows(&core, n).is_acyclic()
+            && self.rmw.row_words().iter().enumerate().all(|(r, &half)| {
+                half == 0
+                    || rf_choice[r].is_none_or(|src| {
+                        bits(co_rows[src] & !half).all(|between| co_rows[between] & half == 0)
+                    })
             })
     }
 }
@@ -715,17 +822,20 @@ struct Ctx<'a, A, F> {
 impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
     fn assign_reads(&mut self, k: usize) -> bool {
         if k == self.skel.reads.len() {
+            // The last `rf` choice's fixpoint has resolved `loc` and
+            // `val` already; a program without reads resolves here.
+            let exec = &mut *self.exec;
+            if k == 0
+                && !self
+                    .skel
+                    .propagate(self.rf_choice, &mut exec.loc, &mut exec.val)
+            {
+                return true;
+            }
             return self.finalize();
         }
         let r = self.skel.reads[k];
-        for &w in &self.skel.writes {
-            // A read never reads its own thread's po-later writes (that
-            // violates coherence in every model we evaluate), including
-            // its own RMW write half.
-            let (er, ew) = (&self.exec.events[r], &self.exec.events[w]);
-            if er.tid == ew.tid && ew.po_index > er.po_index {
-                continue;
-            }
+        for w in bits(self.skel.sources[k]) {
             self.rf_choice[r] = Some(w);
             let exec = &mut *self.exec;
             if self
@@ -753,20 +863,9 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
 
     fn finalize(&mut self) -> bool {
         let exec = &mut *self.exec;
-        if !self
-            .skel
-            .propagate(self.rf_choice, &mut exec.loc, &mut exec.val)
-        {
-            return true;
-        }
         // Every read and write must have fully resolved location & value.
-        let mut accesses = self.skel.accesses;
-        while accesses != 0 {
-            let e = accesses.trailing_zeros() as usize;
-            accesses &= accesses - 1;
-            if exec.loc[e].is_none() || exec.val[e].is_none() {
-                return true; // unresolvable (out-of-thin-air shape): discard
-            }
+        if bits(self.skel.dynamic).any(|e| exec.loc[e].is_none() || exec.val[e].is_none()) {
+            return true; // unresolvable (out-of-thin-air shape): discard
         }
         // Every target register resolved and matched its expected value
         // above; the target must also name only assigned registers.
@@ -778,7 +877,7 @@ impl<A: Clone, F: FnMut(&Execution<A>) -> bool> Ctx<'_, A, F> {
         // in location order.
         let n = exec.len();
         self.groups.clear();
-        for &w in &self.skel.writes {
+        for w in bits(self.skel.writes) {
             let l = exec.loc[w].expect("writes resolved above");
             match self.groups.iter_mut().find(|(g, _)| *g == l) {
                 Some((_, members)) => members.insert(w),

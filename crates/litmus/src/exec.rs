@@ -1,6 +1,6 @@
 //! Candidate executions: events plus the `rf` and `co` witness relations.
 
-use tricheck_rel::{EventSet, Relation};
+use tricheck_rel::{EventSet, Relation, MAX_EVENTS};
 
 use crate::mir::{Loc, Reg, Val};
 use crate::outcome::Outcome;
@@ -246,19 +246,15 @@ impl<A> Execution<A> {
     /// External (inter-thread) part of a relation.
     #[must_use]
     pub fn external(&self, r: &Relation) -> Relation {
-        Relation::from_pairs(
-            self.len(),
-            r.pairs().filter(|&(a, b)| self.is_external(a, b)),
-        )
+        let threads = self.thread_rows();
+        rows_of(r, |a, row| row & !threads[a])
     }
 
     /// Internal (intra-thread) part of a relation.
     #[must_use]
     pub fn internal(&self, r: &Relation) -> Relation {
-        Relation::from_pairs(
-            self.len(),
-            r.pairs().filter(|&(a, b)| !self.is_external(a, b)),
-        )
+        let threads = self.thread_rows();
+        rows_of(r, |a, row| row & threads[a])
     }
 
     /// External reads-from (`rfe`).
@@ -327,21 +323,65 @@ impl<A> Execution<A> {
             self.events.iter().filter(|e| e.kind == kind).map(|e| e.id),
         )
     }
+
+    /// Per event: the events of its thread, itself included (no events
+    /// for an initialization write, which is external to every thread).
+    fn thread_rows(&self) -> [u64; MAX_EVENTS] {
+        let mut rows = [0u64; MAX_EVENTS];
+        for_each_group(self.len(), |e| self.events[e].tid, &mut rows);
+        rows
+    }
 }
 
 /// Pairs of distinct events whose locations in `loc` are resolved and
 /// equal.
 pub(crate) fn same_loc(loc: &[Option<Loc>]) -> Relation {
-    let mut r = Relation::empty(loc.len());
-    for (a, la) in loc.iter().enumerate() {
-        let Some(la) = la else { continue };
-        for (b, lb) in loc.iter().enumerate() {
-            if a != b && *lb == Some(*la) {
-                r.insert(a, b);
-            }
+    let mut rows = [0u64; MAX_EVENTS];
+    for_each_group(loc.len(), |e| loc[e], &mut rows);
+    for (e, row) in rows.iter_mut().enumerate() {
+        *row &= !(1 << e);
+    }
+    from_rows(&rows, loc.len())
+}
+
+/// The relation over `n` events whose successor masks are `rows[..n]`.
+pub(crate) fn from_rows(rows: &[u64; MAX_EVENTS], n: usize) -> Relation {
+    let mut r = Relation::empty(n);
+    r.copy_row_words_from(&rows[..n]);
+    r
+}
+
+/// Sets `rows[e]` to the events whose key equals `e`'s (`e` included),
+/// leaving it empty where `e`'s key is `None`: each group's mask is
+/// gathered once, at its first member, and handed to every member.
+fn for_each_group<K: PartialEq>(
+    n: usize,
+    key: impl Fn(usize) -> Option<K>,
+    rows: &mut [u64; MAX_EVENTS],
+) {
+    for e in 0..n {
+        let Some(k) = key(e) else { continue };
+        if rows[e] != 0 {
+            continue; // a member of an earlier event's group
+        }
+        let members = (e..n)
+            .filter(|&f| key(f).as_ref() == Some(&k))
+            .fold(0u64, |m, f| m | 1 << f);
+        let mut rest = members;
+        while rest != 0 {
+            rows[rest.trailing_zeros() as usize] = members;
+            rest &= rest - 1;
         }
     }
-    r
+}
+
+/// `r` with each row `a` rewritten to `f(a, row)`.
+fn rows_of(r: &Relation, f: impl Fn(usize, u64) -> u64) -> Relation {
+    let mut rows = [0u64; MAX_EVENTS];
+    for (a, (out, &row)) in rows.iter_mut().zip(r.row_words()).enumerate() {
+        *out = f(a, row);
+    }
+    from_rows(&rows, r.universe())
 }
 
 impl<A: std::fmt::Display> Execution<A> {

@@ -411,9 +411,8 @@ impl<A: Clone + Hash> ExecutionSpace<A> {
         }
         let view = if let Some(full) = self.full.get() {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let observed: Vec<(usize, Reg)> = target.observed().collect();
             let matching: Vec<u32> = (0..full.len() as u32)
-                .filter(|&i| full.outcome_of(i, &observed) == *target)
+                .filter(|&i| full.outcome_of(i, target.observed()) == *target)
                 .collect();
             MatchView::Indices(Arc::new(matching))
         } else {
@@ -918,11 +917,11 @@ mod tests {
         // The filtered view is an index list over the full arena, not a
         // copy of the candidates.
         assert!(Arc::ptr_eq(matched.arena(), full.arena()));
-        let observed: Vec<(usize, Reg)> = t.target().observed().collect();
+        let observed = t.target().observed();
         assert!(matched
             .to_vec()
             .iter()
-            .all(|e| e.outcome(&observed) == *t.target()));
+            .all(|e| e.outcome(observed) == *t.target()));
     }
 
     #[test]

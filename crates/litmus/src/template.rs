@@ -42,7 +42,6 @@ pub struct LitmusTest {
     family: &'static str,
     program: Program<MemOrder>,
     target: Outcome,
-    observed: Vec<(usize, Reg)>,
 }
 
 impl LitmusTest {
@@ -57,13 +56,11 @@ impl LitmusTest {
         program: Program<MemOrder>,
         target: Outcome,
     ) -> Self {
-        let observed = target.observed().collect();
         LitmusTest {
             name: name.into(),
             family,
             program,
             target,
-            observed,
         }
     }
 
@@ -94,7 +91,7 @@ impl LitmusTest {
     /// The registers the target outcome constrains.
     #[must_use]
     pub fn observed(&self) -> &[(usize, Reg)] {
-        &self.observed
+        self.target.observed()
     }
 }
 

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use tricheck_litmus::format::{parse_litmus, write_litmus};
 use tricheck_litmus::{enumerate_executions, suite, EventKind, LitmusTest, MemOrder};
+use tricheck_rel::Relation;
 
 fn arb_variant() -> impl Strategy<Value = LitmusTest> {
     (0usize..7, proptest::collection::vec(0usize..3, 6)).prop_map(|(t, picks)| {
@@ -133,6 +134,36 @@ proptest! {
             false
         });
         prop_assert!(seen);
+    }
+
+    /// The word-parallel derived relations equal their pairwise
+    /// definitions: `same_loc` relates distinct events with equal
+    /// resolved locations, and `external`/`internal` split a relation
+    /// by [`Execution::is_external`], on the execution's own relations
+    /// and on the full relation (init rows and the diagonal included).
+    #[test]
+    fn derived_relations_match_their_pairwise_definitions(test in arb_variant()) {
+        let mut checked = 0usize;
+        enumerate_executions(test.program(), &mut |exec| {
+            let n = exec.len();
+            let same_loc = Relation::from_pairs(
+                n,
+                (0..n)
+                    .flat_map(|a| (0..n).map(move |b| (a, b)))
+                    .filter(|&(a, b)| a != b && exec.loc(a).is_some() && exec.loc(a) == exec.loc(b)),
+            );
+            assert_eq!(exec.same_loc(), same_loc);
+            for r in [exec.rf().clone(), exec.co().clone(), exec.fr(), exec.po().clone(), Relation::full(n)] {
+                let split = |external: bool| {
+                    Relation::from_pairs(n, r.pairs().filter(|&(a, b)| exec.is_external(a, b) == external))
+                };
+                assert_eq!(exec.external(&r), split(true), "external of {r:?}");
+                assert_eq!(exec.internal(&r), split(false), "internal of {r:?}");
+            }
+            checked += 1;
+            checked < 60
+        });
+        prop_assert!(checked > 0);
     }
 
     /// The text format round-trips every suite variant.

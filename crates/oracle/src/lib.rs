@@ -12,11 +12,16 @@
 //! - [`c11_check`]: the imperative C11 checker, independent of
 //!   `C11Model::ir`;
 //! - [`run_matrix_naive`]: the per-cell, unpruned reference sweep that
-//!   `Sweep::run_matrix`'s shared execution-space engine replaced.
+//!   `Sweep::run_matrix`'s shared execution-space engine replaced;
+//! - [`naive_candidates`]: the brute-force reference enumerator (every
+//!   `rf` map × every per-location coherence order, filtered after the
+//!   fact) that `EnumScratch::enumerate` is pinned against.
 //!
 //! `tests/model_properties.rs` runs the first three against the kernel;
 //! `tests/engine_equivalence.rs` and `tests/power_equivalence.rs` pin
-//! the engine's rows to the reference sweep's.
+//! the engine's rows to the reference sweep's, and
+//! `crates/oracle/tests/enumeration.rs` pins the enumerator's candidate
+//! sets to the reference enumerator's.
 //!
 //! The crate also holds the knob generator of the built-in hardware
 //! models ([`UarchConfig`], [`build_uarch_ir`]), and renders the
@@ -29,6 +34,7 @@
 
 mod c11;
 mod config;
+mod enumerate;
 mod generate;
 mod interpret;
 mod random;
@@ -37,6 +43,7 @@ mod uarch;
 
 pub use c11::c11_check;
 pub use config::{figure7, ReleasePredecessors, StoreAtomicity, UarchConfig};
+pub use enumerate::{naive_candidates, Candidate};
 pub use generate::build_uarch_ir;
 pub use interpret::interpret;
 pub use random::random_ir;

@@ -851,29 +851,61 @@ impl Relation {
     }
 }
 
-/// Closes `rows` transitively in place by word-parallel repeated
-/// squaring: each pass replaces every row's successors with its
-/// successors-of-successors as well (R := R ∪ R;R, the union taken 64
-/// columns at a time), so the reachable path length doubles per pass —
-/// at most ⌈log₂ n⌉ passes instead of Floyd–Warshall's n pivot rounds.
-/// Updating in place only accelerates convergence: a row read mid-pass
-/// already holds a subset of the closure.
+/// Closes `rows` transitively in place.
+///
+/// Peels sinks as [`Relation::is_acyclic`] does, closing each peeled
+/// event as it goes: a sink's successors were all peeled in earlier
+/// rounds, so their rows are closed already and one union over them
+/// closes the sink's. An acyclic relation is closed after the peeling
+/// alone. On a cycle the events left over fall back to word-parallel
+/// repeated squaring (R := R ∪ R;R, 64 columns at a time, until nothing
+/// changes); the rows closed so far hold their final value, and a row
+/// read mid-pass already holds a subset of the closure, so updating in
+/// place only speeds convergence.
 pub(crate) fn close_rows(rows: &mut [u64]) {
+    let union_of_successors = |rows: &[u64], a: usize| {
+        let mut row = rows[a];
+        let mut mids = row;
+        while mids != 0 {
+            let b = mids.trailing_zeros() as usize;
+            mids &= mids - 1;
+            row |= rows[b];
+        }
+        row
+    };
+    let mut left = mask(rows.len());
     loop {
-        let mut changed = false;
-        for a in 0..rows.len() {
-            let mut row = rows[a];
-            let mut mids = row;
-            while mids != 0 {
-                let b = mids.trailing_zeros() as usize;
-                mids &= mids - 1;
-                row |= rows[b];
+        let mut sinks = 0u64;
+        let mut rest = left;
+        while rest != 0 {
+            let a = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if rows[a] & left == 0 {
+                sinks |= 1 << a;
             }
+        }
+        if sinks == 0 {
+            break;
+        }
+        let mut rest = sinks;
+        while rest != 0 {
+            let a = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            rows[a] = union_of_successors(rows, a);
+        }
+        left &= !sinks;
+    }
+    // What a cycle kept closes by repeated squaring.
+    let mut changed = left != 0;
+    while changed {
+        changed = false;
+        let mut rest = left;
+        while rest != 0 {
+            let a = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let row = union_of_successors(rows, a);
             changed |= row != rows[a];
             rows[a] = row;
-        }
-        if !changed {
-            return;
         }
     }
 }

@@ -113,6 +113,79 @@ fn sink_peeling_matches_an_irreflexive_closure_on_wide_universes() {
     );
 }
 
+/// The closure as the least fixpoint of `R := R ∪ R;R`, through the
+/// public algebra only: the reference for the peel-order closure.
+fn fixpoint_closure(r: &Relation) -> Relation {
+    let mut closed = r.clone();
+    loop {
+        let next = closed.union(&closed.compose(&closed));
+        if next == closed {
+            return closed;
+        }
+        closed = next;
+    }
+}
+
+/// The peel-order closure against the fixpoint on the same wide
+/// universes: random edges (mostly forward, so acyclic relations stay
+/// common), self-loops, and long paths or cycles through a random
+/// order of the events, so both the one-pass peel and its fallback on
+/// a cycle (with peelable events around it) are exercised.
+#[test]
+fn peel_order_closure_matches_the_fixpoint_on_wide_universes() {
+    let mut rng = SplitMix(0x636c_6f73_7572_6521);
+    let (mut acyclic, mut cyclic) = (0, 0);
+    for n in [0usize, 1, 10, 63, 64] {
+        for case in 0..120 {
+            let mut r = Relation::empty(n);
+            if n > 0 {
+                let edges = match case % 3 {
+                    0 => rng.below(n + 1),
+                    1 => rng.below(2 * n + 1),
+                    _ => rng.below(n * n / 4 + 1),
+                };
+                for _ in 0..edges {
+                    let (a, b) = (rng.below(n), rng.below(n));
+                    if a < b || rng.below(8) == 0 {
+                        r.insert(a, b);
+                    }
+                }
+                if rng.below(10) == 0 {
+                    let a = rng.below(n);
+                    r.insert(a, a);
+                }
+                if case % 4 == 0 {
+                    let mut order: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        order.swap(i, rng.below(i + 1));
+                    }
+                    order.truncate(1 + rng.below(n));
+                    for pair in order.windows(2) {
+                        r.insert(pair[0], pair[1]);
+                    }
+                    if rng.below(2) == 0 {
+                        r.insert(order[order.len() - 1], order[0]);
+                    }
+                }
+            }
+            assert_eq!(
+                r.transitive_closure(),
+                fixpoint_closure(&r),
+                "n={n} case={case}: {r:?}"
+            );
+            if r.is_acyclic() {
+                acyclic += 1;
+            } else {
+                cyclic += 1;
+            }
+        }
+    }
+    assert!(
+        acyclic > 100 && cyclic > 100,
+        "{acyclic} acyclic, {cyclic} cyclic"
+    );
+}
+
 fn arb_set() -> impl Strategy<Value = EventSet> {
     proptest::collection::vec(0..N, 0..N).prop_map(|ids| EventSet::from_ids(N, ids))
 }

@@ -100,6 +100,21 @@ for mode in target outcomes; do
   done
 done
 
+step "Litmus files (tricheck file output pinned under both specs)"
+# Every committed .litmus file, parsed and verified under riscv-curr
+# and riscv-ours, must print exactly the committed fixture. The
+# enumerator resolves constant addresses and values from the program
+# text; dep_fig13's register-computed address is the read it still
+# resolves per rf choice, so this is that path's CLI pin. Regenerate
+# the fixture with this loop only for an intended output change.
+for f in litmus/*.litmus; do
+  for spec in curr ours; do
+    echo "== $f --spec $spec"
+    tricheck file "$f" --spec "$spec"
+  done
+done > "$TMP/litmus-files.txt"
+diff tests/fixtures/litmus_files.txt "$TMP/litmus-files.txt"
+
 step "CLI built-in stack files smoke (each built-in matrix is its committed file)"
 # The riscv and power built-ins are compiled in from models/riscv.stack
 # and models/power.stack: loaded from disk, each prints the same table.

@@ -205,7 +205,13 @@ fn warm_streamed_judgement_allocates_nothing() {
         judge.restart(&kernel);
         let materialized =
             witness_mask::<UarchModel>(&mut judge, &mut scratch, &space, c.target(), live);
-        assert_eq!(verdict, materialized, "{}", c.name());
+        assert_eq!(
+            verdict,
+            materialized,
+            "{} under {}",
+            c.target(),
+            c.mapping()
+        );
     }
     assert!(
         verdicts.iter().any(|&v| v != 0),

@@ -1,10 +1,15 @@
 //! Satellite pins for the arena-backed columnar execution-space engine:
 //! spaces must hold candidates bit-identical to direct enumeration,
 //! sweep rows and statistics must be invariant across thread counts in
-//! both outcome modes, the suite-wide pruned-branch count must not
-//! move, and snapshots must round-trip through the v3 columnar codec.
+//! both outcome modes, the suite-wide pruned-branch and enumerated
+//! candidate counts must not move, and snapshots must round-trip
+//! through the v3 columnar codec.
+//!
+//! The trace collector is process-global, so every test here
+//! serializes on [`session_lock`]: an enumeration running beside a
+//! metrics session would add its counts to that session's.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 use tricheck::litmus::{core_consistent, enumerate_executions, ExecutionSpace};
@@ -14,6 +19,14 @@ use tricheck::prelude::*;
 fn cached_suite() -> &'static [LitmusTest] {
     static SUITE: OnceLock<Vec<LitmusTest>> = OnceLock::new();
     SUITE.get_or_init(suite::full_suite)
+}
+
+fn session_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    match LOCK.get_or_init(|| Mutex::new(())).lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
 }
 
 /// Strategy: a random non-empty subset of the suite (by test index),
@@ -36,6 +49,7 @@ proptest! {
     /// (which must hold precisely the core-consistent candidates).
     #[test]
     fn columnar_spaces_are_bit_identical_to_direct_enumeration(tests in arb_subset()) {
+        let _guard = session_lock();
         let mapping = riscv_mapping(RiscvIsa::BaseA, SpecVersion::Curr);
         for test in &tests {
             let space = ExecutionSpace::new(test.program().clone());
@@ -65,6 +79,7 @@ proptest! {
     /// everything a sweep reports.
     #[test]
     fn sweep_rows_and_stats_are_thread_invariant_in_both_modes(tests in arb_subset()) {
+        let _guard = session_lock();
         for mode in [OutcomeMode::Target, OutcomeMode::FullOutcomes] {
             let run = |threads: usize| {
                 Sweep::with_options(SweepOptions {
@@ -91,6 +106,7 @@ proptest! {
     /// unchanged writes.
     #[test]
     fn snapshots_round_trip_through_the_columnar_codec(tests in arb_subset()) {
+        let _guard = session_lock();
         let mapping = riscv_mapping(RiscvIsa::Base, SpecVersion::Curr);
         for test in &tests {
             let compiled = compile(test, mapping).unwrap();
@@ -122,6 +138,7 @@ proptest! {
 /// accounting drifts, one of them moves.
 #[test]
 fn full_suite_prunes_exactly_the_pinned_branch_count() {
+    let _guard = session_lock();
     let tests = suite::full_suite();
     let stats_for = |threads: usize| {
         *Sweep::with_options(SweepOptions {
@@ -144,4 +161,36 @@ fn full_suite_prunes_exactly_the_pinned_branch_count() {
         serial,
         "thread count must not move sweep statistics"
     );
+}
+
+/// The suite-wide enumeration pin: a serial full-suite Figure 15 sweep
+/// visits exactly this many candidates — one per distinct compiled
+/// program in target mode, every core-consistent candidate in
+/// full-outcome mode — and prunes the same branches in both modes.
+/// Which reads the enumerator resolves from the program text, and how,
+/// must not change which candidates it visits.
+#[test]
+fn full_suite_enumerates_the_pinned_candidate_counts() {
+    use tricheck::trace::{self, TraceConfig};
+    let _guard = session_lock();
+    let tests = suite::full_suite();
+    for (mode, candidates) in [
+        (OutcomeMode::Target, 6537),
+        (OutcomeMode::FullOutcomes, 90_544),
+    ] {
+        trace::start(TraceConfig::metrics());
+        let results = Sweep::with_options(SweepOptions {
+            threads: 1,
+            outcome_mode: mode,
+            ..SweepOptions::default()
+        })
+        .run_matrix(&tests, &riscv_stacks());
+        let report = trace::finish().report;
+        assert_eq!(
+            report.counter("candidates_enumerated"),
+            Some(candidates),
+            "{mode:?} mode"
+        );
+        assert_eq!(results.stats().candidates_pruned, 408, "{mode:?} mode");
+    }
 }
