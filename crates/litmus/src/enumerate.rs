@@ -176,9 +176,6 @@ struct Skeleton {
     sources: Vec<u64>,
     /// The write events (initialization writes included), as a bitmask.
     writes: u64,
-    /// Reads and writes (every event that must resolve a location and
-    /// a value), as a bitmask.
-    accesses: u64,
     /// Same-thread `po` pairs that are not read→read: the part of
     /// program order the core keeps once both ends share a location.
     po_core: Relation,
@@ -253,9 +250,7 @@ impl Skeleton {
         exec.reg_def.clear();
         let (mut addr, mut data, mut rmw) =
             (Relation::empty(n), Relation::empty(n), Relation::empty(n));
-        // Per event: the events of its thread (itself included), and
-        // its po-successors; zero for initialization writes.
-        let mut thread_rows = [0u64; MAX_EVENTS];
+        // Per event: its po-successors; zero for initialization writes.
         let mut po_rows = [0u64; MAX_EVENTS];
 
         for _ in locations {
@@ -365,12 +360,12 @@ impl Skeleton {
             // A thread's events are contiguous and pushed in program
             // order, so each one's po-successors are the rest of them.
             let last = exec.events.len();
-            for e in first..last {
-                thread_rows[e] = span(first, last);
-                po_rows[e] = span(e + 1, last);
+            for (e, row) in (first..).zip(&mut po_rows[first..last]) {
+                *row = span(e + 1, last);
             }
         }
         debug_assert_eq!(exec.events.len(), n);
+        let thread_rows = exec.thread_rows();
         exec.reg_def.sort_unstable();
 
         // What the program text fixes. Every constant address is one of
@@ -414,8 +409,7 @@ impl Skeleton {
             }
         }
         self.writes = writes;
-        self.accesses = reads | writes;
-        self.dynamic = self.accesses & !fixed;
+        self.dynamic = (reads | writes) & !fixed;
         // The accesses that may share a location with `e`: those with
         // its static location or a register-computed one, or any access
         // if `e`'s own address is register-computed.

@@ -326,7 +326,7 @@ impl<A> Execution<A> {
 
     /// Per event: the events of its thread, itself included (no events
     /// for an initialization write, which is external to every thread).
-    fn thread_rows(&self) -> [u64; MAX_EVENTS] {
+    pub(crate) fn thread_rows(&self) -> [u64; MAX_EVENTS] {
         let mut rows = [0u64; MAX_EVENTS];
         for_each_group(self.len(), |e| self.events[e].tid, &mut rows);
         rows

@@ -644,15 +644,7 @@ impl Relation {
     pub fn is_acyclic(&self) -> bool {
         let mut left = mask(self.n);
         loop {
-            let mut sinks = 0u64;
-            let mut rest = left;
-            while rest != 0 {
-                let a = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                if self.rows[a] & left == 0 {
-                    sinks |= 1 << a;
-                }
-            }
+            let sinks = sinks(&self.rows, left);
             if sinks == 0 {
                 return left == 0;
             }
@@ -851,6 +843,23 @@ impl Relation {
     }
 }
 
+/// One round of sink peeling: the events of `left` with no edge into
+/// `left`. Peeling them round by round empties an acyclic relation; a
+/// cycle (a self-loop included) keeps its events, so a round that finds
+/// no sink while events remain proves one.
+fn sinks(rows: &[u64], left: u64) -> u64 {
+    let mut sinks = 0u64;
+    let mut rest = left;
+    while rest != 0 {
+        let a = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        if rows[a] & left == 0 {
+            sinks |= 1 << a;
+        }
+    }
+    sinks
+}
+
 /// Closes `rows` transitively in place.
 ///
 /// Peels sinks as [`Relation::is_acyclic`] does, closing each peeled
@@ -875,15 +884,7 @@ pub(crate) fn close_rows(rows: &mut [u64]) {
     };
     let mut left = mask(rows.len());
     loop {
-        let mut sinks = 0u64;
-        let mut rest = left;
-        while rest != 0 {
-            let a = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            if rows[a] & left == 0 {
-                sinks |= 1 << a;
-            }
-        }
+        let sinks = sinks(rows, left);
         if sinks == 0 {
             break;
         }
